@@ -147,6 +147,81 @@ std::uint64_t level_analysis_count() {
   return g_level_analysis_count.load(std::memory_order_relaxed);
 }
 
+namespace {
+
+/// One node of level_order_nodes: the compute_level_sets recurrence over the
+/// node's rows in their current order, restricted to the node's diagonal
+/// block, then a counting sort of the node's old_of_new slice by level
+/// (ascending current position within a level, as level_item orders it).
+NodeLevels level_order_node(const std::vector<offset_t>& row_ptr,
+                            const std::vector<index_t>& col_idx,
+                            const std::vector<index_t>& new_of_old,
+                            index_t r0, index_t r1, index_t* old_of_new) {
+  NodeLevels out;
+  std::vector<index_t> level(static_cast<std::size_t>(r1 - r0));
+  index_t max_level = -1;
+  for (index_t p = r0; p < r1; ++p) {
+    const auto i = static_cast<std::size_t>(old_of_new[p]);
+    index_t lvl = 0;
+    for (offset_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
+      const index_t c = new_of_old[static_cast<std::size_t>(
+          col_idx[static_cast<std::size_t>(k)])];
+      if (c < r0) continue;  // left of the node: not in its diagonal block
+      ++out.nnz;
+      BLOCKTRI_CHECK_MSG(c <= p, "level_order_nodes: matrix is not lower "
+                                 "triangular");
+      if (c == p) continue;  // diagonal is not a dependency
+      lvl = std::max(lvl, level[static_cast<std::size_t>(c - r0)] + index_t{1});
+    }
+    level[static_cast<std::size_t>(p - r0)] = lvl;
+    max_level = std::max(max_level, lvl);
+  }
+  out.nlevels = max_level + 1;
+  if (out.nlevels <= 1) return out;  // one level: the current order stands
+
+  std::vector<index_t> cursor(static_cast<std::size_t>(out.nlevels) + 1, 0);
+  for (const index_t l : level) ++cursor[static_cast<std::size_t>(l) + 1];
+  for (std::size_t l = 1; l < cursor.size(); ++l) cursor[l] += cursor[l - 1];
+  const std::vector<index_t> rows(old_of_new + r0, old_of_new + r1);
+  for (std::size_t q = 0; q < rows.size(); ++q)
+    old_of_new[r0 + cursor[static_cast<std::size_t>(level[q])]++] = rows[q];
+  return out;
+}
+
+}  // namespace
+
+std::vector<NodeLevels> level_order_nodes(
+    const std::vector<offset_t>& row_ptr, const std::vector<index_t>& col_idx,
+    const std::vector<std::pair<index_t, index_t>>& nodes,
+    std::vector<index_t>* old_of_new, std::vector<index_t>* new_of_old,
+    ThreadPool* pool) {
+  BLOCKTRI_CHECK(old_of_new->size() == new_of_old->size());
+  BLOCKTRI_CHECK(row_ptr.size() == old_of_new->size() + 1);
+  g_level_analysis_count.fetch_add(1, std::memory_order_relaxed);
+  std::vector<NodeLevels> out(nodes.size());
+  const auto nnodes = static_cast<int>(nodes.size());
+  auto for_each_node = [&](const auto& body) {
+    if (parallel_enabled(pool) && nnodes > 1) {
+      pool->run(nnodes, [&](int nd) { body(static_cast<std::size_t>(nd)); });
+    } else {
+      for (std::size_t nd = 0; nd < nodes.size(); ++nd) body(nd);
+    }
+  };
+  // Every node reads new_of_old anywhere, so it is re-inverted only after
+  // all sweeps finished; each node then rewrites the entries of its own rows.
+  for_each_node([&](std::size_t nd) {
+    out[nd] = level_order_node(row_ptr, col_idx, *new_of_old, nodes[nd].first,
+                               nodes[nd].second, old_of_new->data());
+  });
+  for_each_node([&](std::size_t nd) {
+    if (out[nd].nlevels <= 1) return;
+    for (index_t p = nodes[nd].first; p < nodes[nd].second; ++p)
+      (*new_of_old)[static_cast<std::size_t>(
+          (*old_of_new)[static_cast<std::size_t>(p)])] = p;
+  });
+  return out;
+}
+
 ParallelismStats parallelism_stats(const LevelSets& ls) {
   ParallelismStats st;
   if (ls.nlevels == 0) return st;

@@ -11,6 +11,8 @@
 //      and level-width (parallelism) statistics.
 #pragma once
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -59,12 +61,40 @@ LevelSets compute_level_sets(index_t n, const std::vector<offset_t>& row_ptr,
                              ThreadPool* pool = nullptr,
                              index_t merge_width = 0);
 
-/// Process-wide count of compute_level_sets invocations (atomic). Level
-/// analysis is the dominant preprocessing cost (Table 5), so the plan
-/// persistence contract — a warm PlanCache hit or a loaded artifact performs
-/// *zero* level-set analysis — is asserted by diffing this counter around the
-/// warm path (tests/test_persist.cpp).
+/// Process-wide count of level analyses (atomic): one per compute_level_sets
+/// call and one per level_order_nodes call (one recursion depth of the §3.3
+/// planner). Level analysis is the dominant preprocessing cost (Table 5), so
+/// the plan persistence contract — a warm PlanCache hit or a loaded artifact
+/// performs *zero* level-set analysis — is asserted by diffing this counter
+/// around the warm path (tests/test_persist.cpp).
 std::uint64_t level_analysis_count();
+
+/// What level_order_nodes found in one node's diagonal block.
+struct NodeLevels {
+  index_t nlevels = 0;  // level count of the block (0 for an empty node)
+  offset_t nnz = 0;     // nonzeros of the block, diagonal included
+};
+
+/// One depth of §3.3's recursive level-set reordering, run on index arrays
+/// instead of an extracted and re-permuted matrix. (old_of_new, new_of_old)
+/// is a symmetric permutation of the lower-triangular pattern
+/// (row_ptr, col_idx): permuted row p is row old_of_new[p], and column j
+/// lands at new_of_old[j]. `nodes` are disjoint [r0, r1) ranges of permuted
+/// rows. Each node is analysed exactly as compute_level_sets would analyse
+/// its diagonal block of the permuted matrix: a dependency on a column before
+/// r0 is outside the block and ignored, and an entry above the diagonal
+/// throws. The node's slice of old_of_new is then reordered by
+/// (level, current position) — level_order_permutation of that block — and
+/// new_of_old is updated to match. Rows outside every node keep their place.
+///
+/// Nodes run across the pool (each writes only its own old_of_new slice);
+/// the result does not depend on the pool. Counts as ONE level analysis
+/// however many nodes it covers.
+std::vector<NodeLevels> level_order_nodes(
+    const std::vector<offset_t>& row_ptr, const std::vector<index_t>& col_idx,
+    const std::vector<std::pair<index_t, index_t>>& nodes,
+    std::vector<index_t>* old_of_new, std::vector<index_t>* new_of_old,
+    ThreadPool* pool = nullptr);
 
 template <class T>
 LevelSets compute_level_sets(const Csr<T>& lower, ThreadPool* pool = nullptr,

@@ -5,7 +5,6 @@
 
 #include "analysis/levels.hpp"
 #include "sparse/permute.hpp"
-#include "sparse/triangular.hpp"
 
 namespace blocktri {
 
@@ -114,18 +113,25 @@ namespace {
 
 /// The recursion tree is fully determined by (n, stop_rows, max_depth):
 /// splits always land at range midpoints. The planner therefore builds the
-/// tree arithmetically first, then — when reordering is enabled — performs
-/// ONE whole-matrix permutation per recursion DEPTH, composing the level
-/// orders of every node at that depth. This keeps the preprocessing at
-/// O(nnz · depth) rather than O(nnz · node-count): exactly the batching a
-/// production implementation of §3.3 uses, and what keeps the paper's
-/// preprocessing "moderate" (Table 5).
+/// tree arithmetically first, then — when reordering is enabled — level-orders
+/// every node of one recursion DEPTH in a single sweep over the input
+/// (level_order_nodes), composing the per-node level orders into one running
+/// permutation. No intermediate matrix is built: the stored matrix is one
+/// permute_symmetric of the input by the final composite permutation, which
+/// is canonical (sorted rows), so it equals the depth-by-depth re-permuted
+/// matrix of the paper's algorithm bit for bit.
+///
+/// host_ops / host_bytes price that per-depth algorithm — a level analysis
+/// of every node's extracted diagonal block plus one whole-matrix
+/// permutation per depth that moved a row — not the host's own index-array
+/// work, so the simulated Table 5 ratio is independent of how the host
+/// computes the same plan.
 template <class T>
 class RecursivePlanner {
  public:
   RecursivePlanner(const Csr<T>& lower, const PlannerOptions& opt,
                    ThreadPool* pool)
-      : opt_(opt), pool_(pool), work_(lower) {
+      : lower_(lower), opt_(opt), pool_(pool) {
     plan_.scheme = BlockScheme::kRecursive;
     plan_.n = lower.nrows;
   }
@@ -134,17 +140,16 @@ class RecursivePlanner {
     plan_.tri_bounds.push_back(0);
     if (plan_.n > 0) build_tree(0, plan_.n, 0);
 
+    plan_.new_of_old.resize(static_cast<std::size_t>(plan_.n));
+    std::iota(plan_.new_of_old.begin(), plan_.new_of_old.end(), 0);
+    bool moved = false;
     if (opt_.reorder) {
-      for (const auto& depth_nodes : nodes_by_depth_) reorder_depth(depth_nodes);
+      std::vector<index_t> old_of_new = plan_.new_of_old;
+      for (const auto& depth_nodes : nodes_by_depth_)
+        moved = reorder_depth(depth_nodes, &old_of_new) || moved;
     }
-
-    if (cur_of_orig_.empty()) {
-      plan_.new_of_old.resize(static_cast<std::size_t>(plan_.n));
-      std::iota(plan_.new_of_old.begin(), plan_.new_of_old.end(), 0);
-    } else {
-      plan_.new_of_old = std::move(cur_of_orig_);
-    }
-    if (permuted != nullptr) *permuted = std::move(work_);
+    if (permuted != nullptr)
+      *permuted = moved ? permute_symmetric(lower_, plan_.new_of_old) : lower_;
     return std::move(plan_);
   }
 
@@ -173,65 +178,35 @@ class RecursivePlanner {
     build_tree(mid, r1, depth + 1);  // bottom triangle last (Alg. 6 line 7)
   }
 
-  /// Level-orders every node range of one depth with a single global
-  /// symmetric permutation. Nodes of one depth cover disjoint row ranges, so
-  /// their level analyses (the preprocessing hot spot) run across the pool;
-  /// each node writes only its own perm[r0, r1) slice.
-  void reorder_depth(const std::vector<std::pair<index_t, index_t>>& nodes) {
-    std::vector<index_t> perm(static_cast<std::size_t>(plan_.n));
-    std::iota(perm.begin(), perm.end(), 0);
-    const auto nnodes = static_cast<int>(nodes.size());
-    std::vector<std::int64_t> node_ops(nodes.size(), 0);
-    std::vector<std::int64_t> node_bytes(nodes.size(), 0);
-    std::vector<char> node_moved(nodes.size(), 0);
-    auto analyse_node = [&](int nd, ThreadPool* level_pool) {
-      const auto [r0, r1] = nodes[static_cast<std::size_t>(nd)];
-      const Csr<T> sub = extract_block(work_, r0, r1, r0, r1);
-      const LevelSets ls = compute_level_sets(
-          sub.nrows, sub.row_ptr, sub.col_idx, level_pool);
-      // Level analysis pass: one visit per nonzero + per row.
-      node_ops[static_cast<std::size_t>(nd)] = sub.nnz() + (r1 - r0);
-      node_bytes[static_cast<std::size_t>(nd)] =
-          sub.nnz() * static_cast<std::int64_t>(sizeof(index_t) + sizeof(T));
-      if (ls.nlevels <= 1) return;  // already diagonal: nothing to move
-      const std::vector<index_t> local = level_order_permutation(ls);
-      for (index_t i = r0; i < r1; ++i)
-        perm[static_cast<std::size_t>(i)] =
-            r0 + local[static_cast<std::size_t>(i - r0)];
-      node_moved[static_cast<std::size_t>(nd)] = 1;
-    };
-    if (parallel_enabled(pool_) && nnodes > 1) {
-      pool_->run(nnodes, [&](int nd) { analyse_node(nd, nullptr); });
-    } else {
-      // A single node (the root depths) can still use the pool inside the
-      // level analysis itself.
-      for (int nd = 0; nd < nnodes; ++nd) analyse_node(nd, pool_);
-    }
-    bool any = false;
+  /// Level-orders every node range of one depth (nodes of one depth cover
+  /// disjoint row ranges, so they run across the pool) and prices the
+  /// per-depth algorithm. Returns whether any node had a row to move.
+  bool reorder_depth(const std::vector<std::pair<index_t, index_t>>& nodes,
+                     std::vector<index_t>* old_of_new) {
+    const std::vector<NodeLevels> found =
+        level_order_nodes(lower_.row_ptr, lower_.col_idx, nodes, old_of_new,
+                          &plan_.new_of_old, pool_);
+    bool moved = false;
     for (std::size_t nd = 0; nd < nodes.size(); ++nd) {
-      plan_.host_ops += node_ops[nd];
-      plan_.host_bytes += node_bytes[nd];
-      any = any || node_moved[nd] != 0;
+      // Level analysis of the node's block: one visit per nonzero + per row.
+      plan_.host_ops += found[nd].nnz + (nodes[nd].second - nodes[nd].first);
+      plan_.host_bytes +=
+          found[nd].nnz * static_cast<std::int64_t>(sizeof(index_t) + sizeof(T));
+      moved = moved || found[nd].nlevels > 1;
     }
-    if (!any) return;
-    work_ = permute_symmetric(work_, perm);
-    if (cur_of_orig_.empty()) {
-      cur_of_orig_ = perm;
-    } else {
-      for (auto& cur : cur_of_orig_)
-        cur = perm[static_cast<std::size_t>(cur)];
+    if (moved) {
+      // One whole-matrix permutation pass per depth (ptr rebuild + scatter +
+      // row sorts).
+      plan_.host_ops += 2 * lower_.nnz() + plan_.n;
+      plan_.host_bytes += 2 * lower_.nnz() *
+                          static_cast<std::int64_t>(sizeof(index_t) + sizeof(T));
     }
-    // One whole-matrix permutation pass per depth (ptr rebuild + scatter +
-    // row sorts).
-    plan_.host_ops += 2 * work_.nnz() + plan_.n;
-    plan_.host_bytes += 2 * work_.nnz() *
-                        static_cast<std::int64_t>(sizeof(index_t) + sizeof(T));
+    return moved;
   }
 
+  const Csr<T>& lower_;
   const PlannerOptions& opt_;
   ThreadPool* pool_;
-  Csr<T> work_;
-  std::vector<index_t> cur_of_orig_;  // empty until the first permutation
   std::vector<std::vector<std::pair<index_t, index_t>>> nodes_by_depth_;
   BlockPlan plan_;
 };

@@ -80,7 +80,9 @@ struct BlockPlan {
                : static_cast<index_t>(color_bounds.size()) - 1;
   }
 
-  // Host-model preprocessing counters (level analyses + permutations).
+  // Host-model preprocessing counters: they price the paper's per-depth
+  // algorithm (a level analysis of every node's extracted block plus one
+  // whole-matrix permutation per depth), not the host planner's own work.
   std::int64_t host_ops = 0;
   std::int64_t host_bytes = 0;
 
@@ -107,10 +109,11 @@ BlockPlan plan_row(index_t n, index_t nseg);
 
 /// Fig. 2(c) + §3.3: recursive halving with per-node level-set reordering.
 /// Returns the plan and (through `permuted`) the reordered matrix the
-/// executor should store — recomputing the permutation application would
-/// double the preprocessing cost. A pool parallelises the per-node level
-/// analyses of each recursion depth (nodes of one depth cover disjoint row
-/// ranges); the resulting plan is identical to the serial one.
+/// executor should store. The reordering runs on index arrays — one level
+/// sweep over `lower` per recursion depth, composing one permutation — and
+/// applies that permutation once at the end. A pool parallelises the nodes
+/// of each depth (they cover disjoint row ranges); the resulting plan is
+/// identical to the serial one.
 template <class T>
 BlockPlan plan_recursive(const Csr<T>& lower, const PlannerOptions& opt,
                          Csr<T>* permuted, ThreadPool* pool = nullptr);

@@ -101,14 +101,26 @@ inline std::vector<LadderRung> build_ladder(bool have_pool, bool fallback) {
                      DegradeEvent::Kind::kBlockedToStrict});
   return rungs;
 }
+
+/// check_lower_triangular (throwing its Status) + structure_hash: the
+/// validation the public cold constructor runs before delegating.
+template <class T>
+std::uint64_t checked_structure_hash(const Csr<T>& lower) {
+  throw_if_error(check_lower_triangular(lower));
+  return structure_hash(lower);
+}
 }  // namespace
 
 template <class T>
 BlockSolver<T>::BlockSolver(const Csr<T>& lower, const Options& opt)
+    : BlockSolver(lower, opt, checked_structure_hash(lower)) {}
+
+template <class T>
+BlockSolver<T>::BlockSolver(const Csr<T>& lower, const Options& opt,
+                            std::uint64_t structure)
     : opt_(opt) {
-  throw_if_error(check_lower_triangular(lower));
   nnz_ = lower.nnz();
-  structure_hash_ = blocktri::structure_hash(lower);
+  structure_hash_ = structure;
 
   // The pool exists before planning so preprocessing (per-node level
   // analyses, CSC conversions, in-degree counts) can use it too.
@@ -799,14 +811,16 @@ Status BlockSolver<T>::create(const Csr<T>& lower, const Options& opt,
                               PlanCache<T>* cache) {
   BLOCKTRI_CHECK(out != nullptr);
   if (Status st = check_lower_triangular(lower); !st.ok()) return st;
+  const std::uint64_t structure = blocktri::structure_hash(lower);
   if (cache != nullptr) {
-    const PlanCacheKey key{blocktri::structure_hash(lower),
-                           options_fingerprint(opt)};
+    const PlanCacheKey key{structure, options_fingerprint(opt)};
     bool hit_failed = false;
     if (std::shared_ptr<const PlanArtifact<T>> art = cache->find(key)) {
+      // A hit's artifact was captured from a pattern with this very hash
+      // (the key), so the values go in without re-checking or re-hashing.
       std::unique_ptr<BlockSolver<T>> warm;
       if (create_from_artifact(std::move(art), opt, &warm).ok() &&
-          warm->refresh_values(lower).ok()) {
+          warm->install_values(lower).ok()) {
         cache->report_hit_success(key);
         *out = std::move(warm);
         return Status::Ok();
@@ -818,7 +832,7 @@ Status BlockSolver<T>::create(const Csr<T>& lower, const Options& opt,
       hit_failed = true;
       cache->report_hit_failure(key);
     }
-    out->reset(new BlockSolver<T>(lower, opt));
+    out->reset(new BlockSolver<T>(lower, opt, structure));
     // When the cached entry just failed the warm path, overwrite it: leaving
     // it in place would make every future create() for this key pay the
     // failed warm attempt plus a cold build forever. (A quarantined key
@@ -827,7 +841,7 @@ Status BlockSolver<T>::create(const Csr<T>& lower, const Options& opt,
                   /*overwrite=*/hit_failed);
     return Status::Ok();
   }
-  out->reset(new BlockSolver<T>(lower, opt));
+  out->reset(new BlockSolver<T>(lower, opt, structure));
   return Status::Ok();
 }
 
@@ -1132,7 +1146,7 @@ Status BlockSolver<T>::create_from_file(const std::string& path,
   if (Status st = create_from_artifact(std::move(art), opt, &solver);
       !st.ok())
     return st;
-  if (Status st = solver->refresh_values(lower); !st.ok()) return st;
+  if (Status st = solver->install_values(lower); !st.ok()) return st;
   // Only a fully rehydrated artifact is worth caching; first-writer-wins
   // keeps an existing (already proven) entry.
   if (cache != nullptr) cache->insert(std::move(art_for_cache), false);
@@ -1143,8 +1157,16 @@ Status BlockSolver<T>::create_from_file(const std::string& path,
 template <class T>
 Status BlockSolver<T>::refresh_values(const Csr<T>& lower) {
   if (Status st = check_lower_triangular(lower); !st.ok()) return st;
-  if (lower.nrows != plan_.n || lower.nnz() != nnz_ ||
-      blocktri::structure_hash(lower) != structure_hash_)
+  if (blocktri::structure_hash(lower) != structure_hash_)
+    return Status(StatusCode::kStructureMismatch,
+                  "refresh_values requires the exact sparsity pattern this "
+                  "solver was analyzed for");
+  return install_values(lower);
+}
+
+template <class T>
+Status BlockSolver<T>::install_values(const Csr<T>& lower) {
+  if (lower.nrows != plan_.n || lower.nnz() != nnz_)
     return Status(StatusCode::kStructureMismatch,
                   "refresh_values requires the exact sparsity pattern this "
                   "solver was analyzed for");

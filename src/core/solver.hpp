@@ -534,6 +534,12 @@ class BlockSolver {
   /// fingerprint/verify preconditions are create_from_artifact's job.
   BlockSolver(const PlanArtifact<T>& art, const Options& opt);
 
+  /// The cold build for a caller that already ran check_lower_triangular on
+  /// `lower` and computed its structure hash (`structure`): neither is
+  /// repeated. The public constructor validates and delegates here.
+  BlockSolver(const Csr<T>& lower, const Options& opt,
+              std::uint64_t structure);
+
   struct TriBlock {
     TriBlockInfo info;
     Csr<T> csr;  // retained when verify.enabled: fallback + refinement input
@@ -578,8 +584,12 @@ class BlockSolver {
                       index_t c1, ThreadPool* pool, T* tri_scratch,
                       const ExecControl* ctl, index_t ld,
                       PanelLayout layout) const;
-  /// refresh_values body; the public wrapper maps any escaping Error back to
-  /// its Status so the warm path never throws through the Status API.
+  /// refresh_values for a caller that already validated `lower` and matched
+  /// its structure hash against this solver's: checks only the cheap shape
+  /// invariants, then installs the values, mapping any escaping Error back
+  /// to its Status so the warm path never throws through the Status API.
+  Status install_values(const Csr<T>& lower);
+  /// install_values body.
   Status refresh_values_impl(const Csr<T>& lower);
   /// One pass over the execution steps with the fallback ladder armed.
   /// Consumes bw (square blocks accumulate into it). `epool` is this call's

@@ -2,9 +2,10 @@
 //
 // The search space is the set of *cuts* of a deeper-than-default recursion
 // tree: plan_recursive's tree is pure midpoint arithmetic, and its §3.3
-// reordering permutes the whole matrix once per depth, so any antichain of
-// leaves of a deeper tree — under that tree's permutation, with the in-order
-// square interleaving — is a correct plan. The tuner therefore:
+// reordering level-orders all nodes of one depth at once, composing one
+// permutation over the depths, so any antichain of leaves of a deeper tree —
+// under that tree's permutation, with the in-order square interleaving — is
+// a correct plan. The tuner therefore:
 //
 //   1. builds the default plan D (the paper's stop rule) and a maximal plan M
 //      (stop rule tightened ~8×, a few extra depths),

@@ -269,9 +269,7 @@ TEST(ParallelPreprocess, RecursivePlanIsThreadCountInvariant) {
     ThreadPool pool(t);
     Csr<double> stored_par;
     const BlockPlan got = plan_recursive(L, popt, &stored_par, &pool);
-    EXPECT_EQ(got.new_of_old, want.new_of_old);
-    EXPECT_EQ(got.tri_bounds, want.tri_bounds);
-    EXPECT_EQ(got.depth_used, want.depth_used);
+    EXPECT_TRUE(equals(got, want));
     EXPECT_EQ(stored_par.row_ptr, stored_serial.row_ptr);
     EXPECT_EQ(stored_par.col_idx, stored_serial.col_idx);
     EXPECT_EQ(stored_par.val, stored_serial.val);

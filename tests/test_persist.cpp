@@ -409,8 +409,11 @@ TEST(PersistRefresh, RefreshAfterFileLoadUsesNewValues) {
 TEST(PersistWarmPath, LoadedSolverDoesZeroLevelAnalysis) {
   const Csr<double> L = fixture<double>(2);
   auto opt = small_block_options<double>();
+  const std::uint64_t at_cold = level_analysis_count();
   std::unique_ptr<BlockSolver<double>> cold;
   ASSERT_TRUE(BlockSolver<double>::create(L, opt, &cold).ok());
+  // The cold build is counted, so the zero delta below is not vacuous.
+  ASSERT_GT(level_analysis_count(), at_cold);
   const std::string path = artifact_path("zero_analysis");
   ASSERT_TRUE(cold->save_artifact(path).ok());
 
@@ -428,9 +431,12 @@ TEST(PersistWarmPath, CacheHitDoesZeroLevelAnalysis) {
   auto opt = small_block_options<double>();
   PlanCache<double> cache;
 
+  const std::uint64_t at_cold = level_analysis_count();
   std::unique_ptr<BlockSolver<double>> first;
   ASSERT_TRUE(BlockSolver<double>::create(L, opt, &first, &cache).ok());
   ASSERT_EQ(cache.stats().misses, 1u);
+  // The cold build is counted, so the zero delta below is not vacuous.
+  ASSERT_GT(level_analysis_count(), at_cold);
 
   const std::uint64_t before = level_analysis_count();
   std::unique_ptr<BlockSolver<double>> second;

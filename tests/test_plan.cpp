@@ -4,10 +4,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <numeric>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/levels.hpp"
 #include "common/prefix.hpp"
+#include "common/thread_pool.hpp"
 #include "core/plan.hpp"
 #include "gen/generators.hpp"
 #include "sparse/permute.hpp"
@@ -235,6 +242,220 @@ TEST(Plan, TinyMatrixSingleLeaf) {
   EXPECT_EQ(p.num_tri_blocks(), 1);
   EXPECT_TRUE(p.squares.empty());
   ASSERT_EQ(p.steps.size(), 1u);
+}
+
+// --- The per-depth algorithm as the oracle ----------------------------------
+//
+// plan_recursive level-orders each recursion depth with one sweep over the
+// input's index arrays and permutes the matrix once. The paper's per-depth
+// algorithm it replaced is kept here as the reference: at every depth each
+// node's diagonal block is extracted from the re-permuted matrix and
+// level-analysed, and the whole matrix is permuted again by the composed
+// level orders. Both must agree on every plan field (host counters included)
+// and on the stored matrix, bit for bit.
+
+template <class T>
+BlockPlan reference_plan_recursive(const Csr<T>& lower,
+                                   const PlannerOptions& opt,
+                                   Csr<T>* permuted) {
+  BlockPlan plan;
+  plan.scheme = BlockScheme::kRecursive;
+  plan.n = lower.nrows;
+  std::vector<std::vector<std::pair<index_t, index_t>>> nodes_by_depth;
+  std::function<void(index_t, index_t, int)> build = [&](index_t r0,
+                                                         index_t r1,
+                                                         int depth) {
+    plan.depth_used = std::max(plan.depth_used, depth);
+    if (nodes_by_depth.size() <= static_cast<std::size_t>(depth))
+      nodes_by_depth.resize(static_cast<std::size_t>(depth) + 1);
+    nodes_by_depth[static_cast<std::size_t>(depth)].push_back({r0, r1});
+    const index_t rows = r1 - r0;
+    if (rows / 2 < opt.stop_rows || depth >= opt.max_depth) {
+      plan.tri_bounds.push_back(r1);
+      plan.steps.push_back({ExecStep::Kind::kTri,
+                            static_cast<index_t>(plan.tri_bounds.size()) - 2});
+      return;
+    }
+    const index_t mid = r0 + rows / 2;
+    build(r0, mid, depth + 1);
+    plan.squares.push_back({mid, r1, r0, mid});
+    plan.steps.push_back({ExecStep::Kind::kSquare,
+                          static_cast<index_t>(plan.squares.size()) - 1});
+    build(mid, r1, depth + 1);
+  };
+  plan.tri_bounds.push_back(0);
+  if (plan.n > 0) build(0, plan.n, 0);
+
+  const auto elem = static_cast<std::int64_t>(sizeof(index_t) + sizeof(T));
+  Csr<T> work = lower;
+  plan.new_of_old.resize(static_cast<std::size_t>(plan.n));
+  std::iota(plan.new_of_old.begin(), plan.new_of_old.end(), 0);
+  if (!opt.reorder) nodes_by_depth.clear();
+  for (const auto& nodes : nodes_by_depth) {
+    std::vector<index_t> perm(static_cast<std::size_t>(plan.n));
+    std::iota(perm.begin(), perm.end(), 0);
+    bool any = false;
+    for (const auto& [r0, r1] : nodes) {
+      const Csr<T> sub = extract_block(work, r0, r1, r0, r1);
+      const LevelSets ls = compute_level_sets(sub);
+      plan.host_ops += sub.nnz() + (r1 - r0);
+      plan.host_bytes += sub.nnz() * elem;
+      if (ls.nlevels <= 1) continue;
+      const std::vector<index_t> local = level_order_permutation(ls);
+      for (index_t i = r0; i < r1; ++i)
+        perm[static_cast<std::size_t>(i)] =
+            r0 + local[static_cast<std::size_t>(i - r0)];
+      any = true;
+    }
+    if (!any) continue;
+    work = permute_symmetric(work, perm);
+    for (auto& cur : plan.new_of_old) cur = perm[static_cast<std::size_t>(cur)];
+    plan.host_ops += 2 * work.nnz() + plan.n;
+    plan.host_bytes += 2 * work.nnz() * elem;
+  }
+  *permuted = std::move(work);
+  return plan;
+}
+
+template <class T>
+::testing::AssertionResult SameCsr(const Csr<T>& got, const Csr<T>& want) {
+  if (got.nrows != want.nrows || got.ncols != want.ncols)
+    return ::testing::AssertionFailure() << "shape differs";
+  if (got.row_ptr != want.row_ptr)
+    return ::testing::AssertionFailure() << "row_ptr differs";
+  if (got.col_idx != want.col_idx)
+    return ::testing::AssertionFailure() << "col_idx differs";
+  if (got.val.size() != want.val.size() ||
+      !std::equal(got.val.begin(), got.val.end(), want.val.begin(),
+                  [](T a, T b) {
+                    return std::memcmp(&a, &b, sizeof(T)) == 0;
+                  }))
+    return ::testing::AssertionFailure() << "val differs bitwise";
+  return ::testing::AssertionSuccess();
+}
+
+/// Every option combination the oracle sweep covers for one matrix:
+/// stop_rows ∈ {1, n/64, n, 2n}, max_depth ∈ {0, 2, default}, reorder on and
+/// off, and no pool plus pools of 1, 2 and 4 threads.
+template <class T>
+void expect_planner_matches_reference(const Csr<double>& ld) {
+  const Csr<T> L = gen::convert_values<T>(ld);
+  const index_t n = L.nrows;
+  const PlannerOptions defaults;
+  ThreadPool pool1(1), pool2(2), pool4(4);
+  ThreadPool* const pools[] = {nullptr, &pool1, &pool2, &pool4};
+  for (const index_t stop :
+       {index_t{1}, std::max<index_t>(1, n / 64), std::max<index_t>(1, n),
+        std::max<index_t>(1, 2 * n)})
+    for (const int depth : {0, 2, defaults.max_depth})
+      for (const bool reorder : {true, false}) {
+        PlannerOptions opt;
+        opt.stop_rows = stop;
+        opt.max_depth = depth;
+        opt.reorder = reorder;
+        Csr<T> want_stored;
+        const BlockPlan want = reference_plan_recursive(L, opt, &want_stored);
+        for (ThreadPool* pool : pools) {
+          SCOPED_TRACE(::testing::Message()
+                       << "stop_rows=" << stop << " max_depth=" << depth
+                       << " reorder=" << reorder << " threads="
+                       << (pool == nullptr ? 0 : pool->size()));
+          Csr<T> got_stored;
+          const BlockPlan got = plan_recursive(L, opt, &got_stored, pool);
+          EXPECT_TRUE(equals(got, want));
+          EXPECT_TRUE(SameCsr(got_stored, want_stored));
+        }
+      }
+}
+
+struct OracleMatrix {
+  std::string name;
+  std::function<Csr<double>()> build;
+};
+
+// One matrix per src/gen family, sized so n/64 still leaves a few depths.
+std::vector<OracleMatrix> oracle_matrices() {
+  using namespace gen;
+  return {
+      {"diagonal", [] { return diagonal(700, 1); }},
+      {"tridiag_chain", [] { return tridiag_chain(600, 2); }},
+      {"banded", [] { return banded(2000, 16, 3.0, 3); }},
+      {"grid2d", [] { return grid2d(40, 30, 4); }},
+      {"grid3d", [] { return grid3d(12, 10, 9, 5); }},
+      {"laplace3d", [] { return laplace3d(11, 10, 12, 6); }},
+      {"power_law", [] { return power_law(1500, 2.1, 256, 6.0, 7); }},
+      {"random_levels", [] { return random_levels(2000, 30, 3.0, 1.0, 8); }},
+      {"two_level_kkt", [] { return two_level_kkt(1200, 600, 5.0, 9); }},
+      {"kkt_structure", [] { return kkt_structure(1600, 12, 3.0, 10); }},
+      {"trace_network", [] { return trace_network(1800, 9, 1.8, 0.45, 11); }},
+      {"power_law_levels",
+       [] {
+         return power_law_levels(1500, 40, 0.9, 2.0, 64, 4.0, 1.5, 2, 0.05,
+                                 2, 0.02, 12);
+       }},
+      {"chain_banded", [] { return chain_banded(800, 8, 2.0, 13); }},
+      {"dense_lower", [] { return dense_lower(150, 0.3, 14); }},
+      {"random_topological_shuffle",
+       [] {
+         return random_topological_shuffle(random_levels(1500, 20, 3.0, 1.0,
+                                                         15),
+                                           16);
+       }},
+  };
+}
+
+void PrintTo(const OracleMatrix& m, std::ostream* os) { *os << m.name; }
+
+class PlannerOracle : public ::testing::TestWithParam<OracleMatrix> {};
+
+TEST_P(PlannerOracle, MatchesPerDepthReferenceDouble) {
+  expect_planner_matches_reference<double>(GetParam().build());
+}
+
+TEST_P(PlannerOracle, MatchesPerDepthReferenceFloat) {
+  expect_planner_matches_reference<float>(GetParam().build());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GenFamilies, PlannerOracle, ::testing::ValuesIn(oracle_matrices()),
+    [](const ::testing::TestParamInfo<OracleMatrix>& info) {
+      return info.param.name;
+    });
+
+TEST(PlannerOracleSmallN, MatchesPerDepthReference) {
+  for (const index_t n : {0, 1, 2, 3}) {
+    SCOPED_TRACE(n);
+    const Csr<double> dense = gen::dense_lower(n, 1.0, 21);
+    expect_planner_matches_reference<double>(dense);
+    expect_planner_matches_reference<float>(dense);
+    expect_planner_matches_reference<double>(gen::diagonal(n, 22));
+  }
+}
+
+TEST(Plan, RecursiveRejectsEntryAboveDiagonalLikeReference) {
+  // An upper entry (row 0, column 1) is caught by the root depth's level
+  // analysis in both planners.
+  Csr<double> a;
+  a.nrows = a.ncols = 2;
+  a.row_ptr = {0, 2, 3};
+  a.col_idx = {0, 1, 1};
+  a.val = {1.0, 2.0, 3.0};
+  Csr<double> stored;
+  EXPECT_THROW(reference_plan_recursive(a, small_opts(1), &stored), Error);
+  EXPECT_THROW(plan_recursive(a, small_opts(1), &stored), Error);
+}
+
+TEST(Plan, RecursiveCountsOneLevelAnalysisPerDepth) {
+  const auto L = gen::banded(4096, 8, 2.0, 7);
+  PlannerOptions opt = small_opts(256);
+  Csr<double> stored;
+  const std::uint64_t before = level_analysis_count();
+  const BlockPlan p = plan_recursive(L, opt, &stored);
+  EXPECT_EQ(level_analysis_count() - before,
+            static_cast<std::uint64_t>(p.depth_used) + 1);
+  const std::uint64_t unordered = level_analysis_count();
+  (void)plan_recursive(L, small_opts(256, false), &stored);
+  EXPECT_EQ(level_analysis_count(), unordered);
 }
 
 // Regression: nseg > n used to replicate boundary values, planning empty

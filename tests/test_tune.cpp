@@ -230,9 +230,12 @@ TEST(TuneOff, PlansAndArtifactsBitwiseIdentical) {
 TEST(TunePersist, TunedArtifactRoundTripsWithZeroRetuning) {
   const Csr<double> L = gen::random_levels(4000, 80, 4.0, 1.0, 8);
   const auto opt = tuned_options<double>();
+  const std::uint64_t at_cold = level_analysis_count();
   std::unique_ptr<BlockSolver<double>> cold;
   ASSERT_TRUE(BlockSolver<double>::create(L, opt, &cold).ok());
   ASSERT_TRUE(cold->tuned());
+  // The cold build is counted, so the zero delta below is not vacuous.
+  ASSERT_GT(level_analysis_count(), at_cold);
 
   const std::string path = tmp_path("tuned.btpa");
   ASSERT_TRUE(cold->save_artifact(path).ok());
@@ -258,8 +261,11 @@ TEST(TunePersist, PlanCacheHitDoesZeroRetuning) {
   const Csr<double> L = gen::grid2d(50, 40, 5);
   const auto opt = tuned_options<double>();
   PlanCache<double> cache;
+  const std::uint64_t at_cold = level_analysis_count();
   std::unique_ptr<BlockSolver<double>> first;
   ASSERT_TRUE(BlockSolver<double>::create(L, opt, &first, &cache).ok());
+  // The cold build is counted, so the zero delta below is not vacuous.
+  ASSERT_GT(level_analysis_count(), at_cold);
 
   const std::uint64_t tunes = tune::tuning_run_count();
   const std::uint64_t analyses = level_analysis_count();

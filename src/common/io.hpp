@@ -19,9 +19,9 @@
 // (whose reserved u16 is this module's flags field, always 0 there), so
 // service/wire.cpp delegates here without changing its on-wire format.
 //
-// The CRC32 implementation (IEEE 802.3, table-driven) is also exported —
-// persist/artifact.cpp guards its sections with the identical polynomial and
-// now shares this table instead of owning a private copy.
+// The CRC32 implementation (IEEE 802.3, slicing-by-8) is also exported and
+// is the only one in the repo: persist/artifact.cpp guards its sections and
+// tune/cost_model.cpp its .btcm payload with it.
 #pragma once
 
 #include <cstddef>
@@ -32,7 +32,9 @@
 
 namespace blocktri::io {
 
-/// CRC32 (IEEE 802.3, polynomial 0xEDB88320, table-driven).
+/// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320). Slicing-by-8 on
+/// little-endian hosts (eight bytes per step), byte-at-a-time elsewhere and
+/// for the tail; the value is the same either way.
 std::uint32_t crc32(const void* data, std::size_t n);
 
 /// Reads exactly `len` bytes into `buf`, restarting on EINTR and continuing

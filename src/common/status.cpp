@@ -48,7 +48,8 @@ std::string Status::to_string() const {
                            ? location_is_line(code_)
                            : kind_ == LocationKind::kLine;
   // The persistence codes locate a byte offset in the artifact stream.
-  const bool is_byte = code_ == StatusCode::kTruncated ||
+  const bool is_byte = kind_ == LocationKind::kByte ||
+                       code_ == StatusCode::kTruncated ||
                        code_ == StatusCode::kChecksumMismatch;
   std::ostringstream os;
   os << '[' << status_code_name(code_);

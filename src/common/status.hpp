@@ -70,10 +70,11 @@ enum class StatusCode {
 const char* status_code_name(StatusCode code);
 
 /// What a Status's location refers to. kAuto infers from the code (parse
-/// family → line, everything else → row); pass kLine/kRow explicitly when a
-/// code is used outside its usual context (e.g. a kNonFinite raised while
-/// parsing locates a line, not a row).
-enum class LocationKind { kAuto, kRow, kLine };
+/// family → line, kTruncated/kChecksumMismatch → byte offset, everything
+/// else → row); pass kLine/kRow/kByte explicitly when a code is used outside
+/// its usual context (e.g. a kNonFinite raised while parsing locates a line,
+/// not a row; a kBadFormat for trailing artifact bytes locates a byte).
+enum class LocationKind { kAuto, kRow, kLine, kByte };
 
 /// Outcome of a fallible operation: a code, a human-readable message and an
 /// optional location whose meaning depends on the code (matrix row for the

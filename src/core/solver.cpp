@@ -1079,20 +1079,29 @@ Status BlockSolver<T>::create_from_artifact(
   BLOCKTRI_CHECK(out != nullptr);
   if (art == nullptr)
     return Status(StatusCode::kInvalidArgument, "artifact is null");
-  if (options_fingerprint(opt) != art->options)
+  return rehydrate(*art, opt, /*validated=*/false, out);
+}
+
+template <class T>
+Status BlockSolver<T>::rehydrate(const PlanArtifact<T>& art,
+                                 const Options& opt, bool validated,
+                                 std::unique_ptr<BlockSolver<T>>* out) {
+  if (options_fingerprint(opt) != art.options)
     return Status(
         StatusCode::kInvalidArgument,
         "options fingerprint differs from the one the artifact was captured "
         "under (plan-affecting fields — scheme, planner, kernel selection, "
         "thresholds, verify.enabled — must match exactly)");
-  if (Status st = validate_artifact(*art); !st.ok()) return st;
+  if (!validated) {
+    if (Status st = validate_artifact(art); !st.ok()) return st;
+  }
   // validate_artifact should have rejected anything the sub-solver adoption
   // checks would trip over, but an invariant throw from artifact-derived
   // state must still come back as a Status — this is a Status-returning
   // entry point, and create()'s fall-back-to-cold-build contract depends on
   // seeing the failure rather than an escaping exception.
   try {
-    out->reset(new BlockSolver<T>(*art, opt));
+    out->reset(new BlockSolver<T>(art, opt));
   } catch (const Error& e) {
     return e.status();
   }
@@ -1141,15 +1150,15 @@ Status BlockSolver<T>::create_from_file(const std::string& path,
                   "artifact '" + path +
                       "' was captured from a matrix with a different "
                       "sparsity pattern");
+  // load_artifact has already run validate_artifact on this artifact.
   std::unique_ptr<BlockSolver<T>> solver;
-  auto art_for_cache = art;
-  if (Status st = create_from_artifact(std::move(art), opt, &solver);
+  if (Status st = rehydrate(*art, opt, /*validated=*/true, &solver);
       !st.ok())
     return st;
   if (Status st = solver->install_values(lower); !st.ok()) return st;
   // Only a fully rehydrated artifact is worth caching; first-writer-wins
   // keeps an existing (already proven) entry.
-  if (cache != nullptr) cache->insert(std::move(art_for_cache), false);
+  if (cache != nullptr) cache->insert(std::move(art), false);
   *out = std::move(solver);
   return Status::Ok();
 }

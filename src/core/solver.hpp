@@ -312,6 +312,7 @@ class BlockSolver {
 
   /// load_artifact(path) + structure check against `lower` +
   /// create_from_artifact + refresh_values(lower): the full warm-start path.
+  /// validate_artifact runs once, inside load_artifact.
   /// Adds kStructureMismatch when `lower`'s pattern differs from the one the
   /// artifact was captured from. Transient I/O failures (kIoError) are
   /// retried with jittered exponential backoff per opt.session; permanent
@@ -531,8 +532,17 @@ class BlockSolver {
 
  private:
   /// Rehydration: adopt a captured artifact instead of analyzing. The
-  /// fingerprint/verify preconditions are create_from_artifact's job.
+  /// fingerprint/verify preconditions are rehydrate()'s job.
   BlockSolver(const PlanArtifact<T>& art, const Options& opt);
+
+  /// create_from_artifact's body: options-fingerprint check, then
+  /// validate_artifact unless `validated` says the caller already ran it
+  /// (create_from_file: load_artifact did, so one file load validates
+  /// once), then adoption with any invariant throw from artifact-derived
+  /// state mapped back to its Status.
+  static Status rehydrate(const PlanArtifact<T>& art, const Options& opt,
+                          bool validated,
+                          std::unique_ptr<BlockSolver<T>>* out);
 
   /// The cold build for a caller that already ran check_lower_triangular on
   /// `lower` and computed its structure hash (`structure`): neither is

@@ -1,9 +1,13 @@
 #include "persist/artifact.hpp"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <new>
 #include <type_traits>
 
 #include "common/io.hpp"
@@ -501,10 +505,90 @@ bool decode_color(Reader& r, PlanArtifact<T>* art) {
 constexpr char kMagic[4] = {'B', 'T', 'P', 'A'};
 constexpr std::uint32_t kEndianTag = 0x01020304u;
 
-struct SectionSpec {
-  std::uint32_t id;
-  std::vector<unsigned char> payload;
+/// This writer's own side file next to `path`, `<path>.tmp.<pid>.<seq>`:
+/// the rename out of it stays within one directory (so it is atomic), and
+/// concurrent writers to one path never share it. The destructor closes it
+/// and, unless commit() renamed it into place, removes it, so no failure
+/// path leaves one behind.
+class SideFile {
+ public:
+  explicit SideFile(const std::string& path)
+      : name_(path + ".tmp." + std::to_string(::getpid()) + "." +
+              std::to_string(next_seq_.fetch_add(
+                  1, std::memory_order_relaxed))),
+        f_(std::fopen(name_.c_str(), "wb")) {}
+  SideFile(const SideFile&) = delete;
+  SideFile& operator=(const SideFile&) = delete;
+  ~SideFile() {
+    if (f_ != nullptr) std::fclose(f_);
+    if (!committed_) std::remove(name_.c_str());
+  }
+
+  const std::string& name() const { return name_; }
+  bool is_open() const { return f_ != nullptr; }
+
+  bool write(const std::vector<unsigned char>& b) {
+    return std::fwrite(b.data(), 1, b.size(), f_) == b.size();
+  }
+
+  /// Flushes and closes the file, then renames it onto `path`.
+  Status commit(const std::string& path) {
+    const bool closed = std::fclose(f_) == 0;
+    f_ = nullptr;
+    if (!closed)
+      return Status(StatusCode::kBadFormat, "short write to '" + name_ + "'");
+    if (std::rename(name_.c_str(), path.c_str()) != 0)
+      return Status(StatusCode::kBadFormat,
+                    "cannot rename '" + name_ + "' to '" + path + "'");
+    committed_ = true;
+    return Status::Ok();
+  }
+
+ private:
+  static inline std::atomic<std::uint64_t> next_seq_{0};
+  std::string name_;
+  std::FILE* f_;
+  bool committed_ = false;
 };
+
+/// Reads all of `path`. A regular file is sized once from fstat and read
+/// with one fread; anything else (a directory, pipe or device, whose
+/// st_size means nothing) — and a file that grew since the fstat — goes on
+/// in 64 KiB chunks until EOF. A read error is kIoError, never kTruncated:
+/// fread stops on both, and a read error says nothing about the file's
+/// bytes.
+Status read_file(const std::string& path, std::vector<unsigned char>* bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr)
+    return Status(StatusCode::kBadFormat, "cannot open '" + path + "'");
+  struct stat st {};
+  std::size_t got = 0;
+  try {
+    if (::fstat(::fileno(f), &st) == 0 && S_ISREG(st.st_mode)) {
+      bytes->resize(static_cast<std::size_t>(st.st_size));
+      got = std::fread(bytes->data(), 1, bytes->size(), f);
+    }
+    if (got == bytes->size()) {
+      unsigned char chunk[1 << 16];
+      std::size_t n = 0;
+      while ((n = std::fread(chunk, 1, sizeof chunk, f)) > 0) {
+        bytes->insert(bytes->end(), chunk, chunk + n);
+        got += n;
+      }
+    }
+  } catch (const std::bad_alloc&) {
+    std::fclose(f);
+    return Status(StatusCode::kIoError,
+                  "out of memory reading '" + path + "'");
+  }
+  bytes->resize(got);
+  const bool io_error = std::ferror(f) != 0;
+  std::fclose(f);
+  if (io_error)
+    return Status(StatusCode::kIoError,
+                  "read error while loading '" + path + "'");
+  return Status::Ok();
+}
 
 template <class T>
 std::size_t csr_bytes(const Csr<T>& a) {
@@ -548,87 +632,57 @@ template <class T>
 Status save_artifact(const std::string& path, const PlanArtifact<T>& art) {
   if (Status st = validate_artifact(art); !st.ok()) return st;
 
-  std::vector<SectionSpec> sections;
-  {
-    Writer w;
-    encode_plan(w, art);
-    sections.push_back({kSectionPlan, w.bytes()});
-  }
-  {
-    Writer w;
-    encode_stored(w, art);
-    sections.push_back({kSectionStored, w.bytes()});
-  }
-  {
-    Writer w;
-    encode_tri(w, art);
-    sections.push_back({kSectionTri, w.bytes()});
-  }
-  {
-    Writer w;
-    encode_squares(w, art);
-    sections.push_back({kSectionSquares, w.bytes()});
-  }
-  if (art.tuned) {
-    Writer w;
-    encode_tuning(w, art);
-    sections.push_back({kSectionTuning, w.bytes()});
-  }
-  if (art.shard) {
-    Writer w;
-    encode_shard(w, art);
-    sections.push_back({kSectionShard, w.bytes()});
-  }
   const bool color = !art.plan.color_bounds.empty();
-  if (color) {
-    Writer w;
-    encode_color(w, art);
-    sections.push_back({kSectionColor, w.bytes()});
-  }
-
-  Writer file;
-  file.raw(kMagic, sizeof kMagic);
+  Writer header;
+  header.raw(kMagic, sizeof kMagic);
   // Each file claims the oldest version that can describe it, so plain
   // artifacts stay byte-identical to (and loadable by) pre-tuner builds:
   // version 1 untuned, version 2 tuned, version 3 shard slices, version 4
   // only for HBMC plans (the color section).
-  file.u32(color ? kArtifactFormatVersion
-                 : (art.shard ? 3u : (art.tuned ? 2u : 1u)));
-  file.u32(kEndianTag);
-  file.u32(static_cast<std::uint32_t>(sizeof(T)));
-  file.u64(art.structure);
-  file.u64(art.options);
-  file.i64(static_cast<std::int64_t>(art.plan.n));
-  file.i64(static_cast<std::int64_t>(art.nnz));
-  file.u32(static_cast<std::uint32_t>(sections.size()));
-  for (const SectionSpec& s : sections) {
-    file.u32(s.id);
-    file.u64(s.payload.size());
-    file.u32(crc32(s.payload.data(), s.payload.size()));
-    file.raw(s.payload.data(), s.payload.size());
-  }
+  header.u32(color ? kArtifactFormatVersion
+                   : (art.shard ? 3u : (art.tuned ? 2u : 1u)));
+  header.u32(kEndianTag);
+  header.u32(static_cast<std::uint32_t>(sizeof(T)));
+  header.u64(art.structure);
+  header.u64(art.options);
+  header.i64(static_cast<std::int64_t>(art.plan.n));
+  header.i64(static_cast<std::int64_t>(art.nnz));
+  header.u32(4u + (art.tuned ? 1u : 0u) + (art.shard ? 1u : 0u) +
+             (color ? 1u : 0u));
 
-  // Write to a side file and rename into place so a crashed writer leaves
-  // either the old artifact or none — never a truncated new one.
-  const std::string tmp = path + ".tmp";
-  FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr)
+  // Stream the header, then each section's frame (id, size, CRC32) and
+  // payload, into this writer's own side file; only one encoded section is
+  // in memory at a time. The side file is renamed into place at the end,
+  // so a crashed writer leaves either the old artifact or none — never a
+  // truncated new one — and concurrent writers each publish a whole file
+  // (the last rename wins).
+  SideFile tmp(path);
+  if (!tmp.is_open())
     return Status(StatusCode::kBadFormat,
-                  "cannot open '" + tmp + "' for writing");
-  const std::vector<unsigned char>& bytes = file.bytes();
-  const bool wrote =
-      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    return Status(StatusCode::kBadFormat, "short write to '" + tmp + "'");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status(StatusCode::kBadFormat,
-                  "cannot rename '" + tmp + "' to '" + path + "'");
-  }
-  return Status::Ok();
+                  "cannot open '" + tmp.name() + "' for writing");
+  bool wrote = tmp.write(header.bytes());
+  const auto section = [&](std::uint32_t id,
+                           void (*encode)(Writer&, const PlanArtifact<T>&)) {
+    if (!wrote) return;
+    Writer payload;
+    encode(payload, art);
+    const std::vector<unsigned char>& bytes = payload.bytes();
+    Writer frame;
+    frame.u32(id);
+    frame.u64(bytes.size());
+    frame.u32(crc32(bytes.data(), bytes.size()));
+    wrote = tmp.write(frame.bytes()) && tmp.write(bytes);
+  };
+  section(kSectionPlan, encode_plan<T>);
+  section(kSectionStored, encode_stored<T>);
+  section(kSectionTri, encode_tri<T>);
+  section(kSectionSquares, encode_squares<T>);
+  if (art.tuned) section(kSectionTuning, encode_tuning<T>);
+  if (art.shard) section(kSectionShard, encode_shard<T>);
+  if (color) section(kSectionColor, encode_color<T>);
+  if (!wrote)
+    return Status(StatusCode::kBadFormat, "short write to '" + tmp.name() + "'");
+  return tmp.commit(path);
 }
 
 namespace persist_testing {
@@ -660,24 +714,8 @@ Status load_artifact(const std::string& path, PlanArtifact<T>* out) {
       return Status(StatusCode::kIoError,
                     "injected transient read failure loading '" + path + "'");
   }
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr)
-    return Status(StatusCode::kBadFormat, "cannot open '" + path + "'");
   std::vector<unsigned char> bytes;
-  {
-    unsigned char chunk[1 << 16];
-    std::size_t got = 0;
-    while ((got = std::fread(chunk, 1, sizeof chunk, f)) > 0)
-      bytes.insert(bytes.end(), chunk, chunk + got);
-    // fread stops on both EOF and error; only ferror distinguishes a
-    // mid-file I/O failure from a genuinely short file, and the two must
-    // not be conflated — a read error says nothing about the file's bytes.
-    const bool io_error = std::ferror(f) != 0;
-    std::fclose(f);
-    if (io_error)
-      return Status(StatusCode::kIoError,
-                    "read error while loading '" + path + "'");
-  }
+  if (Status st = read_file(path, &bytes); !st.ok()) return st;
 
   Reader header(bytes.data(), bytes.size(), 0);
   char magic[4] = {};
@@ -751,6 +789,12 @@ Status load_artifact(const std::string& path, PlanArtifact<T>* out) {
     if (id <= kSectionColor) have[id] = true;
     offset = payload_off + static_cast<std::size_t>(size);
   }
+  if (offset != bytes.size())
+    return Status(StatusCode::kBadFormat,
+                  std::to_string(bytes.size() - offset) +
+                      " trailing bytes after the last section of '" + path +
+                      "'",
+                  static_cast<std::int64_t>(offset), LocationKind::kByte);
   for (std::uint32_t id : {kSectionPlan, kSectionStored, kSectionTri,
                            kSectionSquares})
     if (!have[id])

@@ -166,8 +166,11 @@ std::size_t artifact_bytes(const PlanArtifact<T>& art);
 /// (magic, format version, endianness tag, value-type width, structure hash,
 /// options fingerprint, n, nnz) followed by CRC32-guarded sections. Returns
 /// Ok or a typed Status (kBadFormat for an unopenable/unwritable path).
-/// The write is atomic-ish: data goes to "<path>.tmp" and is renamed into
-/// place only after a successful flush, so readers never observe a torn file.
+/// The header and then each section (frame, payload) are streamed to this
+/// writer's own side file, "<path>.tmp.<pid>.<seq>", which is renamed into
+/// place only after a successful flush and removed on every failure: readers
+/// never observe a torn file, and concurrent writers to one path each
+/// publish a complete one (the last rename wins).
 template <class T>
 Status save_artifact(const std::string& path, const PlanArtifact<T>& art);
 
@@ -184,9 +187,10 @@ int pending_io_failures();
 /// typed Status: wrong magic / endianness / value width → kBadFormat, other
 /// format version → kVersionMismatch, file ends early → kTruncated (location
 /// = byte offset), section CRC32 disagrees → kChecksumMismatch (location =
-/// section's byte offset), the OS reports a read error mid-stream →
-/// kIoError (naming the path — distinct from kTruncated: the file may be
-/// intact). On any failure *out is left untouched.
+/// section's byte offset), bytes after the last section → kBadFormat
+/// (location = offset of the first extra byte), the OS reports a read error
+/// mid-stream → kIoError (naming the path — distinct from kTruncated: the
+/// file may be intact). On any failure *out is left untouched.
 template <class T>
 Status load_artifact(const std::string& path, PlanArtifact<T>* out);
 

@@ -1,7 +1,6 @@
 #include "tune/cost_model.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -12,6 +11,7 @@
 
 #include "analysis/features.hpp"
 #include "analysis/levels.hpp"
+#include "common/io.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "gen/generators.hpp"
@@ -257,33 +257,17 @@ offset_t pick_merge_width() {
 }
 
 // ---------------------------------------------------------------------------
-// BTCM file codec (local framing + CRC, mirroring the .btpa conventions).
+// BTCM file codec (local framing + io::crc32, mirroring the .btpa
+// conventions).
 
 constexpr char kMagic[4] = {'B', 'T', 'C', 'M'};
 constexpr std::uint32_t kEndianMark = 0x01020304u;
 
-std::uint32_t crc32(const unsigned char* p, std::size_t n) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k)
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i)
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
-}
-
 template <class V>
 void put(std::vector<unsigned char>& buf, V v) {
-  unsigned char raw[sizeof(V)];
-  std::memcpy(raw, &v, sizeof(V));
-  buf.insert(buf.end(), raw, raw + sizeof(V));
+  const std::size_t at = buf.size();
+  buf.resize(at + sizeof(V));
+  std::memcpy(buf.data() + at, &v, sizeof(V));
 }
 
 template <class V>
@@ -460,7 +444,7 @@ Status save_cost_model(const std::string& path, const CostModel& m) {
   if (f == nullptr)
     return Status(StatusCode::kIoError, "cannot open '" + tmp + "' for write");
   bool ok = std::fwrite(kMagic, 1, 4, f) == 4;
-  const std::uint32_t crc = crc32(payload.data(), payload.size());
+  const std::uint32_t crc = io::crc32(payload.data(), payload.size());
   const auto size = static_cast<std::uint64_t>(payload.size());
   ok = ok && std::fwrite(&crc, sizeof crc, 1, f) == 1;
   ok = ok && std::fwrite(&size, sizeof size, 1, f) == 1;
@@ -511,7 +495,7 @@ Status load_cost_model(const std::string& path, CostModel* out) {
   std::fclose(f);
   if (!body_ok)
     return Status(StatusCode::kTruncated, "'" + path + "' ends mid-payload");
-  if (crc32(payload.data(), payload.size()) != crc)
+  if (io::crc32(payload.data(), payload.size()) != crc)
     return Status(StatusCode::kChecksumMismatch,
                   "cost-model payload CRC mismatch in '" + path + "'");
 

@@ -1,12 +1,18 @@
 // Shared gtest helpers: tolerance-aware vector comparison, dense oracles,
-// and a registry of small structurally-diverse matrices the solver tests
-// sweep over.
+// a registry of small structurally-diverse matrices the solver tests sweep
+// over, and the byte-wise CRC32 reference plus the .btpa frame walker that
+// pin the artifact framing.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -95,6 +101,88 @@ inline Csr<double> figure1_matrix() {
   put(7, 5, 1.0);
   put(7, 6, 1.0);
   return coo_to_csr(coo);
+}
+
+/// Byte-at-a-time CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320,
+/// one 256-entry table): the plain reference io::crc32 and every stored
+/// section CRC are checked against.
+inline std::uint32_t reference_crc32(const void* data, std::size_t n) {
+  static const std::vector<std::uint32_t> table = [] {
+    std::vector<std::uint32_t> t(256);
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit)
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+inline std::string read_file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Walks the frames of the .btpa file at `path` (DESIGN.md §10) and checks
+/// the framing contract: every stored section CRC equals reference_crc32 of
+/// its payload, the last frame ends exactly at EOF, and save → load → save
+/// reproduces the file byte for byte.
+template <class T>
+::testing::AssertionResult ArtifactFramingHolds(const std::string& path) {
+  const std::string bytes = read_file_bytes(path);
+  // magic, version, endian tag, value width (4 each), structure hash,
+  // options fingerprint, n, nnz (8 each), section count (4).
+  constexpr std::size_t kHeaderBytes = 52;
+  constexpr std::size_t kFrameBytes = 16;  // id u32, size u64, CRC u32
+  if (bytes.size() < kHeaderBytes)
+    return ::testing::AssertionFailure()
+           << path << ": " << bytes.size() << " bytes, shorter than a header";
+  std::uint32_t nsections = 0;
+  std::memcpy(&nsections, bytes.data() + kHeaderBytes - 4, 4);
+  std::size_t off = kHeaderBytes;
+  for (std::uint32_t s = 0; s < nsections; ++s) {
+    if (bytes.size() - off < kFrameBytes)
+      return ::testing::AssertionFailure()
+             << "frame " << s << " header runs past EOF at " << off;
+    std::uint32_t id = 0, crc = 0;
+    std::uint64_t size = 0;
+    std::memcpy(&id, bytes.data() + off, 4);
+    std::memcpy(&size, bytes.data() + off + 4, 8);
+    std::memcpy(&crc, bytes.data() + off + 12, 4);
+    off += kFrameBytes;
+    if (size > bytes.size() - off)
+      return ::testing::AssertionFailure()
+             << "section " << id << " payload runs past EOF at " << off;
+    if (reference_crc32(bytes.data() + off, size) != crc)
+      return ::testing::AssertionFailure()
+             << "section " << id << " stores CRC " << crc
+             << ", its payload's reference CRC differs";
+    off += size;
+  }
+  if (off != bytes.size())
+    return ::testing::AssertionFailure()
+           << "last frame ends at byte " << off << " of " << bytes.size();
+
+  PlanArtifact<T> art;
+  if (Status st = load_artifact(path, &art); !st.ok())
+    return ::testing::AssertionFailure() << "load: " << st.to_string();
+  const std::string again = path + ".resaved";
+  const Status st = save_artifact(again, art);
+  const std::string resaved = read_file_bytes(again);
+  std::remove(again.c_str());
+  if (!st.ok())
+    return ::testing::AssertionFailure() << "re-save: " << st.to_string();
+  if (resaved != bytes)
+    return ::testing::AssertionFailure()
+           << "save -> load -> save changed the file (" << bytes.size()
+           << " -> " << resaved.size() << " bytes)";
+  return ::testing::AssertionSuccess();
 }
 
 }  // namespace blocktri::testing

@@ -1,4 +1,5 @@
-// Unit tests for src/common: RNG, scans, sorting, permutations, tables, CLI.
+// Unit tests for src/common: RNG, scans, sorting, permutations, tables, CLI,
+// CRC32.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,11 +8,13 @@
 #include <string>
 
 #include "common/cli.hpp"
+#include "common/io.hpp"
 #include "common/thread_pool.hpp"
 #include "common/prefix.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/types.hpp"
+#include "helpers.hpp"
 
 namespace blocktri {
 namespace {
@@ -255,6 +258,9 @@ TEST(Status, ToStringCarriesCodeAndLocation) {
   EXPECT_EQ(line_err.to_string(), "[parse-error @ line 12] bad entry (line 12)");
   const Status no_loc(StatusCode::kResidualTooLarge, "residual 1e-3");
   EXPECT_EQ(no_loc.to_string(), "[residual-too-large] residual 1e-3");
+  const Status byte_err(StatusCode::kBadFormat, "2 trailing bytes", 40,
+                        LocationKind::kByte);
+  EXPECT_EQ(byte_err.to_string(), "[bad-format @ byte 40] 2 trailing bytes");
 }
 
 TEST(Status, CodeNamesAreStable) {
@@ -277,6 +283,38 @@ TEST(Status, ThrowIfErrorBridgesToException) {
     EXPECT_EQ(e.status().location(), 3);
     EXPECT_EQ(std::string(e.what()), e.status().to_string());
   }
+}
+
+// --- CRC32 -------------------------------------------------------------------
+//
+// io::crc32 steps eight bytes at a time on little-endian hosts and one at a
+// time for the tail; every split of length and alignment must give the
+// byte-wise reference's value, or artifacts, wire frames and .btcm files
+// would change on disk.
+
+TEST(Crc32, KnownAnswers) {
+  EXPECT_EQ(io::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(io::crc32(nullptr, 0), 0u);
+  EXPECT_EQ(blocktri::testing::reference_crc32("123456789", 9), 0xCBF43926u);
+}
+
+TEST(Crc32, MatchesByteWiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(42);
+  std::vector<unsigned char> buf(64 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.uniform_int(0, 255));
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t len = 0; len <= 64; ++len)
+      ASSERT_EQ(io::crc32(buf.data() + off, len),
+                blocktri::testing::reference_crc32(buf.data() + off, len))
+          << "offset " << off << ", length " << len;
+}
+
+TEST(Crc32, MatchesByteWiseReferenceOnOneMebibyte) {
+  Rng rng(7);
+  std::vector<unsigned char> buf(std::size_t{1} << 20);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.uniform_int(0, 255));
+  EXPECT_EQ(io::crc32(buf.data(), buf.size()),
+            blocktri::testing::reference_crc32(buf.data(), buf.size()));
 }
 
 // --- resolve_threads env hardening (ISSUE 8 satellite) ----------------------

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -52,6 +53,18 @@ void write_file(const std::string& path, const std::string& bytes) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(os.good()) << path;
+}
+
+/// Side files save_artifact left next to `path` ("<path>.tmp*").
+std::vector<std::string> leftover_side_files(const std::string& path) {
+  namespace fs = std::filesystem;
+  const fs::path p(path);
+  const std::string prefix = p.filename().string() + ".tmp";
+  std::vector<std::string> found;
+  for (const fs::directory_entry& e : fs::directory_iterator(p.parent_path()))
+    if (e.path().filename().string().rfind(prefix, 0) == 0)
+      found.push_back(e.path().string());
+  return found;
 }
 
 template <class T>
@@ -175,6 +188,7 @@ TEST(PersistVersion, UntunedNonHbmcStillStampsVersionOne) {
   ASSERT_GT(bytes.size(), 8u);
   EXPECT_EQ(bytes[4], 1);  // little-endian u32 version after the magic
   EXPECT_EQ(bytes[5], 0);
+  EXPECT_TRUE(blocktri::testing::ArtifactFramingHolds<double>(path));
   PlanArtifact<double> art;
   EXPECT_TRUE(load_artifact(path, &art).ok());
   EXPECT_TRUE(art.plan.color_bounds.empty());
@@ -191,6 +205,7 @@ TEST(PersistVersion, HbmcStampsVersionFourAndCarriesColors) {
   const std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 8u);
   EXPECT_EQ(bytes[4], static_cast<char>(kArtifactFormatVersion));
+  EXPECT_TRUE(blocktri::testing::ArtifactFramingHolds<double>(path));
   PlanArtifact<double> art;
   ASSERT_TRUE(load_artifact(path, &art).ok());
   EXPECT_EQ(art.plan.scheme, BlockScheme::kHbmc);
@@ -698,6 +713,22 @@ TEST_F(PersistFault, TruncationSweepNeverCrashes) {
   }
 }
 
+TEST_F(PersistFault, TrailingBytesAreBadFormat) {
+  // The last frame must end at EOF: anything appended after it is rejected
+  // and located at the first extra byte, whatever the extra bytes hold.
+  for (const std::size_t extra : {std::size_t{1}, std::size_t{22}}) {
+    const Status st = load_mutated(bytes_ + std::string(extra, '\x5a'));
+    EXPECT_EQ(st.code(), StatusCode::kBadFormat) << extra << " bytes";
+    EXPECT_EQ(st.location(), static_cast<std::int64_t>(bytes_.size()))
+        << extra << " bytes";
+    EXPECT_NE(st.to_string().find("@ byte "), std::string::npos)
+        << st.to_string();
+  }
+  const Status st = load_mutated(bytes_ + bytes_);
+  EXPECT_EQ(st.code(), StatusCode::kBadFormat);
+  EXPECT_EQ(st.location(), static_cast<std::int64_t>(bytes_.size()));
+}
+
 TEST_F(PersistFault, FlippedMagic) {
   std::string b = bytes_;
   b[0] = 'X';
@@ -1059,9 +1090,74 @@ TEST(PersistMisc, SaveIsAtomicNoTmpLeftBehind) {
   ASSERT_TRUE(BlockSolver<double>::create(L, opt, &s).ok());
   const std::string path = artifact_path("atomic");
   ASSERT_TRUE(s->save_artifact(path).ok());
-  std::ifstream tmp(path + ".tmp", std::ios::binary);
-  EXPECT_FALSE(tmp.good());
+  EXPECT_TRUE(leftover_side_files(path).empty());
   std::remove(path.c_str());
+}
+
+TEST(PersistMisc, FailedRenameRemovesTheSideFile) {
+  // A directory at the target path makes the final rename fail after the
+  // side file was written in full; the save is typed and cleans up.
+  const Csr<double> L = fixture<double>(0);
+  std::unique_ptr<BlockSolver<double>> s;
+  ASSERT_TRUE(
+      BlockSolver<double>::create(L, small_block_options<double>(), &s).ok());
+  const std::string path = artifact_path("rename_onto_dir");
+  std::filesystem::create_directory(path);
+  EXPECT_EQ(s->save_artifact(path).code(), StatusCode::kBadFormat);
+  EXPECT_TRUE(leftover_side_files(path).empty());
+  std::filesystem::remove(path);
+}
+
+// Concurrent writers to one path: each save uses its own side file, so all
+// succeed, a reader never sees a torn file, and the path ends up holding
+// one writer's complete artifact with no side file left over.
+TEST(PersistConcurrency, SavesToOnePathAllSucceedAndPublishWholeFiles) {
+  std::unique_ptr<BlockSolver<double>> sa, sb;
+  ASSERT_TRUE(BlockSolver<double>::create(fixture<double>(0),
+                                          small_block_options<double>(), &sa)
+                  .ok());
+  ASSERT_TRUE(BlockSolver<double>::create(fixture<double>(2),
+                                          small_block_options<double>(), &sb)
+                  .ok());
+  const PlanArtifact<double> art_a = sa->capture_artifact();
+  const PlanArtifact<double> art_b = sb->capture_artifact();
+  const std::string pa = artifact_path("concurrent_a");
+  const std::string pb = artifact_path("concurrent_b");
+  ASSERT_TRUE(save_artifact(pa, art_a).ok());
+  ASSERT_TRUE(save_artifact(pb, art_b).ok());
+  const std::string want_a = read_file(pa), want_b = read_file(pb);
+  ASSERT_NE(want_a, want_b);
+
+  const std::string path = artifact_path("concurrent");
+  ASSERT_TRUE(save_artifact(path, art_a).ok());  // exists before any load
+  constexpr int kWriters = 4, kRounds = 40;
+  std::atomic<int> failed_saves{0}, failed_loads{0};
+  std::atomic<bool> writing{true};
+  std::thread reader([&] {
+    while (writing.load()) {
+      PlanArtifact<double> got;
+      if (!load_artifact(path, &got).ok()) ++failed_loads;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t)
+    writers.emplace_back([&, t] {
+      const PlanArtifact<double>& art = t % 2 == 0 ? art_a : art_b;
+      for (int r = 0; r < kRounds; ++r)
+        if (!save_artifact(path, art).ok()) ++failed_saves;
+    });
+  for (std::thread& w : writers) w.join();
+  writing = false;
+  reader.join();
+
+  EXPECT_EQ(failed_saves.load(), 0);
+  EXPECT_EQ(failed_loads.load(), 0);
+  const std::string published = read_file(path);
+  EXPECT_TRUE(published == want_a || published == want_b);
+  PlanArtifact<double> got;
+  EXPECT_TRUE(load_artifact(path, &got).ok());
+  EXPECT_TRUE(leftover_side_files(path).empty());
+  for (const std::string& p : {path, pa, pb}) std::remove(p.c_str());
 }
 
 TEST(PersistMisc, SaveToUnwritablePathIsTyped) {

@@ -150,6 +150,9 @@ TEST(ShardPlan, SliceValidatesAndRoundTripsAsFormatV3) {
     ASSERT_TRUE(st.ok()) << "shard " << i << ": " << st.to_string();
 
     ASSERT_TRUE(save_artifact(path, slice).ok());
+    EXPECT_EQ(blocktri::testing::read_file_bytes(path)[4], 3);
+    EXPECT_TRUE(blocktri::testing::ArtifactFramingHolds<double>(path))
+        << "shard " << i;
     PlanArtifact<double> loaded;
     ASSERT_TRUE(load_artifact(path, &loaded).ok());
     EXPECT_TRUE(loaded.shard);

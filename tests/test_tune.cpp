@@ -25,6 +25,7 @@
 #include "analysis/levels.hpp"
 #include "core/solver.hpp"
 #include "gen/generators.hpp"
+#include "helpers.hpp"
 #include "persist/artifact.hpp"
 #include "persist/plan_cache.hpp"
 #include "sptrsv/levelset.hpp"
@@ -242,6 +243,7 @@ TEST(TunePersist, TunedArtifactRoundTripsWithZeroRetuning) {
   const std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 8u);
   EXPECT_EQ(bytes[4], 2);  // tuned artifacts use format version 2
+  EXPECT_TRUE(blocktri::testing::ArtifactFramingHolds<double>(path));
 
   const std::uint64_t tunes = tune::tuning_run_count();
   const std::uint64_t analyses = level_analysis_count();

@@ -109,6 +109,46 @@ std::uint64_t checked_structure_hash(const Csr<T>& lower) {
   throw_if_error(check_lower_triangular(lower));
   return structure_hash(lower);
 }
+
+/// Rehydration copies of a captured block array: everything, or (for the
+/// install paths) the index arrays plus a value array of the right length
+/// that install_values then fills.
+template <class T>
+Csr<T> adopt(const Csr<T>& m, bool with_values) {
+  if (with_values) return m;
+  Csr<T> out;
+  out.nrows = m.nrows;
+  out.ncols = m.ncols;
+  out.row_ptr = m.row_ptr;
+  out.col_idx = m.col_idx;
+  out.val.resize(m.val.size());
+  return out;
+}
+
+template <class T>
+Csc<T> adopt(const Csc<T>& m, bool with_values) {
+  if (with_values) return m;
+  Csc<T> out;
+  out.nrows = m.nrows;
+  out.ncols = m.ncols;
+  out.col_ptr = m.col_ptr;
+  out.row_idx = m.row_idx;
+  out.val.resize(m.val.size());
+  return out;
+}
+
+template <class T>
+Dcsr<T> adopt(const Dcsr<T>& m, bool with_values) {
+  if (with_values) return m;
+  Dcsr<T> out;
+  out.nrows = m.nrows;
+  out.ncols = m.ncols;
+  out.row_ids = m.row_ids;
+  out.row_ptr = m.row_ptr;
+  out.col_idx = m.col_idx;
+  out.val.resize(m.val.size());
+  return out;
+}
 }  // namespace
 
 template <class T>
@@ -815,20 +855,26 @@ Status BlockSolver<T>::create(const Csr<T>& lower, const Options& opt,
   if (cache != nullptr) {
     const PlanCacheKey key{structure, options_fingerprint(opt)};
     bool hit_failed = false;
-    if (std::shared_ptr<const PlanArtifact<T>> art = cache->find(key)) {
+    bool trusted = false;
+    if (std::shared_ptr<const PlanArtifact<T>> art =
+            cache->lookup(key, &trusted)) {
       // A hit's artifact was captured from a pattern with this very hash
       // (the key), so the values go in without re-checking or re-hashing.
+      // A trusted entry (captured here, or validated by load_artifact) is
+      // not validated again; a caller-inserted one is, once.
+      Status st = trusted ? Status::Ok() : validate_artifact(*art);
+      if (st.ok() && !trusted) cache->mark_trusted(key, art.get());
       std::unique_ptr<BlockSolver<T>> warm;
-      if (create_from_artifact(std::move(art), opt, &warm).ok() &&
-          warm->install_values(lower).ok()) {
+      if (st.ok()) st = warm_start(*art, lower, opt, &warm);
+      if (st.ok()) {
         cache->report_hit_success(key);
         *out = std::move(warm);
         return Status::Ok();
       }
-      // A mismatched entry (e.g. a hash collision) falls through to the
-      // cold build — the cache is an accelerator, never a correctness gate.
-      // Repeated failures on the same key tombstone it (quarantine), so a
-      // poisoned entry stops being re-admitted every miss.
+      // A mismatched entry (e.g. a hash collision or a shard slice) falls
+      // through to the cold build — the cache is an accelerator, never a
+      // correctness gate. Repeated failures on the same key tombstone it
+      // (quarantine), so a poisoned entry stops being re-admitted every miss.
       hit_failed = true;
       cache->report_hit_failure(key);
     }
@@ -836,9 +882,11 @@ Status BlockSolver<T>::create(const Csr<T>& lower, const Options& opt,
     // When the cached entry just failed the warm path, overwrite it: leaving
     // it in place would make every future create() for this key pay the
     // failed warm attempt plus a cold build forever. (A quarantined key
-    // rejects the insert until its tombstone expires.)
-    cache->insert(std::make_shared<PlanArtifact<T>>((*out)->capture_artifact()),
-                  /*overwrite=*/hit_failed);
+    // rejects the insert until its tombstone expires.) A capture from a live
+    // solver is trusted: its hits skip validate_artifact.
+    cache->insert_entry(
+        std::make_shared<PlanArtifact<T>>((*out)->capture_artifact()),
+        /*overwrite=*/hit_failed, /*trusted=*/true);
     return Status::Ok();
   }
   out->reset(new BlockSolver<T>(lower, opt, structure));
@@ -977,7 +1025,8 @@ Status BlockSolver<T>::save_artifact(const std::string& path) const {
 }
 
 template <class T>
-BlockSolver<T>::BlockSolver(const PlanArtifact<T>& art, const Options& opt)
+BlockSolver<T>::BlockSolver(const PlanArtifact<T>& art, const Options& opt,
+                            bool with_values)
     : opt_(opt) {
   structure_hash_ = art.structure;
   threads_ = resolve_threads(opt.threads);
@@ -994,6 +1043,11 @@ BlockSolver<T>::BlockSolver(const PlanArtifact<T>& art, const Options& opt)
   tune_stats_.merge_width = art.merge_width;
   tune_stats_.oracle_default_ns = art.oracle_default_ns;
   tune_stats_.oracle_tuned_ns = art.oracle_tuned_ns;
+  if (art.shard)
+    slice_ = "shard slice " + std::to_string(art.shard_index) + " of " +
+             std::to_string(art.shard_count) + " (rows [" +
+             std::to_string(art.shard_row_begin) + ", " +
+             std::to_string(art.shard_row_end) + "))";
 
   tri_.resize(art.tri.size());
   for (std::size_t t = 0; t < art.tri.size(); ++t) {
@@ -1010,22 +1064,26 @@ BlockSolver<T>::BlockSolver(const PlanArtifact<T>& art, const Options& opt)
       tri_info_.push_back(out.info);
       continue;
     }
-    if (opt.verify.enabled) out.csr = in.csr;
+    if (opt.verify.enabled) out.csr = adopt(in.csr, with_values);
     switch (in.kind) {
       case TriKernelKind::kCompletelyParallel:
+        // The captured pivots even without values: the solver rejects a
+        // zero pivot, and install_values overwrites every one.
         out.diag = std::make_unique<DiagonalSolver<T>>(in.diag);
         break;
       case TriKernelKind::kLevelSet:
         out.levelset = std::make_unique<LevelSetSolver<T>>(
-            in.kernel_csr, in.levels, merge_width_);
+            adopt(in.kernel_csr, with_values), in.levels, merge_width_);
         break;
       case TriKernelKind::kSyncFree:
         out.syncfree = std::make_unique<SyncFreeSolver<T>>(
-            in.csc, in.strict_rows, in.in_degree);
+            adopt(in.csc, with_values), adopt(in.strict_rows, with_values),
+            in.in_degree);
         break;
       case TriKernelKind::kCusparseLike:
         out.cusparse = std::make_unique<CusparseLikeSolver<T>>(
-            in.kernel_csr, in.levels, in.kernel_first_level);
+            adopt(in.kernel_csr, with_values), in.levels,
+            in.kernel_first_level);
         break;
     }
     tri_info_.push_back(out.info);
@@ -1039,14 +1097,14 @@ BlockSolver<T>::BlockSolver(const PlanArtifact<T>& art, const Options& opt)
     out.info.kind = in.kind;
     out.info.nnz = in.nnz;
     out.info.empty_ratio = in.empty_ratio;
-    out.csr = in.csr;
-    out.dcsr = in.dcsr;
+    out.csr = adopt(in.csr, with_values);
+    out.dcsr = adopt(in.dcsr, with_values);
     square_info_.push_back(out.info);
   }
 
   if (opt.verify.enabled) {
-    stored_ = art.stored;
-    norm_inf_ = art.norm_inf;
+    stored_ = adopt(art.stored, with_values);
+    norm_inf_ = art.norm_inf;  // install_values recomputes it
   }
 
   // Same simulated address layout as the cold constructor.
@@ -1079,12 +1137,13 @@ Status BlockSolver<T>::create_from_artifact(
   BLOCKTRI_CHECK(out != nullptr);
   if (art == nullptr)
     return Status(StatusCode::kInvalidArgument, "artifact is null");
-  return rehydrate(*art, opt, /*validated=*/false, out);
+  return rehydrate(*art, opt, /*validated=*/false, /*with_values=*/true, out);
 }
 
 template <class T>
 Status BlockSolver<T>::rehydrate(const PlanArtifact<T>& art,
                                  const Options& opt, bool validated,
+                                 bool with_values,
                                  std::unique_ptr<BlockSolver<T>>* out) {
   if (options_fingerprint(opt) != art.options)
     return Status(
@@ -1101,10 +1160,24 @@ Status BlockSolver<T>::rehydrate(const PlanArtifact<T>& art,
   // entry point, and create()'s fall-back-to-cold-build contract depends on
   // seeing the failure rather than an escaping exception.
   try {
-    out->reset(new BlockSolver<T>(art, opt));
+    out->reset(new BlockSolver<T>(art, opt, with_values));
   } catch (const Error& e) {
     return e.status();
   }
+  return Status::Ok();
+}
+
+template <class T>
+Status BlockSolver<T>::warm_start(const PlanArtifact<T>& art,
+                                  const Csr<T>& lower, const Options& opt,
+                                  std::unique_ptr<BlockSolver<T>>* out) {
+  std::unique_ptr<BlockSolver<T>> solver;
+  if (Status st = rehydrate(art, opt, /*validated=*/true,
+                            /*with_values=*/false, &solver);
+      !st.ok())
+    return st;
+  if (Status st = solver->install_values(lower); !st.ok()) return st;
+  *out = std::move(solver);
   return Status::Ok();
 }
 
@@ -1152,13 +1225,13 @@ Status BlockSolver<T>::create_from_file(const std::string& path,
                       "sparsity pattern");
   // load_artifact has already run validate_artifact on this artifact.
   std::unique_ptr<BlockSolver<T>> solver;
-  if (Status st = rehydrate(*art, opt, /*validated=*/true, &solver);
-      !st.ok())
-    return st;
-  if (Status st = solver->install_values(lower); !st.ok()) return st;
-  // Only a fully rehydrated artifact is worth caching; first-writer-wins
-  // keeps an existing (already proven) entry.
-  if (cache != nullptr) cache->insert(std::move(art), false);
+  if (Status st = warm_start(*art, lower, opt, &solver); !st.ok()) return st;
+  // Only a fully warmed artifact is worth caching; first-writer-wins keeps
+  // an existing (already proven) entry. load_artifact validated it, so the
+  // entry is trusted and its hits skip validate_artifact.
+  if (cache != nullptr)
+    cache->insert_entry(std::move(art), /*overwrite=*/false,
+                        /*trusted=*/true);
   *out = std::move(solver);
   return Status::Ok();
 }
@@ -1173,80 +1246,340 @@ Status BlockSolver<T>::refresh_values(const Csr<T>& lower) {
   return install_values(lower);
 }
 
+namespace {
+
+/// One row of a CSR-like install target: values must arrive in the row's
+/// own column order, each checked against the stored index and the row end.
 template <class T>
-Status BlockSolver<T>::install_values(const Csr<T>& lower) {
-  if (lower.nrows != plan_.n || lower.nnz() != nnz_)
-    return Status(StatusCode::kStructureMismatch,
-                  "refresh_values requires the exact sparsity pattern this "
-                  "solver was analyzed for");
-  // Invariant checks past this point (permute_symmetric's permutation
-  // check, the sub-solvers' structure checks) throw blocktri::Error; for a
-  // solver rehydrated from an artifact they indict the artifact, not the
-  // caller, and must surface as a Status so create()'s cache-hit path can
-  // fall back to a cold build instead of unwinding out of the Status API.
-  try {
-    return refresh_values_impl(lower);
-  } catch (const Error& e) {
-    return e.status();
+struct RowSink {
+  const index_t* col = nullptr;
+  T* val = nullptr;
+  offset_t pos = 0, end = 0;
+
+  RowSink() = default;
+  RowSink(const offset_t* ptr, const index_t* idx, T* v, std::size_t row)
+      : col(idx), val(v), pos(ptr[row]), end(ptr[row + 1]) {}
+
+  bool put(index_t c, T v) {
+    if (pos >= end || col[pos] != c) return false;
+    val[pos++] = v;
+    return true;
   }
+  bool full() const { return pos == end; }
+};
+
+/// Whether a square keeps its values in the DCSR arrays (an empty square
+/// stays CSR whatever its kind, see the cold constructor).
+inline bool holds_dcsr(SpmvKernelKind kind, offset_t nnz) {
+  return nnz != 0 && (kind == SpmvKernelKind::kScalarDcsr ||
+                      kind == SpmvKernelKind::kVectorDcsr);
 }
 
-template <class T>
-Status BlockSolver<T>::refresh_values_impl(const Csr<T>& lower) {
-  // permute_symmetric is canonical (sorted rows), so one application of the
-  // composite permutation reproduces the cold constructor's stored matrix.
-  Csr<T> stored = permute_symmetric(lower, plan_.new_of_old);
+}  // namespace
 
-  for (TriBlock& blk : tri_) {
-    Csr<T> sub = extract_block(stored, blk.info.r0, blk.info.r1, blk.info.r0,
-                               blk.info.r1);
-    if (opt_.verify.enabled) blk.csr.val = sub.val;
+template <class T>
+Status BlockSolver<T>::install_values(const Csr<T>& lower) {
+  if (!slice_.empty())
+    return Status(StatusCode::kInvalidArgument,
+                  "plan is " + slice_ +
+                      ": it holds only its shard's blocks and cannot take "
+                      "the values of a whole matrix");
+  const auto mismatch = [](const char* what) {
+    return Status(StatusCode::kStructureMismatch,
+                  std::string("value install: ") + what +
+                      " disagrees with the sparsity pattern of the values");
+  };
+  const index_t n = plan_.n;
+  const bool verify = opt_.verify.enabled;
+  if (lower.nrows != n || lower.nnz() != nnz_ ||
+      lower.col_idx.size() != lower.val.size())
+    return mismatch("the matrix size");
+  if (verify && stored_.row_ptr.size() != static_cast<std::size_t>(n) + 1)
+    return mismatch("the stored matrix");
+
+  // The cold build's stored matrix is permute_symmetric of the input (rows
+  // re-sorted) unless the planner kept the input as is: an identity
+  // permutation outside HBMC, whose planner always permutes.
+  const std::vector<index_t>& new_of_old = plan_.new_of_old;
+  std::vector<index_t> old_of_new(static_cast<std::size_t>(n));
+  bool identity = true;
+  for (index_t i = 0; i < n; ++i) {
+    const index_t ni = new_of_old[static_cast<std::size_t>(i)];
+    old_of_new[static_cast<std::size_t>(ni)] = i;
+    identity = identity && ni == i;
+  }
+  const bool sort_rows = !identity || plan_.scheme == BlockScheme::kHbmc;
+
+  // Squares by first row. Those covering the current row sit in `active`,
+  // ordered by first column; each holds its arrays' pointers, and a DCSR
+  // one its next stored row.
+  struct SquareCursor {
+    std::size_t q = 0;
+    index_t r0 = 0, r1 = 0, c0 = 0, c1 = 0;
+    bool dcsr = false;
+    const index_t* row_ids = nullptr;  // DCSR only
+    std::size_t nrow_ids = 0, next_row = 0;
+    const offset_t* ptr = nullptr;
+    const index_t* col = nullptr;
+    T* val = nullptr;
+  };
+  std::vector<std::size_t> by_r0(squares_.size());
+  for (std::size_t q = 0; q < by_r0.size(); ++q) by_r0[q] = q;
+  std::stable_sort(by_r0.begin(), by_r0.end(),
+                   [this](std::size_t a, std::size_t b) {
+                     return squares_[a].info.ref.r0 < squares_[b].info.ref.r0;
+                   });
+  std::vector<SquareCursor> active;
+  std::vector<offset_t> square_writes(squares_.size(), 0);
+  std::size_t next_square = 0;
+
+  // The current triangle's arrays: the verify CSR and the kernel's.
+  struct TriTargets {
+    const offset_t* vptr = nullptr;  // verify CSR (verify on)
+    const index_t* vcol = nullptr;
+    T* vval = nullptr;
+    const offset_t* kptr = nullptr;  // level-set/cuSPARSE-like CSR, or the
+    const index_t* kcol = nullptr;   // sync-free strict rows
+    T* kval = nullptr;
+    const offset_t* cptr = nullptr;  // sync-free CSC
+    const index_t* crow = nullptr;
+    T* cval = nullptr;
+    offset_t cnnz = 0;
+    T* diag = nullptr;
+  } tt;
+
+  const auto by_col = [](const auto& x, const auto& y) {
+    return x.first < y.first;
+  };
+  std::vector<std::pair<index_t, T>> row;  // (permuted column, value)
+  std::vector<offset_t> col_cursor;        // sync-free CSC column cursors
+  offset_t csc_writes = 0;
+  double norm = 0.0;
+  std::size_t t = 0;
+  for (index_t ni = 0; ni < n; ++ni) {
+    // Retire the squares that ended above this row; admit those that start
+    // here.
+    active.erase(std::remove_if(active.begin(), active.end(),
+                                [ni](const SquareCursor& s) {
+                                  return s.r1 <= ni;
+                                }),
+                 active.end());
+    for (; next_square < by_r0.size() &&
+           squares_[by_r0[next_square]].info.ref.r0 <= ni;
+         ++next_square) {
+      SquareBlock& sq = squares_[by_r0[next_square]];
+      const SquareBlockRef& ref = sq.info.ref;
+      if (ref.r1 <= ni || ref.c1 <= ref.c0) continue;  // covers nothing
+      SquareCursor sc;
+      sc.q = by_r0[next_square];
+      sc.r0 = ref.r0;
+      sc.r1 = ref.r1;
+      sc.c0 = ref.c0;
+      sc.c1 = ref.c1;
+      sc.dcsr = holds_dcsr(sq.info.kind, sq.info.nnz);
+      if (sc.dcsr) {
+        sc.row_ids = sq.dcsr.row_ids.data();
+        sc.nrow_ids = sq.dcsr.row_ids.size();
+        sc.ptr = sq.dcsr.row_ptr.data();
+        sc.col = sq.dcsr.col_idx.data();
+        sc.val = sq.dcsr.val.data();
+      } else {
+        sc.ptr = sq.csr.row_ptr.data();
+        sc.col = sq.csr.col_idx.data();
+        sc.val = sq.csr.val.data();
+      }
+      active.insert(std::upper_bound(active.begin(), active.end(), sc.c0,
+                                     [](index_t c, const SquareCursor& s) {
+                                       return c < s.c0;
+                                     }),
+                    sc);
+    }
+
+    // The triangle holding this row; entering one fetches its arrays (and
+    // starts a sync-free one's column cursors).
+    while (tri_[t].info.r1 <= ni) ++t;
+    TriBlock& blk = tri_[t];
+    const index_t r0 = blk.info.r0;
+    const index_t li = ni - r0;
+    const auto lis = static_cast<std::size_t>(li);
+    if (ni == r0) {
+      tt = TriTargets{};
+      if (verify) {
+        if (blk.csr.row_ptr.size() !=
+            static_cast<std::size_t>(blk.info.r1 - r0) + 1)
+          return mismatch("a triangular block's verify CSR");
+        tt.vptr = blk.csr.row_ptr.data();
+        tt.vcol = blk.csr.col_idx.data();
+        tt.vval = blk.csr.val.data();
+      }
+      switch (blk.info.kind) {
+        case TriKernelKind::kCompletelyParallel:
+          tt.diag = blk.diag->values().data();
+          break;
+        case TriKernelKind::kLevelSet:
+          tt.kptr = blk.levelset->matrix().row_ptr.data();
+          tt.kcol = blk.levelset->matrix().col_idx.data();
+          tt.kval = blk.levelset->values().data();
+          break;
+        case TriKernelKind::kCusparseLike:
+          tt.kptr = blk.cusparse->matrix().row_ptr.data();
+          tt.kcol = blk.cusparse->matrix().col_idx.data();
+          tt.kval = blk.cusparse->values().data();
+          break;
+        case TriKernelKind::kSyncFree: {
+          const Csc<T>& csc = blk.syncfree->matrix_csc();
+          tt.cptr = csc.col_ptr.data();
+          tt.crow = csc.row_idx.data();
+          tt.cval = blk.syncfree->csc_values().data();
+          tt.cnnz = csc.nnz();
+          tt.kptr = blk.syncfree->strict_rows().row_ptr.data();
+          tt.kcol = blk.syncfree->strict_rows().col_idx.data();
+          tt.kval = blk.syncfree->strict_values().data();
+          col_cursor.resize(static_cast<std::size_t>(n));
+          std::copy(csc.col_ptr.begin(), csc.col_ptr.end() - 1,
+                    col_cursor.begin() + r0);
+          csc_writes = 0;
+          break;
+        }
+      }
+    }
+
+    // Gather the input row through the permutation and order it exactly as
+    // permute_symmetric does (same comparison on the same sequence, so a
+    // column held twice keeps the cold build's order).
+    const index_t oi = old_of_new[static_cast<std::size_t>(ni)];
+    const offset_t klo = lower.row_ptr[static_cast<std::size_t>(oi)];
+    const offset_t khi = lower.row_ptr[static_cast<std::size_t>(oi) + 1];
+    row.resize(static_cast<std::size_t>(khi - klo));
+    for (offset_t k = klo; k < khi; ++k) {
+      const index_t oc = lower.col_idx[static_cast<std::size_t>(k)];
+      if (oc < 0 || oc > oi) return mismatch("an entry above the diagonal");
+      row[static_cast<std::size_t>(k - klo)] = {
+          new_of_old[static_cast<std::size_t>(oc)],
+          lower.val[static_cast<std::size_t>(k)]};
+    }
+    if (sort_rows) {
+      std::sort(row.begin(), row.end(), by_col);
+    } else if (!std::is_sorted(row.begin(), row.end(), by_col)) {
+      return mismatch("an unsorted row");  // the blocks assume sorted rows
+    }
+    // Sorted, the row holds its square entries (left of the triangle) first
+    // and its triangle entries after them, ending in the diagonal.
+    if (row.empty() || row.back().first > ni)
+      return mismatch("an entry above the permuted diagonal");
+    const std::size_t m = row.size();
+    const auto p0 = static_cast<std::size_t>(
+        std::lower_bound(row.begin(), row.end(), std::make_pair(r0, T(0)),
+                         by_col) -
+        row.begin());
+
+    // stored_ and ‖L‖∞ take the whole row, in stored order.
+    if (verify) {
+      RowSink<T> sink(stored_.row_ptr.data(), stored_.col_idx.data(),
+                      stored_.val.data(), static_cast<std::size_t>(ni));
+      double row_sum = 0.0;
+      for (const auto& [c, v] : row) {
+        if (!sink.put(c, v)) return mismatch("the stored matrix");
+        row_sum += std::fabs(static_cast<double>(v));
+      }
+      if (!sink.full()) return mismatch("the stored matrix");
+      norm = std::max(norm, row_sum);
+    }
+
+    // Square entries: each active square takes one contiguous run, which
+    // must fill its window in this row exactly.
+    std::size_t a = 0;
+    for (std::size_t p = 0; p < p0; ++a) {
+      const index_t c = row[p].first;
+      while (a < active.size() && active[a].c1 <= c) ++a;
+      if (a == active.size() || c < active[a].c0)
+        return mismatch("the block layout (an entry no square covers)");
+      SquareCursor& sc = active[a];
+      const index_t lr = ni - sc.r0;
+      std::size_t r = static_cast<std::size_t>(lr);
+      if (sc.dcsr) {
+        if (sc.next_row >= sc.nrow_ids || sc.row_ids[sc.next_row] != lr)
+          return mismatch("a square block's DCSR rows");
+        r = sc.next_row++;
+      }
+      RowSink<T> sink(sc.ptr, sc.col, sc.val, r);
+      const std::size_t run = p;
+      for (; p < p0 && row[p].first < sc.c1; ++p)
+        if (!sink.put(row[p].first - sc.c0, row[p].second))
+          return mismatch("a square block");
+      if (!sink.full()) return mismatch("a square block");
+      square_writes[sc.q] += static_cast<offset_t>(p - run);
+    }
+
+    // Triangle entries: the verify CSR and the kernel's arrays, together.
+    RowSink<T> vsink;
+    if (verify) vsink = RowSink<T>(tt.vptr, tt.vcol, tt.vval, lis);
     switch (blk.info.kind) {
-      case TriKernelKind::kCompletelyParallel: {
-        StrictLowerSplit<T> split = split_diagonal(sub);
-        blk.diag->refresh_values(std::move(split.diag));
+      case TriKernelKind::kCompletelyParallel:
+        // split_diagonal found no strict entry when the block was built:
+        // the diagonal is the row's only triangle entry.
+        if (m - p0 != 1 || row[p0].first != ni)
+          return mismatch("a diagonal block");
+        if (verify && !vsink.put(li, row[p0].second))
+          return mismatch("a triangular block's verify CSR");
+        tt.diag[lis] = row[p0].second;
+        break;
+      case TriKernelKind::kLevelSet:
+      case TriKernelKind::kCusparseLike: {
+        RowSink<T> sink(tt.kptr, tt.kcol, tt.kval, lis);
+        for (std::size_t p = p0; p < m; ++p) {
+          const index_t lc = row[p].first - r0;
+          if (verify && !vsink.put(lc, row[p].second))
+            return mismatch("a triangular block's verify CSR");
+          if (!sink.put(lc, row[p].second))
+            return mismatch("a triangular block's kernel CSR");
+        }
+        if (!sink.full()) return mismatch("a triangular block's kernel CSR");
         break;
       }
-      case TriKernelKind::kLevelSet:
-        blk.levelset->refresh_values(sub);
+      case TriKernelKind::kSyncFree: {
+        // Each entry lands at its column's cursor in the CSC; all but the
+        // diagonal (the row's last entry, as split_diagonal splits it) are
+        // also strict dependency entries.
+        RowSink<T> sink(tt.kptr, tt.kcol, tt.kval, lis);
+        for (std::size_t p = p0; p < m; ++p) {
+          const index_t lc = row[p].first - r0;
+          if (verify && !vsink.put(lc, row[p].second))
+            return mismatch("a triangular block's verify CSR");
+          const auto at = static_cast<std::size_t>(
+              col_cursor[static_cast<std::size_t>(row[p].first)]++);
+          if (static_cast<offset_t>(at) >=
+                  tt.cptr[static_cast<std::size_t>(lc) + 1] ||
+              tt.crow[at] != li)
+            return mismatch("a sync-free block's CSC");
+          tt.cval[at] = row[p].second;
+          if (p + 1 < m && !sink.put(lc, row[p].second))
+            return mismatch("a sync-free block's strict rows");
+        }
+        if (!sink.full()) return mismatch("a sync-free block's strict rows");
+        // Each CSC write stayed inside its column, so a full count means
+        // every column ends exactly full.
+        csc_writes += static_cast<offset_t>(m - p0);
+        if (ni + 1 == blk.info.r1 && csc_writes != tt.cnnz)
+          return mismatch("a sync-free block's CSC");
         break;
-      case TriKernelKind::kSyncFree:
-        blk.syncfree->refresh_values(sub);
-        break;
-      case TriKernelKind::kCusparseLike:
-        blk.cusparse->refresh_values(sub);
-        break;
+      }
     }
+    if (verify && !vsink.full())
+      return mismatch("a triangular block's verify CSR");
   }
 
-  for (SquareBlock& blk : squares_) {
-    Csr<T> sub = extract_block(stored, blk.info.ref.r0, blk.info.ref.r1,
-                               blk.info.ref.c0, blk.info.ref.c1);
-    const bool dcsr = blk.info.kind == SpmvKernelKind::kScalarDcsr ||
-                      blk.info.kind == SpmvKernelKind::kVectorDcsr;
-    if (dcsr && blk.info.nnz != 0) {
-      // csr_to_dcsr keeps values in row-major order, so the block's value
-      // stream maps 1:1 onto the DCSR value array.
-      BLOCKTRI_CHECK(sub.val.size() == blk.dcsr.val.size());
-      blk.dcsr.val = std::move(sub.val);
-    } else {
-      BLOCKTRI_CHECK(sub.val.size() == blk.csr.val.size());
-      blk.csr.val = std::move(sub.val);
-    }
+  // Every visit filled its row window exactly, so a count equal to the
+  // array's length leaves no stored entry in a row the values skip.
+  for (std::size_t q = 0; q < squares_.size(); ++q) {
+    const SquareBlock& sq = squares_[q];
+    const std::size_t held = holds_dcsr(sq.info.kind, sq.info.nnz)
+                                 ? sq.dcsr.val.size()
+                                 : sq.csr.val.size();
+    if (square_writes[q] != static_cast<offset_t>(held))
+      return mismatch("a square block");
   }
-
-  if (opt_.verify.enabled) {
-    norm_inf_ = 0.0;
-    for (index_t i = 0; i < stored.nrows; ++i) {
-      double s = 0.0;
-      for (offset_t k = stored.row_ptr[static_cast<std::size_t>(i)];
-           k < stored.row_ptr[static_cast<std::size_t>(i) + 1]; ++k)
-        s += std::fabs(
-            static_cast<double>(stored.val[static_cast<std::size_t>(k)]));
-      norm_inf_ = std::max(norm_inf_, s);
-    }
-    stored_ = std::move(stored);
-  }
+  if (verify) norm_inf_ = norm;
   return Status::Ok();
 }
 

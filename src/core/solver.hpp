@@ -23,6 +23,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/deadline.hpp"
@@ -286,7 +287,12 @@ class BlockSolver {
   /// solver. With a `cache`, the solver is rehydrated from a cached plan
   /// when one matches (structure hash, options fingerprint) — performing
   /// zero level-set analysis and producing bitwise-identical solves — and a
-  /// cold build's plan is captured into the cache for the next caller.
+  /// cold build's plan is captured into the cache for the next caller. A
+  /// hit copies the cached plan's structure and installs `lower`'s values
+  /// in one pass; it validates the cached artifact only if the cache does
+  /// not already trust it (see PlanCache). A hit that fails — a shard
+  /// slice, or a block structure that disagrees with `lower` — falls back
+  /// to the cold build and replaces the entry.
   static Status create(const Csr<T>& lower, const Options& opt,
                        std::unique_ptr<BlockSolver<T>>* out,
                        PlanCache<T>* cache = nullptr);
@@ -310,12 +316,14 @@ class BlockSolver {
       std::shared_ptr<const PlanArtifact<T>> art, const Options& opt,
       std::unique_ptr<BlockSolver<T>>* out);
 
-  /// load_artifact(path) + structure check against `lower` +
-  /// create_from_artifact + refresh_values(lower): the full warm-start path.
-  /// validate_artifact runs once, inside load_artifact.
+  /// load_artifact(path) + structure check against `lower` + structure-only
+  /// rehydration + one-pass install of `lower`'s values: the full warm-start
+  /// path. validate_artifact runs once, inside load_artifact.
   /// Adds kStructureMismatch when `lower`'s pattern differs from the one the
-  /// artifact was captured from. Transient I/O failures (kIoError) are
-  /// retried with jittered exponential backoff per opt.session; permanent
+  /// artifact was captured from, and kInvalidArgument when the file holds a
+  /// shard slice (a slice serves only a shard worker). Transient I/O
+  /// failures (kIoError) are retried with jittered exponential backoff per
+  /// opt.session; permanent
   /// artifact rejections (checksum, version, structure) fail immediately.
   /// With a `cache`, a successfully loaded artifact is inserted so later
   /// create() calls warm-hit, and retried-then-successful loads are counted
@@ -329,8 +337,10 @@ class BlockSolver {
   /// sparsity pattern this solver was built for (checked via the structure
   /// hash; kStructureMismatch otherwise) — into every block structure
   /// without re-running any analysis. After Ok, solves behave exactly as if
-  /// the solver had been cold-built from `lower`. Not thread safe with
-  /// concurrent solves on this solver.
+  /// the solver had been cold-built from `lower`. A solver rehydrated from a
+  /// shard slice holds only its shard's blocks and returns
+  /// kInvalidArgument. Not thread safe with concurrent solves on this
+  /// solver.
   Status refresh_values(const Csr<T>& lower);
 
   /// Canonical hash of the original (unpermuted) input pattern — the
@@ -531,18 +541,31 @@ class BlockSolver {
   const tune::TuneStats& tune_stats() const { return tune_stats_; }
 
  private:
-  /// Rehydration: adopt a captured artifact instead of analyzing. The
-  /// fingerprint/verify preconditions are rehydrate()'s job.
-  BlockSolver(const PlanArtifact<T>& art, const Options& opt);
+  /// Rehydration: adopt a captured (and validated) artifact instead of
+  /// analyzing. With `with_values` every array is copied; without, only the
+  /// index arrays, level sets and schedules are, and each value array is
+  /// sized for install_values to fill (a diagonal block keeps its captured
+  /// pivots, which the solver requires nonzero). The fingerprint/verify
+  /// preconditions are rehydrate()'s job.
+  BlockSolver(const PlanArtifact<T>& art, const Options& opt,
+              bool with_values);
 
-  /// create_from_artifact's body: options-fingerprint check, then
-  /// validate_artifact unless `validated` says the caller already ran it
-  /// (create_from_file: load_artifact did, so one file load validates
-  /// once), then adoption with any invariant throw from artifact-derived
-  /// state mapped back to its Status.
+  /// Options-fingerprint check, then validate_artifact unless `validated`
+  /// says the caller already ran it (load_artifact, or a trusted PlanCache
+  /// entry), then adoption — of every array, or of the structure only — with
+  /// any invariant throw from artifact-derived state mapped back to its
+  /// Status.
   static Status rehydrate(const PlanArtifact<T>& art, const Options& opt,
-                          bool validated,
+                          bool validated, bool with_values,
                           std::unique_ptr<BlockSolver<T>>* out);
+
+  /// The install path a cache hit and create_from_file share: structure-only
+  /// rehydration of the validated `art`, then install_values(lower). The
+  /// caller has checked `lower` (check_lower_triangular) and matched its
+  /// structure hash against `art`.
+  static Status warm_start(const PlanArtifact<T>& art, const Csr<T>& lower,
+                           const Options& opt,
+                           std::unique_ptr<BlockSolver<T>>* out);
 
   /// The cold build for a caller that already ran check_lower_triangular on
   /// `lower` and computed its structure hash (`structure`): neither is
@@ -594,13 +617,21 @@ class BlockSolver {
                       index_t c1, ThreadPool* pool, T* tri_scratch,
                       const ExecControl* ctl, index_t ld,
                       PanelLayout layout) const;
-  /// refresh_values for a caller that already validated `lower` and matched
-  /// its structure hash against this solver's: checks only the cheap shape
-  /// invariants, then installs the values, mapping any escaping Error back
-  /// to its Status so the warm path never throws through the Status API.
+  /// The value install of refresh_values, a cache hit and create_from_file,
+  /// for a caller that already validated `lower` and matched its structure
+  /// hash against this solver's. One pass over the permuted rows: each row
+  /// of `lower` is gathered through the permutation, sorted exactly as
+  /// permute_symmetric sorts it (a row the cold build kept in input order —
+  /// identity permutation outside HBMC — must already be sorted), and every
+  /// value is written straight into each array that holds it — stored_, the
+  /// triangle's verify CSR and kernel arrays, and the covering square's
+  /// CSR/DCSR — with ‖L‖∞ folded in. Every write is checked against the
+  /// target array's own index and bounds, and every array must end exactly
+  /// full, so a block structure that disagrees with `lower` returns
+  /// kStructureMismatch (possibly with some arrays partly written) instead
+  /// of a silently wrong solver. A shard slice returns kInvalidArgument
+  /// before anything is written.
   Status install_values(const Csr<T>& lower);
-  /// install_values body.
-  Status refresh_values_impl(const Csr<T>& lower);
   /// One pass over the execution steps with the fallback ladder armed.
   /// Consumes bw (square blocks accumulate into it). `epool` is this call's
   /// arbitrated executor pool (null → serial), `ctl` the cooperative
@@ -658,6 +689,10 @@ class BlockSolver {
   std::int64_t build_ops_ = 0;    // extraction/conversion cost counters
   std::int64_t build_bytes_ = 0;
   bool tuned_ = false;            // this solver runs an autotuned plan
+  // Names the shard slice (src/shard) this solver was rehydrated from, empty
+  // otherwise: a slice populates only its shard's blocks, so the
+  // whole-matrix value install refuses it.
+  std::string slice_;
   offset_t merge_width_ = kLevelMergeMaxWidth;  // level-set exec-group bound
   tune::TuneStats tune_stats_;    // cold tuned builds only
   // Simulated address layout: x, b and the per-solve scratch region.

@@ -689,6 +689,7 @@ namespace persist_testing {
 
 namespace {
 std::atomic<int> g_forced_io_failures{0};
+std::atomic<std::uint64_t> g_validations{0};
 }  // namespace
 
 void force_io_failures(int n) {
@@ -697,6 +698,10 @@ void force_io_failures(int n) {
 
 int pending_io_failures() {
   return g_forced_io_failures.load(std::memory_order_relaxed);
+}
+
+std::uint64_t validation_count() {
+  return g_validations.load(std::memory_order_relaxed);
 }
 
 }  // namespace persist_testing
@@ -888,6 +893,7 @@ Status check_level_sets(const LevelSets& ls, index_t len, const char* what) {
 
 template <class T>
 Status validate_artifact(const PlanArtifact<T>& art) {
+  persist_testing::g_validations.fetch_add(1, std::memory_order_relaxed);
   const BlockPlan& p = art.plan;
   if (p.n < 0) return bad("negative dimension");
   if (static_cast<std::uint32_t>(p.scheme) >
@@ -897,8 +903,10 @@ Status validate_artifact(const PlanArtifact<T>& art) {
     return bad("permutation length != n");
   if (!is_permutation_of_iota(p.new_of_old))
     return bad("new_of_old is not a permutation of [0, n)");
-  if (p.tri_bounds.size() < 2 || p.tri_bounds.front() != 0 ||
-      p.tri_bounds.back() != p.n)
+  // An empty matrix may have no leaf at all (the recursive planner's n = 0
+  // plan is the single bound {0}); any other plan needs at least one.
+  if (p.tri_bounds.empty() || (p.n > 0 && p.tri_bounds.size() < 2) ||
+      p.tri_bounds.front() != 0 || p.tri_bounds.back() != p.n)
     return bad("triangular bounds do not cover [0, n)");
   for (std::size_t i = 1; i < p.tri_bounds.size(); ++i)
     if (p.tri_bounds[i] < p.tri_bounds[i - 1])

@@ -178,9 +178,12 @@ Status save_artifact(const std::string& path, const PlanArtifact<T>& art);
 /// thread) to fail with a transient kIoError before touching the file —
 /// the fault class BlockSolver::create_from_file's retry-with-backoff loop
 /// exists to absorb. pending_io_failures() reads the remaining budget.
+/// validation_count() is the number of validate_artifact calls so far
+/// (process-wide): the evidence that each artifact is validated once.
 namespace persist_testing {
 void force_io_failures(int n);
 int pending_io_failures();
+std::uint64_t validation_count();
 }  // namespace persist_testing
 
 /// Loads an artifact written by save_artifact. Every defect class maps to a

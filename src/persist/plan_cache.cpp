@@ -18,6 +18,13 @@ bool PlanCache<T>::tombstoned_locked(const PlanCacheKey& key) {
 template <class T>
 std::shared_ptr<const PlanArtifact<T>> PlanCache<T>::find(
     const PlanCacheKey& key) {
+  bool trusted = false;
+  return lookup(key, &trusted);
+}
+
+template <class T>
+std::shared_ptr<const PlanArtifact<T>> PlanCache<T>::lookup(
+    const PlanCacheKey& key, bool* trusted) {
   std::lock_guard<std::mutex> lock(mu_);
   if (tombstoned_locked(key)) {
     ++counters_.misses;
@@ -30,12 +37,30 @@ std::shared_ptr<const PlanArtifact<T>> PlanCache<T>::find(
   }
   ++counters_.hits;
   lru_.splice(lru_.begin(), lru_, it->second);  // bump to most recently used
+  *trusted = it->second->trusted;
   return it->second->art;
+}
+
+template <class T>
+void PlanCache<T>::mark_trusted(const PlanCacheKey& key,
+                                const PlanArtifact<T>* art) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  if (it != index_.end() && it->second->art.get() == art)
+    it->second->trusted = true;
 }
 
 template <class T>
 std::shared_ptr<const PlanArtifact<T>> PlanCache<T>::insert(
     std::shared_ptr<const PlanArtifact<T>> art, bool overwrite) {
+  // A caller-supplied artifact is validated on its first hit.
+  return insert_entry(std::move(art), overwrite, /*trusted=*/false);
+}
+
+template <class T>
+std::shared_ptr<const PlanArtifact<T>> PlanCache<T>::insert_entry(
+    std::shared_ptr<const PlanArtifact<T>> art, bool overwrite,
+    bool trusted) {
   BLOCKTRI_CHECK(art != nullptr);
   const PlanCacheKey key{art->structure, art->options};
   const std::size_t bytes = artifact_bytes(*art);
@@ -67,7 +92,7 @@ std::shared_ptr<const PlanArtifact<T>> PlanCache<T>::insert(
     return art;
   }
   evict_until_fits_locked(bytes);
-  lru_.push_front(Entry{key, art, bytes});
+  lru_.push_front(Entry{key, art, bytes, trusted});
   index_[key] = lru_.begin();
   bytes_ += bytes;
   ++counters_.inserts;

@@ -28,6 +28,12 @@
 //     Tombstones age in insert-generation counts (cheap, monotonic, no
 //     clock): one created at generation g expires once the cache has seen
 //     Limits::quarantine_ttl_inserts further successful inserts.
+//   * Validated once: an entry remembers whether its artifact is trusted —
+//     captured from a live solver, or validated by load_artifact — so
+//     BlockSolver::create's hit path skips validate_artifact on it. An
+//     artifact handed to the public insert() is validated on its first hit,
+//     and the entry remembers that too. Only BlockSolver (a friend) can
+//     insert or mark an entry trusted; there is no public way to do so.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +45,9 @@
 #include "persist/artifact.hpp"
 
 namespace blocktri {
+
+template <class T>
+class BlockSolver;  // core/solver.hpp
 
 /// Cache identity of a plan: the canonical structure hash of the original
 /// matrix plus the fingerprint of the plan-affecting Options. Two solvers
@@ -152,11 +161,29 @@ class PlanCache {
   const Limits& limits() const { return limits_; }
 
  private:
+  // BlockSolver::create's hit path and create_from_file use the trust
+  // bookkeeping below.
+  friend class BlockSolver<T>;
+
   struct Entry {
     PlanCacheKey key;
     std::shared_ptr<const PlanArtifact<T>> art;
     std::size_t bytes = 0;
+    bool trusted = false;  // art passed validate_artifact or was captured
   };
+
+  /// find() that also reports whether the entry's artifact is trusted.
+  std::shared_ptr<const PlanArtifact<T>> lookup(const PlanCacheKey& key,
+                                                bool* trusted);
+  /// insert() that records whether `art` is trusted: captured from a live
+  /// solver or validated by load_artifact.
+  std::shared_ptr<const PlanArtifact<T>> insert_entry(
+      std::shared_ptr<const PlanArtifact<T>> art, bool overwrite,
+      bool trusted);
+  /// Records that `art` passed validate_artifact, if it is still the
+  /// artifact cached under `key` (a concurrent overwrite may have replaced
+  /// it).
+  void mark_trusted(const PlanCacheKey& key, const PlanArtifact<T>* art);
 
   // Called with mu_ held.
   void evict_until_fits_locked(std::size_t incoming_bytes);

@@ -58,14 +58,6 @@ CusparseLikeSolver<T>::CusparseLikeSolver(
 }
 
 template <class T>
-void CusparseLikeSolver<T>::refresh_values(const Csr<T>& lower) {
-  BLOCKTRI_CHECK_MSG(lower.nrows == a_.nrows && lower.row_ptr == a_.row_ptr &&
-                         lower.col_idx == a_.col_idx,
-                     "CusparseLikeSolver::refresh_values: structure differs");
-  a_.val = lower.val;
-}
-
-template <class T>
 void CusparseLikeSolver<T>::solve_many(const T* b, T* x, index_t k, index_t ld,
                                        const ExecControl* ctl,
                                        PanelLayout layout) const {

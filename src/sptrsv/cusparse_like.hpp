@@ -12,6 +12,7 @@
 // why the paper routes "nlevels > 20000" blocks to cuSPARSE (Alg. 7).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "analysis/levels.hpp"
@@ -37,10 +38,6 @@ class CusparseLikeSolver {
   CusparseLikeSolver(Csr<T> lower, LevelSets levels,
                      std::vector<index_t> kernel_first_level);
 
-  /// Installs the values of `lower` — which must have the matrix's exact
-  /// sparsity structure — without touching the schedule.
-  void refresh_values(const Csr<T>& lower);
-
   /// `ctl` is the solve session's cooperative control. The host path is one
   /// flat pass with no natural barriers, so when a deadline or cancel token
   /// is actually armed the pass is chunked (same item order — bitwise
@@ -60,6 +57,9 @@ class CusparseLikeSolver {
 
   const Csr<T>& matrix() const { return a_; }
   const LevelSets& levels() const { return ls_; }
+  /// matrix()'s value array as a fixed-length view, written in place by
+  /// BlockSolver's one-pass value install; structure and schedule stay fixed.
+  std::span<T> values() { return a_.val; }
 
   /// Number of kernel launches the merged schedule issues (<= nlevels).
   index_t num_merged_kernels() const {

@@ -4,6 +4,7 @@
 // parallelism — one kernel, no dependencies at all.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/deadline.hpp"
@@ -42,13 +43,10 @@ class DiagonalSolver {
   /// The dense diagonal — captured by the plan-persistence subsystem.
   const std::vector<T>& diag() const { return diag_; }
 
-  /// Installs a new diagonal of the same length (value refresh for repeated
-  /// factorizations with a fixed pattern).
-  void refresh_values(std::vector<T> diag) {
-    BLOCKTRI_CHECK_MSG(diag.size() == diag_.size(),
-                       "DiagonalSolver::refresh_values: length differs");
-    diag_ = std::move(diag);
-  }
+  /// The diagonal as a fixed-length view, written in place by BlockSolver's
+  /// one-pass value install (which only writes pivots that
+  /// check_lower_triangular already proved nonzero).
+  std::span<T> values() { return diag_; }
 
  private:
   std::vector<T> diag_;

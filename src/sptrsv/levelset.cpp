@@ -65,14 +65,6 @@ LevelSetSolver<T>::LevelSetSolver(Csr<T> lower, LevelSets levels,
 }
 
 template <class T>
-void LevelSetSolver<T>::refresh_values(const Csr<T>& lower) {
-  BLOCKTRI_CHECK_MSG(lower.nrows == a_.nrows && lower.row_ptr == a_.row_ptr &&
-                         lower.col_idx == a_.col_idx,
-                     "LevelSetSolver::refresh_values: structure differs");
-  a_.val = lower.val;
-}
-
-template <class T>
 void LevelSetSolver<T>::solve_many(const T* b, T* x, index_t k, index_t ld,
                                    ThreadPool* pool, const ExecControl* ctl,
                                    PanelLayout layout) const {

@@ -16,6 +16,7 @@
 // plan rehydration) and never persisted.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "analysis/levels.hpp"
@@ -49,11 +50,6 @@ class LevelSetSolver {
   LevelSetSolver(Csr<T> lower, LevelSets levels,
                  offset_t merge_max_width = kLevelMergeMaxWidth);
 
-  /// Installs the values of `lower` — which must have the matrix's exact
-  /// sparsity structure — without touching the level analysis. The hot path
-  /// for repeated factorizations with a fixed pattern.
-  void refresh_values(const Csr<T>& lower);
-
   /// Solve phase (Alg. 2 lines 12–22). One kernel launch per level when
   /// simulation is active. With a pool (and no simulation), the rows of each
   /// level are solved across threads with a barrier per level — the CPU
@@ -83,6 +79,9 @@ class LevelSetSolver {
 
   const Csr<T>& matrix() const { return a_; }
   const LevelSets& levels() const { return ls_; }
+  /// matrix()'s value array as a fixed-length view, written in place by
+  /// BlockSolver's one-pass value install; structure and levels stay fixed.
+  std::span<T> values() { return a_.val; }
 
   /// Number of execution groups after merging tiny adjacent levels
   /// (== nlevels when merging is disabled or nothing merged). Feeds the

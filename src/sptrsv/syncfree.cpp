@@ -51,39 +51,6 @@ SyncFreeSolver<T>::SyncFreeSolver(Csc<T> csc, Csr<T> strict_rows,
       "SyncFreeSolver: adopted execution structure is inconsistent");
 }
 
-template <class T>
-void SyncFreeSolver<T>::refresh_values(const Csr<T>& lower) {
-  BLOCKTRI_CHECK_MSG(lower.nrows == csc_.nrows && lower.nnz() == csc_.nnz(),
-                     "SyncFreeSolver::refresh_values: structure differs");
-  // CSC values via a cursor pass over the fixed column-pointer structure —
-  // the value-scatter half of csr_to_csc, with the counting half skipped.
-  std::vector<offset_t> cursor(csc_.col_ptr.begin(), csc_.col_ptr.end() - 1);
-  offset_t strict_pos = 0;
-  for (index_t i = 0; i < lower.nrows; ++i) {
-    for (offset_t k = lower.row_ptr[static_cast<std::size_t>(i)];
-         k < lower.row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-      const auto j =
-          static_cast<std::size_t>(lower.col_idx[static_cast<std::size_t>(k)]);
-      const auto pos = static_cast<std::size_t>(cursor[j]++);
-      BLOCKTRI_CHECK_MSG(csc_.row_idx[pos] == i,
-                         "SyncFreeSolver::refresh_values: structure differs");
-      csc_.val[pos] = lower.val[static_cast<std::size_t>(k)];
-      if (lower.col_idx[static_cast<std::size_t>(k)] != i) {
-        // Strictly-lower entries appear in the same row-major order in the
-        // dependency-edge CSR built by split_diagonal.
-        BLOCKTRI_CHECK_MSG(
-            strict_pos < strict_rows_.nnz() &&
-                strict_rows_.col_idx[static_cast<std::size_t>(strict_pos)] ==
-                    lower.col_idx[static_cast<std::size_t>(k)],
-            "SyncFreeSolver::refresh_values: structure differs");
-        strict_rows_.val[static_cast<std::size_t>(strict_pos++)] =
-            lower.val[static_cast<std::size_t>(k)];
-      }
-    }
-  }
-  BLOCKTRI_CHECK(strict_pos == strict_rows_.nnz());
-}
-
 namespace {
 
 /// Parallel host solve: Algorithm 3 on CPU threads. Each component owns one

@@ -15,6 +15,7 @@
 //     cannot even start until a slot frees (modelled by slot-holding tasks).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/deadline.hpp"
@@ -37,11 +38,6 @@ class SyncFreeSolver {
   /// and in-degree counts instead of recomputing them.
   SyncFreeSolver(Csc<T> csc, Csr<T> strict_rows,
                  std::vector<index_t> in_degree);
-
-  /// Installs the values of `lower` — which must have the matrix's exact
-  /// sparsity structure (CSR, diagonal last in each row) — rewriting the CSC
-  /// and strict-row value arrays in place without re-deriving structure.
-  void refresh_values(const Csr<T>& lower);
 
   /// Host solve. With a pool (and no simulation) this runs the CPU analogue
   /// of Alg. 3: components are dealt round-robin to threads (component i to
@@ -87,6 +83,11 @@ class SyncFreeSolver {
   const Csc<T>& matrix_csc() const { return csc_; }
   const Csr<T>& strict_rows() const { return strict_rows_; }
   const std::vector<index_t>& in_degree() const { return in_degree_; }
+  /// The CSC and strict-row value arrays as fixed-length views, written in
+  /// place by BlockSolver's one-pass value install; structure and in-degrees
+  /// stay fixed.
+  std::span<T> csc_values() { return csc_.val; }
+  std::span<T> strict_values() { return strict_rows_.val; }
 
   /// TESTING ONLY: adds `delta` to one row's in-degree counter, simulating
   /// the corrupted dependency metadata the bounded spin-wait defends

@@ -1,7 +1,8 @@
 // Shared gtest helpers: tolerance-aware vector comparison, dense oracles,
 // a registry of small structurally-diverse matrices the solver tests sweep
-// over, and the byte-wise CRC32 reference plus the .btpa frame walker that
-// pin the artifact framing.
+// over, the byte-wise CRC32 reference plus the .btpa frame walker that pin
+// the artifact framing, and the byte-wise structure-hash reference that pins
+// the artifact/cache key.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -121,6 +122,26 @@ inline std::uint32_t reference_crc32(const void* data, std::size_t n) {
   std::uint32_t c = 0xFFFFFFFFu;
   for (std::size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
+}
+
+/// Byte-at-a-time FNV-1a over (nrows, ncols, row_ptr, col_idx), each value
+/// widened to 8 little-endian bytes: the plain reference structure_hash is
+/// checked against, so a faster implementation can never change a key.
+inline std::uint64_t reference_structure_hash(
+    index_t nrows, index_t ncols, const std::vector<offset_t>& row_ptr,
+    const std::vector<index_t>& col_idx) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto fold = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  fold(static_cast<std::uint64_t>(nrows));
+  fold(static_cast<std::uint64_t>(ncols));
+  for (const offset_t p : row_ptr) fold(static_cast<std::uint64_t>(p));
+  for (const index_t j : col_idx) fold(static_cast<std::uint64_t>(j));
+  return h;
 }
 
 inline std::string read_file_bytes(const std::string& path) {

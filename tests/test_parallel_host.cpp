@@ -71,14 +71,16 @@ TEST(ThreadPool, ParallelForHandlesEmptyAndTinyRanges) {
   int calls = 0;
   pool.parallel_for(5, 5, [&](index_t, index_t, int) { ++calls; });
   EXPECT_EQ(calls, 0);
-  std::vector<int> seen;
+  // 2 rows over 4 threads: at most 2 chunks, running concurrently, so each
+  // row counts into its own slot (a shared push_back would race); every row
+  // must be visited exactly once.
+  std::vector<std::atomic<int>> seen(2);
   pool.parallel_for(0, 2, [&](index_t b, index_t e, int) {
-    for (index_t i = b; i < e; ++i) seen.push_back(static_cast<int>(i));
+    for (index_t i = b; i < e; ++i)
+      seen[static_cast<std::size_t>(i)].fetch_add(1);
   });
-  // 2 rows over 4 threads: at most 2 chunks, every row exactly once — but
-  // order across chunks is not guaranteed, so sort.
-  std::sort(seen.begin(), seen.end());
-  EXPECT_EQ(seen, (std::vector<int>{0, 1}));
+  EXPECT_EQ(seen[0].load(), 1);
+  EXPECT_EQ(seen[1].load(), 1);
 }
 
 TEST(ThreadPool, RunPropagatesExceptionsAndStaysUsable) {

@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/solver.hpp"
@@ -87,9 +88,11 @@ Csr<T> fixture(int which = 0) {
 // rounding-equal run to run — there the warm solver is held to the same
 // tight normwise bound the repo holds the threaded executor itself to.
 
+/// `checked` compares solve_checked too (it needs verify.enabled).
 template <class T>
 void expect_equal_solvers(const BlockSolver<T>& cold,
-                          const BlockSolver<T>& warm, const Csr<T>& L) {
+                          const BlockSolver<T>& warm, const Csr<T>& L,
+                          bool checked = true) {
   ASSERT_TRUE(equals(cold.plan(), warm.plan()));
   ASSERT_EQ(cold.tri_info().size(), warm.tri_info().size());
   for (std::size_t i = 0; i < cold.tri_info().size(); ++i) {
@@ -116,6 +119,7 @@ void expect_equal_solvers(const BlockSolver<T>& cold,
   }
   EXPECT_EQ(cold.solve_many(B, k), warm.solve_many(B, k));  // always bitwise
 
+  if (!checked) return;
   SolveResult<T> rc = cold.solve_checked(b);
   SolveResult<T> rw = warm.solve_checked(b);
   ASSERT_TRUE(rc.ok());
@@ -129,24 +133,67 @@ void expect_equal_solvers(const BlockSolver<T>& cold,
   }
 }
 
+/// What save_artifact writes for `s`: its whole captured state, including
+/// arrays no solve reads (e.g. the sync-free strict-row values). `tag`
+/// keeps the scratch file distinct across concurrently running tests.
+template <class T>
+std::string saved_bytes(const BlockSolver<T>& s, const std::string& tag) {
+  const std::string path = artifact_path("bytes_" + tag);
+  EXPECT_TRUE(s.save_artifact(path).ok()) << tag;
+  std::string bytes = read_file(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
+/// The same pattern with new values: every entry scaled by a factor that
+/// varies along the value array.
+template <class T>
+Csr<T> new_values(Csr<T> L) {
+  for (std::size_t i = 0; i < L.val.size(); ++i)
+    L.val[i] *= static_cast<T>(1.0 + 0.001 * static_cast<double>(i % 97));
+  return L;
+}
+
+/// The three warm paths onto a plan analyzed for L1 — create_from_file, a
+/// PlanCache hit on the entry that load inserted, and refresh_values on the
+/// live solver — each install L2's values and must equal a cold build of
+/// L2 bitwise: every solve path (expect_equal_solvers) and the bytes
+/// save_artifact writes.
+template <class T>
+void expect_warm_paths_match_cold(const Csr<T>& L1, const Csr<T>& L2,
+                                  const typename BlockSolver<T>::Options& opt,
+                                  const std::string& tag) {
+  SCOPED_TRACE(tag);
+  std::unique_ptr<BlockSolver<T>> live, cold;
+  ASSERT_TRUE(BlockSolver<T>::create(L1, opt, &live).ok());
+  ASSERT_TRUE(BlockSolver<T>::create(L2, opt, &cold).ok());
+  const std::string path = artifact_path("warm_" + tag);
+  ASSERT_TRUE(live->save_artifact(path).ok());
+
+  PlanCache<T> cache;
+  std::unique_ptr<BlockSolver<T>> loaded, hit;
+  const Status st =
+      BlockSolver<T>::create_from_file(path, L2, opt, &loaded, &cache);
+  std::remove(path.c_str());
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  ASSERT_TRUE(BlockSolver<T>::create(L2, opt, &hit, &cache).ok());
+  ASSERT_EQ(cache.stats().hits, 1u);
+  ASSERT_TRUE(live->refresh_values(L2).ok());
+
+  const std::string want = saved_bytes(*cold, tag);
+  for (const BlockSolver<T>* warm : {loaded.get(), hit.get(), live.get()}) {
+    expect_equal_solvers(*cold, *warm, L2, opt.verify.enabled);
+    EXPECT_EQ(saved_bytes(*warm, tag), want);
+  }
+}
+
 template <class T>
 void round_trip_scheme_threads(BlockScheme scheme, int threads,
                                const std::string& tag) {
   const Csr<T> L = fixture<T>(0);
   auto opt = small_block_options<T>(scheme);
   opt.threads = threads;
-
-  std::unique_ptr<BlockSolver<T>> cold;
-  ASSERT_TRUE(BlockSolver<T>::create(L, opt, &cold).ok());
-
-  const std::string path = artifact_path(tag);
-  ASSERT_TRUE(cold->save_artifact(path).ok());
-
-  std::unique_ptr<BlockSolver<T>> warm;
-  Status st = BlockSolver<T>::create_from_file(path, L, opt, &warm);
-  ASSERT_TRUE(st.ok()) << st.to_string();
-  expect_equal_solvers(*cold, *warm, L);
-  std::remove(path.c_str());
+  expect_warm_paths_match_cold(L, new_values(L), opt, tag);
 }
 
 TEST(PersistRoundTrip, AllSchemesThreadsDouble) {
@@ -264,25 +311,60 @@ TEST(PersistRoundTrip, ThreadCountCrossover) {
   std::remove(path.c_str());
 }
 
-// Every forced triangular kernel kind survives the round trip.
+/// Six wide levels: the recursive plan's level-ordered leaves are mostly
+/// diagonal (so a forced diagonal kernel is real, not demoted to sync-free)
+/// with empty squares between leaves of one level.
+template <class T>
+Csr<T> wide_levels() {
+  return gen::convert_values<T>(gen::random_levels(1500, 6, 3.0, 1.0, 8));
+}
+
+// Every forced triangular kernel kind and square format, under every
+// scheme, with verify on and off, in both precisions, installs bitwise on
+// all three warm paths.
+template <class T>
+void forced_kernel_sweep() {
+  const Csr<T> L1 = wide_levels<T>();
+  const Csr<T> L2 = new_values(L1);
+  for (BlockScheme scheme :
+       {BlockScheme::kRecursive, BlockScheme::kColumn, BlockScheme::kRow,
+        BlockScheme::kHbmc})
+    for (bool verify : {true, false})
+      for (TriKernelKind kind :
+           {TriKernelKind::kCompletelyParallel, TriKernelKind::kLevelSet,
+            TriKernelKind::kSyncFree, TriKernelKind::kCusparseLike})
+        for (SpmvKernelKind square :
+             {SpmvKernelKind::kScalarCsr, SpmvKernelKind::kVectorDcsr}) {
+          auto opt = small_block_options<T>(scheme);
+          opt.adaptive = false;
+          opt.forced_tri = kind;
+          opt.forced_square = square;
+          opt.verify.enabled = verify;
+          expect_warm_paths_match_cold(
+              L1, L2, opt,
+              "forced_" + std::to_string(sizeof(T)) + "_" +
+                  to_string(scheme) + "_" + std::to_string(verify) + "_" +
+                  to_string(kind) + "_" + to_string(square));
+        }
+}
+
 TEST(PersistRoundTrip, ForcedKernels) {
-  const Csr<double> L = fixture<double>(2);
-  for (TriKernelKind kind :
-       {TriKernelKind::kCompletelyParallel, TriKernelKind::kLevelSet,
-        TriKernelKind::kSyncFree, TriKernelKind::kCusparseLike}) {
-    auto opt = small_block_options<double>();
-    opt.adaptive = false;
-    opt.forced_tri = kind;
-    std::unique_ptr<BlockSolver<double>> cold;
-    ASSERT_TRUE(BlockSolver<double>::create(L, opt, &cold).ok());
-    const std::string path = artifact_path("forced_" + to_string(kind));
-    ASSERT_TRUE(cold->save_artifact(path).ok());
-    std::unique_ptr<BlockSolver<double>> warm;
-    ASSERT_TRUE(
-        BlockSolver<double>::create_from_file(path, L, opt, &warm).ok());
-    expect_equal_solvers(*cold, *warm, L);
-    std::remove(path.c_str());
-  }
+  forced_kernel_sweep<double>();
+  forced_kernel_sweep<float>();
+
+  // The sweep above is not vacuous: it holds real diagonal blocks and empty
+  // squares.
+  auto opt = small_block_options<double>();
+  opt.adaptive = false;
+  opt.forced_tri = TriKernelKind::kCompletelyParallel;
+  std::unique_ptr<BlockSolver<double>> s;
+  ASSERT_TRUE(BlockSolver<double>::create(wide_levels<double>(), opt, &s).ok());
+  EXPECT_TRUE(std::any_of(s->tri_info().begin(), s->tri_info().end(),
+                          [](const auto& t) {
+                            return t.kind == TriKernelKind::kCompletelyParallel;
+                          }));
+  EXPECT_TRUE(std::any_of(s->square_info().begin(), s->square_info().end(),
+                          [](const auto& q) { return q.nnz == 0; }));
 }
 
 // DCSR squares, if any are selected, must survive too (forced).
@@ -291,33 +373,42 @@ TEST(PersistRoundTrip, ForcedDcsrSquares) {
   auto opt = small_block_options<double>();
   opt.adaptive = false;
   opt.forced_square = SpmvKernelKind::kVectorDcsr;
-  std::unique_ptr<BlockSolver<double>> cold;
-  ASSERT_TRUE(BlockSolver<double>::create(L, opt, &cold).ok());
-  const std::string path = artifact_path("dcsr");
-  ASSERT_TRUE(cold->save_artifact(path).ok());
-  std::unique_ptr<BlockSolver<double>> warm;
-  ASSERT_TRUE(BlockSolver<double>::create_from_file(path, L, opt, &warm).ok());
-  expect_equal_solvers(*cold, *warm, L);
-  std::remove(path.c_str());
+  expect_warm_paths_match_cold(L, new_values(L), opt, "dcsr");
 }
 
-// The full registry of structural families at the default options.
-TEST(PersistRoundTrip, MatrixRegistrySweep) {
-  for (const auto& tm : test_matrices()) {
-    const Csr<double> L = tm.build();
-    auto opt = small_block_options<double>();
-    std::unique_ptr<BlockSolver<double>> cold;
-    ASSERT_TRUE(BlockSolver<double>::create(L, opt, &cold).ok()) << tm.name;
-    const std::string path = artifact_path("sweep_" + tm.name);
-    ASSERT_TRUE(cold->save_artifact(path).ok()) << tm.name;
-    std::unique_ptr<BlockSolver<double>> warm;
-    ASSERT_TRUE(BlockSolver<double>::create_from_file(path, L, opt, &warm)
-                    .ok())
-        << tm.name;
-    const auto b = gen::random_rhs<double>(L.nrows, 11);
-    EXPECT_EQ(cold->solve(b), warm->solve(b)) << tm.name;
-    std::remove(path.c_str());
+/// A lower-triangular matrix built from (row, column, value) triples.
+Csr<double> from_triples(index_t n,
+                         const std::vector<std::tuple<index_t, index_t,
+                                                      double>>& entries) {
+  Coo<double> coo;
+  coo.nrows = coo.ncols = n;
+  for (const auto& [r, c, v] : entries) {
+    coo.row.push_back(r);
+    coo.col.push_back(c);
+    coo.val.push_back(v);
   }
+  return coo_to_csr(coo);
+}
+
+// The full registry of structural families at the default options — empty
+// squares on "diag", n = 1 on "single" — plus n = 0 and n = 2, under every
+// scheme.
+TEST(PersistRoundTrip, MatrixRegistrySweep) {
+  std::vector<blocktri::testing::TestMatrix> mats = test_matrices();
+  mats.push_back({"n0", [] { return from_triples(0, {}); }});
+  mats.push_back({"n2", [] {
+                    return from_triples(2, {{0, 0, 2.0}, {1, 0, -1.0},
+                                            {1, 1, 3.0}});
+                  }});
+  for (const auto& tm : mats)
+    for (BlockScheme scheme :
+         {BlockScheme::kRecursive, BlockScheme::kColumn, BlockScheme::kRow,
+          BlockScheme::kHbmc}) {
+      const Csr<double> L = tm.build();
+      expect_warm_paths_match_cold(L, new_values(L),
+                                   small_block_options<double>(scheme),
+                                   "sweep_" + tm.name + "_" + to_string(scheme));
+    }
 }
 
 TEST(PersistRoundTrip, VerifyDisabled) {
@@ -351,18 +442,53 @@ TEST(PersistRoundTrip, VerifyDisabled) {
 
 TEST(PersistRefresh, NewValuesMatchColdBuild) {
   const Csr<double> L1 = fixture<double>(1);
-  Csr<double> L2 = L1;
-  for (std::size_t i = 0; i < L2.val.size(); ++i)
-    L2.val[i] *= 1.0 + 0.001 * static_cast<double>(i % 97);
+  for (BlockScheme scheme :
+       {BlockScheme::kRecursive, BlockScheme::kColumn, BlockScheme::kRow,
+        BlockScheme::kHbmc})
+    for (bool verify : {true, false}) {
+      auto opt = small_block_options<double>(scheme);
+      opt.verify.enabled = verify;
+      expect_warm_paths_match_cold(
+          L1, new_values(L1), opt,
+          "refresh_" + to_string(scheme) + "_" + std::to_string(verify));
+    }
+}
 
-  auto opt = small_block_options<double>();
-  std::unique_ptr<BlockSolver<double>> solver;
-  ASSERT_TRUE(BlockSolver<double>::create(L1, opt, &solver).ok());
-  ASSERT_TRUE(solver->refresh_values(L2).ok());
-
-  std::unique_ptr<BlockSolver<double>> cold2;
-  ASSERT_TRUE(BlockSolver<double>::create(L2, opt, &cold2).ok());
-  expect_equal_solvers(*cold2, *solver, L2);
+// A row may hold one column twice (check_lower_triangular allows it). The
+// install sorts each permuted row exactly as the cold build's
+// permute_symmetric does (std::sort, not a stable sort), so the two copies
+// land in the cold build's order — here in permuted rows of ~75 entries,
+// long enough that std::sort partitions instead of insertion-sorting and
+// so does reorder equal columns.
+TEST(PersistRefresh, DuplicateColumnInstallsLikeCold) {
+  const Csr<double> base = gen::random_levels(1500, 24, 60.0, 1.0, 8);
+  Csr<double> L;
+  L.nrows = L.ncols = base.nrows;
+  L.row_ptr.push_back(0);
+  for (index_t i = 0; i < base.nrows; ++i) {
+    const offset_t lo = base.row_ptr[static_cast<std::size_t>(i)];
+    const offset_t hi = base.row_ptr[static_cast<std::size_t>(i) + 1];
+    for (offset_t k = lo; k < hi; ++k) {
+      L.col_idx.push_back(base.col_idx[static_cast<std::size_t>(k)]);
+      L.val.push_back(base.val[static_cast<std::size_t>(k)]);
+      if ((k - lo) % 4 == 1 && k + 1 < hi) {  // a second, different value
+        L.col_idx.push_back(base.col_idx[static_cast<std::size_t>(k)]);
+        L.val.push_back(-0.5 * base.val[static_cast<std::size_t>(k)]);
+      }
+    }
+    L.row_ptr.push_back(static_cast<offset_t>(L.val.size()));
+  }
+  ASSERT_TRUE(check_lower_triangular(L).ok());
+  for (BlockScheme scheme :
+       {BlockScheme::kRecursive, BlockScheme::kColumn, BlockScheme::kRow,
+        BlockScheme::kHbmc})
+    for (bool verify : {true, false}) {
+      auto opt = small_block_options<double>(scheme);
+      opt.verify.enabled = verify;
+      expect_warm_paths_match_cold(
+          L, new_values(L), opt,
+          "dup_" + to_string(scheme) + "_" + std::to_string(verify));
+    }
 }
 
 TEST(PersistRefresh, RejectsDifferentStructure) {
@@ -667,6 +793,121 @@ TEST(PlanCacheTest, ConcurrentCreateAndSolve) {
   EXPECT_EQ(st.hits + st.misses,
             static_cast<std::uint64_t>(kThreads * kIters));
   EXPECT_LE(st.entries, mats.size());
+}
+
+// An artifact can pass validate_artifact yet disagree with the caller's
+// pattern: here one square column index moves to a free in-range slot. The
+// install checks every write against the target's own indices, so the hit
+// fails, create falls back to the cold build, and the entry is replaced.
+TEST(PlanCacheTest, HitOnMisfitStructureFallsBackToColdBuild) {
+  const Csr<double> L = fixture<double>(0);
+  auto opt = small_block_options<double>();
+  std::unique_ptr<BlockSolver<double>> cold;
+  ASSERT_TRUE(BlockSolver<double>::create(L, opt, &cold).ok());
+
+  auto bad = std::make_shared<PlanArtifact<double>>(cold->capture_artifact());
+  bool moved = false;
+  for (SquareBlockArtifact<double>& q : bad->squares) {
+    const bool dcsr = q.nnz != 0 && (q.kind == SpmvKernelKind::kScalarDcsr ||
+                                     q.kind == SpmvKernelKind::kVectorDcsr);
+    std::vector<index_t>& col = dcsr ? q.dcsr.col_idx : q.csr.col_idx;
+    const std::vector<offset_t>& ptr = dcsr ? q.dcsr.row_ptr : q.csr.row_ptr;
+    const index_t ncols = q.ref.c1 - q.ref.c0;
+    if (col.empty()) continue;
+    // The first stored row's first entry moves to a column that row lacks.
+    const auto row_end = col.begin() + ptr[1];
+    for (index_t c = 0; c < ncols && !moved; ++c)
+      if (std::find(col.begin(), row_end, c) == row_end) {
+        col[0] = c;
+        moved = true;
+      }
+    if (moved) break;
+  }
+  ASSERT_TRUE(moved);
+  ASSERT_TRUE(validate_artifact(*bad).ok());
+
+  PlanCache<double> cache;
+  cache.insert(bad);
+  const PlanCacheKey key{cold->structure_hash(),
+                         BlockSolver<double>::options_fingerprint(opt)};
+  std::unique_ptr<BlockSolver<double>> s;
+  ASSERT_TRUE(BlockSolver<double>::create(L, opt, &s, &cache).ok());
+  EXPECT_EQ(cache.stats().hits, 1u);
+  auto now = cache.find(key);
+  ASSERT_NE(now, nullptr);
+  EXPECT_NE(now.get(), bad.get());
+  expect_equal_solvers(*cold, *s, L);
+}
+
+// validate_artifact runs once per artifact: inside load_artifact for a file
+// (a later hit on the inserted entry skips it), and on the first hit of an
+// artifact a caller inserted (the entry remembers the verdict). A capture
+// from a cold build on a miss is never validated.
+TEST(PlanCacheTest, ValidatesEachArtifactOnce) {
+  using persist_testing::validation_count;
+  const Csr<double> L = fixture<double>(1);
+  auto opt = small_block_options<double>();
+  std::unique_ptr<BlockSolver<double>> cold, s;
+  ASSERT_TRUE(BlockSolver<double>::create(L, opt, &cold).ok());
+  const std::string path = artifact_path("validate_once");
+  ASSERT_TRUE(cold->save_artifact(path).ok());
+
+  PlanCache<double> loaded;
+  std::uint64_t before = validation_count();
+  ASSERT_TRUE(
+      BlockSolver<double>::create_from_file(path, L, opt, &s, &loaded).ok());
+  ASSERT_TRUE(BlockSolver<double>::create(L, opt, &s, &loaded).ok());
+  EXPECT_EQ(loaded.stats().hits, 1u);
+  EXPECT_EQ(validation_count() - before, 1u);
+  std::remove(path.c_str());
+
+  PlanCache<double> inserted;
+  inserted.insert(
+      std::make_shared<PlanArtifact<double>>(cold->capture_artifact()));
+  before = validation_count();
+  ASSERT_TRUE(BlockSolver<double>::create(L, opt, &s, &inserted).ok());
+  ASSERT_TRUE(BlockSolver<double>::create(L, opt, &s, &inserted).ok());
+  EXPECT_EQ(inserted.stats().hits, 2u);
+  EXPECT_EQ(validation_count() - before, 1u);
+
+  PlanCache<double> captured;
+  before = validation_count();
+  ASSERT_TRUE(BlockSolver<double>::create(L, opt, &s, &captured).ok());
+  ASSERT_TRUE(BlockSolver<double>::create(L, opt, &s, &captured).ok());
+  EXPECT_EQ(captured.stats().hits, 1u);
+  EXPECT_EQ(validation_count() - before, 0u);
+}
+
+// Four threads hit one caller-inserted, not yet validated entry at once:
+// every create succeeds and every solve is bitwise the reference (TSan lane:
+// the trust bookkeeping must be race free).
+TEST(PlanCacheTest, ConcurrentHitsOnUnvalidatedEntry) {
+  const Csr<double> L = fixture<double>(2);
+  auto opt = small_block_options<double>();
+  std::unique_ptr<BlockSolver<double>> cold;
+  ASSERT_TRUE(BlockSolver<double>::create(L, opt, &cold).ok());
+  const auto b = gen::random_rhs<double>(L.nrows, 17);
+  const std::vector<double> want = cold->solve(b);
+
+  PlanCache<double> cache;
+  cache.insert(
+      std::make_shared<PlanArtifact<double>>(cold->capture_artifact()));
+  const int kThreads = 4;
+  std::atomic<int> ready{0}, failures{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t)
+    workers.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      std::unique_ptr<BlockSolver<double>> s;
+      if (!BlockSolver<double>::create(L, opt, &s, &cache).ok() ||
+          s->solve(b) != want)
+        failures.fetch_add(1);
+    });
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(cache.stats().hits, static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(cache.stats().misses, 0u);
 }
 
 // --- Fault injection on the byte stream ------------------------------------
@@ -1068,6 +1309,51 @@ TEST(PersistMisc, StructureHashDiscriminatesAndIsStable) {
   Csr<double> scaled = a;
   for (double& v : scaled.val) v *= 3.0;
   EXPECT_EQ(structure_hash(a), structure_hash(scaled));  // values don't count
+}
+
+// structure_hash is the artifact/cache key: a changed bit turns every saved
+// artifact into kStructureMismatch. It must equal the byte-wise FNV-1a
+// reference on every byte width an index can have, including the fast
+// paths' edges and negative (all-ones high byte) dimensions.
+TEST(PersistMisc, StructureHashMatchesByteWiseReference) {
+  using blocktri::testing::reference_structure_hash;
+  const std::vector<offset_t> edges = {
+      0, 1, 255, 256, (offset_t{1} << 24) - 1, offset_t{1} << 24,
+      (offset_t{1} << 32) - 1, offset_t{1} << 32, offset_t{1} << 62};
+  for (const offset_t v : edges) {
+    const std::vector<offset_t> ptr = {v};
+    const std::vector<index_t> col = {
+        static_cast<index_t>(std::min<offset_t>(v, 0x7fffffff))};
+    EXPECT_EQ(structure_hash(3, 3, ptr, col),
+              reference_structure_hash(3, 3, ptr, col))
+        << v;
+  }
+  EXPECT_EQ(structure_hash(-1, 0x7fffffff, edges, {}),
+            reference_structure_hash(-1, 0x7fffffff, edges, {}));
+
+  // Seeded sweep over every byte width: a random value with a random number
+  // of significant bytes, in both arrays.
+  Rng rng(0x6861736855ULL);
+  std::vector<offset_t> ptr;
+  std::vector<index_t> col;
+  for (int i = 0; i < 4096; ++i) {
+    const int bits = static_cast<int>(rng.next_u64() % 63) + 1;
+    ptr.push_back(static_cast<offset_t>(rng.next_u64() >> (64 - bits)));
+    col.push_back(
+        static_cast<index_t>(rng.next_u64() >> (64 - std::min(bits, 31))));
+  }
+  EXPECT_EQ(structure_hash(4096, 4096, ptr, col),
+            reference_structure_hash(4096, 4096, ptr, col));
+  const Csr<double> L = fixture<double>(2);
+  EXPECT_EQ(structure_hash(L),
+            reference_structure_hash(L.nrows, L.ncols, L.row_ptr, L.col_idx));
+}
+
+// Known answers recorded from the byte-at-a-time implementation: keys of
+// artifacts already on disk must never move.
+TEST(PersistMisc, StructureHashKnownAnswers) {
+  EXPECT_EQ(structure_hash(fixture<double>(0)), 0xaf9d68fb74e5e2a5ULL);
+  EXPECT_EQ(structure_hash(fixture<double>(1)), 0xe1a5f728c7055827ULL);
 }
 
 TEST(PersistMisc, ArtifactBytesTracksContent) {

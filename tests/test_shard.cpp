@@ -239,6 +239,69 @@ TEST(ShardPlan, LocalSchedulesPartitionThePlanExactly) {
   EXPECT_GE(squares, square_steps);
 }
 
+// A shard slice is valid (it passes validate_artifact and serves a shard
+// worker through create_from_artifact) but holds only its shard's blocks,
+// so every whole-matrix warm path must refuse it — typed, never a crash.
+PlanArtifact<double> second_slice(const BlockSolver<double>& solver) {
+  const PlanArtifact<double> art = solver.capture_artifact();
+  const std::vector<index_t> bounds = shard::compute_shard_cuts(art, 2);
+  EXPECT_EQ(bounds.size(), 3u);
+  PlanArtifact<double> slice =
+      shard::slice_shard_artifact(art, bounds, 1, art.options);
+  EXPECT_TRUE(validate_artifact(slice).ok());
+  return slice;
+}
+
+TEST(ShardPlan, CreateFromFileRejectsASliceTyped) {
+  std::unique_ptr<BlockSolver<double>> solver;
+  ASSERT_TRUE(BlockSolver<double>::create(fixture(), base_options(), &solver)
+                  .ok());
+  const std::string path = ::testing::TempDir() + "shard_slice_load.btpa";
+  ASSERT_TRUE(save_artifact(path, second_slice(*solver)).ok());
+  std::unique_ptr<BlockSolver<double>> warm;
+  const Status st = BlockSolver<double>::create_from_file(
+      path, fixture(), base_options(), &warm);
+  ::unlink(path.c_str());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("shard slice 1 of 2"), std::string::npos)
+      << st.to_string();
+  EXPECT_EQ(warm, nullptr);
+}
+
+TEST(ShardPlan, CacheHitOnASliceFallsBackToColdBuild) {
+  const Csr<double> L = fixture();
+  std::unique_ptr<BlockSolver<double>> cold;
+  ASSERT_TRUE(BlockSolver<double>::create(L, base_options(), &cold).ok());
+  auto slice = std::make_shared<PlanArtifact<double>>(second_slice(*cold));
+  PlanCache<double> cache;
+  cache.insert(slice);
+
+  std::unique_ptr<BlockSolver<double>> s;
+  ASSERT_TRUE(BlockSolver<double>::create(L, base_options(), &s, &cache).ok());
+  EXPECT_EQ(cache.stats().hits, 1u);
+  // The failed hit's entry is replaced by the cold build's capture.
+  const auto now = cache.find(PlanCacheKey{slice->structure, slice->options});
+  ASSERT_NE(now, nullptr);
+  EXPECT_NE(now.get(), slice.get());
+  const std::vector<double> b = make_panel<double>(L.nrows, 1, 5);
+  EXPECT_TRUE(BitwiseEqual(cold->solve(b), s->solve(b)));
+}
+
+TEST(ShardPlan, RefreshValuesOnASliceSolverIsTyped) {
+  std::unique_ptr<BlockSolver<double>> solver, worker;
+  ASSERT_TRUE(BlockSolver<double>::create(fixture(), base_options(), &solver)
+                  .ok());
+  ASSERT_TRUE(BlockSolver<double>::create_from_artifact(
+                  std::make_shared<const PlanArtifact<double>>(
+                      second_slice(*solver)),
+                  base_options(), &worker)
+                  .ok());
+  const Status st = worker->refresh_values(fixture());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("shard slice 1 of 2"), std::string::npos)
+      << st.to_string();
+}
+
 // --- Bitwise equality -------------------------------------------------------
 
 TEST(ShardSolve, BitwiseEqualAcrossSchemesShardsAndWidths) {

@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
                                                   nullptr, p); });
         recs.push_back({c.name, "pre_levelset", t, pre_ms, 0.0, 0.0});
         pre.reset();
-        const SyncFreeSolver<double> sf(L, pool.get());
+        const SyncFreeSolver<double> sf(L);
         const double pre_sf_ms = pre.milliseconds();
         sweep.point("sptrsv_syncfree", t, flops,
                     [&](ThreadPool* p) { sf.solve(b.data(), x.data(),

@@ -97,7 +97,7 @@ class CancelToken {
 
 /// Spin-waits give up after this long when the caller sets no explicit
 /// budget — generous enough that no healthy matrix ever trips it, finite so
-/// a corrupted in-degree counter cannot hang a thread forever.
+/// a ready flag that is never published cannot hang a thread forever.
 inline constexpr double kDefaultSpinTimeoutMs = 10000.0;
 
 /// Per-call controls a caller attaches to a solve. All fields optional; the
@@ -192,7 +192,7 @@ class ExecControl {
         return Status(code,
                       "sync-free spin-wait exceeded its bounded budget " +
                           context +
-                          " (corrupt or cyclic in-degree counters?)");
+                          " (corrupt or cyclic row dependencies?)");
       default:
         return Status(StatusCode::kInternal,
                       "ExecControl::to_status without a tripped reason " +

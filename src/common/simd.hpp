@@ -34,6 +34,9 @@
 // the equivalence tests and the simd_speedup bench flip paths at runtime.
 #pragma once
 
+#include <type_traits>
+#include <utility>
+
 #include "common/types.hpp"
 
 namespace blocktri::simd {
@@ -205,12 +208,15 @@ void spmv_update_rows_blocked(const offset_t* row_ptr, const index_t* col_idx,
   }
 }
 
+/// The strict row bodies take `items == nullptr` as the identity order
+/// (row i = p), the way the SpMV bodies take `row_ids == nullptr`.
 template <class T>
 void sptrsv_rows_strict(const offset_t* row_ptr, const index_t* col_idx,
                         const T* val, const index_t* items, offset_t p0,
                         offset_t p1, const T* b, T* x) {
   for (offset_t p = p0; p < p1; ++p) {
-    const index_t i = items[static_cast<std::size_t>(p)];
+    const index_t i = items == nullptr ? static_cast<index_t>(p)
+                                       : items[static_cast<std::size_t>(p)];
     const offset_t lo = row_ptr[i];
     const offset_t hi = row_ptr[i + 1];
     const T left = dot_strict(val + lo, col_idx + lo, x, hi - 1 - lo);
@@ -317,19 +323,39 @@ void spmv_update_rows_many_blocked(const offset_t* row_ptr,
   }
 }
 
+/// Calls tile(ct, std::integral_constant<int, width>{}) for the run-time
+/// `width` in [1, sizeof...(W)].
+template <class Tile, int... W>
+inline void with_tile_width(const Tile& tile, index_t ct, index_t width,
+                            std::integer_sequence<int, W...>) {
+  ((width == W + 1 ? tile(ct, std::integral_constant<int, W + 1>{})
+                   : void()),
+   ...);
+}
+
+/// Calls tile(ct, width) for each column group of [c0, c1) — kRhsTile wide
+/// but the last — with the width as a compile-time constant, so the strict
+/// bodies' per-column accumulators stay in registers across a row's
+/// entries.
+template <class Tile>
+inline void for_each_rhs_tile(index_t c0, index_t c1, const Tile& tile) {
+  for (index_t ct = c0; ct < c1; ct += kRhsTile)
+    with_tile_width(tile, ct, c1 - ct < kRhsTile ? c1 - ct : kRhsTile,
+                    std::make_integer_sequence<int, kRhsTile>{});
+}
+
 template <class T>
 void sptrsv_rows_many_strict(const offset_t* row_ptr, const index_t* col_idx,
                              const T* val, const index_t* items, offset_t p0,
                              offset_t p1, const T* b, T* x, index_t c0,
                              index_t c1, index_t ld) {
   for (offset_t p = p0; p < p1; ++p) {
-    const index_t i = items[static_cast<std::size_t>(p)];
+    const index_t i = items == nullptr ? static_cast<index_t>(p)
+                                       : items[static_cast<std::size_t>(p)];
     const offset_t lo = row_ptr[i];
     const offset_t hi = row_ptr[i + 1];
     const T d = val[hi - 1];
-    for (index_t ct = c0; ct < c1; ct += kRhsTile) {
-      const int nt = static_cast<int>(ct + kRhsTile <= c1 ? kRhsTile
-                                                          : c1 - ct);
+    for_each_rhs_tile(c0, c1, [&](index_t ct, auto nt) {
       T acc[kRhsTile] = {};
       for (offset_t q = lo; q < hi - 1; ++q) {
         const T v = val[q];
@@ -344,7 +370,7 @@ void sptrsv_rows_many_strict(const offset_t* row_ptr, const index_t* col_idx,
                                     static_cast<std::size_t>(ld);
         x[off] = (b[off] - acc[c]) / d;
       }
-    }
+    });
   }
 }
 
@@ -493,16 +519,15 @@ void sptrsv_rows_many_ilv_strict(const offset_t* row_ptr,
                                  offset_t p1, const T* b, T* x, index_t c0,
                                  index_t c1, index_t ld) {
   for (offset_t p = p0; p < p1; ++p) {
-    const index_t i = items[static_cast<std::size_t>(p)];
+    const index_t i = items == nullptr ? static_cast<index_t>(p)
+                                       : items[static_cast<std::size_t>(p)];
     const offset_t lo = row_ptr[i];
     const offset_t hi = row_ptr[i + 1];
     const T d = val[hi - 1];
     const T* bi =
         b + static_cast<std::size_t>(i) * static_cast<std::size_t>(ld);
     T* xi = x + static_cast<std::size_t>(i) * static_cast<std::size_t>(ld);
-    for (index_t ct = c0; ct < c1; ct += kRhsTile) {
-      const int nt = static_cast<int>(ct + kRhsTile <= c1 ? kRhsTile
-                                                          : c1 - ct);
+    for_each_rhs_tile(c0, c1, [&](index_t ct, auto nt) {
       T acc[kRhsTile] = {};
       for (offset_t q = lo; q < hi - 1; ++q) {
         const T v = val[q];
@@ -512,7 +537,7 @@ void sptrsv_rows_many_ilv_strict(const offset_t* row_ptr,
         for (int c = 0; c < nt; ++c) acc[c] += v * xc[c];
       }
       for (int c = 0; c < nt; ++c) xi[ct + c] = (bi[ct + c] - acc[c]) / d;
-    }
+    });
   }
 }
 

@@ -126,18 +126,6 @@ Csr<T> adopt(const Csr<T>& m, bool with_values) {
 }
 
 template <class T>
-Csc<T> adopt(const Csc<T>& m, bool with_values) {
-  if (with_values) return m;
-  Csc<T> out;
-  out.nrows = m.nrows;
-  out.ncols = m.ncols;
-  out.col_ptr = m.col_ptr;
-  out.row_idx = m.row_idx;
-  out.val.resize(m.val.size());
-  return out;
-}
-
-template <class T>
 Dcsr<T> adopt(const Dcsr<T>& m, bool with_values) {
   if (with_values) return m;
   Dcsr<T> out;
@@ -163,7 +151,7 @@ BlockSolver<T>::BlockSolver(const Csr<T>& lower, const Options& opt,
   structure_hash_ = structure;
 
   // The pool exists before planning so preprocessing (per-node level
-  // analyses, CSC conversions, in-degree counts) can use it too.
+  // analyses, the recursive planner's sweeps) can use it too.
   threads_ = resolve_threads(opt.threads);
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_);
 
@@ -236,7 +224,6 @@ BlockSolver<T>::BlockSolver(const Csr<T>& lower, const Options& opt,
     out.info.r0 = r0;
     out.info.r1 = r1;
     out.info.nnz = blk.nnz();
-    if (opt.verify.enabled) out.csr = blk;  // fallback/refinement reference
 
     TriKernelKind kind;
     if (tuned_) {
@@ -268,8 +255,10 @@ BlockSolver<T>::BlockSolver(const Csr<T>& lower, const Options& opt,
         build_ops_ += out.info.nnz;  // level analysis in the sub-solver
         break;
       case TriKernelKind::kSyncFree:
-        out.syncfree = std::make_unique<SyncFreeSolver<T>>(blk, pool_.get());
-        build_ops_ += 2 * out.info.nnz;  // CSC conversion + in-degrees
+        out.syncfree = std::make_unique<SyncFreeSolver<T>>(std::move(blk));
+        // Alg. 3's preprocessing as the Table 5 host model prices it (CSC
+        // conversion + in-degrees); the host keeps the rows as they are.
+        build_ops_ += 2 * out.info.nnz;
         build_bytes_ += 2 * out.info.nnz *
                         static_cast<std::int64_t>(sizeof(index_t) + sizeof(T));
         break;
@@ -352,35 +341,30 @@ BlockSolver<T>::BlockSolver(const Csr<T>& lower, const Options& opt,
   b_base_ = as.reserve(n_u * sizeof(T));
   aux_base_ = as.reserve(n_u * (sizeof(T) + 4));
 
-  size_tri_scratch();
   ws_pool_ = std::make_unique<WorkspacePool<SolveWorkspace>>(
       typename WorkspacePool<SolveWorkspace>::Options{
           opt_.session.max_workspaces, opt_.session.block_when_exhausted});
 
-  // Deterministic fault hook: a poisoned in-degree counter makes the
-  // sync-free parallel spin-wait undrainable, exercising the bounded-spin
-  // timeout (the serial and batched paths never consult the counters).
+  // Deterministic fault hook: a stalled row makes the sync-free threaded
+  // spin-wait unfinishable, exercising the bounded-spin timeout (the serial
+  // and batched paths have no ready flags).
   if (opt_.fault.stuck_spin && opt_.fault.tri_block >= 0 &&
       opt_.fault.tri_block < static_cast<index_t>(tri_.size())) {
     TriBlock& blk = tri_[static_cast<std::size_t>(opt_.fault.tri_block)];
-    if (blk.syncfree != nullptr)
-      blk.syncfree->poison_in_degree_for_testing(0, 1);
+    if (blk.syncfree != nullptr) blk.syncfree->stall_row_for_testing(0);
   }
 }
 
 template <class T>
 void BlockSolver<T>::exec_tri(const TriBlock& blk, const T* b, T* x,
                               const TrsvSim* s, ThreadPool* pool,
-                              T* tri_scratch, const ExecControl* ctl) const {
+                              const ExecControl* ctl) const {
   switch (blk.info.kind) {
     case TriKernelKind::kCompletelyParallel:
       blk.diag->solve(b, x, s, pool, ctl);
       return;
     case TriKernelKind::kSyncFree:
-      // `tri_scratch` is lent only by serial per-call executors (see the
-      // declaration comment): concurrent wave steps share one workspace and
-      // would race on it (the kernel then falls back to a local accumulator).
-      blk.syncfree->solve(b, x, s, pool, tri_scratch, ctl);
+      blk.syncfree->solve(b, x, s, pool, ctl);
       return;
     case TriKernelKind::kLevelSet:
       blk.levelset->solve(b, x, s, pool, ctl);
@@ -390,6 +374,34 @@ void BlockSolver<T>::exec_tri(const TriBlock& blk, const T* b, T* x,
       return;
   }
   BLOCKTRI_CHECK_MSG(false, "unknown triangular kernel kind");
+}
+
+template <class T>
+const Csr<T>& BlockSolver<T>::tri_rows(const TriBlock& blk,
+                                       Csr<T>& built) const {
+  switch (blk.info.kind) {
+    case TriKernelKind::kCompletelyParallel: {
+      const std::vector<T>& d = blk.diag->diag();
+      const auto n = static_cast<index_t>(d.size());
+      built.nrows = built.ncols = n;
+      built.row_ptr.resize(static_cast<std::size_t>(n) + 1);
+      built.col_idx.resize(static_cast<std::size_t>(n));
+      for (index_t i = 0; i <= n; ++i)
+        built.row_ptr[static_cast<std::size_t>(i)] = i;
+      for (index_t i = 0; i < n; ++i)
+        built.col_idx[static_cast<std::size_t>(i)] = i;
+      built.val = d;
+      return built;
+    }
+    case TriKernelKind::kLevelSet:
+      return blk.levelset->matrix();
+    case TriKernelKind::kSyncFree:
+      return blk.syncfree->matrix();
+    case TriKernelKind::kCusparseLike:
+      return blk.cusparse->matrix();
+  }
+  BLOCKTRI_CHECK_MSG(false, "unknown triangular kernel kind");
+  return built;
 }
 
 template <class T>
@@ -414,12 +426,11 @@ void BlockSolver<T>::exec_square(const SquareBlock& blk, const T* x, T* y,
 
 template <class T>
 void BlockSolver<T>::exec_step(const ExecStep& step, T* bw, T* xw,
-                               ThreadPool* pool, T* tri_scratch,
+                               ThreadPool* pool,
                                const ExecControl* ctl) const {
   if (step.kind == ExecStep::Kind::kTri) {
     const TriBlock& blk = tri_[static_cast<std::size_t>(step.index)];
-    exec_tri(blk, bw + blk.info.r0, xw + blk.info.r0, nullptr, pool,
-             tri_scratch, ctl);
+    exec_tri(blk, bw + blk.info.r0, xw + blk.info.r0, nullptr, pool, ctl);
   } else {
     const SquareBlock& blk = squares_[static_cast<std::size_t>(step.index)];
     if (blk.info.nnz == 0) return;  // skipped, like the wave executor
@@ -430,7 +441,7 @@ void BlockSolver<T>::exec_step(const ExecStep& step, T* bw, T* xw,
 
 template <class T>
 void BlockSolver<T>::exec_tri_many(const TriBlock& blk, const T* b, T* x,
-                                   index_t k, ThreadPool* pool, T* tri_scratch,
+                                   index_t k, ThreadPool* pool,
                                    const ExecControl* ctl, index_t ld,
                                    PanelLayout layout) const {
   switch (blk.info.kind) {
@@ -441,8 +452,7 @@ void BlockSolver<T>::exec_tri_many(const TriBlock& blk, const T* b, T* x,
       blk.levelset->solve_many(b, x, k, ld, pool, ctl, layout);
       return;
     case TriKernelKind::kSyncFree:
-      // Same scratch-lending rule as exec_tri (see the comment there).
-      blk.syncfree->solve_many(b, x, k, ld, pool, tri_scratch, ctl, layout);
+      blk.syncfree->solve_many(b, x, k, ld, pool, ctl, layout);
       return;
     case TriKernelKind::kCusparseLike:
       blk.cusparse->solve_many(b, x, k, ld, ctl, layout);
@@ -475,8 +485,8 @@ void BlockSolver<T>::exec_square_many(const SquareBlock& blk, const T* x,
 template <class T>
 void BlockSolver<T>::exec_step_many(const ExecStep& step, T* bw, T* xw,
                                     index_t c0, index_t c1, ThreadPool* pool,
-                                    T* tri_scratch, const ExecControl* ctl,
-                                    index_t ld, PanelLayout layout) const {
+                                    const ExecControl* ctl, index_t ld,
+                                    PanelLayout layout) const {
   const index_t k = c1 - c0;
   if (k <= 0) return;
   // Column-major: column c0 starts coff elements in, blocks offset by their
@@ -493,8 +503,7 @@ void BlockSolver<T>::exec_step_many(const ExecStep& step, T* bw, T* xw,
   if (step.kind == ExecStep::Kind::kTri) {
     const TriBlock& blk = tri_[static_cast<std::size_t>(step.index)];
     exec_tri_many(blk, bw + coff + row_off(blk.info.r0),
-                  xw + coff + row_off(blk.info.r0), k, pool, tri_scratch, ctl,
-                  ld, layout);
+                  xw + coff + row_off(blk.info.r0), k, pool, ctl, ld, layout);
   } else {
     const SquareBlock& blk = squares_[static_cast<std::size_t>(step.index)];
     if (blk.info.nnz == 0) return;  // skipped, like the wave executor
@@ -515,11 +524,8 @@ std::vector<T> BlockSolver<T>::solve(const std::vector<T>& b) const {
 template <class T>
 auto BlockSolver<T>::acquire_workspace(const ExecControl* ctl) const ->
     typename WorkspacePool<SolveWorkspace>::Lease {
-  const auto init = [this](SolveWorkspace& w) {
-    // A freshly created workspace gets its sync-free scratch sized once;
-    // every other buffer grows on first use and never shrinks.
-    w.tri_scratch.resize(tri_scratch_len_);
-  };
+  // Every buffer grows on first use and never shrinks.
+  const auto init = [](SolveWorkspace&) {};
   if (ctl == nullptr || !ctl->armed() || !ws_pool_->blocking())
     return ws_pool_->acquire(init);
   // Armed controls race the blocking acquisition: a waiter parked on the
@@ -593,26 +599,23 @@ Status BlockSolver<T>::solve(const T* b, T* x, const SolveControls& controls,
       pool_ != nullptr && pool_lk.try_lock() ? pool_.get() : nullptr;
 
   if (epool == nullptr) {
-    T* scratch = ws.tri_scratch.empty() ? nullptr : ws.tri_scratch.data();
     for (const ExecStep& step : plan_.steps) {
       if (!ctl.check()) break;
-      exec_step(step, bw, xw, nullptr, scratch, &ctl);
+      exec_step(step, bw, xw, nullptr, &ctl);
       if (ctl.tripped()) break;  // e.g. a sync-free spin timeout mid-step
       ++r->steps_completed;
     }
   } else {
     // Threaded executor: a single-step wave parallelises inside the kernel;
     // a multi-step wave runs its (independent) steps concurrently with
-    // serial kernels inside. Wave steps share this call's workspace, so the
-    // sync-free scratch is never lent here (see exec_tri).
+    // serial kernels inside.
     for (const std::vector<ExecStep>& wave : waves_) {
       if (!ctl.check()) break;
       if (wave.size() == 1) {
-        exec_step(wave[0], bw, xw, epool, nullptr, &ctl);
+        exec_step(wave[0], bw, xw, epool, &ctl);
       } else {
         epool->run(static_cast<int>(wave.size()), [&](int s) {
-          exec_step(wave[static_cast<std::size_t>(s)], bw, xw, nullptr,
-                    nullptr, &ctl);
+          exec_step(wave[static_cast<std::size_t>(s)], bw, xw, nullptr, &ctl);
         });
       }
       if (ctl.tripped()) break;
@@ -732,10 +735,9 @@ Status BlockSolver<T>::solve_many_impl(const T* B, const T* const* Bs, T* X,
       pool_ != nullptr && pool_lk.try_lock() ? pool_.get() : nullptr;
 
   if (epool == nullptr) {
-    T* scratch = ws.tri_scratch.empty() ? nullptr : ws.tri_scratch.data();
     for (const ExecStep& step : plan_.steps) {
       if (!ctl.check()) break;
-      exec_step_many(step, bw, xw, 0, k, nullptr, scratch, &ctl, k,
+      exec_step_many(step, bw, xw, 0, k, nullptr, &ctl, k,
                      PanelLayout::kInterleaved);
       if (ctl.tripped()) break;
       ++r->steps_completed;
@@ -747,29 +749,36 @@ Status BlockSolver<T>::solve_many_impl(const T* B, const T* const* Bs, T* X,
     // additionally splits the panel columns so idle threads get work. A
     // single-task wave instead hands the pool to the batched kernel itself.
     // All batched kernels are deterministic, so any shape gives the
-    // bitwise-identical panel.
+    // bitwise-identical panel. Chunks are whole cache lines of a row: the
+    // kernels read the x rows other chunks write, and two chunks sharing a
+    // line would trade it on every row.
+    constexpr index_t kLine = 64 / sizeof(T);  // panel columns per line
+    const index_t lines = (k + kLine - 1) / kLine;
     for (const std::vector<ExecStep>& wave : waves_) {
       if (!ctl.check()) break;
       const int nsteps = static_cast<int>(wave.size());
       const int nchunks =
-          (k > 1 && nsteps < threads_)
+          (lines > 1 && nsteps < threads_)
               ? static_cast<int>(std::min<index_t>(
-                    k, static_cast<index_t>((threads_ + nsteps - 1) / nsteps)))
+                    lines,
+                    static_cast<index_t>((threads_ + nsteps - 1) / nsteps)))
               : 1;
       if (nsteps * nchunks == 1) {
-        exec_step_many(wave[0], bw, xw, 0, k, epool, nullptr, &ctl, k,
+        exec_step_many(wave[0], bw, xw, 0, k, epool, &ctl, k,
                        PanelLayout::kInterleaved);
       } else {
         epool->run(nsteps * nchunks, [&](int t) {
           const int s = t / nchunks;
           const int ch = t % nchunks;
-          const index_t c0 = static_cast<index_t>(
-              static_cast<std::int64_t>(k) * ch / nchunks);
-          const index_t c1 = static_cast<index_t>(
-              static_cast<std::int64_t>(k) * (ch + 1) / nchunks);
+          const index_t c0 = std::min<index_t>(
+              k, kLine * static_cast<index_t>(
+                             static_cast<std::int64_t>(lines) * ch / nchunks));
+          const index_t c1 = std::min<index_t>(
+              k, kLine * static_cast<index_t>(
+                             static_cast<std::int64_t>(lines) * (ch + 1) /
+                             nchunks));
           exec_step_many(wave[static_cast<std::size_t>(s)], bw, xw, c0, c1,
-                         nullptr, nullptr, &ctl, k,
-                         PanelLayout::kInterleaved);
+                         nullptr, &ctl, k, PanelLayout::kInterleaved);
         });
       }
       if (ctl.tripped()) break;
@@ -981,8 +990,6 @@ PlanArtifact<T> BlockSolver<T>::capture_artifact() const {
     t.kind = blk.info.kind;
     t.nlevels = blk.info.nlevels;
     t.nnz = blk.info.nnz;
-    t.has_csr = art.verify_captured;
-    if (t.has_csr) t.csr = blk.csr;
     switch (blk.info.kind) {
       case TriKernelKind::kCompletelyParallel:
         t.diag = blk.diag->diag();
@@ -992,9 +999,7 @@ PlanArtifact<T> BlockSolver<T>::capture_artifact() const {
         t.levels = blk.levelset->levels();
         break;
       case TriKernelKind::kSyncFree:
-        t.csc = blk.syncfree->matrix_csc();
-        t.strict_rows = blk.syncfree->strict_rows();
-        t.in_degree = blk.syncfree->in_degree();
+        t.kernel_csr = blk.syncfree->matrix();
         break;
       case TriKernelKind::kCusparseLike:
         t.kernel_csr = blk.cusparse->matrix();
@@ -1064,7 +1069,6 @@ BlockSolver<T>::BlockSolver(const PlanArtifact<T>& art, const Options& opt,
       tri_info_.push_back(out.info);
       continue;
     }
-    if (opt.verify.enabled) out.csr = adopt(in.csr, with_values);
     switch (in.kind) {
       case TriKernelKind::kCompletelyParallel:
         // The captured pivots even without values: the solver rejects a
@@ -1077,8 +1081,8 @@ BlockSolver<T>::BlockSolver(const PlanArtifact<T>& art, const Options& opt,
         break;
       case TriKernelKind::kSyncFree:
         out.syncfree = std::make_unique<SyncFreeSolver<T>>(
-            adopt(in.csc, with_values), adopt(in.strict_rows, with_values),
-            in.in_degree);
+            adopt(in.kernel_csr, with_values),
+            typename SyncFreeSolver<T>::Adopt{});
         break;
       case TriKernelKind::kCusparseLike:
         out.cusparse = std::make_unique<CusparseLikeSolver<T>>(
@@ -1114,19 +1118,15 @@ BlockSolver<T>::BlockSolver(const PlanArtifact<T>& art, const Options& opt,
   b_base_ = as.reserve(n_u * sizeof(T));
   aux_base_ = as.reserve(n_u * (sizeof(T) + 4));
 
-  size_tri_scratch();
   ws_pool_ = std::make_unique<WorkspacePool<SolveWorkspace>>(
       typename WorkspacePool<SolveWorkspace>::Options{
           opt_.session.max_workspaces, opt_.session.block_when_exhausted});
 
-  // Deterministic fault hook: a poisoned in-degree counter makes the
-  // sync-free parallel spin-wait undrainable, exercising the bounded-spin
-  // timeout (the serial and batched paths never consult the counters).
+  // Deterministic fault hook, as in the cold constructor.
   if (opt_.fault.stuck_spin && opt_.fault.tri_block >= 0 &&
       opt_.fault.tri_block < static_cast<index_t>(tri_.size())) {
     TriBlock& blk = tri_[static_cast<std::size_t>(opt_.fault.tri_block)];
-    if (blk.syncfree != nullptr)
-      blk.syncfree->poison_in_degree_for_testing(0, 1);
+    if (blk.syncfree != nullptr) blk.syncfree->stall_row_for_testing(0);
   }
 }
 
@@ -1333,18 +1333,11 @@ Status BlockSolver<T>::install_values(const Csr<T>& lower) {
   std::vector<offset_t> square_writes(squares_.size(), 0);
   std::size_t next_square = 0;
 
-  // The current triangle's arrays: the verify CSR and the kernel's.
+  // The current triangle's one copy: the kernel's rows, or its pivots.
   struct TriTargets {
-    const offset_t* vptr = nullptr;  // verify CSR (verify on)
-    const index_t* vcol = nullptr;
-    T* vval = nullptr;
-    const offset_t* kptr = nullptr;  // level-set/cuSPARSE-like CSR, or the
-    const index_t* kcol = nullptr;   // sync-free strict rows
+    const offset_t* kptr = nullptr;
+    const index_t* kcol = nullptr;
     T* kval = nullptr;
-    const offset_t* cptr = nullptr;  // sync-free CSC
-    const index_t* crow = nullptr;
-    T* cval = nullptr;
-    offset_t cnnz = 0;
     T* diag = nullptr;
   } tt;
 
@@ -1352,8 +1345,6 @@ Status BlockSolver<T>::install_values(const Csr<T>& lower) {
     return x.first < y.first;
   };
   std::vector<std::pair<index_t, T>> row;  // (permuted column, value)
-  std::vector<offset_t> col_cursor;        // sync-free CSC column cursors
-  offset_t csc_writes = 0;
   double norm = 0.0;
   std::size_t t = 0;
   for (index_t ni = 0; ni < n; ++ni) {
@@ -1395,8 +1386,7 @@ Status BlockSolver<T>::install_values(const Csr<T>& lower) {
                     sc);
     }
 
-    // The triangle holding this row; entering one fetches its arrays (and
-    // starts a sync-free one's column cursors).
+    // The triangle holding this row; entering one fetches its arrays.
     while (tri_[t].info.r1 <= ni) ++t;
     TriBlock& blk = tri_[t];
     const index_t r0 = blk.info.r0;
@@ -1404,14 +1394,6 @@ Status BlockSolver<T>::install_values(const Csr<T>& lower) {
     const auto lis = static_cast<std::size_t>(li);
     if (ni == r0) {
       tt = TriTargets{};
-      if (verify) {
-        if (blk.csr.row_ptr.size() !=
-            static_cast<std::size_t>(blk.info.r1 - r0) + 1)
-          return mismatch("a triangular block's verify CSR");
-        tt.vptr = blk.csr.row_ptr.data();
-        tt.vcol = blk.csr.col_idx.data();
-        tt.vval = blk.csr.val.data();
-      }
       switch (blk.info.kind) {
         case TriKernelKind::kCompletelyParallel:
           tt.diag = blk.diag->values().data();
@@ -1421,26 +1403,16 @@ Status BlockSolver<T>::install_values(const Csr<T>& lower) {
           tt.kcol = blk.levelset->matrix().col_idx.data();
           tt.kval = blk.levelset->values().data();
           break;
+        case TriKernelKind::kSyncFree:
+          tt.kptr = blk.syncfree->matrix().row_ptr.data();
+          tt.kcol = blk.syncfree->matrix().col_idx.data();
+          tt.kval = blk.syncfree->values().data();
+          break;
         case TriKernelKind::kCusparseLike:
           tt.kptr = blk.cusparse->matrix().row_ptr.data();
           tt.kcol = blk.cusparse->matrix().col_idx.data();
           tt.kval = blk.cusparse->values().data();
           break;
-        case TriKernelKind::kSyncFree: {
-          const Csc<T>& csc = blk.syncfree->matrix_csc();
-          tt.cptr = csc.col_ptr.data();
-          tt.crow = csc.row_idx.data();
-          tt.cval = blk.syncfree->csc_values().data();
-          tt.cnnz = csc.nnz();
-          tt.kptr = blk.syncfree->strict_rows().row_ptr.data();
-          tt.kcol = blk.syncfree->strict_rows().col_idx.data();
-          tt.kval = blk.syncfree->strict_values().data();
-          col_cursor.resize(static_cast<std::size_t>(n));
-          std::copy(csc.col_ptr.begin(), csc.col_ptr.end() - 1,
-                    col_cursor.begin() + r0);
-          csc_writes = 0;
-          break;
-        }
       }
     }
 
@@ -1511,62 +1483,20 @@ Status BlockSolver<T>::install_values(const Csr<T>& lower) {
       square_writes[sc.q] += static_cast<offset_t>(p - run);
     }
 
-    // Triangle entries: the verify CSR and the kernel's arrays, together.
-    RowSink<T> vsink;
-    if (verify) vsink = RowSink<T>(tt.vptr, tt.vcol, tt.vval, lis);
-    switch (blk.info.kind) {
-      case TriKernelKind::kCompletelyParallel:
-        // split_diagonal found no strict entry when the block was built:
-        // the diagonal is the row's only triangle entry.
-        if (m - p0 != 1 || row[p0].first != ni)
-          return mismatch("a diagonal block");
-        if (verify && !vsink.put(li, row[p0].second))
-          return mismatch("a triangular block's verify CSR");
-        tt.diag[lis] = row[p0].second;
-        break;
-      case TriKernelKind::kLevelSet:
-      case TriKernelKind::kCusparseLike: {
-        RowSink<T> sink(tt.kptr, tt.kcol, tt.kval, lis);
-        for (std::size_t p = p0; p < m; ++p) {
-          const index_t lc = row[p].first - r0;
-          if (verify && !vsink.put(lc, row[p].second))
-            return mismatch("a triangular block's verify CSR");
-          if (!sink.put(lc, row[p].second))
-            return mismatch("a triangular block's kernel CSR");
-        }
-        if (!sink.full()) return mismatch("a triangular block's kernel CSR");
-        break;
-      }
-      case TriKernelKind::kSyncFree: {
-        // Each entry lands at its column's cursor in the CSC; all but the
-        // diagonal (the row's last entry, as split_diagonal splits it) are
-        // also strict dependency entries.
-        RowSink<T> sink(tt.kptr, tt.kcol, tt.kval, lis);
-        for (std::size_t p = p0; p < m; ++p) {
-          const index_t lc = row[p].first - r0;
-          if (verify && !vsink.put(lc, row[p].second))
-            return mismatch("a triangular block's verify CSR");
-          const auto at = static_cast<std::size_t>(
-              col_cursor[static_cast<std::size_t>(row[p].first)]++);
-          if (static_cast<offset_t>(at) >=
-                  tt.cptr[static_cast<std::size_t>(lc) + 1] ||
-              tt.crow[at] != li)
-            return mismatch("a sync-free block's CSC");
-          tt.cval[at] = row[p].second;
-          if (p + 1 < m && !sink.put(lc, row[p].second))
-            return mismatch("a sync-free block's strict rows");
-        }
-        if (!sink.full()) return mismatch("a sync-free block's strict rows");
-        // Each CSC write stayed inside its column, so a full count means
-        // every column ends exactly full.
-        csc_writes += static_cast<offset_t>(m - p0);
-        if (ni + 1 == blk.info.r1 && csc_writes != tt.cnnz)
-          return mismatch("a sync-free block's CSC");
-        break;
-      }
+    // Triangle entries: the kernel's rows, or a diagonal block's pivot.
+    if (blk.info.kind == TriKernelKind::kCompletelyParallel) {
+      // split_diagonal found no strict entry when the block was built: the
+      // diagonal is the row's only triangle entry.
+      if (m - p0 != 1 || row[p0].first != ni)
+        return mismatch("a diagonal block");
+      tt.diag[lis] = row[p0].second;
+    } else {
+      RowSink<T> sink(tt.kptr, tt.kcol, tt.kval, lis);
+      for (std::size_t p = p0; p < m; ++p)
+        if (!sink.put(row[p].first - r0, row[p].second))
+          return mismatch("a triangular block's kernel CSR");
+      if (!sink.full()) return mismatch("a triangular block's kernel CSR");
     }
-    if (verify && !vsink.full())
-      return mismatch("a triangular block's verify CSR");
   }
 
   // Every visit filled its row window exactly, so a count equal to the
@@ -1587,12 +1517,10 @@ template <class T>
 Status BlockSolver<T>::run_steps_checked(std::vector<T>& bw,
                                          std::vector<T>& xw, SolveReport* rep,
                                          ThreadPool* epool,
-                                         const ExecControl* ctl,
-                                         T* tri_scratch) const {
+                                         const ExecControl* ctl) const {
   // Steps stay sequential here — the ladder needs each block's output
   // inspected before its dependents run — but kernels still use this call's
-  // arbitrated pool. With the pool in hand the sync-free scratch is still
-  // safe to lend: the steps below never overlap.
+  // arbitrated pool.
   rep->steps_completed = 0;  // progress of this pass (attempt or refinement)
   for (const ExecStep& step : plan_.steps) {
     if (ctl != nullptr && !ctl->check())
@@ -1630,22 +1558,23 @@ Status BlockSolver<T>::run_steps_checked(std::vector<T>& bw,
       return all_finite(xx, len);
     };
 
-    bool ok =
-        run([&] { exec_tri(blk, bb, xx, nullptr, epool, tri_scratch, ctl); });
+    bool ok = run([&] { exec_tri(blk, bb, xx, nullptr, epool, ctl); });
     if (!ok && ctl != nullptr && ctl->tripped())
       return ctl->to_status("in triangular block " +
                             std::to_string(step.index));
     if (!ok && opt_.verify.fallback) {
+      Csr<T> built;
+      const Csr<T>& rows = tri_rows(blk, built);
       if (blk.info.kind != TriKernelKind::kLevelSet) {
         rep->fallbacks.push_back({step.index, blk.info.kind,
                                   FallbackEvent::Rung::kLevelSet});
-        const LevelSetSolver<T> ls(blk.csr);
+        const LevelSetSolver<T> ls(rows);
         ok = run([&] { ls.solve(bb, xx, nullptr); });
       }
       if (!ok) {
         rep->fallbacks.push_back(
             {step.index, blk.info.kind, FallbackEvent::Rung::kSerial});
-        ok = run([&] { sptrsv_serial_raw(blk.csr, bb, xx); });
+        ok = run([&] { sptrsv_serial_raw(rows, bb, xx); });
       }
     }
     if (!ok)
@@ -1702,19 +1631,6 @@ double BlockSolver<T>::residual_norm(const T* xw, const T* bw0,
   const double denom = norm_inf_ * xmax + bmax;
   if (denom == 0.0) return rmax == 0.0 ? 0.0 : rmax;
   return rmax / denom;
-}
-
-template <class T>
-void BlockSolver<T>::size_tri_scratch() {
-  index_t longest = 0;
-  for (const TriBlock& blk : tri_)
-    if (blk.info.kind == TriKernelKind::kSyncFree)
-      longest = std::max(longest, blk.info.r1 - blk.info.r0);
-  // kRhsTile columns is syncfree's per-visit panel width, so this one buffer
-  // covers both the single-RHS and the batched serial accumulators. Each
-  // leased workspace sizes its scratch to this once, at creation.
-  tri_scratch_len_ = static_cast<std::size_t>(longest) *
-                     static_cast<std::size_t>(kRhsTile);
 }
 
 template <class T>
@@ -1848,9 +1764,6 @@ SolveResult<T> BlockSolver<T>::solve_checked(
     rep.degrades = std::move(res.report.degrades);  // accumulate across rungs
     rep.attempts = static_cast<int>(a) + 1;
     ThreadPool* epool = rung.use_pool ? pool_.get() : nullptr;
-    T* scratch = epool != nullptr || ws.tri_scratch.empty()
-                     ? nullptr
-                     : ws.tri_scratch.data();
     std::optional<simd::ScopedPathOverride> demoted;
     if (rung.forced_path >= 0)
       demoted.emplace(static_cast<simd::Path>(rung.forced_path));
@@ -1860,7 +1773,7 @@ SolveResult<T> BlockSolver<T>::solve_checked(
     // the reused workspace keeps untouched rows at 0 as a fresh vector had.
     std::fill(ws.xw.begin(), ws.xw.end(), T(0));
 
-    Status st = run_steps_checked(ws.bw, ws.xw, &rep, epool, &ctl, scratch);
+    Status st = run_steps_checked(ws.bw, ws.xw, &rep, epool, &ctl);
     double resid = 0.0;
     if (st.ok()) {
       // Deterministic fault hook: a wrong-but-finite solution slips past the
@@ -1882,7 +1795,7 @@ SolveResult<T> BlockSolver<T>::solve_checked(
         residual_into(ws.xw.data(), ws.bw0.data(), ws.rw.data(), epool);
         const index_t attempt_steps = rep.steps_completed;
         const bool refined =
-            run_steps_checked(ws.rw, ws.dw, &rep, epool, &ctl, scratch).ok();
+            run_steps_checked(ws.rw, ws.dw, &rep, epool, &ctl).ok();
         rep.steps_completed = attempt_steps;
         if (!refined) break;
         for (std::size_t i = 0; i < n; ++i) ws.xw[i] += ws.dw[i];
@@ -1918,8 +1831,8 @@ SolveResult<T> BlockSolver<T>::solve_checked(
 template <class T>
 Status BlockSolver<T>::run_steps_checked_many(
     std::vector<T>& bw, std::vector<T>& xw, index_t k,
-    std::vector<SolveReport>* reps, ThreadPool* epool, const ExecControl* ctl,
-    T* tri_scratch) const {
+    std::vector<SolveReport>* reps, ThreadPool* epool,
+    const ExecControl* ctl) const {
   const std::size_t n = static_cast<std::size_t>(plan_.n);
   index_t done = 0;  // panel-level progress, mirrored into every report
   const auto set_progress = [&] {
@@ -1950,7 +1863,7 @@ Status BlockSolver<T>::run_steps_checked_many(
     // The checked panel stays column-major: the per-column fallback ladder
     // below hands contiguous column slices to the single-RHS rungs.
     exec_tri_many(blk, bw.data() + blk.info.r0, xw.data() + blk.info.r0, k,
-                  epool, tri_scratch, ctl, plan_.n, PanelLayout::kColMajor);
+                  epool, ctl, plan_.n, PanelLayout::kColMajor);
     if (ctl != nullptr && ctl->tripped()) {
       set_progress();
       return ctl->to_status("in triangular block " +
@@ -1984,16 +1897,18 @@ Status BlockSolver<T>::run_steps_checked_many(
           return all_finite(xx, len);
         };
         SolveReport& rep = (*reps)[static_cast<std::size_t>(c)];
+        Csr<T> built;
+        const Csr<T>& rows = tri_rows(blk, built);
         if (blk.info.kind != TriKernelKind::kLevelSet) {
           rep.fallbacks.push_back(
               {step.index, blk.info.kind, FallbackEvent::Rung::kLevelSet});
-          const LevelSetSolver<T> ls(blk.csr);
+          const LevelSetSolver<T> ls(rows);
           ok = run([&] { ls.solve(bb, xx, nullptr); });
         }
         if (!ok) {
           rep.fallbacks.push_back(
               {step.index, blk.info.kind, FallbackEvent::Rung::kSerial});
-          ok = run([&] { sptrsv_serial_raw(blk.csr, bb, xx); });
+          ok = run([&] { sptrsv_serial_raw(rows, bb, xx); });
         }
       }
       if (!ok) {
@@ -2119,9 +2034,6 @@ SolveManyResult<T> BlockSolver<T>::solve_many_checked(
     for (SolveReport& rep : res.reports)
       rep.attempts = static_cast<int>(a) + 1;
     ThreadPool* epool = rung.use_pool ? pool_.get() : nullptr;
-    T* scratch = epool != nullptr || ws.tri_scratch.empty()
-                     ? nullptr
-                     : ws.tri_scratch.data();
     std::optional<simd::ScopedPathOverride> demoted;
     if (rung.forced_path >= 0)
       demoted.emplace(static_cast<simd::Path>(rung.forced_path));
@@ -2130,7 +2042,7 @@ SolveManyResult<T> BlockSolver<T>::solve_many_checked(
     // Same partial-solution contract as solve_checked: untouched rows read 0.
     std::fill(ws.xw.begin(), ws.xw.end(), T(0));
     Status st = run_steps_checked_many(ws.bw, ws.xw, k, &res.reports, epool,
-                                       &ctl, scratch);
+                                       &ctl);
     if (st.ok()) {
       // Deterministic fault hook (see solve_checked): a wrong-but-finite
       // column only the residual check can reject.
@@ -2166,8 +2078,7 @@ SolveManyResult<T> BlockSolver<T>::solve_many_checked(
           residual_into(ws.xc.data(), ws.bc.data(), ws.rw.data(), epool);
           const index_t panel_steps = rep.steps_completed;
           const bool refined =
-              run_steps_checked(ws.rw, ws.dw, &rep, epool, &ctl, scratch)
-                  .ok();
+              run_steps_checked(ws.rw, ws.dw, &rep, epool, &ctl).ok();
           rep.steps_completed = panel_steps;
           if (!refined) break;
           for (std::size_t i = 0; i < n; ++i) ws.xc[i] += ws.dw[i];

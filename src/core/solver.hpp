@@ -4,8 +4,9 @@
 //   preprocessing (once):  partition (column / row / recursive scheme §3.1),
 //                          recursive level-set reordering (§3.3),
 //                          per-block adaptive kernel selection (§3.4),
-//                          per-block storage (CSC-style triangles via the
-//                          sub-solvers, CSR/DCSR squares, diagonal separate)
+//                          per-block storage (each triangle's rows held
+//                          once by its sub-solver, CSR/DCSR squares,
+//                          diagonal separate)
 //   solve (many times):    walk the execution steps, calling the selected
 //                          SpTRSV kernel on each triangular block and the
 //                          selected SpMV kernel on each square block.
@@ -168,9 +169,10 @@ class BlockSolver {
     bool collect_stats = false;
 
     /// Robustness knobs for solve_checked. `enabled` keeps the (permuted)
-    /// matrix and per-block CSR copies around — required by the residual
-    /// check, refinement and fallback ladder; disable to reclaim the memory
-    /// when only the unchecked solve()/solve_simulated() paths are used.
+    /// matrix around — required by the residual check and refinement (the
+    /// fallback ladder solves from each block's kernel rows); disable to
+    /// reclaim the memory when only the unchecked solve()/solve_simulated()
+    /// paths are used.
     struct VerifyOptions {
       bool enabled = true;
       double tolerance = 0.0;  // 0 → 100 · n · eps(T)
@@ -266,9 +268,10 @@ class BlockSolver {
       /// check must catch it — exercising the whole-solve degradation
       /// ladder's residual-rejection trigger.
       int corrupt_solve_attempts = 0;
-      /// Bumps one in-degree counter of `tri_block`'s sync-free solver at
-      /// construction, so its parallel spin-wait can never drain — the
-      /// bounded-spin timeout and its spin-free fallbacks are exercised.
+      /// Makes row 0 of `tri_block`'s sync-free solver wait on its own
+      /// ready flag in the threaded solve, which nobody else publishes, so
+      /// its spin-wait can never finish — the bounded-spin timeout and its
+      /// spin-free fallbacks are exercised.
       bool stuck_spin = false;
       /// Holds the leased workspace for this long at solve entry —
       /// lets tests overlap leases deterministically to fill the pool.
@@ -505,18 +508,18 @@ class BlockSolver {
   // bitwise-identical to the same step inside solve_many.
 
   /// Runs one plan step against interleaved n × k panels `bw`/`xw`
-  /// (element (i, c) at i·k + c). `tri_scratch` must hold at least
-  /// tri_scratch_len() elements when any sync-free block is present.
+  /// (element (i, c) at i·k + c). `tri_scratch` is unused — no kernel needs
+  /// scratch — and kept so existing callers compile; pass nullptr.
   void exec_plan_step_many(const ExecStep& step, T* bw, T* xw, index_t k,
-                           T* tri_scratch,
+                           [[maybe_unused]] T* tri_scratch,
                            const ExecControl* ctl = nullptr) const {
-    exec_step_many(step, bw, xw, 0, k, nullptr, tri_scratch, ctl, k,
+    exec_step_many(step, bw, xw, 0, k, nullptr, ctl, k,
                    PanelLayout::kInterleaved);
   }
 
-  /// Elements of sync-free serial scratch one solve needs (0 when no
-  /// sync-free block exists).
-  std::size_t tri_scratch_len() const { return tri_scratch_len_; }
+  /// Always 0: the scratch exec_plan_step_many once took is gone. Kept so
+  /// existing callers compile.
+  std::size_t tri_scratch_len() const { return 0; }
 
   /// Nonzeros that ended up in square blocks — the §3.3 claim that the
   /// reordering concentrates work into the parallel-friendly SpMV parts.
@@ -573,9 +576,10 @@ class BlockSolver {
   BlockSolver(const Csr<T>& lower, const Options& opt,
               std::uint64_t structure);
 
+  /// One triangular leaf: the sub-solver of its kind holds its rows (a
+  /// diagonal block only its pivots) — the one copy every path reads.
   struct TriBlock {
     TriBlockInfo info;
-    Csr<T> csr;  // retained when verify.enabled: fallback + refinement input
     std::unique_ptr<DiagonalSolver<T>> diag;
     std::unique_ptr<LevelSetSolver<T>> levelset;
     std::unique_ptr<SyncFreeSolver<T>> syncfree;
@@ -587,25 +591,25 @@ class BlockSolver {
     Dcsr<T> dcsr;  // populated for the DCSR kernel kinds
   };
 
-  /// `tri_scratch` is the leased workspace's sync-free serial accumulator;
-  /// callers lend it only when the per-call executor pool is null (wave
-  /// steps of one call share a workspace, so concurrent steps must not share
-  /// the scratch). `ctl` is the session's cooperative control (nullable).
+  /// `ctl` is the session's cooperative control (nullable).
   void exec_tri(const TriBlock& blk, const T* b, T* x, const TrsvSim* s,
-                ThreadPool* pool = nullptr, T* tri_scratch = nullptr,
+                ThreadPool* pool = nullptr,
                 const ExecControl* ctl = nullptr) const;
+  /// The rows the fallback rungs solve from: the kernel's own CSR, or — for
+  /// a diagonal block, which holds only pivots — rows built into `built`.
+  const Csr<T>& tri_rows(const TriBlock& blk, Csr<T>& built) const;
   void exec_square(const SquareBlock& blk, const T* x, T* y, const SpmvSim* s,
                    ThreadPool* pool = nullptr) const;
   /// One ExecStep of the host solve (no simulation, no ladder).
   void exec_step(const ExecStep& step, T* bw, T* xw, ThreadPool* pool,
-                 T* tri_scratch, const ExecControl* ctl) const;
+                 const ExecControl* ctl) const;
   /// Batched counterparts (host only): b/x/y point at the block's rows in
   /// the panel's first solved column (kColMajor, ld = plan_.n) or at the
   /// block's first row of an interleaved panel (kInterleaved, ld = the
   /// panel's row stride).
   void exec_tri_many(const TriBlock& blk, const T* b, T* x, index_t k,
-                     ThreadPool* pool, T* tri_scratch, const ExecControl* ctl,
-                     index_t ld, PanelLayout layout) const;
+                     ThreadPool* pool, const ExecControl* ctl, index_t ld,
+                     PanelLayout layout) const;
   void exec_square_many(const SquareBlock& blk, const T* x, T* y, index_t k,
                         ThreadPool* pool, index_t ld,
                         PanelLayout layout) const;
@@ -614,9 +618,8 @@ class BlockSolver {
   /// row stride (an interleaved sub-panel is base + c0 with the same
   /// stride, so [c0, c1) needs no kernel-side column offsets).
   void exec_step_many(const ExecStep& step, T* bw, T* xw, index_t c0,
-                      index_t c1, ThreadPool* pool, T* tri_scratch,
-                      const ExecControl* ctl, index_t ld,
-                      PanelLayout layout) const;
+                      index_t c1, ThreadPool* pool, const ExecControl* ctl,
+                      index_t ld, PanelLayout layout) const;
   /// The value install of refresh_values, a cache hit and create_from_file,
   /// for a caller that already validated `lower` and matched its structure
   /// hash against this solver's. One pass over the permuted rows: each row
@@ -624,8 +627,8 @@ class BlockSolver {
   /// permute_symmetric sorts it (a row the cold build kept in input order —
   /// identity permutation outside HBMC — must already be sorted), and every
   /// value is written straight into each array that holds it — stored_, the
-  /// triangle's verify CSR and kernel arrays, and the covering square's
-  /// CSR/DCSR — with ‖L‖∞ folded in. Every write is checked against the
+  /// triangle's kernel rows (or pivots), and the covering square's CSR/DCSR
+  /// — with ‖L‖∞ folded in. Every write is checked against the
   /// target array's own index and bounds, and every array must end exactly
   /// full, so a block structure that disagrees with `lower` returns
   /// kStructureMismatch (possibly with some arrays partly written) instead
@@ -640,14 +643,14 @@ class BlockSolver {
   /// when the ladder is enabled. `rep->steps_completed` tracks progress.
   Status run_steps_checked(std::vector<T>& bw, std::vector<T>& xw,
                            SolveReport* rep, ThreadPool* epool,
-                           const ExecControl* ctl, T* tri_scratch) const;
+                           const ExecControl* ctl) const;
   /// Batched ladder pass: the selected kernels run batched over all k
   /// columns; columns with non-finite output degrade individually through
   /// the single-RHS rungs, recorded in their own report.
   Status run_steps_checked_many(std::vector<T>& bw, std::vector<T>& xw,
                                 index_t k, std::vector<SolveReport>* reps,
-                                ThreadPool* epool, const ExecControl* ctl,
-                                T* tri_scratch) const;
+                                ThreadPool* epool,
+                                const ExecControl* ctl) const;
   /// r = bw0 − L·xw over the retained (permuted) matrix (length-n arrays;
   /// r may not alias xw/bw0).
   void residual_into(const T* xw, const T* bw0, T* r, ThreadPool* epool) const;
@@ -659,10 +662,6 @@ class BlockSolver {
   /// and bytes from the block nnz, level-merge savings from the level-set
   /// blocks' execution groups.
   void accumulate_op_stats(SolveReport* rep) const;
-  /// Computes tri_scratch_len_ (largest syncfree block × kRhsTile); called
-  /// at the end of both constructors so leased workspaces size their
-  /// scratch once and warm solves never grow it.
-  void size_tri_scratch();
 
   /// Shared body of the panel solves. Exactly one of `B`/`Bs` is non-null
   /// (likewise `X`/`Xs`): the contiguous form reads column c at B + c·n,
@@ -711,11 +710,9 @@ class BlockSolver {
     std::vector<T> rw;           // refinement residual
     std::vector<T> dw;           // refinement correction
     std::vector<T> xc, bc;       // solve_many_checked per-column staging
-    std::vector<T> tri_scratch;  // syncfree serial left_sum (× kRhsTile)
   };
 
-  /// Leases a workspace from ws_pool_, sizing a freshly created one's
-  /// sync-free scratch to tri_scratch_len_. When `ctl` is armed, a blocking
+  /// Leases a workspace from ws_pool_. When `ctl` is armed, a blocking
   /// acquisition races the caller's deadline/cancel instead of sleeping
   /// forever on a drained pool: the denial is tripped on `ctl` so callers
   /// surface ctl.to_status(). An empty lease with `ctl` untripped means the
@@ -725,7 +722,6 @@ class BlockSolver {
       const ExecControl* ctl = nullptr) const;
   Status pool_exhausted_status() const;
 
-  std::size_t tri_scratch_len_ = 0;  // sync-free serial scratch per workspace
   /// Bounded, never-shrinking pool of per-call workspaces (capacity and
   /// exhaustion behaviour from Options::session).
   std::unique_ptr<WorkspacePool<SolveWorkspace>> ws_pool_;

@@ -145,21 +145,6 @@ bool get_csr(Reader& r, Csr<T>* a) {
 }
 
 template <class T>
-void put_csc(Writer& w, const Csc<T>& a) {
-  w.i32(a.nrows);
-  w.i32(a.ncols);
-  w.vec(a.col_ptr);
-  w.vec(a.row_idx);
-  w.vec(a.val);
-}
-
-template <class T>
-bool get_csc(Reader& r, Csc<T>* a) {
-  return r.i32(&a->nrows) && r.i32(&a->ncols) && r.vec(&a->col_ptr) &&
-         r.vec(&a->row_idx) && r.vec(&a->val);
-}
-
-template <class T>
 void put_dcsr(Writer& w, const Dcsr<T>& a) {
   w.i32(a.nrows);
   w.i32(a.ncols);
@@ -194,9 +179,9 @@ enum : std::uint32_t {
   kSectionStored = 2,
   kSectionTri = 3,
   kSectionSquares = 4,
-  kSectionTuning = 5,  // optional (format version 2, tuned plans only)
-  kSectionShard = 6,   // optional (format version 3, shard slices only)
-  kSectionColor = 7,   // optional (format version 4, HBMC plans only)
+  kSectionTuning = 5,  // optional (tuned plans only)
+  kSectionShard = 6,   // optional (shard slices only)
+  kSectionColor = 7,   // optional (HBMC plans only)
 };
 
 template <class T>
@@ -311,8 +296,6 @@ void encode_tri(Writer& w, const PlanArtifact<T>& art) {
     w.u32(static_cast<std::uint32_t>(t.kind));
     w.i32(t.nlevels);
     w.i64(t.nnz);
-    w.u32(t.has_csr ? 1 : 0);
-    if (t.has_csr) put_csr(w, t.csr);
     switch (t.kind) {
       case TriKernelKind::kCompletelyParallel:
         w.vec(t.diag);
@@ -322,9 +305,7 @@ void encode_tri(Writer& w, const PlanArtifact<T>& art) {
         put_levels(w, t.levels);
         break;
       case TriKernelKind::kSyncFree:
-        put_csc(w, t.csc);
-        put_csr(w, t.strict_rows);
-        w.vec(t.in_degree);
+        put_csr(w, t.kernel_csr);
         break;
       case TriKernelKind::kCusparseLike:
         put_csr(w, t.kernel_csr);
@@ -338,18 +319,16 @@ void encode_tri(Writer& w, const PlanArtifact<T>& art) {
 template <class T>
 bool decode_tri(Reader& r, PlanArtifact<T>* art) {
   std::uint64_t count = 0;
-  if (!r.u64(&count) || !r.count_ok(count, 24)) return false;
+  if (!r.u64(&count) || !r.count_ok(count, 20)) return false;
   art->tri.resize(static_cast<std::size_t>(count));
   for (TriBlockArtifact<T>& t : art->tri) {
-    std::uint32_t kind = 0, has_csr = 0;
+    std::uint32_t kind = 0;
     if (!r.i32(&t.r0) || !r.i32(&t.r1) || !r.u32(&kind) ||
-        !r.i32(&t.nlevels) || !r.i64(&t.nnz) || !r.u32(&has_csr))
+        !r.i32(&t.nlevels) || !r.i64(&t.nnz))
       return false;
     if (kind > static_cast<std::uint32_t>(TriKernelKind::kCusparseLike))
       return r.corrupt("triangular kernel kind out of range");
     t.kind = static_cast<TriKernelKind>(kind);
-    t.has_csr = has_csr != 0;
-    if (t.has_csr && !get_csr(r, &t.csr)) return false;
     switch (t.kind) {
       case TriKernelKind::kCompletelyParallel:
         if (!r.vec(&t.diag)) return false;
@@ -359,9 +338,7 @@ bool decode_tri(Reader& r, PlanArtifact<T>* art) {
           return false;
         break;
       case TriKernelKind::kSyncFree:
-        if (!get_csc(r, &t.csc) || !get_csr(r, &t.strict_rows) ||
-            !r.vec(&t.in_degree))
-          return false;
+        if (!get_csr(r, &t.kernel_csr)) return false;
         break;
       case TriKernelKind::kCusparseLike:
         if (!get_csr(r, &t.kernel_csr) || !get_levels(r, &t.levels) ||
@@ -481,8 +458,8 @@ bool decode_shard(Reader& r, PlanArtifact<T>* art) {
 }
 
 /// HBMC color record (DESIGN.md §16). The fields live inside the BlockPlan;
-/// they get their own section (instead of extending kSectionPlan) so every
-/// non-HBMC artifact's plan bytes stay identical to format versions 1-3.
+/// they get their own optional section, so kSectionPlan is the same for
+/// every scheme.
 template <class T>
 void encode_color(Writer& w, const PlanArtifact<T>& art) {
   w.vec(art.plan.color_bounds);
@@ -609,14 +586,12 @@ std::size_t artifact_bytes(const PlanArtifact<T>& art) {
   b += csr_bytes(art.stored);
   for (const TriBlockArtifact<T>& t : art.tri) {
     b += sizeof(TriBlockArtifact<T>);
-    b += csr_bytes(t.csr) + csr_bytes(t.kernel_csr) + csr_bytes(t.strict_rows);
+    b += csr_bytes(t.kernel_csr);
     b += t.diag.size() * sizeof(T);
-    b += t.csc.col_ptr.size() * sizeof(offset_t) +
-         t.csc.row_idx.size() * sizeof(index_t) + t.csc.val.size() * sizeof(T);
     b += t.levels.level_of.size() * sizeof(index_t) +
          t.levels.level_ptr.size() * sizeof(offset_t) +
          t.levels.level_item.size() * sizeof(index_t);
-    b += (t.kernel_first_level.size() + t.in_degree.size()) * sizeof(index_t);
+    b += t.kernel_first_level.size() * sizeof(index_t);
   }
   for (const SquareBlockArtifact<T>& q : art.squares) {
     b += sizeof(SquareBlockArtifact<T>);
@@ -635,12 +610,7 @@ Status save_artifact(const std::string& path, const PlanArtifact<T>& art) {
   const bool color = !art.plan.color_bounds.empty();
   Writer header;
   header.raw(kMagic, sizeof kMagic);
-  // Each file claims the oldest version that can describe it, so plain
-  // artifacts stay byte-identical to (and loadable by) pre-tuner builds:
-  // version 1 untuned, version 2 tuned, version 3 shard slices, version 4
-  // only for HBMC plans (the color section).
-  header.u32(color ? kArtifactFormatVersion
-                   : (art.shard ? 3u : (art.tuned ? 2u : 1u)));
+  header.u32(kArtifactFormatVersion);
   header.u32(kEndianTag);
   header.u32(static_cast<std::uint32_t>(sizeof(T)));
   header.u64(art.structure);
@@ -732,10 +702,10 @@ Status load_artifact(const std::string& path, PlanArtifact<T>* out) {
     return Status(StatusCode::kBadFormat,
                   "'" + path + "' is not a blocktri plan artifact (bad magic)");
   if (!header.u32(&version)) return header.status();
-  if (version < 1 || version > kArtifactFormatVersion)
+  if (version != kArtifactFormatVersion)
     return Status(StatusCode::kVersionMismatch,
                   "artifact format version " + std::to_string(version) +
-                      ", this build reads versions 1-" +
+                      ", this build reads only version " +
                       std::to_string(kArtifactFormatVersion));
   if (!header.u32(&endian)) return header.status();
   if (endian != kEndianTag)
@@ -994,25 +964,13 @@ Status validate_artifact(const PlanArtifact<T>& art) {
                      : "unpopulated tri block outside a shard slice");
     if (!b.populated) {
       // Foreign leaf: metadata only, never executed by this shard's worker.
-      if (b.has_csr || !b.csr.val.empty() || !b.diag.empty() ||
-          !b.kernel_csr.val.empty() || !b.levels.level_item.empty() ||
-          !b.kernel_first_level.empty() || !b.csc.val.empty() ||
-          !b.strict_rows.val.empty() || !b.in_degree.empty())
+      if (!b.diag.empty() || !b.kernel_csr.val.empty() ||
+          !b.levels.level_item.empty() || !b.kernel_first_level.empty())
         return bad("foreign shard tri block carries payloads");
       if (static_cast<std::uint32_t>(b.kind) >
           static_cast<std::uint32_t>(TriKernelKind::kCusparseLike))
         return bad("unknown triangular kernel kind");
       continue;
-    }
-    if (b.has_csr != art.verify_captured)
-      return bad("per-block CSR retention disagrees with verify flag");
-    if (b.has_csr) {
-      // The fallback ladder feeds this CSR straight into the level-set and
-      // serial solvers, so it must be a well-formed lower triangle itself.
-      if (Status st = check_csr_shape(b.csr, len, len, "tri block");
-          !st.ok())
-        return st;
-      if (Status st = check_tri_csr(b.csr, "tri block"); !st.ok()) return st;
     }
     switch (b.kind) {
       case TriKernelKind::kCompletelyParallel:
@@ -1020,12 +978,18 @@ Status validate_artifact(const PlanArtifact<T>& art) {
           return bad("diagonal block length != rows");
         break;
       case TriKernelKind::kLevelSet:
+      case TriKernelKind::kSyncFree:
       case TriKernelKind::kCusparseLike: {
+        // The kernels — and the fallback ladder, which solves from these
+        // rows too — divide by each row's trailing diagonal and read only
+        // earlier rows, which is also what keeps the sync-free ready-flag
+        // spin deadlock-free (dependencies only point backward).
         if (Status st = check_csr_shape(b.kernel_csr, len, len, "tri block");
             !st.ok())
           return st;
         if (Status st = check_tri_csr(b.kernel_csr, "tri block"); !st.ok())
           return st;
+        if (b.kind == TriKernelKind::kSyncFree) break;
         if (Status st = check_level_sets(b.levels, len, "tri block");
             !st.ok())
           return st;
@@ -1034,47 +998,6 @@ Status validate_artifact(const PlanArtifact<T>& art) {
             return bad("cusparse-like block has no merged schedule");
           if (!indices_in_range(b.kernel_first_level, b.levels.nlevels))
             return bad("cusparse-like merged schedule level out of range");
-        }
-        break;
-      }
-      case TriKernelKind::kSyncFree: {
-        if (b.csc.nrows != len || b.csc.ncols != len ||
-            b.csc.col_ptr.size() != static_cast<std::size_t>(len) + 1 ||
-            b.csc.row_idx.size() != b.csc.val.size())
-          return bad("sync-free CSC does not match the block");
-        if (!ptr_consistent(b.csc.col_ptr, b.csc.val.size()))
-          return bad("sync-free CSC pointers are inconsistent");
-        if (!indices_in_range(b.csc.row_idx, len))
-          return bad("sync-free CSC row index out of range");
-        // The kernel divides by the first entry of each column (the
-        // diagonal) and expects everything below it strictly lower — also
-        // what makes the busy-wait scheme deadlock-free (dependencies only
-        // point at earlier components).
-        for (index_t j = 0; j < len; ++j) {
-          const offset_t lo = b.csc.col_ptr[static_cast<std::size_t>(j)];
-          const offset_t hi = b.csc.col_ptr[static_cast<std::size_t>(j) + 1];
-          if (hi <= lo || b.csc.row_idx[static_cast<std::size_t>(lo)] != j)
-            return bad("sync-free CSC column lacks a leading diagonal entry");
-          for (offset_t k = lo + 1; k < hi; ++k)
-            if (b.csc.row_idx[static_cast<std::size_t>(k)] <= j)
-              return bad("sync-free CSC column is not strictly lower");
-        }
-        if (Status st = check_csr_shape(b.strict_rows, len, len,
-                                        "strict rows");
-            !st.ok())
-          return st;
-        if (b.in_degree.size() != static_cast<std::size_t>(len))
-          return bad("in-degree length != rows");
-        for (index_t i = 0; i < len; ++i) {
-          for (offset_t k =
-                   b.strict_rows.row_ptr[static_cast<std::size_t>(i)];
-               k < b.strict_rows.row_ptr[static_cast<std::size_t>(i) + 1];
-               ++k)
-            if (b.strict_rows.col_idx[static_cast<std::size_t>(k)] >= i)
-              return bad("strict rows are not strictly lower");
-          if (b.in_degree[static_cast<std::size_t>(i)] !=
-              static_cast<index_t>(b.strict_rows.row_nnz(i)))
-            return bad("in-degree disagrees with the strict rows");
         }
         break;
       }

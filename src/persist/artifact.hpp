@@ -6,8 +6,9 @@
 // requests), that analysis must be paid once, not per BlockSolver. A
 // PlanArtifact captures *everything* BlockSolver::create computes —
 // permutation, recursive BlockPlan (triangles, squares, step order, waves),
-// per-block kernel selections, and the built CSC/CSR/DCSR block arrays — as
-// plain data that can be
+// per-block kernel selections, and the built CSR/DCSR block arrays (one copy
+// of each block, in the format its kernel reads) — as plain data that can
+// be
 //
 //   * saved to / loaded from a versioned binary file (save_artifact /
 //     load_artifact below, format described in DESIGN.md §10),
@@ -37,20 +38,17 @@
 
 namespace blocktri {
 
-/// Newest on-disk format version this build writes and reads. Version 2
-/// added the optional tuning section, version 3 the optional shard section
-/// (per-shard slices for the multi-process worker pool, src/shard), and
-/// version 4 the optional color section (HBMC color boundaries, DESIGN.md
-/// §16). Plain untuned artifacts are still written as version 1 —
-/// byte-identical to pre-tuner builds — tuned ones as version 2, shard
-/// slices as version 3, and only HBMC plans need version 4, so every file
-/// stays readable by the oldest build that could have produced it. Versions
-/// outside [1, 4] are rejected with kVersionMismatch.
-inline constexpr std::uint32_t kArtifactFormatVersion = 4;
+/// The one on-disk format version this build writes and reads. Every file
+/// is stamped with it; the tuning, shard and color sections stay optional.
+/// An artifact is a cache, so any other version — including the older
+/// layouts 1–4, which stored sync-free blocks as CSC plus strict rows — is
+/// rejected with kVersionMismatch and the caller rebuilds cold.
+inline constexpr std::uint32_t kArtifactFormatVersion = 5;
 
 /// Everything preprocessing derived for one triangular leaf block. Only the
 /// fields of the selected kernel kind are populated (the rest stay empty),
-/// mirroring what the live solver holds.
+/// mirroring what the live solver holds: one copy of the block, pivots for
+/// a diagonal block and rows (diagonal last) for every other kind.
 template <class T>
 struct TriBlockArtifact {
   index_t r0 = 0, r1 = 0;
@@ -58,31 +56,22 @@ struct TriBlockArtifact {
   index_t nlevels = 0;
   offset_t nnz = 0;
 
-  /// Shard slices (format v3) keep every leaf's metadata but only the
-  /// payloads of the leaves the shard owns; a foreign leaf is `!populated`
-  /// (empty payloads, never executed by that worker). Always true outside
-  /// shard artifacts.
+  /// Shard slices keep every leaf's metadata but only the payloads of the
+  /// leaves the shard owns; a foreign leaf is `!populated` (empty payloads,
+  /// never executed by that worker). Always true outside shard artifacts.
   bool populated = true;
 
-  /// The block's CSR, retained iff the artifact was captured with
-  /// verify.enabled — the fallback-ladder / refinement reference.
-  bool has_csr = false;
-  Csr<T> csr;
-
   std::vector<T> diag;                      // kCompletelyParallel
-  Csr<T> kernel_csr;                        // kLevelSet / kCusparseLike
+  Csr<T> kernel_csr;                        // every other kind
   LevelSets levels;                         // kLevelSet / kCusparseLike
   std::vector<index_t> kernel_first_level;  // kCusparseLike
-  Csc<T> csc;                               // kSyncFree
-  Csr<T> strict_rows;                       // kSyncFree
-  std::vector<index_t> in_degree;           // kSyncFree
 };
 
 /// One square (SpMV) block: kernel selection plus the built storage (CSR for
 /// the CSR kernel kinds, DCSR for the DCSR kinds).
 template <class T>
 struct SquareBlockArtifact {
-  /// In a shard slice (format v3) this may be a *row sub-range* of the
+  /// In a shard slice this may be a *row sub-range* of the
   /// plan's square: a boundary square crossing a shard cut is row-sliced per
   /// shard (columns untouched — SpMV updates are row-independent, so the
   /// per-row arithmetic and therefore the bitwise result are unchanged).
@@ -112,15 +101,15 @@ struct PlanArtifact {
   std::vector<std::vector<ExecStep>> waves;  // compute_step_waves output
   offset_t nnz = 0;
 
-  bool verify_captured = false;  // stored + per-block CSRs retained
+  bool verify_captured = false;  // stored retained
   Csr<T> stored;                 // permuted matrix (verify_captured only)
   double norm_inf = 0.0;         // ‖L‖∞ of stored (verify_captured only)
 
   std::int64_t build_ops = 0;  // preprocessing cost counters (Table 5)
   std::int64_t build_bytes = 0;
 
-  /// Autotuning record (format version 2, optional section — absent in
-  /// version-1 files, which load with these defaults). The tuned kernel
+  /// Autotuning record (optional section — absent from untuned plans, which
+  /// load with these defaults). The tuned kernel
   /// *choices* live in the regular tri/square sections like any others; this
   /// section carries what cannot be reconstructed from them: that the plan
   /// came from the tuner (so rehydration must not expect the heuristic
@@ -133,8 +122,8 @@ struct PlanArtifact {
   double oracle_default_ns = 0.0;    // exact-sim time of the default plan
   double oracle_tuned_ns = 0.0;      // exact-sim time of the captured plan
 
-  /// Shard-slice record (format version 3, optional section — absent in
-  /// v1/v2 files, which load with these defaults). A shard slice keeps the
+  /// Shard-slice record (optional section — absent from whole plans, which
+  /// load with these defaults). A shard slice keeps the
   /// *global* plan (steps, waves, permutation) so a worker can derive its
   /// local schedule and halo dependencies, but populates only the blocks in
   /// [shard_row_begin, shard_row_end) — the executors of shard workers never
@@ -147,11 +136,10 @@ struct PlanArtifact {
   index_t shard_row_end = 0;
   std::vector<index_t> shard_bounds;
 
-  // HBMC color record (format version 4, optional section — absent in
-  // v1–v3 files). The payload itself lives inside the BlockPlan
-  // (plan.color_bounds / plan.hbmc_block_rows); a separate CRC'd section
-  // carries it so the kSectionPlan encoding — and with it every non-HBMC
-  // artifact — stays byte-identical to the older format versions.
+  // HBMC color record (optional section — absent from non-HBMC plans). The
+  // payload itself lives inside the BlockPlan (plan.color_bounds /
+  // plan.hbmc_block_rows); a separate CRC'd section carries it, so the
+  // kSectionPlan encoding is the same for every scheme.
 
   std::vector<TriBlockArtifact<T>> tri;
   std::vector<SquareBlockArtifact<T>> squares;
@@ -187,10 +175,11 @@ std::uint64_t validation_count();
 }  // namespace persist_testing
 
 /// Loads an artifact written by save_artifact. Every defect class maps to a
-/// typed Status: wrong magic / endianness / value width → kBadFormat, other
-/// format version → kVersionMismatch, file ends early → kTruncated (location
-/// = byte offset), section CRC32 disagrees → kChecksumMismatch (location =
-/// section's byte offset), bytes after the last section → kBadFormat
+/// typed Status: wrong magic / endianness / value width → kBadFormat, any
+/// version but kArtifactFormatVersion → kVersionMismatch, file ends early →
+/// kTruncated (location = byte offset), section CRC32 disagrees →
+/// kChecksumMismatch (location = section's byte offset), bytes after the
+/// last section → kBadFormat
 /// (location = offset of the first extra byte), the OS reports a read error
 /// mid-stream → kIoError (naming the path — distinct from kTruncated: the
 /// file may be intact). On any failure *out is left untouched.
@@ -200,13 +189,13 @@ Status load_artifact(const std::string& path, PlanArtifact<T>* out);
 /// Deep semantic check of a deserialized (or hand-built) artifact. The
 /// executors index with artifact contents unchecked — permute_vector writes
 /// out[new_of_old[i]], the DCSR spmv writes y[row_ids[r]], kernels read
-/// x[col_idx[k]], the sync-free busy-wait counts down in_degree — so beyond
-/// consistent plan bounds and array sizes this proves every stored index
-/// in-bounds and every kernel precondition (pointer arrays monotone and
-/// covering, new_of_old a permutation of [0, n), triangular CSRs non-empty
-/// rows with a trailing diagonal, sync-free columns diagonal-first and
-/// strictly lower with in_degree matching the strict rows, enum values in
-/// range). Returns kBadFormat describing the first violation. load_artifact
+/// x[col_idx[k]], the sync-free threaded solve spins on the ready flags of a
+/// row's dependencies — so beyond consistent plan bounds and array sizes
+/// this proves every stored index in-bounds and every kernel precondition
+/// (pointer arrays monotone and covering, new_of_old a permutation of
+/// [0, n), triangular CSRs non-empty rows with a trailing diagonal and
+/// nothing above it — which is also what keeps the ready-flag spin
+/// deadlock-free — enum values in range). Returns kBadFormat describing the first violation. load_artifact
 /// runs this before handing the artifact out, so a CRC-valid but crafted or
 /// semantically corrupt file is rejected here rather than corrupting memory
 /// at solve time.

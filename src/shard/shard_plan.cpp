@@ -150,8 +150,6 @@ PlanArtifact<T> slice_shard_artifact(const PlanArtifact<T>& full,
     if (t.r0 >= row_begin && t.r1 <= row_end) {
       TriBlockArtifact<T> local = t;
       local.populated = true;
-      local.has_csr = false;  // verify payload, stripped with the rest
-      local.csr = Csr<T>{};
       out.tri.push_back(std::move(local));
     } else {
       TriBlockArtifact<T> foreign;

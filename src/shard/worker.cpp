@@ -60,7 +60,6 @@ void run_worker(const WorkerConfig<T>& cfg) {
 
   ShmHeader* hdr = cfg.header;
   const auto self = cfg.shard_index;
-  std::vector<T> tri_scratch(solver->tri_scratch_len());
   const auto& fault = cfg.options.shard.fault;
   const double epoch_timeout_ms =
       cfg.options.shard.epoch_timeout_ms > 0
@@ -106,7 +105,7 @@ void run_worker(const WorkerConfig<T>& cfg) {
     };
 
     const auto run_step = [&](const LocalStep& ls) {
-      solver->exec_plan_step_many(ls.step, bw, xw, k, tri_scratch.data());
+      solver->exec_plan_step_many(ls.step, bw, xw, k, nullptr);
       ++steps_run;
       if (ls.publish > 0)
         hdr->progress[self].rows.store(static_cast<std::int64_t>(ls.publish),

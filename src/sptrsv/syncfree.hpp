@@ -13,10 +13,19 @@
 //     imbalance — FullChip, vas_stokes_4M),
 //   * spinning warps hold SM residency: components deep in the launch order
 //     cannot even start until a slot frees (modelled by slot-holding tasks).
+//
+// Host storage is the block's CSR rows, diagonal last, held once (as
+// LevelSetSolver holds them). The host kernels pull instead of push: row i
+// sums L[i][j]·x[j] over its strict entries in CSR order, then divides. On
+// rows sorted by column that is exactly Alg. 3's serial push for row i —
+// left_sum starts at 0 and takes the products in ascending j — so both give
+// the same bits. The threaded solve waits on per-row ready flags, as in Li's
+// self-scheduling SpTRSV (PAPERS.md, arXiv:1710.04985), instead of pushing
+// atomic left-sums. Only a simulated solve sees Alg. 3's CSC: it builds the
+// column structure for the duration of that solve.
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "common/deadline.hpp"
 #include "common/thread_pool.hpp"
@@ -28,80 +37,71 @@ namespace blocktri {
 template <class T>
 class SyncFreeSolver {
  public:
-  /// Builds the CSC execution structure and the in-degree counts. The input
-  /// is the lower triangle in CSR (diagonal last in each row). A pool
-  /// parallelises the CSC conversion and in-degree pass; it is not retained.
-  explicit SyncFreeSolver(const Csr<T>& lower, ThreadPool* pool = nullptr);
+  /// Tag of the rehydration constructor.
+  struct Adopt {};
 
-  /// Rehydration constructor for the plan-persistence subsystem: adopts the
-  /// previously built CSC execution structure, strict-lower dependency rows
-  /// and in-degree counts instead of recomputing them.
-  SyncFreeSolver(Csc<T> csc, Csr<T> strict_rows,
-                 std::vector<index_t> in_degree);
+  /// The input is the lower triangle in CSR, diagonal last in each row,
+  /// and must be nonsingular. It is the execution format: no analysis runs.
+  explicit SyncFreeSolver(Csr<T> lower);
 
-  /// Host solve. With a pool (and no simulation) this runs the CPU analogue
-  /// of Alg. 3: components are dealt round-robin to threads (component i to
-  /// thread i mod nthreads, mirroring the GPU's warp dispatch), each thread
-  /// spin-waits on its component's atomic in-degree counter, solves, then
-  /// pushes val·x products into the dependents' atomic left_sum slots and
-  /// decrements their counters with release ordering. Accumulation order
-  /// into left_sum is timing-dependent, so parallel results match the serial
-  /// ones to rounding (not bitwise) — the same caveat the GPU kernel has.
-  ///
-  /// `scratch` (≥ n elements) lets the caller provide the serial path's
-  /// left_sum accumulator so warm solves allocate nothing; nullptr falls back
-  /// to a local vector. The parallel path ignores it (it needs atomics).
+  /// Rehydration constructor for the plan-persistence subsystem: adopts rows
+  /// validate_artifact already proved triangular (check_tri_csr), whose
+  /// values the caller may still have to install — so only the shape is
+  /// checked here.
+  SyncFreeSolver(Csr<T> lower, Adopt);
+
+  /// Host solve. With a pool (and no simulation) rows are dealt round-robin
+  /// to threads (row i to thread i mod nthreads, mirroring the GPU's warp
+  /// dispatch). A thread acquire-spins on each dependency's ready flag in
+  /// CSR order, computes x_i with the serial expression, then
+  /// release-publishes its own flag. Every row reads the same x entries in
+  /// the same order as the serial solve, so the result is bitwise identical
+  /// to it at any thread count. Deadlock-free: each thread walks its rows in
+  /// ascending order and dependencies only point to smaller rows, so the
+  /// smallest unsolved row is always runnable.
   ///
   /// The busy-wait is *bounded*: every spin loop carries a wall-clock budget
   /// (ctl->spin_timeout_ms(), or kDefaultSpinTimeoutMs for direct calls), so
-  /// corrupted or cyclic in-degree counters time out instead of livelocking.
-  /// With `ctl` attached, a timeout trips the control with kSpinTimeout and
-  /// the caller observes it (x is partial); a deadline/cancel trip likewise
+  /// a flag that is never published times out instead of livelocking. With
+  /// `ctl` attached, a timeout trips the control with kSpinTimeout and the
+  /// caller observes it (x is partial); a deadline/cancel trip likewise
   /// abandons the solve mid-flight. Without `ctl`, a tripped spin budget
-  /// self-heals: the block is re-solved on the serial path, which never
-  /// consults the in-degree counters — slower, but correct and bounded.
+  /// self-heals: the block is re-solved on the serial path, which has no
+  /// flags — slower, but correct and bounded.
+  ///
+  /// A simulated solve computes x serially and accounts Alg. 3 over a
+  /// column view of the rows built for that solve.
   void solve(const T* b, T* x, const TrsvSim* s = nullptr,
-             ThreadPool* pool = nullptr, T* scratch = nullptr,
+             ThreadPool* pool = nullptr,
              const ExecControl* ctl = nullptr) const;
 
-  /// Batched solve of k right-hand sides (column-major panel, leading
-  /// dimension `ld`): each column visit streams the CSC structure once and
-  /// pushes val·x products for all k columns. Host only. Unlike solve()'s
-  /// parallel path, the batched path never races on accumulators: a pool
-  /// splits the *columns of the panel* and every chunk runs the serial
-  /// ascending-order algorithm on its own left_sum scratch, so the result is
-  /// bitwise identical to k independent serial solves at any thread count.
-  ///
-  /// `scratch` (≥ n·min(kRhsTile, k) elements) plays solve()'s role for the
-  /// serial path's accumulator panel; the parallel column-split ignores it
-  /// (each chunk needs its own panel and allocates locally).
+  /// Batched solve of k right-hand sides with leading dimension `ld` (panel
+  /// element (i, c) at b[i + c·ld] for kColMajor, b[i·ld + c] for
+  /// kInterleaved): each row visit streams the row's structure once and
+  /// updates all k columns, in natural row order with the single-RHS
+  /// operation order per column. Host only. A pool splits the *columns of
+  /// the panel*, so the result is bitwise identical to k independent serial
+  /// solves at any thread count and either layout.
   void solve_many(const T* b, T* x, index_t k, index_t ld,
-                  ThreadPool* pool = nullptr, T* scratch = nullptr,
+                  ThreadPool* pool = nullptr,
                   const ExecControl* ctl = nullptr,
                   PanelLayout layout = PanelLayout::kColMajor) const;
 
-  const Csc<T>& matrix_csc() const { return csc_; }
-  const Csr<T>& strict_rows() const { return strict_rows_; }
-  const std::vector<index_t>& in_degree() const { return in_degree_; }
-  /// The CSC and strict-row value arrays as fixed-length views, written in
-  /// place by BlockSolver's one-pass value install; structure and in-degrees
-  /// stay fixed.
-  std::span<T> csc_values() { return csc_.val; }
-  std::span<T> strict_values() { return strict_rows_.val; }
+  const Csr<T>& matrix() const { return a_; }
+  /// matrix()'s value array as a fixed-length view, written in place by
+  /// BlockSolver's one-pass value install; the structure stays fixed.
+  std::span<T> values() { return a_.val; }
 
-  /// TESTING ONLY: adds `delta` to one row's in-degree counter, simulating
-  /// the corrupted dependency metadata the bounded spin-wait defends
-  /// against — the parallel path then waits on a count that can never drain.
-  /// The serial and batched paths ignore in-degree entirely, so a poisoned
-  /// solver still produces correct results on every spin-free rung.
-  void poison_in_degree_for_testing(index_t row, index_t delta) {
-    in_degree_.at(static_cast<std::size_t>(row)) += delta;
-  }
+  /// TESTING ONLY: makes `row` also wait on its own ready flag in the
+  /// threaded solve — a flag nobody else publishes, so that spin-wait can
+  /// never finish and the bounded-spin timeout is exercised. The serial and
+  /// batched paths have no flags, so a stalled solver still produces
+  /// correct results on every spin-free rung.
+  void stall_row_for_testing(index_t row) { stalled_row_ = row; }
 
  private:
-  Csc<T> csc_;                      // execution format (Alg. 3 is CSC)
-  Csr<T> strict_rows_;              // row lists = dependency edges for the sim
-  std::vector<index_t> in_degree_;  // off-diagonal nnz per row
+  Csr<T> a_;               // rows, diagonal last: the execution format
+  index_t stalled_row_ = -1;
 };
 
 }  // namespace blocktri

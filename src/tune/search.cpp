@@ -187,7 +187,7 @@ class OracleContext {
             std::make_unique<LevelSetSolver<T>>(std::move(blk), pool_);
         break;
       case TriKernelKind::kSyncFree:
-        e.syncfree = std::make_unique<SyncFreeSolver<T>>(blk, pool_);
+        e.syncfree = std::make_unique<SyncFreeSolver<T>>(std::move(blk));
         break;
       case TriKernelKind::kCusparseLike:
         e.cusparse = std::make_unique<CusparseLikeSolver<T>>(std::move(blk));

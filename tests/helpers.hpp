@@ -151,9 +151,9 @@ inline std::string read_file_bytes(const std::string& path) {
 }
 
 /// Walks the frames of the .btpa file at `path` (DESIGN.md §10) and checks
-/// the framing contract: every stored section CRC equals reference_crc32 of
-/// its payload, the last frame ends exactly at EOF, and save → load → save
-/// reproduces the file byte for byte.
+/// the framing contract: the header stamps format version 5, every stored
+/// section CRC equals reference_crc32 of its payload, the last frame ends
+/// exactly at EOF, and save → load → save reproduces the file byte for byte.
 template <class T>
 ::testing::AssertionResult ArtifactFramingHolds(const std::string& path) {
   const std::string bytes = read_file_bytes(path);
@@ -164,7 +164,11 @@ template <class T>
   if (bytes.size() < kHeaderBytes)
     return ::testing::AssertionFailure()
            << path << ": " << bytes.size() << " bytes, shorter than a header";
-  std::uint32_t nsections = 0;
+  std::uint32_t version = 0, nsections = 0;
+  std::memcpy(&version, bytes.data() + 4, 4);
+  if (version != 5)
+    return ::testing::AssertionFailure()
+           << path << " stamps format version " << version << ", not 5";
   std::memcpy(&nsections, bytes.data() + kHeaderBytes - 4, 4);
   std::size_t off = kHeaderBytes;
   for (std::uint32_t s = 0; s < nsections; ++s) {

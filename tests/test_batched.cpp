@@ -1,9 +1,8 @@
 // Batched multi-RHS (SpTRSM) tests. The contract under test: solve_many(B, k)
 // is BITWISE identical to k independent solve() calls on a threads = 1 solver
 // — across every scheme, every forced triangular/SpMV kernel pair, both
-// precisions and any thread count (all batched kernels are deterministic; the
-// single-RHS syncfree path at threads > 1 is the only racy kernel, which is
-// why the reference is always serial). Plus the hardened panel path:
+// precisions and any thread count (every kernel, batched or single-RHS, is
+// deterministic at any thread count). Plus the hardened panel path:
 // solve_many_checked verifies every column and degrades a faulty column
 // through the fallback ladder without touching its healthy neighbours.
 #include <gtest/gtest.h>
@@ -12,6 +11,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/simd.hpp"
 #include "core/solver.hpp"
 #include "gen/generators.hpp"
 #include "helpers.hpp"
@@ -181,6 +181,76 @@ TEST(Batched, ThreadSweepFloat) {
     expect_batched_matches(solver, ref, 16, 307,
                            "float threads=" + std::to_string(t));
   }
+}
+
+// --- Known answers: sync-free plans keep their bits ------------------------
+//
+// FNV-1a hashes of the solution bits at threads = 1, recorded from a build
+// whose sync-free kernels pushed left-sums down CSC columns. The row kernels
+// that replaced them do the same floating-point operations in the same
+// order, so none of these may move. solve_many runs the interleaved panel
+// and solve_many_checked the column-major one; both must give the bits of
+// the panel hash. The square blocks' SpMV follows the SIMD lowering, so the
+// answers are pinned under the canonical blocked order (the vector lowering
+// gives the same bits), whatever BLOCKTRI_STRICT_SCALAR says.
+
+template <class T>
+std::uint64_t bits_fnv1a(const std::vector<T>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+  for (std::size_t i = 0; i < v.size() * sizeof(T); ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// `want` holds the hashes of solve() and of the k = 1, 5 and 16 panels.
+template <class T>
+void expect_syncfree_answers(bool forced,
+                             const std::vector<std::uint64_t>& want) {
+  SCOPED_TRACE(forced ? "forced sync-free" : "adaptive");
+  const simd::ScopedPathOverride canonical(simd::Path::kBlockedScalar);
+  const Csr<T> L = gen::convert_values<T>(
+      forced ? gen::random_levels(3000, 40, 4.0, 1.0, 17)
+             : gen::banded(3000, 24, 3.0, 19));
+  auto o = opts<T>(BlockScheme::kRecursive, 300);
+  if (forced) {
+    o.adaptive = false;
+    o.forced_tri = TriKernelKind::kSyncFree;
+  }
+  const BlockSolver<T> solver(L, o);
+  // Every leaf must run sync-free, or the fixture pins some other kernel.
+  for (const auto& info : solver.tri_info())
+    ASSERT_EQ(info.kind, TriKernelKind::kSyncFree);
+  const index_t n = L.nrows;
+  const auto B = gen::random_rhs<T>(n * 16, 320);
+  EXPECT_EQ(bits_fnv1a(solver.solve(panel_column(B, n, 0))), want[0]);
+  const index_t ks[] = {1, 5, 16};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const index_t k = ks[i];
+    SCOPED_TRACE(k);
+    const std::vector<T> Bk(B.begin(), B.begin() + n * k);
+    EXPECT_EQ(bits_fnv1a(solver.solve_many(Bk, k)), want[i + 1]);
+    const SolveManyResult<T> res = solver.solve_many_checked(Bk, k);
+    ASSERT_TRUE(res.ok()) << res.status.to_string();
+    EXPECT_EQ(bits_fnv1a(res.X), want[i + 1]);
+  }
+}
+
+TEST(Batched, SyncFreeKnownAnswers) {
+  expect_syncfree_answers<double>(
+      true, {0xf210a5508311fb74ULL, 0xf210a5508311fb74ULL,
+             0xd9bbbfb5707975ddULL, 0xe8fce43514a72e08ULL});
+  expect_syncfree_answers<double>(
+      false, {0xb4fbd7811f16aee9ULL, 0xb4fbd7811f16aee9ULL,
+              0x0f367b530e8f0cf7ULL, 0x3e4350a654a6c056ULL});
+  expect_syncfree_answers<float>(
+      true, {0x6df63755f859d27cULL, 0x6df63755f859d27cULL,
+             0xa7fe41a812b131a4ULL, 0x4526824f255d765bULL});
+  expect_syncfree_answers<float>(
+      false, {0x1ae0ab394b8942e6ULL, 0x1ae0ab394b8942e6ULL,
+              0x1f310fdce4b72f94ULL, 0x8cb611378064e6e7ULL});
 }
 
 // --- Edge cases ------------------------------------------------------------

@@ -2,11 +2,11 @@
 // equivalence for every kernel and for the BlockSolver executor, the wave
 // analysis, and the fallback ladder under threads.
 //
-// Determinism contract (see DESIGN.md "Host-parallel execution"): the
-// level-set, diagonal and SpMV parallel paths are bitwise identical to the
-// serial ones (disjoint writes, deterministic chunking) and are compared
-// with EXPECT_EQ; the sync-free parallel path accumulates through atomics in
-// timing-dependent order and is compared normwise.
+// Determinism contract (see DESIGN.md "Host-parallel execution"): every
+// parallel path is bitwise identical to the serial one and is compared with
+// EXPECT_EQ — level-set, diagonal and SpMV by disjoint writes and
+// deterministic chunking, sync-free because each row waits on its
+// dependencies' ready flags and then runs the serial row expression.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -155,21 +155,20 @@ TEST(ParallelKernels, LevelSetMatchesSerialBitwise) {
   }
 }
 
-TEST(ParallelKernels, SyncFreeMatchesSerialNormwise) {
+TEST(ParallelKernels, SyncFreeMatchesSerialBitwise) {
   for (const auto& tm : large_matrices()) {
     SCOPED_TRACE(tm.name);
     const Csr<double> L = tm.build();
     const auto b = gen::random_rhs<double>(L.nrows, 32);
     std::vector<double> want(static_cast<std::size_t>(L.nrows));
-    const SyncFreeSolver<double> serial(L);
-    serial.solve(b.data(), want.data());
+    const SyncFreeSolver<double> solver(L);
+    solver.solve(b.data(), want.data());
     for (const int t : kThreadCounts) {
       SCOPED_TRACE(t);
       ThreadPool pool(t);
-      const SyncFreeSolver<double> par(L, &pool);
       std::vector<double> got(static_cast<std::size_t>(L.nrows), -1.0);
-      par.solve(b.data(), got.data(), nullptr, &pool);
-      EXPECT_TRUE(VectorsNear(got, want, default_tol<double>()));
+      solver.solve(b.data(), got.data(), nullptr, &pool);
+      EXPECT_EQ(got, want);  // same row expressions, flag-ordered reads
     }
   }
 }
@@ -328,16 +327,18 @@ void expect_threaded_solver_matches_serial(const Csr<double>& Ld,
   opt.planner.nseg = 4;
   const BlockSolver<T> serial(L, opt);
   const std::vector<T> want = serial.solve(b);
+  const SolveResult<T> want_checked = serial.solve_checked(b);
+  ASSERT_TRUE(want_checked.ok()) << want_checked.status.message();
   for (const int t : {2, 4}) {
     SCOPED_TRACE(t);
     opt.threads = t;
     const BlockSolver<T> par(L, opt);
     EXPECT_EQ(par.threads(), t);
     EXPECT_FALSE(par.step_waves().empty());
-    EXPECT_TRUE(VectorsNear(par.solve(b), want, default_tol<T>()));
+    EXPECT_EQ(par.solve(b), want);
     const SolveResult<T> checked = par.solve_checked(b);
     ASSERT_TRUE(checked.ok()) << checked.status.message();
-    EXPECT_TRUE(VectorsNear(checked.x, want, default_tol<T>()));
+    EXPECT_EQ(checked.x, want_checked.x);
   }
 }
 
@@ -379,8 +380,7 @@ TEST(ParallelBlockSolver, EnvOverrideWinsOverOptions) {
   const BlockSolver<double> serial(L, opt);
   EXPECT_EQ(serial.threads(), 1);
   const auto b = gen::random_rhs<double>(L.nrows, 63);
-  EXPECT_TRUE(
-      VectorsNear(solver.solve(b), serial.solve(b), default_tol<double>()));
+  EXPECT_EQ(solver.solve(b), serial.solve(b));
 }
 
 TEST(ParallelBlockSolver, FallbackLadderEngagesUnderThreads) {
@@ -393,20 +393,23 @@ TEST(ParallelBlockSolver, FallbackLadderEngagesUnderThreads) {
   // only two rungs and corrupt_attempts=2 would legitimately exhaust them.
   opt.adaptive = false;
   opt.forced_tri = TriKernelKind::kSyncFree;
-  const BlockSolver<double> serial(L, opt);
-  const std::vector<double> want = serial.solve(b);
-  for (const int t : {2, 4}) {
-    SCOPED_TRACE(t);
-    opt.threads = t;
-    opt.fault.tri_block = 0;
-    for (int corrupt = 1; corrupt <= 2; ++corrupt) {
-      SCOPED_TRACE(corrupt);
-      opt.fault.corrupt_attempts = corrupt;
+  opt.fault.tri_block = 0;
+  for (int corrupt = 1; corrupt <= 2; ++corrupt) {
+    SCOPED_TRACE(corrupt);
+    opt.fault.corrupt_attempts = corrupt;
+    // The same fault at threads = 1 takes the same rungs: the reference.
+    opt.threads = 1;
+    const SolveResult<double> want =
+        BlockSolver<double>(L, opt).solve_checked(b);
+    ASSERT_TRUE(want.ok()) << want.status.message();
+    for (const int t : {2, 4}) {
+      SCOPED_TRACE(t);
+      opt.threads = t;
       const BlockSolver<double> par(L, opt);
       const SolveResult<double> res = par.solve_checked(b);
       ASSERT_TRUE(res.ok()) << res.status.message();
       EXPECT_FALSE(res.report.fallbacks.empty());
-      EXPECT_TRUE(VectorsNear(res.x, want, default_tol<double>()));
+      EXPECT_EQ(res.x, want.x);
     }
   }
 }

@@ -81,12 +81,8 @@ Csr<T> fixture(int which = 0) {
 
 // --- Bitwise round-trip: cold vs save -> load, all schemes/threads ---------
 //
-// At threads = 1 every path is exact, so cold and warm must agree bitwise.
-// At threads > 1 the executor's own guarantees apply: solve_many is bitwise
-// deterministic at any thread count (asserted bitwise), while solve() on
-// sync-free blocks accumulates in completion order and is only
-// rounding-equal run to run — there the warm solver is held to the same
-// tight normwise bound the repo holds the threaded executor itself to.
+// Every executor path is bitwise deterministic at any thread count, so cold
+// and warm must agree bitwise on every solve entry point.
 
 /// `checked` compares solve_checked too (it needs verify.enabled).
 template <class T>
@@ -100,16 +96,9 @@ void expect_equal_solvers(const BlockSolver<T>& cold,
     EXPECT_EQ(cold.tri_info()[i].nnz, warm.tri_info()[i].nnz);
   }
   ASSERT_EQ(cold.step_waves().size(), warm.step_waves().size());
-  const bool exact = cold.threads() == 1 && warm.threads() == 1;
 
   const auto b = gen::random_rhs<T>(L.nrows, 7);
-  if (exact) {
-    EXPECT_EQ(cold.solve(b), warm.solve(b));  // bitwise
-  } else {
-    EXPECT_TRUE(blocktri::testing::VectorsNear(
-        warm.solve(b), cold.solve(b),
-        blocktri::testing::default_tol<T>()));
-  }
+  EXPECT_EQ(cold.solve(b), warm.solve(b));  // bitwise
 
   const index_t k = 3;
   std::vector<T> B;
@@ -124,18 +113,13 @@ void expect_equal_solvers(const BlockSolver<T>& cold,
   SolveResult<T> rw = warm.solve_checked(b);
   ASSERT_TRUE(rc.ok());
   ASSERT_TRUE(rw.ok());
-  if (exact) {
-    EXPECT_EQ(rc.x, rw.x);  // bitwise, including residual/refinement path
-    EXPECT_EQ(rc.report.residual, rw.report.residual);
-  } else {
-    EXPECT_TRUE(blocktri::testing::VectorsNear(
-        rw.x, rc.x, blocktri::testing::default_tol<T>()));
-  }
+  EXPECT_EQ(rc.x, rw.x);  // bitwise, including residual/refinement path
+  EXPECT_EQ(rc.report.residual, rw.report.residual);
 }
 
-/// What save_artifact writes for `s`: its whole captured state, including
-/// arrays no solve reads (e.g. the sync-free strict-row values). `tag`
-/// keeps the scratch file distinct across concurrently running tests.
+/// What save_artifact writes for `s`: its whole captured state, the verify
+/// copy of the matrix included. `tag` keeps the scratch file distinct
+/// across concurrently running tests.
 template <class T>
 std::string saved_bytes(const BlockSolver<T>& s, const std::string& tag) {
   const std::string path = artifact_path("bytes_" + tag);
@@ -216,24 +200,24 @@ TEST(PersistRoundTrip, AllSchemesThreadsFloat) {
           "rt_f_" + to_string(scheme) + "_" + std::to_string(threads));
 }
 
-// --- Format version stamps (ISSUE 10) ---------------------------------------
+// --- Format version ----------------------------------------------------------
 //
-// Each file claims the OLDEST version that can describe it, so plain
-// artifacts stay byte-identical to (and loadable by) pre-color builds. The
-// color section is what forces a file to version 4; a recursive untuned
-// artifact must still stamp version 1 exactly as it did before the HBMC
-// scheme existed.
+// An artifact is a cache: every file is stamped kArtifactFormatVersion (5),
+// optional sections included, and every other version — the older layouts
+// 1–4 among them — is a typed kVersionMismatch, which callers answer with a
+// cold build.
 
-TEST(PersistVersion, UntunedNonHbmcStillStampsVersionOne) {
+TEST(PersistVersion, PlainArtifactStampsVersionFive) {
   const Csr<double> L = fixture<double>(0);
   auto opt = small_block_options<double>();
   std::unique_ptr<BlockSolver<double>> s;
   ASSERT_TRUE(BlockSolver<double>::create(L, opt, &s).ok());
-  const std::string path = artifact_path("stamp_v1");
+  const std::string path = artifact_path("stamp_v5");
   ASSERT_TRUE(s->save_artifact(path).ok());
   const std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 8u);
-  EXPECT_EQ(bytes[4], 1);  // little-endian u32 version after the magic
+  EXPECT_EQ(kArtifactFormatVersion, 5u);
+  EXPECT_EQ(bytes[4], 5);  // little-endian u32 version after the magic
   EXPECT_EQ(bytes[5], 0);
   EXPECT_TRUE(blocktri::testing::ArtifactFramingHolds<double>(path));
   PlanArtifact<double> art;
@@ -242,12 +226,36 @@ TEST(PersistVersion, UntunedNonHbmcStillStampsVersionOne) {
   std::remove(path.c_str());
 }
 
-TEST(PersistVersion, HbmcStampsVersionFourAndCarriesColors) {
+TEST(PersistVersion, OlderVersionsAreVersionMismatch) {
+  const Csr<double> L = fixture<double>(0);
+  auto opt = small_block_options<double>();
+  std::unique_ptr<BlockSolver<double>> s;
+  ASSERT_TRUE(BlockSolver<double>::create(L, opt, &s).ok());
+  const std::string path = artifact_path("stamp_old");
+  ASSERT_TRUE(s->save_artifact(path).ok());
+  std::string bytes = read_file(path);
+  ASSERT_GT(bytes.size(), 8u);
+  for (char v = 1; v <= 4; ++v) {
+    SCOPED_TRACE(static_cast<int>(v));
+    bytes[4] = v;  // the header is not CRC-guarded: only the version moves
+    write_file(path, bytes);
+    PlanArtifact<double> art;
+    EXPECT_EQ(load_artifact(path, &art).code(), StatusCode::kVersionMismatch);
+    std::unique_ptr<BlockSolver<double>> warm;
+    EXPECT_EQ(
+        BlockSolver<double>::create_from_file(path, L, opt, &warm).code(),
+        StatusCode::kVersionMismatch);
+    EXPECT_EQ(warm, nullptr);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PersistVersion, HbmcArtifactCarriesColors) {
   const Csr<double> L = fixture<double>(0);
   auto opt = small_block_options<double>(BlockScheme::kHbmc);
   std::unique_ptr<BlockSolver<double>> s;
   ASSERT_TRUE(BlockSolver<double>::create(L, opt, &s).ok());
-  const std::string path = artifact_path("stamp_v4");
+  const std::string path = artifact_path("stamp_hbmc");
   ASSERT_TRUE(s->save_artifact(path).ok());
   const std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 8u);
@@ -283,10 +291,9 @@ TEST(PersistVersion, ColorSectionBitRotIsChecksumMismatch) {
 
 // A plan captured at threads = 1 must replay when rehydrated at threads = 4
 // — the fingerprint deliberately excludes the thread count, and the captured
-// waves must equal the ones a threads = 4 cold build computes. solve_many is
-// bitwise deterministic at any thread count, so it anchors the bitwise
-// claim; plain solve() on sync-free blocks is rounding-equal under a pool
-// (completion-order accumulation), matching the executor's own contract.
+// waves must equal the ones a threads = 4 cold build computes. Every solve
+// path is bitwise deterministic at any thread count, so the threads = 4
+// warm solver must match the threads = 1 capture source bitwise too.
 TEST(PersistRoundTrip, ThreadCountCrossover) {
   const Csr<double> L = fixture<double>(1);
   auto opt1 = small_block_options<double>();
@@ -305,9 +312,10 @@ TEST(PersistRoundTrip, ThreadCountCrossover) {
   EXPECT_EQ(warm4->threads(), 4);
   ASSERT_EQ(warm4->step_waves().size(), cold4->step_waves().size());
   expect_equal_solvers(*cold4, *warm4, L);
-  // And the batched path must agree bitwise with the serial capture source.
+  // And both paths must agree bitwise with the serial capture source.
   const auto b = gen::random_rhs<double>(L.nrows, 3);
   EXPECT_EQ(cold1->solve_many(b, 1), warm4->solve_many(b, 1));
+  EXPECT_EQ(cold1->solve(b), warm4->solve(b));
   std::remove(path.c_str());
 }
 
@@ -1090,7 +1098,8 @@ TEST_F(PersistFault, ReadErrorIsIoErrorNotTruncated) {
 //
 // The executors index with artifact contents unchecked (permute_vector
 // writes out[new_of_old[i]], spmv writes y[row_ids[r]], kernels read
-// x[col_idx[k]], the sync-free busy-wait counts down in_degree), so
+// x[col_idx[k]], the sync-free threaded solve spins on its dependencies'
+// ready flags), so
 // validate_artifact must prove every stored index in-bounds and every
 // invariant the kernels assume. Each test corrupts ONE field of a
 // legitimately captured artifact and expects the typed kBadFormat rejection
@@ -1184,15 +1193,34 @@ TEST_F(PersistSemantic, LevelItemOutOfRange) {
   GTEST_SKIP() << "fixture produced no level-set block";
 }
 
+// Alg. 3's in-degree of a row is its strict entries, all left of the
+// diagonal. A sync-free row that waits on a later row, or lacks its
+// trailing diagonal, must be rejected before its ready-flag spin could wait
+// forever or its division read the wrong pivot.
 TEST_F(PersistSemantic, SyncFreeInDegreeMismatch) {
-  auto art = capture(TriKernelKind::kSyncFree, SpmvKernelKind::kScalarCsr);
-  for (auto& b : art.tri) {
-    if (b.kind != TriKernelKind::kSyncFree || b.in_degree.empty()) continue;
-    ++b.in_degree[0];  // busy-wait would never see the count reach zero
-    expect_rejected(std::move(art), "in-degree disagrees with strict rows");
-    return;
+  const auto art =
+      capture(TriKernelKind::kSyncFree, SpmvKernelKind::kScalarCsr);
+  for (std::size_t t = 0; t < art.tri.size(); ++t) {
+    const TriBlockArtifact<double>& b = art.tri[t];
+    if (b.kind != TriKernelKind::kSyncFree || b.r1 - b.r0 < 2) continue;
+    const Csr<double>& rows = b.kernel_csr;
+    const index_t last = rows.nrows - 1;
+    // A strict entry of some row before the last points at the next row.
+    for (index_t i = 0; i < last; ++i) {
+      if (rows.row_nnz(i) < 2) continue;
+      auto above = art;
+      above.tri[t].kernel_csr.col_idx[static_cast<std::size_t>(
+          rows.row_ptr[static_cast<std::size_t>(i)])] = i + 1;
+      expect_rejected(std::move(above), "sync-free entry above the diagonal");
+      // The last row's diagonal is replaced by an entry left of it.
+      auto no_diag = art;
+      no_diag.tri[t].kernel_csr.col_idx[static_cast<std::size_t>(
+          rows.row_ptr[static_cast<std::size_t>(last) + 1] - 1)] = last - 1;
+      expect_rejected(std::move(no_diag), "sync-free row lacks its diagonal");
+      return;
+    }
   }
-  GTEST_SKIP() << "fixture produced no sync-free block";
+  GTEST_SKIP() << "fixture produced no sync-free block with a strict entry";
 }
 
 TEST_F(PersistSemantic, GarbageStepKind) {

@@ -24,8 +24,6 @@
 namespace blocktri {
 namespace {
 
-using blocktri::testing::VectorsNear;
-
 using Opt = BlockSolver<double>::Options;
 
 Csr<double> fixture() { return gen::grid2d(40, 25, 5); }  // n = 1000
@@ -185,7 +183,9 @@ TEST(Reentrancy, ConcurrentCheckedSolvesWithExecutorPool) {
     workers.emplace_back([&, t] { results[t] = solver->solve_checked(b); });
   for (auto& w : workers) w.join();
 
-  const std::vector<double> x_ref = solver->solve(b);
+  // Pool winner and serial losers run the same row expressions, so every
+  // caller gets the bits of a lone checked solve.
+  const std::vector<double> x_ref = solver->solve_checked(b).x;
   for (int t = 0; t < kThreads; ++t) {
     ASSERT_TRUE(results[t].ok()) << results[t].status.to_string();
     EXPECT_TRUE(results[t].report.residual_checked);
@@ -193,8 +193,7 @@ TEST(Reentrancy, ConcurrentCheckedSolvesWithExecutorPool) {
       EXPECT_EQ(d.kind, DegradeEvent::Kind::kParallelToSerial);
       EXPECT_EQ(d.reason, StatusCode::kReentrantSolve);
     }
-    EXPECT_TRUE(VectorsNear(results[t].x, x_ref,
-                            blocktri::testing::default_tol<double>()));
+    EXPECT_EQ(results[t].x, x_ref);
   }
 }
 
@@ -367,9 +366,9 @@ TEST(Cancellation, CancelFromAnotherThreadStopsTheSolve) {
 
 // --- Bounded sync-free spins -----------------------------------------------
 
-// A poisoned in-degree counter makes the parallel sync-free busy-wait
-// undrainable. With a control attached the bounded spin trips kSpinTimeout
-// — a typed error where the pre-session kernel livelocked forever.
+// A stalled ready flag makes the threaded sync-free busy-wait unfinishable.
+// With a control attached the bounded spin trips kSpinTimeout — a typed
+// error where the pre-session kernel livelocked forever.
 TEST(SpinTimeout, UncheckedSolveSurfacesTypedStatusInsteadOfLivelock) {
   Opt opt = base_options(BlockScheme::kColumn, 2);
   opt.adaptive = false;
@@ -394,9 +393,9 @@ TEST(SpinTimeout, UncheckedSolveSurfacesTypedStatusInsteadOfLivelock) {
 }
 
 // The checked ladder absorbs the same fault: the spin trip is consumed and
-// the block re-solved on a spin-free rung (level-set / serial never touch
-// the in-degree counters), so the caller sees a verified solve plus a
-// recorded per-block fallback.
+// the block re-solved on a spin-free rung (level-set / serial have no ready
+// flags), so the caller sees a verified solve plus a recorded per-block
+// fallback.
 TEST(SpinTimeout, CheckedLadderHealsAStuckSpin) {
   Opt opt = base_options(BlockScheme::kColumn, 2);
   opt.adaptive = false;
@@ -413,14 +412,14 @@ TEST(SpinTimeout, CheckedLadderHealsAStuckSpin) {
   EXPECT_GE(res.report.fallbacks.size(), 1u);  // block 0 degraded and healed
 }
 
-// The serial and batched sync-free paths never consult the in-degree
-// counters, so a poisoned solver still produces exact answers on every
-// spin-free rung — the property the self-healing direct-call path relies on.
+// The serial and batched sync-free paths have no ready flags, so a
+// poisoned solver still produces exact answers on every spin-free rung —
+// the property the self-healing direct-call path relies on.
 TEST(SpinTimeout, SpinFreePathsIgnorePoisonedCounters) {
   const Csr<double> L = gen::banded(400, 8, 2.0, 21);
   SyncFreeSolver<double> clean(L);
   SyncFreeSolver<double> poisoned(L);
-  poisoned.poison_in_degree_for_testing(0, 5);
+  poisoned.stall_row_for_testing(0);
   const auto b = gen::random_rhs<double>(L.nrows, 9);
   std::vector<double> x_ref(b.size()), x(b.size());
   clean.solve(b.data(), x_ref.data());

@@ -150,7 +150,7 @@ TEST(ShardPlan, SliceValidatesAndRoundTripsAsFormatV3) {
     ASSERT_TRUE(st.ok()) << "shard " << i << ": " << st.to_string();
 
     ASSERT_TRUE(save_artifact(path, slice).ok());
-    EXPECT_EQ(blocktri::testing::read_file_bytes(path)[4], 3);
+    EXPECT_EQ(blocktri::testing::read_file_bytes(path)[4], 5);
     EXPECT_TRUE(blocktri::testing::ArtifactFramingHolds<double>(path))
         << "shard " << i;
     PlanArtifact<double> loaded;

@@ -178,13 +178,41 @@ TEST(SyncFree, OneSolveKernelPlusReset) {
   // one for resetting left_sum / in_degree.
   EXPECT_EQ(rep.kernel_launches, 2);
   EXPECT_EQ(rep.grid_syncs, 0);
+  // The modelled Alg. 3 report, recorded from a build whose host kernel
+  // held the CSC: the transient column view must reproduce it exactly.
+  EXPECT_EQ(rep.ns, 0x1.21d6924924925p+16  /* 74198.571428571435 */);
+  EXPECT_EQ(rep.flops, 28804);
+  EXPECT_EQ(rep.bytes, 4675736);
+
+  // Warm cache over two solves: the hit counts are part of the model too.
+  sim::CacheModel cache(gpu.cache_bytes, gpu.cache_line_bytes,
+                        gpu.cache_assoc);
+  sim::SolveReport warm;
+  ts.cache = &cache;
+  ts.report = &warm;
+  solver.solve(b.data(), x.data(), &ts);
+  solver.solve(b.data(), x.data(), &ts);
+  EXPECT_EQ(warm.kernel_launches, 4);
+  EXPECT_EQ(warm.ns, 0x1.fc2e492492492p+15  /* 65047.142857142855 */);
+  EXPECT_EQ(warm.bytes, 477744);
+  EXPECT_EQ(warm.cache_hits, 69326u);
+  EXPECT_EQ(warm.cache_misses, 282u);
 }
 
 TEST(SyncFree, InDegreesMatchStrictRows) {
+  // Alg. 3's in-degrees are the strict row lengths: each kernel row minus
+  // its trailing diagonal.
   const auto L = blocktri::testing::figure1_matrix();
   SyncFreeSolver<double> solver(L);
-  EXPECT_EQ(solver.in_degree(),
-            (std::vector<index_t>{0, 0, 1, 1, 1, 2, 0, 2}));
+  const Csr<double>& rows = solver.matrix();
+  std::vector<index_t> strict;
+  for (index_t i = 0; i < rows.nrows; ++i) {
+    ASSERT_EQ(rows.col_idx[static_cast<std::size_t>(
+                  rows.row_ptr[static_cast<std::size_t>(i) + 1] - 1)],
+              i);
+    strict.push_back(static_cast<index_t>(rows.row_nnz(i)) - 1);
+  }
+  EXPECT_EQ(strict, (std::vector<index_t>{0, 0, 1, 1, 1, 2, 0, 2}));
 }
 
 TEST(CusparseLike, MergesSmallLevels) {

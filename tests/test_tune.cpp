@@ -5,7 +5,7 @@
 //     device (in-process cache), round-trippable through the .btcm codec
 //     with every defect class mapped to a typed Status;
 //   * Options::tune off => plans byte-for-byte identical to the untuned
-//     build (artifact files compare equal, format version stays 1);
+//     build (artifact files compare equal);
 //   * tuned solvers solve correctly and are never slower than the default
 //     adaptive plan under the exact simulator the search minimises;
 //   * tuning is paid once: a tuned artifact reloaded via create_from_file or
@@ -218,10 +218,9 @@ TEST(TuneOff, PlansAndArtifactsBitwiseIdentical) {
   ASSERT_TRUE(sb->save_artifact(pb).ok());
   const std::string fa = read_file(pa), fb = read_file(pb);
   EXPECT_EQ(fa, fb);
-  // Untuned artifacts keep on-disk format version 1 — byte-identical to
-  // pre-tuner builds, so older readers still accept them.
+  // Every artifact is stamped with the one format version.
   ASSERT_GT(fa.size(), 8u);
-  EXPECT_EQ(fa[4], 1);
+  EXPECT_EQ(fa[4], 5);
   std::remove(pa.c_str());
   std::remove(pb.c_str());
 }
@@ -242,7 +241,7 @@ TEST(TunePersist, TunedArtifactRoundTripsWithZeroRetuning) {
   ASSERT_TRUE(cold->save_artifact(path).ok());
   const std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 8u);
-  EXPECT_EQ(bytes[4], 2);  // tuned artifacts use format version 2
+  EXPECT_EQ(bytes[4], 5);  // the one format version, tuning section or not
   EXPECT_TRUE(blocktri::testing::ArtifactFramingHolds<double>(path));
 
   const std::uint64_t tunes = tune::tuning_run_count();
@@ -311,17 +310,17 @@ TEST(TunePersist, FingerprintMismatchForcesColdRebuild) {
   std::remove(path.c_str());
 }
 
-TEST(TunePersist, PreTunerArtifactsStillLoad) {
-  // An untuned artifact is a version-1 file with no tuning section — the
-  // pre-PR format. It must rehydrate with tuning defaults.
+TEST(TunePersist, UntunedArtifactLoadsWithTuningDefaults) {
+  // An untuned artifact is a version-5 file with no tuning section. It must
+  // rehydrate with tuning defaults.
   const Csr<double> L = gen::grid2d(50, 40, 5);
   typename BlockSolver<double>::Options opt;
   opt.planner.stop_rows = 64;
   std::unique_ptr<BlockSolver<double>> cold;
   ASSERT_TRUE(BlockSolver<double>::create(L, opt, &cold).ok());
-  const std::string path = tmp_path("v1.btpa");
+  const std::string path = tmp_path("untuned.btpa");
   ASSERT_TRUE(cold->save_artifact(path).ok());
-  EXPECT_EQ(read_file(path)[4], 1);
+  EXPECT_EQ(read_file(path)[4], 5);
 
   std::unique_ptr<BlockSolver<double>> warm;
   ASSERT_TRUE(BlockSolver<double>::create_from_file(path, L, opt, &warm).ok());

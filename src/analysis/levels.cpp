@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
+#include <utility>
 
 #include "common/prefix.hpp"
 
@@ -126,20 +128,24 @@ LevelSets compute_level_sets(index_t n, const std::vector<offset_t>& row_ptr,
     group_levels_parallel(ls, n, pool);
     return ls;
   }
+  return group_levels(std::move(ls.level_of), ls.nlevels);
+}
 
-  ls.level_ptr.assign(static_cast<std::size_t>(ls.nlevels) + 1, 0);
+LevelSets group_levels(std::vector<index_t> level_of, index_t nlevels) {
+  LevelSets ls;
+  ls.nlevels = nlevels;
+  ls.level_of = std::move(level_of);
+  const std::size_t n = ls.level_of.size();
+  ls.level_ptr.assign(static_cast<std::size_t>(nlevels) + 1, 0);
   for (const index_t l : ls.level_of)
     ++ls.level_ptr[static_cast<std::size_t>(l)];
   exclusive_scan_in_place(ls.level_ptr);
-  ls.level_item.resize(static_cast<std::size_t>(n));
-  {
-    std::vector<offset_t> cursor(ls.level_ptr.begin(), ls.level_ptr.end() - 1);
-    for (index_t i = 0; i < n; ++i) {
-      const auto l = static_cast<std::size_t>(
-          ls.level_of[static_cast<std::size_t>(i)]);
-      ls.level_item[static_cast<std::size_t>(cursor[l]++)] = i;
-    }
-  }
+  ls.level_item.resize(n);
+  std::vector<offset_t> cursor(ls.level_ptr.begin(), ls.level_ptr.end() - 1);
+  for (std::size_t i = 0; i < n; ++i)
+    ls.level_item[static_cast<std::size_t>(
+        cursor[static_cast<std::size_t>(ls.level_of[i])]++)] =
+        static_cast<index_t>(i);
   return ls;
 }
 
@@ -147,56 +153,96 @@ std::uint64_t level_analysis_count() {
   return g_level_analysis_count.load(std::memory_order_relaxed);
 }
 
+void note_level_analysis() {
+  g_level_analysis_count.fetch_add(1, std::memory_order_relaxed);
+}
+
+LevelOrderState::LevelOrderState(index_t n)
+    : old_of_new(static_cast<std::size_t>(n)),
+      new_of_old(static_cast<std::size_t>(n)),
+      level(static_cast<std::size_t>(n)),
+      nnz(static_cast<std::size_t>(n)) {
+  std::iota(old_of_new.begin(), old_of_new.end(), 0);
+  std::iota(new_of_old.begin(), new_of_old.end(), 0);
+}
+
 namespace {
 
-/// One node of level_order_nodes: the compute_level_sets recurrence over the
-/// node's rows in their current order, restricted to the node's diagonal
-/// block, then a counting sort of the node's old_of_new slice by level
-/// (ascending current position within a level, as level_item orders it).
+/// One unsettled node of level_order_nodes: the compute_level_sets
+/// recurrence over the node's rows in their current order, restricted to
+/// the node's diagonal block, then a counting sort of the node's rows by
+/// level (ascending current position within a level, as level_item orders
+/// it) that carries each row's level and in-node count along.
 NodeLevels level_order_node(const std::vector<offset_t>& row_ptr,
-                            const std::vector<index_t>& col_idx,
-                            const std::vector<index_t>& new_of_old,
-                            index_t r0, index_t r1, index_t* old_of_new) {
+                            const std::vector<index_t>& col_idx, index_t r0,
+                            index_t r1, LevelOrderState* st) {
   NodeLevels out;
-  std::vector<index_t> level(static_cast<std::size_t>(r1 - r0));
+  const auto rows = static_cast<std::size_t>(r1 - r0);
+  std::vector<index_t> level(rows);
+  std::vector<offset_t> count(rows);
   index_t max_level = -1;
   for (index_t p = r0; p < r1; ++p) {
-    const auto i = static_cast<std::size_t>(old_of_new[p]);
+    const auto i = static_cast<std::size_t>(st->old_of_new[p]);
     index_t lvl = 0;
+    offset_t in_node = 0;
     for (offset_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-      const index_t c = new_of_old[static_cast<std::size_t>(
+      const index_t c = st->new_of_old[static_cast<std::size_t>(
           col_idx[static_cast<std::size_t>(k)])];
       if (c < r0) continue;  // left of the node: not in its diagonal block
-      ++out.nnz;
+      ++in_node;
       BLOCKTRI_CHECK_MSG(c <= p, "level_order_nodes: matrix is not lower "
                                  "triangular");
       if (c == p) continue;  // diagonal is not a dependency
       lvl = std::max(lvl, level[static_cast<std::size_t>(c - r0)] + index_t{1});
     }
     level[static_cast<std::size_t>(p - r0)] = lvl;
+    count[static_cast<std::size_t>(p - r0)] = in_node;
+    out.nnz += in_node;
     max_level = std::max(max_level, lvl);
   }
   out.nlevels = max_level + 1;
-  if (out.nlevels <= 1) return out;  // one level: the current order stands
+  index_t* const old_of_new = st->old_of_new.data() + r0;
+  index_t* const level_at = st->level.data() + r0;
+  offset_t* const nnz_at = st->nnz.data() + r0;
+  if (out.nlevels <= 1) {  // one level: the current order stands
+    std::copy(level.begin(), level.end(), level_at);
+    std::copy(count.begin(), count.end(), nnz_at);
+    return out;
+  }
 
   std::vector<index_t> cursor(static_cast<std::size_t>(out.nlevels) + 1, 0);
   for (const index_t l : level) ++cursor[static_cast<std::size_t>(l) + 1];
   for (std::size_t l = 1; l < cursor.size(); ++l) cursor[l] += cursor[l - 1];
-  const std::vector<index_t> rows(old_of_new + r0, old_of_new + r1);
-  for (std::size_t q = 0; q < rows.size(); ++q)
-    old_of_new[r0 + cursor[static_cast<std::size_t>(level[q])]++] = rows[q];
+  const std::vector<index_t> ids(old_of_new, old_of_new + rows);
+  for (std::size_t q = 0; q < rows; ++q) {
+    const auto to = static_cast<std::size_t>(
+        cursor[static_cast<std::size_t>(level[q])]++);
+    old_of_new[to] = ids[q];
+    level_at[to] = level[q];
+    nnz_at[to] = count[q];
+  }
+  return out;
+}
+
+/// A settled node: its rows already carry the levels and in-node counts of
+/// the sweep that ordered them, sorted by level.
+NodeLevels settled_node(const LevelOrderState& st, index_t r0, index_t r1) {
+  NodeLevels out;
+  if (r1 <= r0) return out;
+  out.nlevels = st.level[static_cast<std::size_t>(r1) - 1] + 1;
+  for (index_t p = r0; p < r1; ++p)
+    out.nnz += st.nnz[static_cast<std::size_t>(p)];
   return out;
 }
 
 }  // namespace
 
-std::vector<NodeLevels> level_order_nodes(
-    const std::vector<offset_t>& row_ptr, const std::vector<index_t>& col_idx,
-    const std::vector<std::pair<index_t, index_t>>& nodes,
-    std::vector<index_t>* old_of_new, std::vector<index_t>* new_of_old,
-    ThreadPool* pool) {
-  BLOCKTRI_CHECK(old_of_new->size() == new_of_old->size());
-  BLOCKTRI_CHECK(row_ptr.size() == old_of_new->size() + 1);
+std::vector<NodeLevels> level_order_nodes(const std::vector<offset_t>& row_ptr,
+                                          const std::vector<index_t>& col_idx,
+                                          const std::vector<LevelNode>& nodes,
+                                          LevelOrderState* state,
+                                          ThreadPool* pool) {
+  BLOCKTRI_CHECK(row_ptr.size() == state->old_of_new.size() + 1);
   g_level_analysis_count.fetch_add(1, std::memory_order_relaxed);
   std::vector<NodeLevels> out(nodes.size());
   const auto nnodes = static_cast<int>(nodes.size());
@@ -210,14 +256,16 @@ std::vector<NodeLevels> level_order_nodes(
   // Every node reads new_of_old anywhere, so it is re-inverted only after
   // all sweeps finished; each node then rewrites the entries of its own rows.
   for_each_node([&](std::size_t nd) {
-    out[nd] = level_order_node(row_ptr, col_idx, *new_of_old, nodes[nd].first,
-                               nodes[nd].second, old_of_new->data());
+    const LevelNode& node = nodes[nd];
+    out[nd] = node.settled
+                  ? settled_node(*state, node.r0, node.r1)
+                  : level_order_node(row_ptr, col_idx, node.r0, node.r1, state);
   });
   for_each_node([&](std::size_t nd) {
-    if (out[nd].nlevels <= 1) return;
-    for (index_t p = nodes[nd].first; p < nodes[nd].second; ++p)
-      (*new_of_old)[static_cast<std::size_t>(
-          (*old_of_new)[static_cast<std::size_t>(p)])] = p;
+    if (nodes[nd].settled || out[nd].nlevels <= 1) return;
+    for (index_t p = nodes[nd].r0; p < nodes[nd].r1; ++p)
+      state->new_of_old[static_cast<std::size_t>(
+          state->old_of_new[static_cast<std::size_t>(p)])] = p;
   });
   return out;
 }

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -62,12 +61,24 @@ LevelSets compute_level_sets(index_t n, const std::vector<offset_t>& row_ptr,
                              index_t merge_width = 0);
 
 /// Process-wide count of level analyses (atomic): one per compute_level_sets
-/// call and one per level_order_nodes call (one recursion depth of the §3.3
-/// planner). Level analysis is the dominant preprocessing cost (Table 5), so
-/// the plan persistence contract — a warm PlanCache hit or a loaded artifact
-/// performs *zero* level-set analysis — is asserted by diffing this counter
-/// around the warm path (tests/test_persist.cpp).
+/// call, one per level_order_nodes call (one recursion depth of the §3.3
+/// planner) and one per note_level_analysis call. Level analysis is the
+/// dominant preprocessing cost (Table 5), so the plan persistence contract —
+/// a warm PlanCache hit or a loaded artifact performs *zero* level-set
+/// analysis — is asserted by diffing this counter around the warm path
+/// (tests/test_persist.cpp).
 std::uint64_t level_analysis_count();
+
+/// Counts one level analysis that ran outside this module: BlockSolver's
+/// build walk computes the levels of every triangular block while it fills
+/// the blocks, and counts that walk as one analysis.
+void note_level_analysis();
+
+/// The grouping half of compute_level_sets: level_ptr and level_item for a
+/// level_of another pass computed (components ascending within a level),
+/// identical to what compute_level_sets returns for the same levels. Not a
+/// level analysis of its own.
+LevelSets group_levels(std::vector<index_t> level_of, index_t nlevels);
 
 /// What level_order_nodes found in one node's diagonal block.
 struct NodeLevels {
@@ -75,26 +86,54 @@ struct NodeLevels {
   offset_t nnz = 0;     // nonzeros of the block, diagonal included
 };
 
+/// One node of a level_order_nodes depth: permuted rows [r0, r1).
+/// `settled` marks the top half of a node an earlier depth level-ordered —
+/// directly, or as the top half of a settled node. That node's rows are
+/// sorted by level, so every in-node dependency of a top-half row is
+/// another top-half row sorted before it: the half's own sweep would find
+/// the same levels and keep the same order. Its NodeLevels are read from the
+/// state instead of swept.
+struct LevelNode {
+  index_t r0 = 0, r1 = 0;
+  bool settled = false;
+};
+
+/// The running state of §3.3's reordering across the depths of one plan.
+/// (old_of_new, new_of_old) is the composite symmetric permutation so far:
+/// permuted row p is row old_of_new[p], and column j lands at new_of_old[j].
+/// For every permuted row, `level` and `nnz` hold its level and its count
+/// of in-node entries in the last node swept over it.
+struct LevelOrderState {
+  std::vector<index_t> old_of_new, new_of_old;
+  std::vector<index_t> level;
+  std::vector<offset_t> nnz;
+
+  /// The identity permutation over n rows.
+  explicit LevelOrderState(index_t n);
+};
+
 /// One depth of §3.3's recursive level-set reordering, run on index arrays
-/// instead of an extracted and re-permuted matrix. (old_of_new, new_of_old)
-/// is a symmetric permutation of the lower-triangular pattern
-/// (row_ptr, col_idx): permuted row p is row old_of_new[p], and column j
-/// lands at new_of_old[j]. `nodes` are disjoint [r0, r1) ranges of permuted
-/// rows. Each node is analysed exactly as compute_level_sets would analyse
-/// its diagonal block of the permuted matrix: a dependency on a column before
-/// r0 is outside the block and ignored, and an entry above the diagonal
-/// throws. The node's slice of old_of_new is then reordered by
-/// (level, current position) — level_order_permutation of that block — and
-/// new_of_old is updated to match. Rows outside every node keep their place.
+/// instead of an extracted and re-permuted matrix, over the lower-triangular
+/// pattern (row_ptr, col_idx) under `state`'s permutation. `nodes` are
+/// disjoint row ranges. Each unsettled node is analysed exactly as
+/// compute_level_sets would analyse its diagonal block of the permuted
+/// matrix: a dependency on a column before r0 is outside the block and
+/// ignored, and an entry above the diagonal throws. The node's slice of
+/// old_of_new is then reordered by (level, current position) —
+/// level_order_permutation of that block — and new_of_old, level and nnz
+/// are updated to match. A settled node keeps its rows and reads its
+/// NodeLevels from the state: nlevels is its last row's level + 1, nnz the
+/// sum of its rows' in-node counts. Rows outside every node keep their
+/// place.
 ///
-/// Nodes run across the pool (each writes only its own old_of_new slice);
+/// Nodes run across the pool (each writes only its own rows of the state);
 /// the result does not depend on the pool. Counts as ONE level analysis
 /// however many nodes it covers.
-std::vector<NodeLevels> level_order_nodes(
-    const std::vector<offset_t>& row_ptr, const std::vector<index_t>& col_idx,
-    const std::vector<std::pair<index_t, index_t>>& nodes,
-    std::vector<index_t>* old_of_new, std::vector<index_t>* new_of_old,
-    ThreadPool* pool = nullptr);
+std::vector<NodeLevels> level_order_nodes(const std::vector<offset_t>& row_ptr,
+                                          const std::vector<index_t>& col_idx,
+                                          const std::vector<LevelNode>& nodes,
+                                          LevelOrderState* state,
+                                          ThreadPool* pool = nullptr);
 
 template <class T>
 LevelSets compute_level_sets(const Csr<T>& lower, ThreadPool* pool = nullptr,

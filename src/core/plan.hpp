@@ -107,16 +107,61 @@ BlockPlan plan_column(index_t n, index_t nseg);
 /// segment is ever empty.
 BlockPlan plan_row(index_t n, index_t nseg);
 
+/// Nonzeros of every block of a plan, each triangle's diagonal included:
+/// what a build sizes its block arrays from.
+struct BlockNnz {
+  std::vector<offset_t> tri;      // per triangular leaf
+  std::vector<offset_t> squares;  // per square, in plan order
+};
+
 /// Fig. 2(c) + §3.3: recursive halving with per-node level-set reordering.
-/// Returns the plan and (through `permuted`) the reordered matrix the
-/// executor should store. The reordering runs on index arrays — one level
-/// sweep over `lower` per recursion depth, composing one permutation — and
-/// applies that permutation once at the end. A pool parallelises the nodes
-/// of each depth (they cover disjoint row ranges); the resulting plan is
-/// identical to the serial one.
+/// Returns the plan — its decisions: the permutation, the blocks and their
+/// order — and, when `permuted` is not null, the reordered matrix (one
+/// permute_symmetric of `lower`, or `lower` itself when no row moved). The
+/// reordering runs on index arrays: one level sweep over `lower` per
+/// recursion depth, composing one permutation. A pool parallelises the
+/// nodes of each depth (they cover disjoint row ranges); the resulting plan
+/// is identical to the serial one. When `block_nnz` is given and the
+/// reordering ran, it receives every block's nonzero count, read off the
+/// sweeps; otherwise it is left empty.
 template <class T>
 BlockPlan plan_recursive(const Csr<T>& lower, const PlannerOptions& opt,
-                         Csr<T>* permuted, ThreadPool* pool = nullptr);
+                         Csr<T>* permuted, ThreadPool* pool = nullptr,
+                         BlockNnz* block_nnz = nullptr);
+
+/// Counts every block's nonzeros of `lower` under `plan` in one pass over
+/// its rows — for plans whose planner did not report them. An entry no
+/// block covers is not counted.
+template <class T>
+BlockNnz count_block_nnz(const Csr<T>& lower, const BlockPlan& plan);
+
+/// The squares of a plan that cover one permuted row, for a pass that
+/// visits the rows in ascending order: a square enters at its first row and
+/// leaves after its last. Active squares are ordered by first column; their
+/// column ranges are disjoint in every plan the planners make.
+class SquareWindow {
+ public:
+  struct Active {
+    std::size_t q = 0;  // index into the plan's squares
+    index_t r0 = 0, r1 = 0, c0 = 0, c1 = 0;
+  };
+
+  explicit SquareWindow(const std::vector<SquareBlockRef>& squares);
+
+  /// Moves to permuted row `row` — not below the previous call's — and
+  /// returns the squares covering it.
+  const std::vector<Active>& at(index_t row);
+
+  /// The active square whose column range holds `c`, or nullptr.
+  const Active* find(index_t c) const;
+
+ private:
+  const std::vector<SquareBlockRef>& squares_;
+  std::vector<std::size_t> by_r0_;
+  std::size_t next_ = 0;
+  std::vector<Active> active_;
+  index_t first_end_ = 0;  // the first row past an active square
+};
 
 /// nseg+1 near-equal boundaries over [0, n].
 std::vector<index_t> uniform_boundaries(index_t n, index_t nseg);

@@ -8,6 +8,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
@@ -150,28 +151,23 @@ BlockSolver<T>::BlockSolver(const Csr<T>& lower, const Options& opt,
   nnz_ = lower.nnz();
   structure_hash_ = structure;
 
-  // The pool exists before planning so preprocessing (per-node level
-  // analyses, the recursive planner's sweeps) can use it too.
+  // The pool exists before planning so preprocessing (the recursive
+  // planner's sweeps) can use it too.
   threads_ = resolve_threads(opt.threads);
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_);
 
-  // --- Partition (and, for the recursive scheme, reorder). ---
-  Csr<T> stored;
-  // Per-block decisions adopted from the tuner (kRecursive + tune.enabled
-  // only); the block loops below then skip the feature/selector work the
-  // search already did.
-  std::vector<TriKernelKind> tuned_tri;
-  std::vector<index_t> tuned_nlevels;
-  std::vector<SpmvKernelKind> tuned_sq;
-  std::vector<double> tuned_empty;
+  // --- Partition (and, for the recursive scheme, reorder): the planners
+  // return their decisions only; the blocks are built from `lower` below.
+  BlockNnz counts;
+  // The tuner's plan and per-block decisions (kRecursive + tune.enabled
+  // only); the build then adopts its kernels instead of selecting.
+  tune::TunedPlan<T> tp;
   switch (opt.scheme) {
     case BlockScheme::kColumn:
       plan_ = plan_column(lower.nrows, opt.planner.nseg);
-      stored = lower;
       break;
     case BlockScheme::kRow:
       plan_ = plan_row(lower.nrows, opt.planner.nseg);
-      stored = lower;
       break;
     case BlockScheme::kRecursive:
       if (opt.tune.enabled) {
@@ -180,19 +176,15 @@ BlockSolver<T>::BlockSolver(const Csr<T>& lower, const Options& opt,
         // (matrix, options) — warm artifact/PlanCache paths re-run neither.
         const tune::CostModel& model =
             tune::ensure_cost_model(opt.tune.gpu, opt.tune.model_path);
-        tune::TunedPlan<T> tp = tune::autotune_recursive(
-            lower, opt.planner, opt.thresholds, model, opt.tune, pool_.get());
+        tp = tune::autotune_recursive(lower, opt.planner, opt.thresholds,
+                                      model, opt.tune, pool_.get());
         plan_ = std::move(tp.plan);
-        stored = std::move(tp.stored);
-        tuned_tri = std::move(tp.tri_kinds);
-        tuned_nlevels = std::move(tp.tri_nlevels);
-        tuned_sq = std::move(tp.square_kinds);
-        tuned_empty = std::move(tp.square_empty_ratio);
         merge_width_ = tp.merge_width;
         tune_stats_ = tp.stats;
         tuned_ = true;
       } else {
-        plan_ = plan_recursive(lower, opt.planner, &stored, pool_.get());
+        plan_ = plan_recursive<T>(lower, opt.planner, nullptr, pool_.get(),
+                                  &counts);
       }
       break;
     case BlockScheme::kHbmc:
@@ -200,116 +192,13 @@ BlockSolver<T>::BlockSolver(const Csr<T>& lower, const Options& opt,
       // color-fusion bound (DESIGN.md §16); untuned it is the constant
       // kLevelMergeMaxWidth, so the plan stays a pure function of the
       // options fingerprint.
-      plan_ = order::plan_hbmc(lower, opt.planner,
-                               static_cast<index_t>(merge_width_), &stored,
-                               pool_.get());
+      plan_ = order::plan_hbmc<T>(lower, opt.planner,
+                                  static_cast<index_t>(merge_width_), nullptr,
+                                  pool_.get());
       break;
   }
 
-  // --- Extract blocks, select kernels, build per-block structures. The
-  // blocks are created in execution order, which is also the order their
-  // simulated addresses would be laid out in the §3.3 contiguous arena.
-  tri_.resize(static_cast<std::size_t>(plan_.num_tri_blocks()));
-  squares_.resize(plan_.squares.size());
-
-  for (index_t t = 0; t < plan_.num_tri_blocks(); ++t) {
-    const index_t r0 = plan_.tri_bounds[static_cast<std::size_t>(t)];
-    const index_t r1 = plan_.tri_bounds[static_cast<std::size_t>(t) + 1];
-    Csr<T> blk = extract_block(stored, r0, r1, r0, r1);
-    build_ops_ += blk.nnz() + (r1 - r0);
-    build_bytes_ += blk.nnz() * static_cast<std::int64_t>(sizeof(index_t) +
-                                                          sizeof(T));
-
-    TriBlock& out = tri_[static_cast<std::size_t>(t)];
-    out.info.r0 = r0;
-    out.info.r1 = r1;
-    out.info.nnz = blk.nnz();
-
-    TriKernelKind kind;
-    if (tuned_) {
-      out.info.nlevels = tuned_nlevels[static_cast<std::size_t>(t)];
-      kind = tuned_tri[static_cast<std::size_t>(t)];
-    } else {
-      const TriangularFeatures feat = compute_triangular_features(blk);
-      out.info.nlevels = feat.nlevels;
-      kind = opt.adaptive ? select_tri_kernel(feat, opt.thresholds)
-                          : opt.forced_tri;
-    }
-    // A forced kernel still degrades gracefully on a diagonal block: every
-    // kernel handles it, so honour the forced choice except that the
-    // diagonal fast path requires an actually-diagonal block.
-    if (kind == TriKernelKind::kCompletelyParallel && out.info.nlevels > 1)
-      kind = TriKernelKind::kSyncFree;
-    out.info.kind = kind;
-
-    switch (kind) {
-      case TriKernelKind::kCompletelyParallel: {
-        StrictLowerSplit<T> split = split_diagonal(blk);
-        BLOCKTRI_CHECK(split.strict.nnz() == 0);
-        out.diag = std::make_unique<DiagonalSolver<T>>(std::move(split.diag));
-        break;
-      }
-      case TriKernelKind::kLevelSet:
-        out.levelset = std::make_unique<LevelSetSolver<T>>(
-            std::move(blk), pool_.get(), merge_width_);
-        build_ops_ += out.info.nnz;  // level analysis in the sub-solver
-        break;
-      case TriKernelKind::kSyncFree:
-        out.syncfree = std::make_unique<SyncFreeSolver<T>>(std::move(blk));
-        // Alg. 3's preprocessing as the Table 5 host model prices it (CSC
-        // conversion + in-degrees); the host keeps the rows as they are.
-        build_ops_ += 2 * out.info.nnz;
-        build_bytes_ += 2 * out.info.nnz *
-                        static_cast<std::int64_t>(sizeof(index_t) + sizeof(T));
-        break;
-      case TriKernelKind::kCusparseLike:
-        out.cusparse =
-            std::make_unique<CusparseLikeSolver<T>>(std::move(blk));
-        build_ops_ += out.info.nnz;
-        break;
-    }
-    tri_info_.push_back(out.info);
-  }
-
-  for (std::size_t q = 0; q < plan_.squares.size(); ++q) {
-    const SquareBlockRef ref = plan_.squares[q];
-    Csr<T> blk = extract_block(stored, ref.r0, ref.r1, ref.c0, ref.c1);
-    build_ops_ += blk.nnz() + (ref.r1 - ref.r0);
-    build_bytes_ += blk.nnz() * static_cast<std::int64_t>(sizeof(index_t) +
-                                                          sizeof(T));
-    SquareBlock& out = squares_[q];
-    out.info.ref = ref;
-    out.info.nnz = blk.nnz();
-    if (blk.nnz() == 0) {
-      // Empty square: a no-op both executors skip (compute_step_waves drops
-      // it from the waves, exec_step returns early), so adaptive selection
-      // and a DCSR build would be pure waste. Mark it canonically as
-      // scalar-CSR so serial, wave and introspection paths agree.
-      out.info.kind = SpmvKernelKind::kScalarCsr;
-      out.info.empty_ratio = ref.r1 > ref.r0 ? 1.0 : 0.0;
-      out.csr = std::move(blk);
-      square_info_.push_back(out.info);
-      continue;
-    }
-    if (tuned_) {
-      out.info.empty_ratio = tuned_empty[q];
-      out.info.kind = tuned_sq[q];
-    } else {
-      const MatrixFeatures feat = compute_features(blk);
-      out.info.empty_ratio = feat.empty_ratio;
-      out.info.kind = opt.adaptive
-                          ? select_square_kernel(feat, opt.thresholds)
-                          : opt.forced_square;
-    }
-    if (out.info.kind == SpmvKernelKind::kScalarDcsr ||
-        out.info.kind == SpmvKernelKind::kVectorDcsr) {
-      out.dcsr = csr_to_dcsr(blk);
-      build_ops_ += ref.r1 - ref.r0;
-    } else {
-      out.csr = std::move(blk);
-    }
-    square_info_.push_back(out.info);
-  }
+  build_blocks(lower, std::move(counts), tuned_ ? &tp : nullptr);
 
   // Wave analysis for the multithreaded executor; the empty-square list lets
   // independent triangles (block-diagonal structure) share a wave. Computed
@@ -320,18 +209,6 @@ BlockSolver<T>::BlockSolver(const Csr<T>& lower, const Options& opt,
     for (std::size_t q = 0; q < squares_.size(); ++q)
       square_nnz[q] = squares_[q].info.nnz;
     waves_ = compute_step_waves(plan_, square_nnz);
-  }
-
-  if (opt.verify.enabled) {
-    for (index_t i = 0; i < stored.nrows; ++i) {
-      double s = 0.0;
-      for (offset_t k = stored.row_ptr[static_cast<std::size_t>(i)];
-           k < stored.row_ptr[static_cast<std::size_t>(i) + 1]; ++k)
-        s += std::fabs(
-            static_cast<double>(stored.val[static_cast<std::size_t>(k)]));
-      norm_inf_ = std::max(norm_inf_, s);
-    }
-    stored_ = std::move(stored);
   }
 
   // --- Simulated address layout: x | b | scratch (left_sum + in_degree). ---
@@ -861,6 +738,16 @@ Status BlockSolver<T>::create(const Csr<T>& lower, const Options& opt,
   BLOCKTRI_CHECK(out != nullptr);
   if (Status st = check_lower_triangular(lower); !st.ok()) return st;
   const std::uint64_t structure = blocktri::structure_hash(lower);
+  // The cold build, its invariant throws (e.g. a planner layout the build
+  // walk rejects) returned as the Status this factory promises.
+  const auto build_cold = [&]() -> Status {
+    try {
+      out->reset(new BlockSolver<T>(lower, opt, structure));
+    } catch (const Error& e) {
+      return e.status();
+    }
+    return Status::Ok();
+  };
   if (cache != nullptr) {
     const PlanCacheKey key{structure, options_fingerprint(opt)};
     bool hit_failed = false;
@@ -887,7 +774,7 @@ Status BlockSolver<T>::create(const Csr<T>& lower, const Options& opt,
       hit_failed = true;
       cache->report_hit_failure(key);
     }
-    out->reset(new BlockSolver<T>(lower, opt, structure));
+    if (Status st = build_cold(); !st.ok()) return st;
     // When the cached entry just failed the warm path, overwrite it: leaving
     // it in place would make every future create() for this key pay the
     // failed warm attempt plus a cold build forever. (A quarantined key
@@ -898,8 +785,7 @@ Status BlockSolver<T>::create(const Csr<T>& lower, const Options& opt,
         /*overwrite=*/hit_failed, /*trusted=*/true);
     return Status::Ok();
   }
-  out->reset(new BlockSolver<T>(lower, opt, structure));
-  return Status::Ok();
+  return build_cold();
 }
 
 template <class T>
@@ -1248,58 +1134,268 @@ Status BlockSolver<T>::refresh_values(const Csr<T>& lower) {
 
 namespace {
 
-/// One row of a CSR-like install target: values must arrive in the row's
-/// own column order, each checked against the stored index and the row end.
-template <class T>
+/// One row of a block array the walk writes. A build appends: the row ends
+/// where its last entry lands, bounded by the array's exact length. An
+/// install checks each column against the held index and writes the value,
+/// and the row must end exactly full.
+template <class T, bool kBuild>
 struct RowSink {
-  const index_t* col = nullptr;
+  using Ptr = std::conditional_t<kBuild, offset_t, const offset_t>;
+  using Idx = std::conditional_t<kBuild, index_t, const index_t>;
+  Ptr* ptr = nullptr;
+  Idx* col = nullptr;
   T* val = nullptr;
+  std::size_t row = 0;
   offset_t pos = 0, end = 0;
 
-  RowSink() = default;
-  RowSink(const offset_t* ptr, const index_t* idx, T* v, std::size_t row)
-      : col(idx), val(v), pos(ptr[row]), end(ptr[row + 1]) {}
+  RowSink(Ptr* p, Idx* c, T* v, std::size_t r, offset_t len)
+      : ptr(p), col(c), val(v), row(r), pos(p[r]),
+        end(kBuild ? len : p[r + 1]) {}
 
   bool put(index_t c, T v) {
-    if (pos >= end || col[pos] != c) return false;
+    if (pos >= end) return false;
+    if constexpr (kBuild) {
+      col[pos] = c;
+    } else if (col[pos] != c) {
+      return false;
+    }
     val[pos++] = v;
     return true;
   }
-  bool full() const { return pos == end; }
+  bool close() {
+    if constexpr (kBuild) ptr[row + 1] = pos;
+    return kBuild || pos == end;
+  }
+};
+
+/// One CSR-like array set the walk writes: its row pointers, column
+/// indices and values, and — for an installed DCSR square — the stored row
+/// ids.
+template <class T, bool kBuild>
+struct Target {
+  typename RowSink<T, kBuild>::Ptr* ptr = nullptr;
+  typename RowSink<T, kBuild>::Idx* col = nullptr;
+  T* val = nullptr;
+  offset_t len = 0;
+  const index_t* row_ids = nullptr;  // DCSR install only
+  std::size_t nrow_ids = 0, next_row = 0;
+
+  /// `m`'s arrays, its values written through `v` (a kernel hands out its
+  /// values only).
+  template <class M>
+  static Target of(M& m, T* v) {
+    return {m.row_ptr.data(), m.col_idx.data(), v,
+            static_cast<offset_t>(m.val.size())};
+  }
+  template <class M>
+  static Target of(M& m) {
+    return of(m, m.val.data());
+  }
+  RowSink<T, kBuild> row(std::size_t r) const {
+    return {ptr, col, val, r, len};
+  }
 };
 
 /// Whether a square keeps its values in the DCSR arrays (an empty square
-/// stays CSR whatever its kind, see the cold constructor).
+/// stays CSR whatever its kind, see build_blocks).
 inline bool holds_dcsr(SpmvKernelKind kind, offset_t nnz) {
   return nnz != 0 && (kind == SpmvKernelKind::kScalarDcsr ||
                       kind == SpmvKernelKind::kVectorDcsr);
 }
 
+/// An empty CSR of the given shape with room for exactly `nnz` entries.
+template <class T>
+Csr<T> sized_csr(index_t nrows, index_t ncols, offset_t nnz) {
+  Csr<T> m;
+  m.nrows = nrows;
+  m.ncols = ncols;
+  m.row_ptr.assign(static_cast<std::size_t>(nrows) + 1, 0);
+  m.col_idx.resize(static_cast<std::size_t>(nnz));
+  m.val.resize(static_cast<std::size_t>(nnz));
+  return m;
+}
+
 }  // namespace
 
 template <class T>
-Status BlockSolver<T>::install_values(const Csr<T>& lower) {
-  if (!slice_.empty())
-    return Status(StatusCode::kInvalidArgument,
-                  "plan is " + slice_ +
-                      ": it holds only its shard's blocks and cannot take "
-                      "the values of a whole matrix");
-  const auto mismatch = [](const char* what) {
-    return Status(StatusCode::kStructureMismatch,
-                  std::string("value install: ") + what +
-                      " disagrees with the sparsity pattern of the values");
+struct BlockSolver<T>::BuildState {
+  std::vector<Csr<T>> tri;       // each triangle's rows, diagonal last
+  std::vector<index_t> level;    // per permuted row: its level in its triangle
+  std::vector<index_t> nlevels;  // per triangle
+  std::vector<index_t> sq_rows;  // per square: rows holding an entry
+};
+
+template <class T>
+void BlockSolver<T>::build_blocks(const Csr<T>& lower, BlockNnz counts,
+                                  const tune::TunedPlan<T>* tuned) {
+  const index_t ntri = plan_.num_tri_blocks();
+  const std::size_t nsq = plan_.squares.size();
+  if (counts.tri.size() != static_cast<std::size_t>(ntri) ||
+      counts.squares.size() != nsq)
+    counts = count_block_nnz(lower, plan_);
+
+  // Every array at its exact final length, so the walk only writes.
+  BuildState b;
+  b.tri.reserve(static_cast<std::size_t>(ntri));
+  for (index_t t = 0; t < ntri; ++t) {
+    const index_t rows = plan_.tri_bounds[static_cast<std::size_t>(t) + 1] -
+                         plan_.tri_bounds[static_cast<std::size_t>(t)];
+    b.tri.push_back(
+        sized_csr<T>(rows, rows, counts.tri[static_cast<std::size_t>(t)]));
+  }
+  b.level.resize(static_cast<std::size_t>(plan_.n));
+  b.nlevels.assign(static_cast<std::size_t>(ntri), 0);
+  b.sq_rows.assign(nsq, 0);
+  squares_.resize(nsq);
+  for (std::size_t q = 0; q < nsq; ++q) {
+    const SquareBlockRef& ref = plan_.squares[q];
+    squares_[q].csr = sized_csr<T>(ref.r1 - ref.r0, ref.c1 - ref.c0,
+                                   counts.squares[q]);
+  }
+  if (opt_.verify.enabled) stored_ = sized_csr<T>(plan_.n, plan_.n, nnz_);
+
+  throw_if_error(walk_rows<true>(lower, &b));
+  note_level_analysis();  // the walk computed every triangle's levels
+
+  // --- Triangles: select each kernel from (rows, nnz, nlevels) and hand it
+  // the rows; level-scheduled kernels adopt the walk's levels.
+  const auto elem = static_cast<std::int64_t>(sizeof(index_t) + sizeof(T));
+  tri_.resize(static_cast<std::size_t>(ntri));
+  for (index_t t = 0; t < ntri; ++t) {
+    const auto ts = static_cast<std::size_t>(t);
+    Csr<T>& rows = b.tri[ts];
+    TriBlock& out = tri_[ts];
+    out.info.r0 = plan_.tri_bounds[ts];
+    out.info.r1 = plan_.tri_bounds[ts + 1];
+    out.info.nnz = rows.nnz();
+    out.info.nlevels = b.nlevels[ts];
+    build_ops_ += rows.nnz() + rows.nrows;
+    build_bytes_ += rows.nnz() * elem;
+
+    TriKernelKind kind;
+    if (tuned != nullptr) {
+      BLOCKTRI_CHECK_MSG(tuned->tri_nlevels[ts] == out.info.nlevels,
+                         "tuner and build disagree on a block's levels");
+      kind = tuned->tri_kinds[ts];
+    } else {
+      TriangularFeatures feat;
+      feat.base.nrows = feat.base.ncols = rows.nrows;
+      feat.base.nnz = rows.nnz();
+      if (rows.nrows > 0)
+        feat.base.nnz_per_row = static_cast<double>(rows.nnz()) /
+                                static_cast<double>(rows.nrows);
+      feat.nlevels = out.info.nlevels;
+      kind = opt_.adaptive ? select_tri_kernel(feat, opt_.thresholds)
+                           : opt_.forced_tri;
+    }
+    // A forced kernel still degrades gracefully on a diagonal block: every
+    // kernel handles it, so honour the forced choice except that the
+    // diagonal fast path requires an actually-diagonal block.
+    if (kind == TriKernelKind::kCompletelyParallel && out.info.nlevels > 1)
+      kind = TriKernelKind::kSyncFree;
+    out.info.kind = kind;
+
+    const auto levels = [&] {
+      return group_levels(
+          std::vector<index_t>(b.level.begin() + out.info.r0,
+                               b.level.begin() + out.info.r1),
+          out.info.nlevels);
+    };
+    switch (kind) {
+      case TriKernelKind::kCompletelyParallel:
+        // One level: no strict entry, so the values are the pivots.
+        out.diag = std::make_unique<DiagonalSolver<T>>(std::move(rows.val));
+        break;
+      case TriKernelKind::kLevelSet:
+        out.levelset = std::make_unique<LevelSetSolver<T>>(
+            std::move(rows), levels(), merge_width_);
+        build_ops_ += out.info.nnz;  // level analysis in the sub-solver
+        break;
+      case TriKernelKind::kSyncFree:
+        out.syncfree = std::make_unique<SyncFreeSolver<T>>(
+            std::move(rows), typename SyncFreeSolver<T>::Adopt{});
+        // Alg. 3's preprocessing as the Table 5 host model prices it (CSC
+        // conversion + in-degrees); the host keeps the rows as they are.
+        build_ops_ += 2 * out.info.nnz;
+        build_bytes_ += 2 * out.info.nnz * elem;
+        break;
+      case TriKernelKind::kCusparseLike: {
+        LevelSets ls = levels();
+        std::vector<index_t> first =
+            CusparseLikeSolver<T>::merge_schedule(ls);
+        out.cusparse = std::make_unique<CusparseLikeSolver<T>>(
+            std::move(rows), std::move(ls), std::move(first));
+        build_ops_ += out.info.nnz;
+        break;
+      }
+    }
+    tri_info_.push_back(out.info);
+  }
+
+  // --- Squares: select each kernel from (rows, nnz, non-empty rows); the
+  // DCSR ones are converted.
+  for (std::size_t q = 0; q < nsq; ++q) {
+    SquareBlock& out = squares_[q];
+    const SquareBlockRef ref = plan_.squares[q];
+    const index_t rows = ref.r1 - ref.r0;
+    out.info.ref = ref;
+    out.info.nnz = out.csr.nnz();
+    build_ops_ += out.info.nnz + rows;
+    build_bytes_ += out.info.nnz * elem;
+    if (out.info.nnz == 0) {
+      // Empty square: a no-op both executors skip (compute_step_waves drops
+      // it from the waves, exec_step returns early), so adaptive selection
+      // and a DCSR build would be pure waste. Mark it canonically as
+      // scalar-CSR so serial, wave and introspection paths agree.
+      out.info.kind = SpmvKernelKind::kScalarCsr;
+      out.info.empty_ratio = rows > 0 ? 1.0 : 0.0;
+      square_info_.push_back(out.info);
+      continue;
+    }
+    if (tuned != nullptr) {
+      out.info.empty_ratio = tuned->square_empty_ratio[q];
+      out.info.kind = tuned->square_kinds[q];
+    } else {
+      MatrixFeatures feat;
+      feat.nrows = rows;
+      feat.ncols = ref.c1 - ref.c0;
+      feat.nnz = out.info.nnz;
+      feat.nnz_per_row =
+          static_cast<double>(feat.nnz) / static_cast<double>(rows);
+      feat.empty_ratio = static_cast<double>(rows - b.sq_rows[q]) /
+                         static_cast<double>(rows);
+      out.info.empty_ratio = feat.empty_ratio;
+      out.info.kind = opt_.adaptive
+                          ? select_square_kernel(feat, opt_.thresholds)
+                          : opt_.forced_square;
+    }
+    if (holds_dcsr(out.info.kind, out.info.nnz)) {
+      out.dcsr = csr_to_dcsr(out.csr);
+      out.csr = Csr<T>{};
+      build_ops_ += rows;
+    }
+    square_info_.push_back(out.info);
+  }
+}
+
+template <class T>
+template <bool kBuild>
+Status BlockSolver<T>::walk_rows(const Csr<T>& lower, BuildState* build) {
+  const auto fail = [](const char* what) {
+    return kBuild ? Status(StatusCode::kInternal,
+                           std::string("block build: ") + what +
+                               " (the plan's layout is inconsistent)")
+                  : Status(StatusCode::kStructureMismatch,
+                           std::string("value install: ") + what +
+                               " disagrees with the sparsity pattern of the "
+                               "values");
   };
   const index_t n = plan_.n;
   const bool verify = opt_.verify.enabled;
-  if (lower.nrows != n || lower.nnz() != nnz_ ||
-      lower.col_idx.size() != lower.val.size())
-    return mismatch("the matrix size");
-  if (verify && stored_.row_ptr.size() != static_cast<std::size_t>(n) + 1)
-    return mismatch("the stored matrix");
 
-  // The cold build's stored matrix is permute_symmetric of the input (rows
-  // re-sorted) unless the planner kept the input as is: an identity
-  // permutation outside HBMC, whose planner always permutes.
+  // A permuting plan orders every row as permute_symmetric does; so does an
+  // HBMC plan, whose planner defines its blocks on its permuted matrix even
+  // when no row moved. An identity plan keeps a sorted row as given.
   const std::vector<index_t>& new_of_old = plan_.new_of_old;
   std::vector<index_t> old_of_new(static_cast<std::size_t>(n));
   bool identity = true;
@@ -1310,36 +1406,26 @@ Status BlockSolver<T>::install_values(const Csr<T>& lower) {
   }
   const bool sort_rows = !identity || plan_.scheme == BlockScheme::kHbmc;
 
-  // Squares by first row. Those covering the current row sit in `active`,
-  // ordered by first column; each holds its arrays' pointers, and a DCSR
-  // one its next stored row.
-  struct SquareCursor {
-    std::size_t q = 0;
-    index_t r0 = 0, r1 = 0, c0 = 0, c1 = 0;
-    bool dcsr = false;
-    const index_t* row_ids = nullptr;  // DCSR only
-    std::size_t nrow_ids = 0, next_row = 0;
-    const offset_t* ptr = nullptr;
-    const index_t* col = nullptr;
-    T* val = nullptr;
-  };
-  std::vector<std::size_t> by_r0(squares_.size());
-  for (std::size_t q = 0; q < by_r0.size(); ++q) by_r0[q] = q;
-  std::stable_sort(by_r0.begin(), by_r0.end(),
-                   [this](std::size_t a, std::size_t b) {
-                     return squares_[a].info.ref.r0 < squares_[b].info.ref.r0;
-                   });
-  std::vector<SquareCursor> active;
-  std::vector<offset_t> square_writes(squares_.size(), 0);
-  std::size_t next_square = 0;
+  using Tgt = Target<T, kBuild>;
+  std::vector<Tgt> sq(squares_.size());
+  for (std::size_t q = 0; q < sq.size(); ++q) {
+    SquareBlock& blk = squares_[q];
+    if (!kBuild && holds_dcsr(blk.info.kind, blk.info.nnz)) {
+      sq[q] = Tgt::of(blk.dcsr);
+      sq[q].row_ids = blk.dcsr.row_ids.data();
+      sq[q].nrow_ids = blk.dcsr.row_ids.size();
+    } else {
+      sq[q] = Tgt::of(blk.csr);
+    }
+  }
+  std::vector<offset_t> square_writes(kBuild ? 0 : squares_.size(), 0);
+  SquareWindow window(plan_.squares);
+  const Tgt stored = verify ? Tgt::of(stored_) : Tgt{};
 
-  // The current triangle's one copy: the kernel's rows, or its pivots.
-  struct TriTargets {
-    const offset_t* kptr = nullptr;
-    const index_t* kcol = nullptr;
-    T* kval = nullptr;
-    T* diag = nullptr;
-  } tt;
+  // The current triangle's one copy: its rows, or an installed diagonal
+  // block's pivots.
+  Tgt tri;
+  T* pivots = nullptr;
 
   const auto by_col = [](const auto& x, const auto& y) {
     return x.first < y.first;
@@ -1348,97 +1434,55 @@ Status BlockSolver<T>::install_values(const Csr<T>& lower) {
   double norm = 0.0;
   std::size_t t = 0;
   for (index_t ni = 0; ni < n; ++ni) {
-    // Retire the squares that ended above this row; admit those that start
-    // here.
-    active.erase(std::remove_if(active.begin(), active.end(),
-                                [ni](const SquareCursor& s) {
-                                  return s.r1 <= ni;
-                                }),
-                 active.end());
-    for (; next_square < by_r0.size() &&
-           squares_[by_r0[next_square]].info.ref.r0 <= ni;
-         ++next_square) {
-      SquareBlock& sq = squares_[by_r0[next_square]];
-      const SquareBlockRef& ref = sq.info.ref;
-      if (ref.r1 <= ni || ref.c1 <= ref.c0) continue;  // covers nothing
-      SquareCursor sc;
-      sc.q = by_r0[next_square];
-      sc.r0 = ref.r0;
-      sc.r1 = ref.r1;
-      sc.c0 = ref.c0;
-      sc.c1 = ref.c1;
-      sc.dcsr = holds_dcsr(sq.info.kind, sq.info.nnz);
-      if (sc.dcsr) {
-        sc.row_ids = sq.dcsr.row_ids.data();
-        sc.nrow_ids = sq.dcsr.row_ids.size();
-        sc.ptr = sq.dcsr.row_ptr.data();
-        sc.col = sq.dcsr.col_idx.data();
-        sc.val = sq.dcsr.val.data();
-      } else {
-        sc.ptr = sq.csr.row_ptr.data();
-        sc.col = sq.csr.col_idx.data();
-        sc.val = sq.csr.val.data();
-      }
-      active.insert(std::upper_bound(active.begin(), active.end(), sc.c0,
-                                     [](index_t c, const SquareCursor& s) {
-                                       return c < s.c0;
-                                     }),
-                    sc);
-    }
-
     // The triangle holding this row; entering one fetches its arrays.
-    while (tri_[t].info.r1 <= ni) ++t;
-    TriBlock& blk = tri_[t];
-    const index_t r0 = blk.info.r0;
-    const index_t li = ni - r0;
-    const auto lis = static_cast<std::size_t>(li);
+    while (plan_.tri_bounds[t + 1] <= ni) ++t;
+    const index_t r0 = plan_.tri_bounds[t];
+    const auto li = static_cast<std::size_t>(ni - r0);
     if (ni == r0) {
-      tt = TriTargets{};
-      switch (blk.info.kind) {
-        case TriKernelKind::kCompletelyParallel:
-          tt.diag = blk.diag->values().data();
-          break;
-        case TriKernelKind::kLevelSet:
-          tt.kptr = blk.levelset->matrix().row_ptr.data();
-          tt.kcol = blk.levelset->matrix().col_idx.data();
-          tt.kval = blk.levelset->values().data();
-          break;
-        case TriKernelKind::kSyncFree:
-          tt.kptr = blk.syncfree->matrix().row_ptr.data();
-          tt.kcol = blk.syncfree->matrix().col_idx.data();
-          tt.kval = blk.syncfree->values().data();
-          break;
-        case TriKernelKind::kCusparseLike:
-          tt.kptr = blk.cusparse->matrix().row_ptr.data();
-          tt.kcol = blk.cusparse->matrix().col_idx.data();
-          tt.kval = blk.cusparse->values().data();
-          break;
+      if constexpr (kBuild) {
+        tri = Tgt::of(build->tri[t]);
+      } else {
+        TriBlock& blk = tri_[t];
+        pivots = nullptr;
+        switch (blk.info.kind) {
+          case TriKernelKind::kCompletelyParallel:
+            pivots = blk.diag->values().data();
+            break;
+          case TriKernelKind::kLevelSet:
+            tri = Tgt::of(blk.levelset->matrix(),
+                          blk.levelset->values().data());
+            break;
+          case TriKernelKind::kSyncFree:
+            tri = Tgt::of(blk.syncfree->matrix(),
+                          blk.syncfree->values().data());
+            break;
+          case TriKernelKind::kCusparseLike:
+            tri = Tgt::of(blk.cusparse->matrix(),
+                          blk.cusparse->values().data());
+            break;
+        }
       }
     }
 
-    // Gather the input row through the permutation and order it exactly as
-    // permute_symmetric does (same comparison on the same sequence, so a
-    // column held twice keeps the cold build's order).
-    const index_t oi = old_of_new[static_cast<std::size_t>(ni)];
-    const offset_t klo = lower.row_ptr[static_cast<std::size_t>(oi)];
-    const offset_t khi = lower.row_ptr[static_cast<std::size_t>(oi) + 1];
+    // Gather the input row through the permutation and order it: the same
+    // comparison on the same sequence as permute_symmetric, so a column
+    // held twice keeps that order.
+    const auto oi =
+        static_cast<std::size_t>(old_of_new[static_cast<std::size_t>(ni)]);
+    const offset_t klo = lower.row_ptr[oi];
+    const offset_t khi = lower.row_ptr[oi + 1];
     row.resize(static_cast<std::size_t>(khi - klo));
-    for (offset_t k = klo; k < khi; ++k) {
-      const index_t oc = lower.col_idx[static_cast<std::size_t>(k)];
-      if (oc < 0 || oc > oi) return mismatch("an entry above the diagonal");
+    for (offset_t k = klo; k < khi; ++k)
       row[static_cast<std::size_t>(k - klo)] = {
-          new_of_old[static_cast<std::size_t>(oc)],
+          new_of_old[static_cast<std::size_t>(
+              lower.col_idx[static_cast<std::size_t>(k)])],
           lower.val[static_cast<std::size_t>(k)]};
-    }
-    if (sort_rows) {
+    if (sort_rows || !std::is_sorted(row.begin(), row.end(), by_col))
       std::sort(row.begin(), row.end(), by_col);
-    } else if (!std::is_sorted(row.begin(), row.end(), by_col)) {
-      return mismatch("an unsorted row");  // the blocks assume sorted rows
-    }
     // Sorted, the row holds its square entries (left of the triangle) first
     // and its triangle entries after them, ending in the diagonal.
-    if (row.empty() || row.back().first > ni)
-      return mismatch("an entry above the permuted diagonal");
+    if (row.empty() || row.back().first != ni)
+      return fail("a row that does not end in its diagonal");
     const std::size_t m = row.size();
     const auto p0 = static_cast<std::size_t>(
         std::lower_bound(row.begin(), row.end(), std::make_pair(r0, T(0)),
@@ -1447,70 +1491,107 @@ Status BlockSolver<T>::install_values(const Csr<T>& lower) {
 
     // stored_ and ‖L‖∞ take the whole row, in stored order.
     if (verify) {
-      RowSink<T> sink(stored_.row_ptr.data(), stored_.col_idx.data(),
-                      stored_.val.data(), static_cast<std::size_t>(ni));
+      RowSink<T, kBuild> sink = stored.row(static_cast<std::size_t>(ni));
       double row_sum = 0.0;
       for (const auto& [c, v] : row) {
-        if (!sink.put(c, v)) return mismatch("the stored matrix");
+        if (!sink.put(c, v)) return fail("the stored matrix");
         row_sum += std::fabs(static_cast<double>(v));
       }
-      if (!sink.full()) return mismatch("the stored matrix");
+      if (!sink.close()) return fail("the stored matrix");
       norm = std::max(norm, row_sum);
     }
 
-    // Square entries: each active square takes one contiguous run, which
-    // must fill its window in this row exactly.
-    std::size_t a = 0;
-    for (std::size_t p = 0; p < p0; ++a) {
-      const index_t c = row[p].first;
-      while (a < active.size() && active[a].c1 <= c) ++a;
-      if (a == active.size() || c < active[a].c0)
-        return mismatch("the block layout (an entry no square covers)");
-      SquareCursor& sc = active[a];
-      const index_t lr = ni - sc.r0;
-      std::size_t r = static_cast<std::size_t>(lr);
-      if (sc.dcsr) {
-        if (sc.next_row >= sc.nrow_ids || sc.row_ids[sc.next_row] != lr)
-          return mismatch("a square block's DCSR rows");
-        r = sc.next_row++;
-      }
-      RowSink<T> sink(sc.ptr, sc.col, sc.val, r);
+    // Square entries: each covering square takes one contiguous run. A
+    // build closes the row of every covering square; an install writes the
+    // squares the row has entries in, whose windows must fill exactly.
+    std::size_t p = 0;
+    for (const SquareWindow::Active& a : window.at(ni)) {
+      if (!kBuild && p == p0) break;  // every square entry is written
+      if (p < p0 && row[p].first < a.c0) break;  // a column no square holds
       const std::size_t run = p;
-      for (; p < p0 && row[p].first < sc.c1; ++p)
-        if (!sink.put(row[p].first - sc.c0, row[p].second))
-          return mismatch("a square block");
-      if (!sink.full()) return mismatch("a square block");
-      square_writes[sc.q] += static_cast<offset_t>(p - run);
+      while (p < p0 && row[p].first < a.c1) ++p;
+      if (!kBuild && p == run) continue;
+      Tgt& dst = sq[a.q];
+      std::size_t r = static_cast<std::size_t>(ni - a.r0);
+      if (dst.row_ids != nullptr) {
+        if (dst.next_row >= dst.nrow_ids ||
+            dst.row_ids[dst.next_row] != static_cast<index_t>(r))
+          return fail("a square block's DCSR rows");
+        r = dst.next_row++;
+      }
+      RowSink<T, kBuild> sink = dst.row(r);
+      for (std::size_t e = run; e < p; ++e)
+        if (!sink.put(row[e].first - a.c0, row[e].second))
+          return fail("a square block");
+      if (!sink.close()) return fail("a square block");
+      if constexpr (kBuild) {
+        if (p > run) ++build->sq_rows[a.q];
+      } else {
+        square_writes[a.q] += static_cast<offset_t>(p - run);
+      }
     }
+    if (p < p0) return fail("an entry no square covers");
 
-    // Triangle entries: the kernel's rows, or a diagonal block's pivot.
-    if (blk.info.kind == TriKernelKind::kCompletelyParallel) {
-      // split_diagonal found no strict entry when the block was built: the
-      // diagonal is the row's only triangle entry.
-      if (m - p0 != 1 || row[p0].first != ni)
-        return mismatch("a diagonal block");
-      tt.diag[lis] = row[p0].second;
-    } else {
-      RowSink<T> sink(tt.kptr, tt.kcol, tt.kval, lis);
-      for (std::size_t p = p0; p < m; ++p)
-        if (!sink.put(row[p].first - r0, row[p].second))
-          return mismatch("a triangular block's kernel CSR");
-      if (!sink.full()) return mismatch("a triangular block's kernel CSR");
+    // Triangle entries: the block's rows (a build also levels them), or an
+    // installed diagonal block's pivot.
+    if (!kBuild && pivots != nullptr) {
+      // The block was built with no strict entry: the diagonal is the
+      // row's only triangle entry.
+      if (m - p0 != 1) return fail("a diagonal block");
+      pivots[li] = row[p0].second;
+      continue;
+    }
+    RowSink<T, kBuild> sink = tri.row(li);
+    index_t level = 0;
+    for (std::size_t e = p0; e < m; ++e) {
+      if constexpr (kBuild) {
+        if (e + 1 < m)
+          level = std::max(
+              level, build->level[static_cast<std::size_t>(row[e].first)] + 1);
+      }
+      if (!sink.put(row[e].first - r0, row[e].second))
+        return fail("a triangular block");
+    }
+    if (!sink.close()) return fail("a triangular block");
+    if constexpr (kBuild) {
+      build->level[static_cast<std::size_t>(ni)] = level;
+      build->nlevels[t] = std::max(build->nlevels[t], level + 1);
     }
   }
 
-  // Every visit filled its row window exactly, so a count equal to the
-  // array's length leaves no stored entry in a row the values skip.
-  for (std::size_t q = 0; q < squares_.size(); ++q) {
-    const SquareBlock& sq = squares_[q];
-    const std::size_t held = holds_dcsr(sq.info.kind, sq.info.nnz)
-                                 ? sq.dcsr.val.size()
-                                 : sq.csr.val.size();
-    if (square_writes[q] != static_cast<offset_t>(held))
-      return mismatch("a square block");
+  if constexpr (kBuild) {
+    // Every array was sized from a count; each must end exactly full.
+    const auto full = [](const Csr<T>& m) {
+      return m.row_ptr.back() == m.nnz();
+    };
+    for (const Csr<T>& m : build->tri)
+      if (!full(m)) return fail("a triangular block");
+    for (const SquareBlock& blk : squares_)
+      if (!full(blk.csr)) return fail("a square block");
+    if (verify && !full(stored_)) return fail("the stored matrix");
+  } else {
+    // Every visit filled its row window exactly, so a count equal to the
+    // array's length leaves no held entry in a row the values skip.
+    for (std::size_t q = 0; q < sq.size(); ++q)
+      if (square_writes[q] != sq[q].len) return fail("a square block");
   }
   if (verify) norm_inf_ = norm;
   return Status::Ok();
+}
+
+template <class T>
+Status BlockSolver<T>::install_values(const Csr<T>& lower) {
+  if (!slice_.empty())
+    return Status(StatusCode::kInvalidArgument,
+                  "plan is " + slice_ +
+                      ": it holds only its shard's blocks and cannot take "
+                      "the values of a whole matrix");
+  if (lower.nrows != plan_.n || lower.nnz() != nnz_ ||
+      (opt_.verify.enabled &&
+       stored_.row_ptr.size() != static_cast<std::size_t>(plan_.n) + 1))
+    return Status(StatusCode::kStructureMismatch,
+                  "value install: the matrix size disagrees with the plan");
+  return walk_rows<false>(lower, nullptr);
 }
 
 template <class T>

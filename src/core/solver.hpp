@@ -281,13 +281,14 @@ class BlockSolver {
   };
 
   /// Preprocessing stage. `lower` must be lower triangular with a nonzero
-  /// diagonal stored last in each row; throws blocktri::Error carrying the
-  /// check_lower_triangular status otherwise.
+  /// diagonal stored last in each row, the other entries strictly lower in
+  /// any order; throws blocktri::Error carrying the check_lower_triangular
+  /// status otherwise.
   BlockSolver(const Csr<T>& lower, const Options& opt);
 
   /// Non-throwing factory: validates `lower` (check_lower_triangular) and
-  /// returns the typed Status instead of throwing; on success *out owns the
-  /// solver. With a `cache`, the solver is rehydrated from a cached plan
+  /// returns the typed Status instead of throwing — a failure of the build
+  /// itself included; on success *out owns the solver. With a `cache`, the solver is rehydrated from a cached plan
   /// when one matches (structure hash, options fingerprint) — performing
   /// zero level-set analysis and producing bitwise-identical solves — and a
   /// cold build's plan is captured into the cache for the next caller. A
@@ -622,19 +623,38 @@ class BlockSolver {
                       index_t ld, PanelLayout layout) const;
   /// The value install of refresh_values, a cache hit and create_from_file,
   /// for a caller that already validated `lower` and matched its structure
-  /// hash against this solver's. One pass over the permuted rows: each row
-  /// of `lower` is gathered through the permutation, sorted exactly as
-  /// permute_symmetric sorts it (a row the cold build kept in input order —
-  /// identity permutation outside HBMC — must already be sorted), and every
-  /// value is written straight into each array that holds it — stored_, the
-  /// triangle's kernel rows (or pivots), and the covering square's CSR/DCSR
-  /// — with ‖L‖∞ folded in. Every write is checked against the
-  /// target array's own index and bounds, and every array must end exactly
-  /// full, so a block structure that disagrees with `lower` returns
-  /// kStructureMismatch (possibly with some arrays partly written) instead
-  /// of a silently wrong solver. A shard slice returns kInvalidArgument
-  /// before anything is written.
+  /// hash against this solver's: the row walk in install mode. A shard
+  /// slice returns kInvalidArgument before anything is written.
   Status install_values(const Csr<T>& lower);
+
+  /// What a build walk fills besides the block arrays it writes in place.
+  struct BuildState;
+
+  /// The one pass over the permuted rows that every path runs: the cold
+  /// build in build mode (kBuild), the three warm paths in install mode.
+  /// Each row of `lower` is gathered through the permutation and ordered as
+  /// permute_symmetric orders it — std::sort by column when the plan
+  /// permutes (or is HBMC's, whose planner always permuted), as given when
+  /// the plan is the identity and the row sorted, sorted when it is not.
+  /// The row must end in its diagonal, and every entry must land in a
+  /// square that covers it or in its row's triangle. It then goes to
+  /// stored_ (verify on), to those squares and to the triangle: a build
+  /// appends into arrays sized exactly beforehand and computes each
+  /// triangle row's level; an install checks each column against the held
+  /// index and writes the value, and every array must end exactly full.
+  /// ‖L‖∞ is summed on the way. A violation is kInternal in a build (the
+  /// planner's layout is wrong) and kStructureMismatch in an install (the
+  /// held blocks disagree with `lower`; arrays may be partly written).
+  template <bool kBuild>
+  Status walk_rows(const Csr<T>& lower, BuildState* build);
+
+  /// The cold build after planning: sizes every block array from `counts`
+  /// (counting them first when the planner did not), runs the build walk,
+  /// then picks each block's kernel — the tuner's choices when `tuned` is
+  /// given — and hands the filled arrays to it. Throws kInternal when the
+  /// walk finds the plan's layout broken.
+  void build_blocks(const Csr<T>& lower, BlockNnz counts,
+                    const tune::TunedPlan<T>* tuned);
   /// One pass over the execution steps with the fallback ladder armed.
   /// Consumes bw (square blocks accumulate into it). `epool` is this call's
   /// arbitrated executor pool (null → serial), `ctl` the cooperative
@@ -685,7 +705,7 @@ class BlockSolver {
   std::vector<SquareBlock> squares_;
   std::vector<TriBlockInfo> tri_info_;
   std::vector<SquareBlockInfo> square_info_;
-  std::int64_t build_ops_ = 0;    // extraction/conversion cost counters
+  std::int64_t build_ops_ = 0;    // block build cost counters (Table 5)
   std::int64_t build_bytes_ = 0;
   bool tuned_ = false;            // this solver runs an autotuned plan
   // Names the shard slice (src/shard) this solver was rehydrated from, empty

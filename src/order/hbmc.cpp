@@ -20,6 +20,11 @@ namespace {
 /// a row outside the row's own block sits in a strictly smaller color, so
 /// the blocks of one color are mutually independent and all cross-block
 /// coupling of color c lands in columns of colors < c.
+///
+/// The color count only grows during a pass, so a pass with W < n stops as
+/// soon as it exceeds `cap`: the doubling loop rejects it whatever the rest
+/// of its rows would do. Such an aborted pass reports ncolors = cap + 1 and
+/// leaves its blocks incomplete.
 struct Aggregation {
   index_t nblocks = 0;
   index_t ncolors = 0;
@@ -28,7 +33,8 @@ struct Aggregation {
 };
 
 Aggregation aggregate(index_t n, const std::vector<offset_t>& row_ptr,
-                      const std::vector<index_t>& col_idx, index_t W) {
+                      const std::vector<index_t>& col_idx, index_t W,
+                      index_t cap) {
   Aggregation agg;
   agg.block_of.assign(static_cast<std::size_t>(n), 0);
   std::vector<index_t>& colors = agg.color_of_block;
@@ -63,8 +69,13 @@ Aggregation aggregate(index_t n, const std::vector<offset_t>& row_ptr,
       continue;
     }
     const index_t c = cmax + 1;
-    if (static_cast<std::size_t>(c) >= open_block.size())
+    if (static_cast<std::size_t>(c) >= open_block.size()) {
+      if (c >= cap && W < n) {  // a color past the cap: the pass is rejected
+        agg.ncolors = c + 1;
+        return agg;
+      }
       open_block.resize(static_cast<std::size_t>(c) + 1, -1);
+    }
     index_t b = open_block[static_cast<std::size_t>(c)];
     if (b < 0 || block_count[static_cast<std::size_t>(b)] >= W) {
       b = static_cast<index_t>(colors.size());
@@ -104,8 +115,8 @@ HbmcPartition hbmc_partition(index_t n, const std::vector<offset_t>& row_ptr,
   const index_t cap = std::max<index_t>(1, max_colors);
   Aggregation agg;
   for (;;) {
-    agg = aggregate(n, row_ptr, col_idx, W);
-    ++part.passes;
+    agg = aggregate(n, row_ptr, col_idx, W, cap);
+    ++part.passes;  // an aborted pass counts too
     // Doubling W folds deeper chains into bigger blocks; W == n cannot be
     // beaten, so irreducible patterns degrade to honest extra colors.
     if (agg.ncolors <= cap || W >= n) break;
@@ -229,7 +240,8 @@ HbmcPartition hbmc_partition(index_t n, const std::vector<offset_t>& row_ptr,
 
 template <class T>
 BlockPlan plan_hbmc(const Csr<T>& lower, const PlannerOptions& opt,
-                    index_t merge_width, Csr<T>* permuted, ThreadPool* pool) {
+                    index_t merge_width, Csr<T>* permuted,
+                    ThreadPool* /*pool*/) {  // a serial recurrence
   BLOCKTRI_CHECK(lower.nrows == lower.ncols);
   HbmcPartition part = hbmc_partition(lower.nrows, lower.row_ptr,
                                       lower.col_idx, opt.hbmc_block_rows,
@@ -279,11 +291,13 @@ BlockPlan plan_hbmc(const Csr<T>& lower, const PlannerOptions& opt,
   p.host_bytes = (part.passes * nnz + 2 * nnz) *
                  static_cast<std::int64_t>(sizeof(index_t) + sizeof(T));
 
+  if (permuted == nullptr) return p;
   Csr<T> work = permute_symmetric(lower, p.new_of_old);
 
   // The layout drops nothing only because of the aggregation invariant:
   // every nonzero of a row must be in a prior color (covered by the square)
-  // or at/after the row's own block start (covered by the triangle).
+  // or at/after the row's own block start (covered by the triangle). A
+  // caller that builds the blocks itself checks that while it fills them.
   {
     index_t blk = 0, col = 0;
     for (index_t r = 0; r < p.n; ++r) {
@@ -300,8 +314,7 @@ BlockPlan plan_hbmc(const Csr<T>& lower, const PlannerOptions& opt,
       }
     }
   }
-  if (permuted != nullptr) *permuted = std::move(work);
-  (void)pool;  // ordering is a serial recurrence; kept for signature symmetry
+  *permuted = std::move(work);
   return p;
 }
 

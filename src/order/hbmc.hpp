@@ -71,8 +71,9 @@ HbmcPartition hbmc_partition(const Csr<T>& lower, index_t block_rows,
                         max_colors, merge_width);
 }
 
-/// BlockScheme::kHbmc planner: partitions, permutes the matrix (returned
-/// through `permuted`, like plan_recursive), and lays out the color-stepped
+/// BlockScheme::kHbmc planner: partitions, permutes the matrix when
+/// `permuted` is not null (like plan_recursive; only then does it also check
+/// that the layout covers every nonzero), and lays out the color-stepped
 /// plan — per color one SpMV square over all previously solved columns, then
 /// that color's block-diagonal triangles. tri_bounds are the block bounds
 /// (so the shard planner cuts at them for free) and color_bounds annotate

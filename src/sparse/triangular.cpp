@@ -44,6 +44,20 @@ Status check_lower_triangular(const Csr<T>& a) {
     return Status(StatusCode::kInvalidArgument,
                   "matrix is not square: " + std::to_string(a.nrows) + " x " +
                       std::to_string(a.ncols));
+  if (a.nrows < 0 ||
+      a.row_ptr.size() != static_cast<std::size_t>(a.nrows) + 1 ||
+      a.row_ptr[0] != 0 ||
+      a.row_ptr.back() != static_cast<offset_t>(a.col_idx.size()) ||
+      a.col_idx.size() != a.val.size())
+    return Status(StatusCode::kInvalidArgument,
+                  "row_ptr, col_idx and val do not describe " +
+                      std::to_string(a.nrows) + " CSR rows");
+  for (index_t i = 0; i < a.nrows; ++i)
+    if (a.row_ptr[static_cast<std::size_t>(i) + 1] <
+        a.row_ptr[static_cast<std::size_t>(i)])
+      return Status(StatusCode::kInvalidArgument,
+                    "row_ptr decreases at row " + std::to_string(i), i,
+                    LocationKind::kRow);
   for (index_t i = 0; i < a.nrows; ++i) {
     const offset_t lo = a.row_ptr[static_cast<std::size_t>(i)];
     const offset_t hi = a.row_ptr[static_cast<std::size_t>(i) + 1];
@@ -52,9 +66,14 @@ Status check_lower_triangular(const Csr<T>& a) {
                     "row " + std::to_string(i) +
                         " is empty: structurally singular",
                     i);
-    // Sorted row: the diagonal, if present, is the last entry <= i; an entry
-    // after it sits above the diagonal.
+    // The diagonal is the row's last entry; every other entry is strictly
+    // lower, in any order.
     const index_t last = a.col_idx[static_cast<std::size_t>(hi - 1)];
+    if (last < 0)
+      return Status(StatusCode::kOutOfBounds,
+                    "row " + std::to_string(i) + " has negative column " +
+                        std::to_string(last),
+                    i, LocationKind::kRow);
     if (last > i)
       return Status(StatusCode::kNotTriangular,
                     "row " + std::to_string(i) + " has entry in column " +
@@ -76,15 +95,28 @@ Status check_lower_triangular(const Csr<T>& a) {
                     "diagonal of row " + std::to_string(i) +
                         " is zero or subnormal",
                     i);
-    for (offset_t k = lo; k < hi - 1; ++k)
+    for (offset_t k = lo; k < hi - 1; ++k) {
+      const index_t c = a.col_idx[static_cast<std::size_t>(k)];
+      if (c < 0 || c >= i) {
+        const StatusCode code = c < 0    ? StatusCode::kOutOfBounds
+                                : c > i ? StatusCode::kNotTriangular
+                                        : StatusCode::kBadFormat;
+        const char* what = c < 0    ? " is negative"
+                           : c > i ? " is above the diagonal"
+                                   : " repeats the diagonal before the last "
+                                     "entry";
+        return Status(code,
+                      "row " + std::to_string(i) + ", column " +
+                          std::to_string(c) + what,
+                      i, LocationKind::kRow);
+      }
       if (!std::isfinite(
               static_cast<double>(a.val[static_cast<std::size_t>(k)])))
         return Status(StatusCode::kNonFinite,
                       "row " + std::to_string(i) + ", column " +
-                          std::to_string(
-                              a.col_idx[static_cast<std::size_t>(k)]) +
-                          " is not finite",
+                          std::to_string(c) + " is not finite",
                       i);
+    }
   }
   return Status::Ok();
 }

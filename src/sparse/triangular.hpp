@@ -14,13 +14,20 @@ namespace blocktri {
 template <class T>
 Csr<T> lower_triangular_with_diag(const Csr<T>& a, T diag_fill = T(1));
 
-/// Typed verdict on whether `a` is a solvable lower triangle. Returns, in
-/// order of detection per row: kInvalidArgument (not square),
-/// kNotTriangular (entry above the diagonal), kSingularRow (row without a
-/// diagonal entry, including empty rows), kZeroPivot (diagonal present but
-/// zero or subnormal — a subnormal pivot overflows the substitution just
-/// like an exact zero), kNonFinite (NaN/Inf entry). The offending row is in
-/// Status::location().
+/// Typed verdict on whether `a` is a solvable lower triangle whose every row
+/// ends in its diagonal, the other entries strictly lower in any order.
+/// Checks every stored index, so a caller may index by them afterwards.
+/// Returns kInvalidArgument when the matrix is not square or row_ptr,
+/// col_idx and val do not describe nrows CSR rows (row_ptr of nrows + 1
+/// entries, from 0, non-decreasing, ending at the length of both arrays).
+/// Then, in order of detection per row: kSingularRow (empty row),
+/// kOutOfBounds (negative column), kNotTriangular (entry above the
+/// diagonal), kSingularRow (last entry not the diagonal), kNonFinite /
+/// kZeroPivot (diagonal not finite, or zero or subnormal — a subnormal
+/// pivot overflows the substitution just like an exact zero), then per
+/// earlier entry kOutOfBounds / kNotTriangular / kBadFormat (a negative
+/// column, one above the diagonal, a second diagonal) and kNonFinite
+/// (NaN/Inf value). The offending row is in Status::location().
 template <class T>
 Status check_lower_triangular(const Csr<T>& a);
 

@@ -27,20 +27,27 @@ CusparseLikeSolver<T>::CusparseLikeSolver(Csr<T> lower,
     : a_(std::move(lower)) {
   BLOCKTRI_CHECK_MSG(is_lower_triangular_nonsingular(a_),
                      "CusparseLikeSolver requires a nonsingular lower triangle");
-  BLOCKTRI_CHECK(merge_component_budget > 0);
   ls_ = compute_level_sets(a_);
+  kernel_first_level_ = merge_schedule(ls_, merge_component_budget);
+}
 
+template <class T>
+std::vector<index_t> CusparseLikeSolver<T>::merge_schedule(
+    const LevelSets& levels, index_t merge_component_budget) {
+  BLOCKTRI_CHECK(merge_component_budget > 0);
   // Pack consecutive levels into kernels until the component budget fills —
   // Naumov's small-level merging. Wide levels get kernels of their own.
+  std::vector<index_t> first;
   index_t in_kernel = 0;
-  for (index_t lvl = 0; lvl < ls_.nlevels; ++lvl) {
-    const index_t w = ls_.level_width(lvl);
-    if (kernel_first_level_.empty() || in_kernel + w > merge_component_budget) {
-      kernel_first_level_.push_back(lvl);
+  for (index_t lvl = 0; lvl < levels.nlevels; ++lvl) {
+    const index_t w = levels.level_width(lvl);
+    if (first.empty() || in_kernel + w > merge_component_budget) {
+      first.push_back(lvl);
       in_kernel = 0;
     }
     in_kernel += w;
   }
+  return first;
 }
 
 template <class T>

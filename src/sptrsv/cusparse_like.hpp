@@ -32,11 +32,17 @@ class CusparseLikeSolver {
   explicit CusparseLikeSolver(Csr<T> lower,
                               index_t merge_component_budget = 2304);
 
-  /// Rehydration constructor for the plan-persistence subsystem: adopts a
-  /// previously computed level analysis and merged-kernel schedule instead
-  /// of re-deriving them.
+  /// Adopting constructor (plan rehydration, and BlockSolver's build, which
+  /// computes the levels while it fills the block): takes a level analysis
+  /// and merged-kernel schedule instead of re-deriving them.
   CusparseLikeSolver(Csr<T> lower, LevelSets levels,
                      std::vector<index_t> kernel_first_level);
+
+  /// The merged-kernel schedule of `levels`: consecutive levels packed into
+  /// one kernel until their combined component count would pass the budget
+  /// (the first level of each kernel).
+  static std::vector<index_t> merge_schedule(
+      const LevelSets& levels, index_t merge_component_budget = 2304);
 
   /// `ctl` is the solve session's cooperative control. The host path is one
   /// flat pass with no natural barriers, so when a deadline or cancel token

@@ -44,9 +44,10 @@ class LevelSetSolver {
   explicit LevelSetSolver(Csr<T> lower, ThreadPool* pool = nullptr,
                           offset_t merge_max_width = kLevelMergeMaxWidth);
 
-  /// Rehydration constructor for the plan-persistence subsystem: adopts a
-  /// previously computed level analysis instead of re-running it. `levels`
-  /// must be the LevelSets of `lower` (checked structurally, not recomputed).
+  /// Adopting constructor (plan rehydration, and BlockSolver's build, which
+  /// computes the levels while it fills the block): takes a level analysis
+  /// instead of re-running it. `levels` must be the LevelSets of `lower`
+  /// (checked structurally, not recomputed).
   LevelSetSolver(Csr<T> lower, LevelSets levels,
                  offset_t merge_max_width = kLevelMergeMaxWidth);
 

@@ -44,10 +44,10 @@ class SyncFreeSolver {
   /// and must be nonsingular. It is the execution format: no analysis runs.
   explicit SyncFreeSolver(Csr<T> lower);
 
-  /// Rehydration constructor for the plan-persistence subsystem: adopts rows
-  /// validate_artifact already proved triangular (check_tri_csr), whose
-  /// values the caller may still have to install — so only the shape is
-  /// checked here.
+  /// Adopting constructor: takes rows already proved triangular — by
+  /// validate_artifact (check_tri_csr) on rehydration, whose values the
+  /// caller may still have to install, or by BlockSolver's build walk — so
+  /// only the shape is checked here.
   SyncFreeSolver(Csr<T> lower, Adopt);
 
   /// Host solve. With a pool (and no simulation) rows are dealt round-robin

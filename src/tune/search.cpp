@@ -869,7 +869,6 @@ TunedPlan<T> autotune_recursive(const Csr<T>& lower,
 
   if (winner == Winner::kHbmc) {
     tp.plan = std::move(hplan);
-    tp.stored = std::move(hstored);
     tp.tri_kinds = std::move(h_tri);
     tp.tri_nlevels = std::move(h_nlevels);
     tp.square_kinds = std::move(h_sq);
@@ -883,7 +882,6 @@ TunedPlan<T> autotune_recursive(const Csr<T>& lower,
   if (winner == Winner::kDefaultHeur || winner == Winner::kDefaultModel) {
     const bool heur = winner == Winner::kDefaultHeur;
     tp.plan = std::move(dplan);
-    tp.stored = std::move(dstored);
     tp.tri_kinds = heur ? d_heur_tri : d_model_tri;
     tp.tri_nlevels = d_nlevels;
     tp.square_kinds = heur ? d_heur_sq : d_model_sq;
@@ -941,7 +939,6 @@ TunedPlan<T> autotune_recursive(const Csr<T>& lower,
   }
   tp.stats.model_tuned_ns = model_steps_cost(model, nodes, steps, launch_ns);
   tp.plan = std::move(p);
-  tp.stored = std::move(mstored);
   return tp;
 }
 

@@ -72,14 +72,13 @@ struct TuneStats {
   offset_t merge_width = kLevelMergeMaxWidth;
 };
 
-/// Everything BlockSolver's cold constructor needs to adopt a tuned plan
-/// without re-deriving any of it: the plan, the permuted matrix it was built
-/// against, and the per-block kernel decisions (with the features the solver
-/// would otherwise recompute).
+/// The decisions BlockSolver's cold build adopts from a tuned plan: the
+/// plan and the per-block kernel choices (with the level counts and empty
+/// ratios the search priced them by). The build fills the blocks from the
+/// caller's matrix itself.
 template <class T>
 struct TunedPlan {
   BlockPlan plan;
-  Csr<T> stored;  // lower permuted by plan.new_of_old
   std::vector<TriKernelKind> tri_kinds;      // per tri leaf, plan order
   std::vector<index_t> tri_nlevels;          // level count of each tri leaf
   std::vector<SpmvKernelKind> square_kinds;  // per square, plan order

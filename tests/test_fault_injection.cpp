@@ -6,6 +6,7 @@
 // SolveReport.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -273,6 +274,80 @@ TEST(FaultInjection, NanMatrixValueRejectedWithRow) {
   const Status st = BlockSolver<double>::create(L, {}, &solver);
   EXPECT_EQ(st.code(), StatusCode::kNonFinite);
   EXPECT_EQ(st.location(), 31);
+}
+
+// Hostile CSR arrays: every entry point validates the whole input before
+// any stage indexes by it, so each corruption is a typed Status — with the
+// offending row where there is one — under every scheme, and nothing throws.
+
+/// Rows {0}, {0, 1}, {1, 2}, {0, 2, 3}: a valid 4 x 4 lower triangle.
+Csr<double> small_lower() {
+  Csr<double> a;
+  a.nrows = a.ncols = 4;
+  a.row_ptr = {0, 1, 3, 5, 8};
+  a.col_idx = {0, 0, 1, 1, 2, 0, 2, 3};
+  a.val = {4.0, 1.0, 4.0, 1.0, 4.0, 1.0, 1.0, 4.0};
+  return a;
+}
+
+struct HostileCase {
+  const char* name;
+  void (*corrupt)(Csr<double>*);
+  StatusCode code;
+  std::int64_t row;  // -1: the arrays' shape, no row
+};
+
+const HostileCase kHostileCases[] = {
+    {"upper entry before the diagonal",  // row 2 = {3, 2}
+     [](Csr<double>* a) { a->col_idx[3] = 3; }, StatusCode::kNotTriangular,
+     2},
+    {"negative column",  // row 3 = {-1000000, 2, 3}
+     [](Csr<double>* a) { a->col_idx[5] = -1000000; },
+     StatusCode::kOutOfBounds, 3},
+    {"second diagonal",  // row 3 = {3, 2, 3}
+     [](Csr<double>* a) { a->col_idx[5] = 3; }, StatusCode::kBadFormat, 3},
+    {"row_ptr shorter than n + 1",
+     [](Csr<double>* a) { a->row_ptr.pop_back(); },
+     StatusCode::kInvalidArgument, -1},
+    {"row_ptr past col_idx", [](Csr<double>* a) { a->row_ptr.back() = 9; },
+     StatusCode::kInvalidArgument, -1},
+    {"val shorter than col_idx", [](Csr<double>* a) { a->val.pop_back(); },
+     StatusCode::kInvalidArgument, -1},
+    {"row_ptr decreasing", [](Csr<double>* a) { a->row_ptr[1] = 6; },
+     StatusCode::kInvalidArgument, 1},
+};
+
+TEST(FaultInjection, HostileArraysTypedOnEveryEntryPoint) {
+  for (const BlockScheme scheme :
+       {BlockScheme::kRecursive, BlockScheme::kColumn, BlockScheme::kRow,
+        BlockScheme::kHbmc}) {
+    typename BlockSolver<double>::Options opt;
+    opt.scheme = scheme;
+    opt.planner.stop_rows = 1;
+    opt.planner.nseg = 2;
+    std::unique_ptr<BlockSolver<double>> valid;
+    ASSERT_TRUE(BlockSolver<double>::create(small_lower(), opt, &valid).ok());
+    const std::string path = ::testing::TempDir() + "blocktri_hostile_" +
+                             to_string(scheme) + ".btpa";
+    ASSERT_TRUE(valid->save_artifact(path).ok());
+    for (const HostileCase& hc : kHostileCases) {
+      SCOPED_TRACE(to_string(scheme) + ": " + hc.name);
+      Csr<double> bad = small_lower();
+      hc.corrupt(&bad);
+      const auto expect_typed = [&](const Status& st) {
+        EXPECT_EQ(st.code(), hc.code) << st.to_string();
+        EXPECT_EQ(st.location(), hc.row);
+      };
+      std::unique_ptr<BlockSolver<double>> out;
+      EXPECT_NO_THROW(expect_typed(BlockSolver<double>::create(bad, opt, &out)));
+      EXPECT_EQ(out, nullptr);
+      EXPECT_NO_THROW(expect_typed(
+          BlockSolver<double>::create_from_file(path, bad, opt, &out)));
+      EXPECT_EQ(out, nullptr);
+      EXPECT_NO_THROW(expect_typed(valid->refresh_values(bad)));
+    }
+    std::remove(path.c_str());
+  }
 }
 
 // ---- Modes 17-18: rhs corruption -> typed errors, no exception ----

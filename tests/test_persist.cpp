@@ -18,6 +18,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/simd.hpp"
 #include "core/solver.hpp"
 #include "gen/generators.hpp"
 #include "helpers.hpp"
@@ -138,11 +139,127 @@ Csr<T> new_values(Csr<T> L) {
   return L;
 }
 
+std::uint64_t fnv1a(const void* data, std::size_t len) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < len; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Known answers of cold builds, recorded from the build that permuted the
+/// whole matrix and extracted every block from the copy: FNV-1a of the
+/// bytes save_artifact writes, and of solve()'s bits for the rhs
+/// expect_equal_solvers uses, under the canonical blocked SIMD order (the
+/// vector lowering gives the same bits). The one-walk build must keep them.
+struct KnownAnswer {
+  const char* tag;  // expect_warm_paths_match_cold's tag
+  std::uint64_t bytes, solve;  // bytes 0: not pinned (see refresh_tuned)
+};
+const KnownAnswer kKnownAnswers[] = {
+    {"forced_8_recursive-block_1_completely-parallel_scalar-CSR",
+     0xe837f11c04c485a4ULL, 0x512d5daf5d2ee3f8ULL},
+    {"forced_8_recursive-block_1_level-set_scalar-CSR",
+     0x1c4d67b2c1d4c17cULL, 0x512d5daf5d2ee3f8ULL},
+    {"forced_8_recursive-block_1_sync-free_scalar-CSR",
+     0x056862f46af5b730ULL, 0x512d5daf5d2ee3f8ULL},
+    {"forced_8_recursive-block_1_cusparse-like_scalar-CSR",
+     0x030879c4d2e888d2ULL, 0x512d5daf5d2ee3f8ULL},
+    {"forced_8_column-block_1_completely-parallel_scalar-CSR",
+     0x3552f4b40be43845ULL, 0x0357fae1ecbfa0bbULL},
+    {"forced_8_column-block_1_level-set_scalar-CSR",
+     0x63b7e0f92d5c99d1ULL, 0xbcfde956f540cdb4ULL},
+    {"forced_8_column-block_1_sync-free_scalar-CSR",
+     0x47bacacbaaeac360ULL, 0x0357fae1ecbfa0bbULL},
+    {"forced_8_column-block_1_cusparse-like_scalar-CSR",
+     0x290297890e7df9ccULL, 0xbcfde956f540cdb4ULL},
+    {"forced_8_row-block_1_completely-parallel_scalar-CSR",
+     0x55f516e55be40e37ULL, 0x0913b852393686ceULL},
+    {"forced_8_row-block_1_level-set_scalar-CSR",
+     0xd33d58ec24415019ULL, 0x6c9b73ed30817f92ULL},
+    {"forced_8_row-block_1_sync-free_scalar-CSR",
+     0xec56887e6c1a53a5ULL, 0x0913b852393686ceULL},
+    {"forced_8_row-block_1_cusparse-like_scalar-CSR",
+     0x94b3ca45eb934248ULL, 0x6c9b73ed30817f92ULL},
+    {"forced_8_hbmc-block_1_completely-parallel_scalar-CSR",
+     0x1020a1a68c6be9abULL, 0x40a68a8fb7c9ff48ULL},
+    {"forced_8_hbmc-block_1_level-set_scalar-CSR",
+     0xf3e4fb8e9127a899ULL, 0x40a68a8fb7c9ff48ULL},
+    {"forced_8_hbmc-block_1_sync-free_scalar-CSR",
+     0x2519b4253711db16ULL, 0x40a68a8fb7c9ff48ULL},
+    {"forced_8_hbmc-block_1_cusparse-like_scalar-CSR",
+     0xe4408830e85be427ULL, 0x40a68a8fb7c9ff48ULL},
+    {"sweep_chain_hbmc-block",
+     0xbc01dd40afa83e0dULL, 0xfdcc30df23748817ULL},
+    {"sweep_banded_column-block",
+     0x0fd94c36f2eb438fULL, 0x75253044a747106dULL},
+    {"sweep_grid3d_recursive-block",
+     0x183b432d1d7a9bdfULL, 0xe2ccb7b0174a4d56ULL},
+    {"sweep_powerlaw_recursive-block",
+     0x635acc176195c4ccULL, 0x82487e06982066aeULL},
+    {"sweep_rndlevels_deep_recursive-block",
+     0xe0dd275d61706c53ULL, 0x4b25be5d2ca42b1dULL},
+    {"refresh_recursive-block_1",
+     0x114ff6a9546bdf3aULL, 0x7172fd1d5b425493ULL},
+    {"refresh_recursive-block_0",
+     0x06d498a1bb81bc2dULL, 0x7172fd1d5b425493ULL},
+    {"refresh_column-block_1",
+     0x0fd94c36f2eb438fULL, 0x75253044a747106dULL},
+    {"refresh_column-block_0",
+     0x69946d762abef292ULL, 0x75253044a747106dULL},
+    {"refresh_row-block_1",
+     0x41bb038b79f3ebcbULL, 0x75253044a747106dULL},
+    {"refresh_row-block_0",
+     0x099220433f4e2ea0ULL, 0x75253044a747106dULL},
+    {"refresh_hbmc-block_1",
+     0xa5699a4bfae0945aULL, 0xce29801083680a6aULL},
+    {"refresh_hbmc-block_0",
+     0xb83a44f0939a0c08ULL, 0xce29801083680a6aULL},
+    {"refresh_unordered_1",
+     0xf920bcbccacc89c8ULL, 0x71939bc327923a28ULL},
+    {"refresh_unordered_0",
+     0xe019eccc0864e5faULL, 0x71939bc327923a28ULL},
+    // A tuned artifact records the level-merge width the cost model
+    // measured on the host, so only its solve is pinned.
+    {"refresh_tuned", 0, 0x39087f833a05dd58ULL},
+    {"dup_recursive-block_1",
+     0xd4e133baa87eaf38ULL, 0xeef8e6dcf526a3edULL},
+    {"dup_recursive-block_0",
+     0x21daa4c52fc9b3b2ULL, 0xeef8e6dcf526a3edULL},
+    {"dup_column-block_1",
+     0x01244d8ebe905802ULL, 0xab9f46d969082d18ULL},
+    {"dup_column-block_0",
+     0x4c02781285fc6b57ULL, 0xab9f46d969082d18ULL},
+    {"dup_row-block_1",
+     0x40600e11dbf2b272ULL, 0x7e6ed51b8d3c5d43ULL},
+    {"dup_row-block_0",
+     0x4c38902174ae5859ULL, 0x7e6ed51b8d3c5d43ULL},
+    {"dup_hbmc-block_1",
+     0x2d179f893255f0d9ULL, 0x53d5ceb0f6a1323bULL},
+    {"dup_hbmc-block_0",
+     0xbc96a00582944da6ULL, 0x53d5ceb0f6a1323bULL},
+};
+
+template <class T>
+void expect_known_answer(const BlockSolver<T>& cold, const std::string& bytes,
+                         const std::string& tag) {
+  for (const KnownAnswer& ka : kKnownAnswers) {
+    if (tag != ka.tag) continue;
+    const simd::ScopedPathOverride canonical(simd::Path::kBlockedScalar);
+    const std::vector<T> x = cold.solve(gen::random_rhs<T>(cold.n(), 7));
+    if (ka.bytes != 0) EXPECT_EQ(fnv1a(bytes.data(), bytes.size()), ka.bytes);
+    EXPECT_EQ(fnv1a(x.data(), x.size() * sizeof(T)), ka.solve);
+  }
+}
+
 /// The three warm paths onto a plan analyzed for L1 — create_from_file, a
 /// PlanCache hit on the entry that load inserted, and refresh_values on the
 /// live solver — each install L2's values and must equal a cold build of
 /// L2 bitwise: every solve path (expect_equal_solvers) and the bytes
-/// save_artifact writes.
+/// save_artifact writes. A tag listed in kKnownAnswers also pins the cold
+/// build's bytes and solve.
 template <class T>
 void expect_warm_paths_match_cold(const Csr<T>& L1, const Csr<T>& L2,
                                   const typename BlockSolver<T>::Options& opt,
@@ -165,6 +282,7 @@ void expect_warm_paths_match_cold(const Csr<T>& L1, const Csr<T>& L2,
   ASSERT_TRUE(live->refresh_values(L2).ok());
 
   const std::string want = saved_bytes(*cold, tag);
+  expect_known_answer(*cold, want, tag);
   for (const BlockSolver<T>* warm : {loaded.get(), hit.get(), live.get()}) {
     expect_equal_solvers(*cold, *warm, L2, opt.verify.enabled);
     EXPECT_EQ(saved_bytes(*warm, tag), want);
@@ -460,6 +578,18 @@ TEST(PersistRefresh, NewValuesMatchColdBuild) {
           L1, new_values(L1), opt,
           "refresh_" + to_string(scheme) + "_" + std::to_string(verify));
     }
+  for (bool verify : {true, false}) {
+    auto opt = small_block_options<double>();
+    opt.planner.reorder = false;
+    opt.verify.enabled = verify;
+    expect_warm_paths_match_cold(
+        L1, new_values(L1), opt,
+        "refresh_unordered_" + std::to_string(verify));
+  }
+  auto tuned = small_block_options<double>();
+  tuned.tune.enabled = true;
+  tuned.tune.sa_iterations = 8;
+  expect_warm_paths_match_cold(L1, new_values(L1), tuned, "refresh_tuned");
 }
 
 // A row may hold one column twice (check_lower_triangular allows it). The
@@ -496,6 +626,43 @@ TEST(PersistRefresh, DuplicateColumnInstallsLikeCold) {
       expect_warm_paths_match_cold(
           L, new_values(L), opt,
           "dup_" + to_string(scheme) + "_" + std::to_string(verify));
+    }
+}
+
+// create's contract lets a row hold its strictly lower entries in any
+// order, the diagonal last. Every scheme must solve such rows exactly as
+// their sorted copy: the build walk sorts an unsorted row even under an
+// identity plan (column, row, recursive without reordering), and the warm
+// paths install by the same rule.
+TEST(PersistRefresh, UnsortedRowsSolveLikeSorted) {
+  const Csr<double> L = fixture<double>(2);
+  Csr<double> reversed = L;  // strict entries of every row reversed
+  bool unsorted = false;
+  for (index_t i = 0; i < L.nrows; ++i) {
+    const auto lo = reversed.col_idx.begin() + reversed.row_ptr[i];
+    const auto hi = reversed.col_idx.begin() + reversed.row_ptr[i + 1] - 1;
+    std::reverse(lo, hi);
+    std::reverse(reversed.val.begin() + reversed.row_ptr[i],
+                 reversed.val.begin() + reversed.row_ptr[i + 1] - 1);
+    unsorted = unsorted || !std::is_sorted(lo, hi);
+  }
+  ASSERT_TRUE(unsorted);
+  ASSERT_TRUE(check_lower_triangular(reversed).ok());
+  for (const BlockScheme scheme :
+       {BlockScheme::kRecursive, BlockScheme::kColumn, BlockScheme::kRow,
+        BlockScheme::kHbmc})
+    for (const bool reorder : {true, false}) {
+      if (!reorder && scheme != BlockScheme::kRecursive) continue;
+      const std::string tag = "unsorted_" + to_string(scheme) + "_" +
+                              std::to_string(reorder);
+      SCOPED_TRACE(tag);
+      auto opt = small_block_options<double>(scheme);
+      opt.planner.reorder = reorder;
+      std::unique_ptr<BlockSolver<double>> sorted, shuffled;
+      ASSERT_TRUE(BlockSolver<double>::create(L, opt, &sorted).ok());
+      ASSERT_TRUE(BlockSolver<double>::create(reversed, opt, &shuffled).ok());
+      expect_equal_solvers(*sorted, *shuffled, L);
+      expect_warm_paths_match_cold(reversed, new_values(reversed), opt, tag);
     }
 }
 

@@ -12,11 +12,16 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/features.hpp"
 #include "analysis/levels.hpp"
 #include "common/prefix.hpp"
 #include "common/thread_pool.hpp"
 #include "core/plan.hpp"
+#include "core/solver.hpp"
 #include "gen/generators.hpp"
+#include "order/hbmc.hpp"
+#include "persist/artifact.hpp"
+#include "sparse/convert.hpp"
 #include "sparse/permute.hpp"
 #include "sparse/triangular.hpp"
 
@@ -368,6 +373,129 @@ void expect_planner_matches_reference(const Csr<double>& ld) {
       }
 }
 
+// --- The build the walk replaced, as its oracle ------------------------------
+//
+// BlockSolver fills every block from the caller's rows in one walk. The cold
+// build it replaced is kept here as the reference: the planner's permuted
+// matrix (the input itself for the column and row schemes), every block
+// extracted from it, and the features, kernel and level analysis derived per
+// block. Both must agree on every block array, kind and level count.
+
+template <class T>
+void expect_walk_matches_reference_build(
+    const Csr<T>& L, const typename BlockSolver<T>::Options& opt) {
+  const BlockSolver<T> solver(L, opt);
+  const PlanArtifact<T> art = solver.capture_artifact();
+  Csr<T> stored = L;
+  BlockPlan plan;
+  switch (opt.scheme) {
+    case BlockScheme::kColumn:
+      plan = plan_column(L.nrows, opt.planner.nseg);
+      break;
+    case BlockScheme::kRow:
+      plan = plan_row(L.nrows, opt.planner.nseg);
+      break;
+    case BlockScheme::kRecursive:
+      plan = plan_recursive(L, opt.planner, &stored);
+      break;
+    case BlockScheme::kHbmc:
+      plan = order::plan_hbmc(
+          L, opt.planner, static_cast<index_t>(solver.level_merge_width()),
+          &stored);
+      break;
+  }
+  ASSERT_TRUE(equals(plan, art.plan));
+  if (opt.verify.enabled) EXPECT_TRUE(SameCsr(art.stored, stored));
+
+  ASSERT_EQ(art.tri.size(), static_cast<std::size_t>(plan.num_tri_blocks()));
+  for (index_t t = 0; t < plan.num_tri_blocks(); ++t) {
+    SCOPED_TRACE(::testing::Message() << "triangle " << t);
+    const TriBlockArtifact<T>& got = art.tri[static_cast<std::size_t>(t)];
+    const index_t r0 = plan.tri_bounds[static_cast<std::size_t>(t)];
+    const index_t r1 = plan.tri_bounds[static_cast<std::size_t>(t) + 1];
+    const Csr<T> blk = extract_block(stored, r0, r1, r0, r1);
+    const TriangularFeatures feat = compute_triangular_features(blk);
+    TriKernelKind kind = opt.adaptive
+                             ? select_tri_kernel(feat, opt.thresholds)
+                             : opt.forced_tri;
+    if (kind == TriKernelKind::kCompletelyParallel && feat.nlevels > 1)
+      kind = TriKernelKind::kSyncFree;
+    ASSERT_EQ(got.kind, kind);
+    EXPECT_EQ(got.nlevels, feat.nlevels);
+    EXPECT_EQ(got.nnz, blk.nnz());
+    if (kind == TriKernelKind::kCompletelyParallel) {
+      EXPECT_EQ(got.diag, split_diagonal(blk).diag);
+      continue;
+    }
+    EXPECT_TRUE(SameCsr(got.kernel_csr, blk));
+    if (kind == TriKernelKind::kSyncFree) continue;
+    const LevelSets ls = compute_level_sets(blk);
+    EXPECT_EQ(got.levels.nlevels, ls.nlevels);
+    EXPECT_EQ(got.levels.level_of, ls.level_of);
+    EXPECT_EQ(got.levels.level_ptr, ls.level_ptr);
+    EXPECT_EQ(got.levels.level_item, ls.level_item);
+    if (kind == TriKernelKind::kCusparseLike)
+      EXPECT_EQ(got.kernel_first_level,
+                CusparseLikeSolver<T>(blk).kernel_first_levels());
+  }
+
+  ASSERT_EQ(art.squares.size(), plan.squares.size());
+  for (std::size_t q = 0; q < plan.squares.size(); ++q) {
+    SCOPED_TRACE(::testing::Message() << "square " << q);
+    const SquareBlockArtifact<T>& got = art.squares[q];
+    const SquareBlockRef& ref = plan.squares[q];
+    const Csr<T> blk = extract_block(stored, ref.r0, ref.r1, ref.c0, ref.c1);
+    EXPECT_EQ(got.nnz, blk.nnz());
+    SpmvKernelKind kind = SpmvKernelKind::kScalarCsr;
+    double empty_ratio = ref.r1 > ref.r0 ? 1.0 : 0.0;
+    if (blk.nnz() > 0) {
+      const MatrixFeatures feat = compute_features(blk);
+      kind = opt.adaptive ? select_square_kernel(feat, opt.thresholds)
+                          : opt.forced_square;
+      empty_ratio = feat.empty_ratio;
+    }
+    EXPECT_EQ(got.kind, kind);
+    EXPECT_EQ(got.empty_ratio, empty_ratio);
+    if (blk.nnz() > 0 && (kind == SpmvKernelKind::kScalarDcsr ||
+                          kind == SpmvKernelKind::kVectorDcsr)) {
+      const Dcsr<T> want = csr_to_dcsr(blk);
+      EXPECT_EQ(got.dcsr.nrows, want.nrows);
+      EXPECT_EQ(got.dcsr.ncols, want.ncols);
+      EXPECT_EQ(got.dcsr.row_ids, want.row_ids);
+      EXPECT_EQ(got.dcsr.row_ptr, want.row_ptr);
+      EXPECT_EQ(got.dcsr.col_idx, want.col_idx);
+      EXPECT_EQ(got.dcsr.val, want.val);
+      EXPECT_TRUE(got.csr.row_ptr.empty());
+    } else {
+      EXPECT_TRUE(SameCsr(got.csr, blk));
+    }
+  }
+}
+
+/// Adaptive selection, and two forced pairs that hold level analyses and
+/// DCSR squares, under every scheme.
+template <class T>
+void expect_walk_matches_reference_builds(const Csr<double>& ld) {
+  const Csr<T> L = gen::convert_values<T>(ld);
+  for (const BlockScheme scheme :
+       {BlockScheme::kRecursive, BlockScheme::kColumn, BlockScheme::kRow,
+        BlockScheme::kHbmc})
+    for (int variant = 0; variant < 3; ++variant) {
+      SCOPED_TRACE(::testing::Message()
+                   << to_string(scheme) << " variant " << variant);
+      typename BlockSolver<T>::Options opt;
+      opt.scheme = scheme;
+      opt.planner.stop_rows = std::max<index_t>(1, L.nrows / 32);
+      opt.adaptive = variant == 0;
+      opt.forced_tri = variant == 1 ? TriKernelKind::kLevelSet
+                                    : TriKernelKind::kCusparseLike;
+      opt.forced_square = variant == 1 ? SpmvKernelKind::kVectorDcsr
+                                       : SpmvKernelKind::kScalarDcsr;
+      opt.verify.enabled = variant != 2;
+      expect_walk_matches_reference_build(L, opt);
+    }
+}
+
 struct OracleMatrix {
   std::string name;
   std::function<Csr<double>()> build;
@@ -416,6 +544,11 @@ TEST_P(PlannerOracle, MatchesPerDepthReferenceFloat) {
   expect_planner_matches_reference<float>(GetParam().build());
 }
 
+TEST_P(PlannerOracle, WalkMatchesReferenceBuild) {
+  expect_walk_matches_reference_builds<double>(GetParam().build());
+  expect_walk_matches_reference_builds<float>(GetParam().build());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     GenFamilies, PlannerOracle, ::testing::ValuesIn(oracle_matrices()),
     [](const ::testing::TestParamInfo<OracleMatrix>& info) {
@@ -456,6 +589,35 @@ TEST(Plan, RecursiveCountsOneLevelAnalysisPerDepth) {
   const std::uint64_t unordered = level_analysis_count();
   (void)plan_recursive(L, small_opts(256, false), &stored);
   EXPECT_EQ(level_analysis_count(), unordered);
+
+  // A cold create adds one analysis for its build walk, however many leaves
+  // the plan has: the planner's depths + 1 under the recursive scheme, the
+  // quotient leveling + 1 under HBMC, 1 under the column and row schemes.
+  const auto analyses = [&](BlockScheme scheme, bool reorder,
+                            index_t* leaves) {
+    BlockSolver<double>::Options o;
+    o.scheme = scheme;
+    o.planner = small_opts(32, reorder);
+    o.planner.nseg = 16;
+    o.planner.hbmc_block_rows = 2;
+    const std::uint64_t at = level_analysis_count();
+    const BlockSolver<double> solver(L, o);
+    *leaves = solver.plan().num_tri_blocks();
+    return level_analysis_count() - at;
+  };
+  index_t leaves = 0;
+  EXPECT_EQ(analyses(BlockScheme::kRecursive, true, &leaves),
+            static_cast<std::uint64_t>(plan_recursive(L, small_opts(32),
+                                                      &stored)
+                                           .depth_used) +
+                2);
+  EXPECT_EQ(leaves, 128);
+  EXPECT_EQ(analyses(BlockScheme::kRecursive, false, &leaves), 1u);
+  EXPECT_EQ(analyses(BlockScheme::kHbmc, true, &leaves), 2u);
+  EXPECT_GE(leaves, 16);
+  EXPECT_EQ(analyses(BlockScheme::kColumn, true, &leaves), 1u);
+  EXPECT_EQ(leaves, 16);
+  EXPECT_EQ(analyses(BlockScheme::kRow, true, &leaves), 1u);
 }
 
 // Regression: nseg > n used to replicate boundary values, planning empty

@@ -221,7 +221,6 @@ int main(int argc, char** argv) {
       BlockSolver<double>::Options opt;
       opt.planner.stop_rows = std::max<index_t>(1024, n / 16);
       opt.threads = t;
-      opt.verify.enabled = false;
       Stopwatch pre;
       const BlockSolver<double> solver(L, opt);
       recs.push_back(

@@ -174,7 +174,6 @@ int main(int argc, char** argv) {
       opt.scheme = sc.scheme;
       opt.planner.stop_rows = std::max<index_t>(512, n / 64);
       opt.planner.nseg = 8;
-      opt.verify.enabled = false;
 
       Record r;
       r.matrix = mc.name;

@@ -121,7 +121,6 @@ int main(int argc, char** argv) {
     opt.scheme = BlockScheme::kRecursive;
     opt.planner.stop_rows = std::max<index_t>(512, n / 64);
     opt.planner.nseg = 8;
-    opt.verify.enabled = false;
 
     std::unique_ptr<BlockSolver<double>> solver;
     if (!BlockSolver<double>::create(L, opt, &solver).ok()) return 1;

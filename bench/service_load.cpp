@@ -309,7 +309,6 @@ int main(int argc, char** argv) {
   opt.planner.stop_rows =
       std::min<index_t>(1024, std::max<index_t>(512, n / 32));
   opt.planner.nseg = 8;
-  opt.verify.enabled = false;
 
   // Fixed request pool + references, solved once on a private solver.
   std::unique_ptr<BlockSolver<double>> reference;

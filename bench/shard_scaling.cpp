@@ -121,7 +121,6 @@ int main(int argc, char** argv) {
   opt.planner.stop_rows =
       std::min<index_t>(1024, std::max<index_t>(256, n / 64));
   opt.planner.nseg = 8;
-  opt.verify.enabled = false;
   opt.shard.max_panel = k;
 
   std::unique_ptr<BlockSolver<double>> solver;

@@ -158,6 +158,8 @@ int main(int argc, char** argv) {
            spmv_scalar_dcsr(D, x.data(), y.data(), nullptr);
          }));
 
+    // Row-interleaved panels (row stride k), the layout every solver path
+    // hands the batched kernels.
     std::vector<double> Xp, Yp;
     for (index_t c = 0; c < k; ++c) {
       const auto xc = gen::random_rhs<double>(L.ncols, 100 + static_cast<int>(c));
@@ -166,14 +168,12 @@ int main(int argc, char** argv) {
       Yp.insert(Yp.end(), yc.begin(), yc.end());
     }
     emit(&recs, sweep(mc.name, "spmv_csr_many", min_ms, [&] {
-           spmv_scalar_csr_many(L, Xp.data(), Yp.data(), k, L.ncols, L.nrows,
-                                nullptr);
+           spmv_scalar_csr_many(L, Xp.data(), Yp.data(), k, k, k, nullptr);
          }));
 
     // End-to-end recursive warm solve through the zero-allocation raw path.
     BlockSolver<double>::Options opt;
     opt.planner.stop_rows = std::max<index_t>(512, L.nrows / 64);
-    opt.verify.enabled = false;
     const BlockSolver<double> solver(L, opt);
     const auto b = gen::random_rhs<double>(L.nrows, 7);
     std::vector<double> xs(b.size());

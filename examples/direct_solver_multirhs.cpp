@@ -113,7 +113,6 @@ int main(int argc, char** argv) {
     }
     BlockSolver<double>::Options opt;
     opt.planner.stop_rows = std::max<index_t>(512, host_n / 16);
-    opt.verify.enabled = false;
     Stopwatch sw;
     const BlockSolver<double> solver(Lh, opt);
     const double pre_ms = sw.milliseconds();

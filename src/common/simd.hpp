@@ -93,14 +93,6 @@ void spmv_update_rows(const offset_t* row_ptr, const index_t* col_idx,
 void spmv_update_rows(const offset_t* row_ptr, const index_t* col_idx,
                       const float* val, const index_t* row_ids, index_t r0,
                       index_t r1, const float* x, float* y);
-void spmv_update_rows_many(const offset_t* row_ptr, const index_t* col_idx,
-                           const double* val, const index_t* row_ids,
-                           index_t r0, index_t r1, const double* x, double* y,
-                           index_t c0, index_t c1, index_t ldx, index_t ldy);
-void spmv_update_rows_many(const offset_t* row_ptr, const index_t* col_idx,
-                           const float* val, const index_t* row_ids,
-                           index_t r0, index_t r1, const float* x, float* y,
-                           index_t c0, index_t c1, index_t ldx, index_t ldy);
 void sptrsv_rows(const offset_t* row_ptr, const index_t* col_idx,
                  const double* val, const index_t* items, offset_t p0,
                  offset_t p1, const double* b, double* x);
@@ -237,91 +229,15 @@ void sptrsv_rows_blocked(const offset_t* row_ptr, const index_t* col_idx,
   }
 }
 
-/// Multi-RHS update over panel columns [c0, c1) with the pre-SIMD sequential
-/// per-column order (ascending nonzeros, kRhsTile-wide column groups).
-template <class T>
-void spmv_update_rows_many_strict(const offset_t* row_ptr,
-                                  const index_t* col_idx, const T* val,
-                                  const index_t* row_ids, index_t r0,
-                                  index_t r1, const T* x, T* y, index_t c0,
-                                  index_t c1, index_t ldx, index_t ldy) {
-  for (index_t r = r0; r < r1; ++r) {
-    const offset_t lo = row_ptr[r];
-    const offset_t hi = row_ptr[r + 1];
-    const index_t row = row_ids == nullptr ? r : row_ids[r];
-    for (index_t ct = c0; ct < c1; ct += kRhsTile) {
-      const int nt = static_cast<int>(ct + kRhsTile <= c1 ? kRhsTile
-                                                          : c1 - ct);
-      T acc[kRhsTile] = {};
-      for (offset_t p = lo; p < hi; ++p) {
-        const T v = val[p];
-        const T* xc = x + col_idx[p];
-        for (int c = 0; c < nt; ++c)
-          acc[c] += v * xc[static_cast<std::size_t>(ct + c) *
-                           static_cast<std::size_t>(ldx)];
-      }
-      for (int c = 0; c < nt; ++c)
-        y[static_cast<std::size_t>(row) +
-          static_cast<std::size_t>(ct + c) * static_cast<std::size_t>(ldy)] -=
-            acc[c];
-    }
-  }
-}
-
-/// Multi-RHS update, canonical blocked order per column: each column's
-/// accumulation chain equals dot_blocked's, so batched results stay bitwise
-/// identical to the single-RHS kernels at every path.
-template <class T>
-void spmv_update_rows_many_blocked(const offset_t* row_ptr,
-                                   const index_t* col_idx, const T* val,
-                                   const index_t* row_ids, index_t r0,
-                                   index_t r1, const T* x, T* y, index_t c0,
-                                   index_t c1, index_t ldx, index_t ldy) {
-  for (index_t r = r0; r < r1; ++r) {
-    const offset_t lo = row_ptr[r];
-    const offset_t len = row_ptr[r + 1] - lo;
-    const offset_t nb = len & ~offset_t(3);
-    if (nb == 0) {
-      // len < 4: the canonical order degenerates to the sequential chain
-      // (the blocked partials are all +0.0), so the strict inner body is
-      // bitwise-identical and skips the 4×kRhsTile accumulator setup.
-      spmv_update_rows_many_strict(row_ptr, col_idx, val, row_ids, r, r + 1,
-                                   x, y, c0, c1, ldx, ldy);
-      continue;
-    }
-    const index_t row = row_ids == nullptr ? r : row_ids[r];
-    const T* v = val + lo;
-    const index_t* ci = col_idx + lo;
-    for (index_t ct = c0; ct < c1; ct += kRhsTile) {
-      const int nt = static_cast<int>(ct + kRhsTile <= c1 ? kRhsTile
-                                                          : c1 - ct);
-      T s[4][kRhsTile] = {};
-      for (offset_t q = 0; q < nb; q += 4) {
-        for (int l = 0; l < 4; ++l) {
-          const T vv = v[q + l];
-          const T* xc = x + ci[q + l];
-          for (int c = 0; c < nt; ++c)
-            s[l][c] += vv * xc[static_cast<std::size_t>(ct + c) *
-                               static_cast<std::size_t>(ldx)];
-        }
-      }
-      T total[kRhsTile];
-      for (int c = 0; c < nt; ++c)
-        total[c] = (s[0][c] + s[2][c]) + (s[1][c] + s[3][c]);
-      for (offset_t p = nb; p < len; ++p) {
-        const T vv = v[p];
-        const T* xc = x + ci[p];
-        for (int c = 0; c < nt; ++c)
-          total[c] += vv * xc[static_cast<std::size_t>(ct + c) *
-                              static_cast<std::size_t>(ldx)];
-      }
-      for (int c = 0; c < nt; ++c)
-        y[static_cast<std::size_t>(row) +
-          static_cast<std::size_t>(ct + c) * static_cast<std::size_t>(ldy)] -=
-            total[c];
-    }
-  }
-}
+// --- Multi-RHS panel lowerings ---------------------------------------------
+//
+// The batched kernels run over a row-interleaved panel: element (i, c) at
+// base[i·ld + c], ld ≥ the panel width. A row visit then reads and writes a
+// nonzero's panel entries on one or two cache lines instead of one line per
+// column, and a column tile's x reads (`xc[c]`) and writes are unit-stride,
+// so the tile loop vectorises. Each column keeps the canonical order of the
+// single-RHS bodies above, so batched results are bitwise identical to k
+// single-RHS solves at every path.
 
 /// Calls tile(ct, std::integral_constant<int, width>{}) for the run-time
 /// `width` in [1, sizeof...(W)].
@@ -345,98 +261,7 @@ inline void for_each_rhs_tile(index_t c0, index_t c1, const Tile& tile) {
 }
 
 template <class T>
-void sptrsv_rows_many_strict(const offset_t* row_ptr, const index_t* col_idx,
-                             const T* val, const index_t* items, offset_t p0,
-                             offset_t p1, const T* b, T* x, index_t c0,
-                             index_t c1, index_t ld) {
-  for (offset_t p = p0; p < p1; ++p) {
-    const index_t i = items == nullptr ? static_cast<index_t>(p)
-                                       : items[static_cast<std::size_t>(p)];
-    const offset_t lo = row_ptr[i];
-    const offset_t hi = row_ptr[i + 1];
-    const T d = val[hi - 1];
-    for_each_rhs_tile(c0, c1, [&](index_t ct, auto nt) {
-      T acc[kRhsTile] = {};
-      for (offset_t q = lo; q < hi - 1; ++q) {
-        const T v = val[q];
-        const T* xc = x + col_idx[q];
-        for (int c = 0; c < nt; ++c)
-          acc[c] += v * xc[static_cast<std::size_t>(ct + c) *
-                           static_cast<std::size_t>(ld)];
-      }
-      for (int c = 0; c < nt; ++c) {
-        const std::size_t off = static_cast<std::size_t>(i) +
-                                static_cast<std::size_t>(ct + c) *
-                                    static_cast<std::size_t>(ld);
-        x[off] = (b[off] - acc[c]) / d;
-      }
-    });
-  }
-}
-
-template <class T>
-void sptrsv_rows_many_blocked(const offset_t* row_ptr, const index_t* col_idx,
-                              const T* val, const index_t* items, offset_t p0,
-                              offset_t p1, const T* b, T* x, index_t c0,
-                              index_t c1, index_t ld) {
-  for (offset_t p = p0; p < p1; ++p) {
-    const index_t i = items[static_cast<std::size_t>(p)];
-    const offset_t lo = row_ptr[i];
-    const offset_t len = row_ptr[i + 1] - 1 - lo;
-    const offset_t nb = len & ~offset_t(3);
-    if (nb == 0) {
-      // len < 4 degenerates to the sequential chain — run the strict body
-      // (bitwise-identical) without the blocked accumulator setup.
-      sptrsv_rows_many_strict(row_ptr, col_idx, val, items, p, p + 1, b, x,
-                              c0, c1, ld);
-      continue;
-    }
-    const T d = val[lo + len];
-    const T* v = val + lo;
-    const index_t* ci = col_idx + lo;
-    for (index_t ct = c0; ct < c1; ct += kRhsTile) {
-      const int nt = static_cast<int>(ct + kRhsTile <= c1 ? kRhsTile
-                                                          : c1 - ct);
-      T s[4][kRhsTile] = {};
-      for (offset_t q = 0; q < nb; q += 4) {
-        for (int l = 0; l < 4; ++l) {
-          const T vv = v[q + l];
-          const T* xc = x + ci[q + l];
-          for (int c = 0; c < nt; ++c)
-            s[l][c] += vv * xc[static_cast<std::size_t>(ct + c) *
-                               static_cast<std::size_t>(ld)];
-        }
-      }
-      T total[kRhsTile];
-      for (int c = 0; c < nt; ++c)
-        total[c] = (s[0][c] + s[2][c]) + (s[1][c] + s[3][c]);
-      for (offset_t q = nb; q < len; ++q) {
-        const T vv = v[q];
-        const T* xc = x + ci[q];
-        for (int c = 0; c < nt; ++c)
-          total[c] += vv * xc[static_cast<std::size_t>(ct + c) *
-                              static_cast<std::size_t>(ld)];
-      }
-      for (int c = 0; c < nt; ++c) {
-        const std::size_t off = static_cast<std::size_t>(i) +
-                                static_cast<std::size_t>(ct + c) *
-                                    static_cast<std::size_t>(ld);
-        x[off] = (b[off] - total[c]) / d;
-      }
-    }
-  }
-}
-
-// --- Interleaved-panel (PanelLayout::kInterleaved) lowerings ----------------
-//
-// Same canonical per-column operation order as the column-major bodies above,
-// over a panel stored row-interleaved: element (i, c) at base[i·ld + c],
-// ld ≥ the panel width. A column tile's x reads (`xc[c]`) and writes are
-// unit-stride, so the tile loop vectorises and one row visit touches one or
-// two cache lines per nonzero instead of one per column.
-
-template <class T>
-void spmv_update_rows_many_ilv_strict(const offset_t* row_ptr,
+void spmv_update_rows_many_strict(const offset_t* row_ptr,
                                       const index_t* col_idx, const T* val,
                                       const index_t* row_ids, index_t r0,
                                       index_t r1, const T* x, T* y, index_t c0,
@@ -463,7 +288,7 @@ void spmv_update_rows_many_ilv_strict(const offset_t* row_ptr,
 }
 
 template <class T>
-void spmv_update_rows_many_ilv_blocked(const offset_t* row_ptr,
+void spmv_update_rows_many_blocked(const offset_t* row_ptr,
                                        const index_t* col_idx, const T* val,
                                        const index_t* row_ids, index_t r0,
                                        index_t r1, const T* x, T* y,
@@ -474,9 +299,10 @@ void spmv_update_rows_many_ilv_blocked(const offset_t* row_ptr,
     const offset_t len = row_ptr[r + 1] - lo;
     const offset_t nb = len & ~offset_t(3);
     if (nb == 0) {
-      // len < 4 degenerates to the sequential chain, as in the column-major
-      // body — run the strict inner body (bitwise-identical).
-      spmv_update_rows_many_ilv_strict(row_ptr, col_idx, val, row_ids, r,
+      // len < 4: the canonical order degenerates to the sequential chain
+      // (the blocked partials are all +0.0), so the strict inner body is
+      // bitwise-identical and skips the 4×kRhsTile accumulator setup.
+      spmv_update_rows_many_strict(row_ptr, col_idx, val, row_ids, r,
                                        r + 1, x, y, c0, c1, ldx, ldy);
       continue;
     }
@@ -513,7 +339,7 @@ void spmv_update_rows_many_ilv_blocked(const offset_t* row_ptr,
 }
 
 template <class T>
-void sptrsv_rows_many_ilv_strict(const offset_t* row_ptr,
+void sptrsv_rows_many_strict(const offset_t* row_ptr,
                                  const index_t* col_idx, const T* val,
                                  const index_t* items, offset_t p0,
                                  offset_t p1, const T* b, T* x, index_t c0,
@@ -542,7 +368,7 @@ void sptrsv_rows_many_ilv_strict(const offset_t* row_ptr,
 }
 
 template <class T>
-void sptrsv_rows_many_ilv_blocked(const offset_t* row_ptr,
+void sptrsv_rows_many_blocked(const offset_t* row_ptr,
                                   const index_t* col_idx, const T* val,
                                   const index_t* items, offset_t p0,
                                   offset_t p1, const T* b, T* x, index_t c0,
@@ -553,7 +379,7 @@ void sptrsv_rows_many_ilv_blocked(const offset_t* row_ptr,
     const offset_t len = row_ptr[i + 1] - 1 - lo;
     const offset_t nb = len & ~offset_t(3);
     if (nb == 0) {
-      sptrsv_rows_many_ilv_strict(row_ptr, col_idx, val, items, p, p + 1, b,
+      sptrsv_rows_many_strict(row_ptr, col_idx, val, items, p, p + 1, b,
                                   x, c0, c1, ld);
       continue;
     }
@@ -628,49 +454,22 @@ void spmv_update_rows(const offset_t* row_ptr, const index_t* col_idx,
   }
 }
 
-/// Batched counterpart over panel columns [c0, c1).
+/// Batched update over panel columns [c0, c1) of a row-interleaved panel.
+/// The vector lowering is the blocked body: its unit-stride column loops are
+/// what the compiler vectorises, and the canonical per-column order keeps it
+/// bitwise equal to every other path.
 template <class T>
-void spmv_update_rows_many(const offset_t* row_ptr, const index_t* col_idx,
-                           const T* val, const index_t* row_ids, index_t r0,
-                           index_t r1, const T* x, T* y, index_t c0,
-                           index_t c1, index_t ldx, index_t ldy) {
-  switch (active_path()) {
-    case Path::kStrictScalar:
-      detail::spmv_update_rows_many_strict(row_ptr, col_idx, val, row_ids, r0,
-                                           r1, x, y, c0, c1, ldx, ldy);
-      return;
-    case Path::kVector:
-#if defined(BLOCKTRI_HAVE_AVX2)
-      avx2::spmv_update_rows_many(row_ptr, col_idx, val, row_ids, r0, r1, x,
-                                  y, c0, c1, ldx, ldy);
-      return;
-#else
-      [[fallthrough]];
-#endif
-    case Path::kBlockedScalar:
-      detail::spmv_update_rows_many_blocked(row_ptr, col_idx, val, row_ids,
-                                            r0, r1, x, y, c0, c1, ldx, ldy);
-      return;
-  }
-}
-
-/// Batched update over a row-interleaved panel (PanelLayout::kInterleaved;
-/// element (i, c) at base[i·ld + c]). The vector lowering is the blocked
-/// body: its unit-stride column loops are what the compiler vectorises, and
-/// the canonical per-column order keeps it bitwise equal to every other
-/// path and layout.
-template <class T>
-void spmv_update_rows_many_ilv(const offset_t* row_ptr,
+void spmv_update_rows_many(const offset_t* row_ptr,
                                const index_t* col_idx, const T* val,
                                const index_t* row_ids, index_t r0, index_t r1,
                                const T* x, T* y, index_t c0, index_t c1,
                                index_t ldx, index_t ldy) {
   if (active_path() == Path::kStrictScalar) {
-    detail::spmv_update_rows_many_ilv_strict(row_ptr, col_idx, val, row_ids,
+    detail::spmv_update_rows_many_strict(row_ptr, col_idx, val, row_ids,
                                              r0, r1, x, y, c0, c1, ldx, ldy);
     return;
   }
-  detail::spmv_update_rows_many_ilv_blocked(row_ptr, col_idx, val, row_ids,
+  detail::spmv_update_rows_many_blocked(row_ptr, col_idx, val, row_ids,
                                             r0, r1, x, y, c0, c1, ldx, ldy);
 }
 
@@ -703,41 +502,20 @@ void sptrsv_rows(const offset_t* row_ptr, const index_t* col_idx,
   }
 }
 
-/// Batched forward substitution over listed rows × panel columns [c0, c1).
-/// The kVector lowering is the blocked-scalar code: the kRhsTile-wide column
-/// groups already run kRhsTile independent accumulation chains, and the
-/// canonical per-column order keeps it bitwise equal to the other paths.
+/// Batched forward substitution over listed rows × panel columns [c0, c1)
+/// of a row-interleaved panel. The kVector lowering is the blocked body, as
+/// for the batched update.
 template <class T>
 void sptrsv_rows_many(const offset_t* row_ptr, const index_t* col_idx,
-                      const T* val, const index_t* items, offset_t p0,
-                      offset_t p1, const T* b, T* x, index_t c0, index_t c1,
-                      index_t ld) {
-  switch (active_path()) {
-    case Path::kStrictScalar:
-      detail::sptrsv_rows_many_strict(row_ptr, col_idx, val, items, p0, p1, b,
-                                      x, c0, c1, ld);
-      return;
-    case Path::kVector:
-    case Path::kBlockedScalar:
-      detail::sptrsv_rows_many_blocked(row_ptr, col_idx, val, items, p0, p1,
-                                       b, x, c0, c1, ld);
-      return;
-  }
-}
-
-/// Batched forward substitution over a row-interleaved panel
-/// (PanelLayout::kInterleaved; element (i, c) at base[i·ld + c]).
-template <class T>
-void sptrsv_rows_many_ilv(const offset_t* row_ptr, const index_t* col_idx,
                           const T* val, const index_t* items, offset_t p0,
                           offset_t p1, const T* b, T* x, index_t c0,
                           index_t c1, index_t ld) {
   if (active_path() == Path::kStrictScalar) {
-    detail::sptrsv_rows_many_ilv_strict(row_ptr, col_idx, val, items, p0, p1,
+    detail::sptrsv_rows_many_strict(row_ptr, col_idx, val, items, p0, p1,
                                         b, x, c0, c1, ld);
     return;
   }
-  detail::sptrsv_rows_many_ilv_blocked(row_ptr, col_idx, val, items, p0, p1,
+  detail::sptrsv_rows_many_blocked(row_ptr, col_idx, val, items, p0, p1,
                                        b, x, c0, c1, ld);
 }
 

@@ -136,113 +136,6 @@ void sptrsv_rows_impl(const offset_t* row_ptr, const index_t* col_idx,
   }
 }
 
-void spmv_update_rows_many_impl(const offset_t* row_ptr,
-                                const index_t* col_idx, const double* val,
-                                const index_t* row_ids, index_t r0,
-                                index_t r1, const double* x, double* y,
-                                index_t c0, index_t c1, index_t ldx,
-                                index_t ldy) {
-  for (index_t r = r0; r < r1; ++r) {
-    const offset_t lo = row_ptr[r];
-    const offset_t len = row_ptr[r + 1] - lo;
-    // The multi-RHS strict/blocked code already runs kRhsTile independent
-    // accumulation chains, so gathers have no latency to hide and lose on
-    // throughput — the vector loop only pays off on contiguous rows where
-    // plain loads replace them. Everything else takes the scalar canonical
-    // code (identical chains, bitwise-equal).
-    if (len < kMinVectorRowLen || !contiguous_row(col_idx + lo, len)) {
-      detail::spmv_update_rows_many_blocked(row_ptr, col_idx, val, row_ids, r,
-                                            r + 1, x, y, c0, c1, ldx, ldy);
-      continue;
-    }
-    const offset_t nb = len & ~offset_t(3);
-    const index_t row = row_ids == nullptr ? r : row_ids[r];
-    const double* v = val + lo;
-    const index_t* ci = col_idx + lo;
-    for (index_t ct = c0; ct < c1; ct += kRhsTile) {
-      const int nt = static_cast<int>(ct + kRhsTile <= c1 ? kRhsTile
-                                                          : c1 - ct);
-      __m256d s[kRhsTile];
-      for (int c = 0; c < nt; ++c) s[c] = _mm256_setzero_pd();
-      const double* xr = x + ci[0];
-      for (offset_t q = 0; q < nb; q += 4) {
-        const __m256d vv = _mm256_loadu_pd(v + q);
-        for (int c = 0; c < nt; ++c) {
-          const __m256d xg =
-              _mm256_loadu_pd(xr + q +
-                              static_cast<std::size_t>(ct + c) *
-                                  static_cast<std::size_t>(ldx));
-          s[c] = _mm256_add_pd(s[c], _mm256_mul_pd(vv, xg));
-        }
-      }
-      double total[kRhsTile];
-      for (int c = 0; c < nt; ++c) total[c] = reduce4(s[c]);
-      for (offset_t q = nb; q < len; ++q) {
-        const double vv = v[q];
-        const double* xc = x + ci[q];
-        for (int c = 0; c < nt; ++c)
-          total[c] += vv * xc[static_cast<std::size_t>(ct + c) *
-                              static_cast<std::size_t>(ldx)];
-      }
-      for (int c = 0; c < nt; ++c)
-        y[static_cast<std::size_t>(row) +
-          static_cast<std::size_t>(ct + c) * static_cast<std::size_t>(ldy)] -=
-            total[c];
-    }
-  }
-}
-
-void spmv_update_rows_many_impl(const offset_t* row_ptr,
-                                const index_t* col_idx, const float* val,
-                                const index_t* row_ids, index_t r0,
-                                index_t r1, const float* x, float* y,
-                                index_t c0, index_t c1, index_t ldx,
-                                index_t ldy) {
-  for (index_t r = r0; r < r1; ++r) {
-    const offset_t lo = row_ptr[r];
-    const offset_t len = row_ptr[r + 1] - lo;
-    if (len < kMinVectorRowLen || !contiguous_row(col_idx + lo, len)) {
-      detail::spmv_update_rows_many_blocked(row_ptr, col_idx, val, row_ids, r,
-                                            r + 1, x, y, c0, c1, ldx, ldy);
-      continue;
-    }
-    const offset_t nb = len & ~offset_t(3);
-    const index_t row = row_ids == nullptr ? r : row_ids[r];
-    const float* v = val + lo;
-    const index_t* ci = col_idx + lo;
-    for (index_t ct = c0; ct < c1; ct += kRhsTile) {
-      const int nt = static_cast<int>(ct + kRhsTile <= c1 ? kRhsTile
-                                                          : c1 - ct);
-      __m128 s[kRhsTile];
-      for (int c = 0; c < nt; ++c) s[c] = _mm_setzero_ps();
-      const float* xr = x + ci[0];
-      for (offset_t q = 0; q < nb; q += 4) {
-        const __m128 vv = _mm_loadu_ps(v + q);
-        for (int c = 0; c < nt; ++c) {
-          const __m128 xg =
-              _mm_loadu_ps(xr + q +
-                           static_cast<std::size_t>(ct + c) *
-                               static_cast<std::size_t>(ldx));
-          s[c] = _mm_add_ps(s[c], _mm_mul_ps(vv, xg));
-        }
-      }
-      float total[kRhsTile];
-      for (int c = 0; c < nt; ++c) total[c] = reduce4(s[c]);
-      for (offset_t q = nb; q < len; ++q) {
-        const float vv = v[q];
-        const float* xc = x + ci[q];
-        for (int c = 0; c < nt; ++c)
-          total[c] += vv * xc[static_cast<std::size_t>(ct + c) *
-                              static_cast<std::size_t>(ldx)];
-      }
-      for (int c = 0; c < nt; ++c)
-        y[static_cast<std::size_t>(row) +
-          static_cast<std::size_t>(ct + c) * static_cast<std::size_t>(ldy)] -=
-            total[c];
-    }
-  }
-}
-
 }  // namespace
 
 void spmv_update_rows(const offset_t* row_ptr, const index_t* col_idx,
@@ -254,21 +147,6 @@ void spmv_update_rows(const offset_t* row_ptr, const index_t* col_idx,
                       const float* val, const index_t* row_ids, index_t r0,
                       index_t r1, const float* x, float* y) {
   spmv_update_rows_impl(row_ptr, col_idx, val, row_ids, r0, r1, x, y);
-}
-
-void spmv_update_rows_many(const offset_t* row_ptr, const index_t* col_idx,
-                           const double* val, const index_t* row_ids,
-                           index_t r0, index_t r1, const double* x, double* y,
-                           index_t c0, index_t c1, index_t ldx, index_t ldy) {
-  spmv_update_rows_many_impl(row_ptr, col_idx, val, row_ids, r0, r1, x, y,
-                             c0, c1, ldx, ldy);
-}
-void spmv_update_rows_many(const offset_t* row_ptr, const index_t* col_idx,
-                           const float* val, const index_t* row_ids,
-                           index_t r0, index_t r1, const float* x, float* y,
-                           index_t c0, index_t c1, index_t ldx, index_t ldy) {
-  spmv_update_rows_many_impl(row_ptr, col_idx, val, row_ids, r0, r1, x, y,
-                             c0, c1, ldx, ldy);
 }
 
 void sptrsv_rows(const offset_t* row_ptr, const index_t* col_idx,

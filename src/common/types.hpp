@@ -34,14 +34,4 @@ inline constexpr int kWarp = 32;
 /// panel shapes (see bench/service_load.cpp).
 inline constexpr int kRhsTile = 8;
 
-/// Memory layout of a multi-RHS panel handed to the batched kernels.
-/// Column-major is the user-facing layout (column c starts at base + c·ld,
-/// ld ≥ block rows). Interleaved stores one row's k panel entries
-/// contiguously (element (i, c) at base + i·ld + c, ld ≥ k): every x-gather
-/// a row visit performs then lands on one or two cache lines for the whole
-/// tile instead of one line per column, and the per-column accumulator loop
-/// runs over unit-stride memory. The per-column floating-point operation
-/// order is identical in both layouts, so results are bitwise equal.
-enum class PanelLayout { kColMajor, kInterleaved };
-
 }  // namespace blocktri

@@ -317,6 +317,12 @@ const SquareWindow::Active* SquareWindow::find(index_t c) const {
   return &*std::prev(it);
 }
 
+index_t SquareWindow::next_change() const {
+  return next_ < by_r0_.size()
+             ? std::min(first_end_, squares_[by_r0_[next_]].r0)
+             : first_end_;
+}
+
 template <class T>
 BlockNnz count_block_nnz(const Csr<T>& lower, const BlockPlan& plan) {
   BlockNnz out;

@@ -155,6 +155,10 @@ class SquareWindow {
   /// The active square whose column range holds `c`, or nullptr.
   const Active* find(index_t c) const;
 
+  /// The first row past the last at() whose covering squares can differ:
+  /// where an active square ends or the next one starts.
+  index_t next_change() const;
+
  private:
   const std::vector<SquareBlockRef>& squares_;
   std::vector<std::size_t> by_r0_;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <thread>
@@ -24,10 +25,13 @@
 namespace blocktri {
 
 namespace {
+/// Whether v[0], v[stride], ..., v[(n−1)·stride] are all finite.
 template <class T>
-bool all_finite(const T* v, index_t n) {
+bool all_finite(const T* v, index_t n, index_t stride = 1) {
   for (index_t i = 0; i < n; ++i)
-    if (!std::isfinite(static_cast<double>(v[i]))) return false;
+    if (!std::isfinite(static_cast<double>(
+            v[static_cast<std::size_t>(i) * static_cast<std::size_t>(stride)])))
+      return false;
   return true;
 }
 
@@ -52,18 +56,61 @@ void gather_permuted(const T* src, const std::vector<index_t>& new_of_old,
     dst[i] = src[static_cast<std::size_t>(new_of_old[i])];
 }
 
+/// `total` elements of `v` from its first 64-byte-aligned one. When a row
+/// slab of an interleaved panel (k elements) is a cache-line multiple, every
+/// tile-wide gather/update in the batched kernels then touches exactly the
+/// lines it covers — an unaligned base would spill each slab across one
+/// extra line.
 template <class T>
-std::vector<T> unpermute_panel(const std::vector<T>& v,
-                               const std::vector<index_t>& new_of_old,
-                               index_t k) {
+T* aligned_panel(std::vector<T>& v, std::size_t total) {
+  v.resize(total + 64 / sizeof(T) - 1);
+  const auto u = reinterpret_cast<std::uintptr_t>(v.data());
+  return reinterpret_cast<T*>((u + 63u) & ~std::uintptr_t{63u});
+}
+
+/// Fused entry permutation of a panel: the caller's column-major n × k
+/// panel — column c at B + c·n, or at Bs[c] when B is null — transposed
+/// into the row-interleaved permuted workspace, element (new_of_old[i], c)
+/// at bw[new_of_old[i]·k + c].
+template <class T>
+void scatter_panel(const T* B, const T* const* Bs,
+                   const std::vector<index_t>& new_of_old, index_t k, T* bw) {
   const std::size_t n = new_of_old.size();
-  std::vector<T> out(v.size());
-  for (index_t c = 0; c < k; ++c) {
-    const std::size_t off = static_cast<std::size_t>(c) * n;
-    for (std::size_t i = 0; i < n; ++i)
-      out[off + i] = v[off + static_cast<std::size_t>(new_of_old[i])];
+  const auto ku = static_cast<std::size_t>(k);
+  if (Bs != nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      T* row = bw + static_cast<std::size_t>(new_of_old[i]) * ku;
+      for (std::size_t c = 0; c < ku; ++c) row[c] = Bs[c][i];
+    }
+    return;
   }
-  return out;
+  for (std::size_t i = 0; i < n; ++i) {
+    T* row = bw + static_cast<std::size_t>(new_of_old[i]) * ku;
+    const T* bi = B + i;
+    for (std::size_t c = 0; c < ku; ++c) row[c] = bi[c * n];
+  }
+}
+
+/// Fused exit permutation of a panel, scatter_panel's inverse: the
+/// interleaved permuted solution back to the caller's column-major X, or to
+/// the columns Xs[c] when X is null.
+template <class T>
+void gather_panel(const T* xw, const std::vector<index_t>& new_of_old,
+                  index_t k, T* X, T* const* Xs) {
+  const std::size_t n = new_of_old.size();
+  const auto ku = static_cast<std::size_t>(k);
+  if (Xs != nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const T* row = xw + static_cast<std::size_t>(new_of_old[i]) * ku;
+      for (std::size_t c = 0; c < ku; ++c) Xs[c][i] = row[c];
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const T* row = xw + static_cast<std::size_t>(new_of_old[i]) * ku;
+    T* xi = X + i;
+    for (std::size_t c = 0; c < ku; ++c) xi[c * n] = row[c];
+  }
 }
 
 /// Decrements the solver's in-flight counter on scope exit, so early returns
@@ -319,20 +366,19 @@ void BlockSolver<T>::exec_step(const ExecStep& step, T* bw, T* xw,
 template <class T>
 void BlockSolver<T>::exec_tri_many(const TriBlock& blk, const T* b, T* x,
                                    index_t k, ThreadPool* pool,
-                                   const ExecControl* ctl, index_t ld,
-                                   PanelLayout layout) const {
+                                   const ExecControl* ctl, index_t ld) const {
   switch (blk.info.kind) {
     case TriKernelKind::kCompletelyParallel:
-      blk.diag->solve_many(b, x, k, ld, pool, ctl, layout);
+      blk.diag->solve_many(b, x, k, ld, pool, ctl);
       return;
     case TriKernelKind::kLevelSet:
-      blk.levelset->solve_many(b, x, k, ld, pool, ctl, layout);
+      blk.levelset->solve_many(b, x, k, ld, pool, ctl);
       return;
     case TriKernelKind::kSyncFree:
-      blk.syncfree->solve_many(b, x, k, ld, pool, ctl, layout);
+      blk.syncfree->solve_many(b, x, k, ld, pool, ctl);
       return;
     case TriKernelKind::kCusparseLike:
-      blk.cusparse->solve_many(b, x, k, ld, ctl, layout);
+      blk.cusparse->solve_many(b, x, k, ld, ctl);
       return;
   }
   BLOCKTRI_CHECK_MSG(false, "unknown triangular kernel kind");
@@ -341,19 +387,19 @@ void BlockSolver<T>::exec_tri_many(const TriBlock& blk, const T* b, T* x,
 template <class T>
 void BlockSolver<T>::exec_square_many(const SquareBlock& blk, const T* x,
                                       T* y, index_t k, ThreadPool* pool,
-                                      index_t ld, PanelLayout layout) const {
+                                      index_t ld) const {
   switch (blk.info.kind) {
     case SpmvKernelKind::kScalarCsr:
-      spmv_scalar_csr_many(blk.csr, x, y, k, ld, ld, pool, layout);
+      spmv_scalar_csr_many(blk.csr, x, y, k, ld, ld, pool);
       return;
     case SpmvKernelKind::kVectorCsr:
-      spmv_vector_csr_many(blk.csr, x, y, k, ld, ld, pool, layout);
+      spmv_vector_csr_many(blk.csr, x, y, k, ld, ld, pool);
       return;
     case SpmvKernelKind::kScalarDcsr:
-      spmv_scalar_dcsr_many(blk.dcsr, x, y, k, ld, ld, pool, layout);
+      spmv_scalar_dcsr_many(blk.dcsr, x, y, k, ld, ld, pool);
       return;
     case SpmvKernelKind::kVectorDcsr:
-      spmv_vector_dcsr_many(blk.dcsr, x, y, k, ld, ld, pool, layout);
+      spmv_vector_dcsr_many(blk.dcsr, x, y, k, ld, ld, pool);
       return;
   }
   BLOCKTRI_CHECK_MSG(false, "unknown square kernel kind");
@@ -362,31 +408,25 @@ void BlockSolver<T>::exec_square_many(const SquareBlock& blk, const T* x,
 template <class T>
 void BlockSolver<T>::exec_step_many(const ExecStep& step, T* bw, T* xw,
                                     index_t c0, index_t c1, ThreadPool* pool,
-                                    const ExecControl* ctl, index_t ld,
-                                    PanelLayout layout) const {
+                                    const ExecControl* ctl,
+                                    index_t ld) const {
   const index_t k = c1 - c0;
   if (k <= 0) return;
-  // Column-major: column c0 starts coff elements in, blocks offset by their
-  // first row. Interleaved: the sub-panel [c0, c1) is base + c0 with the
-  // same row stride, blocks offset by r0·ld.
-  const bool ilv = layout == PanelLayout::kInterleaved;
-  const std::size_t coff =
-      ilv ? static_cast<std::size_t>(c0)
-          : static_cast<std::size_t>(c0) * static_cast<std::size_t>(ld);
-  const auto row_off = [&](index_t r) {
-    return ilv ? static_cast<std::size_t>(r) * static_cast<std::size_t>(ld)
-               : static_cast<std::size_t>(r);
+  // The sub-panel [c0, c1) is base + c0 with the same row stride; a block's
+  // rows start r0·ld further in.
+  const auto at = [&](T* base, index_t r) {
+    return base + static_cast<std::size_t>(r) * static_cast<std::size_t>(ld) +
+           static_cast<std::size_t>(c0);
   };
   if (step.kind == ExecStep::Kind::kTri) {
     const TriBlock& blk = tri_[static_cast<std::size_t>(step.index)];
-    exec_tri_many(blk, bw + coff + row_off(blk.info.r0),
-                  xw + coff + row_off(blk.info.r0), k, pool, ctl, ld, layout);
+    exec_tri_many(blk, at(bw, blk.info.r0), at(xw, blk.info.r0), k, pool, ctl,
+                  ld);
   } else {
     const SquareBlock& blk = squares_[static_cast<std::size_t>(step.index)];
     if (blk.info.nnz == 0) return;  // skipped, like the wave executor
-    exec_square_many(blk, xw + coff + row_off(blk.info.ref.c0),
-                     bw + coff + row_off(blk.info.ref.r0), k, pool, ld,
-                     layout);
+    exec_square_many(blk, at(xw, blk.info.ref.c0), at(bw, blk.info.ref.r0), k,
+                     pool, ld);
   }
 }
 
@@ -435,6 +475,7 @@ void BlockSolver<T>::solve(const T* b, T* x) const {
 template <class T>
 Status BlockSolver<T>::solve(const T* b, T* x, const SolveControls& controls,
                              SolveReport* rep) const {
+  if (Status st = whole_matrix(); !st.ok()) return st;
   const int prev = in_flight_.fetch_add(1, std::memory_order_relaxed);
   InFlightGuard in_flight_guard{&in_flight_};
   if (prev > 0 && opt_.session.strict_reentrancy)
@@ -547,6 +588,7 @@ Status BlockSolver<T>::solve_many_impl(const T* B, const T* const* Bs, T* X,
                                        T* const* Xs, index_t k,
                                        const SolveControls& controls,
                                        SolveReport* rep) const {
+  if (Status st = whole_matrix(); !st.ok()) return st;
   if (k <= 0) return Status::Ok();
   const int prev = in_flight_.fetch_add(1, std::memory_order_relaxed);
   InFlightGuard in_flight_guard{&in_flight_};
@@ -570,41 +612,17 @@ Status BlockSolver<T>::solve_many_impl(const T* B, const T* const* Bs, T* X,
     std::this_thread::sleep_for(
         std::chrono::milliseconds(opt_.fault.hold_lease_ms));
 
-  const std::size_t n = static_cast<std::size_t>(plan_.n);
-  const std::size_t total = n * static_cast<std::size_t>(k);
-  // 64-byte-align the panel bases: when a row slab (k elements) is a
-  // cache-line multiple, every tile-wide gather/update in the interleaved
-  // kernels then touches exactly the lines it covers — an unaligned base
-  // would spill each slab across one extra line.
-  constexpr std::size_t kAlign = 64 / sizeof(T);
-  ws.bw.resize(total + kAlign - 1);
-  ws.xw.resize(total + kAlign - 1);
-  const auto align64 = [](T* p) {
-    const auto u = reinterpret_cast<std::uintptr_t>(p);
-    return reinterpret_cast<T*>((u + 63u) & ~std::uintptr_t{63u});
-  };
-  T* bw = align64(ws.bw.data());
-  T* xw = align64(ws.xw.data());
-  // The workspace panel is row-interleaved (element (i, c) at i·k + c, see
-  // PanelLayout): every row visit in the batched kernels then reads and
-  // writes all k panel entries of a nonzero from one or two cache lines
-  // instead of one line per column, which is where the per-RHS amortisation
-  // beyond structure streaming comes from. The caller-facing layout stays
-  // column-major; this fused entry permutation transposes on the way in.
-  const auto ku = static_cast<std::size_t>(k);
-  if (Bs != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      T* row = bw + static_cast<std::size_t>(plan_.new_of_old[i]) * ku;
-      for (std::size_t c = 0; c < ku; ++c) row[c] = Bs[c][i];
-    }
-  } else {
-    // Contiguous column-major panel: column c starts at B + c·n.
-    for (std::size_t i = 0; i < n; ++i) {
-      T* row = bw + static_cast<std::size_t>(plan_.new_of_old[i]) * ku;
-      const T* bi = B + i;
-      for (std::size_t c = 0; c < ku; ++c) row[c] = bi[c * n];
-    }
-  }
+  const std::size_t total =
+      static_cast<std::size_t>(plan_.n) * static_cast<std::size_t>(k);
+  // The workspace panel is row-interleaved (element (i, c) at i·k + c): every
+  // row visit in the batched kernels then reads and writes all k panel
+  // entries of a nonzero from one or two cache lines instead of one line per
+  // column, which is where the per-RHS amortisation beyond structure
+  // streaming comes from. The caller-facing layout stays column-major; the
+  // fused entry permutation transposes on the way in.
+  T* bw = aligned_panel(ws.bw, total);
+  T* xw = aligned_panel(ws.xw, total);
+  scatter_panel(B, Bs, plan_.new_of_old, k, bw);
 
   // Pool arbitration: same contract as the single-RHS path above.
   std::unique_lock<std::mutex> pool_lk(exec_mu_, std::defer_lock);
@@ -614,8 +632,7 @@ Status BlockSolver<T>::solve_many_impl(const T* B, const T* const* Bs, T* X,
   if (epool == nullptr) {
     for (const ExecStep& step : plan_.steps) {
       if (!ctl.check()) break;
-      exec_step_many(step, bw, xw, 0, k, nullptr, &ctl, k,
-                     PanelLayout::kInterleaved);
+      exec_step_many(step, bw, xw, 0, k, nullptr, &ctl, k);
       if (ctl.tripped()) break;
       ++r->steps_completed;
     }
@@ -641,8 +658,7 @@ Status BlockSolver<T>::solve_many_impl(const T* B, const T* const* Bs, T* X,
                     static_cast<index_t>((threads_ + nsteps - 1) / nsteps)))
               : 1;
       if (nsteps * nchunks == 1) {
-        exec_step_many(wave[0], bw, xw, 0, k, epool, &ctl, k,
-                       PanelLayout::kInterleaved);
+        exec_step_many(wave[0], bw, xw, 0, k, epool, &ctl, k);
       } else {
         epool->run(nsteps * nchunks, [&](int t) {
           const int s = t / nchunks;
@@ -655,7 +671,7 @@ Status BlockSolver<T>::solve_many_impl(const T* B, const T* const* Bs, T* X,
                              static_cast<std::int64_t>(lines) * (ch + 1) /
                              nchunks));
           exec_step_many(wave[static_cast<std::size_t>(s)], bw, xw, c0, c1,
-                         nullptr, &ctl, k, PanelLayout::kInterleaved);
+                         nullptr, &ctl, k);
         });
       }
       if (ctl.tripped()) break;
@@ -663,18 +679,7 @@ Status BlockSolver<T>::solve_many_impl(const T* B, const T* const* Bs, T* X,
     }
   }
   // Fused exit permutation, scattering back to the caller's columns.
-  if (Xs != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const T* row = xw + static_cast<std::size_t>(plan_.new_of_old[i]) * ku;
-      for (std::size_t c = 0; c < ku; ++c) Xs[c][i] = row[c];
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      const T* row = xw + static_cast<std::size_t>(plan_.new_of_old[i]) * ku;
-      T* xi = X + i;
-      for (std::size_t c = 0; c < ku; ++c) xi[c * n] = row[c];
-    }
-  }
+  gather_panel(xw, plan_.new_of_old, k, X, Xs);
   if (ctl.tripped())
     return ctl.to_status("after " + std::to_string(r->steps_completed) +
                          " of " + std::to_string(r->steps_total) +
@@ -687,6 +692,7 @@ std::vector<T> BlockSolver<T>::solve_simulated(
     const std::vector<T>& b, const sim::GpuSpec& gpu, sim::CacheModel* cache,
     sim::SolveReport* report, BlockSolveBreakdown* breakdown,
     bool fp64) const {
+  throw_if_error(whole_matrix());
   BLOCKTRI_CHECK(b.size() == static_cast<std::size_t>(plan_.n));
   BLOCKTRI_CHECK(report != nullptr);
   const int elem = static_cast<int>(sizeof(T));
@@ -814,12 +820,9 @@ std::uint64_t BlockSolver<T>::options_fingerprint(const Options& opt) {
   h = hash_combine(h, f64(opt.thresholds.sq_nnz_row_scalar));
   h = hash_combine(h, f64(opt.thresholds.sq_empty_scalar));
   h = hash_combine(h, f64(opt.thresholds.sq_empty_vector));
-  // verify.enabled changes what the artifact must retain (stored matrix,
-  // per-block CSRs); the other verify knobs and all runtime-only fields
-  // (threads, tolerances, fault injection) do not affect the plan.
-  h = hash_combine(h, opt.verify.enabled ? 1 : 0);
-  // Tuning fields join only when enabled, so untuned fingerprints (and every
-  // pre-tuner artifact) are byte-identical to version 1 of this hash.
+  // Runtime-only fields (threads, the verify knobs, fault injection) do not
+  // affect the plan. Tuning fields join only when enabled, so an untuned
+  // fingerprint does not depend on the tuner's settings.
   if (opt.tune.enabled) {
     h = hash_combine(h, 0x74756e65u);  // "tune"
     h = hash_combine(h, tune::device_fingerprint(opt.tune.gpu));
@@ -848,17 +851,14 @@ std::uint64_t BlockSolver<T>::options_fingerprint(const Options& opt) {
 
 template <class T>
 PlanArtifact<T> BlockSolver<T>::capture_artifact() const {
+  throw_if_error(whole_matrix());
   PlanArtifact<T> art;
   art.structure = structure_hash_;
   art.options = options_fingerprint(opt_);
   art.plan = plan_;
   art.waves = waves_;
   art.nnz = nnz_;
-  art.verify_captured = opt_.verify.enabled;
-  if (art.verify_captured) {
-    art.stored = stored_;
-    art.norm_inf = norm_inf_;
-  }
+  art.norm_inf = norm_inf_;
   art.build_ops = build_ops_;
   art.build_bytes = build_bytes_;
   art.tuned = tuned_;
@@ -912,6 +912,7 @@ PlanArtifact<T> BlockSolver<T>::capture_artifact() const {
 
 template <class T>
 Status BlockSolver<T>::save_artifact(const std::string& path) const {
+  if (Status st = whole_matrix(); !st.ok()) return st;
   return blocktri::save_artifact(path, capture_artifact());
 }
 
@@ -926,6 +927,7 @@ BlockSolver<T>::BlockSolver(const PlanArtifact<T>& art, const Options& opt,
   plan_ = art.plan;
   waves_ = art.waves;
   nnz_ = art.nnz;
+  norm_inf_ = art.norm_inf;  // install_values recomputes it
   build_ops_ = art.build_ops;
   build_bytes_ = art.build_bytes;
   tuned_ = art.tuned;
@@ -992,11 +994,6 @@ BlockSolver<T>::BlockSolver(const PlanArtifact<T>& art, const Options& opt,
     square_info_.push_back(out.info);
   }
 
-  if (opt.verify.enabled) {
-    stored_ = adopt(art.stored, with_values);
-    norm_inf_ = art.norm_inf;  // install_values recomputes it
-  }
-
   // Same simulated address layout as the cold constructor.
   sim::AddressSpace as;
   const auto n_u = static_cast<std::uint64_t>(plan_.n);
@@ -1036,7 +1033,7 @@ Status BlockSolver<T>::rehydrate(const PlanArtifact<T>& art,
         StatusCode::kInvalidArgument,
         "options fingerprint differs from the one the artifact was captured "
         "under (plan-affecting fields — scheme, planner, kernel selection, "
-        "thresholds, verify.enabled — must match exactly)");
+        "thresholds — must match exactly)");
   if (!validated) {
     if (Status st = validate_artifact(art); !st.ok()) return st;
   }
@@ -1252,7 +1249,6 @@ void BlockSolver<T>::build_blocks(const Csr<T>& lower, BlockNnz counts,
     squares_[q].csr = sized_csr<T>(ref.r1 - ref.r0, ref.c1 - ref.c0,
                                    counts.squares[q]);
   }
-  if (opt_.verify.enabled) stored_ = sized_csr<T>(plan_.n, plan_.n, nnz_);
 
   throw_if_error(walk_rows<true>(lower, &b));
   note_level_analysis();  // the walk computed every triangle's levels
@@ -1391,7 +1387,6 @@ Status BlockSolver<T>::walk_rows(const Csr<T>& lower, BuildState* build) {
                                "values");
   };
   const index_t n = plan_.n;
-  const bool verify = opt_.verify.enabled;
 
   // A permuting plan orders every row as permute_symmetric does; so does an
   // HBMC plan, whose planner defines its blocks on its permuted matrix even
@@ -1420,7 +1415,6 @@ Status BlockSolver<T>::walk_rows(const Csr<T>& lower, BuildState* build) {
   }
   std::vector<offset_t> square_writes(kBuild ? 0 : squares_.size(), 0);
   SquareWindow window(plan_.squares);
-  const Tgt stored = verify ? Tgt::of(stored_) : Tgt{};
 
   // The current triangle's one copy: its rows, or an installed diagonal
   // block's pivots.
@@ -1489,17 +1483,11 @@ Status BlockSolver<T>::walk_rows(const Csr<T>& lower, BuildState* build) {
                          by_col) -
         row.begin());
 
-    // stored_ and ‖L‖∞ take the whole row, in stored order.
-    if (verify) {
-      RowSink<T, kBuild> sink = stored.row(static_cast<std::size_t>(ni));
-      double row_sum = 0.0;
-      for (const auto& [c, v] : row) {
-        if (!sink.put(c, v)) return fail("the stored matrix");
-        row_sum += std::fabs(static_cast<double>(v));
-      }
-      if (!sink.close()) return fail("the stored matrix");
-      norm = std::max(norm, row_sum);
-    }
+    // ‖L‖∞ sums the whole row, in the order the blocks store it.
+    double row_sum = 0.0;
+    for (const auto& e : row)
+      row_sum += std::fabs(static_cast<double>(e.second));
+    norm = std::max(norm, row_sum);
 
     // Square entries: each covering square takes one contiguous run. A
     // build closes the row of every covering square; an install writes the
@@ -1568,27 +1556,29 @@ Status BlockSolver<T>::walk_rows(const Csr<T>& lower, BuildState* build) {
       if (!full(m)) return fail("a triangular block");
     for (const SquareBlock& blk : squares_)
       if (!full(blk.csr)) return fail("a square block");
-    if (verify && !full(stored_)) return fail("the stored matrix");
   } else {
     // Every visit filled its row window exactly, so a count equal to the
     // array's length leaves no held entry in a row the values skip.
     for (std::size_t q = 0; q < sq.size(); ++q)
       if (square_writes[q] != sq[q].len) return fail("a square block");
   }
-  if (verify) norm_inf_ = norm;
+  norm_inf_ = norm;
   return Status::Ok();
 }
 
 template <class T>
+Status BlockSolver<T>::whole_matrix() const {
+  if (slice_.empty()) return Status::Ok();
+  return Status(StatusCode::kInvalidArgument,
+                "plan is " + slice_ +
+                    ": it holds only its shard's blocks and serves only a "
+                    "shard worker's steps, not the whole matrix");
+}
+
+template <class T>
 Status BlockSolver<T>::install_values(const Csr<T>& lower) {
-  if (!slice_.empty())
-    return Status(StatusCode::kInvalidArgument,
-                  "plan is " + slice_ +
-                      ": it holds only its shard's blocks and cannot take "
-                      "the values of a whole matrix");
-  if (lower.nrows != plan_.n || lower.nnz() != nnz_ ||
-      (opt_.verify.enabled &&
-       stored_.row_ptr.size() != static_cast<std::size_t>(plan_.n) + 1))
+  if (Status st = whole_matrix(); !st.ok()) return st;
+  if (lower.nrows != plan_.n || lower.nnz() != nnz_)
     return Status(StatusCode::kStructureMismatch,
                   "value install: the matrix size disagrees with the plan");
   return walk_rows<false>(lower, nullptr);
@@ -1671,47 +1661,194 @@ Status BlockSolver<T>::run_steps_checked(std::vector<T>& bw,
 }
 
 template <class T>
-void BlockSolver<T>::residual_into(const T* xw, const T* bw0, T* r,
+void BlockSolver<T>::residual_into(const T* xw, const T* bw0, T* r, index_t k,
                                    ThreadPool* epool) const {
-  auto row_range = [&](index_t i0, index_t i1) {
-    for (index_t i = i0; i < i1; ++i) {
-      double acc = 0.0;
-      for (offset_t k = stored_.row_ptr[static_cast<std::size_t>(i)];
-           k < stored_.row_ptr[static_cast<std::size_t>(i) + 1]; ++k)
-        acc += static_cast<double>(stored_.val[static_cast<std::size_t>(k)]) *
-               static_cast<double>(
-                   xw[static_cast<std::size_t>(
-                       stored_.col_idx[static_cast<std::size_t>(k)])]);
-      r[static_cast<std::size_t>(i)] =
-          static_cast<T>(static_cast<double>(bw0[static_cast<std::size_t>(i)]) -
-                         acc);
+  // Rows [i0, i1), i0 a leaf bound. The walk stored each sorted row as one
+  // run per covering square, by ascending first column, then the triangle
+  // entries, diagonal last: visiting the blocks in that order accumulates
+  // every row's entries in the order the row holds them, in every column.
+  // The rows go in segments of at most kSegment, each within one leaf and
+  // one set of covering squares, and each block adds its rows of the
+  // segment in one pass, kRhsTile columns at a time.
+  constexpr index_t kSegment = 256;
+  const auto ku = static_cast<std::size_t>(k);
+  struct SquareRows {  // `ids` non-null for a DCSR square
+    const offset_t* ptr;
+    const index_t* col;
+    const T* val;
+    const T* x;  // the panel at the square's first column
+    index_t r0;
+    const index_t* ids;
+    std::size_t nids, next;  // DCSR: row ids, and the next one to visit
+  };
+  const auto row_range = [&](index_t i0, index_t i1) {
+    SquareWindow window(plan_.squares);
+    // The squares covering the segment, by first column.
+    std::vector<SquareRows> sq;
+    index_t refresh = i0;  // the row at which they may change
+    auto t = static_cast<std::size_t>(
+        std::upper_bound(plan_.tri_bounds.begin(), plan_.tri_bounds.end(),
+                         i0) -
+        plan_.tri_bounds.begin() - 1);
+    double acc[kSegment * kRhsTile];
+    Csr<T> unused;  // tri_rows' scratch, which only a diagonal leaf needs
+    for (index_t s0 = i0; s0 < i1;) {
+      if (s0 >= refresh) {
+        sq.clear();
+        for (const SquareWindow::Active& a : window.at(s0)) {
+          const SquareBlock& blk = squares_[a.q];
+          if (blk.info.nnz == 0) continue;
+          const T* x = xw + static_cast<std::size_t>(a.c0) * ku;
+          if (!holds_dcsr(blk.info.kind, blk.info.nnz)) {
+            sq.push_back({blk.csr.row_ptr.data(), blk.csr.col_idx.data(),
+                          blk.csr.val.data(), x, a.r0, nullptr, 0, 0});
+            continue;
+          }
+          const std::vector<index_t>& ids = blk.dcsr.row_ids;
+          sq.push_back({blk.dcsr.row_ptr.data(), blk.dcsr.col_idx.data(),
+                        blk.dcsr.val.data(), x, a.r0, ids.data(), ids.size(),
+                        static_cast<std::size_t>(
+                            std::lower_bound(ids.begin(), ids.end(),
+                                             s0 - a.r0) -
+                            ids.begin())});
+        }
+        refresh = window.next_change();
+      }
+      while (plan_.tri_bounds[t + 1] <= s0) ++t;
+      const index_t s1 = std::min({s0 + kSegment, plan_.tri_bounds[t + 1],
+                                   refresh, i1});
+      const auto len = static_cast<std::size_t>(s1 - s0);
+      const TriBlock& leaf = tri_[t];
+      const auto tlo = static_cast<std::size_t>(s0 - leaf.info.r0);
+      const T* const xt = xw + static_cast<std::size_t>(leaf.info.r0) * ku;
+      // The leaf's kernel rows, or null for a diagonal leaf's pivots.
+      const Csr<T>* leaf_rows =
+          leaf.info.kind == TriKernelKind::kCompletelyParallel
+              ? nullptr
+              : &tri_rows(leaf, unused);
+      simd::detail::for_each_rhs_tile(0, k, [&](index_t ct, auto nt) {
+        constexpr int W = decltype(nt)::value;
+        const auto cu = static_cast<std::size_t>(ct);
+        // Adds row `row` of square `b` onto segment row `at`'s sums, through
+        // locals that stay in registers.
+        const auto add_at = [&](const SquareRows& b, std::size_t row,
+                                std::size_t at) {
+          double s[W];
+          for (int c = 0; c < W; ++c) s[c] = acc[at * W + c];
+          for (offset_t e = b.ptr[row]; e < b.ptr[row + 1]; ++e) {
+            const T* xe = b.x + static_cast<std::size_t>(b.col[e]) * ku + cu;
+            for (int c = 0; c < W; ++c)
+              s[c] += static_cast<double>(b.val[e]) *
+                      static_cast<double>(xe[c]);
+          }
+          for (int c = 0; c < W; ++c) acc[at * W + c] = s[c];
+        };
+        std::fill(acc, acc + len * W, 0.0);
+        for (const SquareRows& b : sq) {
+          const auto lo = static_cast<std::size_t>(s0 - b.r0);
+          if (b.ids == nullptr) {
+            for (std::size_t q = 0; q < len; ++q) add_at(b, lo + q, q);
+            continue;
+          }
+          for (std::size_t p = b.next;
+               p < b.nids && static_cast<std::size_t>(b.ids[p]) < lo + len;
+               ++p)
+            add_at(b, p, static_cast<std::size_t>(b.ids[p]) - lo);
+        }
+        // The triangle entries come last; each row's sums then give r.
+        for (std::size_t q = 0; q < len; ++q) {
+          const std::size_t i = (static_cast<std::size_t>(s0) + q) * ku + cu;
+          double s[W];
+          for (int c = 0; c < W; ++c) s[c] = acc[q * W + c];
+          if (leaf_rows != nullptr) {
+            for (offset_t e = leaf_rows->row_ptr[tlo + q];
+                 e < leaf_rows->row_ptr[tlo + q + 1]; ++e) {
+              const auto j = static_cast<std::size_t>(leaf_rows->col_idx[e]);
+              const T* xe = xt + j * ku + cu;
+              for (int c = 0; c < W; ++c)
+                s[c] += static_cast<double>(leaf_rows->val[e]) *
+                        static_cast<double>(xe[c]);
+            }
+          } else {
+            const double d = static_cast<double>(leaf.diag->diag()[tlo + q]);
+            for (int c = 0; c < W; ++c)
+              s[c] += d * static_cast<double>(xw[i + c]);
+          }
+          for (int c = 0; c < W; ++c)
+            r[i + c] = static_cast<T>(static_cast<double>(bw0[i + c]) - s[c]);
+        }
+      });
+      for (SquareRows& b : sq) {
+        const auto end = static_cast<std::size_t>(s1 - b.r0);
+        while (b.next < b.nids &&
+               static_cast<std::size_t>(b.ids[b.next]) < end)
+          ++b.next;
+      }
+      s0 = s1;
     }
   };
-  if (parallel_enabled(epool) && nnz_ >= kHostParallelMinNnz) {
-    epool->run_partition(
-        balanced_row_partition(stored_.row_ptr, stored_.nrows, epool->size()),
-        [&](index_t i0, index_t i1, int) { row_range(i0, i1); });
-  } else {
-    row_range(0, stored_.nrows);
+  const index_t ntri = plan_.num_tri_blocks();
+  if (!parallel_enabled(epool) || nnz_ < kHostParallelMinNnz || ntri < 2) {
+    row_range(0, plan_.n);
+    return;
   }
+  // Chunks of whole leaves, balanced by nnz: a leaf weighs its triangle plus
+  // its rows of every square.
+  std::vector<offset_t> leaf_nnz(static_cast<std::size_t>(ntri) + 1, 0);
+  for (index_t t = 0; t < ntri; ++t)
+    leaf_nnz[static_cast<std::size_t>(t) + 1] =
+        tri_[static_cast<std::size_t>(t)].info.nnz;
+  for (const SquareBlock& sq : squares_) {
+    if (sq.info.nnz == 0) continue;
+    const SquareBlockRef& ref = sq.info.ref;
+    const bool dcsr = holds_dcsr(sq.info.kind, sq.info.nnz);
+    // Nonzeros of the square's local rows [0, row).
+    const auto below = [&](index_t row) -> offset_t {
+      if (!dcsr) return sq.csr.row_ptr[static_cast<std::size_t>(row)];
+      const std::vector<index_t>& ids = sq.dcsr.row_ids;
+      return sq.dcsr.row_ptr[static_cast<std::size_t>(
+          std::lower_bound(ids.begin(), ids.end(), row) - ids.begin())];
+    };
+    auto t = static_cast<std::size_t>(
+        std::upper_bound(plan_.tri_bounds.begin(), plan_.tri_bounds.end(),
+                         ref.r0) -
+        plan_.tri_bounds.begin() - 1);
+    for (; t < static_cast<std::size_t>(ntri) && plan_.tri_bounds[t] < ref.r1;
+         ++t) {
+      const index_t lo = std::max(ref.r0, plan_.tri_bounds[t]) - ref.r0;
+      const index_t hi = std::min(ref.r1, plan_.tri_bounds[t + 1]) - ref.r0;
+      leaf_nnz[t + 1] += below(hi) - below(lo);
+    }
+  }
+  std::partial_sum(leaf_nnz.begin(), leaf_nnz.end(), leaf_nnz.begin());
+  std::vector<index_t> bounds =
+      balanced_row_partition(leaf_nnz, ntri, epool->size());
+  for (index_t& b : bounds) b = plan_.tri_bounds[static_cast<std::size_t>(b)];
+  epool->run_partition(bounds,
+                       [&](index_t i0, index_t i1, int) { row_range(i0, i1); });
 }
 
 template <class T>
-double BlockSolver<T>::residual_norm(const T* xw, const T* bw0,
-                                     std::vector<T>& rw,
-                                     ThreadPool* epool) const {
-  const std::size_t n = static_cast<std::size_t>(plan_.n);
-  rw.resize(n);
-  residual_into(xw, bw0, rw.data(), epool);
-  double rmax = 0.0, xmax = 0.0, bmax = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    rmax = std::max(rmax, std::fabs(static_cast<double>(rw[i])));
-    xmax = std::max(xmax, std::fabs(static_cast<double>(xw[i])));
-    bmax = std::max(bmax, std::fabs(static_cast<double>(bw0[i])));
+void BlockSolver<T>::residual_norms(const T* xw, const T* bw0, index_t k,
+                                    T* r, double* norms,
+                                    ThreadPool* epool) const {
+  const auto n = static_cast<std::size_t>(plan_.n);
+  const auto ku = static_cast<std::size_t>(k);
+  residual_into(xw, bw0, r, k, epool);
+  // Per column ‖r‖∞ (in norms), ‖x‖∞ and ‖b‖∞, each over the rows in order.
+  std::fill(norms, norms + ku, 0.0);
+  std::vector<double> xb(2 * ku, 0.0);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t c = 0; c < ku; ++c) {
+      const std::size_t e = i * ku + c;
+      norms[c] = std::max(norms[c], std::fabs(static_cast<double>(r[e])));
+      xb[c] = std::max(xb[c], std::fabs(static_cast<double>(xw[e])));
+      xb[ku + c] = std::max(xb[ku + c], std::fabs(static_cast<double>(bw0[e])));
+    }
+  for (std::size_t c = 0; c < ku; ++c) {
+    const double denom = norm_inf_ * xb[c] + xb[ku + c];
+    if (denom != 0.0) norms[c] /= denom;
   }
-  const double denom = norm_inf_ * xmax + bmax;
-  if (denom == 0.0) return rmax == 0.0 ? 0.0 : rmax;
-  return rmax / denom;
 }
 
 template <class T>
@@ -1765,10 +1902,8 @@ template <class T>
 SolveResult<T> BlockSolver<T>::solve_checked(
     const std::vector<T>& b, const SolveControls& controls) const {
   SolveResult<T> res;
-  if (!opt_.verify.enabled) {
-    res.status =
-        Status(StatusCode::kInvalidArgument,
-               "solve_checked requires Options::verify.enabled at build time");
+  if (Status st = whole_matrix(); !st.ok()) {
+    res.status = std::move(st);
     return res;
   }
   if (b.size() != static_cast<std::size_t>(plan_.n)) {
@@ -1864,23 +1999,25 @@ SolveResult<T> BlockSolver<T>::solve_checked(
 
       // Normwise residual in the permuted space; permutations preserve max
       // norms, so this equals the residual of the user-facing system.
-      resid = residual_norm(ws.xw.data(), ws.bw0.data(), ws.rw, epool);
+      ws.rw.resize(n);
+      residual_norms(ws.xw.data(), ws.bw0.data(), 1, ws.rw.data(), &resid,
+                     epool);
       rep.residual_checked = true;
       for (int it = 0;
            it < opt_.verify.max_refinements && resid > rep.tolerance &&
            ctl.check();
            ++it) {
         // One round of iterative refinement: solve L d = b − L x, x += d.
-        ws.rw.resize(n);
         ws.dw.resize(n);
-        residual_into(ws.xw.data(), ws.bw0.data(), ws.rw.data(), epool);
+        residual_into(ws.xw.data(), ws.bw0.data(), ws.rw.data(), 1, epool);
         const index_t attempt_steps = rep.steps_completed;
         const bool refined =
             run_steps_checked(ws.rw, ws.dw, &rep, epool, &ctl).ok();
         rep.steps_completed = attempt_steps;
         if (!refined) break;
         for (std::size_t i = 0; i < n; ++i) ws.xw[i] += ws.dw[i];
-        resid = residual_norm(ws.xw.data(), ws.bw0.data(), ws.rw, epool);
+        residual_norms(ws.xw.data(), ws.bw0.data(), 1, ws.rw.data(), &resid,
+                       epool);
         ++rep.refinements;
       }
       rep.residual = resid;
@@ -1910,11 +2047,12 @@ SolveResult<T> BlockSolver<T>::solve_checked(
 }
 
 template <class T>
-Status BlockSolver<T>::run_steps_checked_many(
-    std::vector<T>& bw, std::vector<T>& xw, index_t k,
-    std::vector<SolveReport>* reps, ThreadPool* epool,
-    const ExecControl* ctl) const {
-  const std::size_t n = static_cast<std::size_t>(plan_.n);
+Status BlockSolver<T>::run_steps_checked_many(T* bw, T* xw, index_t k,
+                                              std::vector<SolveReport>* reps,
+                                              ThreadPool* epool,
+                                              const ExecControl* ctl, T* bc,
+                                              T* xc) const {
+  const auto ku = static_cast<std::size_t>(k);
   index_t done = 0;  // panel-level progress, mirrored into every report
   const auto set_progress = [&] {
     for (SolveReport& rp : *reps) rp.steps_completed = done;
@@ -1929,53 +2067,51 @@ Status BlockSolver<T>::run_steps_checked_many(
     if (step.kind != ExecStep::Kind::kTri) {
       const SquareBlock& blk = squares_[static_cast<std::size_t>(step.index)];
       if (blk.info.nnz == 0) continue;  // skipped, like the plain executors
-      exec_square_many(blk, xw.data() + blk.info.ref.c0,
-                       bw.data() + blk.info.ref.r0, k, epool, plan_.n,
-                       PanelLayout::kColMajor);
+      exec_step_many(step, bw, xw, 0, k, epool, ctl, k);
       ++done;
       continue;
     }
     const TriBlock& blk = tri_[static_cast<std::size_t>(step.index)];
     const index_t len = blk.info.r1 - blk.info.r0;
 
-    // Attempt 0: the selected kernel, batched over the whole panel. The
-    // batched sync-free path never spins (it is the serial column-split
-    // algorithm), so a trip here can only be a deadline/cancel — terminal.
-    // The checked panel stays column-major: the per-column fallback ladder
-    // below hands contiguous column slices to the single-RHS rungs.
-    exec_tri_many(blk, bw.data() + blk.info.r0, xw.data() + blk.info.r0, k,
-                  epool, ctl, plan_.n, PanelLayout::kColMajor);
+    // Attempt 0: the selected kernel over the whole panel, as the plain
+    // executor runs it. The batched sync-free path never spins (it is the
+    // serial column-split algorithm), so a trip here can only be a
+    // deadline/cancel — terminal.
+    exec_step_many(step, bw, xw, 0, k, epool, ctl, k);
     if (ctl != nullptr && ctl->tripped()) {
       set_progress();
       return ctl->to_status("in triangular block " +
                             std::to_string(step.index));
     }
+    T* const xr = xw + static_cast<std::size_t>(blk.info.r0) * ku;
+    const T* const br = bw + static_cast<std::size_t>(blk.info.r0) * ku;
     const bool faulted = step.index == opt_.fault.tri_block &&
                          opt_.fault.corrupt_attempts > 0 && len > 0 &&
                          opt_.fault.column >= 0 && opt_.fault.column < k;
     if (faulted)
-      xw[static_cast<std::size_t>(opt_.fault.column) * n +
-         static_cast<std::size_t>(blk.info.r0)] =
+      xr[static_cast<std::size_t>(opt_.fault.column)] =
           std::numeric_limits<T>::quiet_NaN();
 
     // A column that came out non-finite degrades alone through the
-    // single-RHS rungs; the healthy columns keep the batched result.
+    // single-RHS rungs, its slices gathered into contiguous scratch and the
+    // result scattered back; the healthy columns keep the batched result.
     for (index_t c = 0; c < k; ++c) {
-      T* xx = xw.data() + static_cast<std::size_t>(c) * n + blk.info.r0;
-      const T* bb =
-          bw.data() + static_cast<std::size_t>(c) * n + blk.info.r0;
-      if (all_finite(xx, len)) continue;
+      if (all_finite(xr + c, len, k)) continue;
 
       bool ok = false;
       if (opt_.verify.fallback) {
+        for (index_t i = 0; i < len; ++i)
+          bc[i] = br[static_cast<std::size_t>(i) * ku +
+                     static_cast<std::size_t>(c)];
         int attempt = 1;  // the batched kernel above was attempt 0
         auto run = [&](auto&& solve_fn) {
           solve_fn();
           if (faulted && c == this->opt_.fault.column &&
               attempt < this->opt_.fault.corrupt_attempts)
-            xx[0] = std::numeric_limits<T>::quiet_NaN();
+            xc[0] = std::numeric_limits<T>::quiet_NaN();
           ++attempt;
-          return all_finite(xx, len);
+          return all_finite(xc, len);
         };
         SolveReport& rep = (*reps)[static_cast<std::size_t>(c)];
         Csr<T> built;
@@ -1984,13 +2120,16 @@ Status BlockSolver<T>::run_steps_checked_many(
           rep.fallbacks.push_back(
               {step.index, blk.info.kind, FallbackEvent::Rung::kLevelSet});
           const LevelSetSolver<T> ls(rows);
-          ok = run([&] { ls.solve(bb, xx, nullptr); });
+          ok = run([&] { ls.solve(bc, xc, nullptr); });
         }
         if (!ok) {
           rep.fallbacks.push_back(
               {step.index, blk.info.kind, FallbackEvent::Rung::kSerial});
-          ok = run([&] { sptrsv_serial_raw(rows, bb, xx); });
+          ok = run([&] { sptrsv_serial_raw(rows, bc, xc); });
         }
+        for (index_t i = 0; i < len; ++i)
+          xr[static_cast<std::size_t>(i) * ku + static_cast<std::size_t>(c)] =
+              xc[i];
       }
       if (!ok) {
         set_progress();
@@ -2020,10 +2159,8 @@ template <class T>
 SolveManyResult<T> BlockSolver<T>::solve_many_checked(
     const std::vector<T>& B, index_t k, const SolveControls& controls) const {
   SolveManyResult<T> res;
-  if (!opt_.verify.enabled) {
-    res.status = Status(
-        StatusCode::kInvalidArgument,
-        "solve_many_checked requires Options::verify.enabled at build time");
+  if (Status st = whole_matrix(); !st.ok()) {
+    res.status = std::move(st);
     return res;
   }
   const std::size_t n = static_cast<std::size_t>(plan_.n);
@@ -2080,17 +2217,18 @@ SolveManyResult<T> BlockSolver<T>::solve_many_checked(
     std::this_thread::sleep_for(
         std::chrono::milliseconds(opt_.fault.hold_lease_ms));
 
-  const std::size_t total = n * static_cast<std::size_t>(k);
-  ws.bw0.resize(total);
-  ws.bw.resize(total);
-  ws.xw.resize(total);
-  // Fused per-column scatter into the pristine permuted panel; each
-  // attempt's solve input is a copy of it, and the per-column residuals
-  // below read ws.bw0 directly instead of re-permuting B.
-  for (index_t c = 0; c < k; ++c)
-    scatter_permuted(B.data() + static_cast<std::size_t>(c) * n,
-                     plan_.new_of_old,
-                     ws.bw0.data() + static_cast<std::size_t>(c) * n);
+  const auto ku = static_cast<std::size_t>(k);
+  const std::size_t total = n * ku;
+  // The interleaved panels of solve_many. The fused entry permutation fills
+  // the pristine permuted panel once; each attempt's solve input is a copy
+  // of it, and the residual check below reads bw0 directly instead of
+  // re-permuting B.
+  T* const bw0 = aligned_panel(ws.bw0, total);
+  T* const bw = aligned_panel(ws.bw, total);
+  T* const xw = aligned_panel(ws.xw, total);
+  scatter_panel<T>(B.data(), nullptr, plan_.new_of_old, k, bw0);
+  ws.xc.resize(n);
+  ws.bc.resize(n);
 
   // Pool arbitration, as in solve_checked; panel-level degradations are
   // mirrored into every column's report.
@@ -2119,56 +2257,58 @@ SolveManyResult<T> BlockSolver<T>::solve_many_checked(
     if (rung.forced_path >= 0)
       demoted.emplace(static_cast<simd::Path>(rung.forced_path));
 
-    std::copy(ws.bw0.begin(), ws.bw0.end(), ws.bw.begin());
+    std::copy(bw0, bw0 + total, bw);
     // Same partial-solution contract as solve_checked: untouched rows read 0.
-    std::fill(ws.xw.begin(), ws.xw.end(), T(0));
-    Status st = run_steps_checked_many(ws.bw, ws.xw, k, &res.reports, epool,
-                                       &ctl);
+    std::fill(xw, xw + total, T(0));
+    Status st = run_steps_checked_many(bw, xw, k, &res.reports, epool, &ctl,
+                                       ws.bc.data(), ws.xc.data());
     if (st.ok()) {
       // Deterministic fault hook (see solve_checked): a wrong-but-finite
       // column only the residual check can reject.
-      if (static_cast<int>(a) < opt_.fault.corrupt_solve_attempts) {
+      if (static_cast<int>(a) < opt_.fault.corrupt_solve_attempts && n > 0) {
         const index_t fc =
             opt_.fault.column >= 0 && opt_.fault.column < k ? opt_.fault.column
                                                             : 0;
-        ws.xw[static_cast<std::size_t>(fc) * n] = T(1e30);
+        xw[static_cast<std::size_t>(fc)] = T(1e30);
       }
 
-      // Residual check and refinement stay per-column: each column carries
-      // its own report, and refinement solves reuse the single-RHS ladder.
+      // Every column's residual in one pass over the panels (bw, consumed
+      // by the steps, holds the residual panel); each column keeps its own
+      // report. A column above tolerance is gathered into xc/bc, refined
+      // through the single-RHS ladder and scattered back.
+      std::vector<double> resids(ku);
+      residual_norms(xw, bw0, k, bw, resids.data(), epool);
       double worst = 0.0;
       index_t worst_col = -1;
-      ws.xc.resize(n);
-      ws.bc.resize(n);
       for (index_t c = 0; c < k && !ctl.tripped(); ++c) {
         SolveReport& rep = res.reports[static_cast<std::size_t>(c)];
-        const std::size_t off = static_cast<std::size_t>(c) * n;
-        std::copy(ws.xw.begin() + static_cast<std::ptrdiff_t>(off),
-                  ws.xw.begin() + static_cast<std::ptrdiff_t>(off + n),
-                  ws.xc.begin());
-        std::copy(ws.bw0.begin() + static_cast<std::ptrdiff_t>(off),
-                  ws.bw0.begin() + static_cast<std::ptrdiff_t>(off + n),
-                  ws.bc.begin());
-        double resid = residual_norm(ws.xc.data(), ws.bc.data(), ws.rw, epool);
+        const auto cu = static_cast<std::size_t>(c);
+        double resid = resids[cu];
         rep.residual_checked = true;
-        for (int it = 0;
-             it < opt_.verify.max_refinements && resid > tol && ctl.check();
-             ++it) {
+        if (opt_.verify.max_refinements > 0 && resid > tol) {
+          for (std::size_t i = 0; i < n; ++i) {
+            ws.xc[i] = xw[i * ku + cu];
+            ws.bc[i] = bw0[i * ku + cu];
+          }
           ws.rw.resize(n);
           ws.dw.resize(n);
-          residual_into(ws.xc.data(), ws.bc.data(), ws.rw.data(), epool);
-          const index_t panel_steps = rep.steps_completed;
-          const bool refined =
-              run_steps_checked(ws.rw, ws.dw, &rep, epool, &ctl).ok();
-          rep.steps_completed = panel_steps;
-          if (!refined) break;
-          for (std::size_t i = 0; i < n; ++i) ws.xc[i] += ws.dw[i];
-          resid = residual_norm(ws.xc.data(), ws.bc.data(), ws.rw, epool);
-          ++rep.refinements;
+          for (int it = 0;
+               it < opt_.verify.max_refinements && resid > tol && ctl.check();
+               ++it) {
+            residual_into(ws.xc.data(), ws.bc.data(), ws.rw.data(), 1, epool);
+            const index_t panel_steps = rep.steps_completed;
+            const bool refined =
+                run_steps_checked(ws.rw, ws.dw, &rep, epool, &ctl).ok();
+            rep.steps_completed = panel_steps;
+            if (!refined) break;
+            for (std::size_t i = 0; i < n; ++i) ws.xc[i] += ws.dw[i];
+            residual_norms(ws.xc.data(), ws.bc.data(), 1, ws.rw.data(),
+                           &resid, epool);
+            ++rep.refinements;
+          }
+          for (std::size_t i = 0; i < n; ++i) xw[i * ku + cu] = ws.xc[i];
         }
         rep.residual = resid;
-        std::copy(ws.xc.begin(), ws.xc.end(),
-                  ws.xw.begin() + static_cast<std::ptrdiff_t>(off));
         if (!(resid <= tol) && resid >= worst) {
           worst = resid;
           worst_col = c;
@@ -2192,7 +2332,8 @@ SolveManyResult<T> BlockSolver<T>::solve_many_checked(
 
   for (SolveReport& rep : res.reports) rep.degrades = degrades;
   res.status = std::move(final_status);
-  res.X = unpermute_panel(ws.xw, plan_.new_of_old, k);
+  res.X.resize(total);
+  gather_panel<T>(xw, plan_.new_of_old, k, res.X.data(), nullptr);
   return res;
 }
 

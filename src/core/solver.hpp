@@ -168,13 +168,10 @@ class BlockSolver {
     /// options fingerprint, so cached plans are reusable across it.
     bool collect_stats = false;
 
-    /// Robustness knobs for solve_checked. `enabled` keeps the (permuted)
-    /// matrix around — required by the residual check and refinement (the
-    /// fallback ladder solves from each block's kernel rows); disable to
-    /// reclaim the memory when only the unchecked solve()/solve_simulated()
-    /// paths are used.
+    /// Robustness knobs for solve_checked and solve_many_checked. The
+    /// residual check, refinement and the fallback ladder read the blocks
+    /// every solve reads, so the checked paths hold no extra state.
     struct VerifyOptions {
-      bool enabled = true;
       double tolerance = 0.0;  // 0 → 100 · n · eps(T)
       int max_refinements = 1;
       bool fallback = true;    // degrade adaptive → level-set → serial
@@ -304,7 +301,7 @@ class BlockSolver {
   // --- Plan persistence (persist/artifact.hpp, persist/plan_cache.hpp) -----
 
   /// Snapshots everything preprocessing computed — plan, waves, kernel
-  /// selections, built block structures, verify state — as plain data.
+  /// selections, built block structures, ‖L‖∞ — as plain data.
   PlanArtifact<T> capture_artifact() const;
 
   /// capture_artifact() + persist::save_artifact in one call.
@@ -313,9 +310,11 @@ class BlockSolver {
   /// Rehydrates a solver from a (shared, immutable) artifact with zero
   /// re-analysis. Fails with kInvalidArgument when `opt`'s plan-affecting
   /// fields differ from those the artifact was captured under (fingerprint
-  /// mismatch — e.g. verify wanted but not captured). The artifact's numeric
-  /// values are adopted as-is; call refresh_values to install a new
-  /// factorization with the same pattern.
+  /// mismatch). The artifact's numeric values are adopted as-is; call
+  /// refresh_values to install a new factorization with the same pattern.
+  /// A shard slice (shard/shard_plan.hpp) serves only a worker's
+  /// exec_plan_step_many: every whole-matrix entry point refuses it with
+  /// kInvalidArgument (thrown as blocktri::Error where no Status returns).
   static Status create_from_artifact(
       std::shared_ptr<const PlanArtifact<T>> art, const Options& opt,
       std::unique_ptr<BlockSolver<T>>* out);
@@ -352,9 +351,9 @@ class BlockSolver {
   std::uint64_t structure_hash() const { return structure_hash_; }
 
   /// Fingerprint of the plan-affecting Options fields (scheme, planner,
-  /// kernel selection, thresholds, verify.enabled). Runtime-only fields
-  /// (threads, tolerances, fault injection) are deliberately excluded — a
-  /// cached plan is reusable across them.
+  /// kernel selection, thresholds). Runtime-only fields (threads, the verify
+  /// knobs, fault injection) are deliberately excluded — a cached plan is
+  /// reusable across them.
   static std::uint64_t options_fingerprint(const Options& opt);
 
   /// Solves L x = b (host execution only).
@@ -442,8 +441,9 @@ class BlockSolver {
   /// solve with the per-block fallback ladder engaged per column (a bad
   /// column degrades alone — the healthy columns keep their fast batched
   /// result), then verifies every column's normwise residual and applies
-  /// per-column iterative refinement. Requires verify.enabled. The
-  /// whole-solve degradation ladder applies at panel granularity: when a
+  /// per-column iterative refinement. The batched attempt runs on the
+  /// interleaved panel of solve_many. The whole-solve degradation ladder
+  /// applies at panel granularity: when a
   /// batched attempt breaks down or any column's residual survives
   /// refinement, the entire panel retries on the next rung.
   SolveManyResult<T> solve_many_checked(const std::vector<T>& B,
@@ -514,8 +514,7 @@ class BlockSolver {
   void exec_plan_step_many(const ExecStep& step, T* bw, T* xw, index_t k,
                            [[maybe_unused]] T* tri_scratch,
                            const ExecControl* ctl = nullptr) const {
-    exec_step_many(step, bw, xw, 0, k, nullptr, ctl, k,
-                   PanelLayout::kInterleaved);
+    exec_step_many(step, bw, xw, 0, k, nullptr, ctl, k);
   }
 
   /// Always 0: the scratch exec_plan_step_many once took is gone. Kept so
@@ -549,8 +548,8 @@ class BlockSolver {
   /// analyzing. With `with_values` every array is copied; without, only the
   /// index arrays, level sets and schedules are, and each value array is
   /// sized for install_values to fill (a diagonal block keeps its captured
-  /// pivots, which the solver requires nonzero). The fingerprint/verify
-  /// preconditions are rehydrate()'s job.
+  /// pivots, which the solver requires nonzero). The fingerprint and
+  /// validation preconditions are rehydrate()'s job.
   BlockSolver(const PlanArtifact<T>& art, const Options& opt,
               bool with_values);
 
@@ -604,28 +603,28 @@ class BlockSolver {
   /// One ExecStep of the host solve (no simulation, no ladder).
   void exec_step(const ExecStep& step, T* bw, T* xw, ThreadPool* pool,
                  const ExecControl* ctl) const;
-  /// Batched counterparts (host only): b/x/y point at the block's rows in
-  /// the panel's first solved column (kColMajor, ld = plan_.n) or at the
-  /// block's first row of an interleaved panel (kInterleaved, ld = the
-  /// panel's row stride).
+  /// Batched counterparts (host only): b/x/y point at the block's first row
+  /// of a row-interleaved panel whose row stride is `ld`.
   void exec_tri_many(const TriBlock& blk, const T* b, T* x, index_t k,
-                     ThreadPool* pool, const ExecControl* ctl, index_t ld,
-                     PanelLayout layout) const;
+                     ThreadPool* pool, const ExecControl* ctl,
+                     index_t ld) const;
   void exec_square_many(const SquareBlock& blk, const T* x, T* y, index_t k,
-                        ThreadPool* pool, index_t ld,
-                        PanelLayout layout) const;
-  /// One ExecStep of the batched host solve over panel columns [c0, c1).
-  /// For kColMajor `ld` is plan_.n; for kInterleaved it is the full panel's
-  /// row stride (an interleaved sub-panel is base + c0 with the same
-  /// stride, so [c0, c1) needs no kernel-side column offsets).
+                        ThreadPool* pool, index_t ld) const;
+  /// One ExecStep of the batched host solve over panel columns [c0, c1) of
+  /// a row-interleaved panel with row stride `ld` (a sub-panel is base + c0
+  /// with the same stride, so [c0, c1) needs no kernel-side column offsets).
   void exec_step_many(const ExecStep& step, T* bw, T* xw, index_t c0,
                       index_t c1, ThreadPool* pool, const ExecControl* ctl,
-                      index_t ld, PanelLayout layout) const;
+                      index_t ld) const;
   /// The value install of refresh_values, a cache hit and create_from_file,
   /// for a caller that already validated `lower` and matched its structure
   /// hash against this solver's: the row walk in install mode. A shard
   /// slice returns kInvalidArgument before anything is written.
   Status install_values(const Csr<T>& lower);
+
+  /// Ok for a whole plan; for a shard slice, the kInvalidArgument every
+  /// whole-matrix entry point returns.
+  Status whole_matrix() const;
 
   /// What a build walk fills besides the block arrays it writes in place.
   struct BuildState;
@@ -637,11 +636,11 @@ class BlockSolver {
   /// permutes (or is HBMC's, whose planner always permuted), as given when
   /// the plan is the identity and the row sorted, sorted when it is not.
   /// The row must end in its diagonal, and every entry must land in a
-  /// square that covers it or in its row's triangle. It then goes to
-  /// stored_ (verify on), to those squares and to the triangle: a build
-  /// appends into arrays sized exactly beforehand and computes each
-  /// triangle row's level; an install checks each column against the held
-  /// index and writes the value, and every array must end exactly full.
+  /// square that covers it or in its row's triangle. It then goes to those
+  /// squares and to the triangle: a build appends into arrays sized exactly
+  /// beforehand and computes each triangle row's level; an install checks
+  /// each column against the held index and writes the value, and every
+  /// array must end exactly full.
   /// ‖L‖∞ is summed on the way. A violation is kInternal in a build (the
   /// planner's layout is wrong) and kStructureMismatch in an install (the
   /// held blocks disagree with `lower`; arrays may be partly written).
@@ -664,19 +663,25 @@ class BlockSolver {
   Status run_steps_checked(std::vector<T>& bw, std::vector<T>& xw,
                            SolveReport* rep, ThreadPool* epool,
                            const ExecControl* ctl) const;
-  /// Batched ladder pass: the selected kernels run batched over all k
-  /// columns; columns with non-finite output degrade individually through
-  /// the single-RHS rungs, recorded in their own report.
-  Status run_steps_checked_many(std::vector<T>& bw, std::vector<T>& xw,
-                                index_t k, std::vector<SolveReport>* reps,
-                                ThreadPool* epool,
-                                const ExecControl* ctl) const;
-  /// r = bw0 − L·xw over the retained (permuted) matrix (length-n arrays;
-  /// r may not alias xw/bw0).
-  void residual_into(const T* xw, const T* bw0, T* r, ThreadPool* epool) const;
-  /// Normwise relative residual, staged through the caller's `rw` scratch.
-  double residual_norm(const T* xw, const T* bw0, std::vector<T>& rw,
-                       ThreadPool* epool) const;
+  /// Batched ladder pass over row-interleaved n × k panels: each step runs
+  /// as the plain panel executor runs it; a column with non-finite output
+  /// degrades alone through the single-RHS rungs (its slices staged through
+  /// the length-n `bc`/`xc`), recorded in its own report.
+  Status run_steps_checked_many(T* bw, T* xw, index_t k,
+                                std::vector<SolveReport>* reps,
+                                ThreadPool* epool, const ExecControl* ctl,
+                                T* bc, T* xc) const;
+  /// r = bw0 − L·xw over the blocks, for permuted row-interleaved n × k
+  /// panels (element (i, c) at i·k + c; k = 1 for vectors; r may not alias
+  /// xw/bw0). Each row of each column accumulates in double, in the order
+  /// the row walk stored it: its squares' entries by ascending first column,
+  /// then its triangle entries, diagonal last.
+  void residual_into(const T* xw, const T* bw0, T* r, index_t k,
+                     ThreadPool* epool) const;
+  /// The normwise relative residual ‖r‖∞ / (‖L‖∞‖x‖∞ + ‖b‖∞) of each of the
+  /// k columns into norms[0, k), the residual panel staged through `r`.
+  void residual_norms(const T* xw, const T* bw0, index_t k, T* r,
+                      double* norms, ThreadPool* epool) const;
   double default_residual_tolerance() const;
   /// Adds the per-solve operation counters (Options::collect_stats) — flops
   /// and bytes from the block nnz, level-merge savings from the level-set
@@ -699,8 +704,7 @@ class BlockSolver {
   std::vector<std::vector<ExecStep>> waves_;
   BlockPlan plan_;
   offset_t nnz_ = 0;
-  Csr<T> stored_;          // permuted matrix, retained when verify.enabled
-  double norm_inf_ = 0.0;  // ‖L‖∞ of stored_
+  double norm_inf_ = 0.0;  // ‖L‖∞ of the permuted matrix
   std::vector<TriBlock> tri_;
   std::vector<SquareBlock> squares_;
   std::vector<TriBlockInfo> tri_info_;

@@ -174,9 +174,9 @@ bool get_levels(Reader& r, LevelSets* ls) {
 
 // --- Section payloads ------------------------------------------------------
 
+// Id 2 is retired: through format 5 it held a copy of the permuted matrix.
 enum : std::uint32_t {
   kSectionPlan = 1,
-  kSectionStored = 2,
   kSectionTri = 3,
   kSectionSquares = 4,
   kSectionTuning = 5,  // optional (tuned plans only)
@@ -218,6 +218,7 @@ void encode_plan(Writer& w, const PlanArtifact<T>& art) {
   w.i64(art.nnz);
   w.i64(art.build_ops);
   w.i64(art.build_bytes);
+  w.f64(art.norm_inf);
 }
 
 // Enums are encoded as u32; anything beyond the last enumerator is a
@@ -266,25 +267,7 @@ bool decode_plan(Reader& r, PlanArtifact<T>* art) {
       if (!get_step(r, &s)) return false;
   }
   return r.i64(&art->nnz) && r.i64(&art->build_ops) &&
-         r.i64(&art->build_bytes);
-}
-
-template <class T>
-void encode_stored(Writer& w, const PlanArtifact<T>& art) {
-  w.u32(art.verify_captured ? 1 : 0);
-  if (art.verify_captured) {
-    put_csr(w, art.stored);
-    w.f64(art.norm_inf);
-  }
-}
-
-template <class T>
-bool decode_stored(Reader& r, PlanArtifact<T>* art) {
-  std::uint32_t captured = 0;
-  if (!r.u32(&captured)) return false;
-  art->verify_captured = captured != 0;
-  if (!art->verify_captured) return true;
-  return get_csr(r, &art->stored) && r.f64(&art->norm_inf);
+         r.i64(&art->build_bytes) && r.f64(&art->norm_inf);
 }
 
 template <class T>
@@ -583,7 +566,6 @@ std::size_t artifact_bytes(const PlanArtifact<T>& art) {
   b += art.plan.squares.size() * sizeof(SquareBlockRef);
   b += art.plan.steps.size() * sizeof(ExecStep);
   for (const auto& wave : art.waves) b += wave.size() * sizeof(ExecStep);
-  b += csr_bytes(art.stored);
   for (const TriBlockArtifact<T>& t : art.tri) {
     b += sizeof(TriBlockArtifact<T>);
     b += csr_bytes(t.kernel_csr);
@@ -617,7 +599,7 @@ Status save_artifact(const std::string& path, const PlanArtifact<T>& art) {
   header.u64(art.options);
   header.i64(static_cast<std::int64_t>(art.plan.n));
   header.i64(static_cast<std::int64_t>(art.nnz));
-  header.u32(4u + (art.tuned ? 1u : 0u) + (art.shard ? 1u : 0u) +
+  header.u32(3u + (art.tuned ? 1u : 0u) + (art.shard ? 1u : 0u) +
              (color ? 1u : 0u));
 
   // Stream the header, then each section's frame (id, size, CRC32) and
@@ -644,7 +626,6 @@ Status save_artifact(const std::string& path, const PlanArtifact<T>& art) {
     wrote = tmp.write(frame.bytes()) && tmp.write(bytes);
   };
   section(kSectionPlan, encode_plan<T>);
-  section(kSectionStored, encode_stored<T>);
   section(kSectionTri, encode_tri<T>);
   section(kSectionSquares, encode_squares<T>);
   if (art.tuned) section(kSectionTuning, encode_tuning<T>);
@@ -746,7 +727,6 @@ Status load_artifact(const std::string& path, PlanArtifact<T>* out) {
     bool ok = false;
     switch (id) {
       case kSectionPlan: ok = decode_plan(r, &art); break;
-      case kSectionStored: ok = decode_stored(r, &art); break;
       case kSectionTri: ok = decode_tri(r, &art); break;
       case kSectionSquares: ok = decode_squares(r, &art); break;
       case kSectionTuning: ok = decode_tuning(r, &art); break;
@@ -770,8 +750,7 @@ Status load_artifact(const std::string& path, PlanArtifact<T>* out) {
                       " trailing bytes after the last section of '" + path +
                       "'",
                   static_cast<std::int64_t>(offset), LocationKind::kByte);
-  for (std::uint32_t id : {kSectionPlan, kSectionStored, kSectionTri,
-                           kSectionSquares})
+  for (std::uint32_t id : {kSectionPlan, kSectionTri, kSectionSquares})
     if (!have[id])
       return Status(StatusCode::kTruncated,
                     "artifact is missing section " + std::to_string(id),
@@ -946,8 +925,6 @@ Status validate_artifact(const PlanArtifact<T>& art) {
     if (art.shard_row_begin != art.shard_bounds[art.shard_index] ||
         art.shard_row_end != art.shard_bounds[art.shard_index + 1])
       return bad("shard row range disagrees with its bounds entry");
-    if (art.verify_captured)
-      return bad("shard slices never capture the verify payloads");
   }
 
   for (std::size_t t = 0; t < art.tri.size(); ++t) {
@@ -1060,14 +1037,8 @@ Status validate_artifact(const PlanArtifact<T>& art) {
     }
   }
 
-  if (art.verify_captured) {
-    if (Status st = check_csr_shape(art.stored, p.n, p.n, "stored matrix");
-        !st.ok())
-      return st;
-    if (Status st = check_tri_csr(art.stored, "stored matrix"); !st.ok())
-      return st;
-  }
-
+  if (!std::isfinite(art.norm_inf) || art.norm_inf < 0.0)
+    return bad("the matrix norm is not finite and non-negative");
   if (art.merge_width < 1) return bad("non-positive level-merge width");
   if (art.tuned && (!std::isfinite(art.oracle_default_ns) ||
                     !std::isfinite(art.oracle_tuned_ns) ||

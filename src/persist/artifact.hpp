@@ -41,9 +41,10 @@ namespace blocktri {
 /// The one on-disk format version this build writes and reads. Every file
 /// is stamped with it; the tuning, shard and color sections stay optional.
 /// An artifact is a cache, so any other version — including the older
-/// layouts 1–4, which stored sync-free blocks as CSC plus strict rows — is
-/// rejected with kVersionMismatch and the caller rebuilds cold.
-inline constexpr std::uint32_t kArtifactFormatVersion = 5;
+/// layouts 1–5, which also held a copy of the permuted matrix (and, through
+/// 4, sync-free blocks as CSC plus strict rows) — is rejected with
+/// kVersionMismatch and the caller rebuilds cold.
+inline constexpr std::uint32_t kArtifactFormatVersion = 6;
 
 /// Everything preprocessing derived for one triangular leaf block. Only the
 /// fields of the selected kernel kind are populated (the rest stay empty),
@@ -93,17 +94,14 @@ struct PlanArtifact {
   /// plan is only accepted for a matrix with this exact pattern.
   std::uint64_t structure = 0;
   /// Fingerprint of the plan-affecting Options fields (scheme, planner,
-  /// adaptive/forced kernels, thresholds, verify.enabled) the artifact was
-  /// captured under; create_from_artifact requires an exact match.
+  /// adaptive/forced kernels, thresholds) the artifact was captured under;
+  /// create_from_artifact requires an exact match.
   std::uint64_t options = 0;
 
   BlockPlan plan;
   std::vector<std::vector<ExecStep>> waves;  // compute_step_waves output
   offset_t nnz = 0;
-
-  bool verify_captured = false;  // stored retained
-  Csr<T> stored;                 // permuted matrix (verify_captured only)
-  double norm_inf = 0.0;         // ‖L‖∞ of stored (verify_captured only)
+  double norm_inf = 0.0;  // ‖L‖∞, which the residual check scales by
 
   std::int64_t build_ops = 0;  // preprocessing cost counters (Table 5)
   std::int64_t build_bytes = 0;

@@ -74,12 +74,9 @@ Status ShardCoordinator<T>::create(const BlockSolver<T>& base,
   coord->k_max_ = std::max<index_t>(1, opt.shard.max_panel);
 
   // Workers rehydrate under runtime options of their own: single-threaded,
-  // no verify payloads (a slice never carries them), no in-process fault
-  // hooks, and of course no nested sharding. None of these fields are in
-  // the fingerprint except verify.enabled — which is why the slice is
-  // restamped with this fingerprint.
+  // no in-process fault hooks, and of course no nested sharding. None of
+  // these fields are in the options fingerprint.
   coord->worker_opt_ = opt;
-  coord->worker_opt_.verify.enabled = false;
   coord->worker_opt_.threads = 1;
   coord->worker_opt_.collect_stats = false;
   coord->worker_opt_.fault = {};

@@ -126,9 +126,7 @@ PlanArtifact<T> slice_shard_artifact(const PlanArtifact<T>& full,
   out.plan = full.plan;
   out.waves = full.waves;
   out.nnz = full.nnz;
-  // Workers never run the checked path: verify payloads are dead weight in a
-  // slice, and validate_artifact rejects a shard slice that carries them.
-  out.verify_captured = false;
+  out.norm_inf = full.norm_inf;
   out.build_ops = full.build_ops;
   out.build_bytes = full.build_bytes;
   out.tuned = full.tuned;

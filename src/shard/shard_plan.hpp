@@ -45,11 +45,10 @@ std::vector<index_t> compute_shard_cuts(const PlanArtifact<T>& art,
 ///   * squares are row-sliced to the shard's interval (CSR rows re-based,
 ///     DCSR row_ids segment re-based); slices with no remaining nonzeros
 ///     become !populated with the plan's original ref,
-///   * verify payloads are stripped (shard workers never run the checked
-///     path) and `options` is restamped with `worker_options` — the
-///     fingerprint of the Options the worker will rehydrate under.
+///   * `options` is restamped with `worker_options` — the fingerprint of the
+///     Options the worker will rehydrate under.
 /// The result passes validate_artifact and round-trips through
-/// save_artifact/load_artifact as a format-v3 file.
+/// save_artifact/load_artifact.
 template <class T>
 PlanArtifact<T> slice_shard_artifact(const PlanArtifact<T>& full,
                                      const std::vector<index_t>& bounds,

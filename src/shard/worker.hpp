@@ -27,7 +27,7 @@ struct WorkerConfig {
   int control_fd = -1;  // worker end of the control socketpair
   int shard_index = 0;
   std::string artifact_path;  // this shard's .btpa slice
-  typename BlockSolver<T>::Options options;  // verify off, threads = 1
+  typename BlockSolver<T>::Options options;  // threads = 1
   ShmHeader* header = nullptr;  // inherited shm mapping
   T* x_panel = nullptr;
   T* b_panel = nullptr;

@@ -99,7 +99,7 @@ void host_update(const std::vector<offset_t>& row_ptr,
 }
 
 /// Batched host execution shared by all four *_many kernels:
-/// y[row + c·ldy] -= Σ val·x[col + c·ldx] for every panel column c. Rows are
+/// y[row·ldy + c] -= Σ val·x[col·ldx + c] for every panel column c. Rows are
 /// partitioned exactly like host_update (nnz-balanced contiguous chunks) and
 /// each row owns its y entries in every column, so the result is bitwise
 /// identical at any thread count; per column the accumulation order equals
@@ -109,17 +109,11 @@ void host_update_many(const std::vector<offset_t>& row_ptr,
                       const std::vector<index_t>& col_idx,
                       const std::vector<T>& val, const index_t* row_ids,
                       index_t nrows_listed, const T* x, T* y, index_t k,
-                      index_t ldx, index_t ldy, ThreadPool* pool,
-                      PanelLayout layout) {
+                      index_t ldx, index_t ldy, ThreadPool* pool) {
   if (k <= 0 || nrows_listed <= 0) return;
   auto run_range = [&](index_t r0, index_t r1) {
-    if (layout == PanelLayout::kInterleaved)
-      simd::spmv_update_rows_many_ilv(row_ptr.data(), col_idx.data(),
-                                      val.data(), row_ids, r0, r1, x, y, 0, k,
-                                      ldx, ldy);
-    else
-      simd::spmv_update_rows_many(row_ptr.data(), col_idx.data(), val.data(),
-                                  row_ids, r0, r1, x, y, 0, k, ldx, ldy);
+    simd::spmv_update_rows_many(row_ptr.data(), col_idx.data(), val.data(),
+                                row_ids, r0, r1, x, y, 0, k, ldx, ldy);
   };
   const offset_t nnz = row_ptr[static_cast<std::size_t>(nrows_listed)];
   if (parallel_enabled(pool) && nnz * k >= kHostParallelMinNnz &&
@@ -251,58 +245,30 @@ void spmv_update(SpmvKernelKind kind, const Csr<T>& a, const T* x, T* y,
 
 template <class T>
 void spmv_scalar_csr_many(const Csr<T>& a, const T* x, T* y, index_t k,
-                          index_t ldx, index_t ldy, ThreadPool* pool,
-                          PanelLayout layout) {
+                          index_t ldx, index_t ldy, ThreadPool* pool) {
   host_update_many(a.row_ptr, a.col_idx, a.val, nullptr, a.nrows, x, y, k,
-                   ldx, ldy, pool, layout);
+                   ldx, ldy, pool);
 }
 
 template <class T>
 void spmv_vector_csr_many(const Csr<T>& a, const T* x, T* y, index_t k,
-                          index_t ldx, index_t ldy, ThreadPool* pool,
-                          PanelLayout layout) {
+                          index_t ldx, index_t ldy, ThreadPool* pool) {
   host_update_many(a.row_ptr, a.col_idx, a.val, nullptr, a.nrows, x, y, k,
-                   ldx, ldy, pool, layout);
+                   ldx, ldy, pool);
 }
 
 template <class T>
 void spmv_scalar_dcsr_many(const Dcsr<T>& a, const T* x, T* y, index_t k,
-                           index_t ldx, index_t ldy, ThreadPool* pool,
-                           PanelLayout layout) {
+                           index_t ldx, index_t ldy, ThreadPool* pool) {
   host_update_many(a.row_ptr, a.col_idx, a.val, a.row_ids.data(),
-                   a.nnz_rows(), x, y, k, ldx, ldy, pool, layout);
+                   a.nnz_rows(), x, y, k, ldx, ldy, pool);
 }
 
 template <class T>
 void spmv_vector_dcsr_many(const Dcsr<T>& a, const T* x, T* y, index_t k,
-                           index_t ldx, index_t ldy, ThreadPool* pool,
-                           PanelLayout layout) {
+                           index_t ldx, index_t ldy, ThreadPool* pool) {
   host_update_many(a.row_ptr, a.col_idx, a.val, a.row_ids.data(),
-                   a.nnz_rows(), x, y, k, ldx, ldy, pool, layout);
-}
-
-template <class T>
-void spmv_update_many(SpmvKernelKind kind, const Csr<T>& a, const T* x, T* y,
-                      index_t k, index_t ldx, index_t ldy, ThreadPool* pool) {
-  switch (kind) {
-    case SpmvKernelKind::kScalarCsr:
-      spmv_scalar_csr_many(a, x, y, k, ldx, ldy, pool);
-      return;
-    case SpmvKernelKind::kVectorCsr:
-      spmv_vector_csr_many(a, x, y, k, ldx, ldy, pool);
-      return;
-    case SpmvKernelKind::kScalarDcsr: {
-      const Dcsr<T> d = csr_to_dcsr(a);
-      spmv_scalar_dcsr_many(d, x, y, k, ldx, ldy, pool);
-      return;
-    }
-    case SpmvKernelKind::kVectorDcsr: {
-      const Dcsr<T> d = csr_to_dcsr(a);
-      spmv_vector_dcsr_many(d, x, y, k, ldx, ldy, pool);
-      return;
-    }
-  }
-  BLOCKTRI_CHECK_MSG(false, "unknown SpMV kernel kind");
+                   a.nnz_rows(), x, y, k, ldx, ldy, pool);
 }
 
 template <class T>
@@ -327,19 +293,13 @@ std::vector<T> spmv_apply(const Csr<T>& a, const std::vector<T>& x) {
   template void spmv_update(SpmvKernelKind, const Csr<T>&, const T*, T*,      \
                             const SpmvSim*, ThreadPool*);                     \
   template void spmv_scalar_csr_many(const Csr<T>&, const T*, T*, index_t,    \
-                                     index_t, index_t, ThreadPool*,           \
-                                     PanelLayout);                            \
+                                     index_t, index_t, ThreadPool*);          \
   template void spmv_vector_csr_many(const Csr<T>&, const T*, T*, index_t,    \
-                                     index_t, index_t, ThreadPool*,           \
-                                     PanelLayout);                            \
+                                     index_t, index_t, ThreadPool*);          \
   template void spmv_scalar_dcsr_many(const Dcsr<T>&, const T*, T*, index_t,  \
-                                      index_t, index_t, ThreadPool*,          \
-                                      PanelLayout);                           \
+                                      index_t, index_t, ThreadPool*);         \
   template void spmv_vector_dcsr_many(const Dcsr<T>&, const T*, T*, index_t,  \
-                                      index_t, index_t, ThreadPool*,          \
-                                      PanelLayout);                           \
-  template void spmv_update_many(SpmvKernelKind, const Csr<T>&, const T*,     \
-                                 T*, index_t, index_t, index_t, ThreadPool*); \
+                                      index_t, index_t, ThreadPool*);         \
   template std::vector<T> spmv_apply(const Csr<T>&, const std::vector<T>&);
 
 BLOCKTRI_INSTANTIATE(float)

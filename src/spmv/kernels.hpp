@@ -74,48 +74,34 @@ void spmv_update(SpmvKernelKind kind, const Csr<T>& a, const T* x, T* y,
 
 // --- Batched (multi-RHS) update kernels -------------------------------------
 //
-// SpMM-style Y ← Y − A·X over multi-RHS panels: X has k columns with
-// leading dimension `ldx`, Y with `ldy`; `layout` selects column-major
-// (element (i, c) at base[i + c·ld]) or row-interleaved (base[i·ld + c])
-// storage, with identical per-column operation order either way. Each (listed) row streams its
-// structure once and updates all k columns in kRhsTile-wide stack-accumulated
-// groups, so the CSR/DCSR arrays are read once per solve step instead of once
-// per RHS. Host only (no simulation context — the batched path is the
-// wall-clock execution backend). Every row writes only its own y entries
-// across every column, so the result is bitwise identical to k single-RHS
-// calls at any thread count.
+// SpMM-style Y ← Y − A·X over row-interleaved multi-RHS panels: X has k
+// columns with row stride `ldx` (element (i, c) at x[i·ldx + c]), Y with
+// `ldy`. Each (listed) row streams its structure once and updates all k
+// columns in kRhsTile-wide stack-accumulated groups, so the CSR/DCSR arrays
+// are read once per solve step instead of once per RHS. Host only (no
+// simulation context — the batched path is the wall-clock execution
+// backend). Every row writes only its own y entries across every column, so
+// the result is bitwise identical to k single-RHS calls at any thread count.
 
 template <class T>
 void spmv_scalar_csr_many(const Csr<T>& a, const T* x, T* y, index_t k,
                           index_t ldx, index_t ldy,
-                          ThreadPool* pool = nullptr,
-                          PanelLayout layout = PanelLayout::kColMajor);
+                          ThreadPool* pool = nullptr);
 
 template <class T>
 void spmv_vector_csr_many(const Csr<T>& a, const T* x, T* y, index_t k,
                           index_t ldx, index_t ldy,
-                          ThreadPool* pool = nullptr,
-                          PanelLayout layout = PanelLayout::kColMajor);
+                          ThreadPool* pool = nullptr);
 
 template <class T>
 void spmv_scalar_dcsr_many(const Dcsr<T>& a, const T* x, T* y, index_t k,
                            index_t ldx, index_t ldy,
-                           ThreadPool* pool = nullptr,
-                           PanelLayout layout = PanelLayout::kColMajor);
+                           ThreadPool* pool = nullptr);
 
 template <class T>
 void spmv_vector_dcsr_many(const Dcsr<T>& a, const T* x, T* y, index_t k,
                            index_t ldx, index_t ldy,
-                           ThreadPool* pool = nullptr,
-                           PanelLayout layout = PanelLayout::kColMajor);
-
-/// Dispatch by kind on a pre-built CSR block (DCSR kinds convert on the fly,
-/// mirroring spmv_update — production callers hold native DCSR blocks and
-/// call spmv_*_dcsr_many directly).
-template <class T>
-void spmv_update_many(SpmvKernelKind kind, const Csr<T>& a, const T* x, T* y,
-                      index_t k, index_t ldx, index_t ldy,
-                      ThreadPool* pool = nullptr);
+                           ThreadPool* pool = nullptr);
 
 /// Plain y = A·x convenience used by examples/tests (no simulation).
 template <class T>

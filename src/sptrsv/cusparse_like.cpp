@@ -6,7 +6,6 @@
 #include "common/simd.hpp"
 #include "sim/kernel_sim.hpp"
 #include "sparse/triangular.hpp"
-#include "sptrsv/batched.hpp"
 
 namespace blocktri {
 
@@ -66,18 +65,12 @@ CusparseLikeSolver<T>::CusparseLikeSolver(
 
 template <class T>
 void CusparseLikeSolver<T>::solve_many(const T* b, T* x, index_t k, index_t ld,
-                                       const ExecControl* ctl,
-                                       PanelLayout layout) const {
+                                       const ExecControl* ctl) const {
   if (k <= 0) return;
   const auto rows_many = [&](offset_t p0, offset_t p1) {
-    if (layout == PanelLayout::kInterleaved)
-      simd::sptrsv_rows_many_ilv(a_.row_ptr.data(), a_.col_idx.data(),
-                                 a_.val.data(), ls_.level_item.data(), p0, p1,
-                                 b, x, 0, k, ld);
-    else
-      simd::sptrsv_rows_many(a_.row_ptr.data(), a_.col_idx.data(),
-                             a_.val.data(), ls_.level_item.data(), p0, p1, b,
-                             x, 0, k, ld);
+    simd::sptrsv_rows_many(a_.row_ptr.data(), a_.col_idx.data(),
+                           a_.val.data(), ls_.level_item.data(), p0, p1, b, x,
+                           0, k, ld);
   };
   // One flat pass over the level-ordered item list — in-order processing
   // satisfies every dependency, and the barriers only matter to the cost

@@ -52,14 +52,13 @@ class CusparseLikeSolver {
   void solve(const T* b, T* x, const TrsvSim* s = nullptr,
              const ExecControl* ctl = nullptr) const;
 
-  /// Batched solve of k right-hand sides (column-major panel, leading
-  /// dimension `ld`): the merged level schedule is walked once and every row
+  /// Batched solve of k right-hand sides (row-interleaved panel, row
+  /// stride `ld`): the merged level schedule is walked once and every row
   /// visit solves all k columns. Host only; like solve(), the host path is
   /// intentionally serial, and per column it is bitwise identical to k
   /// single solves.
   void solve_many(const T* b, T* x, index_t k, index_t ld,
-                  const ExecControl* ctl = nullptr,
-                  PanelLayout layout = PanelLayout::kColMajor) const;
+                  const ExecControl* ctl = nullptr) const;
 
   const Csr<T>& matrix() const { return a_; }
   const LevelSets& levels() const { return ls_; }

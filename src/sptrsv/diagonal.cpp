@@ -17,29 +17,20 @@ DiagonalSolver<T>::DiagonalSolver(std::vector<T> diag)
 
 template <class T>
 void DiagonalSolver<T>::solve_many(const T* b, T* x, index_t k, index_t ld,
-                                   ThreadPool* pool, const ExecControl* ctl,
-                                   PanelLayout layout) const {
+                                   ThreadPool* pool,
+                                   const ExecControl* ctl) const {
   if (ctl != nullptr && !ctl->check()) return;
   const index_t count = n();
-  auto rows = [this, b, x, k, ld, layout](index_t r0, index_t r1) {
-    if (layout == PanelLayout::kInterleaved) {
-      // One row's k panel entries are contiguous and share the divisor —
-      // the same element-wise divides, in a layout the compiler vectorises.
-      for (index_t i = r0; i < r1; ++i) {
-        const T d = diag_[static_cast<std::size_t>(i)];
-        const T* bi =
-            b + static_cast<std::size_t>(i) * static_cast<std::size_t>(ld);
-        T* xi =
-            x + static_cast<std::size_t>(i) * static_cast<std::size_t>(ld);
-        for (index_t c = 0; c < k; ++c) xi[c] = bi[c] / d;
-      }
-      return;
+  auto rows = [this, b, x, k, ld](index_t r0, index_t r1) {
+    // One row's k panel entries are contiguous and share the divisor — the
+    // same element-wise divides, in a layout the compiler vectorises.
+    for (index_t i = r0; i < r1; ++i) {
+      const T d = diag_[static_cast<std::size_t>(i)];
+      const T* bi =
+          b + static_cast<std::size_t>(i) * static_cast<std::size_t>(ld);
+      T* xi = x + static_cast<std::size_t>(i) * static_cast<std::size_t>(ld);
+      for (index_t c = 0; c < k; ++c) xi[c] = bi[c] / d;
     }
-    // Element-wise divides — column order is irrelevant, so each column runs
-    // through the vectorised div_rows on its contiguous row range.
-    for (index_t c = 0; c < k; ++c)
-      simd::div_rows(b + r0 + c * ld, diag_.data() + r0, x + r0 + c * ld,
-                     r1 - r0);
   };
   if (parallel_enabled(pool) &&
       static_cast<offset_t>(count) * k >= kHostParallelMinNnz && count >= 2) {

@@ -28,15 +28,14 @@ class DiagonalSolver {
              ThreadPool* pool = nullptr,
              const ExecControl* ctl = nullptr) const;
 
-  /// Batched solve of k right-hand sides with leading dimension `ld` (panel
-  /// element (i, c) at b[i + c·ld] for kColMajor, b[i·ld + c] for
-  /// kInterleaved): the diagonal is streamed once and divides all k columns
-  /// per row. Host only; bitwise identical to k single solves at any thread
-  /// count and either layout (disjoint writes, element-wise divides).
+  /// Batched solve of k right-hand sides over a row-interleaved panel with
+  /// row stride `ld` (element (i, c) at b[i·ld + c]): the diagonal is
+  /// streamed once and divides all k columns per row. Host only; bitwise
+  /// identical to k single solves at any thread count (disjoint writes,
+  /// element-wise divides).
   void solve_many(const T* b, T* x, index_t k, index_t ld,
                   ThreadPool* pool = nullptr,
-                  const ExecControl* ctl = nullptr,
-                  PanelLayout layout = PanelLayout::kColMajor) const;
+                  const ExecControl* ctl = nullptr) const;
 
   index_t n() const { return static_cast<index_t>(diag_.size()); }
 

@@ -8,7 +8,6 @@
 #include "common/simd.hpp"
 #include "sim/kernel_sim.hpp"
 #include "sparse/triangular.hpp"
-#include "sptrsv/batched.hpp"
 
 namespace blocktri {
 
@@ -66,21 +65,14 @@ LevelSetSolver<T>::LevelSetSolver(Csr<T> lower, LevelSets levels,
 
 template <class T>
 void LevelSetSolver<T>::solve_many(const T* b, T* x, index_t k, index_t ld,
-                                   ThreadPool* pool, const ExecControl* ctl,
-                                   PanelLayout layout) const {
+                                   ThreadPool* pool,
+                                   const ExecControl* ctl) const {
   if (k <= 0) return;
-  // Both layouts share the level/group schedule; only the inner kernel
-  // differs (identical per-column operation order either way).
   const auto rows_many = [&](offset_t p0, offset_t p1, index_t c0,
                              index_t c1) {
-    if (layout == PanelLayout::kInterleaved)
-      simd::sptrsv_rows_many_ilv(a_.row_ptr.data(), a_.col_idx.data(),
-                                 a_.val.data(), ls_.level_item.data(), p0, p1,
-                                 b, x, c0, c1, ld);
-    else
-      simd::sptrsv_rows_many(a_.row_ptr.data(), a_.col_idx.data(),
-                             a_.val.data(), ls_.level_item.data(), p0, p1, b,
-                             x, c0, c1, ld);
+    simd::sptrsv_rows_many(a_.row_ptr.data(), a_.col_idx.data(),
+                           a_.val.data(), ls_.level_item.data(), p0, p1, b, x,
+                           c0, c1, ld);
   };
   const bool parallel = parallel_enabled(pool);
   const index_t ngroups = exec_groups();

@@ -65,18 +65,17 @@ class LevelSetSolver {
              ThreadPool* pool = nullptr,
              const ExecControl* ctl = nullptr) const;
 
-  /// Batched solve of k right-hand sides with leading dimension `ld` (panel
-  /// element (i, c) at b[i + c·ld] for kColMajor, b[i·ld + c] for
-  /// kInterleaved): every row visit streams the row's structure once and
-  /// updates all k columns in kRhsTile-wide groups. Host only. A pool splits
-  /// a level's rows (wide levels) or the columns (narrow levels, many
-  /// columns); both partitions write disjoint x entries with the single-RHS
-  /// operation order per column, so the result is bitwise identical to k
-  /// independent serial solves at any thread count and either layout.
+  /// Batched solve of k right-hand sides over a row-interleaved panel with
+  /// row stride `ld` (element (i, c) at b[i·ld + c]): every row visit
+  /// streams the row's structure once and updates all k columns in
+  /// kRhsTile-wide groups. Host only. A pool splits a level's rows (wide
+  /// levels) or the columns (narrow levels, many columns); both partitions
+  /// write disjoint x entries with the single-RHS operation order per
+  /// column, so the result is bitwise identical to k independent serial
+  /// solves at any thread count.
   void solve_many(const T* b, T* x, index_t k, index_t ld,
                   ThreadPool* pool = nullptr,
-                  const ExecControl* ctl = nullptr,
-                  PanelLayout layout = PanelLayout::kColMajor) const;
+                  const ExecControl* ctl = nullptr) const;
 
   const Csr<T>& matrix() const { return a_; }
   const LevelSets& levels() const { return ls_; }

@@ -132,8 +132,8 @@ void column_view(const Csr<T>& a, std::vector<offset_t>* col_ptr,
 
 template <class T>
 void SyncFreeSolver<T>::solve_many(const T* b, T* x, index_t k, index_t ld,
-                                   ThreadPool* pool, const ExecControl* ctl,
-                                   PanelLayout layout) const {
+                                   ThreadPool* pool,
+                                   const ExecControl* ctl) const {
   if (k <= 0) return;
   if (ctl != nullptr && !ctl->check()) return;
   const index_t n = a_.nrows;
@@ -143,22 +143,15 @@ void SyncFreeSolver<T>::solve_many(const T* b, T* x, index_t k, index_t ld,
     for (index_t r0 = 0; r0 < n; r0 += kPollRows) {
       if (ctl != nullptr && r0 > 0 && !ctl->check()) return;
       const index_t r1 = std::min(n, r0 + kPollRows);
-      if (layout == PanelLayout::kInterleaved)
-        simd::detail::sptrsv_rows_many_ilv_strict(
-            a_.row_ptr.data(), a_.col_idx.data(), a_.val.data(), nullptr, r0,
-            r1, b, x, c0, c1, ld);
-      else
-        simd::detail::sptrsv_rows_many_strict(
-            a_.row_ptr.data(), a_.col_idx.data(), a_.val.data(), nullptr, r0,
-            r1, b, x, c0, c1, ld);
+      simd::detail::sptrsv_rows_many_strict(a_.row_ptr.data(),
+                                            a_.col_idx.data(), a_.val.data(),
+                                            nullptr, r0, r1, b, x, c0, c1, ld);
     }
   };
   // Threads split the panel's columns. Each row reads the x rows other
-  // threads are writing, so an interleaved panel (a row's columns side by
-  // side) splits by whole cache lines, never inside one.
-  const index_t width = layout == PanelLayout::kInterleaved
-                            ? static_cast<index_t>(64 / sizeof(T))
-                            : 1;
+  // threads are writing, and a row's columns sit side by side, so the split
+  // is by whole cache lines, never inside one.
+  const index_t width = static_cast<index_t>(64 / sizeof(T));
   const index_t groups = (k + width - 1) / width;
   if (parallel_enabled(pool) && groups >= 2 &&
       static_cast<offset_t>(k) * a_.nnz() >= kHostParallelMinNnz) {

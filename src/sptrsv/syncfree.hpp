@@ -75,17 +75,15 @@ class SyncFreeSolver {
              ThreadPool* pool = nullptr,
              const ExecControl* ctl = nullptr) const;
 
-  /// Batched solve of k right-hand sides with leading dimension `ld` (panel
-  /// element (i, c) at b[i + c·ld] for kColMajor, b[i·ld + c] for
-  /// kInterleaved): each row visit streams the row's structure once and
-  /// updates all k columns, in natural row order with the single-RHS
-  /// operation order per column. Host only. A pool splits the *columns of
-  /// the panel*, so the result is bitwise identical to k independent serial
-  /// solves at any thread count and either layout.
+  /// Batched solve of k right-hand sides over a row-interleaved panel with
+  /// row stride `ld` (element (i, c) at b[i·ld + c]): each row visit streams
+  /// the row's structure once and updates all k columns, in natural row
+  /// order with the single-RHS operation order per column. Host only. A pool
+  /// splits the *columns of the panel*, so the result is bitwise identical
+  /// to k independent serial solves at any thread count.
   void solve_many(const T* b, T* x, index_t k, index_t ld,
                   ThreadPool* pool = nullptr,
-                  const ExecControl* ctl = nullptr,
-                  PanelLayout layout = PanelLayout::kColMajor) const;
+                  const ExecControl* ctl = nullptr) const;
 
   const Csr<T>& matrix() const { return a_; }
   /// matrix()'s value array as a fixed-length view, written in place by

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "blocktri.hpp"
+#include "common/simd.hpp"
 
 namespace blocktri::testing {
 
@@ -144,6 +145,37 @@ inline std::uint64_t reference_structure_hash(
   return h;
 }
 
+/// Forces a SIMD lowering process-wide for the duration of a scope, so a
+/// pool's worker threads run it too.
+struct PathGuard {
+  explicit PathGuard(simd::Path p) { simd::force_path(p); }
+  ~PathGuard() { simd::clear_forced_path(); }
+  PathGuard(const PathGuard&) = delete;
+  PathGuard& operator=(const PathGuard&) = delete;
+};
+
+/// FNV-1a over the bits of a checked solve's solution, then over each
+/// report's residual bits and refinement count: what the checked-path known
+/// answers pin.
+template <class T>
+std::uint64_t checked_fnv1a(const std::vector<T>& x,
+                            const std::vector<SolveReport>& reports) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto fold = [&h](const void* data, std::size_t len) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < len; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  fold(x.data(), x.size() * sizeof(T));
+  for (const SolveReport& r : reports) {
+    fold(&r.residual, sizeof r.residual);
+    fold(&r.refinements, sizeof r.refinements);
+  }
+  return h;
+}
+
 inline std::string read_file_bytes(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(is),
@@ -151,7 +183,7 @@ inline std::string read_file_bytes(const std::string& path) {
 }
 
 /// Walks the frames of the .btpa file at `path` (DESIGN.md §10) and checks
-/// the framing contract: the header stamps format version 5, every stored
+/// the framing contract: the header stamps format version 6, every stored
 /// section CRC equals reference_crc32 of its payload, the last frame ends
 /// exactly at EOF, and save → load → save reproduces the file byte for byte.
 template <class T>
@@ -166,9 +198,9 @@ template <class T>
            << path << ": " << bytes.size() << " bytes, shorter than a header";
   std::uint32_t version = 0, nsections = 0;
   std::memcpy(&version, bytes.data() + 4, 4);
-  if (version != 5)
+  if (version != 6)
     return ::testing::AssertionFailure()
-           << path << " stamps format version " << version << ", not 5";
+           << path << " stamps format version " << version << ", not 6";
   std::memcpy(&nsections, bytes.data() + kHeaderBytes - 4, 4);
   std::size_t off = kHeaderBytes;
   for (std::uint32_t s = 0; s < nsections; ++s) {

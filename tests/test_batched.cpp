@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -185,14 +187,16 @@ TEST(Batched, ThreadSweepFloat) {
 
 // --- Known answers: sync-free plans keep their bits ------------------------
 //
-// FNV-1a hashes of the solution bits at threads = 1, recorded from a build
-// whose sync-free kernels pushed left-sums down CSC columns. The row kernels
-// that replaced them do the same floating-point operations in the same
-// order, so none of these may move. solve_many runs the interleaved panel
-// and solve_many_checked the column-major one; both must give the bits of
-// the panel hash. The square blocks' SpMV follows the SIMD lowering, so the
-// answers are pinned under the canonical blocked order (the vector lowering
-// gives the same bits), whatever BLOCKTRI_STRICT_SCALAR says.
+// FNV-1a hashes of the solution bits, recorded from a build whose sync-free
+// kernels pushed left-sums down CSC columns. The row kernels that replaced
+// them do the same floating-point operations in the same order, so none of
+// these may move. solve_many_checked must give the bits of the panel hash.
+// The checked hashes (checked_fnv1a: x, then every report's residual and
+// refinements) were recorded while the residual read a retained copy of the
+// permuted matrix and the checked panel ran column-major. The answers are
+// pinned under the canonical blocked order process-wide, so the pool's
+// workers run it too (the vector lowering gives the same bits), whatever
+// BLOCKTRI_STRICT_SCALAR says.
 
 template <class T>
 std::uint64_t bits_fnv1a(const std::vector<T>& v) {
@@ -205,52 +209,120 @@ std::uint64_t bits_fnv1a(const std::vector<T>& v) {
   return h;
 }
 
-/// `want` holds the hashes of solve() and of the k = 1, 5 and 16 panels.
+/// What the checked paths run besides the default options: a tolerance no
+/// residual reaches (two refinement rounds, no whole-solve ladder), or a NaN
+/// in the first attempt of leaf 0, which solve_checked and panel column 2
+/// heal through the fallback ladder.
+enum class Checked { kPlain, kRefine, kFaultColumn };
+
+/// `want` holds the hashes of solve() and of the k = 1, 5 and 16 panels,
+/// then checked_fnv1a of solve_checked and of solve_many_checked at k = 1, 5
+/// and 16. Every hash must hold at threads = 1 and 4.
 template <class T>
-void expect_syncfree_answers(bool forced,
+void expect_syncfree_answers(bool forced, Checked checked,
                              const std::vector<std::uint64_t>& want) {
   SCOPED_TRACE(forced ? "forced sync-free" : "adaptive");
-  const simd::ScopedPathOverride canonical(simd::Path::kBlockedScalar);
+  SCOPED_TRACE(static_cast<int>(checked));
+  const blocktri::testing::PathGuard canonical(simd::Path::kBlockedScalar);
   const Csr<T> L = gen::convert_values<T>(
       forced ? gen::random_levels(3000, 40, 4.0, 1.0, 17)
              : gen::banded(3000, 24, 3.0, 19));
-  auto o = opts<T>(BlockScheme::kRecursive, 300);
-  if (forced) {
-    o.adaptive = false;
-    o.forced_tri = TriKernelKind::kSyncFree;
-  }
-  const BlockSolver<T> solver(L, o);
-  // Every leaf must run sync-free, or the fixture pins some other kernel.
-  for (const auto& info : solver.tri_info())
-    ASSERT_EQ(info.kind, TriKernelKind::kSyncFree);
-  const index_t n = L.nrows;
-  const auto B = gen::random_rhs<T>(n * 16, 320);
-  EXPECT_EQ(bits_fnv1a(solver.solve(panel_column(B, n, 0))), want[0]);
-  const index_t ks[] = {1, 5, 16};
-  for (std::size_t i = 0; i < 3; ++i) {
-    const index_t k = ks[i];
-    SCOPED_TRACE(k);
-    const std::vector<T> Bk(B.begin(), B.begin() + n * k);
-    EXPECT_EQ(bits_fnv1a(solver.solve_many(Bk, k)), want[i + 1]);
-    const SolveManyResult<T> res = solver.solve_many_checked(Bk, k);
-    ASSERT_TRUE(res.ok()) << res.status.to_string();
-    EXPECT_EQ(bits_fnv1a(res.X), want[i + 1]);
+  const StatusCode code = checked == Checked::kRefine
+                              ? StatusCode::kResidualTooLarge
+                              : StatusCode::kOk;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    auto o = opts<T>(BlockScheme::kRecursive, 300);
+    o.threads = threads;
+    if (forced) {
+      o.adaptive = false;
+      o.forced_tri = TriKernelKind::kSyncFree;
+    }
+    if (checked == Checked::kRefine) {
+      o.verify.tolerance = std::numeric_limits<double>::denorm_min();
+      o.verify.max_refinements = 2;
+      o.verify.fallback = false;
+    } else if (checked == Checked::kFaultColumn) {
+      o.fault.tri_block = 0;
+      o.fault.corrupt_attempts = 1;
+      o.fault.column = 2;
+    }
+    const BlockSolver<T> solver(L, o);
+    // Every leaf must run sync-free, or the fixture pins some other kernel.
+    for (const auto& info : solver.tri_info())
+      ASSERT_EQ(info.kind, TriKernelKind::kSyncFree);
+    const index_t n = L.nrows;
+    const auto B = gen::random_rhs<T>(n * 16, 320);
+    const std::vector<T> b = panel_column(B, n, 0);
+    EXPECT_EQ(bits_fnv1a(solver.solve(b)), want[0]);
+    const SolveResult<T> one = solver.solve_checked(b);
+    EXPECT_EQ(one.status.code(), code) << one.status.to_string();
+    EXPECT_EQ(blocktri::testing::checked_fnv1a(one.x, {one.report}), want[4]);
+    const index_t ks[] = {1, 5, 16};
+    for (std::size_t i = 0; i < 3; ++i) {
+      const index_t k = ks[i];
+      SCOPED_TRACE(k);
+      const std::vector<T> Bk(B.begin(), B.begin() + n * k);
+      EXPECT_EQ(bits_fnv1a(solver.solve_many(Bk, k)), want[i + 1]);
+      const SolveManyResult<T> res = solver.solve_many_checked(Bk, k);
+      EXPECT_EQ(res.status.code(), code) << res.status.to_string();
+      if (checked == Checked::kPlain)
+        EXPECT_EQ(bits_fnv1a(res.X), want[i + 1]);
+      EXPECT_EQ(blocktri::testing::checked_fnv1a(res.X, res.reports),
+                want[i + 5]);
+    }
   }
 }
 
 TEST(Batched, SyncFreeKnownAnswers) {
   expect_syncfree_answers<double>(
-      true, {0xf210a5508311fb74ULL, 0xf210a5508311fb74ULL,
-             0xd9bbbfb5707975ddULL, 0xe8fce43514a72e08ULL});
+      true, Checked::kPlain,
+      {0xf210a5508311fb74ULL, 0xf210a5508311fb74ULL, 0xd9bbbfb5707975ddULL,
+       0xe8fce43514a72e08ULL,
+       0xd81766aee6166045ULL, 0xd81766aee6166045ULL,
+       0x83a20d27009238feULL, 0xbc4771af7eaaaa2aULL});
   expect_syncfree_answers<double>(
-      false, {0xb4fbd7811f16aee9ULL, 0xb4fbd7811f16aee9ULL,
-              0x0f367b530e8f0cf7ULL, 0x3e4350a654a6c056ULL});
+      false, Checked::kPlain,
+      {0xb4fbd7811f16aee9ULL, 0xb4fbd7811f16aee9ULL, 0x0f367b530e8f0cf7ULL,
+       0x3e4350a654a6c056ULL,
+       0xbd21901c21781be7ULL, 0xbd21901c21781be7ULL,
+       0x15fba20ac9431639ULL, 0xf98763ed5d4813feULL});
   expect_syncfree_answers<float>(
-      true, {0x6df63755f859d27cULL, 0x6df63755f859d27cULL,
-             0xa7fe41a812b131a4ULL, 0x4526824f255d765bULL});
+      true, Checked::kPlain,
+      {0x6df63755f859d27cULL, 0x6df63755f859d27cULL, 0xa7fe41a812b131a4ULL,
+       0x4526824f255d765bULL,
+       0xd26b1c1fed13ebabULL, 0xd26b1c1fed13ebabULL,
+       0xb998e7ea9d860e28ULL, 0xb9a996bb11e5a763ULL});
   expect_syncfree_answers<float>(
-      false, {0x1ae0ab394b8942e6ULL, 0x1ae0ab394b8942e6ULL,
-              0x1f310fdce4b72f94ULL, 0x8cb611378064e6e7ULL});
+      false, Checked::kPlain,
+      {0x1ae0ab394b8942e6ULL, 0x1ae0ab394b8942e6ULL, 0x1f310fdce4b72f94ULL,
+       0x8cb611378064e6e7ULL,
+       0x87502d68774ca612ULL, 0x87502d68774ca612ULL,
+       0xb4cd1fc9cca5a24dULL, 0xb094f781691e92d2ULL});
+  expect_syncfree_answers<double>(
+      true, Checked::kRefine,
+      {0xf210a5508311fb74ULL, 0xf210a5508311fb74ULL, 0xd9bbbfb5707975ddULL,
+       0xe8fce43514a72e08ULL,
+       0x3c101691ca14a5ccULL, 0x3c101691ca14a5ccULL,
+       0xac0fd103263496fdULL, 0x50767a0caa2e2ba8ULL});
+  expect_syncfree_answers<float>(
+      false, Checked::kRefine,
+      {0x1ae0ab394b8942e6ULL, 0x1ae0ab394b8942e6ULL, 0x1f310fdce4b72f94ULL,
+       0x8cb611378064e6e7ULL,
+       0xd21888dca8bec616ULL, 0xd21888dca8bec616ULL,
+       0x658fb8798e29cbbfULL, 0x91aad39b1d3a1727ULL});
+  expect_syncfree_answers<double>(
+      true, Checked::kFaultColumn,
+      {0xf210a5508311fb74ULL, 0xf210a5508311fb74ULL, 0xd9bbbfb5707975ddULL,
+       0xe8fce43514a72e08ULL,
+       0x69a680df227f2479ULL, 0xd81766aee6166045ULL,
+       0x58d610a83802f1a4ULL, 0x69cb5305f8601d84ULL});
+  expect_syncfree_answers<float>(
+      true, Checked::kFaultColumn,
+      {0x6df63755f859d27cULL, 0x6df63755f859d27cULL, 0xa7fe41a812b131a4ULL,
+       0x4526824f255d765bULL,
+       0x6ad38290b9284a27ULL, 0xd26b1c1fed13ebabULL,
+       0x9c5c198b63c87bb9ULL, 0x714ff9d4312eaaaeULL});
 }
 
 // --- Edge cases ------------------------------------------------------------
@@ -278,33 +350,30 @@ TEST(Batched, WrongPanelSizeThrowsTyped) {
 
 // --- Hardened panel path ---------------------------------------------------
 
+// At threads = 4 and k = 16 the batched kernels of the checked panel split
+// their rows and columns across the pool.
 TEST(Batched, CheckedHealthyPanelVerifiesEveryColumn) {
   const auto L = gen::grid2d(30, 20, 9);
-  const BlockSolver<double> solver(L, opts<double>(BlockScheme::kRecursive,
-                                                   150));
-  const index_t k = 3;
-  const auto B = gen::random_rhs<double>(L.nrows * k, 309);
-  const auto res = solver.solve_many_checked(B, k);
-  ASSERT_TRUE(res.ok()) << res.status.to_string();
-  ASSERT_EQ(res.reports.size(), static_cast<std::size_t>(k));
-  for (index_t c = 0; c < k; ++c) {
-    const auto& rep = res.reports[static_cast<std::size_t>(c)];
-    EXPECT_TRUE(rep.residual_checked);
-    EXPECT_LE(rep.residual, rep.tolerance);
-    EXPECT_TRUE(rep.fallbacks.empty());
-    EXPECT_TRUE(VectorsNear(panel_column(res.X, L.nrows, c),
-                            sptrsv_serial(L, panel_column(B, L.nrows, c)),
-                            default_tol<double>()))
-        << "column " << c;
+  for (const auto [threads, k] : {std::pair<int, index_t>{1, 3}, {4, 16}}) {
+    SCOPED_TRACE(threads);
+    auto o = opts<double>(BlockScheme::kRecursive, 150);
+    o.threads = threads;
+    const BlockSolver<double> solver(L, o);
+    const auto B = gen::random_rhs<double>(L.nrows * k, 309);
+    const auto res = solver.solve_many_checked(B, k);
+    ASSERT_TRUE(res.ok()) << res.status.to_string();
+    ASSERT_EQ(res.reports.size(), static_cast<std::size_t>(k));
+    for (index_t c = 0; c < k; ++c) {
+      const auto& rep = res.reports[static_cast<std::size_t>(c)];
+      EXPECT_TRUE(rep.residual_checked);
+      EXPECT_LE(rep.residual, rep.tolerance);
+      EXPECT_TRUE(rep.fallbacks.empty());
+      EXPECT_TRUE(VectorsNear(panel_column(res.X, L.nrows, c),
+                              sptrsv_serial(L, panel_column(B, L.nrows, c)),
+                              default_tol<double>()))
+          << "column " << c;
+    }
   }
-}
-
-TEST(Batched, CheckedRequiresVerifyEnabled) {
-  auto o = opts<double>(BlockScheme::kColumn);
-  o.verify.enabled = false;
-  const BlockSolver<double> solver(gen::diagonal(64, 2), o);
-  const auto res = solver.solve_many_checked(std::vector<double>(128, 1.0), 2);
-  EXPECT_EQ(res.status.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(Batched, CheckedNonFinitePanelEntryTyped) {

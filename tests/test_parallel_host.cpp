@@ -339,6 +339,7 @@ void expect_threaded_solver_matches_serial(const Csr<double>& Ld,
     const SolveResult<T> checked = par.solve_checked(b);
     ASSERT_TRUE(checked.ok()) << checked.status.message();
     EXPECT_EQ(checked.x, want_checked.x);
+    EXPECT_EQ(checked.report.residual, want_checked.report.residual);
   }
 }
 

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -85,11 +86,9 @@ Csr<T> fixture(int which = 0) {
 // Every executor path is bitwise deterministic at any thread count, so cold
 // and warm must agree bitwise on every solve entry point.
 
-/// `checked` compares solve_checked too (it needs verify.enabled).
 template <class T>
 void expect_equal_solvers(const BlockSolver<T>& cold,
-                          const BlockSolver<T>& warm, const Csr<T>& L,
-                          bool checked = true) {
+                          const BlockSolver<T>& warm, const Csr<T>& L) {
   ASSERT_TRUE(equals(cold.plan(), warm.plan()));
   ASSERT_EQ(cold.tri_info().size(), warm.tri_info().size());
   for (std::size_t i = 0; i < cold.tri_info().size(); ++i) {
@@ -109,7 +108,6 @@ void expect_equal_solvers(const BlockSolver<T>& cold,
   }
   EXPECT_EQ(cold.solve_many(B, k), warm.solve_many(B, k));  // always bitwise
 
-  if (!checked) return;
   SolveResult<T> rc = cold.solve_checked(b);
   SolveResult<T> rw = warm.solve_checked(b);
   ASSERT_TRUE(rc.ok());
@@ -118,9 +116,8 @@ void expect_equal_solvers(const BlockSolver<T>& cold,
   EXPECT_EQ(rc.report.residual, rw.report.residual);
 }
 
-/// What save_artifact writes for `s`: its whole captured state, the verify
-/// copy of the matrix included. `tag` keeps the scratch file distinct
-/// across concurrently running tests.
+/// What save_artifact writes for `s`: its whole captured state. `tag` keeps
+/// the scratch file distinct across concurrently running tests.
 template <class T>
 std::string saved_bytes(const BlockSolver<T>& s, const std::string& tag) {
   const std::string path = artifact_path("bytes_" + tag);
@@ -154,92 +151,82 @@ std::uint64_t fnv1a(const void* data, std::size_t len) {
 /// bytes save_artifact writes, and of solve()'s bits for the rhs
 /// expect_equal_solvers uses, under the canonical blocked SIMD order (the
 /// vector lowering gives the same bits). The one-walk build must keep them.
+/// `checked` is checked_fnv1a of solve_checked on that rhs, recorded while
+/// the residual still read a retained copy of the permuted matrix.
 struct KnownAnswer {
   const char* tag;  // expect_warm_paths_match_cold's tag
   std::uint64_t bytes, solve;  // bytes 0: not pinned (see refresh_tuned)
+  std::uint64_t checked;
 };
 const KnownAnswer kKnownAnswers[] = {
-    {"forced_8_recursive-block_1_completely-parallel_scalar-CSR",
-     0xe837f11c04c485a4ULL, 0x512d5daf5d2ee3f8ULL},
-    {"forced_8_recursive-block_1_level-set_scalar-CSR",
-     0x1c4d67b2c1d4c17cULL, 0x512d5daf5d2ee3f8ULL},
-    {"forced_8_recursive-block_1_sync-free_scalar-CSR",
-     0x056862f46af5b730ULL, 0x512d5daf5d2ee3f8ULL},
-    {"forced_8_recursive-block_1_cusparse-like_scalar-CSR",
-     0x030879c4d2e888d2ULL, 0x512d5daf5d2ee3f8ULL},
-    {"forced_8_column-block_1_completely-parallel_scalar-CSR",
-     0x3552f4b40be43845ULL, 0x0357fae1ecbfa0bbULL},
-    {"forced_8_column-block_1_level-set_scalar-CSR",
-     0x63b7e0f92d5c99d1ULL, 0xbcfde956f540cdb4ULL},
-    {"forced_8_column-block_1_sync-free_scalar-CSR",
-     0x47bacacbaaeac360ULL, 0x0357fae1ecbfa0bbULL},
-    {"forced_8_column-block_1_cusparse-like_scalar-CSR",
-     0x290297890e7df9ccULL, 0xbcfde956f540cdb4ULL},
-    {"forced_8_row-block_1_completely-parallel_scalar-CSR",
-     0x55f516e55be40e37ULL, 0x0913b852393686ceULL},
-    {"forced_8_row-block_1_level-set_scalar-CSR",
-     0xd33d58ec24415019ULL, 0x6c9b73ed30817f92ULL},
-    {"forced_8_row-block_1_sync-free_scalar-CSR",
-     0xec56887e6c1a53a5ULL, 0x0913b852393686ceULL},
-    {"forced_8_row-block_1_cusparse-like_scalar-CSR",
-     0x94b3ca45eb934248ULL, 0x6c9b73ed30817f92ULL},
-    {"forced_8_hbmc-block_1_completely-parallel_scalar-CSR",
-     0x1020a1a68c6be9abULL, 0x40a68a8fb7c9ff48ULL},
-    {"forced_8_hbmc-block_1_level-set_scalar-CSR",
-     0xf3e4fb8e9127a899ULL, 0x40a68a8fb7c9ff48ULL},
-    {"forced_8_hbmc-block_1_sync-free_scalar-CSR",
-     0x2519b4253711db16ULL, 0x40a68a8fb7c9ff48ULL},
-    {"forced_8_hbmc-block_1_cusparse-like_scalar-CSR",
-     0xe4408830e85be427ULL, 0x40a68a8fb7c9ff48ULL},
+    {"forced_8_recursive-block_completely-parallel_scalar-CSR",
+     0xc7f657228ec0fad2ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
+    {"forced_8_recursive-block_level-set_scalar-CSR",
+     0x40856ad8ee9bcd9dULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
+    {"forced_8_recursive-block_sync-free_scalar-CSR",
+     0xa578481fb0263fd3ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
+    {"forced_8_recursive-block_cusparse-like_scalar-CSR",
+     0x2931334e0916cd96ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
+    {"forced_8_column-block_completely-parallel_scalar-CSR",
+     0x6f0566ce07f58178ULL, 0x0357fae1ecbfa0bbULL, 0x1b5157c7d58fb924ULL},
+    {"forced_8_column-block_level-set_scalar-CSR",
+     0x9035d06a13f8a941ULL, 0xbcfde956f540cdb4ULL, 0x2f42df47dd3e277bULL},
+    {"forced_8_column-block_sync-free_scalar-CSR",
+     0xb729af37dc82609dULL, 0x0357fae1ecbfa0bbULL, 0x1b5157c7d58fb924ULL},
+    {"forced_8_column-block_cusparse-like_scalar-CSR",
+     0xb9c5de309afea8c8ULL, 0xbcfde956f540cdb4ULL, 0x2f42df47dd3e277bULL},
+    {"forced_8_row-block_completely-parallel_scalar-CSR",
+     0x5f9f737a86c7afc2ULL, 0x0913b852393686ceULL, 0x2e07f893834164d9ULL},
+    {"forced_8_row-block_level-set_scalar-CSR",
+     0xabdf637a0b9cf129ULL, 0x6c9b73ed30817f92ULL, 0x49b8e6c059e7b2bdULL},
+    {"forced_8_row-block_sync-free_scalar-CSR",
+     0xa636400137fcd1deULL, 0x0913b852393686ceULL, 0x2e07f893834164d9ULL},
+    {"forced_8_row-block_cusparse-like_scalar-CSR",
+     0xa26775dda5d15278ULL, 0x6c9b73ed30817f92ULL, 0x49b8e6c059e7b2bdULL},
+    {"forced_8_hbmc-block_completely-parallel_scalar-CSR",
+     0x1be1c3e2f7619c6eULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
+    {"forced_8_hbmc-block_level-set_scalar-CSR",
+     0xfcb0d8b2df86172dULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
+    {"forced_8_hbmc-block_sync-free_scalar-CSR",
+     0x1bba5c9a28806d26ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
+    {"forced_8_hbmc-block_cusparse-like_scalar-CSR",
+     0x5632d6794d3fa6f2ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
     {"sweep_chain_hbmc-block",
-     0xbc01dd40afa83e0dULL, 0xfdcc30df23748817ULL},
+     0x34c352c07cc5a445ULL, 0xfdcc30df23748817ULL, 0x45132beaab213e93ULL},
     {"sweep_banded_column-block",
-     0x0fd94c36f2eb438fULL, 0x75253044a747106dULL},
+     0x46767d9e7a7e7fdbULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
     {"sweep_grid3d_recursive-block",
-     0x183b432d1d7a9bdfULL, 0xe2ccb7b0174a4d56ULL},
+     0x4f48213f0c2d7de1ULL, 0xe2ccb7b0174a4d56ULL, 0x8f862927d84157e4ULL},
     {"sweep_powerlaw_recursive-block",
-     0x635acc176195c4ccULL, 0x82487e06982066aeULL},
+     0x97046e9ef902e75aULL, 0x82487e06982066aeULL, 0x983b78e01e0b9755ULL},
+    {"sweep_kkt_recursive-block",
+     0x8a6128fe53cb8883ULL, 0x84ac8f67f57595bfULL, 0xbbc2b04b7c1fc0daULL},
+    {"sweep_trace_recursive-block",
+     0xc7ca3fdcde138514ULL, 0xe320ccff4a7cc8b4ULL, 0x6880b1f806782fa5ULL},
     {"sweep_rndlevels_deep_recursive-block",
-     0xe0dd275d61706c53ULL, 0x4b25be5d2ca42b1dULL},
-    {"refresh_recursive-block_1",
-     0x114ff6a9546bdf3aULL, 0x7172fd1d5b425493ULL},
-    {"refresh_recursive-block_0",
-     0x06d498a1bb81bc2dULL, 0x7172fd1d5b425493ULL},
-    {"refresh_column-block_1",
-     0x0fd94c36f2eb438fULL, 0x75253044a747106dULL},
-    {"refresh_column-block_0",
-     0x69946d762abef292ULL, 0x75253044a747106dULL},
-    {"refresh_row-block_1",
-     0x41bb038b79f3ebcbULL, 0x75253044a747106dULL},
-    {"refresh_row-block_0",
-     0x099220433f4e2ea0ULL, 0x75253044a747106dULL},
-    {"refresh_hbmc-block_1",
-     0xa5699a4bfae0945aULL, 0xce29801083680a6aULL},
-    {"refresh_hbmc-block_0",
-     0xb83a44f0939a0c08ULL, 0xce29801083680a6aULL},
-    {"refresh_unordered_1",
-     0xf920bcbccacc89c8ULL, 0x71939bc327923a28ULL},
-    {"refresh_unordered_0",
-     0xe019eccc0864e5faULL, 0x71939bc327923a28ULL},
+     0x2a36b6c973f21640ULL, 0x4b25be5d2ca42b1dULL, 0x0a9037d12ab457f1ULL},
+    {"refresh_recursive-block",
+     0x2204948c99e571a6ULL, 0x7172fd1d5b425493ULL, 0xb818c5bbdc150898ULL},
+    {"refresh_column-block",
+     0x46767d9e7a7e7fdbULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
+    {"refresh_row-block",
+     0x1955d1dbf4eb8c9bULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
+    {"refresh_hbmc-block",
+     0xeb6df89b31b7aeb2ULL, 0xce29801083680a6aULL, 0xdb9ba68c91597846ULL},
+    {"refresh_unordered",
+     0x3c8e053ce4bff40dULL, 0x71939bc327923a28ULL, 0x9fe62b2680f01c7fULL},
     // A tuned artifact records the level-merge width the cost model
     // measured on the host, so only its solve is pinned.
-    {"refresh_tuned", 0, 0x39087f833a05dd58ULL},
-    {"dup_recursive-block_1",
-     0xd4e133baa87eaf38ULL, 0xeef8e6dcf526a3edULL},
-    {"dup_recursive-block_0",
-     0x21daa4c52fc9b3b2ULL, 0xeef8e6dcf526a3edULL},
-    {"dup_column-block_1",
-     0x01244d8ebe905802ULL, 0xab9f46d969082d18ULL},
-    {"dup_column-block_0",
-     0x4c02781285fc6b57ULL, 0xab9f46d969082d18ULL},
-    {"dup_row-block_1",
-     0x40600e11dbf2b272ULL, 0x7e6ed51b8d3c5d43ULL},
-    {"dup_row-block_0",
-     0x4c38902174ae5859ULL, 0x7e6ed51b8d3c5d43ULL},
-    {"dup_hbmc-block_1",
-     0x2d179f893255f0d9ULL, 0x53d5ceb0f6a1323bULL},
-    {"dup_hbmc-block_0",
-     0xbc96a00582944da6ULL, 0x53d5ceb0f6a1323bULL},
+    {"refresh_tuned",
+     0, 0x39087f833a05dd58ULL, 0x50c7e66591c9d24fULL},
+    {"dup_recursive-block",
+     0x9d4b0014749c6120ULL, 0xeef8e6dcf526a3edULL, 0x0b1551ef81bdb025ULL},
+    {"dup_column-block",
+     0xbc4b74c337b0cbdeULL, 0xab9f46d969082d18ULL, 0xa9c2e341569f14abULL},
+    {"dup_row-block",
+     0x90c390cb869eabf1ULL, 0x7e6ed51b8d3c5d43ULL, 0xaa3dba6245d38274ULL},
+    {"dup_hbmc-block",
+     0xb4e0d8fddf950147ULL, 0x53d5ceb0f6a1323bULL, 0x6dc8481856bcac45ULL},
 };
 
 template <class T>
@@ -248,9 +235,14 @@ void expect_known_answer(const BlockSolver<T>& cold, const std::string& bytes,
   for (const KnownAnswer& ka : kKnownAnswers) {
     if (tag != ka.tag) continue;
     const simd::ScopedPathOverride canonical(simd::Path::kBlockedScalar);
-    const std::vector<T> x = cold.solve(gen::random_rhs<T>(cold.n(), 7));
+    const std::vector<T> b = gen::random_rhs<T>(cold.n(), 7);
+    const std::vector<T> x = cold.solve(b);
     if (ka.bytes != 0) EXPECT_EQ(fnv1a(bytes.data(), bytes.size()), ka.bytes);
     EXPECT_EQ(fnv1a(x.data(), x.size() * sizeof(T)), ka.solve);
+    const SolveResult<T> res = cold.solve_checked(b);
+    EXPECT_TRUE(res.ok()) << res.status.to_string();
+    EXPECT_EQ(blocktri::testing::checked_fnv1a(res.x, {res.report}),
+              ka.checked);
   }
 }
 
@@ -284,7 +276,7 @@ void expect_warm_paths_match_cold(const Csr<T>& L1, const Csr<T>& L2,
   const std::string want = saved_bytes(*cold, tag);
   expect_known_answer(*cold, want, tag);
   for (const BlockSolver<T>* warm : {loaded.get(), hit.get(), live.get()}) {
-    expect_equal_solvers(*cold, *warm, L2, opt.verify.enabled);
+    expect_equal_solvers(*cold, *warm, L2);
     EXPECT_EQ(saved_bytes(*warm, tag), want);
   }
 }
@@ -320,22 +312,22 @@ TEST(PersistRoundTrip, AllSchemesThreadsFloat) {
 
 // --- Format version ----------------------------------------------------------
 //
-// An artifact is a cache: every file is stamped kArtifactFormatVersion (5),
+// An artifact is a cache: every file is stamped kArtifactFormatVersion (6),
 // optional sections included, and every other version — the older layouts
-// 1–4 among them — is a typed kVersionMismatch, which callers answer with a
+// 1–5 among them — is a typed kVersionMismatch, which callers answer with a
 // cold build.
 
-TEST(PersistVersion, PlainArtifactStampsVersionFive) {
+TEST(PersistVersion, PlainArtifactStampsVersionSix) {
   const Csr<double> L = fixture<double>(0);
   auto opt = small_block_options<double>();
   std::unique_ptr<BlockSolver<double>> s;
   ASSERT_TRUE(BlockSolver<double>::create(L, opt, &s).ok());
-  const std::string path = artifact_path("stamp_v5");
+  const std::string path = artifact_path("stamp_v6");
   ASSERT_TRUE(s->save_artifact(path).ok());
   const std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 8u);
-  EXPECT_EQ(kArtifactFormatVersion, 5u);
-  EXPECT_EQ(bytes[4], 5);  // little-endian u32 version after the magic
+  EXPECT_EQ(kArtifactFormatVersion, 6u);
+  EXPECT_EQ(bytes[4], 6);  // little-endian u32 version after the magic
   EXPECT_EQ(bytes[5], 0);
   EXPECT_TRUE(blocktri::testing::ArtifactFramingHolds<double>(path));
   PlanArtifact<double> art;
@@ -353,7 +345,7 @@ TEST(PersistVersion, OlderVersionsAreVersionMismatch) {
   ASSERT_TRUE(s->save_artifact(path).ok());
   std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 8u);
-  for (char v = 1; v <= 4; ++v) {
+  for (char v = 1; v <= 5; ++v) {
     SCOPED_TRACE(static_cast<int>(v));
     bytes[4] = v;  // the header is not CRC-guarded: only the version moves
     write_file(path, bytes);
@@ -446,8 +438,7 @@ Csr<T> wide_levels() {
 }
 
 // Every forced triangular kernel kind and square format, under every
-// scheme, with verify on and off, in both precisions, installs bitwise on
-// all three warm paths.
+// scheme, in both precisions, installs bitwise on all three warm paths.
 template <class T>
 void forced_kernel_sweep() {
   const Csr<T> L1 = wide_levels<T>();
@@ -455,23 +446,20 @@ void forced_kernel_sweep() {
   for (BlockScheme scheme :
        {BlockScheme::kRecursive, BlockScheme::kColumn, BlockScheme::kRow,
         BlockScheme::kHbmc})
-    for (bool verify : {true, false})
-      for (TriKernelKind kind :
-           {TriKernelKind::kCompletelyParallel, TriKernelKind::kLevelSet,
-            TriKernelKind::kSyncFree, TriKernelKind::kCusparseLike})
-        for (SpmvKernelKind square :
-             {SpmvKernelKind::kScalarCsr, SpmvKernelKind::kVectorDcsr}) {
-          auto opt = small_block_options<T>(scheme);
-          opt.adaptive = false;
-          opt.forced_tri = kind;
-          opt.forced_square = square;
-          opt.verify.enabled = verify;
-          expect_warm_paths_match_cold(
-              L1, L2, opt,
-              "forced_" + std::to_string(sizeof(T)) + "_" +
-                  to_string(scheme) + "_" + std::to_string(verify) + "_" +
-                  to_string(kind) + "_" + to_string(square));
-        }
+    for (TriKernelKind kind :
+         {TriKernelKind::kCompletelyParallel, TriKernelKind::kLevelSet,
+          TriKernelKind::kSyncFree, TriKernelKind::kCusparseLike})
+      for (SpmvKernelKind square :
+           {SpmvKernelKind::kScalarCsr, SpmvKernelKind::kVectorDcsr}) {
+        auto opt = small_block_options<T>(scheme);
+        opt.adaptive = false;
+        opt.forced_tri = kind;
+        opt.forced_square = square;
+        expect_warm_paths_match_cold(
+            L1, L2, opt,
+            "forced_" + std::to_string(sizeof(T)) + "_" + to_string(scheme) +
+                "_" + to_string(kind) + "_" + to_string(square));
+      }
 }
 
 TEST(PersistRoundTrip, ForcedKernels) {
@@ -537,33 +525,6 @@ TEST(PersistRoundTrip, MatrixRegistrySweep) {
     }
 }
 
-TEST(PersistRoundTrip, VerifyDisabled) {
-  const Csr<double> L = fixture<double>(0);
-  auto opt = small_block_options<double>();
-  opt.verify.enabled = false;
-  std::unique_ptr<BlockSolver<double>> cold;
-  ASSERT_TRUE(BlockSolver<double>::create(L, opt, &cold).ok());
-  const std::string path = artifact_path("noverify");
-  ASSERT_TRUE(cold->save_artifact(path).ok());
-
-  std::unique_ptr<BlockSolver<double>> warm;
-  ASSERT_TRUE(BlockSolver<double>::create_from_file(path, L, opt, &warm).ok());
-  const auto b = gen::random_rhs<double>(L.nrows, 5);
-  EXPECT_EQ(cold->solve(b), warm->solve(b));
-
-  // Asking for verify from a verify-less artifact is an options mismatch.
-  auto want_verify = opt;
-  want_verify.verify.enabled = true;
-  PlanArtifact<double> art;
-  ASSERT_TRUE(load_artifact(path, &art).ok());
-  std::unique_ptr<BlockSolver<double>> bad;
-  Status st = BlockSolver<double>::create_from_artifact(
-      std::make_shared<PlanArtifact<double>>(std::move(art)), want_verify,
-      &bad);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
-}
-
 // --- refresh_values --------------------------------------------------------
 
 TEST(PersistRefresh, NewValuesMatchColdBuild) {
@@ -571,21 +532,13 @@ TEST(PersistRefresh, NewValuesMatchColdBuild) {
   for (BlockScheme scheme :
        {BlockScheme::kRecursive, BlockScheme::kColumn, BlockScheme::kRow,
         BlockScheme::kHbmc})
-    for (bool verify : {true, false}) {
-      auto opt = small_block_options<double>(scheme);
-      opt.verify.enabled = verify;
-      expect_warm_paths_match_cold(
-          L1, new_values(L1), opt,
-          "refresh_" + to_string(scheme) + "_" + std::to_string(verify));
-    }
-  for (bool verify : {true, false}) {
-    auto opt = small_block_options<double>();
-    opt.planner.reorder = false;
-    opt.verify.enabled = verify;
-    expect_warm_paths_match_cold(
-        L1, new_values(L1), opt,
-        "refresh_unordered_" + std::to_string(verify));
-  }
+    expect_warm_paths_match_cold(L1, new_values(L1),
+                                 small_block_options<double>(scheme),
+                                 "refresh_" + to_string(scheme));
+  auto unordered = small_block_options<double>();
+  unordered.planner.reorder = false;
+  expect_warm_paths_match_cold(L1, new_values(L1), unordered,
+                               "refresh_unordered");
   auto tuned = small_block_options<double>();
   tuned.tune.enabled = true;
   tuned.tune.sa_iterations = 8;
@@ -620,13 +573,9 @@ TEST(PersistRefresh, DuplicateColumnInstallsLikeCold) {
   for (BlockScheme scheme :
        {BlockScheme::kRecursive, BlockScheme::kColumn, BlockScheme::kRow,
         BlockScheme::kHbmc})
-    for (bool verify : {true, false}) {
-      auto opt = small_block_options<double>(scheme);
-      opt.verify.enabled = verify;
-      expect_warm_paths_match_cold(
-          L, new_values(L), opt,
-          "dup_" + to_string(scheme) + "_" + std::to_string(verify));
-    }
+    expect_warm_paths_match_cold(L, new_values(L),
+                                 small_block_options<double>(scheme),
+                                 "dup_" + to_string(scheme));
 }
 
 // create's contract lets a row hold its strictly lower entries in any
@@ -1324,6 +1273,15 @@ TEST_F(PersistSemantic, PermutationTargetOutOfRange) {
   ASSERT_GE(art.plan.n, 1);
   art.plan.new_of_old[0] = art.plan.n;  // permute_vector would write out[n]
   expect_rejected(std::move(art), "permutation target out of range");
+}
+
+TEST_F(PersistSemantic, NormNotFiniteOrNegative) {
+  // The residual check divides by ‖L‖∞·‖x‖∞ + ‖b‖∞.
+  for (const double norm : {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    auto art = capture(TriKernelKind::kSyncFree, SpmvKernelKind::kScalarCsr);
+    art.norm_inf = norm;
+    expect_rejected(std::move(art), "matrix norm not finite or negative");
+  }
 }
 
 TEST_F(PersistSemantic, SquareCsrColumnOutOfRange) {

@@ -129,7 +129,6 @@ TEST(ServiceCoalescing, PanelsBitwiseEqualSerialSolves) {
 TEST(ServiceCoalescing, CheckedModePanelsMatchSolveChecked) {
   const Csr<double> L = fixture();
   Opt opt = base_options();
-  opt.verify.enabled = true;
   std::unique_ptr<BlockSolver<double>> reference;
   ASSERT_TRUE(BlockSolver<double>::create(L, opt, &reference).ok());
 

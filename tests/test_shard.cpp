@@ -145,12 +145,12 @@ TEST(ShardPlan, SliceValidatesAndRoundTripsAsFormatV3) {
     PlanArtifact<double> slice =
         shard::slice_shard_artifact(art, bounds, i, art.options);
     EXPECT_TRUE(slice.shard);
-    EXPECT_FALSE(slice.verify_captured);
+    EXPECT_EQ(slice.norm_inf, art.norm_inf);
     Status st = validate_artifact(slice);
     ASSERT_TRUE(st.ok()) << "shard " << i << ": " << st.to_string();
 
     ASSERT_TRUE(save_artifact(path, slice).ok());
-    EXPECT_EQ(blocktri::testing::read_file_bytes(path)[4], 5);
+    EXPECT_EQ(blocktri::testing::read_file_bytes(path)[4], 6);
     EXPECT_TRUE(blocktri::testing::ArtifactFramingHolds<double>(path))
         << "shard " << i;
     PlanArtifact<double> loaded;
@@ -300,6 +300,55 @@ TEST(ShardPlan, RefreshValuesOnASliceSolverIsTyped) {
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(st.message().find("shard slice 1 of 2"), std::string::npos)
       << st.to_string();
+}
+
+// A slice holds only its shard's blocks — a foreign leaf has no kernel — so
+// every whole-matrix entry point refuses it with the status refresh_values
+// returns: the Status forms return it, the others throw it.
+TEST(ShardPlan, WholeMatrixEntryPointsOnASliceSolverAreTyped) {
+  std::unique_ptr<BlockSolver<double>> solver, worker;
+  ASSERT_TRUE(BlockSolver<double>::create(fixture(), base_options(), &solver)
+                  .ok());
+  ASSERT_TRUE(BlockSolver<double>::create_from_artifact(
+                  std::make_shared<const PlanArtifact<double>>(
+                      second_slice(*solver)),
+                  base_options(), &worker)
+                  .ok());
+  const auto typed = [](const Status& st) {
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.to_string();
+    EXPECT_NE(st.message().find("shard slice 1 of 2"), std::string::npos)
+        << st.to_string();
+  };
+  const auto throws_typed = [&](const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << "no blocktri::Error thrown";
+    } catch (const Error& e) {
+      typed(e.status());
+    }
+  };
+  const index_t n = worker->n();
+  const std::vector<double> b = make_panel<double>(n, 1, 5);
+  const std::vector<double> B = make_panel<double>(n, 2, 6);
+  std::vector<double> x(b.size()), X(B.size());
+  const double* const Bs[] = {B.data(), B.data() + n};
+  double* const Xs[] = {X.data(), X.data() + n};
+
+  typed(worker->solve(b.data(), x.data(), SolveControls{}));
+  typed(worker->solve_many(B.data(), X.data(), 2, SolveControls{}));
+  typed(worker->solve_many(Bs, Xs, 2, SolveControls{}));
+  typed(worker->solve_checked(b).status);
+  typed(worker->solve_many_checked(B, 2).status);
+  typed(worker->save_artifact(::testing::TempDir() + "shard_slice_save.btpa"));
+  throws_typed([&] { (void)worker->solve(b); });
+  throws_typed([&] { worker->solve(b.data(), x.data()); });
+  throws_typed([&] { (void)worker->solve_many(B, 2); });
+  throws_typed([&] { worker->solve_many(B.data(), X.data(), 2); });
+  throws_typed([&] { (void)worker->capture_artifact(); });
+  throws_typed([&] {
+    sim::SolveReport rep;
+    (void)worker->solve_simulated(b, sim::titan_x(), nullptr, &rep);
+  });
 }
 
 // --- Bitwise equality -------------------------------------------------------

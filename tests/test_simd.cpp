@@ -20,14 +20,9 @@ namespace blocktri {
 namespace {
 
 using blocktri::testing::default_tol;
+using blocktri::testing::PathGuard;
 using blocktri::testing::test_matrices;
 using blocktri::testing::VectorsNear;
-
-/// Forces a simd path for the duration of a scope.
-struct PathGuard {
-  explicit PathGuard(simd::Path p) { simd::force_path(p); }
-  ~PathGuard() { simd::clear_forced_path(); }
-};
 
 /// Bitwise comparison (the vector and blocked-scalar paths share one
 /// operation order, so == is the right predicate, not a tolerance).
@@ -55,6 +50,8 @@ std::vector<T> spmv_under(simd::Path p, const Csr<T>& a,
   return y;
 }
 
+/// The batched update over interleaved k-column panels (element (i, c) at
+/// i·k + c).
 template <class T>
 std::vector<T> spmv_many_under(simd::Path p, const Csr<T>& a,
                                const std::vector<T>& x, std::vector<T> y,
@@ -62,8 +59,7 @@ std::vector<T> spmv_many_under(simd::Path p, const Csr<T>& a,
   PathGuard g(p);
   simd::spmv_update_rows_many(a.row_ptr.data(), a.col_idx.data(),
                               a.val.data(), static_cast<const index_t*>(nullptr),
-                              0, a.nrows, x.data(), y.data(), 0, k, a.ncols,
-                              a.nrows);
+                              0, a.nrows, x.data(), y.data(), 0, k, k, k);
   return y;
 }
 
@@ -96,12 +92,17 @@ void expect_kernel_paths_agree(const Csr<T>& a) {
   // Batched SpMV: bitwise across paths AND column c bitwise equal to the
   // single-RHS kernel applied to that column (the canonical order is shared).
   const index_t k = 16;
-  std::vector<T> xp, yp0;
+  const auto ku = static_cast<std::size_t>(k);
+  std::vector<std::vector<T>> xcols, ycols;
+  std::vector<T> xp(static_cast<std::size_t>(a.ncols) * ku),
+      yp0(static_cast<std::size_t>(n) * ku);
   for (index_t c = 0; c < k; ++c) {
-    const auto xc = gen::random_rhs<T>(a.ncols, 100 + static_cast<int>(c));
-    const auto yc = gen::random_rhs<T>(n, 200 + static_cast<int>(c));
-    xp.insert(xp.end(), xc.begin(), xc.end());
-    yp0.insert(yp0.end(), yc.begin(), yc.end());
+    xcols.push_back(gen::random_rhs<T>(a.ncols, 100 + static_cast<int>(c)));
+    ycols.push_back(gen::random_rhs<T>(n, 200 + static_cast<int>(c)));
+    for (std::size_t j = 0; j < xcols.back().size(); ++j)
+      xp[j * ku + static_cast<std::size_t>(c)] = xcols.back()[j];
+    for (std::size_t i = 0; i < ycols.back().size(); ++i)
+      yp0[i * ku + static_cast<std::size_t>(c)] = ycols.back()[i];
   }
   const auto yp_blocked =
       spmv_many_under(simd::Path::kBlockedScalar, a, xp, yp0, k);
@@ -111,18 +112,11 @@ void expect_kernel_paths_agree(const Csr<T>& a) {
       spmv_many_under(simd::Path::kStrictScalar, a, xp, yp0, k), yp_blocked,
       default_tol<T>()));
   for (index_t c = 0; c < k; ++c) {
-    const std::size_t xoff = static_cast<std::size_t>(c) * a.ncols;
-    const std::size_t yoff = static_cast<std::size_t>(c) * n;
-    const std::vector<T> xc(xp.begin() + static_cast<std::ptrdiff_t>(xoff),
-                            xp.begin() +
-                                static_cast<std::ptrdiff_t>(xoff + a.ncols));
-    const std::vector<T> yc(yp0.begin() + static_cast<std::ptrdiff_t>(yoff),
-                            yp0.begin() +
-                                static_cast<std::ptrdiff_t>(yoff + n));
-    const auto ycol = spmv_under(simd::Path::kVector, a, xc, yc);
-    const std::vector<T> got(
-        yp_blocked.begin() + static_cast<std::ptrdiff_t>(yoff),
-        yp_blocked.begin() + static_cast<std::ptrdiff_t>(yoff + n));
+    const auto cu = static_cast<std::size_t>(c);
+    const auto ycol = spmv_under(simd::Path::kVector, a, xcols[cu], ycols[cu]);
+    std::vector<T> got(static_cast<std::size_t>(n));
+    for (std::size_t i = 0; i < got.size(); ++i)
+      got[i] = yp_blocked[i * ku + cu];
     EXPECT_TRUE(VectorsBitwise(got, ycol)) << "column " << c;
   }
 }
@@ -301,9 +295,10 @@ TEST(LevelMerge, DisabledMatchesBitwise) {
     const auto bc = gen::random_rhs<double>(L.nrows, 500 + static_cast<int>(c));
     B.insert(B.end(), bc.begin(), bc.end());
   }
+  // B read as an interleaved panel (element (i, c) at i·k + c).
   std::vector<double> X_merged(B.size()), X_unmerged(B.size());
-  merged.solve_many(B.data(), X_merged.data(), k, L.nrows);
-  unmerged.solve_many(B.data(), X_unmerged.data(), k, L.nrows);
+  merged.solve_many(B.data(), X_merged.data(), k, k);
+  unmerged.solve_many(B.data(), X_unmerged.data(), k, k);
   EXPECT_TRUE(VectorsBitwise(X_merged, X_unmerged));
 }
 

@@ -278,17 +278,6 @@ TEST(BlockSolver, SolveCheckedFloatPrecision) {
   EXPECT_LE(res.report.residual, res.report.tolerance);
 }
 
-TEST(BlockSolver, SolveCheckedRequiresVerifyEnabled) {
-  const auto L = gen::diagonal(10, 1);
-  auto o = opts<double>(BlockScheme::kRecursive);
-  o.verify.enabled = false;  // memory-lean mode: no retained matrices
-  BlockSolver<double> solver(L, o);
-  const auto res = solver.solve_checked(gen::random_rhs<double>(10, 403));
-  EXPECT_EQ(res.status.code(), StatusCode::kInvalidArgument);
-  // The unchecked path still works.
-  EXPECT_EQ(solver.solve(gen::random_rhs<double>(10, 403)).size(), 10u);
-}
-
 TEST(BlockSolver, CreateFactoryReturnsTypedStatus) {
   std::unique_ptr<BlockSolver<double>> solver;
   ASSERT_TRUE(BlockSolver<double>::create(gen::diagonal(10, 1),

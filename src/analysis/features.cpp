@@ -4,6 +4,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/fnv.hpp"
+
 namespace blocktri {
 
 template <class T>
@@ -49,35 +51,11 @@ TriangularFeatures compute_triangular_features(const Csr<T>& lower) {
   return tf;
 }
 
-namespace {
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-constexpr std::uint64_t kFnvPrime6 =  // P^6 mod 2^64
-    kFnvPrime * kFnvPrime * kFnvPrime * kFnvPrime * kFnvPrime * kFnvPrime;
-
-inline void fnv1a_u64(std::uint64_t* h, std::uint64_t v) {
-  // One FNV-1a step per byte of v; fixed 8-byte width keeps the hash
-  // independent of the platform's index_t/offset_t sizes. XOR with a zero
-  // byte is the identity, so the zero high bytes of a small value fold into
-  // one multiply by a power of the prime — the same hash, bit for bit, at
-  // three multiplies instead of eight for any index below 2^24: the third
-  // byte's step and the five zero bytes' steps are one multiply by P^6.
-  if (v < (std::uint64_t{1} << 24)) {
-    *h = (*h ^ (v & 0xffu)) * kFnvPrime;
-    *h = (*h ^ ((v >> 8) & 0xffu)) * kFnvPrime;
-    *h = (*h ^ (v >> 16)) * kFnvPrime6;
-    return;
-  }
-  for (int b = 0; b < 8; ++b) {
-    *h ^= (v >> (8 * b)) & 0xffu;
-    *h *= kFnvPrime;
-  }
-}
-}  // namespace
 
 std::uint64_t structure_hash(index_t nrows, index_t ncols,
                              const std::vector<offset_t>& row_ptr,
                              const std::vector<index_t>& col_idx) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  std::uint64_t h = kFnvOffsetBasis;
   fnv1a_u64(&h, static_cast<std::uint64_t>(nrows));
   fnv1a_u64(&h, static_cast<std::uint64_t>(ncols));
   for (const offset_t p : row_ptr)

@@ -11,12 +11,27 @@ namespace blocktri::io {
 
 namespace {
 
+constexpr std::uint32_t kCrcPoly = 0xEDB88320u;  // reflected IEEE 802.3
+
 /// Slicing-by-8 tables: t[0] is the classic byte table, and t[k][b] is the
 /// CRC of byte b followed by k zero bytes, so eight table lookups advance
-/// the register over eight input bytes at once.
+/// the register over eight input bytes at once. x2n[k] is x^(2^k) mod P,
+/// from which any power of x is a product (the lanes' join); x^(2^32) = x
+/// mod P, so k runs mod 32.
 struct Crc32Tables {
   std::uint32_t t[8][256];
+  std::uint32_t x2n[32];
 };
+
+/// a·b mod P over GF(2), both in the reflected order (bit 31 is x^0).
+std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t p = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) p ^= b;
+    b = (b & 1u) != 0 ? (b >> 1) ^ kCrcPoly : b >> 1;
+  }
+  return p;
+}
 
 const Crc32Tables& crc32_tables() {
   static const Crc32Tables tables = [] {
@@ -24,36 +39,73 @@ const Crc32Tables& crc32_tables() {
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit)
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        c = (c & 1u) ? kCrcPoly ^ (c >> 1) : c >> 1;
       x.t[0][i] = c;
     }
     for (int k = 1; k < 8; ++k)
       for (std::uint32_t i = 0; i < 256; ++i)
         x.t[k][i] = (x.t[k - 1][i] >> 8) ^ x.t[0][x.t[k - 1][i] & 0xFFu];
+    x.x2n[0] = 1u << 30;  // x^1
+    for (int k = 1; k < 32; ++k)
+      x.x2n[k] = multmodp(x.x2n[k - 1], x.x2n[k - 1]);
     return x;
   }();
   return tables;
+}
+
+/// x^(8·bytes) mod P: the factor that moves a CRC register over `bytes`
+/// zero bytes.
+std::uint32_t x8nmodp(const Crc32Tables& tb, std::size_t bytes) {
+  std::uint32_t p = 1u << 31;  // x^0
+  for (int k = 3; bytes != 0; bytes >>= 1, ++k)
+    if ((bytes & 1u) != 0) p = multmodp(tb.x2n[k & 31], p);
+  return p;
+}
+
+/// The register after eight more bytes at `p`: the low four fold into the
+/// register as a little-endian load, so this is the little-endian host's
+/// step.
+inline std::uint32_t crc32_step8(const std::uint32_t (&t)[8][256],
+                                 std::uint32_t c, const unsigned char* p) {
+  std::uint32_t lo = 0, hi = 0;
+  std::memcpy(&lo, p, 4);
+  std::memcpy(&hi, p + 4, 4);
+  lo ^= c;
+  return t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+         t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+         t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
 }
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
-  const auto& t = crc32_tables().t;
+  const Crc32Tables& tb = crc32_tables();
+  const auto& t = tb.t;
   std::uint32_t c = 0xFFFFFFFFu;
-  // The word step folds the register into the first four bytes as a
-  // little-endian load, so it only applies on little-endian hosts; the
-  // byte loop below finishes the tail and serves every other host.
+  // The word step only applies on little-endian hosts; the byte loop below
+  // finishes the tail and serves every other host.
   if constexpr (std::endian::native == std::endian::little) {
-    for (; n >= 8; n -= 8, p += 8) {
-      std::uint32_t lo = 0, hi = 0;
-      std::memcpy(&lo, p, 4);
-      std::memcpy(&hi, p + 4, 4);
-      lo ^= c;
-      c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
-          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
-          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+    if (n >= kCrc32LaneBytes) {
+      // Three independent registers over thirds of whole 8-byte steps; the
+      // second and third start from zero, and the register is linear, so
+      // CRC(A‖B) = shift(CRC(A), |B|) ^ CRC0(B) joins them in order.
+      const std::size_t len = n / 3 & ~std::size_t{7};
+      const unsigned char* p1 = p + len;
+      const unsigned char* p2 = p1 + len;
+      std::uint32_t c1 = 0, c2 = 0;
+      for (std::size_t i = 0; i < len; i += 8) {
+        c = crc32_step8(t, c, p + i);
+        c1 = crc32_step8(t, c1, p1 + i);
+        c2 = crc32_step8(t, c2, p2 + i);
+      }
+      const std::uint32_t shift = x8nmodp(tb, len);
+      c = multmodp(shift, c) ^ c1;
+      c = multmodp(shift, c) ^ c2;
+      p += 3 * len;
+      n -= 3 * len;
     }
+    for (; n >= 8; n -= 8, p += 8) c = crc32_step8(t, c, p);
   }
   for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -128,6 +129,47 @@ template <class T>
 BlockPlan plan_recursive(const Csr<T>& lower, const PlannerOptions& opt,
                          Csr<T>* permuted, ThreadPool* pool = nullptr,
                          BlockNnz* block_nnz = nullptr);
+
+/// Where each value a built solver holds comes from. For every held value,
+/// in the order the build walk writes them — each permuted row's covering
+/// squares by first column, then its triangle row — the value's position
+/// within its row of the caller's CSR, so an install reads the caller's
+/// values through it with no gather or sort. Entries are `width` bytes in
+/// native byte order: the narrowest of 1, 2 or 4 that holds a position in
+/// the longest input row. A shard slice, which installs nothing, has none
+/// (width 0).
+struct ValueMap {
+  std::uint32_t width = 0;
+  std::vector<std::uint8_t> bytes;
+
+  /// A map of `count` entries for input rows of at most `max_row` entries.
+  static ValueMap sized(std::size_t count, offset_t max_row) {
+    ValueMap m;
+    m.width = max_row <= 256 ? 1u : max_row <= 65536 ? 2u : 4u;
+    m.bytes.resize(count * m.width);
+    return m;
+  }
+  std::size_t size() const { return width == 0 ? 0 : bytes.size() / width; }
+  /// Entry i of a map whose entries are W (the unsigned type of `width`
+  /// bytes).
+  template <class W>
+  W at(std::size_t i) const {
+    W v = 0;
+    std::memcpy(&v, bytes.data() + i * sizeof(W), sizeof(W));
+    return v;
+  }
+  void set(std::size_t i, std::uint32_t pos) {
+    std::uint8_t* p = bytes.data() + i * width;
+    if (width == 1) {
+      *p = static_cast<std::uint8_t>(pos);
+    } else if (width == 2) {
+      const auto v = static_cast<std::uint16_t>(pos);
+      std::memcpy(p, &v, sizeof v);
+    } else {
+      std::memcpy(p, &pos, sizeof pos);
+    }
+  }
+};
 
 /// Counts every block's nonzeros of `lower` under `plan` in one pass over
 /// its rows — for plans whose planner did not report them. An entry no

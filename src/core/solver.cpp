@@ -9,7 +9,7 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <type_traits>
+#include <tuple>
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
@@ -150,12 +150,14 @@ inline std::vector<LadderRung> build_ladder(bool have_pool, bool fallback) {
   return rungs;
 }
 
-/// check_lower_triangular (throwing its Status) + structure_hash: the
-/// validation the public cold constructor runs before delegating.
+/// check_lower_triangular + structure_hash in one pass, throwing the
+/// Status: the validation the public cold constructor runs before
+/// delegating.
 template <class T>
 std::uint64_t checked_structure_hash(const Csr<T>& lower) {
-  throw_if_error(check_lower_triangular(lower));
-  return structure_hash(lower);
+  std::uint64_t structure = 0;
+  throw_if_error(check_lower_triangular(lower, &structure));
+  return structure;
 }
 
 /// Rehydration copies of a captured block array: everything, or (for the
@@ -742,8 +744,9 @@ Status BlockSolver<T>::create(const Csr<T>& lower, const Options& opt,
                               std::unique_ptr<BlockSolver<T>>* out,
                               PlanCache<T>* cache) {
   BLOCKTRI_CHECK(out != nullptr);
-  if (Status st = check_lower_triangular(lower); !st.ok()) return st;
-  const std::uint64_t structure = blocktri::structure_hash(lower);
+  std::uint64_t structure = 0;
+  if (Status st = check_lower_triangular(lower, &structure); !st.ok())
+    return st;
   // The cold build, its invariant throws (e.g. a planner layout the build
   // walk rejects) returned as the Status this factory promises.
   const auto build_cold = [&]() -> Status {
@@ -859,6 +862,7 @@ PlanArtifact<T> BlockSolver<T>::capture_artifact() const {
   art.waves = waves_;
   art.nnz = nnz_;
   art.norm_inf = norm_inf_;
+  art.value_map = value_map_;
   art.build_ops = build_ops_;
   art.build_bytes = build_bytes_;
   art.tuned = tuned_;
@@ -928,6 +932,7 @@ BlockSolver<T>::BlockSolver(const PlanArtifact<T>& art, const Options& opt,
   waves_ = art.waves;
   nnz_ = art.nnz;
   norm_inf_ = art.norm_inf;  // install_values recomputes it
+  value_map_ = art.value_map;
   build_ops_ = art.build_ops;
   build_bytes_ = art.build_bytes;
   tuned_ = art.tuned;
@@ -1071,7 +1076,9 @@ Status BlockSolver<T>::create_from_file(const std::string& path,
                                         std::unique_ptr<BlockSolver<T>>* out,
                                         PlanCache<T>* cache) {
   BLOCKTRI_CHECK(out != nullptr);
-  if (Status st = check_lower_triangular(lower); !st.ok()) return st;
+  std::uint64_t structure = 0;
+  if (Status st = check_lower_triangular(lower, &structure); !st.ok())
+    return st;
 
   // Transient I/O failures (kIoError: racing writers, flaky network mounts)
   // retry with jittered exponential backoff; permanent artifact rejections
@@ -1101,7 +1108,7 @@ Status BlockSolver<T>::create_from_file(const std::string& path,
   }
   if (!load.ok()) return load;
 
-  if (blocktri::structure_hash(lower) != art->structure)
+  if (structure != art->structure)
     return Status(StatusCode::kStructureMismatch,
                   "artifact '" + path +
                       "' was captured from a matrix with a different "
@@ -1121,8 +1128,10 @@ Status BlockSolver<T>::create_from_file(const std::string& path,
 
 template <class T>
 Status BlockSolver<T>::refresh_values(const Csr<T>& lower) {
-  if (Status st = check_lower_triangular(lower); !st.ok()) return st;
-  if (blocktri::structure_hash(lower) != structure_hash_)
+  std::uint64_t structure = 0;
+  if (Status st = check_lower_triangular(lower, &structure); !st.ok())
+    return st;
+  if (structure != structure_hash_)
     return Status(StatusCode::kStructureMismatch,
                   "refresh_values requires the exact sparsity pattern this "
                   "solver was analyzed for");
@@ -1131,66 +1140,42 @@ Status BlockSolver<T>::refresh_values(const Csr<T>& lower) {
 
 namespace {
 
-/// One row of a block array the walk writes. A build appends: the row ends
-/// where its last entry lands, bounded by the array's exact length. An
-/// install checks each column against the held index and writes the value,
-/// and the row must end exactly full.
-template <class T, bool kBuild>
+/// One row of a block array the build walk appends to: the row ends where
+/// its last entry lands, bounded by the array's exact length.
+template <class T>
 struct RowSink {
-  using Ptr = std::conditional_t<kBuild, offset_t, const offset_t>;
-  using Idx = std::conditional_t<kBuild, index_t, const index_t>;
-  Ptr* ptr = nullptr;
-  Idx* col = nullptr;
+  offset_t* ptr = nullptr;
+  index_t* col = nullptr;
   T* val = nullptr;
   std::size_t row = 0;
   offset_t pos = 0, end = 0;
 
-  RowSink(Ptr* p, Idx* c, T* v, std::size_t r, offset_t len)
-      : ptr(p), col(c), val(v), row(r), pos(p[r]),
-        end(kBuild ? len : p[r + 1]) {}
+  RowSink(offset_t* p, index_t* c, T* v, std::size_t r, offset_t len)
+      : ptr(p), col(c), val(v), row(r), pos(p[r]), end(len) {}
 
   bool put(index_t c, T v) {
     if (pos >= end) return false;
-    if constexpr (kBuild) {
-      col[pos] = c;
-    } else if (col[pos] != c) {
-      return false;
-    }
+    col[pos] = c;
     val[pos++] = v;
     return true;
   }
-  bool close() {
-    if constexpr (kBuild) ptr[row + 1] = pos;
-    return kBuild || pos == end;
-  }
+  void close() { ptr[row + 1] = pos; }
 };
 
-/// One CSR-like array set the walk writes: its row pointers, column
-/// indices and values, and — for an installed DCSR square — the stored row
-/// ids.
-template <class T, bool kBuild>
+/// One CSR array set the build walk fills: its row pointers, column
+/// indices and values.
+template <class T>
 struct Target {
-  typename RowSink<T, kBuild>::Ptr* ptr = nullptr;
-  typename RowSink<T, kBuild>::Idx* col = nullptr;
+  offset_t* ptr = nullptr;
+  index_t* col = nullptr;
   T* val = nullptr;
   offset_t len = 0;
-  const index_t* row_ids = nullptr;  // DCSR install only
-  std::size_t nrow_ids = 0, next_row = 0;
 
-  /// `m`'s arrays, its values written through `v` (a kernel hands out its
-  /// values only).
-  template <class M>
-  static Target of(M& m, T* v) {
-    return {m.row_ptr.data(), m.col_idx.data(), v,
+  static Target of(Csr<T>& m) {
+    return {m.row_ptr.data(), m.col_idx.data(), m.val.data(),
             static_cast<offset_t>(m.val.size())};
   }
-  template <class M>
-  static Target of(M& m) {
-    return of(m, m.val.data());
-  }
-  RowSink<T, kBuild> row(std::size_t r) const {
-    return {ptr, col, val, r, len};
-  }
+  RowSink<T> row(std::size_t r) const { return {ptr, col, val, r, len}; }
 };
 
 /// Whether a square keeps its values in the DCSR arrays (an empty square
@@ -1220,6 +1205,7 @@ struct BlockSolver<T>::BuildState {
   std::vector<index_t> level;    // per permuted row: its level in its triangle
   std::vector<index_t> nlevels;  // per triangle
   std::vector<index_t> sq_rows;  // per square: rows holding an entry
+  ValueMap map;                  // where each written value came from
 };
 
 template <class T>
@@ -1249,10 +1235,14 @@ void BlockSolver<T>::build_blocks(const Csr<T>& lower, BlockNnz counts,
     squares_[q].csr = sized_csr<T>(ref.r1 - ref.r0, ref.c1 - ref.c0,
                                    counts.squares[q]);
   }
+  offset_t max_row = 0;
+  for (index_t i = 0; i < lower.nrows; ++i)
+    max_row = std::max(max_row, lower.row_nnz(i));
+  b.map = ValueMap::sized(static_cast<std::size_t>(lower.nnz()), max_row);
 
-  throw_if_error(walk_rows<true>(lower, &b));
+  throw_if_error(walk_rows(lower, &b));
   note_level_analysis();  // the walk computed every triangle's levels
-
+  value_map_ = std::move(b.map);
   // --- Triangles: select each kernel from (rows, nnz, nlevels) and hand it
   // the rows; level-scheduled kernels adopt the walk's levels.
   const auto elem = static_cast<std::int64_t>(sizeof(index_t) + sizeof(T));
@@ -1375,16 +1365,11 @@ void BlockSolver<T>::build_blocks(const Csr<T>& lower, BlockNnz counts,
 }
 
 template <class T>
-template <bool kBuild>
 Status BlockSolver<T>::walk_rows(const Csr<T>& lower, BuildState* build) {
   const auto fail = [](const char* what) {
-    return kBuild ? Status(StatusCode::kInternal,
-                           std::string("block build: ") + what +
-                               " (the plan's layout is inconsistent)")
-                  : Status(StatusCode::kStructureMismatch,
-                           std::string("value install: ") + what +
-                               " disagrees with the sparsity pattern of the "
-                               "values");
+    return Status(StatusCode::kInternal,
+                  std::string("block build: ") + what +
+                      " (the plan's layout is inconsistent)");
   };
   const index_t n = plan_.n;
 
@@ -1401,30 +1386,19 @@ Status BlockSolver<T>::walk_rows(const Csr<T>& lower, BuildState* build) {
   }
   const bool sort_rows = !identity || plan_.scheme == BlockScheme::kHbmc;
 
-  using Tgt = Target<T, kBuild>;
-  std::vector<Tgt> sq(squares_.size());
-  for (std::size_t q = 0; q < sq.size(); ++q) {
-    SquareBlock& blk = squares_[q];
-    if (!kBuild && holds_dcsr(blk.info.kind, blk.info.nnz)) {
-      sq[q] = Tgt::of(blk.dcsr);
-      sq[q].row_ids = blk.dcsr.row_ids.data();
-      sq[q].nrow_ids = blk.dcsr.row_ids.size();
-    } else {
-      sq[q] = Tgt::of(blk.csr);
-    }
-  }
-  std::vector<offset_t> square_writes(kBuild ? 0 : squares_.size(), 0);
+  std::vector<Target<T>> sq(squares_.size());
+  for (std::size_t q = 0; q < sq.size(); ++q)
+    sq[q] = Target<T>::of(squares_[q].csr);
   SquareWindow window(plan_.squares);
-
-  // The current triangle's one copy: its rows, or an installed diagonal
-  // block's pivots.
-  Tgt tri;
-  T* pivots = nullptr;
+  Target<T> tri;  // the current triangle's rows
 
   const auto by_col = [](const auto& x, const auto& y) {
     return x.first < y.first;
   };
-  std::vector<std::pair<index_t, T>> row;  // (permuted column, value)
+  // (permuted column, position in the caller's row): the values are read
+  // through the positions, which the value map records.
+  std::vector<std::pair<index_t, index_t>> row;
+  std::size_t mapped = 0;  // value-map entries written
   double norm = 0.0;
   std::size_t t = 0;
   for (index_t ni = 0; ni < n; ++ni) {
@@ -1432,31 +1406,7 @@ Status BlockSolver<T>::walk_rows(const Csr<T>& lower, BuildState* build) {
     while (plan_.tri_bounds[t + 1] <= ni) ++t;
     const index_t r0 = plan_.tri_bounds[t];
     const auto li = static_cast<std::size_t>(ni - r0);
-    if (ni == r0) {
-      if constexpr (kBuild) {
-        tri = Tgt::of(build->tri[t]);
-      } else {
-        TriBlock& blk = tri_[t];
-        pivots = nullptr;
-        switch (blk.info.kind) {
-          case TriKernelKind::kCompletelyParallel:
-            pivots = blk.diag->values().data();
-            break;
-          case TriKernelKind::kLevelSet:
-            tri = Tgt::of(blk.levelset->matrix(),
-                          blk.levelset->values().data());
-            break;
-          case TriKernelKind::kSyncFree:
-            tri = Tgt::of(blk.syncfree->matrix(),
-                          blk.syncfree->values().data());
-            break;
-          case TriKernelKind::kCusparseLike:
-            tri = Tgt::of(blk.cusparse->matrix(),
-                          blk.cusparse->values().data());
-            break;
-        }
-      }
-    }
+    if (ni == r0) tri = Target<T>::of(build->tri[t]);
 
     // Gather the input row through the permutation and order it: the same
     // comparison on the same sequence as permute_symmetric, so a column
@@ -1465,103 +1415,73 @@ Status BlockSolver<T>::walk_rows(const Csr<T>& lower, BuildState* build) {
         static_cast<std::size_t>(old_of_new[static_cast<std::size_t>(ni)]);
     const offset_t klo = lower.row_ptr[oi];
     const offset_t khi = lower.row_ptr[oi + 1];
+    const T* vals = lower.val.data() + klo;
     row.resize(static_cast<std::size_t>(khi - klo));
     for (offset_t k = klo; k < khi; ++k)
       row[static_cast<std::size_t>(k - klo)] = {
           new_of_old[static_cast<std::size_t>(
               lower.col_idx[static_cast<std::size_t>(k)])],
-          lower.val[static_cast<std::size_t>(k)]};
+          static_cast<index_t>(k - klo)};
     if (sort_rows || !std::is_sorted(row.begin(), row.end(), by_col))
       std::sort(row.begin(), row.end(), by_col);
     // Sorted, the row holds its square entries (left of the triangle) first
-    // and its triangle entries after them, ending in the diagonal.
+    // and its triangle entries after them, ending in the diagonal. That is
+    // the order they are written in, so it is the value map's order.
     if (row.empty() || row.back().first != ni)
       return fail("a row that does not end in its diagonal");
     const std::size_t m = row.size();
     const auto p0 = static_cast<std::size_t>(
-        std::lower_bound(row.begin(), row.end(), std::make_pair(r0, T(0)),
+        std::lower_bound(row.begin(), row.end(), std::make_pair(r0, 0),
                          by_col) -
         row.begin());
 
     // ‖L‖∞ sums the whole row, in the order the blocks store it.
     double row_sum = 0.0;
-    for (const auto& e : row)
-      row_sum += std::fabs(static_cast<double>(e.second));
+    for (const auto& e : row) {
+      row_sum += std::fabs(static_cast<double>(vals[e.second]));
+      build->map.set(mapped++, static_cast<std::uint32_t>(e.second));
+    }
     norm = std::max(norm, row_sum);
 
-    // Square entries: each covering square takes one contiguous run. A
-    // build closes the row of every covering square; an install writes the
-    // squares the row has entries in, whose windows must fill exactly.
+    // Square entries: each covering square takes one contiguous run, and
+    // the row of every covering square is closed.
     std::size_t p = 0;
     for (const SquareWindow::Active& a : window.at(ni)) {
-      if (!kBuild && p == p0) break;  // every square entry is written
       if (p < p0 && row[p].first < a.c0) break;  // a column no square holds
       const std::size_t run = p;
       while (p < p0 && row[p].first < a.c1) ++p;
-      if (!kBuild && p == run) continue;
-      Tgt& dst = sq[a.q];
-      std::size_t r = static_cast<std::size_t>(ni - a.r0);
-      if (dst.row_ids != nullptr) {
-        if (dst.next_row >= dst.nrow_ids ||
-            dst.row_ids[dst.next_row] != static_cast<index_t>(r))
-          return fail("a square block's DCSR rows");
-        r = dst.next_row++;
-      }
-      RowSink<T, kBuild> sink = dst.row(r);
+      RowSink<T> sink = sq[a.q].row(static_cast<std::size_t>(ni - a.r0));
       for (std::size_t e = run; e < p; ++e)
-        if (!sink.put(row[e].first - a.c0, row[e].second))
+        if (!sink.put(row[e].first - a.c0, vals[row[e].second]))
           return fail("a square block");
-      if (!sink.close()) return fail("a square block");
-      if constexpr (kBuild) {
-        if (p > run) ++build->sq_rows[a.q];
-      } else {
-        square_writes[a.q] += static_cast<offset_t>(p - run);
-      }
+      sink.close();
+      if (p > run) ++build->sq_rows[a.q];
     }
     if (p < p0) return fail("an entry no square covers");
 
-    // Triangle entries: the block's rows (a build also levels them), or an
-    // installed diagonal block's pivot.
-    if (!kBuild && pivots != nullptr) {
-      // The block was built with no strict entry: the diagonal is the
-      // row's only triangle entry.
-      if (m - p0 != 1) return fail("a diagonal block");
-      pivots[li] = row[p0].second;
-      continue;
-    }
-    RowSink<T, kBuild> sink = tri.row(li);
+    // Triangle entries: the block's rows, each levelled as it is written.
+    RowSink<T> sink = tri.row(li);
     index_t level = 0;
     for (std::size_t e = p0; e < m; ++e) {
-      if constexpr (kBuild) {
-        if (e + 1 < m)
-          level = std::max(
-              level, build->level[static_cast<std::size_t>(row[e].first)] + 1);
-      }
-      if (!sink.put(row[e].first - r0, row[e].second))
+      if (e + 1 < m)
+        level = std::max(
+            level, build->level[static_cast<std::size_t>(row[e].first)] + 1);
+      if (!sink.put(row[e].first - r0, vals[row[e].second]))
         return fail("a triangular block");
     }
-    if (!sink.close()) return fail("a triangular block");
-    if constexpr (kBuild) {
-      build->level[static_cast<std::size_t>(ni)] = level;
-      build->nlevels[t] = std::max(build->nlevels[t], level + 1);
-    }
+    sink.close();
+    build->level[static_cast<std::size_t>(ni)] = level;
+    build->nlevels[t] = std::max(build->nlevels[t], level + 1);
   }
 
-  if constexpr (kBuild) {
-    // Every array was sized from a count; each must end exactly full.
-    const auto full = [](const Csr<T>& m) {
-      return m.row_ptr.back() == m.nnz();
-    };
-    for (const Csr<T>& m : build->tri)
-      if (!full(m)) return fail("a triangular block");
-    for (const SquareBlock& blk : squares_)
-      if (!full(blk.csr)) return fail("a square block");
-  } else {
-    // Every visit filled its row window exactly, so a count equal to the
-    // array's length leaves no held entry in a row the values skip.
-    for (std::size_t q = 0; q < sq.size(); ++q)
-      if (square_writes[q] != sq[q].len) return fail("a square block");
-  }
+  // Every array was sized from a count; each must end exactly full.
+  const auto full = [](const Csr<T>& m) {
+    return m.row_ptr.back() == m.nnz();
+  };
+  for (const Csr<T>& m : build->tri)
+    if (!full(m)) return fail("a triangular block");
+  for (const SquareBlock& blk : squares_)
+    if (!full(blk.csr)) return fail("a square block");
   norm_inf_ = norm;
   return Status::Ok();
 }
@@ -1578,10 +1498,143 @@ Status BlockSolver<T>::whole_matrix() const {
 template <class T>
 Status BlockSolver<T>::install_values(const Csr<T>& lower) {
   if (Status st = whole_matrix(); !st.ok()) return st;
-  if (lower.nrows != plan_.n || lower.nnz() != nnz_)
+  if (lower.nrows != plan_.n || lower.nnz() != nnz_ ||
+      value_map_.size() != static_cast<std::size_t>(nnz_))
     return Status(StatusCode::kStructureMismatch,
                   "value install: the matrix size disagrees with the plan");
-  return walk_rows<false>(lower, nullptr);
+  switch (value_map_.width) {
+    case 1: return install_through<std::uint8_t>(lower);
+    case 2: return install_through<std::uint16_t>(lower);
+    case 4: return install_through<std::uint32_t>(lower);
+    default: break;
+  }
+  return Status(StatusCode::kStructureMismatch,
+                "value install: the value map has no valid entry width");
+}
+
+template <class T>
+template <class W>
+Status BlockSolver<T>::install_through(const Csr<T>& lower) {
+  const auto fail = [](const char* what) {
+    return Status(StatusCode::kStructureMismatch,
+                  std::string("value install: ") + what +
+                      " disagrees with the sparsity pattern of the values");
+  };
+  const index_t n = plan_.n;
+  const std::vector<index_t>& new_of_old = plan_.new_of_old;
+  std::vector<index_t> old_of_new(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i)
+    old_of_new[static_cast<std::size_t>(
+        new_of_old[static_cast<std::size_t>(i)])] = i;
+
+  // Every held value array, as the pass reads it. Each slot is visited at
+  // most once and each row must take exactly its caller row's entries, so
+  // when the arrays hold nnz values every one of them is written.
+  struct Rows {
+    const offset_t* ptr = nullptr;
+    const index_t* col = nullptr;
+    T* val = nullptr;               // null: an empty square
+    const index_t* ids = nullptr;   // DCSR: the stored rows
+    std::size_t nids = 0, next = 0;  // DCSR: the next stored row to visit
+  };
+  offset_t held = 0;
+  std::vector<Rows> sq(squares_.size());
+  for (std::size_t q = 0; q < sq.size(); ++q) {
+    SquareBlock& blk = squares_[q];
+    if (holds_dcsr(blk.info.kind, blk.info.nnz)) {
+      Dcsr<T>& d = blk.dcsr;
+      sq[q] = {d.row_ptr.data(), d.col_idx.data(), d.val.data(),
+               d.row_ids.data(), d.row_ids.size(), 0};
+      held += static_cast<offset_t>(d.val.size());
+    } else if (!blk.csr.val.empty()) {
+      sq[q] = {blk.csr.row_ptr.data(), blk.csr.col_idx.data(),
+               blk.csr.val.data()};
+      held += static_cast<offset_t>(blk.csr.val.size());
+    }
+  }
+  // A triangle's rows come from its kernel, or are a diagonal block's
+  // pivots alone.
+  const auto tri_of = [](TriBlock& blk) -> std::pair<const Csr<T>*, T*> {
+    switch (blk.info.kind) {
+      case TriKernelKind::kCompletelyParallel:
+        return {nullptr, blk.diag->values().data()};
+      case TriKernelKind::kLevelSet:
+        return {&blk.levelset->matrix(), blk.levelset->values().data()};
+      case TriKernelKind::kSyncFree:
+        return {&blk.syncfree->matrix(), blk.syncfree->values().data()};
+      case TriKernelKind::kCusparseLike:
+        return {&blk.cusparse->matrix(), blk.cusparse->values().data()};
+    }
+    return {nullptr, nullptr};
+  };
+  for (TriBlock& blk : tri_) {
+    const Csr<T>* rows = tri_of(blk).first;
+    held += rows != nullptr ? rows->nnz()
+                            : static_cast<offset_t>(blk.diag->diag().size());
+  }
+  if (held != nnz_) return fail("the number of held values");
+
+  std::vector<index_t> seen;  // per row position: the last row that took it
+  SquareWindow window(plan_.squares);
+  const Csr<T>* tri = nullptr;
+  T* tri_val = nullptr;
+  std::size_t pos = 0;  // the next map entry
+  double norm = 0.0;
+  std::size_t t = 0;
+  for (index_t ni = 0; ni < n; ++ni) {
+    while (plan_.tri_bounds[t + 1] <= ni) ++t;
+    const index_t r0 = plan_.tri_bounds[t];
+    if (ni == r0) std::tie(tri, tri_val) = tri_of(tri_[t]);
+
+    const auto oi =
+        static_cast<std::size_t>(old_of_new[static_cast<std::size_t>(ni)]);
+    const auto base = static_cast<std::size_t>(lower.row_ptr[oi]);
+    const auto m = static_cast<std::size_t>(lower.row_ptr[oi + 1]) - base;
+    const index_t* cols = lower.col_idx.data() + base;
+    const T* vals = lower.val.data() + base;
+    if (seen.size() < m) seen.resize(m, -1);
+    const std::size_t end = pos + m;
+    double row_sum = 0.0;
+    // The next slot, which holds permuted column `col`, takes the caller's
+    // entry its map entry names: inside the row, not yet taken, and in that
+    // column. ‖L‖∞ sums the row in the order the blocks store it.
+    const auto take = [&](index_t col, T* dst) {
+      if (pos == end) return false;
+      const W e = value_map_.at<W>(pos++);
+      if (e >= m || seen[e] == ni) return false;
+      seen[e] = ni;
+      if (new_of_old[static_cast<std::size_t>(cols[e])] != col) return false;
+      *dst = vals[e];
+      row_sum += std::fabs(static_cast<double>(vals[e]));
+      return true;
+    };
+
+    for (const SquareWindow::Active& a : window.at(ni)) {
+      Rows& b = sq[a.q];
+      if (b.val == nullptr) continue;
+      auto r = static_cast<std::size_t>(ni - a.r0);
+      if (b.ids != nullptr) {
+        if (b.next == b.nids || static_cast<std::size_t>(b.ids[b.next]) != r)
+          continue;  // the square holds nothing in this row
+        r = b.next++;
+      }
+      for (offset_t e = b.ptr[r]; e < b.ptr[r + 1]; ++e)
+        if (!take(b.col[e] + a.c0, b.val + e)) return fail("a square block");
+    }
+    const auto li = static_cast<std::size_t>(ni - r0);
+    if (tri == nullptr) {
+      if (!take(ni, tri_val + li)) return fail("a diagonal block");
+    } else {
+      for (offset_t e = tri->row_ptr[li]; e < tri->row_ptr[li + 1]; ++e)
+        if (!take(tri->col_idx[static_cast<std::size_t>(e)] + r0,
+                  tri_val + e))
+          return fail("a triangular block");
+    }
+    if (pos != end) return fail("a row's entry count");
+    norm = std::max(norm, row_sum);
+  }
+  norm_inf_ = norm;
+  return Status::Ok();
 }
 
 template <class T>

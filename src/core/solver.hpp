@@ -618,9 +618,21 @@ class BlockSolver {
                       index_t ld) const;
   /// The value install of refresh_values, a cache hit and create_from_file,
   /// for a caller that already validated `lower` and matched its structure
-  /// hash against this solver's: the row walk in install mode. A shard
-  /// slice returns kInvalidArgument before anything is written.
+  /// hash against this solver's: one pass over the held blocks through the
+  /// value map (install_through). A shard slice returns kInvalidArgument
+  /// before anything is written.
   Status install_values(const Csr<T>& lower);
+
+  /// install_values for map entries of type W. The blocks are visited in
+  /// the order the build walk wrote them and the residual reads them: each
+  /// permuted row's covering squares by first column, then its triangle
+  /// row. Each slot reads `lower.val` at its caller row's start plus its map
+  /// entry, which must lie inside that row, be taken once, and hold the
+  /// column the slot holds; each row must take exactly its caller row's
+  /// entries. ‖L‖∞ is summed in that order, as the build walk sums it. A
+  /// violation is kStructureMismatch (values may be partly written).
+  template <class W>
+  Status install_through(const Csr<T>& lower);
 
   /// Ok for a whole plan; for a shard slice, the kInvalidArgument every
   /// whole-matrix entry point returns.
@@ -629,22 +641,18 @@ class BlockSolver {
   /// What a build walk fills besides the block arrays it writes in place.
   struct BuildState;
 
-  /// The one pass over the permuted rows that every path runs: the cold
-  /// build in build mode (kBuild), the three warm paths in install mode.
-  /// Each row of `lower` is gathered through the permutation and ordered as
-  /// permute_symmetric orders it — std::sort by column when the plan
-  /// permutes (or is HBMC's, whose planner always permuted), as given when
-  /// the plan is the identity and the row sorted, sorted when it is not.
-  /// The row must end in its diagonal, and every entry must land in a
-  /// square that covers it or in its row's triangle. It then goes to those
-  /// squares and to the triangle: a build appends into arrays sized exactly
-  /// beforehand and computes each triangle row's level; an install checks
-  /// each column against the held index and writes the value, and every
-  /// array must end exactly full.
-  /// ‖L‖∞ is summed on the way. A violation is kInternal in a build (the
-  /// planner's layout is wrong) and kStructureMismatch in an install (the
-  /// held blocks disagree with `lower`; arrays may be partly written).
-  template <bool kBuild>
+  /// The cold build's pass over the permuted rows. Each row of `lower` is
+  /// gathered through the permutation and ordered as permute_symmetric
+  /// orders it — std::sort by column when the plan permutes (or is HBMC's,
+  /// whose planner always permuted), as given when the plan is the identity
+  /// and the row sorted, sorted when it is not. The row must end in its
+  /// diagonal, and every entry must land in a square that covers it or in
+  /// its row's triangle. It is appended to those squares and to the
+  /// triangle, into arrays sized exactly beforehand, and each triangle row's
+  /// level is computed; every array must end exactly full. Each value's
+  /// position in its caller row goes to build->map in write order, and
+  /// ‖L‖∞ is summed on the way. A violation is kInternal: the planner's
+  /// layout is wrong.
   Status walk_rows(const Csr<T>& lower, BuildState* build);
 
   /// The cold build after planning: sizes every block array from `counts`
@@ -705,6 +713,7 @@ class BlockSolver {
   BlockPlan plan_;
   offset_t nnz_ = 0;
   double norm_inf_ = 0.0;  // ‖L‖∞ of the permuted matrix
+  ValueMap value_map_;     // where each held value comes from (installs)
   std::vector<TriBlock> tri_;
   std::vector<SquareBlock> squares_;
   std::vector<TriBlockInfo> tri_info_;

@@ -182,6 +182,7 @@ enum : std::uint32_t {
   kSectionTuning = 5,  // optional (tuned plans only)
   kSectionShard = 6,   // optional (shard slices only)
   kSectionColor = 7,   // optional (HBMC plans only)
+  kSectionValueMap = 8,  // every whole plan (shard slices carry none)
 };
 
 template <class T>
@@ -440,6 +441,21 @@ bool decode_shard(Reader& r, PlanArtifact<T>* art) {
   return true;
 }
 
+template <class T>
+void encode_value_map(Writer& w, const PlanArtifact<T>& art) {
+  w.u32(art.value_map.width);
+  w.vec(art.value_map.bytes);
+}
+
+template <class T>
+bool decode_value_map(Reader& r, PlanArtifact<T>* art) {
+  ValueMap& m = art->value_map;
+  if (!r.u32(&m.width) || !r.vec(&m.bytes)) return false;
+  if (m.width != 1 && m.width != 2 && m.width != 4)
+    return r.corrupt("value map entry width is not 1, 2 or 4 bytes");
+  return true;
+}
+
 /// HBMC color record (DESIGN.md §16). The fields live inside the BlockPlan;
 /// they get their own optional section, so kSectionPlan is the same for
 /// every scheme.
@@ -582,6 +598,7 @@ std::size_t artifact_bytes(const PlanArtifact<T>& art) {
          q.dcsr.row_ptr.size() * sizeof(offset_t) +
          q.dcsr.val.size() * sizeof(T);
   }
+  b += art.value_map.bytes.size();
   return b;
 }
 
@@ -590,6 +607,7 @@ Status save_artifact(const std::string& path, const PlanArtifact<T>& art) {
   if (Status st = validate_artifact(art); !st.ok()) return st;
 
   const bool color = !art.plan.color_bounds.empty();
+  const bool map = !art.shard;
   Writer header;
   header.raw(kMagic, sizeof kMagic);
   header.u32(kArtifactFormatVersion);
@@ -599,8 +617,8 @@ Status save_artifact(const std::string& path, const PlanArtifact<T>& art) {
   header.u64(art.options);
   header.i64(static_cast<std::int64_t>(art.plan.n));
   header.i64(static_cast<std::int64_t>(art.nnz));
-  header.u32(3u + (art.tuned ? 1u : 0u) + (art.shard ? 1u : 0u) +
-             (color ? 1u : 0u));
+  header.u32(3u + (map ? 1u : 0u) + (art.tuned ? 1u : 0u) +
+             (art.shard ? 1u : 0u) + (color ? 1u : 0u));
 
   // Stream the header, then each section's frame (id, size, CRC32) and
   // payload, into this writer's own side file; only one encoded section is
@@ -628,6 +646,7 @@ Status save_artifact(const std::string& path, const PlanArtifact<T>& art) {
   section(kSectionPlan, encode_plan<T>);
   section(kSectionTri, encode_tri<T>);
   section(kSectionSquares, encode_squares<T>);
+  if (map) section(kSectionValueMap, encode_value_map<T>);
   if (art.tuned) section(kSectionTuning, encode_tuning<T>);
   if (art.shard) section(kSectionShard, encode_shard<T>);
   if (color) section(kSectionColor, encode_color<T>);
@@ -704,7 +723,7 @@ Status load_artifact(const std::string& path, PlanArtifact<T>* out) {
     return header.status();
 
   std::size_t offset = header.offset();
-  bool have[kSectionColor + 1] = {};
+  bool have[kSectionValueMap + 1] = {};
   for (std::uint32_t s = 0; s < nsections; ++s) {
     Reader frame(bytes.data() + offset, bytes.size() - offset, offset);
     std::uint32_t id = 0, crc = 0;
@@ -732,6 +751,7 @@ Status load_artifact(const std::string& path, PlanArtifact<T>* out) {
       case kSectionTuning: ok = decode_tuning(r, &art); break;
       case kSectionShard: ok = decode_shard(r, &art); break;
       case kSectionColor: ok = decode_color(r, &art); break;
+      case kSectionValueMap: ok = decode_value_map(r, &art); break;
       default:
         return Status(StatusCode::kBadFormat,
                       "unknown artifact section id " + std::to_string(id));
@@ -741,7 +761,7 @@ Status load_artifact(const std::string& path, PlanArtifact<T>* out) {
                              "section " + std::to_string(id) +
                                  " has trailing or missing bytes")
                     : r.status();
-    if (id <= kSectionColor) have[id] = true;
+    if (id <= kSectionValueMap) have[id] = true;
     offset = payload_off + static_cast<std::size_t>(size);
   }
   if (offset != bytes.size())
@@ -1026,6 +1046,10 @@ Status validate_artifact(const PlanArtifact<T>& art) {
         return bad("square DCSR pointers are inconsistent");
       if (!indices_in_range(b.dcsr.row_ids, rows))
         return bad("square DCSR row id out of range");
+      // The residual and the value install walk the stored rows in order.
+      for (std::size_t i = 1; i < b.dcsr.row_ids.size(); ++i)
+        if (b.dcsr.row_ids[i] <= b.dcsr.row_ids[i - 1])
+          return bad("square DCSR row ids are not strictly ascending");
       if (!indices_in_range(b.dcsr.col_idx, cols))
         return bad("square DCSR column index out of range");
     } else {
@@ -1039,6 +1063,17 @@ Status validate_artifact(const PlanArtifact<T>& art) {
 
   if (!std::isfinite(art.norm_inf) || art.norm_inf < 0.0)
     return bad("the matrix norm is not finite and non-negative");
+  // The install checks every entry against the caller's rows; here only
+  // the map's shape: one entry per held value, or none in a shard slice.
+  const ValueMap& m = art.value_map;
+  if (art.shard) {
+    if (m.width != 0 || !m.bytes.empty())
+      return bad("a shard slice carries a value map");
+  } else if ((m.width != 1 && m.width != 2 && m.width != 4) ||
+             art.nnz < 0 ||
+             m.bytes.size() != static_cast<std::size_t>(art.nnz) * m.width) {
+    return bad("the value map does not hold one entry per value");
+  }
   if (art.merge_width < 1) return bad("non-positive level-merge width");
   if (art.tuned && (!std::isfinite(art.oracle_default_ns) ||
                     !std::isfinite(art.oracle_tuned_ns) ||

@@ -39,12 +39,14 @@
 namespace blocktri {
 
 /// The one on-disk format version this build writes and reads. Every file
-/// is stamped with it; the tuning, shard and color sections stay optional.
-/// An artifact is a cache, so any other version — including the older
-/// layouts 1–5, which also held a copy of the permuted matrix (and, through
-/// 4, sync-free blocks as CSC plus strict rows) — is rejected with
-/// kVersionMismatch and the caller rebuilds cold.
-inline constexpr std::uint32_t kArtifactFormatVersion = 6;
+/// is stamped with it; the tuning, shard and color sections stay optional,
+/// and every whole plan carries a value map section. An artifact is a
+/// cache, so any other version — including the older layouts: 1–5 also
+/// held a copy of the permuted matrix (and, through 4, sync-free blocks as
+/// CSC plus strict rows), and 6 had no value map, so its warm paths
+/// re-gathered and sorted every row — is rejected with kVersionMismatch and
+/// the caller rebuilds cold.
+inline constexpr std::uint32_t kArtifactFormatVersion = 7;
 
 /// Everything preprocessing derived for one triangular leaf block. Only the
 /// fields of the selected kernel kind are populated (the rest stay empty),
@@ -102,6 +104,10 @@ struct PlanArtifact {
   std::vector<std::vector<ExecStep>> waves;  // compute_step_waves output
   offset_t nnz = 0;
   double norm_inf = 0.0;  // ‖L‖∞, which the residual check scales by
+  /// Where each held value comes from (core/plan.hpp): what lets a warm
+  /// path install the caller's values with no per-row gather or sort. Every
+  /// whole plan carries one of nnz entries; a shard slice carries none.
+  ValueMap value_map;
 
   std::int64_t build_ops = 0;  // preprocessing cost counters (Table 5)
   std::int64_t build_bytes = 0;

@@ -126,7 +126,7 @@ PlanArtifact<T> slice_shard_artifact(const PlanArtifact<T>& full,
   out.plan = full.plan;
   out.waves = full.waves;
   out.nnz = full.nnz;
-  out.norm_inf = full.norm_inf;
+  out.norm_inf = full.norm_inf;  // and no value map: a slice installs nothing
   out.build_ops = full.build_ops;
   out.build_bytes = full.build_bytes;
   out.tuned = full.tuned;

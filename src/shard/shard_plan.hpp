@@ -46,7 +46,9 @@ std::vector<index_t> compute_shard_cuts(const PlanArtifact<T>& art,
 ///     DCSR row_ids segment re-based); slices with no remaining nonzeros
 ///     become !populated with the plan's original ref,
 ///   * `options` is restamped with `worker_options` — the fingerprint of the
-///     Options the worker will rehydrate under.
+///     Options the worker will rehydrate under,
+///   * no value map: a slice never installs values (its solver refuses
+///     every whole-matrix entry point).
 /// The result passes validate_artifact and round-trips through
 /// save_artifact/load_artifact.
 template <class T>

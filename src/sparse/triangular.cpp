@@ -5,6 +5,8 @@
 #include <limits>
 #include <string>
 
+#include "common/fnv.hpp"
+
 namespace blocktri {
 
 template <class T>
@@ -38,8 +40,15 @@ Csr<T> lower_triangular_with_diag(const Csr<T>& a, T diag_fill) {
   return out;
 }
 
-template <class T>
-Status check_lower_triangular(const Csr<T>& a) {
+namespace {
+
+/// check_lower_triangular, and with kHash the structure hash in the same
+/// pass: (nrows, ncols), then the row pointers as the monotonicity check
+/// reads them, then each row's column indices in order as its checks read
+/// them — the order structure_hash folds them in, so the bits are the same.
+/// The hash is written only on Ok.
+template <bool kHash, class T>
+Status check_rows(const Csr<T>& a, std::uint64_t* structure) {
   if (a.nrows != a.ncols)
     return Status(StatusCode::kInvalidArgument,
                   "matrix is not square: " + std::to_string(a.nrows) + " x " +
@@ -52,12 +61,20 @@ Status check_lower_triangular(const Csr<T>& a) {
     return Status(StatusCode::kInvalidArgument,
                   "row_ptr, col_idx and val do not describe " +
                       std::to_string(a.nrows) + " CSR rows");
-  for (index_t i = 0; i < a.nrows; ++i)
-    if (a.row_ptr[static_cast<std::size_t>(i) + 1] <
-        a.row_ptr[static_cast<std::size_t>(i)])
+  std::uint64_t h = kFnvOffsetBasis;
+  if constexpr (kHash) {
+    fnv1a_u64(&h, static_cast<std::uint64_t>(a.nrows));
+    fnv1a_u64(&h, static_cast<std::uint64_t>(a.ncols));
+    fnv1a_u64(&h, static_cast<std::uint64_t>(a.row_ptr[0]));
+  }
+  for (index_t i = 0; i < a.nrows; ++i) {
+    const offset_t next = a.row_ptr[static_cast<std::size_t>(i) + 1];
+    if (next < a.row_ptr[static_cast<std::size_t>(i)])
       return Status(StatusCode::kInvalidArgument,
                     "row_ptr decreases at row " + std::to_string(i), i,
                     LocationKind::kRow);
+    if constexpr (kHash) fnv1a_u64(&h, static_cast<std::uint64_t>(next));
+  }
   for (index_t i = 0; i < a.nrows; ++i) {
     const offset_t lo = a.row_ptr[static_cast<std::size_t>(i)];
     const offset_t hi = a.row_ptr[static_cast<std::size_t>(i) + 1];
@@ -97,6 +114,7 @@ Status check_lower_triangular(const Csr<T>& a) {
                     i);
     for (offset_t k = lo; k < hi - 1; ++k) {
       const index_t c = a.col_idx[static_cast<std::size_t>(k)];
+      if constexpr (kHash) fnv1a_u64(&h, static_cast<std::uint64_t>(c));
       if (c < 0 || c >= i) {
         const StatusCode code = c < 0    ? StatusCode::kOutOfBounds
                                 : c > i ? StatusCode::kNotTriangular
@@ -117,8 +135,23 @@ Status check_lower_triangular(const Csr<T>& a) {
                           std::to_string(c) + " is not finite",
                       i);
     }
+    if constexpr (kHash) fnv1a_u64(&h, static_cast<std::uint64_t>(last));
   }
+  if constexpr (kHash) *structure = h;
   return Status::Ok();
+}
+
+}  // namespace
+
+template <class T>
+Status check_lower_triangular(const Csr<T>& a) {
+  return check_rows<false>(a, nullptr);
+}
+
+template <class T>
+Status check_lower_triangular(const Csr<T>& a, std::uint64_t* structure) {
+  BLOCKTRI_CHECK(structure != nullptr);
+  return check_rows<true>(a, structure);
 }
 
 template <class T>
@@ -197,6 +230,7 @@ offset_t count_block_nnz(const Csr<T>& a, index_t r0, index_t r1, index_t c0,
 #define BLOCKTRI_INSTANTIATE(T)                                              \
   template Csr<T> lower_triangular_with_diag(const Csr<T>&, T);              \
   template Status check_lower_triangular(const Csr<T>&);                     \
+  template Status check_lower_triangular(const Csr<T>&, std::uint64_t*);     \
   template bool is_lower_triangular_nonsingular(const Csr<T>&);              \
   template StrictLowerSplit<T> split_diagonal(const Csr<T>&);                \
   template Csr<T> extract_block(const Csr<T>&, index_t, index_t, index_t,    \

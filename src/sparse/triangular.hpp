@@ -4,6 +4,8 @@
 // separately, §3.3), and sub-block extraction used by the partition planners.
 #pragma once
 
+#include <cstdint>
+
 #include "sparse/formats.hpp"
 
 namespace blocktri {
@@ -30,6 +32,13 @@ Csr<T> lower_triangular_with_diag(const Csr<T>& a, T diag_fill = T(1));
 /// (NaN/Inf value). The offending row is in Status::location().
 template <class T>
 Status check_lower_triangular(const Csr<T>& a);
+
+/// check_lower_triangular and structure_hash (analysis/features.hpp) in one
+/// pass over the arrays: the same Status for the same first violation, and
+/// on Ok *structure = structure_hash(a), bit for bit. Every entry point that
+/// validates a caller's matrix and keys it runs this once.
+template <class T>
+Status check_lower_triangular(const Csr<T>& a, std::uint64_t* structure);
 
 /// True iff every entry satisfies col <= row and every diagonal entry is
 /// present, nonzero, normal and finite — check_lower_triangular().ok().

@@ -300,10 +300,17 @@ TEST(Crc32, KnownAnswers) {
 
 TEST(Crc32, MatchesByteWiseReferenceAtEveryLengthAndOffset) {
   Rng rng(42);
-  std::vector<unsigned char> buf(64 + 8);
+  // Short lengths run the single register; lengths around the three-lane
+  // threshold cover both sides of it and every tail the lanes leave.
+  const std::size_t lanes = io::kCrc32LaneBytes;
+  std::vector<unsigned char> buf(lanes + 64 + 8);
   for (auto& b : buf) b = static_cast<unsigned char>(rng.uniform_int(0, 255));
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 64; ++len) lengths.push_back(len);
+  for (std::size_t len = lanes - 32; len <= lanes + 64; ++len)
+    lengths.push_back(len);
   for (std::size_t off = 0; off < 8; ++off)
-    for (std::size_t len = 0; len <= 64; ++len)
+    for (const std::size_t len : lengths)
       ASSERT_EQ(io::crc32(buf.data() + off, len),
                 blocktri::testing::reference_crc32(buf.data() + off, len))
           << "offset " << off << ", length " << len;

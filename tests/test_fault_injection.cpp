@@ -12,12 +12,14 @@
 #include <sstream>
 #include <string>
 
+#include "analysis/features.hpp"
 #include "core/solver.hpp"
 #include "gen/generators.hpp"
 #include "helpers.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/mm_io.hpp"
 #include "sparse/sanitize.hpp"
+#include "sparse/triangular.hpp"
 #include "sptrsv/serial.hpp"
 
 namespace blocktri {
@@ -347,6 +349,37 @@ TEST(FaultInjection, HostileArraysTypedOnEveryEntryPoint) {
       EXPECT_NO_THROW(expect_typed(valid->refresh_values(bad)));
     }
     std::remove(path.c_str());
+  }
+}
+
+// check_lower_triangular(a, &hash) is the one pass every entry point runs:
+// it must return the Status the separate check returns, message and row
+// included, and on Ok the bits structure_hash computes — on every generator
+// family and on every hostile array above.
+TEST(FaultInjection, CheckAndHashMatchTheSeparatePasses) {
+  const auto expect_parity = [](const Csr<double>& a, const std::string& what) {
+    std::uint64_t hash = 0;
+    const Status one = check_lower_triangular(a, &hash);
+    const Status two = check_lower_triangular(a);
+    EXPECT_EQ(one.code(), two.code()) << what;
+    EXPECT_EQ(one.location(), two.location()) << what;
+    EXPECT_EQ(one.to_string(), two.to_string()) << what;
+    if (two.ok()) EXPECT_EQ(hash, structure_hash(a)) << what;
+  };
+  for (const blocktri::testing::TestMatrix& tm :
+       blocktri::testing::test_matrices())
+    expect_parity(tm.build(), tm.name);
+  const Csr<double> levels = gen::random_levels(1500, 24, 3.0, 1.0, 8);
+  expect_parity(gen::laplace3d(9, 8, 7, 3), "laplace3d");
+  expect_parity(gen::power_law_levels(2000, 40, 0.9, 2.2, 64, 4.0, 1.5, 2,
+                                      0.05, 2, 0.02, 5),
+                "power_law_levels");
+  expect_parity(gen::random_topological_shuffle(levels, 4), "shuffled");
+  expect_parity(Csr<double>{}, "default-constructed");
+  for (const HostileCase& hc : kHostileCases) {
+    Csr<double> bad = small_lower();
+    hc.corrupt(&bad);
+    expect_parity(bad, hc.name);
   }
 }
 

@@ -160,73 +160,73 @@ struct KnownAnswer {
 };
 const KnownAnswer kKnownAnswers[] = {
     {"forced_8_recursive-block_completely-parallel_scalar-CSR",
-     0xc7f657228ec0fad2ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
+     0x960f7c39996ea36dULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
     {"forced_8_recursive-block_level-set_scalar-CSR",
-     0x40856ad8ee9bcd9dULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
+     0xb1b1ceeca38422b6ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
     {"forced_8_recursive-block_sync-free_scalar-CSR",
-     0xa578481fb0263fd3ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
+     0xdc1cb342261316c8ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
     {"forced_8_recursive-block_cusparse-like_scalar-CSR",
-     0x2931334e0916cd96ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
+     0x6556518a99aee5f1ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
     {"forced_8_column-block_completely-parallel_scalar-CSR",
-     0x6f0566ce07f58178ULL, 0x0357fae1ecbfa0bbULL, 0x1b5157c7d58fb924ULL},
+     0x9d0fa0c61d6df455ULL, 0x0357fae1ecbfa0bbULL, 0x1b5157c7d58fb924ULL},
     {"forced_8_column-block_level-set_scalar-CSR",
-     0x9035d06a13f8a941ULL, 0xbcfde956f540cdb4ULL, 0x2f42df47dd3e277bULL},
+     0x95c6f17d4ff363f0ULL, 0xbcfde956f540cdb4ULL, 0x2f42df47dd3e277bULL},
     {"forced_8_column-block_sync-free_scalar-CSR",
-     0xb729af37dc82609dULL, 0x0357fae1ecbfa0bbULL, 0x1b5157c7d58fb924ULL},
+     0xc1a4e27898c6cfa4ULL, 0x0357fae1ecbfa0bbULL, 0x1b5157c7d58fb924ULL},
     {"forced_8_column-block_cusparse-like_scalar-CSR",
-     0xb9c5de309afea8c8ULL, 0xbcfde956f540cdb4ULL, 0x2f42df47dd3e277bULL},
+     0x8fb525924bb22321ULL, 0xbcfde956f540cdb4ULL, 0x2f42df47dd3e277bULL},
     {"forced_8_row-block_completely-parallel_scalar-CSR",
-     0x5f9f737a86c7afc2ULL, 0x0913b852393686ceULL, 0x2e07f893834164d9ULL},
+     0xe3b3f09c91750c07ULL, 0x0913b852393686ceULL, 0x2e07f893834164d9ULL},
     {"forced_8_row-block_level-set_scalar-CSR",
-     0xabdf637a0b9cf129ULL, 0x6c9b73ed30817f92ULL, 0x49b8e6c059e7b2bdULL},
+     0xa6d47b5178857048ULL, 0x6c9b73ed30817f92ULL, 0x49b8e6c059e7b2bdULL},
     {"forced_8_row-block_sync-free_scalar-CSR",
-     0xa636400137fcd1deULL, 0x0913b852393686ceULL, 0x2e07f893834164d9ULL},
+     0x3a29e77856bb8563ULL, 0x0913b852393686ceULL, 0x2e07f893834164d9ULL},
     {"forced_8_row-block_cusparse-like_scalar-CSR",
-     0xa26775dda5d15278ULL, 0x6c9b73ed30817f92ULL, 0x49b8e6c059e7b2bdULL},
+     0x11aed4c831205f6dULL, 0x6c9b73ed30817f92ULL, 0x49b8e6c059e7b2bdULL},
     {"forced_8_hbmc-block_completely-parallel_scalar-CSR",
-     0x1be1c3e2f7619c6eULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
+     0xebaefcbfb250c5c9ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
     {"forced_8_hbmc-block_level-set_scalar-CSR",
-     0xfcb0d8b2df86172dULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
+     0x451c0408a36a11b6ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
     {"forced_8_hbmc-block_sync-free_scalar-CSR",
-     0x1bba5c9a28806d26ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
+     0xed3e6bf009070bbdULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
     {"forced_8_hbmc-block_cusparse-like_scalar-CSR",
-     0x5632d6794d3fa6f2ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
+     0x0091c369f78ba5f1ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
     {"sweep_chain_hbmc-block",
-     0x34c352c07cc5a445ULL, 0xfdcc30df23748817ULL, 0x45132beaab213e93ULL},
+     0xdd109cee5e96ab47ULL, 0xfdcc30df23748817ULL, 0x45132beaab213e93ULL},
     {"sweep_banded_column-block",
-     0x46767d9e7a7e7fdbULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
+     0x3f2a209f4b51e13aULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
     {"sweep_grid3d_recursive-block",
-     0x4f48213f0c2d7de1ULL, 0xe2ccb7b0174a4d56ULL, 0x8f862927d84157e4ULL},
+     0xfdd88011663c47bfULL, 0xe2ccb7b0174a4d56ULL, 0x8f862927d84157e4ULL},
     {"sweep_powerlaw_recursive-block",
-     0x97046e9ef902e75aULL, 0x82487e06982066aeULL, 0x983b78e01e0b9755ULL},
+     0xb9b50c5569a6dc3fULL, 0x82487e06982066aeULL, 0x983b78e01e0b9755ULL},
     {"sweep_kkt_recursive-block",
-     0x8a6128fe53cb8883ULL, 0x84ac8f67f57595bfULL, 0xbbc2b04b7c1fc0daULL},
+     0xcfc2bd74b18af400ULL, 0x84ac8f67f57595bfULL, 0xbbc2b04b7c1fc0daULL},
     {"sweep_trace_recursive-block",
-     0xc7ca3fdcde138514ULL, 0xe320ccff4a7cc8b4ULL, 0x6880b1f806782fa5ULL},
+     0xb9bf8a26d5f21cd4ULL, 0xe320ccff4a7cc8b4ULL, 0x6880b1f806782fa5ULL},
     {"sweep_rndlevels_deep_recursive-block",
-     0x2a36b6c973f21640ULL, 0x4b25be5d2ca42b1dULL, 0x0a9037d12ab457f1ULL},
+     0x56121c7aa83221a3ULL, 0x4b25be5d2ca42b1dULL, 0x0a9037d12ab457f1ULL},
     {"refresh_recursive-block",
-     0x2204948c99e571a6ULL, 0x7172fd1d5b425493ULL, 0xb818c5bbdc150898ULL},
+     0xad80e254980a8b5cULL, 0x7172fd1d5b425493ULL, 0xb818c5bbdc150898ULL},
     {"refresh_column-block",
-     0x46767d9e7a7e7fdbULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
+     0x3f2a209f4b51e13aULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
     {"refresh_row-block",
-     0x1955d1dbf4eb8c9bULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
+     0xee386359c00d03c6ULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
     {"refresh_hbmc-block",
-     0xeb6df89b31b7aeb2ULL, 0xce29801083680a6aULL, 0xdb9ba68c91597846ULL},
+     0x9c44ff2057aa6d19ULL, 0xce29801083680a6aULL, 0xdb9ba68c91597846ULL},
     {"refresh_unordered",
-     0x3c8e053ce4bff40dULL, 0x71939bc327923a28ULL, 0x9fe62b2680f01c7fULL},
+     0xeeac4bfd8838d374ULL, 0x71939bc327923a28ULL, 0x9fe62b2680f01c7fULL},
     // A tuned artifact records the level-merge width the cost model
     // measured on the host, so only its solve is pinned.
     {"refresh_tuned",
      0, 0x39087f833a05dd58ULL, 0x50c7e66591c9d24fULL},
     {"dup_recursive-block",
-     0x9d4b0014749c6120ULL, 0xeef8e6dcf526a3edULL, 0x0b1551ef81bdb025ULL},
+     0x1d3b2abd355a3473ULL, 0xeef8e6dcf526a3edULL, 0x0b1551ef81bdb025ULL},
     {"dup_column-block",
-     0xbc4b74c337b0cbdeULL, 0xab9f46d969082d18ULL, 0xa9c2e341569f14abULL},
+     0x6d5c0c4004673e49ULL, 0xab9f46d969082d18ULL, 0xa9c2e341569f14abULL},
     {"dup_row-block",
-     0x90c390cb869eabf1ULL, 0x7e6ed51b8d3c5d43ULL, 0xaa3dba6245d38274ULL},
+     0xf14afdaa2bfa9126ULL, 0x7e6ed51b8d3c5d43ULL, 0xaa3dba6245d38274ULL},
     {"dup_hbmc-block",
-     0xb4e0d8fddf950147ULL, 0x53d5ceb0f6a1323bULL, 0x6dc8481856bcac45ULL},
+     0x87a1287c8aa593a4ULL, 0x53d5ceb0f6a1323bULL, 0x6dc8481856bcac45ULL},
 };
 
 template <class T>
@@ -312,22 +312,22 @@ TEST(PersistRoundTrip, AllSchemesThreadsFloat) {
 
 // --- Format version ----------------------------------------------------------
 //
-// An artifact is a cache: every file is stamped kArtifactFormatVersion (6),
+// An artifact is a cache: every file is stamped kArtifactFormatVersion (7),
 // optional sections included, and every other version — the older layouts
-// 1–5 among them — is a typed kVersionMismatch, which callers answer with a
+// 1–6 among them — is a typed kVersionMismatch, which callers answer with a
 // cold build.
 
-TEST(PersistVersion, PlainArtifactStampsVersionSix) {
+TEST(PersistVersion, PlainArtifactStampsVersionSeven) {
   const Csr<double> L = fixture<double>(0);
   auto opt = small_block_options<double>();
   std::unique_ptr<BlockSolver<double>> s;
   ASSERT_TRUE(BlockSolver<double>::create(L, opt, &s).ok());
-  const std::string path = artifact_path("stamp_v6");
+  const std::string path = artifact_path("stamp_v7");
   ASSERT_TRUE(s->save_artifact(path).ok());
   const std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 8u);
-  EXPECT_EQ(kArtifactFormatVersion, 6u);
-  EXPECT_EQ(bytes[4], 6);  // little-endian u32 version after the magic
+  EXPECT_EQ(kArtifactFormatVersion, 7u);
+  EXPECT_EQ(bytes[4], 7);  // little-endian u32 version after the magic
   EXPECT_EQ(bytes[5], 0);
   EXPECT_TRUE(blocktri::testing::ArtifactFramingHolds<double>(path));
   PlanArtifact<double> art;
@@ -345,7 +345,7 @@ TEST(PersistVersion, OlderVersionsAreVersionMismatch) {
   ASSERT_TRUE(s->save_artifact(path).ok());
   std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 8u);
-  for (char v = 1; v <= 5; ++v) {
+  for (char v = 1; v <= 6; ++v) {
     SCOPED_TRACE(static_cast<int>(v));
     bytes[4] = v;  // the header is not CRC-guarded: only the version moves
     write_file(path, bytes);
@@ -546,11 +546,12 @@ TEST(PersistRefresh, NewValuesMatchColdBuild) {
 }
 
 // A row may hold one column twice (check_lower_triangular allows it). The
-// install sorts each permuted row exactly as the cold build's
-// permute_symmetric does (std::sort, not a stable sort), so the two copies
-// land in the cold build's order — here in permuted rows of ~75 entries,
-// long enough that std::sort partitions instead of insertion-sorting and
-// so does reorder equal columns.
+// cold build sorts each permuted row exactly as permute_symmetric does
+// (std::sort, not a stable sort) and its value map records where each copy
+// went, so the warm paths put the two copies in the cold build's order —
+// here in permuted rows of ~75 entries, long enough that std::sort
+// partitions instead of insertion-sorting and so does reorder equal
+// columns.
 TEST(PersistRefresh, DuplicateColumnInstallsLikeCold) {
   const Csr<double> base = gen::random_levels(1500, 24, 60.0, 1.0, 8);
   Csr<double> L;
@@ -582,7 +583,7 @@ TEST(PersistRefresh, DuplicateColumnInstallsLikeCold) {
 // order, the diagonal last. Every scheme must solve such rows exactly as
 // their sorted copy: the build walk sorts an unsorted row even under an
 // identity plan (column, row, recursive without reordering), and the warm
-// paths install by the same rule.
+// paths install through the value map it records.
 TEST(PersistRefresh, UnsortedRowsSolveLikeSorted) {
   const Csr<double> L = fixture<double>(2);
   Csr<double> reversed = L;  // strict entries of every row reversed
@@ -613,6 +614,60 @@ TEST(PersistRefresh, UnsortedRowsSolveLikeSorted) {
       expect_equal_solvers(*sorted, *shuffled, L);
       expect_warm_paths_match_cold(reversed, new_values(reversed), opt, tag);
     }
+}
+
+// The value map's entries are as wide as the longest input row needs: one
+// byte up to 256 entries, two up to 65 536, four beyond. A pattern whose
+// longest row takes each wider entry installs bitwise on every warm path
+// under every scheme.
+
+/// random_levels' rows with the last one replaced by a row of `wide`
+/// entries, the diagonal last.
+Csr<double> with_wide_last_row(index_t n, index_t wide) {
+  const Csr<double> base = gen::random_levels(n, 24, 3.0, 1.0, 8);
+  Csr<double> L = base;
+  L.row_ptr.pop_back();
+  L.col_idx.resize(static_cast<std::size_t>(L.row_ptr.back()));
+  L.val.resize(L.col_idx.size());
+  for (index_t c = n - wide; c < n; ++c) {
+    L.col_idx.push_back(c);
+    L.val.push_back(c + 1 < n ? 1.0 / static_cast<double>(wide) : 2.0);
+  }
+  L.row_ptr.push_back(static_cast<offset_t>(L.val.size()));
+  return L;
+}
+
+TEST(PersistValueMap, WideRowsTakeWiderEntries) {
+  const struct {
+    index_t n, wide;
+    std::uint32_t width;
+  } cases[] = {{1500, 300, 2}, {70001, 70000, 4}};
+  for (const auto& c : cases) {
+    const Csr<double> L = with_wide_last_row(c.n, c.wide);
+    ASSERT_TRUE(check_lower_triangular(L).ok());
+    for (const BlockScheme scheme :
+         {BlockScheme::kRecursive, BlockScheme::kColumn, BlockScheme::kRow,
+          BlockScheme::kHbmc}) {
+      const std::string tag =
+          "wide_" + std::to_string(c.wide) + "_" + to_string(scheme);
+      SCOPED_TRACE(tag);
+      const auto opt = small_block_options<double>(scheme);
+      std::unique_ptr<BlockSolver<double>> s;
+      ASSERT_TRUE(BlockSolver<double>::create(L, opt, &s).ok());
+      const PlanArtifact<double> art = s->capture_artifact();
+      EXPECT_EQ(art.value_map.width, c.width);
+      EXPECT_EQ(art.value_map.size(), static_cast<std::size_t>(L.nnz()));
+      expect_warm_paths_match_cold(L, new_values(L), opt, tag);
+    }
+  }
+  // Up to 256 entries a row's positions fit one byte.
+  for (const index_t wide : {256, 257}) {
+    std::unique_ptr<BlockSolver<double>> s;
+    ASSERT_TRUE(BlockSolver<double>::create(with_wide_last_row(1500, wide),
+                                            small_block_options<double>(), &s)
+                    .ok());
+    EXPECT_EQ(s->capture_artifact().value_map.width, wide <= 256 ? 1u : 2u);
+  }
 }
 
 TEST(PersistRefresh, RejectsDifferentStructure) {
@@ -1440,6 +1495,143 @@ TEST_F(PersistSemantic, ColorBoundOffTheLeafGrid) {
     return;
   }
   GTEST_SKIP() << "every candidate nudge lands on a leaf bound";
+}
+
+TEST_F(PersistSemantic, DcsrRowIdsNotAscending) {
+  auto art = capture(TriKernelKind::kSyncFree, SpmvKernelKind::kVectorDcsr);
+  for (auto& b : art.squares) {
+    if (b.dcsr.row_ids.size() < 2) continue;
+    // The residual and the install walk a square's stored rows in order.
+    std::swap(b.dcsr.row_ids[0], b.dcsr.row_ids[1]);
+    expect_rejected(std::move(art), "DCSR row ids out of order");
+    return;
+  }
+  GTEST_SKIP() << "fixture produced no DCSR square with two stored rows";
+}
+
+// The value map (format 7) says where each held value comes from. One of
+// the wrong length, or of a width other than 1, 2 or 4, is malformed. An
+// entry past its caller row, or two slots routed to one input entry, passes
+// validation — only the caller's rows refute it — but every install
+// refuses it as kStructureMismatch, and a cache hit on it builds cold.
+
+TEST_F(PersistSemantic, ValueMapOfTheWrongShape) {
+  auto art = capture(TriKernelKind::kSyncFree, SpmvKernelKind::kScalarCsr);
+  ASSERT_EQ(art.value_map.width, 1u);
+  auto short_map = art;
+  short_map.value_map.bytes.pop_back();
+  expect_rejected(std::move(short_map), "value map one entry short");
+  auto long_map = art;
+  long_map.value_map.bytes.push_back(0);
+  expect_rejected(std::move(long_map), "value map one entry long");
+  auto wide = art;
+  wide.value_map.width = 3;
+  expect_rejected(std::move(wide), "value map entry width 3");
+  art.value_map = ValueMap{};
+  expect_rejected(std::move(art), "whole plan without a value map");
+}
+
+/// The map of permuted row `ni`: its first entry's index in `art`'s map
+/// and the caller row's length.
+std::pair<std::size_t, offset_t> map_row(const PlanArtifact<double>& art,
+                                         const Csr<double>& L, index_t ni) {
+  std::size_t first = 0;
+  offset_t len = 0;
+  for (index_t r = 0; r <= ni; ++r) {
+    const auto oi = static_cast<index_t>(
+        std::find(art.plan.new_of_old.begin(), art.plan.new_of_old.end(), r) -
+        art.plan.new_of_old.begin());
+    first += static_cast<std::size_t>(len);
+    len = L.row_nnz(oi);
+  }
+  return {first, len};
+}
+
+class PersistValueMapInstall : public PersistSemantic {
+ protected:
+  /// `art` passes validate_artifact, yet every install of L_'s values
+  /// through it is a typed kStructureMismatch: refresh_values on a solver
+  /// that adopted it, create_from_file on it saved, and a PlanCache hit on
+  /// it, which builds cold instead and replaces the entry.
+  void expect_install_refused(const PlanArtifact<double>& art,
+                              const char* why) {
+    SCOPED_TRACE(why);
+    ASSERT_TRUE(validate_artifact(art).ok());
+    const auto shared = std::make_shared<PlanArtifact<double>>(art);
+    std::unique_ptr<BlockSolver<double>> s;
+    ASSERT_TRUE(
+        BlockSolver<double>::create_from_artifact(shared, opt_, &s).ok());
+    EXPECT_EQ(s->refresh_values(L_).code(), StatusCode::kStructureMismatch);
+
+    const std::string path = artifact_path(
+        std::string("badmap_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    ASSERT_TRUE(save_artifact(path, art).ok());
+    std::unique_ptr<BlockSolver<double>> loaded;
+    EXPECT_EQ(
+        BlockSolver<double>::create_from_file(path, L_, opt_, &loaded).code(),
+        StatusCode::kStructureMismatch);
+    EXPECT_EQ(loaded, nullptr);
+    std::remove(path.c_str());
+
+    PlanCache<double> cache;
+    cache.insert(shared);
+    std::unique_ptr<BlockSolver<double>> hit, cold;
+    ASSERT_TRUE(BlockSolver<double>::create(L_, opt_, &hit, &cache).ok());
+    EXPECT_EQ(cache.stats().hits, 1u);
+    const auto now = cache.find(PlanCacheKey{art.structure, art.options});
+    ASSERT_NE(now, nullptr);
+    EXPECT_NE(now.get(), shared.get());
+    ASSERT_TRUE(BlockSolver<double>::create(L_, opt_, &cold).ok());
+    expect_equal_solvers(*cold, *hit, L_);
+  }
+};
+
+TEST_F(PersistValueMapInstall, EntryPastItsRow) {
+  auto art = capture(TriKernelKind::kSyncFree, SpmvKernelKind::kScalarCsr);
+  const auto [first, len] = map_row(art, L_, art.plan.n - 1);
+  ASSERT_EQ(art.value_map.width, 1u);
+  art.value_map.bytes[first] = static_cast<std::uint8_t>(len);
+  expect_install_refused(art, "map entry one past its row");
+}
+
+TEST_F(PersistValueMapInstall, TwoSlotsRoutedToOneEntry) {
+  auto art = capture(TriKernelKind::kSyncFree, SpmvKernelKind::kScalarCsr);
+  index_t ni = 0;
+  while (map_row(art, L_, ni).second < 2) ++ni;
+  const std::size_t first = map_row(art, L_, ni).first;
+  art.value_map.bytes[first + 1] = art.value_map.bytes[first];
+  expect_install_refused(art, "two slots, one entry");
+
+  // Row 2 holds column 0 twice: both slots hold that column, so only the
+  // once-per-entry rule can refuse the second slot reading the first's
+  // entry.
+  L_.nrows = L_.ncols = 3;
+  L_.row_ptr = {0, 1, 2, 6};
+  L_.col_idx = {0, 1, 0, 0, 1, 2};
+  L_.val = {2.0, 3.0, 1.0, -0.5, 1.0, 4.0};
+  opt_ = small_block_options<double>();
+  std::unique_ptr<BlockSolver<double>> s;
+  ASSERT_TRUE(BlockSolver<double>::create(L_, opt_, &s).ok());
+  PlanArtifact<double> dup = s->capture_artifact();
+  const auto [row2, len2] = map_row(dup, L_, dup.plan.new_of_old[2]);
+  ASSERT_EQ(len2, 4);
+  std::uint8_t* e = dup.value_map.bytes.data() + row2;
+  ASSERT_EQ(L_.col_idx[2 + e[0]], 0);
+  ASSERT_EQ(L_.col_idx[2 + e[1]], 0);
+  e[1] = e[0];
+  expect_install_refused(dup, "two slots of one column, one entry");
+}
+
+TEST_F(PersistValueMapInstall, SlotsSwappedAcrossColumns) {
+  // Each of two slots names the other's entry: inside the row, taken once,
+  // but in a column the slot does not hold.
+  auto art = capture(TriKernelKind::kSyncFree, SpmvKernelKind::kScalarCsr);
+  index_t ni = 0;
+  while (map_row(art, L_, ni).second < 2) ++ni;
+  const std::size_t first = map_row(art, L_, ni).first;
+  std::swap(art.value_map.bytes[first], art.value_map.bytes[first + 1]);
+  expect_install_refused(art, "slots swapped across columns");
 }
 
 TEST_F(PersistSemantic, SaveRefusesCorruptArtifact) {

@@ -146,11 +146,13 @@ TEST(ShardPlan, SliceValidatesAndRoundTripsAsFormatV3) {
         shard::slice_shard_artifact(art, bounds, i, art.options);
     EXPECT_TRUE(slice.shard);
     EXPECT_EQ(slice.norm_inf, art.norm_inf);
+    EXPECT_EQ(slice.value_map.width, 0u);  // a slice installs nothing
+    EXPECT_TRUE(slice.value_map.bytes.empty());
     Status st = validate_artifact(slice);
     ASSERT_TRUE(st.ok()) << "shard " << i << ": " << st.to_string();
 
     ASSERT_TRUE(save_artifact(path, slice).ok());
-    EXPECT_EQ(blocktri::testing::read_file_bytes(path)[4], 6);
+    EXPECT_EQ(blocktri::testing::read_file_bytes(path)[4], 7);
     EXPECT_TRUE(blocktri::testing::ArtifactFramingHolds<double>(path))
         << "shard " << i;
     PlanArtifact<double> loaded;

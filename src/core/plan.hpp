@@ -177,6 +177,15 @@ struct ValueMap {
 template <class T>
 BlockNnz count_block_nnz(const Csr<T>& lower, const BlockPlan& plan);
 
+/// A built solver holds each square's non-empty rows only, grouped by
+/// global window of this many permuted rows — ⌊(r0 + id) / 256⌋ ascending,
+/// where r0 is the square's first row and id a row within it — and inside
+/// a window ordered by (row length, row id). The SpMV row bodies
+/// then meet runs of equal-length rows, and a pass over the rows in
+/// ascending order finds a window's rows of a square in one contiguous run
+/// (DESIGN.md §10).
+inline constexpr index_t kSquareWindowRows = 256;
+
 /// The squares of a plan that cover one permuted row, for a pass that
 /// visits the rows in ascending order: a square enters at its first row and
 /// leaves after its last. Active squares are ordered by first column; their

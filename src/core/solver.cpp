@@ -162,7 +162,8 @@ std::uint64_t checked_structure_hash(const Csr<T>& lower) {
 
 /// Rehydration copies of a captured block array: everything, or (for the
 /// install paths) the index arrays plus a value array of the right length
-/// that install_values then fills.
+/// that install_values then fills. An artifact its owner gives up is not
+/// copied at all (see the rehydration constructor).
 template <class T>
 Csr<T> adopt(const Csr<T>& m, bool with_values) {
   if (with_values) return m;
@@ -332,19 +333,49 @@ const Csr<T>& BlockSolver<T>::tri_rows(const TriBlock& blk,
 
 template <class T>
 void BlockSolver<T>::exec_square(const SquareBlock& blk, const T* x, T* y,
-                                 const SpmvSim* s, ThreadPool* pool) const {
+                                 ThreadPool* pool) const {
+  // The kinds differ in how the paper's GPU kernels map rows to threads; on
+  // the host every kind runs the one listed-row body.
+  spmv_scalar_dcsr(blk.rows, x, y, nullptr, pool);
+}
+
+template <class T>
+void BlockSolver<T>::simulate_square(const SquareBlock& blk, const T* x, T* y,
+                                     const SpmvSim& s) const {
+  // The listed rows back in ascending order, as the paper stores them (§3.3).
+  const Dcsr<T>& a = blk.rows;
+  std::vector<std::pair<index_t, std::size_t>> order(a.row_ids.size());
+  for (std::size_t p = 0; p < order.size(); ++p) order[p] = {a.row_ids[p], p};
+  std::sort(order.begin(), order.end());
+  Dcsr<T> view;
+  view.nrows = a.nrows;
+  view.ncols = a.ncols;
+  view.row_ids.reserve(order.size());
+  view.row_ptr.reserve(order.size() + 1);
+  view.col_idx.reserve(a.col_idx.size());
+  view.val.reserve(a.val.size());
+  view.row_ptr.push_back(0);
+  for (const auto& [id, p] : order) {
+    const auto lo = static_cast<std::ptrdiff_t>(a.row_ptr[p]);
+    const auto hi = static_cast<std::ptrdiff_t>(a.row_ptr[p + 1]);
+    view.row_ids.push_back(id);
+    view.col_idx.insert(view.col_idx.end(), a.col_idx.begin() + lo,
+                        a.col_idx.begin() + hi);
+    view.val.insert(view.val.end(), a.val.begin() + lo, a.val.begin() + hi);
+    view.row_ptr.push_back(static_cast<offset_t>(view.val.size()));
+  }
   switch (blk.info.kind) {
     case SpmvKernelKind::kScalarCsr:
-      spmv_scalar_csr(blk.csr, x, y, s, pool);
+      spmv_scalar_csr(dcsr_to_csr(view), x, y, &s);
       return;
     case SpmvKernelKind::kVectorCsr:
-      spmv_vector_csr(blk.csr, x, y, s, pool);
+      spmv_vector_csr(dcsr_to_csr(view), x, y, &s);
       return;
     case SpmvKernelKind::kScalarDcsr:
-      spmv_scalar_dcsr(blk.dcsr, x, y, s, pool);
+      spmv_scalar_dcsr(view, x, y, &s);
       return;
     case SpmvKernelKind::kVectorDcsr:
-      spmv_vector_dcsr(blk.dcsr, x, y, s, pool);
+      spmv_vector_dcsr(view, x, y, &s);
       return;
   }
   BLOCKTRI_CHECK_MSG(false, "unknown square kernel kind");
@@ -360,8 +391,7 @@ void BlockSolver<T>::exec_step(const ExecStep& step, T* bw, T* xw,
   } else {
     const SquareBlock& blk = squares_[static_cast<std::size_t>(step.index)];
     if (blk.info.nnz == 0) return;  // skipped, like the wave executor
-    exec_square(blk, xw + blk.info.ref.c0, bw + blk.info.ref.r0, nullptr,
-                pool);
+    exec_square(blk, xw + blk.info.ref.c0, bw + blk.info.ref.r0, pool);
   }
 }
 
@@ -390,21 +420,8 @@ template <class T>
 void BlockSolver<T>::exec_square_many(const SquareBlock& blk, const T* x,
                                       T* y, index_t k, ThreadPool* pool,
                                       index_t ld) const {
-  switch (blk.info.kind) {
-    case SpmvKernelKind::kScalarCsr:
-      spmv_scalar_csr_many(blk.csr, x, y, k, ld, ld, pool);
-      return;
-    case SpmvKernelKind::kVectorCsr:
-      spmv_vector_csr_many(blk.csr, x, y, k, ld, ld, pool);
-      return;
-    case SpmvKernelKind::kScalarDcsr:
-      spmv_scalar_dcsr_many(blk.dcsr, x, y, k, ld, ld, pool);
-      return;
-    case SpmvKernelKind::kVectorDcsr:
-      spmv_vector_dcsr_many(blk.dcsr, x, y, k, ld, ld, pool);
-      return;
-  }
-  BLOCKTRI_CHECK_MSG(false, "unknown square kernel kind");
+  // Every kind runs the one listed-row body, as in exec_square.
+  spmv_scalar_dcsr_many(blk.rows, x, y, k, ld, ld, pool);
 }
 
 template <class T>
@@ -727,8 +744,8 @@ std::vector<T> BlockSolver<T>::solve_simulated(
       ss.ks = &ks;
       ss.x_base = x_base_ + static_cast<std::uint64_t>(blk.info.ref.c0) * elem;
       ss.y_base = b_base_ + static_cast<std::uint64_t>(blk.info.ref.r0) * elem;
-      exec_square(blk, xw.data() + blk.info.ref.c0,
-                  bw.data() + blk.info.ref.r0, &ss);
+      simulate_square(blk, xw.data() + blk.info.ref.c0,
+                      bw.data() + blk.info.ref.r0, ss);
       report->add_kernel_launch(ks.finish(), gpu.kernel_launch_ns);
       if (breakdown != nullptr) {
         breakdown->spmv_ns += report->ns - ns_before;
@@ -907,8 +924,7 @@ PlanArtifact<T> BlockSolver<T>::capture_artifact() const {
     q.kind = blk.info.kind;
     q.nnz = blk.info.nnz;
     q.empty_ratio = blk.info.empty_ratio;
-    q.csr = blk.csr;
-    q.dcsr = blk.dcsr;
+    q.rows = blk.rows;
     art.squares.push_back(std::move(q));
   }
   return art;
@@ -921,18 +937,34 @@ Status BlockSolver<T>::save_artifact(const std::string& path) const {
 }
 
 template <class T>
-BlockSolver<T>::BlockSolver(const PlanArtifact<T>& art, const Options& opt,
-                            bool with_values)
+template <class Art>
+  requires std::same_as<std::remove_cvref_t<Art>, PlanArtifact<T>>
+BlockSolver<T>::BlockSolver(Art&& art, const Options& opt, bool with_values)
     : opt_(opt) {
+  // An artifact given up by its owner (an rvalue) hands over its arrays;
+  // a shared one is copied, its value arrays only when asked for.
+  constexpr bool steal = !std::is_lvalue_reference_v<Art>;
+  const auto take = [](auto& field) {
+    if constexpr (steal)
+      return std::move(field);
+    else
+      return field;
+  };
+  const auto adopt_block = [&](auto& m) {
+    if constexpr (steal)
+      return std::move(m);
+    else
+      return adopt(m, with_values);
+  };
   structure_hash_ = art.structure;
   threads_ = resolve_threads(opt.threads);
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_);
 
-  plan_ = art.plan;
-  waves_ = art.waves;
+  plan_ = take(art.plan);
+  waves_ = take(art.waves);
   nnz_ = art.nnz;
   norm_inf_ = art.norm_inf;  // install_values recomputes it
-  value_map_ = art.value_map;
+  value_map_ = take(art.value_map);
   build_ops_ = art.build_ops;
   build_bytes_ = art.build_bytes;
   tuned_ = art.tuned;
@@ -949,7 +981,7 @@ BlockSolver<T>::BlockSolver(const PlanArtifact<T>& art, const Options& opt,
 
   tri_.resize(art.tri.size());
   for (std::size_t t = 0; t < art.tri.size(); ++t) {
-    const TriBlockArtifact<T>& in = art.tri[t];
+    auto& in = art.tri[t];
     TriBlock& out = tri_[t];
     out.info.r0 = in.r0;
     out.info.r1 = in.r1;
@@ -966,21 +998,20 @@ BlockSolver<T>::BlockSolver(const PlanArtifact<T>& art, const Options& opt,
       case TriKernelKind::kCompletelyParallel:
         // The captured pivots even without values: the solver rejects a
         // zero pivot, and install_values overwrites every one.
-        out.diag = std::make_unique<DiagonalSolver<T>>(in.diag);
+        out.diag = std::make_unique<DiagonalSolver<T>>(take(in.diag));
         break;
       case TriKernelKind::kLevelSet:
         out.levelset = std::make_unique<LevelSetSolver<T>>(
-            adopt(in.kernel_csr, with_values), in.levels, merge_width_);
+            adopt_block(in.kernel_csr), take(in.levels), merge_width_);
         break;
       case TriKernelKind::kSyncFree:
         out.syncfree = std::make_unique<SyncFreeSolver<T>>(
-            adopt(in.kernel_csr, with_values),
-            typename SyncFreeSolver<T>::Adopt{});
+            adopt_block(in.kernel_csr), typename SyncFreeSolver<T>::Adopt{});
         break;
       case TriKernelKind::kCusparseLike:
         out.cusparse = std::make_unique<CusparseLikeSolver<T>>(
-            adopt(in.kernel_csr, with_values), in.levels,
-            in.kernel_first_level);
+            adopt_block(in.kernel_csr), take(in.levels),
+            take(in.kernel_first_level));
         break;
     }
     tri_info_.push_back(out.info);
@@ -988,14 +1019,13 @@ BlockSolver<T>::BlockSolver(const PlanArtifact<T>& art, const Options& opt,
 
   squares_.resize(art.squares.size());
   for (std::size_t q = 0; q < art.squares.size(); ++q) {
-    const SquareBlockArtifact<T>& in = art.squares[q];
+    auto& in = art.squares[q];
     SquareBlock& out = squares_[q];
     out.info.ref = in.ref;
     out.info.kind = in.kind;
     out.info.nnz = in.nnz;
     out.info.empty_ratio = in.empty_ratio;
-    out.csr = adopt(in.csr, with_values);
-    out.dcsr = adopt(in.dcsr, with_values);
+    out.rows = adopt_block(in.rows);
     square_info_.push_back(out.info);
   }
 
@@ -1029,9 +1059,9 @@ Status BlockSolver<T>::create_from_artifact(
 }
 
 template <class T>
-Status BlockSolver<T>::rehydrate(const PlanArtifact<T>& art,
-                                 const Options& opt, bool validated,
-                                 bool with_values,
+template <class Art>
+Status BlockSolver<T>::rehydrate(Art&& art, const Options& opt,
+                                 bool validated, bool with_values,
                                  std::unique_ptr<BlockSolver<T>>* out) {
   if (options_fingerprint(opt) != art.options)
     return Status(
@@ -1048,7 +1078,7 @@ Status BlockSolver<T>::rehydrate(const PlanArtifact<T>& art,
   // entry point, and create()'s fall-back-to-cold-build contract depends on
   // seeing the failure rather than an escaping exception.
   try {
-    out->reset(new BlockSolver<T>(art, opt, with_values));
+    out->reset(new BlockSolver<T>(std::forward<Art>(art), opt, with_values));
   } catch (const Error& e) {
     return e.status();
   }
@@ -1056,11 +1086,12 @@ Status BlockSolver<T>::rehydrate(const PlanArtifact<T>& art,
 }
 
 template <class T>
-Status BlockSolver<T>::warm_start(const PlanArtifact<T>& art,
-                                  const Csr<T>& lower, const Options& opt,
+template <class Art>
+Status BlockSolver<T>::warm_start(Art&& art, const Csr<T>& lower,
+                                  const Options& opt,
                                   std::unique_ptr<BlockSolver<T>>* out) {
   std::unique_ptr<BlockSolver<T>> solver;
-  if (Status st = rehydrate(art, opt, /*validated=*/true,
+  if (Status st = rehydrate(std::forward<Art>(art), opt, /*validated=*/true,
                             /*with_values=*/false, &solver);
       !st.ok())
     return st;
@@ -1114,8 +1145,12 @@ Status BlockSolver<T>::create_from_file(const std::string& path,
                       "' was captured from a matrix with a different "
                       "sparsity pattern");
   // load_artifact has already run validate_artifact on this artifact.
+  // Without a cache nobody else reads it, so the solver takes its arrays.
   std::unique_ptr<BlockSolver<T>> solver;
-  if (Status st = warm_start(*art, lower, opt, &solver); !st.ok()) return st;
+  const Status st = cache == nullptr
+                        ? warm_start(std::move(*art), lower, opt, &solver)
+                        : warm_start(*art, lower, opt, &solver);
+  if (!st.ok()) return st;
   // Only a fully warmed artifact is worth caching; first-writer-wins keeps
   // an existing (already proven) entry. load_artifact validated it, so the
   // entry is trusted and its hits skip validate_artifact.
@@ -1178,12 +1213,66 @@ struct Target {
   RowSink<T> row(std::size_t r) const { return {ptr, col, val, r, len}; }
 };
 
-/// Whether a square keeps its values in the DCSR arrays (an empty square
-/// stays CSR whatever its kind, see build_blocks).
-inline bool holds_dcsr(SpmvKernelKind kind, offset_t nnz) {
-  return nnz != 0 && (kind == SpmvKernelKind::kScalarDcsr ||
-                      kind == SpmvKernelKind::kVectorDcsr);
-}
+/// The window (kSquareWindowRows) of permuted row `row`.
+inline index_t window_of(index_t row) { return row / kSquareWindowRows; }
+
+/// A pass over the permuted rows window by window: for rows [s0, s1) of one
+/// window, the squares covering any of them, by first column, each with its
+/// run of listed rows in that window — one contiguous run, since a square
+/// lists its rows by window. Successive calls move forward through the
+/// rows; a square's run starts where its previous window's ended.
+template <class T>
+class WindowRuns {
+ public:
+  struct Run {
+    SquareWindow::Active a;
+    std::size_t lo = 0, hi = 0;  // its listed rows [lo, hi)
+  };
+
+  /// `rows[q]` holds square q's listed rows.
+  WindowRuns(const std::vector<SquareBlockRef>& squares,
+             std::vector<const Dcsr<T>*> rows)
+      : window_(squares),
+        rows_(std::move(rows)),
+        joined_(rows_.size(), -1),
+        next_(rows_.size(), kNone) {}
+
+  /// Rows [s0, s1) of one window, not below the previous call's.
+  const std::vector<Run>& at(index_t s0, index_t s1) {
+    const index_t w = window_of(s0);
+    runs_.clear();
+    for (index_t row = s0; row < s1; row = window_.next_change())
+      for (const SquareWindow::Active& a : window_.at(row)) {
+        if (joined_[a.q] == w) continue;
+        joined_[a.q] = w;
+        const std::vector<index_t>& ids = rows_[a.q]->row_ids;
+        const auto before = [&](index_t id) {
+          return window_of(a.r0 + id) < w;
+        };
+        std::size_t lo = next_[a.q];
+        if (lo == kNone)  // the pass meets the square first
+          lo = static_cast<std::size_t>(
+              std::partition_point(ids.begin(), ids.end(), before) -
+              ids.begin());
+        std::size_t hi = lo;
+        while (hi < ids.size() && window_of(a.r0 + ids[hi]) == w) ++hi;
+        next_[a.q] = hi;
+        if (hi > lo) runs_.push_back({a, lo, hi});
+      }
+    std::sort(runs_.begin(), runs_.end(), [](const Run& x, const Run& y) {
+      return x.a.c0 < y.a.c0;
+    });
+    return runs_;
+  }
+
+ private:
+  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  SquareWindow window_;
+  std::vector<const Dcsr<T>*> rows_;
+  std::vector<index_t> joined_;     // per square: the window it last joined
+  std::vector<std::size_t> next_;   // per square: its next listed row
+  std::vector<Run> runs_;
+};
 
 /// An empty CSR of the given shape with room for exactly `nnz` entries.
 template <class T>
@@ -1204,7 +1293,6 @@ struct BlockSolver<T>::BuildState {
   std::vector<Csr<T>> tri;       // each triangle's rows, diagonal last
   std::vector<index_t> level;    // per permuted row: its level in its triangle
   std::vector<index_t> nlevels;  // per triangle
-  std::vector<index_t> sq_rows;  // per square: rows holding an entry
   ValueMap map;                  // where each written value came from
 };
 
@@ -1228,12 +1316,22 @@ void BlockSolver<T>::build_blocks(const Csr<T>& lower, BlockNnz counts,
   }
   b.level.resize(static_cast<std::size_t>(plan_.n));
   b.nlevels.assign(static_cast<std::size_t>(ntri), 0);
-  b.sq_rows.assign(nsq, 0);
   squares_.resize(nsq);
   for (std::size_t q = 0; q < nsq; ++q) {
+    // Values at their exact length; the listed rows are appended, at most
+    // one per row and one per value.
     const SquareBlockRef& ref = plan_.squares[q];
-    squares_[q].csr = sized_csr<T>(ref.r1 - ref.r0, ref.c1 - ref.c0,
-                                   counts.squares[q]);
+    const offset_t nnz = counts.squares[q];
+    Dcsr<T>& rows = squares_[q].rows;
+    rows.nrows = ref.r1 - ref.r0;
+    rows.ncols = ref.c1 - ref.c0;
+    const auto listed =
+        static_cast<std::size_t>(std::min<offset_t>(rows.nrows, nnz));
+    rows.row_ids.reserve(listed);
+    rows.row_ptr.reserve(listed + 1);
+    rows.row_ptr.push_back(0);
+    rows.col_idx.resize(static_cast<std::size_t>(nnz));
+    rows.val.resize(static_cast<std::size_t>(nnz));
   }
   offset_t max_row = 0;
   for (index_t i = 0; i < lower.nrows; ++i)
@@ -1318,21 +1416,21 @@ void BlockSolver<T>::build_blocks(const Csr<T>& lower, BlockNnz counts,
     tri_info_.push_back(out.info);
   }
 
-  // --- Squares: select each kernel from (rows, nnz, non-empty rows); the
-  // DCSR ones are converted.
+  // --- Squares: select each kernel from (rows, nnz, non-empty rows). Every
+  // kind keeps the walk's listed rows.
   for (std::size_t q = 0; q < nsq; ++q) {
     SquareBlock& out = squares_[q];
     const SquareBlockRef ref = plan_.squares[q];
     const index_t rows = ref.r1 - ref.r0;
     out.info.ref = ref;
-    out.info.nnz = out.csr.nnz();
+    out.info.nnz = out.rows.nnz();
     build_ops_ += out.info.nnz + rows;
     build_bytes_ += out.info.nnz * elem;
     if (out.info.nnz == 0) {
       // Empty square: a no-op both executors skip (compute_step_waves drops
       // it from the waves, exec_step returns early), so adaptive selection
-      // and a DCSR build would be pure waste. Mark it canonically as
-      // scalar-CSR so serial, wave and introspection paths agree.
+      // would be pure waste. Mark it canonically as scalar-CSR so serial,
+      // wave and introspection paths agree.
       out.info.kind = SpmvKernelKind::kScalarCsr;
       out.info.empty_ratio = rows > 0 ? 1.0 : 0.0;
       square_info_.push_back(out.info);
@@ -1348,18 +1446,17 @@ void BlockSolver<T>::build_blocks(const Csr<T>& lower, BlockNnz counts,
       feat.nnz = out.info.nnz;
       feat.nnz_per_row =
           static_cast<double>(feat.nnz) / static_cast<double>(rows);
-      feat.empty_ratio = static_cast<double>(rows - b.sq_rows[q]) /
+      feat.empty_ratio = static_cast<double>(rows - out.rows.nnz_rows()) /
                          static_cast<double>(rows);
       out.info.empty_ratio = feat.empty_ratio;
       out.info.kind = opt_.adaptive
                           ? select_square_kernel(feat, opt_.thresholds)
                           : opt_.forced_square;
     }
-    if (holds_dcsr(out.info.kind, out.info.nnz)) {
-      out.dcsr = csr_to_dcsr(out.csr);
-      out.csr = Csr<T>{};
+    // Table 5's host model prices the paper's DCSR conversion (§3.3).
+    if (out.info.kind == SpmvKernelKind::kScalarDcsr ||
+        out.info.kind == SpmvKernelKind::kVectorDcsr)
       build_ops_ += rows;
-    }
     square_info_.push_back(out.info);
   }
 }
@@ -1386,11 +1483,64 @@ Status BlockSolver<T>::walk_rows(const Csr<T>& lower, BuildState* build) {
   }
   const bool sort_rows = !identity || plan_.scheme == BlockScheme::kHbmc;
 
-  std::vector<Target<T>> sq(squares_.size());
-  for (std::size_t q = 0; q < sq.size(); ++q)
-    sq[q] = Target<T>::of(squares_[q].csr);
   SquareWindow window(plan_.squares);
   Target<T> tri;  // the current triangle's rows
+
+  // A window's square runs wait in `runs`, their entries in `pend_col` and
+  // `pend_val`, until the window ends. Then every square appends its runs
+  // of the window by (length, row id): a stable counting sort by length (a
+  // stable sort when the lengths are too spread for buckets) keeps each
+  // length's runs in row order. The window's entries are still in cache
+  // when they are placed.
+  struct Run {
+    std::size_t at;  // its first entry in pend_col / pend_val
+    index_t q;       // the square
+    index_t id;      // the row within the square
+    index_t len;
+  };
+  std::vector<Run> runs;
+  std::vector<std::uint32_t> order;  // the window's runs by (length, row)
+  std::vector<index_t> pend_col;     // columns within the square
+  std::vector<T> pend_val;
+  std::vector<std::uint32_t> bucket;
+  index_t longest = 0;  // the window's longest run
+  const auto place_window = [&]() {
+    order.resize(runs.size());
+    if (static_cast<std::size_t>(longest) <= 4 * runs.size() + 64) {
+      bucket.assign(static_cast<std::size_t>(longest) + 2, 0);
+      for (const Run& r : runs) ++bucket[static_cast<std::size_t>(r.len) + 1];
+      for (std::size_t i = 1; i < bucket.size(); ++i)
+        bucket[i] += bucket[i - 1];
+      for (std::size_t i = 0; i < runs.size(); ++i)
+        order[bucket[static_cast<std::size_t>(runs[i].len)]++] =
+            static_cast<std::uint32_t>(i);
+    } else {
+      std::iota(order.begin(), order.end(), std::uint32_t{0});
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::uint32_t x, std::uint32_t y) {
+                         return runs[x].len < runs[y].len;
+                       });
+    }
+    for (const std::uint32_t i : order) {
+      const Run& r = runs[i];
+      Dcsr<T>& d = squares_[static_cast<std::size_t>(r.q)].rows;
+      const offset_t pos = d.row_ptr.back();
+      if (r.len > d.nnz() - pos) return false;
+      index_t* col = d.col_idx.data() + pos;
+      T* val = d.val.data() + pos;
+      for (index_t e = 0; e < r.len; ++e) {
+        col[e] = pend_col[r.at + static_cast<std::size_t>(e)];
+        val[e] = pend_val[r.at + static_cast<std::size_t>(e)];
+      }
+      d.row_ids.push_back(r.id);
+      d.row_ptr.push_back(pos + r.len);
+    }
+    runs.clear();
+    pend_col.clear();
+    pend_val.clear();
+    longest = 0;
+    return true;
+  };
 
   const auto by_col = [](const auto& x, const auto& y) {
     return x.first < y.first;
@@ -1402,6 +1552,8 @@ Status BlockSolver<T>::walk_rows(const Csr<T>& lower, BuildState* build) {
   double norm = 0.0;
   std::size_t t = 0;
   for (index_t ni = 0; ni < n; ++ni) {
+    if (ni % kSquareWindowRows == 0 && !place_window())
+      return fail("a square block");
     // The triangle holding this row; entering one fetches its arrays.
     while (plan_.tri_bounds[t + 1] <= ni) ++t;
     const index_t r0 = plan_.tri_bounds[t];
@@ -1425,8 +1577,8 @@ Status BlockSolver<T>::walk_rows(const Csr<T>& lower, BuildState* build) {
     if (sort_rows || !std::is_sorted(row.begin(), row.end(), by_col))
       std::sort(row.begin(), row.end(), by_col);
     // Sorted, the row holds its square entries (left of the triangle) first
-    // and its triangle entries after them, ending in the diagonal. That is
-    // the order they are written in, so it is the value map's order.
+    // and its triangle entries after them, ending in the diagonal: the value
+    // map's order.
     if (row.empty() || row.back().first != ni)
       return fail("a row that does not end in its diagonal");
     const std::size_t m = row.size();
@@ -1443,19 +1595,22 @@ Status BlockSolver<T>::walk_rows(const Csr<T>& lower, BuildState* build) {
     }
     norm = std::max(norm, row_sum);
 
-    // Square entries: each covering square takes one contiguous run, and
-    // the row of every covering square is closed.
+    // Square entries: each covering square takes one contiguous run, which
+    // waits for the window's end; a square lists only the rows it holds.
     std::size_t p = 0;
     for (const SquareWindow::Active& a : window.at(ni)) {
       if (p < p0 && row[p].first < a.c0) break;  // a column no square holds
       const std::size_t run = p;
       while (p < p0 && row[p].first < a.c1) ++p;
-      RowSink<T> sink = sq[a.q].row(static_cast<std::size_t>(ni - a.r0));
-      for (std::size_t e = run; e < p; ++e)
-        if (!sink.put(row[e].first - a.c0, vals[row[e].second]))
-          return fail("a square block");
-      sink.close();
-      if (p > run) ++build->sq_rows[a.q];
+      if (p == run) continue;
+      const auto len = static_cast<index_t>(p - run);
+      runs.push_back({pend_col.size(), static_cast<index_t>(a.q), ni - a.r0,
+                      len});
+      longest = std::max(longest, len);
+      for (std::size_t e = run; e < p; ++e) {
+        pend_col.push_back(row[e].first - a.c0);
+        pend_val.push_back(vals[row[e].second]);
+      }
     }
     if (p < p0) return fail("an entry no square covers");
 
@@ -1474,14 +1629,14 @@ Status BlockSolver<T>::walk_rows(const Csr<T>& lower, BuildState* build) {
     build->nlevels[t] = std::max(build->nlevels[t], level + 1);
   }
 
+  if (!place_window()) return fail("a square block");
+
   // Every array was sized from a count; each must end exactly full.
-  const auto full = [](const Csr<T>& m) {
-    return m.row_ptr.back() == m.nnz();
-  };
   for (const Csr<T>& m : build->tri)
-    if (!full(m)) return fail("a triangular block");
+    if (m.row_ptr.back() != m.nnz()) return fail("a triangular block");
   for (const SquareBlock& blk : squares_)
-    if (!full(blk.csr)) return fail("a square block");
+    if (blk.rows.row_ptr.back() != blk.rows.nnz())
+      return fail("a square block");
   norm_inf_ = norm;
   return Status::Ok();
 }
@@ -1530,27 +1685,11 @@ Status BlockSolver<T>::install_through(const Csr<T>& lower) {
   // Every held value array, as the pass reads it. Each slot is visited at
   // most once and each row must take exactly its caller row's entries, so
   // when the arrays hold nnz values every one of them is written.
-  struct Rows {
-    const offset_t* ptr = nullptr;
-    const index_t* col = nullptr;
-    T* val = nullptr;               // null: an empty square
-    const index_t* ids = nullptr;   // DCSR: the stored rows
-    std::size_t nids = 0, next = 0;  // DCSR: the next stored row to visit
-  };
   offset_t held = 0;
-  std::vector<Rows> sq(squares_.size());
-  for (std::size_t q = 0; q < sq.size(); ++q) {
-    SquareBlock& blk = squares_[q];
-    if (holds_dcsr(blk.info.kind, blk.info.nnz)) {
-      Dcsr<T>& d = blk.dcsr;
-      sq[q] = {d.row_ptr.data(), d.col_idx.data(), d.val.data(),
-               d.row_ids.data(), d.row_ids.size(), 0};
-      held += static_cast<offset_t>(d.val.size());
-    } else if (!blk.csr.val.empty()) {
-      sq[q] = {blk.csr.row_ptr.data(), blk.csr.col_idx.data(),
-               blk.csr.val.data()};
-      held += static_cast<offset_t>(blk.csr.val.size());
-    }
+  std::vector<const Dcsr<T>*> square_rows(squares_.size());
+  for (std::size_t q = 0; q < squares_.size(); ++q) {
+    square_rows[q] = &squares_[q].rows;
+    held += squares_[q].rows.nnz();
   }
   // A triangle's rows come from its kernel, or are a diagonal block's
   // pivots alone.
@@ -1574,64 +1713,86 @@ Status BlockSolver<T>::install_through(const Csr<T>& lower) {
   }
   if (held != nnz_) return fail("the number of held values");
 
-  std::vector<index_t> seen;  // per row position: the last row that took it
-  SquareWindow window(plan_.squares);
+  // The rows go window by window (kSquareWindowRows). In a window, every
+  // covering square hands over its run of listed rows in storage order,
+  // the squares by first column, and then each row its triangle row: each
+  // row takes its slots in the order the build walk read them, which is
+  // the order of its map entries. Row i of the window reads them from
+  // rows[i].next on, through the caller's row at rows[i].cols/vals.
+  constexpr index_t kW = kSquareWindowRows;
+  struct Row {
+    const index_t* cols = nullptr;
+    const T* vals = nullptr;
+    std::size_t first = 0, next = 0, end = 0;  // its map entries
+    double sum = 0.0;                          // its ‖·‖ in slot order
+  };
+  std::vector<Row> rows(static_cast<std::size_t>(kW));
+  std::vector<std::uint8_t> taken;  // per map entry of the window
+  std::size_t window_first = 0;     // the window's first map entry
+  // The next slot of row `r`, which holds permuted column `col`, takes the
+  // caller's entry its map entry names: inside the row, not yet taken, and
+  // in that column.
+  const auto take = [&](Row& r, index_t col, T* dst) {
+    if (r.next == r.end) return false;
+    const W e = value_map_.at<W>(r.next++);
+    if (e >= r.end - r.first) return false;
+    std::uint8_t& once = taken[r.first - window_first + e];
+    if (once != 0) return false;
+    once = 1;
+    if (new_of_old[static_cast<std::size_t>(r.cols[e])] != col) return false;
+    *dst = r.vals[e];
+    r.sum += std::fabs(static_cast<double>(r.vals[e]));
+    return true;
+  };
+
+  WindowRuns<T> runs(plan_.squares, std::move(square_rows));
   const Csr<T>* tri = nullptr;
   T* tri_val = nullptr;
-  std::size_t pos = 0;  // the next map entry
+  std::size_t pos = 0;  // map entries of the rows before this window
   double norm = 0.0;
   std::size_t t = 0;
-  for (index_t ni = 0; ni < n; ++ni) {
-    while (plan_.tri_bounds[t + 1] <= ni) ++t;
-    const index_t r0 = plan_.tri_bounds[t];
-    if (ni == r0) std::tie(tri, tri_val) = tri_of(tri_[t]);
+  for (index_t w0 = 0; w0 < n; w0 += kW) {
+    const index_t w1 = std::min(w0 + kW, n);
+    window_first = pos;
+    for (index_t i = w0; i < w1; ++i) {
+      const auto oi =
+          static_cast<std::size_t>(old_of_new[static_cast<std::size_t>(i)]);
+      const auto base = static_cast<std::size_t>(lower.row_ptr[oi]);
+      const auto m = static_cast<std::size_t>(lower.row_ptr[oi + 1]) - base;
+      rows[static_cast<std::size_t>(i - w0)] = {lower.col_idx.data() + base,
+                                                lower.val.data() + base, pos,
+                                                pos, pos + m, 0.0};
+      pos += m;
+    }
+    taken.assign(pos - window_first, 0);
 
-    const auto oi =
-        static_cast<std::size_t>(old_of_new[static_cast<std::size_t>(ni)]);
-    const auto base = static_cast<std::size_t>(lower.row_ptr[oi]);
-    const auto m = static_cast<std::size_t>(lower.row_ptr[oi + 1]) - base;
-    const index_t* cols = lower.col_idx.data() + base;
-    const T* vals = lower.val.data() + base;
-    if (seen.size() < m) seen.resize(m, -1);
-    const std::size_t end = pos + m;
-    double row_sum = 0.0;
-    // The next slot, which holds permuted column `col`, takes the caller's
-    // entry its map entry names: inside the row, not yet taken, and in that
-    // column. ‖L‖∞ sums the row in the order the blocks store it.
-    const auto take = [&](index_t col, T* dst) {
-      if (pos == end) return false;
-      const W e = value_map_.at<W>(pos++);
-      if (e >= m || seen[e] == ni) return false;
-      seen[e] = ni;
-      if (new_of_old[static_cast<std::size_t>(cols[e])] != col) return false;
-      *dst = vals[e];
-      row_sum += std::fabs(static_cast<double>(vals[e]));
-      return true;
-    };
-
-    for (const SquareWindow::Active& a : window.at(ni)) {
-      Rows& b = sq[a.q];
-      if (b.val == nullptr) continue;
-      auto r = static_cast<std::size_t>(ni - a.r0);
-      if (b.ids != nullptr) {
-        if (b.next == b.nids || static_cast<std::size_t>(b.ids[b.next]) != r)
-          continue;  // the square holds nothing in this row
-        r = b.next++;
+    for (const typename WindowRuns<T>::Run& run : runs.at(w0, w1)) {
+      Dcsr<T>& d = squares_[run.a.q].rows;
+      for (std::size_t p = run.lo; p < run.hi; ++p) {
+        Row& r = rows[static_cast<std::size_t>(run.a.r0 + d.row_ids[p] - w0)];
+        for (offset_t e = d.row_ptr[p]; e < d.row_ptr[p + 1]; ++e)
+          if (!take(r, d.col_idx[static_cast<std::size_t>(e)] + run.a.c0,
+                    d.val.data() + e))
+            return fail("a square block");
       }
-      for (offset_t e = b.ptr[r]; e < b.ptr[r + 1]; ++e)
-        if (!take(b.col[e] + a.c0, b.val + e)) return fail("a square block");
     }
-    const auto li = static_cast<std::size_t>(ni - r0);
-    if (tri == nullptr) {
-      if (!take(ni, tri_val + li)) return fail("a diagonal block");
-    } else {
-      for (offset_t e = tri->row_ptr[li]; e < tri->row_ptr[li + 1]; ++e)
-        if (!take(tri->col_idx[static_cast<std::size_t>(e)] + r0,
-                  tri_val + e))
-          return fail("a triangular block");
+    for (index_t i = w0; i < w1; ++i) {
+      while (plan_.tri_bounds[t + 1] <= i) ++t;
+      const index_t r0 = plan_.tri_bounds[t];
+      if (i == r0) std::tie(tri, tri_val) = tri_of(tri_[t]);
+      Row& r = rows[static_cast<std::size_t>(i - w0)];
+      const auto li = static_cast<std::size_t>(i - r0);
+      if (tri == nullptr) {
+        if (!take(r, i, tri_val + li)) return fail("a diagonal block");
+      } else {
+        for (offset_t e = tri->row_ptr[li]; e < tri->row_ptr[li + 1]; ++e)
+          if (!take(r, tri->col_idx[static_cast<std::size_t>(e)] + r0,
+                    tri_val + e))
+            return fail("a triangular block");
+      }
+      if (r.next != r.end) return fail("a row's entry count");
+      norm = std::max(norm, r.sum);
     }
-    if (pos != end) return fail("a row's entry count");
-    norm = std::max(norm, row_sum);
   }
   norm_inf_ = norm;
   return Status::Ok();
@@ -1655,7 +1816,7 @@ Status BlockSolver<T>::run_steps_checked(std::vector<T>& bw,
       const SquareBlock& blk = squares_[static_cast<std::size_t>(step.index)];
       if (blk.info.nnz == 0) continue;  // skipped, like the plain executors
       exec_square(blk, xw.data() + blk.info.ref.c0,
-                  bw.data() + blk.info.ref.r0, nullptr, epool);
+                  bw.data() + blk.info.ref.r0, epool);
       ++rep->steps_completed;
       continue;
     }
@@ -1716,114 +1877,91 @@ Status BlockSolver<T>::run_steps_checked(std::vector<T>& bw,
 template <class T>
 void BlockSolver<T>::residual_into(const T* xw, const T* bw0, T* r, index_t k,
                                    ThreadPool* epool) const {
-  // Rows [i0, i1), i0 a leaf bound. The walk stored each sorted row as one
-  // run per covering square, by ascending first column, then the triangle
-  // entries, diagonal last: visiting the blocks in that order accumulates
-  // every row's entries in the order the row holds them, in every column.
-  // The rows go in segments of at most kSegment, each within one leaf and
-  // one set of covering squares, and each block adds its rows of the
-  // segment in one pass, kRhsTile columns at a time.
-  constexpr index_t kSegment = 256;
+  // Rows [i0, i1), i0 a leaf bound, go in segments of one window
+  // (kSquareWindowRows) each. The walk read each sorted row as one run per
+  // covering square, by ascending first column, then the triangle entries,
+  // diagonal last. In a segment, every square covering one of its rows adds
+  // its listed rows of the window — one contiguous run — and the squares go
+  // by first column, so each row takes its squares' entries in the row's
+  // order; then each row adds its triangle entries. Every row of every
+  // column thus accumulates in the order the row holds its entries,
+  // kRhsTile columns at a time.
+  constexpr index_t kW = kSquareWindowRows;
   const auto ku = static_cast<std::size_t>(k);
-  struct SquareRows {  // `ids` non-null for a DCSR square
-    const offset_t* ptr;
-    const index_t* col;
-    const T* val;
-    const T* x;  // the panel at the square's first column
-    index_t r0;
-    const index_t* ids;
-    std::size_t nids, next;  // DCSR: row ids, and the next one to visit
-  };
   const auto row_range = [&](index_t i0, index_t i1) {
-    SquareWindow window(plan_.squares);
-    // The squares covering the segment, by first column.
-    std::vector<SquareRows> sq;
-    index_t refresh = i0;  // the row at which they may change
+    std::vector<const Dcsr<T>*> square_rows(squares_.size());
+    for (std::size_t q = 0; q < squares_.size(); ++q)
+      square_rows[q] = &squares_[q].rows;
+    WindowRuns<T> runs(plan_.squares, std::move(square_rows));
     auto t = static_cast<std::size_t>(
         std::upper_bound(plan_.tri_bounds.begin(), plan_.tri_bounds.end(),
                          i0) -
         plan_.tri_bounds.begin() - 1);
-    double acc[kSegment * kRhsTile];
+    double acc[kW * kRhsTile];
     Csr<T> unused;  // tri_rows' scratch, which only a diagonal leaf needs
+    // A leaf's kernel rows, or null for a diagonal leaf's pivots.
+    const auto leaf_rows = [&](std::size_t lt) -> const Csr<T>* {
+      const TriBlock& leaf = tri_[lt];
+      return leaf.info.kind == TriKernelKind::kCompletelyParallel
+                 ? nullptr
+                 : &tri_rows(leaf, unused);
+    };
     for (index_t s0 = i0; s0 < i1;) {
-      if (s0 >= refresh) {
-        sq.clear();
-        for (const SquareWindow::Active& a : window.at(s0)) {
-          const SquareBlock& blk = squares_[a.q];
-          if (blk.info.nnz == 0) continue;
-          const T* x = xw + static_cast<std::size_t>(a.c0) * ku;
-          if (!holds_dcsr(blk.info.kind, blk.info.nnz)) {
-            sq.push_back({blk.csr.row_ptr.data(), blk.csr.col_idx.data(),
-                          blk.csr.val.data(), x, a.r0, nullptr, 0, 0});
-            continue;
-          }
-          const std::vector<index_t>& ids = blk.dcsr.row_ids;
-          sq.push_back({blk.dcsr.row_ptr.data(), blk.dcsr.col_idx.data(),
-                        blk.dcsr.val.data(), x, a.r0, ids.data(), ids.size(),
-                        static_cast<std::size_t>(
-                            std::lower_bound(ids.begin(), ids.end(),
-                                             s0 - a.r0) -
-                            ids.begin())});
-        }
-        refresh = window.next_change();
-      }
-      while (plan_.tri_bounds[t + 1] <= s0) ++t;
-      const index_t s1 = std::min({s0 + kSegment, plan_.tri_bounds[t + 1],
-                                   refresh, i1});
+      const index_t s1 = std::min((window_of(s0) + 1) * kW, i1);
+      const std::vector<typename WindowRuns<T>::Run>& sq = runs.at(s0, s1);
       const auto len = static_cast<std::size_t>(s1 - s0);
-      const TriBlock& leaf = tri_[t];
-      const auto tlo = static_cast<std::size_t>(s0 - leaf.info.r0);
-      const T* const xt = xw + static_cast<std::size_t>(leaf.info.r0) * ku;
-      // The leaf's kernel rows, or null for a diagonal leaf's pivots.
-      const Csr<T>* leaf_rows =
-          leaf.info.kind == TriKernelKind::kCompletelyParallel
-              ? nullptr
-              : &tri_rows(leaf, unused);
+      while (plan_.tri_bounds[t + 1] <= s0) ++t;
       simd::detail::for_each_rhs_tile(0, k, [&](index_t ct, auto nt) {
         constexpr int W = decltype(nt)::value;
         const auto cu = static_cast<std::size_t>(ct);
-        // Adds row `row` of square `b` onto segment row `at`'s sums, through
-        // locals that stay in registers.
-        const auto add_at = [&](const SquareRows& b, std::size_t row,
-                                std::size_t at) {
-          double s[W];
-          for (int c = 0; c < W; ++c) s[c] = acc[at * W + c];
-          for (offset_t e = b.ptr[row]; e < b.ptr[row + 1]; ++e) {
-            const T* xe = b.x + static_cast<std::size_t>(b.col[e]) * ku + cu;
-            for (int c = 0; c < W; ++c)
-              s[c] += static_cast<double>(b.val[e]) *
-                      static_cast<double>(xe[c]);
-          }
-          for (int c = 0; c < W; ++c) acc[at * W + c] = s[c];
-        };
         std::fill(acc, acc + len * W, 0.0);
-        for (const SquareRows& b : sq) {
-          const auto lo = static_cast<std::size_t>(s0 - b.r0);
-          if (b.ids == nullptr) {
-            for (std::size_t q = 0; q < len; ++q) add_at(b, lo + q, q);
-            continue;
+        for (const typename WindowRuns<T>::Run& run : sq) {
+          const Dcsr<T>& b = squares_[run.a.q].rows;
+          const T* const xs = xw + static_cast<std::size_t>(run.a.c0) * ku;
+          for (std::size_t p = run.lo; p < run.hi; ++p) {
+            const index_t g = run.a.r0 + b.row_ids[p];
+            if (g < s0 || g >= s1) continue;  // a row outside [i0, i1)
+            const auto at = static_cast<std::size_t>(g - s0);
+            // Through locals that stay in registers.
+            double s[W];
+            for (int c = 0; c < W; ++c) s[c] = acc[at * W + c];
+            for (offset_t e = b.row_ptr[p]; e < b.row_ptr[p + 1]; ++e) {
+              const T* xe =
+                  xs + static_cast<std::size_t>(b.col_idx[e]) * ku + cu;
+              for (int c = 0; c < W; ++c)
+                s[c] += static_cast<double>(b.val[e]) *
+                        static_cast<double>(xe[c]);
+            }
+            for (int c = 0; c < W; ++c) acc[at * W + c] = s[c];
           }
-          for (std::size_t p = b.next;
-               p < b.nids && static_cast<std::size_t>(b.ids[p]) < lo + len;
-               ++p)
-            add_at(b, p, static_cast<std::size_t>(b.ids[p]) - lo);
         }
         // The triangle entries come last; each row's sums then give r.
+        std::size_t lt = t;
+        const Csr<T>* rows = leaf_rows(lt);
         for (std::size_t q = 0; q < len; ++q) {
-          const std::size_t i = (static_cast<std::size_t>(s0) + q) * ku + cu;
+          const index_t row = s0 + static_cast<index_t>(q);
+          if (plan_.tri_bounds[lt + 1] <= row) {
+            while (plan_.tri_bounds[lt + 1] <= row) ++lt;
+            rows = leaf_rows(lt);
+          }
+          const TriBlock& leaf = tri_[lt];
+          const auto tl = static_cast<std::size_t>(row - leaf.info.r0);
+          const std::size_t i = static_cast<std::size_t>(row) * ku + cu;
           double s[W];
           for (int c = 0; c < W; ++c) s[c] = acc[q * W + c];
-          if (leaf_rows != nullptr) {
-            for (offset_t e = leaf_rows->row_ptr[tlo + q];
-                 e < leaf_rows->row_ptr[tlo + q + 1]; ++e) {
-              const auto j = static_cast<std::size_t>(leaf_rows->col_idx[e]);
+          if (rows != nullptr) {
+            const T* const xt =
+                xw + static_cast<std::size_t>(leaf.info.r0) * ku;
+            for (offset_t e = rows->row_ptr[tl]; e < rows->row_ptr[tl + 1];
+                 ++e) {
+              const auto j = static_cast<std::size_t>(rows->col_idx[e]);
               const T* xe = xt + j * ku + cu;
               for (int c = 0; c < W; ++c)
-                s[c] += static_cast<double>(leaf_rows->val[e]) *
+                s[c] += static_cast<double>(rows->val[e]) *
                         static_cast<double>(xe[c]);
             }
           } else {
-            const double d = static_cast<double>(leaf.diag->diag()[tlo + q]);
+            const double d = static_cast<double>(leaf.diag->diag()[tl]);
             for (int c = 0; c < W; ++c)
               s[c] += d * static_cast<double>(xw[i + c]);
           }
@@ -1831,12 +1969,6 @@ void BlockSolver<T>::residual_into(const T* xw, const T* bw0, T* r, index_t k,
             r[i + c] = static_cast<T>(static_cast<double>(bw0[i + c]) - s[c]);
         }
       });
-      for (SquareRows& b : sq) {
-        const auto end = static_cast<std::size_t>(s1 - b.r0);
-        while (b.next < b.nids &&
-               static_cast<std::size_t>(b.ids[b.next]) < end)
-          ++b.next;
-      }
       s0 = s1;
     }
   };
@@ -1846,7 +1978,7 @@ void BlockSolver<T>::residual_into(const T* xw, const T* bw0, T* r, index_t k,
     return;
   }
   // Chunks of whole leaves, balanced by nnz: a leaf weighs its triangle plus
-  // its rows of every square.
+  // its rows' share of every square's nonzeros.
   std::vector<offset_t> leaf_nnz(static_cast<std::size_t>(ntri) + 1, 0);
   for (index_t t = 0; t < ntri; ++t)
     leaf_nnz[static_cast<std::size_t>(t) + 1] =
@@ -1854,23 +1986,15 @@ void BlockSolver<T>::residual_into(const T* xw, const T* bw0, T* r, index_t k,
   for (const SquareBlock& sq : squares_) {
     if (sq.info.nnz == 0) continue;
     const SquareBlockRef& ref = sq.info.ref;
-    const bool dcsr = holds_dcsr(sq.info.kind, sq.info.nnz);
-    // Nonzeros of the square's local rows [0, row).
-    const auto below = [&](index_t row) -> offset_t {
-      if (!dcsr) return sq.csr.row_ptr[static_cast<std::size_t>(row)];
-      const std::vector<index_t>& ids = sq.dcsr.row_ids;
-      return sq.dcsr.row_ptr[static_cast<std::size_t>(
-          std::lower_bound(ids.begin(), ids.end(), row) - ids.begin())];
-    };
     auto t = static_cast<std::size_t>(
         std::upper_bound(plan_.tri_bounds.begin(), plan_.tri_bounds.end(),
                          ref.r0) -
         plan_.tri_bounds.begin() - 1);
     for (; t < static_cast<std::size_t>(ntri) && plan_.tri_bounds[t] < ref.r1;
          ++t) {
-      const index_t lo = std::max(ref.r0, plan_.tri_bounds[t]) - ref.r0;
-      const index_t hi = std::min(ref.r1, plan_.tri_bounds[t + 1]) - ref.r0;
-      leaf_nnz[t + 1] += below(hi) - below(lo);
+      const index_t lo = std::max(ref.r0, plan_.tri_bounds[t]);
+      const index_t hi = std::min(ref.r1, plan_.tri_bounds[t + 1]);
+      leaf_nnz[t + 1] += sq.info.nnz * (hi - lo) / (ref.r1 - ref.r0);
     }
   }
   std::partial_sum(leaf_nnz.begin(), leaf_nnz.end(), leaf_nnz.begin());
@@ -1925,16 +2049,11 @@ void BlockSolver<T>::accumulate_op_stats(SolveReport* rep) const {
   for (const SquareBlock& blk : squares_) {
     if (blk.info.nnz == 0) continue;
     rep->flops += 2 * static_cast<std::int64_t>(blk.info.nnz);
-    const bool dcsr = blk.info.kind == SpmvKernelKind::kScalarDcsr ||
-                      blk.info.kind == SpmvKernelKind::kVectorDcsr;
-    // DCSR kernels iterate only the stored (non-empty) rows, but each of
-    // those rows additionally streams its row id from the indirection array.
-    const auto rows =
-        dcsr ? static_cast<std::int64_t>(blk.dcsr.row_ids.size())
-             : static_cast<std::int64_t>(blk.info.ref.r1 - blk.info.ref.r0);
+    // Every kind iterates only the listed (non-empty) rows, each of which
+    // also streams its row id.
+    const auto rows = static_cast<std::int64_t>(blk.rows.row_ids.size());
     const auto per_row =
-        row_overhead +
-        (dcsr ? static_cast<std::int64_t>(sizeof(index_t)) : 0);
+        row_overhead + static_cast<std::int64_t>(sizeof(index_t));
     rep->bytes +=
         static_cast<std::int64_t>(blk.info.nnz) * idx_val + rows * per_row;
   }

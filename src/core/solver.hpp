@@ -5,8 +5,8 @@
 //                          recursive level-set reordering (§3.3),
 //                          per-block adaptive kernel selection (§3.4),
 //                          per-block storage (each triangle's rows held
-//                          once by its sub-solver, CSR/DCSR squares,
-//                          diagonal separate)
+//                          once by its sub-solver, each square's non-empty
+//                          rows by window and length, diagonal separate)
 //   solve (many times):    walk the execution steps, calling the selected
 //                          SpTRSV kernel on each triangular block and the
 //                          selected SpMV kernel on each square block.
@@ -22,9 +22,11 @@
 #pragma once
 
 #include <atomic>
+#include <concepts>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/deadline.hpp"
@@ -545,29 +547,33 @@ class BlockSolver {
 
  private:
   /// Rehydration: adopt a captured (and validated) artifact instead of
-  /// analyzing. With `with_values` every array is copied; without, only the
-  /// index arrays, level sets and schedules are, and each value array is
-  /// sized for install_values to fill (a diagonal block keeps its captured
-  /// pivots, which the solver requires nonzero). The fingerprint and
+  /// analyzing. A const `art` (shared, e.g. by a PlanCache) is copied: with
+  /// `with_values` every array; without, only the index arrays, level sets
+  /// and schedules, each value array sized for install_values to fill (a
+  /// diagonal block keeps its captured pivots, which the solver requires
+  /// nonzero). An `art` its owner gives up (an rvalue) hands over every
+  /// array by move, values included, and is left empty. The fingerprint and
   /// validation preconditions are rehydrate()'s job.
-  BlockSolver(const PlanArtifact<T>& art, const Options& opt,
-              bool with_values);
+  template <class Art>
+    requires std::same_as<std::remove_cvref_t<Art>, PlanArtifact<T>>
+  BlockSolver(Art&& art, const Options& opt, bool with_values);
 
   /// Options-fingerprint check, then validate_artifact unless `validated`
   /// says the caller already ran it (load_artifact, or a trusted PlanCache
-  /// entry), then adoption — of every array, or of the structure only — with
-  /// any invariant throw from artifact-derived state mapped back to its
-  /// Status.
-  static Status rehydrate(const PlanArtifact<T>& art, const Options& opt,
-                          bool validated, bool with_values,
+  /// entry), then adoption — of every array, or of the structure only; by
+  /// copy, or by move from an rvalue `art` — with any invariant throw from
+  /// artifact-derived state mapped back to its Status.
+  template <class Art>
+  static Status rehydrate(Art&& art, const Options& opt, bool validated,
+                          bool with_values,
                           std::unique_ptr<BlockSolver<T>>* out);
 
   /// The install path a cache hit and create_from_file share: structure-only
-  /// rehydration of the validated `art`, then install_values(lower). The
-  /// caller has checked `lower` (check_lower_triangular) and matched its
-  /// structure hash against `art`.
-  static Status warm_start(const PlanArtifact<T>& art, const Csr<T>& lower,
-                           const Options& opt,
+  /// rehydration of the validated `art` (moved from when it is an rvalue),
+  /// then install_values(lower). The caller has checked `lower`
+  /// (check_lower_triangular) and matched its structure hash against `art`.
+  template <class Art>
+  static Status warm_start(Art&& art, const Csr<T>& lower, const Options& opt,
                            std::unique_ptr<BlockSolver<T>>* out);
 
   /// The cold build for a caller that already ran check_lower_triangular on
@@ -585,10 +591,13 @@ class BlockSolver {
     std::unique_ptr<SyncFreeSolver<T>> syncfree;
     std::unique_ptr<CusparseLikeSolver<T>> cusparse;
   };
+  /// One square: its non-empty rows by window and length
+  /// (kSquareWindowRows), the one layout every kernel kind runs on the host.
+  /// The kind is the plan's decision (Alg. 7), which the simulator models on
+  /// the paper's view of the rows (solve_simulated).
   struct SquareBlock {
     SquareBlockInfo info;
-    Csr<T> csr;    // populated for the CSR kernel kinds
-    Dcsr<T> dcsr;  // populated for the DCSR kernel kinds
+    Dcsr<T> rows;
   };
 
   /// `ctl` is the session's cooperative control (nullable).
@@ -598,8 +607,14 @@ class BlockSolver {
   /// The rows the fallback rungs solve from: the kernel's own CSR, or — for
   /// a diagonal block, which holds only pivots — rows built into `built`.
   const Csr<T>& tri_rows(const TriBlock& blk, Csr<T>& built) const;
-  void exec_square(const SquareBlock& blk, const T* x, T* y, const SpmvSim* s,
+  /// y −= A·x over the square's listed rows, whatever its kind.
+  void exec_square(const SquareBlock& blk, const T* x, T* y,
                    ThreadPool* pool = nullptr) const;
+  /// exec_square as the paper stores and runs the square's kind — every row
+  /// ascending (CSR) or the non-empty ones ascending (DCSR) — accounted into
+  /// `s`. Per row the same sum, so the same bits.
+  void simulate_square(const SquareBlock& blk, const T* x, T* y,
+                       const SpmvSim& s) const;
   /// One ExecStep of the host solve (no simulation, no ladder).
   void exec_step(const ExecStep& step, T* bw, T* xw, ThreadPool* pool,
                  const ExecControl* ctl) const;
@@ -623,14 +638,16 @@ class BlockSolver {
   /// before anything is written.
   Status install_values(const Csr<T>& lower);
 
-  /// install_values for map entries of type W. The blocks are visited in
-  /// the order the build walk wrote them and the residual reads them: each
-  /// permuted row's covering squares by first column, then its triangle
-  /// row. Each slot reads `lower.val` at its caller row's start plus its map
-  /// entry, which must lie inside that row, be taken once, and hold the
-  /// column the slot holds; each row must take exactly its caller row's
-  /// entries. ‖L‖∞ is summed in that order, as the build walk sums it. A
-  /// violation is kStructureMismatch (values may be partly written).
+  /// install_values for map entries of type W. The rows go window by window
+  /// (kSquareWindowRows), as the residual reads them: each covering square's
+  /// run of listed rows in storage order, squares by first column, then each
+  /// row's triangle row, so every row takes its slots in the order the build
+  /// walk read them — its map entries' order. Each slot reads `lower.val` at
+  /// its caller row's start plus its map entry, which must lie inside that
+  /// row, be taken once, and hold the column the slot holds; each row must
+  /// take exactly its caller row's entries. ‖L‖∞ is summed in slot order, as
+  /// the build walk sums it. A violation is kStructureMismatch (values may
+  /// be partly written).
   template <class W>
   Status install_through(const Csr<T>& lower);
 
@@ -647,10 +664,13 @@ class BlockSolver {
   /// whose planner always permuted), as given when the plan is the identity
   /// and the row sorted, sorted when it is not. The row must end in its
   /// diagonal, and every entry must land in a square that covers it or in
-  /// its row's triangle. It is appended to those squares and to the
-  /// triangle, into arrays sized exactly beforehand, and each triangle row's
-  /// level is computed; every array must end exactly full. Each value's
-  /// position in its caller row goes to build->map in write order, and
+  /// its row's triangle. Its triangle part is appended to the triangle, and
+  /// each triangle row's level is computed; its run in each covering square
+  /// waits until the row's window (kSquareWindowRows) ends, when the
+  /// window's runs are placed in every square by (length, row id). The
+  /// arrays are sized exactly beforehand and every one must end exactly
+  /// full. Each value's position in its caller row goes to build->map in
+  /// row order (each row's squares by first column, then its triangle), and
   /// ‖L‖∞ is summed on the way. A violation is kInternal: the planner's
   /// layout is wrong.
   Status walk_rows(const Csr<T>& lower, BuildState* build);
@@ -681,9 +701,11 @@ class BlockSolver {
                                 T* bc, T* xc) const;
   /// r = bw0 − L·xw over the blocks, for permuted row-interleaved n × k
   /// panels (element (i, c) at i·k + c; k = 1 for vectors; r may not alias
-  /// xw/bw0). Each row of each column accumulates in double, in the order
-  /// the row walk stored it: its squares' entries by ascending first column,
-  /// then its triangle entries, diagonal last.
+  /// xw/bw0). The rows go window by window (kSquareWindowRows), so each
+  /// covering square is read as one run of listed rows. Each row of each
+  /// column accumulates in double, in the order the row walk read it: its
+  /// squares' entries by ascending first column, then its triangle entries,
+  /// diagonal last.
   void residual_into(const T* xw, const T* bw0, T* r, index_t k,
                      ThreadPool* epool) const;
   /// The normwise relative residual ‖r‖∞ / (‖L‖∞‖x‖∞ + ‖b‖∞) of each of the

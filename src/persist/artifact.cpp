@@ -345,12 +345,7 @@ void encode_squares(Writer& w, const PlanArtifact<T>& art) {
     w.u32(static_cast<std::uint32_t>(q.kind));
     w.i64(q.nnz);
     w.f64(q.empty_ratio);
-    const bool dcsr = q.kind == SpmvKernelKind::kScalarDcsr ||
-                      q.kind == SpmvKernelKind::kVectorDcsr;
-    if (dcsr && q.nnz != 0)
-      put_dcsr(w, q.dcsr);
-    else
-      put_csr(w, q.csr);
+    put_dcsr(w, q.rows);
   }
 }
 
@@ -368,13 +363,7 @@ bool decode_squares(Reader& r, PlanArtifact<T>* art) {
     if (kind > static_cast<std::uint32_t>(SpmvKernelKind::kVectorDcsr))
       return r.corrupt("square kernel kind out of range");
     q.kind = static_cast<SpmvKernelKind>(kind);
-    const bool dcsr = q.kind == SpmvKernelKind::kScalarDcsr ||
-                      q.kind == SpmvKernelKind::kVectorDcsr;
-    if (dcsr && q.nnz != 0) {
-      if (!get_dcsr(r, &q.dcsr)) return false;
-    } else {
-      if (!get_csr(r, &q.csr)) return false;
-    }
+    if (!get_dcsr(r, &q.rows)) return false;
   }
   return true;
 }
@@ -593,10 +582,9 @@ std::size_t artifact_bytes(const PlanArtifact<T>& art) {
   }
   for (const SquareBlockArtifact<T>& q : art.squares) {
     b += sizeof(SquareBlockArtifact<T>);
-    b += csr_bytes(q.csr);
-    b += (q.dcsr.row_ids.size() + q.dcsr.col_idx.size()) * sizeof(index_t) +
-         q.dcsr.row_ptr.size() * sizeof(offset_t) +
-         q.dcsr.val.size() * sizeof(T);
+    b += (q.rows.row_ids.size() + q.rows.col_idx.size()) * sizeof(index_t) +
+         q.rows.row_ptr.size() * sizeof(offset_t) +
+         q.rows.val.size() * sizeof(T);
   }
   b += art.value_map.bytes.size();
   return b;
@@ -1003,6 +991,9 @@ Status validate_artifact(const PlanArtifact<T>& art) {
     }
   }
 
+  constexpr auto kWindow = static_cast<std::uint32_t>(kSquareWindowRows);
+  std::vector<std::uint32_t> seen(kWindow, 0);
+  std::uint32_t stamp = 0;
   for (std::size_t q = 0; q < art.squares.size(); ++q) {
     const SquareBlockArtifact<T>& b = art.squares[q];
     const SquareBlockRef& ref = p.squares[q];
@@ -1025,39 +1016,44 @@ Status validate_artifact(const PlanArtifact<T>& art) {
                b.ref.c0 != ref.c0 || b.ref.c1 != ref.c1) {
       return bad("square block range disagrees with the plan");
     }
+    const Dcsr<T>& d = b.rows;
     if (!b.populated) {
       if (!art.shard)
         return bad("unpopulated square block outside a shard slice");
-      if (b.nnz != 0 || !b.csr.val.empty() || !b.dcsr.val.empty())
+      if (b.nnz != 0 || !d.val.empty() || !d.row_ids.empty())
         return bad("foreign shard square block carries payloads");
       continue;
     }
     const index_t rows = b.ref.r1 - b.ref.r0;
     const index_t cols = b.ref.c1 - b.ref.c0;
-    const bool dcsr = b.kind == SpmvKernelKind::kScalarDcsr ||
-                      b.kind == SpmvKernelKind::kVectorDcsr;
-    if (dcsr && b.nnz != 0) {
-      if (b.dcsr.nrows != rows || b.dcsr.ncols != cols ||
-          b.dcsr.row_ptr.size() != b.dcsr.row_ids.size() + 1 ||
-          b.dcsr.col_idx.size() != b.dcsr.val.size() ||
-          static_cast<offset_t>(b.dcsr.val.size()) != b.nnz)
-        return bad("square DCSR does not match the block");
-      if (!ptr_consistent(b.dcsr.row_ptr, b.dcsr.val.size()))
-        return bad("square DCSR pointers are inconsistent");
-      if (!indices_in_range(b.dcsr.row_ids, rows))
-        return bad("square DCSR row id out of range");
-      // The residual and the value install walk the stored rows in order.
-      for (std::size_t i = 1; i < b.dcsr.row_ids.size(); ++i)
-        if (b.dcsr.row_ids[i] <= b.dcsr.row_ids[i - 1])
-          return bad("square DCSR row ids are not strictly ascending");
-      if (!indices_in_range(b.dcsr.col_idx, cols))
-        return bad("square DCSR column index out of range");
-    } else {
-      if (Status st = check_csr_shape(b.csr, rows, cols, "square block");
-          !st.ok())
-        return st;
-      if (static_cast<offset_t>(b.csr.val.size()) != b.nnz)
-        return bad("square CSR nnz disagrees with metadata");
+    if (d.nrows != rows || d.ncols != cols ||
+        d.row_ptr.size() != d.row_ids.size() + 1 ||
+        d.col_idx.size() != d.val.size() ||
+        static_cast<offset_t>(d.val.size()) != b.nnz)
+      return bad("square rows do not match the block");
+    if (!ptr_consistent(d.row_ptr, d.val.size()))
+      return bad("square row pointers are inconsistent");
+    if (!indices_in_range(d.row_ids, rows))
+      return bad("square row id out of range");
+    if (!indices_in_range(d.col_idx, cols))
+      return bad("square column index out of range");
+    // The threaded SpMV writes each listed row's y entry from one chunk, and
+    // the value install and the residual find a window's rows of a square
+    // in one run: ids distinct, windows non-decreasing. seen[i] holds the
+    // stamp of the last (square, window) that listed the window's row i.
+    std::uint32_t window = 0;
+    ++stamp;
+    for (const index_t id : d.row_ids) {
+      const auto row = static_cast<std::uint32_t>(b.ref.r0 + id);
+      const std::uint32_t w = row / kWindow;
+      if (w < window) return bad("square rows are not in window order");
+      if (w > window) {
+        window = w;
+        ++stamp;
+      }
+      std::uint32_t& last = seen[row % kWindow];
+      if (last == stamp) return bad("square lists a row twice");
+      last = stamp;
     }
   }
 

@@ -6,8 +6,9 @@
 // requests), that analysis must be paid once, not per BlockSolver. A
 // PlanArtifact captures *everything* BlockSolver::create computes —
 // permutation, recursive BlockPlan (triangles, squares, step order, waves),
-// per-block kernel selections, and the built CSR/DCSR block arrays (one copy
-// of each block, in the format its kernel reads) — as plain data that can
+// per-block kernel selections, and the built block arrays (one copy of
+// each block: a triangle's rows as its kernel reads them, a square's
+// non-empty rows by window and length) — as plain data that can
 // be
 //
 //   * saved to / loaded from a versioned binary file (save_artifact /
@@ -43,10 +44,11 @@ namespace blocktri {
 /// and every whole plan carries a value map section. An artifact is a
 /// cache, so any other version — including the older layouts: 1–5 also
 /// held a copy of the permuted matrix (and, through 4, sync-free blocks as
-/// CSC plus strict rows), and 6 had no value map, so its warm paths
-/// re-gathered and sorted every row — is rejected with kVersionMismatch and
-/// the caller rebuilds cold.
-inline constexpr std::uint32_t kArtifactFormatVersion = 7;
+/// CSC plus strict rows), 6 had no value map, so its warm paths re-gathered
+/// and sorted every row, and 7 held each square as CSR or DCSR by its kind,
+/// rows ascending — is rejected with kVersionMismatch and the caller
+/// rebuilds cold.
+inline constexpr std::uint32_t kArtifactFormatVersion = 8;
 
 /// Everything preprocessing derived for one triangular leaf block. Only the
 /// fields of the selected kernel kind are populated (the rest stay empty),
@@ -70,14 +72,17 @@ struct TriBlockArtifact {
   std::vector<index_t> kernel_first_level;  // kCusparseLike
 };
 
-/// One square (SpMV) block: kernel selection plus the built storage (CSR for
-/// the CSR kernel kinds, DCSR for the DCSR kinds).
+/// One square (SpMV) block: kernel selection plus the built storage, the
+/// same for every kind — the non-empty rows, grouped by global window of
+/// kSquareWindowRows rows (⌊(ref.r0 + id) / kSquareWindowRows⌋ ascending)
+/// and by (length, id) inside a window.
 template <class T>
 struct SquareBlockArtifact {
   /// In a shard slice this may be a *row sub-range* of the
   /// plan's square: a boundary square crossing a shard cut is row-sliced per
   /// shard (columns untouched — SpMV updates are row-independent, so the
   /// per-row arithmetic and therefore the bitwise result are unchanged).
+  /// Row ids are relative to ref.r0, so the windows stay global.
   SquareBlockRef ref{};
   SpmvKernelKind kind = SpmvKernelKind::kScalarCsr;
   offset_t nnz = 0;
@@ -85,8 +90,7 @@ struct SquareBlockArtifact {
   /// False in shard slices for squares the shard does not execute (foreign
   /// rows, or an empty row slice); payloads empty. Always true otherwise.
   bool populated = true;
-  Csr<T> csr;
-  Dcsr<T> dcsr;
+  Dcsr<T> rows;
 };
 
 /// The complete, immutable result of BlockSolver preprocessing.
@@ -192,14 +196,16 @@ Status load_artifact(const std::string& path, PlanArtifact<T>* out);
 
 /// Deep semantic check of a deserialized (or hand-built) artifact. The
 /// executors index with artifact contents unchecked — permute_vector writes
-/// out[new_of_old[i]], the DCSR spmv writes y[row_ids[r]], kernels read
+/// out[new_of_old[i]], the square spmv writes y[row_ids[r]], kernels read
 /// x[col_idx[k]], the sync-free threaded solve spins on the ready flags of a
 /// row's dependencies — so beyond consistent plan bounds and array sizes
 /// this proves every stored index in-bounds and every kernel precondition
 /// (pointer arrays monotone and covering, new_of_old a permutation of
 /// [0, n), triangular CSRs non-empty rows with a trailing diagonal and
 /// nothing above it — which is also what keeps the ready-flag spin
-/// deadlock-free — enum values in range). Returns kBadFormat describing the first violation. load_artifact
+/// deadlock-free — square row ids in range, distinct and in non-decreasing
+/// windows, which the threaded SpMV, the value install and the residual
+/// rely on, enum values in range). Returns kBadFormat describing the first violation. load_artifact
 /// runs this before handing the artifact out, so a CRC-valid but crafted or
 /// semantically corrupt file is rejected here rather than corrupting memory
 /// at solve time.

@@ -63,48 +63,26 @@ std::vector<index_t> compute_shard_cuts(const PlanArtifact<T>& art,
 
 namespace {
 
-/// Row slice [a, b) of a block-local CSR (rows re-based so the slice's row 0
-/// is `a`). Columns untouched: each kept row's entries are byte-identical.
+/// Rows [a, b) of a square's listed rows, re-based so the slice's row 0 is
+/// `a`. The windows are global, so the kept rows keep their order: the
+/// slice is a filter, and each kept row's entries are byte-identical.
 template <class T>
-Csr<T> slice_csr_rows(const Csr<T>& csr, index_t a, index_t b) {
-  Csr<T> out;
-  out.nrows = b - a;
-  out.ncols = csr.ncols;
-  const offset_t lo = csr.row_ptr[static_cast<std::size_t>(a)];
-  const offset_t hi = csr.row_ptr[static_cast<std::size_t>(b)];
-  out.row_ptr.resize(static_cast<std::size_t>(b - a) + 1);
-  for (index_t r = a; r <= b; ++r)
-    out.row_ptr[static_cast<std::size_t>(r - a)] =
-        csr.row_ptr[static_cast<std::size_t>(r)] - lo;
-  out.col_idx.assign(csr.col_idx.begin() + lo, csr.col_idx.begin() + hi);
-  out.val.assign(csr.val.begin() + lo, csr.val.begin() + hi);
-  return out;
-}
-
-/// Row slice [a, b) of a block-local DCSR: the kept rows are the contiguous
-/// row_ids segment in [a, b), re-based like the CSR slice.
-template <class T>
-Dcsr<T> slice_dcsr_rows(const Dcsr<T>& dcsr, index_t a, index_t b) {
+Dcsr<T> slice_rows(const Dcsr<T>& rows, index_t a, index_t b) {
   Dcsr<T> out;
   out.nrows = b - a;
-  out.ncols = dcsr.ncols;
-  const auto first = std::lower_bound(dcsr.row_ids.begin(),
-                                      dcsr.row_ids.end(), a) -
-                     dcsr.row_ids.begin();
-  const auto last = std::lower_bound(dcsr.row_ids.begin(),
-                                     dcsr.row_ids.end(), b) -
-                    dcsr.row_ids.begin();
-  const offset_t lo = dcsr.row_ptr[static_cast<std::size_t>(first)];
-  const offset_t hi = dcsr.row_ptr[static_cast<std::size_t>(last)];
-  out.row_ids.reserve(static_cast<std::size_t>(last - first));
-  for (auto i = first; i < last; ++i)
-    out.row_ids.push_back(dcsr.row_ids[static_cast<std::size_t>(i)] - a);
-  out.row_ptr.resize(static_cast<std::size_t>(last - first) + 1);
-  for (auto i = first; i <= last; ++i)
-    out.row_ptr[static_cast<std::size_t>(i - first)] =
-        dcsr.row_ptr[static_cast<std::size_t>(i)] - lo;
-  out.col_idx.assign(dcsr.col_idx.begin() + lo, dcsr.col_idx.begin() + hi);
-  out.val.assign(dcsr.val.begin() + lo, dcsr.val.begin() + hi);
+  out.ncols = rows.ncols;
+  out.row_ptr.push_back(0);
+  for (std::size_t p = 0; p < rows.row_ids.size(); ++p) {
+    const index_t id = rows.row_ids[p];
+    if (id < a || id >= b) continue;
+    const auto lo = static_cast<std::ptrdiff_t>(rows.row_ptr[p]);
+    const auto hi = static_cast<std::ptrdiff_t>(rows.row_ptr[p + 1]);
+    out.row_ids.push_back(id - a);
+    out.col_idx.insert(out.col_idx.end(), rows.col_idx.begin() + lo,
+                       rows.col_idx.begin() + hi);
+    out.val.insert(out.val.end(), rows.val.begin() + lo, rows.val.begin() + hi);
+    out.row_ptr.push_back(static_cast<offset_t>(out.val.size()));
+  }
   return out;
 }
 
@@ -169,21 +147,12 @@ PlanArtifact<T> slice_shard_artifact(const PlanArtifact<T>& full,
     s.empty_ratio = q.empty_ratio;
     const index_t a = std::max(q.ref.r0, row_begin);
     const index_t b = std::min(q.ref.r1, row_end);
-    const bool dcsr = q.kind == SpmvKernelKind::kScalarDcsr ||
-                      q.kind == SpmvKernelKind::kVectorDcsr;
     if (b > a && q.nnz != 0) {
-      if (a == q.ref.r0 && b == q.ref.r1) {
-        // Fully owned: keep the payload verbatim (bitwise the cheap way).
-        s.csr = q.csr;
-        s.dcsr = q.dcsr;
-        s.nnz = q.nnz;
-      } else if (dcsr) {
-        s.dcsr = slice_dcsr_rows(q.dcsr, a - q.ref.r0, b - q.ref.r0);
-        s.nnz = s.dcsr.nnz();
-      } else {
-        s.csr = slice_csr_rows(q.csr, a - q.ref.r0, b - q.ref.r0);
-        s.nnz = s.csr.nnz();
-      }
+      if (a == q.ref.r0 && b == q.ref.r1)
+        s.rows = q.rows;  // fully owned: the payload verbatim
+      else
+        s.rows = slice_rows(q.rows, a - q.ref.r0, b - q.ref.r0);
+      s.nnz = s.rows.nnz();
       if (s.nnz != 0) {
         s.populated = true;
         s.ref = SquareBlockRef{a, b, q.ref.c0, q.ref.c1};
@@ -194,8 +163,7 @@ PlanArtifact<T> slice_shard_artifact(const PlanArtifact<T>& full,
       // original ref, never executed.
       s.populated = false;
       s.ref = q.ref;
-      s.csr = Csr<T>{};
-      s.dcsr = Dcsr<T>{};
+      s.rows = Dcsr<T>{};
     }
     out.squares.push_back(std::move(s));
   }

@@ -42,9 +42,10 @@ std::vector<index_t> compute_shard_cuts(const PlanArtifact<T>& art,
 ///     worker derives its local schedule and halo dependencies from them),
 ///   * triangular leaves inside [bounds[i], bounds[i+1]) keep their kernel
 ///     payloads; foreign leaves become metadata-only (!populated),
-///   * squares are row-sliced to the shard's interval (CSR rows re-based,
-///     DCSR row_ids segment re-based); slices with no remaining nonzeros
-///     become !populated with the plan's original ref,
+///   * squares are row-sliced to the shard's interval: the listed rows it
+///     keeps, in their order, ids re-based to the slice's first row, so the
+///     windows stay global (core/plan.hpp); slices with no remaining
+///     nonzeros become !populated with the plan's original ref,
 ///   * `options` is restamped with `worker_options` — the fingerprint of the
 ///     Options the worker will rehydrate under,
 ///   * no value map: a slice never installs values (its solver refuses

@@ -65,7 +65,10 @@ template <class T>
 struct Dcsr {
   index_t nrows = 0;  // logical row count (including empty rows)
   index_t ncols = 0;
-  std::vector<index_t> row_ids;   // indices of the non-empty rows, ascending
+  // Indices of the listed rows: the non-empty rows, ascending — except in a
+  // built solver's square, which lists them by window and length
+  // (core/plan.hpp, kSquareWindowRows).
+  std::vector<index_t> row_ids;
   std::vector<offset_t> row_ptr;  // size row_ids.size() + 1
   std::vector<index_t> col_idx;
   std::vector<T> val;

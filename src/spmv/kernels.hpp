@@ -66,8 +66,8 @@ void spmv_vector_dcsr(const Dcsr<T>& a, const T* x, T* y, const SpmvSim* s,
                       ThreadPool* pool = nullptr);
 
 /// Dispatch by kind on a CSR block (DCSR kinds convert on the fly — only used
-/// by the calibration harness; the production path stores DCSR blocks
-/// natively in BlockedMatrix).
+/// by the calibration harness; a built BlockSolver holds every square as
+/// listed rows and runs them through the DCSR body).
 template <class T>
 void spmv_update(SpmvKernelKind kind, const Csr<T>& a, const T* x, T* y,
                  const SpmvSim* s, ThreadPool* pool = nullptr);

@@ -15,6 +15,7 @@
 #include <functional>
 #include <iterator>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "blocktri.hpp"
@@ -183,9 +184,39 @@ inline std::string read_file_bytes(const std::string& path) {
 }
 
 /// Walks the frames of the .btpa file at `path` (DESIGN.md §10) and checks
-/// the framing contract: the header stamps format version 7, every stored
+/// the framing contract: the header stamps format version 8, every stored
 /// section CRC equals reference_crc32 of its payload, the last frame ends
 /// exactly at EOF, and save → load → save reproduces the file byte for byte.
+/// The square layout (core/plan.hpp, kSquareWindowRows): a square lists
+/// only its non-empty rows, each once and inside the square, grouped by
+/// global window ascending and by (length, id) inside a window.
+template <class T>
+::testing::AssertionResult SquareRowsByWindowAndLength(
+    const SquareBlockArtifact<T>& q) {
+  const Dcsr<T>& d = q.rows;
+  if (d.row_ptr.size() != d.row_ids.size() + 1)
+    return ::testing::AssertionFailure() << "row pointers do not match ids";
+  const auto key = [&](std::size_t p) {
+    return std::make_tuple((q.ref.r0 + d.row_ids[p]) / kSquareWindowRows,
+                           d.row_ptr[p + 1] - d.row_ptr[p], d.row_ids[p]);
+  };
+  for (std::size_t p = 0; p < d.row_ids.size(); ++p) {
+    if (d.row_ids[p] < 0 || d.row_ids[p] >= d.nrows)
+      return ::testing::AssertionFailure()
+             << "listed row " << p << " has id " << d.row_ids[p];
+    if (d.row_ptr[p + 1] == d.row_ptr[p])
+      return ::testing::AssertionFailure()
+             << "listed row " << p << " (id " << d.row_ids[p] << ") is empty";
+    // Strictly ascending keys: window order, length order, no id twice.
+    if (p > 0 && !(key(p - 1) < key(p)))
+      return ::testing::AssertionFailure()
+             << "listed rows " << p - 1 << " and " << p << " (ids "
+             << d.row_ids[p - 1] << ", " << d.row_ids[p]
+             << ") are out of (window, length, id) order";
+  }
+  return ::testing::AssertionSuccess();
+}
+
 template <class T>
 ::testing::AssertionResult ArtifactFramingHolds(const std::string& path) {
   const std::string bytes = read_file_bytes(path);
@@ -198,9 +229,9 @@ template <class T>
            << path << ": " << bytes.size() << " bytes, shorter than a header";
   std::uint32_t version = 0, nsections = 0;
   std::memcpy(&version, bytes.data() + 4, 4);
-  if (version != 7)
+  if (version != 8)
     return ::testing::AssertionFailure()
-           << path << " stamps format version " << version << ", not 7";
+           << path << " stamps format version " << version << ", not 8";
   std::memcpy(&nsections, bytes.data() + kHeaderBytes - 4, 4);
   std::size_t off = kHeaderBytes;
   for (std::uint32_t s = 0; s < nsections; ++s) {

@@ -148,9 +148,11 @@ std::uint64_t fnv1a(const void* data, std::size_t len) {
 
 /// Known answers of cold builds, recorded from the build that permuted the
 /// whole matrix and extracted every block from the copy: FNV-1a of the
-/// bytes save_artifact writes, and of solve()'s bits for the rhs
-/// expect_equal_solvers uses, under the canonical blocked SIMD order (the
-/// vector lowering gives the same bits). The one-walk build must keep them.
+/// bytes save_artifact writes (re-recorded for each format version; last
+/// for format 8, whose squares list their rows by window and length), and
+/// of solve()'s bits for the rhs expect_equal_solvers uses, under the
+/// canonical blocked SIMD order (the vector lowering gives the same bits).
+/// The one-walk build must keep them.
 /// `checked` is checked_fnv1a of solve_checked on that rhs, recorded while
 /// the residual still read a retained copy of the permuted matrix.
 struct KnownAnswer {
@@ -160,73 +162,73 @@ struct KnownAnswer {
 };
 const KnownAnswer kKnownAnswers[] = {
     {"forced_8_recursive-block_completely-parallel_scalar-CSR",
-     0x960f7c39996ea36dULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
+     0xcec7a06cdfc69ba2ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
     {"forced_8_recursive-block_level-set_scalar-CSR",
-     0xb1b1ceeca38422b6ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
+     0xd573df7786854fa5ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
     {"forced_8_recursive-block_sync-free_scalar-CSR",
-     0xdc1cb342261316c8ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
+     0x412dfe38c6b0913bULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
     {"forced_8_recursive-block_cusparse-like_scalar-CSR",
-     0x6556518a99aee5f1ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
+     0xdd37c08f3bd68f6aULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
     {"forced_8_column-block_completely-parallel_scalar-CSR",
-     0x9d0fa0c61d6df455ULL, 0x0357fae1ecbfa0bbULL, 0x1b5157c7d58fb924ULL},
+     0x824c78ee05812d43ULL, 0x0357fae1ecbfa0bbULL, 0x1b5157c7d58fb924ULL},
     {"forced_8_column-block_level-set_scalar-CSR",
-     0x95c6f17d4ff363f0ULL, 0xbcfde956f540cdb4ULL, 0x2f42df47dd3e277bULL},
+     0x1f6f62d1573ab20aULL, 0xbcfde956f540cdb4ULL, 0x2f42df47dd3e277bULL},
     {"forced_8_column-block_sync-free_scalar-CSR",
-     0xc1a4e27898c6cfa4ULL, 0x0357fae1ecbfa0bbULL, 0x1b5157c7d58fb924ULL},
+     0x5f3099157ab92afeULL, 0x0357fae1ecbfa0bbULL, 0x1b5157c7d58fb924ULL},
     {"forced_8_column-block_cusparse-like_scalar-CSR",
-     0x8fb525924bb22321ULL, 0xbcfde956f540cdb4ULL, 0x2f42df47dd3e277bULL},
+     0x99d8f113332fd233ULL, 0xbcfde956f540cdb4ULL, 0x2f42df47dd3e277bULL},
     {"forced_8_row-block_completely-parallel_scalar-CSR",
-     0xe3b3f09c91750c07ULL, 0x0913b852393686ceULL, 0x2e07f893834164d9ULL},
+     0xf8ad67c9105ccfd8ULL, 0x0913b852393686ceULL, 0x2e07f893834164d9ULL},
     {"forced_8_row-block_level-set_scalar-CSR",
-     0xa6d47b5178857048ULL, 0x6c9b73ed30817f92ULL, 0x49b8e6c059e7b2bdULL},
+     0x00451fb3439ff607ULL, 0x6c9b73ed30817f92ULL, 0x49b8e6c059e7b2bdULL},
     {"forced_8_row-block_sync-free_scalar-CSR",
-     0x3a29e77856bb8563ULL, 0x0913b852393686ceULL, 0x2e07f893834164d9ULL},
+     0x895fbfae26e3ea58ULL, 0x0913b852393686ceULL, 0x2e07f893834164d9ULL},
     {"forced_8_row-block_cusparse-like_scalar-CSR",
-     0x11aed4c831205f6dULL, 0x6c9b73ed30817f92ULL, 0x49b8e6c059e7b2bdULL},
+     0xed62b7ff0df12116ULL, 0x6c9b73ed30817f92ULL, 0x49b8e6c059e7b2bdULL},
     {"forced_8_hbmc-block_completely-parallel_scalar-CSR",
-     0xebaefcbfb250c5c9ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
+     0xd18712eaa9b91614ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
     {"forced_8_hbmc-block_level-set_scalar-CSR",
-     0x451c0408a36a11b6ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
+     0xca1fe2eb78915cb3ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
     {"forced_8_hbmc-block_sync-free_scalar-CSR",
-     0xed3e6bf009070bbdULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
+     0x243998774aa69b64ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
     {"forced_8_hbmc-block_cusparse-like_scalar-CSR",
-     0x0091c369f78ba5f1ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
+     0x290b483a55b118f0ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
     {"sweep_chain_hbmc-block",
-     0xdd109cee5e96ab47ULL, 0xfdcc30df23748817ULL, 0x45132beaab213e93ULL},
+     0xe94fa83799feade2ULL, 0xfdcc30df23748817ULL, 0x45132beaab213e93ULL},
     {"sweep_banded_column-block",
-     0x3f2a209f4b51e13aULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
+     0xfdc71bb61c39d05eULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
     {"sweep_grid3d_recursive-block",
-     0xfdd88011663c47bfULL, 0xe2ccb7b0174a4d56ULL, 0x8f862927d84157e4ULL},
+     0x712fe7a73e71ac7dULL, 0xe2ccb7b0174a4d56ULL, 0x8f862927d84157e4ULL},
     {"sweep_powerlaw_recursive-block",
-     0xb9b50c5569a6dc3fULL, 0x82487e06982066aeULL, 0x983b78e01e0b9755ULL},
+     0xa706c4fa68784b46ULL, 0x82487e06982066aeULL, 0x983b78e01e0b9755ULL},
     {"sweep_kkt_recursive-block",
-     0xcfc2bd74b18af400ULL, 0x84ac8f67f57595bfULL, 0xbbc2b04b7c1fc0daULL},
+     0x2949af6c8fa8593cULL, 0x84ac8f67f57595bfULL, 0xbbc2b04b7c1fc0daULL},
     {"sweep_trace_recursive-block",
-     0xb9bf8a26d5f21cd4ULL, 0xe320ccff4a7cc8b4ULL, 0x6880b1f806782fa5ULL},
+     0x45b69ba2476f055dULL, 0xe320ccff4a7cc8b4ULL, 0x6880b1f806782fa5ULL},
     {"sweep_rndlevels_deep_recursive-block",
-     0x56121c7aa83221a3ULL, 0x4b25be5d2ca42b1dULL, 0x0a9037d12ab457f1ULL},
+     0x42ce889ce2178cbdULL, 0x4b25be5d2ca42b1dULL, 0x0a9037d12ab457f1ULL},
     {"refresh_recursive-block",
-     0xad80e254980a8b5cULL, 0x7172fd1d5b425493ULL, 0xb818c5bbdc150898ULL},
+     0xaefb78cc193fa0c3ULL, 0x7172fd1d5b425493ULL, 0xb818c5bbdc150898ULL},
     {"refresh_column-block",
-     0x3f2a209f4b51e13aULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
+     0xfdc71bb61c39d05eULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
     {"refresh_row-block",
-     0xee386359c00d03c6ULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
+     0x84498bf1e5cd9310ULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
     {"refresh_hbmc-block",
-     0x9c44ff2057aa6d19ULL, 0xce29801083680a6aULL, 0xdb9ba68c91597846ULL},
+     0x029e591f8a68047eULL, 0xce29801083680a6aULL, 0xdb9ba68c91597846ULL},
     {"refresh_unordered",
-     0xeeac4bfd8838d374ULL, 0x71939bc327923a28ULL, 0x9fe62b2680f01c7fULL},
+     0xb71b75697efe6345ULL, 0x71939bc327923a28ULL, 0x9fe62b2680f01c7fULL},
     // A tuned artifact records the level-merge width the cost model
     // measured on the host, so only its solve is pinned.
     {"refresh_tuned",
      0, 0x39087f833a05dd58ULL, 0x50c7e66591c9d24fULL},
     {"dup_recursive-block",
-     0x1d3b2abd355a3473ULL, 0xeef8e6dcf526a3edULL, 0x0b1551ef81bdb025ULL},
+     0xd8791feb8a21568bULL, 0xeef8e6dcf526a3edULL, 0x0b1551ef81bdb025ULL},
     {"dup_column-block",
-     0x6d5c0c4004673e49ULL, 0xab9f46d969082d18ULL, 0xa9c2e341569f14abULL},
+     0x9fe36bda4676a639ULL, 0xab9f46d969082d18ULL, 0xa9c2e341569f14abULL},
     {"dup_row-block",
-     0xf14afdaa2bfa9126ULL, 0x7e6ed51b8d3c5d43ULL, 0xaa3dba6245d38274ULL},
+     0x00979ce78dc5f17aULL, 0x7e6ed51b8d3c5d43ULL, 0xaa3dba6245d38274ULL},
     {"dup_hbmc-block",
-     0x87a1287c8aa593a4ULL, 0x53d5ceb0f6a1323bULL, 0x6dc8481856bcac45ULL},
+     0xef5dadf1e6f3d5d4ULL, 0x53d5ceb0f6a1323bULL, 0x6dc8481856bcac45ULL},
 };
 
 template <class T>
@@ -312,22 +314,22 @@ TEST(PersistRoundTrip, AllSchemesThreadsFloat) {
 
 // --- Format version ----------------------------------------------------------
 //
-// An artifact is a cache: every file is stamped kArtifactFormatVersion (7),
+// An artifact is a cache: every file is stamped kArtifactFormatVersion (8),
 // optional sections included, and every other version — the older layouts
-// 1–6 among them — is a typed kVersionMismatch, which callers answer with a
+// 1–7 among them — is a typed kVersionMismatch, which callers answer with a
 // cold build.
 
-TEST(PersistVersion, PlainArtifactStampsVersionSeven) {
+TEST(PersistVersion, PlainArtifactStampsVersionEight) {
   const Csr<double> L = fixture<double>(0);
   auto opt = small_block_options<double>();
   std::unique_ptr<BlockSolver<double>> s;
   ASSERT_TRUE(BlockSolver<double>::create(L, opt, &s).ok());
-  const std::string path = artifact_path("stamp_v7");
+  const std::string path = artifact_path("stamp_v8");
   ASSERT_TRUE(s->save_artifact(path).ok());
   const std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 8u);
-  EXPECT_EQ(kArtifactFormatVersion, 7u);
-  EXPECT_EQ(bytes[4], 7);  // little-endian u32 version after the magic
+  EXPECT_EQ(kArtifactFormatVersion, 8u);
+  EXPECT_EQ(bytes[4], 8);  // little-endian u32 version after the magic
   EXPECT_EQ(bytes[5], 0);
   EXPECT_TRUE(blocktri::testing::ArtifactFramingHolds<double>(path));
   PlanArtifact<double> art;
@@ -345,7 +347,7 @@ TEST(PersistVersion, OlderVersionsAreVersionMismatch) {
   ASSERT_TRUE(s->save_artifact(path).ok());
   std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 8u);
-  for (char v = 1; v <= 6; ++v) {
+  for (char v = 1; v <= 7; ++v) {
     SCOPED_TRACE(static_cast<int>(v));
     bytes[4] = v;  // the header is not CRC-guarded: only the version moves
     write_file(path, bytes);
@@ -746,6 +748,44 @@ TEST(PersistWarmPath, LoadedSolverDoesZeroLevelAnalysis) {
   std::remove(path.c_str());
 }
 
+// Without a cache nobody else reads the artifact create_from_file loaded,
+// so the solver takes its arrays by move instead of copying them. It must
+// solve like a cached load and like a cold build of the new values, bitwise
+// on every path, with no level analysis.
+TEST(PersistWarmPath, CachelessLoadSolvesLikeCachedLoadAndColdBuild) {
+  const Csr<double> L1 = fixture<double>(2);
+  const Csr<double> L2 = new_values(L1);
+  for (BlockScheme scheme :
+       {BlockScheme::kRecursive, BlockScheme::kColumn, BlockScheme::kRow,
+        BlockScheme::kHbmc}) {
+    SCOPED_TRACE(to_string(scheme));
+    const auto opt = small_block_options<double>(scheme);
+    std::unique_ptr<BlockSolver<double>> live, cold;
+    ASSERT_TRUE(BlockSolver<double>::create(L1, opt, &live).ok());
+    ASSERT_TRUE(BlockSolver<double>::create(L2, opt, &cold).ok());
+    const std::string path = artifact_path("cacheless_" + to_string(scheme));
+    ASSERT_TRUE(live->save_artifact(path).ok());
+
+    const std::uint64_t before = level_analysis_count();
+    std::unique_ptr<BlockSolver<double>> cacheless, cached;
+    PlanCache<double> cache;
+    ASSERT_TRUE(
+        BlockSolver<double>::create_from_file(path, L2, opt, &cacheless).ok());
+    ASSERT_TRUE(BlockSolver<double>::create_from_file(path, L2, opt, &cached,
+                                                      &cache)
+                    .ok());
+    std::remove(path.c_str());
+    EXPECT_EQ(level_analysis_count(), before);
+    ASSERT_EQ(cache.stats().entries, 1u);
+
+    expect_equal_solvers(*cold, *cacheless, L2);
+    expect_equal_solvers(*cached, *cacheless, L2);
+    const std::string tag = "cacheless_" + to_string(scheme);
+    EXPECT_EQ(saved_bytes(*cacheless, tag), saved_bytes(*cold, tag));
+    EXPECT_EQ(level_analysis_count(), before);
+  }
+}
+
 TEST(PersistWarmPath, CacheHitDoesZeroLevelAnalysis) {
   const Csr<double> L = fixture<double>(0);
   auto opt = small_block_options<double>();
@@ -987,10 +1027,8 @@ TEST(PlanCacheTest, HitOnMisfitStructureFallsBackToColdBuild) {
   auto bad = std::make_shared<PlanArtifact<double>>(cold->capture_artifact());
   bool moved = false;
   for (SquareBlockArtifact<double>& q : bad->squares) {
-    const bool dcsr = q.nnz != 0 && (q.kind == SpmvKernelKind::kScalarDcsr ||
-                                     q.kind == SpmvKernelKind::kVectorDcsr);
-    std::vector<index_t>& col = dcsr ? q.dcsr.col_idx : q.csr.col_idx;
-    const std::vector<offset_t>& ptr = dcsr ? q.dcsr.row_ptr : q.csr.row_ptr;
+    std::vector<index_t>& col = q.rows.col_idx;
+    const std::vector<offset_t>& ptr = q.rows.row_ptr;
     const index_t ncols = q.ref.c1 - q.ref.c0;
     if (col.empty()) continue;
     // The first stored row's first entry moves to a column that row lacks.
@@ -1342,8 +1380,8 @@ TEST_F(PersistSemantic, NormNotFiniteOrNegative) {
 TEST_F(PersistSemantic, SquareCsrColumnOutOfRange) {
   auto art = capture(TriKernelKind::kSyncFree, SpmvKernelKind::kScalarCsr);
   for (auto& b : art.squares) {
-    if (b.csr.col_idx.empty()) continue;
-    b.csr.col_idx[0] = b.csr.ncols;  // kernels would read x[ncols]
+    if (b.rows.col_idx.empty()) continue;
+    b.rows.col_idx[0] = b.rows.ncols;  // kernels would read x[ncols]
     expect_rejected(std::move(art), "square CSR column out of range");
     return;
   }
@@ -1353,12 +1391,48 @@ TEST_F(PersistSemantic, SquareCsrColumnOutOfRange) {
 TEST_F(PersistSemantic, DcsrRowIdOutOfRange) {
   auto art = capture(TriKernelKind::kSyncFree, SpmvKernelKind::kVectorDcsr);
   for (auto& b : art.squares) {
-    if (b.dcsr.row_ids.empty()) continue;
-    b.dcsr.row_ids[0] = b.dcsr.nrows;  // spmv would write y[nrows]
+    if (b.rows.row_ids.empty()) continue;
+    b.rows.row_ids[0] = b.rows.nrows;  // spmv would write y[nrows]
     expect_rejected(std::move(art), "DCSR row id out of range");
     return;
   }
   GTEST_SKIP() << "fixture produced no non-empty DCSR square";
+}
+
+// Since format 8 a square of every kind lists its rows (row ids, pointers,
+// columns, values), grouped by 256-row window. The threaded SpMV, the value
+// install and the residual index with those ids: each must lie inside the
+// square, appear once, and the windows must not go backwards.
+
+TEST_F(PersistSemantic, SquareRowIdOutOfRange) {
+  for (const index_t delta : {0, -1}) {
+    auto art = capture(TriKernelKind::kSyncFree, SpmvKernelKind::kScalarCsr);
+    bool corrupted = false;
+    for (auto& b : art.squares) {
+      if (b.rows.row_ids.empty()) continue;
+      // Past the square's last row, or before its first.
+      b.rows.row_ids.back() = delta == 0 ? b.rows.nrows : -1;
+      corrupted = true;
+      break;
+    }
+    ASSERT_TRUE(corrupted) << "fixture produced no non-empty square";
+    expect_rejected(std::move(art), "square row id out of range");
+  }
+}
+
+TEST_F(PersistSemantic, SquareListsARowTwice) {
+  auto art = capture(TriKernelKind::kSyncFree, SpmvKernelKind::kScalarCsr);
+  for (auto& b : art.squares) {
+    std::vector<index_t>& ids = b.rows.row_ids;
+    for (std::size_t p = 0; p + 1 < ids.size(); ++p) {
+      const index_t w0 = (b.ref.r0 + ids[p]) / kSquareWindowRows;
+      if ((b.ref.r0 + ids[p + 1]) / kSquareWindowRows != w0) continue;
+      ids[p + 1] = ids[p];  // two listed rows writing one y entry
+      expect_rejected(std::move(art), "square row listed twice");
+      return;
+    }
+  }
+  GTEST_SKIP() << "fixture produced no square with two rows in one window";
 }
 
 TEST_F(PersistSemantic, LevelItemOutOfRange) {
@@ -1497,16 +1571,27 @@ TEST_F(PersistSemantic, ColorBoundOffTheLeafGrid) {
   GTEST_SKIP() << "every candidate nudge lands on a leaf bound";
 }
 
-TEST_F(PersistSemantic, DcsrRowIdsNotAscending) {
-  auto art = capture(TriKernelKind::kSyncFree, SpmvKernelKind::kVectorDcsr);
-  for (auto& b : art.squares) {
-    if (b.dcsr.row_ids.size() < 2) continue;
-    // The residual and the install walk a square's stored rows in order.
-    std::swap(b.dcsr.row_ids[0], b.dcsr.row_ids[1]);
-    expect_rejected(std::move(art), "DCSR row ids out of order");
-    return;
+TEST_F(PersistSemantic, SquareRowsOutOfWindowOrder) {
+  for (const SpmvKernelKind kind :
+       {SpmvKernelKind::kScalarCsr, SpmvKernelKind::kVectorDcsr}) {
+    SCOPED_TRACE(to_string(kind));
+    auto art = capture(TriKernelKind::kSyncFree, kind);
+    bool corrupted = false;
+    for (auto& b : art.squares) {
+      std::vector<index_t>& ids = b.rows.row_ids;
+      if (ids.size() < 2) continue;
+      const auto window = [&](index_t id) {
+        return (b.ref.r0 + id) / kSquareWindowRows;
+      };
+      if (window(ids.front()) == window(ids.back())) continue;
+      // The install and the residual find a window's rows in one run.
+      std::swap(ids.front(), ids.back());
+      corrupted = true;
+      break;
+    }
+    ASSERT_TRUE(corrupted) << "fixture produced no square over two windows";
+    expect_rejected(std::move(art), "square rows out of window order");
   }
-  GTEST_SKIP() << "fixture produced no DCSR square with two stored rows";
 }
 
 // The value map (format 7) says where each held value comes from. One of

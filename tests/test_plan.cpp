@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <string>
@@ -19,9 +20,9 @@
 #include "core/plan.hpp"
 #include "core/solver.hpp"
 #include "gen/generators.hpp"
+#include "helpers.hpp"
 #include "order/hbmc.hpp"
 #include "persist/artifact.hpp"
-#include "sparse/convert.hpp"
 #include "sparse/permute.hpp"
 #include "sparse/triangular.hpp"
 
@@ -510,20 +511,60 @@ void expect_walk_matches_reference_build(
     }
     EXPECT_EQ(got.kind, kind);
     EXPECT_EQ(got.empty_ratio, empty_ratio);
-    if (blk.nnz() > 0 && (kind == SpmvKernelKind::kScalarDcsr ||
-                          kind == SpmvKernelKind::kVectorDcsr)) {
-      const Dcsr<T> want = csr_to_dcsr(blk);
-      EXPECT_EQ(got.dcsr.nrows, want.nrows);
-      EXPECT_EQ(got.dcsr.ncols, want.ncols);
-      EXPECT_EQ(got.dcsr.row_ids, want.row_ids);
-      EXPECT_EQ(got.dcsr.row_ptr, want.row_ptr);
-      EXPECT_EQ(got.dcsr.col_idx, want.col_idx);
-      EXPECT_EQ(got.dcsr.val, want.val);
-      EXPECT_TRUE(got.csr.row_ptr.empty());
-    } else {
-      EXPECT_TRUE(SameCsr(got.csr, blk));
+    // Every kind lists the block's non-empty rows, each the reference row
+    // entry for entry; a held row is looked up by its id.
+    const Dcsr<T>& held = got.rows;
+    EXPECT_EQ(held.nrows, blk.nrows);
+    EXPECT_EQ(held.ncols, blk.ncols);
+    ASSERT_TRUE(testing::SquareRowsByWindowAndLength(got));
+    constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+    std::vector<std::size_t> listed(static_cast<std::size_t>(blk.nrows),
+                                    kNone);
+    for (std::size_t p = 0; p < held.row_ids.size(); ++p)
+      listed[static_cast<std::size_t>(held.row_ids[p])] = p;
+    for (index_t i = 0; i < blk.nrows; ++i) {
+      const auto lo = static_cast<std::size_t>(blk.row_ptr[i]);
+      const auto hi = static_cast<std::size_t>(blk.row_ptr[i + 1]);
+      const std::size_t p = listed[static_cast<std::size_t>(i)];
+      if (lo == hi) {
+        EXPECT_EQ(p, kNone) << "empty row " << i << " is listed";
+        continue;
+      }
+      ASSERT_NE(p, kNone) << "row " << i << " is not listed";
+      const auto hlo = static_cast<std::size_t>(held.row_ptr[p]);
+      ASSERT_EQ(static_cast<std::size_t>(held.row_ptr[p + 1]) - hlo, hi - lo)
+          << "row " << i;
+      for (std::size_t e = 0; e < hi - lo; ++e) {
+        EXPECT_EQ(held.col_idx[hlo + e], blk.col_idx[lo + e]) << "row " << i;
+        EXPECT_EQ(held.val[hlo + e], blk.val[lo + e]) << "row " << i;
+      }
     }
   }
+}
+
+/// Adaptive selection and every forced square kind under every scheme: each
+/// square holds its rows by window and length (SquareRowsByWindowAndLength).
+template <class T>
+void expect_squares_by_window_and_length(const Csr<double>& ld) {
+  const Csr<T> L = gen::convert_values<T>(ld);
+  for (const BlockScheme scheme :
+       {BlockScheme::kRecursive, BlockScheme::kColumn, BlockScheme::kRow,
+        BlockScheme::kHbmc})
+    for (int variant = 0; variant <= 4; ++variant) {
+      SCOPED_TRACE(::testing::Message()
+                   << to_string(scheme) << " variant " << variant);
+      typename BlockSolver<T>::Options opt;
+      opt.scheme = scheme;
+      opt.planner.stop_rows = std::max<index_t>(1, L.nrows / 32);
+      opt.adaptive = variant == 0;
+      if (variant > 0)
+        opt.forced_square = static_cast<SpmvKernelKind>(variant - 1);
+      const BlockSolver<T> solver(L, opt);
+      const PlanArtifact<T> art = solver.capture_artifact();
+      for (std::size_t q = 0; q < art.squares.size(); ++q)
+        EXPECT_TRUE(testing::SquareRowsByWindowAndLength(art.squares[q]))
+            << "square " << q;
+    }
 }
 
 /// Adaptive selection, and two forced pairs that hold level analyses and
@@ -600,6 +641,10 @@ TEST_P(PlannerOracle, MatchesPerDepthReferenceFloat) {
 TEST_P(PlannerOracle, WalkMatchesReferenceBuild) {
   expect_walk_matches_reference_builds<double>(GetParam().build());
   expect_walk_matches_reference_builds<float>(GetParam().build());
+}
+
+TEST_P(PlannerOracle, SquaresHoldRowsByWindowAndLength) {
+  expect_squares_by_window_and_length<double>(GetParam().build());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -152,7 +152,7 @@ TEST(ShardPlan, SliceValidatesAndRoundTripsAsFormatV3) {
     ASSERT_TRUE(st.ok()) << "shard " << i << ": " << st.to_string();
 
     ASSERT_TRUE(save_artifact(path, slice).ok());
-    EXPECT_EQ(blocktri::testing::read_file_bytes(path)[4], 7);
+    EXPECT_EQ(blocktri::testing::read_file_bytes(path)[4], 8);
     EXPECT_TRUE(blocktri::testing::ArtifactFramingHolds<double>(path))
         << "shard " << i;
     PlanArtifact<double> loaded;
@@ -194,6 +194,93 @@ TEST(ShardPlan, HbmcSliceCarriesColorBoundsThroughFormatV4) {
     EXPECT_EQ(loaded.plan.hbmc_block_rows, art.plan.hbmc_block_rows);
   }
   ::unlink(path.c_str());
+}
+
+// Slices keep the global 256-row windows (kSquareWindowRows), so a cut at a
+// leaf bound inside a window slices a square by filtering the listed rows
+// it keeps. The slices' steps, run in plan order on one shared panel as the
+// workers run them, must give the single-process panel bitwise.
+TEST(ShardPlan, SliceCutInsideAWindowSolvesLikeOneShard) {
+  const Csr<double> L = gen::random_levels(2000, 30, 3.0, 1.0, 8);
+  int schemes_cut = 0;
+  for (const BlockScheme scheme :
+       {BlockScheme::kColumn, BlockScheme::kRow, BlockScheme::kRecursive,
+        BlockScheme::kHbmc}) {
+    SCOPED_TRACE(to_string(scheme));
+    const Opt opt = base_options(scheme);
+    std::unique_ptr<BlockSolver<double>> solver;
+    ASSERT_TRUE(BlockSolver<double>::create(L, opt, &solver).ok());
+    const PlanArtifact<double> art = solver->capture_artifact();
+
+    // A leaf bound off the window grid that splits a square's run of rows
+    // in that bound's window.
+    index_t cut = -1;
+    for (const index_t tb : art.plan.tri_bounds) {
+      if (tb % kSquareWindowRows == 0) continue;
+      for (const SquareBlockArtifact<double>& q : art.squares) {
+        if (q.ref.r0 >= tb || tb >= q.ref.r1) continue;
+        bool below = false, above = false;
+        for (const index_t id : q.rows.row_ids) {
+          const index_t row = q.ref.r0 + id;
+          if (row / kSquareWindowRows != tb / kSquareWindowRows) continue;
+          (row < tb ? below : above) = true;
+        }
+        if (below && above) cut = tb;
+      }
+      if (cut >= 0) break;
+    }
+    if (cut < 0) continue;
+    ++schemes_cut;
+
+    const std::vector<index_t> bounds = {0, cut, art.plan.n};
+    std::vector<PlanArtifact<double>> slices;
+    std::vector<std::unique_ptr<BlockSolver<double>>> workers;
+    for (int s = 0; s < 2; ++s) {
+      slices.push_back(
+          shard::slice_shard_artifact(art, bounds, s, art.options));
+      const Status st = validate_artifact(slices.back());
+      ASSERT_TRUE(st.ok()) << st.to_string();
+      std::unique_ptr<BlockSolver<double>> w;
+      ASSERT_TRUE(BlockSolver<double>::create_from_artifact(
+                      std::make_shared<PlanArtifact<double>>(slices.back()),
+                      opt, &w)
+                      .ok());
+      workers.push_back(std::move(w));
+    }
+
+    const index_t n = solver->n();
+    const auto nu = static_cast<std::size_t>(n);
+    const std::vector<index_t>& new_of_old = art.plan.new_of_old;
+    for (const index_t k : {index_t{1}, index_t{16}}) {
+      const auto ku = static_cast<std::size_t>(k);
+      const std::vector<double> B = make_panel<double>(n, k, 91 + k);
+      std::vector<double> want(B.size());
+      ASSERT_TRUE(
+          solver->solve_many(B.data(), want.data(), k, SolveControls{}).ok());
+      // The permuted row-interleaved panels the workers share.
+      std::vector<double> bw(B.size()), xw(B.size()), got(B.size());
+      for (std::size_t i = 0; i < nu; ++i)
+        for (std::size_t c = 0; c < ku; ++c)
+          bw[static_cast<std::size_t>(new_of_old[i]) * ku + c] =
+              B[c * nu + i];
+      for (const ExecStep& step : art.plan.steps)
+        for (int s = 0; s < 2; ++s) {
+          const auto idx = static_cast<std::size_t>(step.index);
+          const bool mine = step.kind == ExecStep::Kind::kTri
+                                ? slices[s].tri[idx].populated
+                                : slices[s].squares[idx].populated;
+          if (mine)
+            workers[s]->exec_plan_step_many(step, bw.data(), xw.data(), k,
+                                            nullptr);
+        }
+      for (std::size_t i = 0; i < nu; ++i)
+        for (std::size_t c = 0; c < ku; ++c)
+          got[c * nu + i] =
+              xw[static_cast<std::size_t>(new_of_old[i]) * ku + c];
+      EXPECT_TRUE(BitwiseEqual(got, want)) << "cut " << cut << " k=" << k;
+    }
+  }
+  EXPECT_GT(schemes_cut, 0) << "no scheme has a leaf bound inside a window";
 }
 
 TEST(ShardPlan, ValidateRejectsACutInsideALeaf) {

@@ -220,7 +220,7 @@ TEST(TuneOff, PlansAndArtifactsBitwiseIdentical) {
   EXPECT_EQ(fa, fb);
   // Every artifact is stamped with the one format version.
   ASSERT_GT(fa.size(), 8u);
-  EXPECT_EQ(fa[4], 7);
+  EXPECT_EQ(fa[4], 8);
   std::remove(pa.c_str());
   std::remove(pb.c_str());
 }
@@ -241,7 +241,7 @@ TEST(TunePersist, TunedArtifactRoundTripsWithZeroRetuning) {
   ASSERT_TRUE(cold->save_artifact(path).ok());
   const std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 8u);
-  EXPECT_EQ(bytes[4], 7);  // the one format version, tuning section or not
+  EXPECT_EQ(bytes[4], 8);  // the one format version, tuning section or not
   EXPECT_TRUE(blocktri::testing::ArtifactFramingHolds<double>(path));
 
   const std::uint64_t tunes = tune::tuning_run_count();
@@ -311,7 +311,7 @@ TEST(TunePersist, FingerprintMismatchForcesColdRebuild) {
 }
 
 TEST(TunePersist, UntunedArtifactLoadsWithTuningDefaults) {
-  // An untuned artifact is a version-7 file with no tuning section. It must
+  // An untuned artifact is a version-8 file with no tuning section. It must
   // rehydrate with tuning defaults.
   const Csr<double> L = gen::grid2d(50, 40, 5);
   typename BlockSolver<double>::Options opt;
@@ -320,7 +320,7 @@ TEST(TunePersist, UntunedArtifactLoadsWithTuningDefaults) {
   ASSERT_TRUE(BlockSolver<double>::create(L, opt, &cold).ok());
   const std::string path = tmp_path("untuned.btpa");
   ASSERT_TRUE(cold->save_artifact(path).ok());
-  EXPECT_EQ(read_file(path)[4], 7);
+  EXPECT_EQ(read_file(path)[4], 8);
 
   std::unique_ptr<BlockSolver<double>> warm;
   ASSERT_TRUE(BlockSolver<double>::create_from_file(path, L, opt, &warm).ok());

@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
       r.target = "sptrsv_levelset";
       r.pre_ms = pre_ls;
       r.single_ms =
-          time_ms(min_ms, [&] { ls.solve(B.data(), x.data(), nullptr); });
+          time_ms(min_ms, [&] { ls.solve(B.data(), x.data()); });
       r.batched_ms =
           time_ms(min_ms, [&] { ls.solve_many(B.data(), X.data(), k, k); });
       emit(&recs, r);
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
       r.target = "sptrsv_syncfree";
       r.pre_ms = pre_sf;
       r.single_ms =
-          time_ms(min_ms, [&] { sf.solve(B.data(), x.data(), nullptr); });
+          time_ms(min_ms, [&] { sf.solve(B.data(), x.data()); });
       r.batched_ms =
           time_ms(min_ms, [&] { sf.solve_many(B.data(), X.data(), k, k); });
       emit(&recs, r);
@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
       r.target = "sptrsv_cusparse_like";
       r.pre_ms = pre_cl;
       r.single_ms =
-          time_ms(min_ms, [&] { cl.solve(B.data(), x.data(), nullptr); });
+          time_ms(min_ms, [&] { cl.solve(B.data(), x.data()); });
       r.batched_ms =
           time_ms(min_ms, [&] { cl.solve_many(B.data(), X.data(), k, k); });
       emit(&recs, r);
@@ -205,26 +205,26 @@ int main(int argc, char** argv) {
       r.target = "sptrsv_diagonal";
       r.pre_ms = 0.0;
       r.single_ms =
-          time_ms(min_ms, [&] { dg.solve(B.data(), x.data(), nullptr); });
+          time_ms(min_ms, [&] { dg.solve(B.data(), x.data()); });
       r.batched_ms =
           time_ms(min_ms, [&] { dg.solve_many(B.data(), X.data(), k, k); });
       emit(&recs, r);
 
-      r.target = "spmv_scalar_csr";
+      r.target = "spmv_csr";
       r.single_ms = time_ms(min_ms, [&] {
-        spmv_scalar_csr(L, B.data(), x.data(), nullptr);
+        spmv_update(L, B.data(), x.data());
       });
       r.batched_ms = time_ms(min_ms, [&] {
-        spmv_scalar_csr_many(L, B.data(), X.data(), k, k, k);
+        spmv_update_many(L, B.data(), X.data(), k, k, k);
       });
       emit(&recs, r);
 
-      r.target = "spmv_vector_dcsr";
+      r.target = "spmv_rows";
       r.single_ms = time_ms(min_ms, [&] {
-        spmv_vector_dcsr(D, B.data(), x.data(), nullptr);
+        spmv_update(D, B.data(), x.data());
       });
       r.batched_ms = time_ms(min_ms, [&] {
-        spmv_vector_dcsr_many(D, B.data(), X.data(), k, k, k);
+        spmv_update_many(D, B.data(), X.data(), k, k, k);
       });
       emit(&recs, r);
     }

@@ -20,65 +20,29 @@ using namespace blocktri::bench;
 
 namespace {
 
-/// Times one SpTRSV kernel on a triangular block (warm cache).
+/// Models one SpTRSV kernel on a triangular block (warm cache).
 double tri_kernel_ms(TriKernelKind kind, const Csr<double>& L,
                      const sim::GpuSpec& gpu) {
-  const auto b = gen::random_rhs<double>(L.nrows, 3);
-  std::vector<double> x(static_cast<std::size_t>(L.nrows));
-  sim::CacheModel cache(gpu.cache_bytes, gpu.cache_line_bytes,
-                        gpu.cache_assoc);
-  sim::AddressSpace as;
-  TrsvSim ts;
-  ts.gpu = &gpu;
-  ts.cache = &cache;
-  ts.fp64 = true;
-  ts.x_base = as.reserve(static_cast<std::uint64_t>(L.nrows) * 8);
-  ts.b_base = as.reserve(static_cast<std::uint64_t>(L.nrows) * 8);
-  ts.aux_base = as.reserve(static_cast<std::uint64_t>(L.nrows) * 12);
-
-  auto run = [&](auto& solver) {
-    sim::SolveReport warm;
-    ts.report = &warm;
-    solver.solve(b.data(), x.data(), &ts);
-    sim::SolveReport rep;
-    ts.report = &rep;
-    solver.solve(b.data(), x.data(), &ts);
-    return rep.ms();
-  };
-  switch (kind) {
-    case TriKernelKind::kCompletelyParallel: {
-      StrictLowerSplit<double> split = split_diagonal(L);
-      if (split.strict.nnz() != 0) return -1.0;  // not applicable
-      DiagonalSolver<double> s(std::move(split.diag));
-      return run(s);
-    }
-    case TriKernelKind::kLevelSet: {
-      LevelSetSolver<double> s(L);
-      return run(s);
-    }
-    case TriKernelKind::kSyncFree: {
-      SyncFreeSolver<double> s(L);
-      return run(s);
-    }
-    case TriKernelKind::kCusparseLike: {
-      CusparseLikeSolver<double> s(L);
-      return run(s);
-    }
-  }
-  return -1.0;
+  if (kind == TriKernelKind::kCompletelyParallel &&
+      L.nnz() != static_cast<offset_t>(L.nrows))
+    return -1.0;  // not applicable
+  const model::TriStructure structure = model::tri_structure(L);
+  model::Step step;
+  step.tri = structure.view();
+  step.tri_kind = kind;
+  return model::replay_warm({&step, 1}, L.nrows, gpu, true, 8).ms();
 }
 
+/// Models one SpMV kernel on a square block (warm cache), launch excluded.
 double spmv_kernel_ms(SpmvKernelKind kind, const Csr<double>& a,
                       const sim::GpuSpec& gpu) {
-  const auto x = gen::random_rhs<double>(a.ncols, 5);
-  auto y = gen::random_rhs<double>(a.nrows, 6);
+  const model::SquareView view = model::square_view(kind, a);
   sim::CacheModel cache(gpu.cache_bytes, gpu.cache_line_bytes,
                         gpu.cache_assoc);
   double ms = 0.0;
   for (int round = 0; round < 2; ++round) {  // round 0 warms the cache
     sim::KernelSim ks(gpu, &cache, true);
-    SpmvSim s{&ks, 0, 1u << 26};
-    spmv_update(kind, a, x.data(), y.data(), &s);
+    model::spmv(kind, view, ks, 8, 0, 1u << 26);
     ms = ks.finish().ns * 1e-6;
   }
   return ms;

@@ -29,28 +29,14 @@ inline constexpr double kDatasetScale = 16.0;
 /// When `min_ms > 0` each sample is itself an average over as many runs as
 /// fit in `min_ms`, which keeps sub-millisecond operations above the clock
 /// granularity without giving up the min-of-N outlier rejection.
-/// `legacy_average = true` restores the pre-tuner estimator (one warmup,
-/// single grand average over runs until `min_ms` elapses) for comparing
-/// against historical BENCH_*.json numbers.
 struct TimingOptions {
   int warmup = 1;
   int repeats = 5;
   double min_ms = 0.0;
-  bool legacy_average = false;
 };
 
 template <class Fn>
 double time_ms(Fn&& fn, const TimingOptions& opts = {}) {
-  if (opts.legacy_average) {
-    fn();  // warmup
-    Stopwatch sw;
-    int reps = 0;
-    do {
-      fn();
-      ++reps;
-    } while (sw.milliseconds() < opts.min_ms || reps < 2);
-    return sw.milliseconds() / reps;
-  }
   for (int i = 0; i < opts.warmup; ++i) fn();
   double best = std::numeric_limits<double>::infinity();
   const int samples = std::max(1, opts.repeats);
@@ -87,30 +73,19 @@ MethodResult measure_block(const BlockSolver<T>& solver,
   return {rep.ms(), rep.gflops(), rep.kernel_launches, rep};
 }
 
-/// Measures a baseline solver (LevelSetSolver / SyncFreeSolver /
-/// CusparseLikeSolver) with its own warm cache and address space.
+/// Models a baseline solver (DiagonalSolver / LevelSetSolver /
+/// SyncFreeSolver / CusparseLikeSolver) over the whole matrix `L`: the
+/// model's replay of its one kernel on a fresh cache, warmed by one pass.
+/// The model reads structure only, so `b` does not enter the figures.
 template <class Solver, class T>
 MethodResult measure_baseline(const Solver& solver, const Csr<T>& L,
-                              const std::vector<T>& b,
+                              [[maybe_unused]] const std::vector<T>& b,
                               const sim::GpuSpec& gpu) {
-  sim::CacheModel cache(gpu.cache_bytes, gpu.cache_line_bytes,
-                        gpu.cache_assoc);
-  sim::AddressSpace as;
-  const auto n = static_cast<std::uint64_t>(L.nrows);
-  TrsvSim ts;
-  ts.gpu = &gpu;
-  ts.cache = &cache;
-  ts.fp64 = sizeof(T) == 8;
-  ts.x_base = as.reserve(n * sizeof(T));
-  ts.b_base = as.reserve(n * sizeof(T));
-  ts.aux_base = as.reserve(n * (sizeof(T) + 4));
-  std::vector<T> x(static_cast<std::size_t>(L.nrows));
-  sim::SolveReport warm;
-  ts.report = &warm;
-  solver.solve(b.data(), x.data(), &ts);
-  sim::SolveReport rep;
-  ts.report = &rep;
-  solver.solve(b.data(), x.data(), &ts);
+  model::Step step;
+  step.tri = model::tri_view(solver);
+  step.tri_kind = model::kind_of(solver);
+  const sim::SolveReport rep = model::replay_warm(
+      {&step, 1}, L.nrows, gpu, sizeof(T) == 8, static_cast<int>(sizeof(T)));
   return {rep.ms(), rep.gflops(), rep.kernel_launches, rep};
 }
 

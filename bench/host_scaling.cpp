@@ -186,35 +186,25 @@ int main(int argc, char** argv) {
         const LevelSetSolver<double> ls(L, pool.get());
         const double pre_ms = pre.milliseconds();
         sweep.point("sptrsv_levelset", t, flops,
-                    [&](ThreadPool* p) { ls.solve(b.data(), x.data(),
-                                                  nullptr, p); });
+                    [&](ThreadPool* p) { ls.solve(b.data(), x.data(), p); });
         recs.push_back({c.name, "pre_levelset", t, pre_ms, 0.0, 0.0});
         pre.reset();
         const SyncFreeSolver<double> sf(L);
         const double pre_sf_ms = pre.milliseconds();
         sweep.point("sptrsv_syncfree", t, flops,
-                    [&](ThreadPool* p) { sf.solve(b.data(), x.data(),
-                                                  nullptr, p); });
+                    [&](ThreadPool* p) { sf.solve(b.data(), x.data(), p); });
         recs.push_back({c.name, "pre_syncfree", t, pre_sf_ms, 0.0, 0.0});
       }
 
       // SpMV kernels: y -= L x (y reset cost is part of each rep; identical
       // across thread counts, so speedups stay comparable).
-      sweep.point("spmv_scalar_csr", t, flops, [&](ThreadPool* p) {
+      sweep.point("spmv_csr", t, flops, [&](ThreadPool* p) {
         std::fill(y.begin(), y.end(), 0.0);
-        spmv_scalar_csr(L, x.data(), y.data(), nullptr, p);
+        spmv_update(L, x.data(), y.data(), p);
       });
-      sweep.point("spmv_vector_csr", t, flops, [&](ThreadPool* p) {
+      sweep.point("spmv_rows", t, flops, [&](ThreadPool* p) {
         std::fill(y.begin(), y.end(), 0.0);
-        spmv_vector_csr(L, x.data(), y.data(), nullptr, p);
-      });
-      sweep.point("spmv_scalar_dcsr", t, flops, [&](ThreadPool* p) {
-        std::fill(y.begin(), y.end(), 0.0);
-        spmv_scalar_dcsr(D, x.data(), y.data(), nullptr, p);
-      });
-      sweep.point("spmv_vector_dcsr", t, flops, [&](ThreadPool* p) {
-        std::fill(y.begin(), y.end(), 0.0);
-        spmv_vector_dcsr(D, x.data(), y.data(), nullptr, p);
+        spmv_update(D, x.data(), y.data(), p);
       });
 
       // Full BlockSolver: preprocessing (construction) + executor solve.

@@ -31,53 +31,29 @@ struct PathScope {
   ~PathScope() { simd::clear_forced_path(); }
 };
 
-void BM_SpmvScalarCsr(benchmark::State& state) {
+void BM_SpmvCsr(benchmark::State& state) {
   const auto& L = test_matrix();
   const auto x = gen::random_rhs<double>(L.ncols, 1);
   auto y = gen::random_rhs<double>(L.nrows, 2);
   for (auto _ : state) {
-    spmv_scalar_csr(L, x.data(), y.data(), nullptr);
+    spmv_update(L, x.data(), y.data());
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() * L.nnz());
 }
-BENCHMARK(BM_SpmvScalarCsr);
+BENCHMARK(BM_SpmvCsr);
 
-void BM_SpmvVectorCsr(benchmark::State& state) {
-  const auto& L = test_matrix();
-  const auto x = gen::random_rhs<double>(L.ncols, 1);
-  auto y = gen::random_rhs<double>(L.nrows, 2);
-  for (auto _ : state) {
-    spmv_vector_csr(L, x.data(), y.data(), nullptr);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * L.nnz());
-}
-BENCHMARK(BM_SpmvVectorCsr);
-
-void BM_SpmvScalarDcsr(benchmark::State& state) {
+void BM_SpmvListedRows(benchmark::State& state) {
   const auto& D = test_matrix_dcsr();
   const auto x = gen::random_rhs<double>(D.ncols, 1);
   auto y = gen::random_rhs<double>(D.nrows, 2);
   for (auto _ : state) {
-    spmv_scalar_dcsr(D, x.data(), y.data(), nullptr);
+    spmv_update(D, x.data(), y.data());
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() * D.nnz());
 }
-BENCHMARK(BM_SpmvScalarDcsr);
-
-void BM_SpmvVectorDcsr(benchmark::State& state) {
-  const auto& D = test_matrix_dcsr();
-  const auto x = gen::random_rhs<double>(D.ncols, 1);
-  auto y = gen::random_rhs<double>(D.nrows, 2);
-  for (auto _ : state) {
-    spmv_vector_dcsr(D, x.data(), y.data(), nullptr);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * D.nnz());
-}
-BENCHMARK(BM_SpmvVectorDcsr);
+BENCHMARK(BM_SpmvListedRows);
 
 // SIMD-vs-scalar sweep: the same host kernels under each forced lowering.
 void BM_SpmvCsrPath(benchmark::State& state) {
@@ -86,7 +62,7 @@ void BM_SpmvCsrPath(benchmark::State& state) {
   const auto x = gen::random_rhs<double>(L.ncols, 1);
   auto y = gen::random_rhs<double>(L.nrows, 2);
   for (auto _ : state) {
-    spmv_scalar_csr(L, x.data(), y.data(), nullptr);
+    spmv_update(L, x.data(), y.data());
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() * L.nnz());
@@ -99,7 +75,7 @@ void BM_SpmvDcsrPath(benchmark::State& state) {
   const auto x = gen::random_rhs<double>(D.ncols, 1);
   auto y = gen::random_rhs<double>(D.nrows, 2);
   for (auto _ : state) {
-    spmv_scalar_dcsr(D, x.data(), y.data(), nullptr);
+    spmv_update(D, x.data(), y.data());
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() * D.nnz());
@@ -124,7 +100,7 @@ void BM_SptrsvSyncFreeHost(benchmark::State& state) {
   const auto b = gen::random_rhs<double>(L.nrows, 3);
   std::vector<double> x(static_cast<std::size_t>(L.nrows));
   for (auto _ : state) {
-    solver.solve(b.data(), x.data(), nullptr);
+    solver.solve(b.data(), x.data());
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations() * L.nnz());

@@ -15,15 +15,18 @@
 // request-serving loop sees, plus the captured artifact's size relative to
 // the input CSR (artifact_vs_csr). Acceptance (ISSUE 4): on the recursive
 // scheme the warm create+solve must come in under 0.5x the cold
-// create+solve.
+// create+solve. One min-of-N figure per record swings across that bar
+// between runs on a shared host, so the gate reads the median hit/cold of
+// kGatePairs alternated (cold, hit) pairs instead; every pair and the
+// quartiles are printed and recorded.
 //
 //   ./bench/plan_cache [--n=120000] [--min-ms=40] [--out=BENCH_cache.json]
-//                      [--tiny] [--legacy-timing]
+//                      [--tiny]
 //
 // --tiny is the CI smoke mode: small matrix, short timings, still
 // exercising save/load/cache-hit/refresh on every scheme and the JSON
-// writer. --legacy-timing restores the pre-tuner grand-average estimator
-// (see bench::TimingOptions) for comparison with historical JSON records.
+// writer.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -38,6 +41,17 @@ using namespace blocktri;
 
 namespace {
 
+/// Alternated (cold, hit) pairs per record behind the acceptance gate.
+constexpr int kGatePairs = 7;
+
+/// The q-quantile of sorted `v`, interpolating between neighbours.
+double quantile(const std::vector<double>& v, double q) {
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
 struct Record {
   std::string matrix;
   std::string scheme;
@@ -51,6 +65,10 @@ struct Record {
   double artifact_vs_csr = 0.0;  // artifact_bytes / input CSR bytes
   double load_vs_cold = 0.0;  // (load + solve) / (cold + solve)
   double hit_vs_cold = 0.0;   // (hit + solve) / (cold + solve)
+  // hit/cold of each alternated (cold, hit) pair, in run order, and their
+  // quartiles; the gate reads the median.
+  std::vector<double> pair_hit_vs_cold;
+  double pair_q1 = 0.0, pair_median = 0.0, pair_q3 = 0.0;
   // Resilience counters from the warm path's PlanCache (ISSUE 6): all zero
   // on a healthy run — nonzero values flag quarantined patterns, artifact
   // loads that needed transient-I/O retries, or workspace-lease contention.
@@ -96,6 +114,12 @@ void write_json(const std::string& path, const std::vector<Record>& recs) {
   std::fprintf(f, "  \"records\": [\n");
   for (std::size_t i = 0; i < recs.size(); ++i) {
     const Record& r = recs[i];
+    std::string pairs;
+    for (const double v : r.pair_hit_vs_cold) {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%s%.4f", pairs.empty() ? "" : ", ", v);
+      pairs += buf;
+    }
     std::fprintf(
         f,
         "    {\"matrix\": \"%s\", \"scheme\": \"%s\", \"cold_ms\": %.6f, "
@@ -103,11 +127,14 @@ void write_json(const std::string& path, const std::vector<Record>& recs) {
         "\"refresh_ms\": %.6f, \"solve_ms\": %.6f, \"artifact_bytes\": %zu, "
         "\"artifact_vs_csr\": %.4f, "
         "\"load_vs_cold\": %.4f, \"hit_vs_cold\": %.4f, "
+        "\"pair_hit_vs_cold\": [%s], \"pair_hit_vs_cold_q1\": %.4f, "
+        "\"pair_hit_vs_cold_median\": %.4f, \"pair_hit_vs_cold_q3\": %.4f, "
         "\"cache_quarantined\": %llu, \"cache_retry_successes\": %llu, "
         "\"cache_lease_waits\": %llu, \"cache_tombstones\": %zu}%s\n",
         r.matrix.c_str(), r.scheme.c_str(), r.cold_ms, r.save_ms, r.load_ms,
         r.hit_ms, r.refresh_ms, r.solve_ms, r.artifact_bytes,
-        r.artifact_vs_csr, r.load_vs_cold, r.hit_vs_cold,
+        r.artifact_vs_csr, r.load_vs_cold, r.hit_vs_cold, pairs.c_str(),
+        r.pair_q1, r.pair_median, r.pair_q3,
         static_cast<unsigned long long>(r.cache_stats.quarantined),
         static_cast<unsigned long long>(r.cache_stats.retry_successes),
         static_cast<unsigned long long>(r.cache_stats.lease_waits),
@@ -129,8 +156,10 @@ int main(int argc, char** argv) {
   bench::TimingOptions topt;
   topt.min_ms = min_ms;
   topt.repeats = tiny ? 3 : 5;
-  topt.legacy_average = cli.get_bool("legacy-timing", false);
   const auto time_ms = [&](auto&& fn) { return bench::time_ms(fn, topt); };
+  bench::TimingOptions one = topt;  // one sample of a gate pair
+  one.warmup = 0;
+  one.repeats = 1;
   if (const auto bad = cli.unused(); !bad.empty()) {
     std::fprintf(stderr, "unknown flag --%s\n", bad.front().c_str());
     return 1;
@@ -225,6 +254,40 @@ int main(int argc, char** argv) {
 
       std::vector<double> x;
       r.solve_ms = time_ms([&] { x = warm->solve(b); });
+
+      // The gate's pairs: one cold create, then one cache hit, back to back,
+      // so host load that drifts between runs weighs on both sides.
+      for (int p = 0; p < kGatePairs; ++p) {
+        const double cold = bench::time_ms(
+            [&] {
+              solver.reset();
+              if (!BlockSolver<double>::create(L, opt, &solver).ok())
+                std::exit(1);
+            },
+            one);
+        const double hit = bench::time_ms(
+            [&] {
+              tmp.reset();
+              if (!BlockSolver<double>::create(L, opt, &tmp, &cache).ok())
+                std::exit(1);
+            },
+            one);
+        const double ratio = (hit + r.solve_ms) / (cold + r.solve_ms);
+        r.pair_hit_vs_cold.push_back(ratio);
+        std::fprintf(stderr,
+                     "  %-10s %-10s pair %d: cold %8.2f ms  hit %7.2f ms  "
+                     "hit/cold %5.3fx\n",
+                     mc.name, sc.name, p + 1, cold, hit, ratio);
+      }
+      std::vector<double> sorted = r.pair_hit_vs_cold;
+      std::sort(sorted.begin(), sorted.end());
+      r.pair_q1 = quantile(sorted, 0.25);
+      r.pair_median = quantile(sorted, 0.5);
+      r.pair_q3 = quantile(sorted, 0.75);
+      std::fprintf(stderr,
+                   "  %-10s %-10s pair hit/cold q1 %5.3fx  median %5.3fx  "
+                   "q3 %5.3fx\n",
+                   mc.name, sc.name, r.pair_q1, r.pair_median, r.pair_q3);
       emit(&recs, r);
       std::remove(path.c_str());
     }
@@ -235,15 +298,19 @@ int main(int argc, char** argv) {
                recs.size());
 
   // Acceptance gate (ISSUE 4): warm create+solve < 0.5x cold create+solve
-  // on the recursive scheme. Only enforced at full size — in --tiny smoke
-  // runs cold analysis is too cheap for the ratio to be meaningful.
+  // on the recursive scheme, read as the median of the alternated pairs.
+  // Only enforced at full size — in --tiny smoke runs cold analysis is too
+  // cheap for the ratio to be meaningful.
   if (tiny) return 0;
+  int failed = 0;
   for (const Record& r : recs)
-    if (r.scheme == "recursive" && !(r.hit_vs_cold < 0.5)) {
+    if (r.scheme == "recursive" && !(r.pair_median < 0.5)) {
       std::fprintf(stderr,
-                   "ACCEPTANCE FAIL: %s recursive hit/cold = %.3f >= 0.5\n",
-                   r.matrix.c_str(), r.hit_vs_cold);
-      return 1;
+                   "ACCEPTANCE FAIL: %s recursive median hit/cold = %.3f "
+                   ">= 0.5 (q1 %.3f, q3 %.3f, %d pairs)\n",
+                   r.matrix.c_str(), r.pair_median, r.pair_q1, r.pair_q3,
+                   kGatePairs);
+      ++failed;
     }
-  return 0;
+  return failed == 0 ? 0 : 1;
 }

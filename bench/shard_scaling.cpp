@@ -1,11 +1,12 @@
 // Scaling of the sharded multi-process solve (ISSUE 9).
 //
 // The shard pool exists for machines with more than one device (or NUMA
-// domain) per solve; this container has ONE core, so the honest measurement
-// here is *overhead*, not speedup: a sharded epoch pays the coordinator's
+// domain) per solve. On one shared-memory host the workers share its cores
+// (the JSON records hardware_concurrency), so the honest measurement here is
+// *overhead*, not speedup: a sharded epoch pays the coordinator's
 // scatter/gather, the control-pipe round trip and the watermark protocol on
-// top of the same arithmetic, time-sliced onto one core. What the bench
-// gates is the part that must hold on any machine:
+// top of the same arithmetic. What the bench gates is the part that must
+// hold on any machine:
 //
 //   * bitwise equality — every sharded epoch's panel is memcmp-identical to
 //     the single-process solve_many, at every shard count,
@@ -44,7 +45,7 @@ namespace {
 struct Record {
   int shards = 0;
   double epoch_ms = 0.0;       // warm sharded epoch (best of iters)
-  double overhead_x = 0.0;     // epoch_ms / base_ms — honest on one core
+  double overhead_x = 0.0;     // epoch_ms / base_ms — honest on one host
   bool bitwise_equal = false;
   std::uint64_t level_analyses = 0;  // worker re-analyses (must be 0)
   std::uint64_t halo_ready = 0;

@@ -152,10 +152,10 @@ int main(int argc, char** argv) {
     auto y = gen::random_rhs<double>(L.nrows, 2);
 
     emit(&recs, sweep(mc.name, "spmv_csr", min_ms, [&] {
-           spmv_scalar_csr(L, x.data(), y.data(), nullptr);
+           spmv_update(L, x.data(), y.data());
          }));
     emit(&recs, sweep(mc.name, "spmv_dcsr", min_ms, [&] {
-           spmv_scalar_dcsr(D, x.data(), y.data(), nullptr);
+           spmv_update(D, x.data(), y.data());
          }));
 
     // Row-interleaved panels (row stride k), the layout every solver path
@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
       Yp.insert(Yp.end(), yc.begin(), yc.end());
     }
     emit(&recs, sweep(mc.name, "spmv_csr_many", min_ms, [&] {
-           spmv_scalar_csr_many(L, Xp.data(), Yp.data(), k, k, k, nullptr);
+           spmv_update_many(L, Xp.data(), Yp.data(), k, k, k);
          }));
 
     // End-to-end recursive warm solve through the zero-allocation raw path.

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
 
   // --- Baselines. Their preprocessing is cheap (level analysis / in-degree
   // count); we model it as two passes over the nonzeros on the host.
-  auto run_baseline = [&](auto& solver, const std::string& name,
+  auto run_baseline = [&](const auto& solver, const std::string& name,
                           std::int64_t pre_passes) {
     sim::HostSim hs(sim::host_default());
     hs.ops(pre_passes * L.nnz());
@@ -67,20 +67,15 @@ int main(int argc, char** argv) {
              static_cast<std::int64_t>(sizeof(index_t) + sizeof(double)));
     const double pre_ms = hs.ms();
 
+    // One modelled solve per right-hand side, sharing the cache.
+    model::Step step;
+    step.tri = model::tri_view(solver);
+    step.tri_kind = model::kind_of(solver);
     sim::CacheModel cache(gpu.cache_bytes, gpu.cache_line_bytes,
                           gpu.cache_assoc);
-    sim::AddressSpace as;
-    TrsvSim ts;
-    ts.gpu = &gpu;
-    ts.cache = &cache;
-    ts.fp64 = true;
-    ts.x_base = as.reserve(static_cast<std::uint64_t>(n) * 8);
-    ts.b_base = as.reserve(static_cast<std::uint64_t>(n) * 8);
-    ts.aux_base = as.reserve(static_cast<std::uint64_t>(n) * 12);
     sim::SolveReport total;
-    ts.report = &total;
-    std::vector<double> x(static_cast<std::size_t>(n));
-    for (const auto& b : rhs) solver.solve(b.data(), x.data(), &ts);
+    for (std::size_t r = 0; r < rhs.size(); ++r)
+      model::replay({&step, 1}, n, gpu, &cache, true, 8, &total);
     table.add_row({name, fmt_fixed(pre_ms, 2),
                    fmt_fixed(total.ms() / num_rhs, 4),
                    fmt_fixed(pre_ms + total.ms(), 2)});

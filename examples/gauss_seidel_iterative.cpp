@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
   for (; iters < max_iters && rel > tol; ++iters) {
     // rhs = f - U u  (strict upper sweep), then forward substitution.
     rhs = f;
-    spmv_scalar_csr(U, u.data(), rhs.data(), nullptr);
+    spmv_update(U, u.data(), rhs.data());
     u = fwd.solve_simulated(rhs, gpu, &cache, &sim_total);
     rel = residual_norm(A, u, f) / f_norm;
   }

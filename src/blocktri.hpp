@@ -30,6 +30,8 @@
 #include "core/solver.hpp"         // IWYU pragma: export
 #include "gen/generators.hpp"      // IWYU pragma: export
 #include "gen/suite.hpp"           // IWYU pragma: export
+#include "model/kernels.hpp"       // IWYU pragma: export
+#include "model/replay.hpp"        // IWYU pragma: export
 #include "persist/artifact.hpp"    // IWYU pragma: export
 #include "persist/plan_cache.hpp"  // IWYU pragma: export
 #include "service/client.hpp"        // IWYU pragma: export

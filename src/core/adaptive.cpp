@@ -14,6 +14,16 @@ std::string to_string(TriKernelKind k) {
   return "?";
 }
 
+std::string to_string(SpmvKernelKind k) {
+  switch (k) {
+    case SpmvKernelKind::kScalarCsr: return "scalar-CSR";
+    case SpmvKernelKind::kVectorCsr: return "vector-CSR";
+    case SpmvKernelKind::kScalarDcsr: return "scalar-DCSR";
+    case SpmvKernelKind::kVectorDcsr: return "vector-DCSR";
+  }
+  return "?";
+}
+
 ThresholdTable simulator_fitted_thresholds() {
   ThresholdTable t;  // triangular thresholds: the measured map matches the
                      // published one (P at nlevels==1, cuSPARSE beyond

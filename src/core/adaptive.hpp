@@ -15,7 +15,6 @@
 #include <string>
 
 #include "analysis/features.hpp"
-#include "spmv/kernels.hpp"
 
 namespace blocktri {
 
@@ -27,6 +26,25 @@ enum class TriKernelKind {
 };
 
 std::string to_string(TriKernelKind k);
+
+/// The four SpMV kernels of §3.4 for the square blocks. They differ in how
+/// the paper's GPU kernels map rows to threads (model/kernels.hpp): scalar
+/// runs one thread per row and diverges to the longest row of its warp,
+/// vector one warp per row; the DCSR kinds iterate only the non-empty rows
+/// of a doubly-compressed block (§3.3). On the host every kind runs the one
+/// listed-row SpMV body.
+enum class SpmvKernelKind {
+  kScalarCsr,
+  kVectorCsr,
+  kScalarDcsr,
+  kVectorDcsr,
+};
+
+std::string to_string(SpmvKernelKind k);
+
+inline bool is_dcsr(SpmvKernelKind k) {
+  return k == SpmvKernelKind::kScalarDcsr || k == SpmvKernelKind::kVectorDcsr;
+}
 
 struct ThresholdTable {
   // SpTRSV thresholds (Alg. 7 lines 4-10).
@@ -61,7 +79,7 @@ ThresholdTable simulator_fitted_thresholds();
 TriKernelKind select_tri_kernel(const TriangularFeatures& f,
                                 const ThresholdTable& t);
 
-/// The SpMV branch of Algorithm 7 (kind defined in spmv/kernels.hpp).
+/// The SpMV branch of Algorithm 7.
 SpmvKernelKind select_square_kernel(const MatrixFeatures& f,
                                     const ThresholdTable& t);
 

@@ -16,8 +16,6 @@
 #include "order/hbmc.hpp"
 #include "persist/artifact.hpp"
 #include "persist/plan_cache.hpp"
-#include "sim/kernel_sim.hpp"
-#include "sparse/convert.hpp"
 #include "sparse/permute.hpp"
 #include "sparse/triangular.hpp"
 #include "sptrsv/serial.hpp"
@@ -261,13 +259,6 @@ BlockSolver<T>::BlockSolver(const Csr<T>& lower, const Options& opt,
     waves_ = compute_step_waves(plan_, square_nnz);
   }
 
-  // --- Simulated address layout: x | b | scratch (left_sum + in_degree). ---
-  sim::AddressSpace as;
-  const auto n_u = static_cast<std::uint64_t>(plan_.n);
-  x_base_ = as.reserve(n_u * sizeof(T));
-  b_base_ = as.reserve(n_u * sizeof(T));
-  aux_base_ = as.reserve(n_u * (sizeof(T) + 4));
-
   ws_pool_ = std::make_unique<WorkspacePool<SolveWorkspace>>(
       typename WorkspacePool<SolveWorkspace>::Options{
           opt_.session.max_workspaces, opt_.session.block_when_exhausted});
@@ -284,23 +275,39 @@ BlockSolver<T>::BlockSolver(const Csr<T>& lower, const Options& opt,
 
 template <class T>
 void BlockSolver<T>::exec_tri(const TriBlock& blk, const T* b, T* x,
-                              const TrsvSim* s, ThreadPool* pool,
+                              ThreadPool* pool,
                               const ExecControl* ctl) const {
   switch (blk.info.kind) {
     case TriKernelKind::kCompletelyParallel:
-      blk.diag->solve(b, x, s, pool, ctl);
+      blk.diag->solve(b, x, pool, ctl);
       return;
     case TriKernelKind::kSyncFree:
-      blk.syncfree->solve(b, x, s, pool, ctl);
+      blk.syncfree->solve(b, x, pool, ctl);
       return;
     case TriKernelKind::kLevelSet:
-      blk.levelset->solve(b, x, s, pool, ctl);
+      blk.levelset->solve(b, x, pool, ctl);
       return;
     case TriKernelKind::kCusparseLike:
-      blk.cusparse->solve(b, x, s, ctl);  // host path intentionally serial
+      blk.cusparse->solve(b, x, ctl);  // host path intentionally serial
       return;
   }
   BLOCKTRI_CHECK_MSG(false, "unknown triangular kernel kind");
+}
+
+template <class T>
+model::TriView BlockSolver<T>::tri_view(const TriBlock& blk) {
+  switch (blk.info.kind) {
+    case TriKernelKind::kCompletelyParallel:
+      return model::tri_view(*blk.diag);
+    case TriKernelKind::kSyncFree:
+      return model::tri_view(*blk.syncfree);
+    case TriKernelKind::kLevelSet:
+      return model::tri_view(*blk.levelset);
+    case TriKernelKind::kCusparseLike:
+      return model::tri_view(*blk.cusparse);
+  }
+  BLOCKTRI_CHECK_MSG(false, "unknown triangular kernel kind");
+  return {};
 }
 
 template <class T>
@@ -336,49 +343,7 @@ void BlockSolver<T>::exec_square(const SquareBlock& blk, const T* x, T* y,
                                  ThreadPool* pool) const {
   // The kinds differ in how the paper's GPU kernels map rows to threads; on
   // the host every kind runs the one listed-row body.
-  spmv_scalar_dcsr(blk.rows, x, y, nullptr, pool);
-}
-
-template <class T>
-void BlockSolver<T>::simulate_square(const SquareBlock& blk, const T* x, T* y,
-                                     const SpmvSim& s) const {
-  // The listed rows back in ascending order, as the paper stores them (§3.3).
-  const Dcsr<T>& a = blk.rows;
-  std::vector<std::pair<index_t, std::size_t>> order(a.row_ids.size());
-  for (std::size_t p = 0; p < order.size(); ++p) order[p] = {a.row_ids[p], p};
-  std::sort(order.begin(), order.end());
-  Dcsr<T> view;
-  view.nrows = a.nrows;
-  view.ncols = a.ncols;
-  view.row_ids.reserve(order.size());
-  view.row_ptr.reserve(order.size() + 1);
-  view.col_idx.reserve(a.col_idx.size());
-  view.val.reserve(a.val.size());
-  view.row_ptr.push_back(0);
-  for (const auto& [id, p] : order) {
-    const auto lo = static_cast<std::ptrdiff_t>(a.row_ptr[p]);
-    const auto hi = static_cast<std::ptrdiff_t>(a.row_ptr[p + 1]);
-    view.row_ids.push_back(id);
-    view.col_idx.insert(view.col_idx.end(), a.col_idx.begin() + lo,
-                        a.col_idx.begin() + hi);
-    view.val.insert(view.val.end(), a.val.begin() + lo, a.val.begin() + hi);
-    view.row_ptr.push_back(static_cast<offset_t>(view.val.size()));
-  }
-  switch (blk.info.kind) {
-    case SpmvKernelKind::kScalarCsr:
-      spmv_scalar_csr(dcsr_to_csr(view), x, y, &s);
-      return;
-    case SpmvKernelKind::kVectorCsr:
-      spmv_vector_csr(dcsr_to_csr(view), x, y, &s);
-      return;
-    case SpmvKernelKind::kScalarDcsr:
-      spmv_scalar_dcsr(view, x, y, &s);
-      return;
-    case SpmvKernelKind::kVectorDcsr:
-      spmv_vector_dcsr(view, x, y, &s);
-      return;
-  }
-  BLOCKTRI_CHECK_MSG(false, "unknown square kernel kind");
+  spmv_update(blk.rows, x, y, pool);
 }
 
 template <class T>
@@ -387,7 +352,7 @@ void BlockSolver<T>::exec_step(const ExecStep& step, T* bw, T* xw,
                                const ExecControl* ctl) const {
   if (step.kind == ExecStep::Kind::kTri) {
     const TriBlock& blk = tri_[static_cast<std::size_t>(step.index)];
-    exec_tri(blk, bw + blk.info.r0, xw + blk.info.r0, nullptr, pool, ctl);
+    exec_tri(blk, bw + blk.info.r0, xw + blk.info.r0, pool, ctl);
   } else {
     const SquareBlock& blk = squares_[static_cast<std::size_t>(step.index)];
     if (blk.info.nnz == 0) return;  // skipped, like the wave executor
@@ -421,7 +386,7 @@ void BlockSolver<T>::exec_square_many(const SquareBlock& blk, const T* x,
                                       T* y, index_t k, ThreadPool* pool,
                                       index_t ld) const {
   // Every kind runs the one listed-row body, as in exec_square.
-  spmv_scalar_dcsr_many(blk.rows, x, y, k, ld, ld, pool);
+  spmv_update_many(blk.rows, x, y, k, ld, ld, pool);
 }
 
 template <class T>
@@ -714,45 +679,34 @@ std::vector<T> BlockSolver<T>::solve_simulated(
   throw_if_error(whole_matrix());
   BLOCKTRI_CHECK(b.size() == static_cast<std::size_t>(plan_.n));
   BLOCKTRI_CHECK(report != nullptr);
-  const int elem = static_cast<int>(sizeof(T));
   std::vector<T> bw = permute_vector(b, plan_.new_of_old);
   std::vector<T> xw(static_cast<std::size_t>(plan_.n));
+  for (const ExecStep& step : plan_.steps)
+    exec_step(step, bw.data(), xw.data(), nullptr, nullptr);
 
-  for (const ExecStep& step : plan_.steps) {
-    const double ns_before = report->ns;
+  // The model reads each triangle's held structure and each square as the
+  // paper stores its kind.
+  std::vector<model::SquareView> squares;
+  squares.reserve(squares_.size());
+  for (const SquareBlock& blk : squares_)
+    squares.push_back(model::square_view(blk.info.kind, blk.rows));
+  std::vector<model::Step> steps(plan_.steps.size());
+  for (std::size_t s = 0; s < steps.size(); ++s) {
+    const ExecStep& step = plan_.steps[s];
+    const auto idx = static_cast<std::size_t>(step.index);
     if (step.kind == ExecStep::Kind::kTri) {
-      const TriBlock& blk = tri_[static_cast<std::size_t>(step.index)];
-      TrsvSim ts;
-      ts.gpu = &gpu;
-      ts.cache = cache;
-      ts.fp64 = fp64;
-      ts.x_base = x_base_ + static_cast<std::uint64_t>(blk.info.r0) * elem;
-      ts.b_base = b_base_ + static_cast<std::uint64_t>(blk.info.r0) * elem;
-      ts.aux_base =
-          aux_base_ + static_cast<std::uint64_t>(blk.info.r0) * (elem + 4);
-      ts.report = report;
-      const int launches_before = report->kernel_launches;
-      exec_tri(blk, bw.data() + blk.info.r0, xw.data() + blk.info.r0, &ts);
-      if (breakdown != nullptr) {
-        breakdown->tri_ns += report->ns - ns_before;
-        breakdown->tri_kernels += report->kernel_launches - launches_before;
-      }
+      steps[s].r0 = tri_[idx].info.r0;
+      steps[s].tri = tri_view(tri_[idx]);
+      steps[s].tri_kind = tri_[idx].info.kind;
     } else {
-      const SquareBlock& blk = squares_[static_cast<std::size_t>(step.index)];
-      sim::KernelSim ks(gpu, cache, fp64);
-      SpmvSim ss;
-      ss.ks = &ks;
-      ss.x_base = x_base_ + static_cast<std::uint64_t>(blk.info.ref.c0) * elem;
-      ss.y_base = b_base_ + static_cast<std::uint64_t>(blk.info.ref.r0) * elem;
-      simulate_square(blk, xw.data() + blk.info.ref.c0,
-                      bw.data() + blk.info.ref.r0, ss);
-      report->add_kernel_launch(ks.finish(), gpu.kernel_launch_ns);
-      if (breakdown != nullptr) {
-        breakdown->spmv_ns += report->ns - ns_before;
-        ++breakdown->spmv_kernels;
-      }
+      steps[s].r0 = squares_[idx].info.ref.r0;
+      steps[s].c0 = squares_[idx].info.ref.c0;
+      steps[s].square = &squares[idx];
+      steps[s].square_kind = squares_[idx].info.kind;
     }
   }
+  model::replay(steps, plan_.n, gpu, cache, fp64, static_cast<int>(sizeof(T)),
+                report, breakdown);
   return unpermute_vector(xw, plan_.new_of_old);
 }
 
@@ -1028,13 +982,6 @@ BlockSolver<T>::BlockSolver(Art&& art, const Options& opt, bool with_values)
     out.rows = adopt_block(in.rows);
     square_info_.push_back(out.info);
   }
-
-  // Same simulated address layout as the cold constructor.
-  sim::AddressSpace as;
-  const auto n_u = static_cast<std::uint64_t>(plan_.n);
-  x_base_ = as.reserve(n_u * sizeof(T));
-  b_base_ = as.reserve(n_u * sizeof(T));
-  aux_base_ = as.reserve(n_u * (sizeof(T) + 4));
 
   ws_pool_ = std::make_unique<WorkspacePool<SolveWorkspace>>(
       typename WorkspacePool<SolveWorkspace>::Options{
@@ -1843,7 +1790,7 @@ Status BlockSolver<T>::run_steps_checked(std::vector<T>& bw,
       return all_finite(xx, len);
     };
 
-    bool ok = run([&] { exec_tri(blk, bb, xx, nullptr, epool, ctl); });
+    bool ok = run([&] { exec_tri(blk, bb, xx, epool, ctl); });
     if (!ok && ctl != nullptr && ctl->tripped())
       return ctl->to_status("in triangular block " +
                             std::to_string(step.index));

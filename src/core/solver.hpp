@@ -18,7 +18,8 @@
 //   blocktri::BlockSolver<double> solver(L, opt);   // preprocess once
 //   std::vector<double> x = solver.solve(b);        // solve many rhs
 //
-// Simulated-GPU timing (the benchmark path) goes through solve_simulated.
+// Simulated-GPU timing (the benchmark path) goes through solve_simulated,
+// which replays the plan on the paper's GPU model (model/replay.hpp).
 #pragma once
 
 #include <atomic>
@@ -33,6 +34,7 @@
 #include "common/workspace_pool.hpp"
 #include "core/adaptive.hpp"
 #include "core/plan.hpp"
+#include "model/replay.hpp"
 #include "sim/cache.hpp"
 #include "sim/host_sim.hpp"
 #include "sim/machine.hpp"
@@ -50,15 +52,6 @@ template <class T>
 struct PlanArtifact;  // persist/artifact.hpp
 template <class T>
 class PlanCache;  // persist/plan_cache.hpp
-
-/// Time split between the triangular and SpMV parts of a blocked solve —
-/// the quantity Fig. 4 plots.
-struct BlockSolveBreakdown {
-  double tri_ns = 0.0;
-  double spmv_ns = 0.0;
-  int tri_kernels = 0;
-  int spmv_kernels = 0;
-};
 
 /// One engagement of the per-block fallback ladder: triangular block `block`
 /// produced non-finite output on kernel `from`, and the solve degraded to
@@ -455,10 +448,12 @@ class BlockSolver {
   SolveManyResult<T> solve_many_checked(const std::vector<T>& B, index_t k,
                                         const SolveControls& controls) const;
 
-  /// Solves and accounts simulated GPU time into `report`. `cache` carries
-  /// locality across calls (pass the same cache for warm-cache measurements;
-  /// nullptr models a cache-less device). `breakdown` (optional) splits the
-  /// time between triangular and SpMV kernels.
+  /// Solves on the host (serially) and accounts simulated GPU time into
+  /// `report`: one model::replay of the plan's steps over the paper's view
+  /// of each block. `cache` carries locality across calls (pass the same
+  /// cache for warm-cache measurements; nullptr models a cache-less device).
+  /// `breakdown` (optional) splits the time between triangular and SpMV
+  /// kernels.
   std::vector<T> solve_simulated(const std::vector<T>& b,
                                  const sim::GpuSpec& gpu,
                                  sim::CacheModel* cache,
@@ -593,7 +588,7 @@ class BlockSolver {
   };
   /// One square: its non-empty rows by window and length
   /// (kSquareWindowRows), the one layout every kernel kind runs on the host.
-  /// The kind is the plan's decision (Alg. 7), which the simulator models on
+  /// The kind is the plan's decision (Alg. 7), which the model replays on
   /// the paper's view of the rows (solve_simulated).
   struct SquareBlock {
     SquareBlockInfo info;
@@ -601,20 +596,17 @@ class BlockSolver {
   };
 
   /// `ctl` is the session's cooperative control (nullable).
-  void exec_tri(const TriBlock& blk, const T* b, T* x, const TrsvSim* s,
+  void exec_tri(const TriBlock& blk, const T* b, T* x,
                 ThreadPool* pool = nullptr,
                 const ExecControl* ctl = nullptr) const;
+  /// The model's view of a triangle's held structure.
+  static model::TriView tri_view(const TriBlock& blk);
   /// The rows the fallback rungs solve from: the kernel's own CSR, or — for
   /// a diagonal block, which holds only pivots — rows built into `built`.
   const Csr<T>& tri_rows(const TriBlock& blk, Csr<T>& built) const;
   /// y −= A·x over the square's listed rows, whatever its kind.
   void exec_square(const SquareBlock& blk, const T* x, T* y,
                    ThreadPool* pool = nullptr) const;
-  /// exec_square as the paper stores and runs the square's kind — every row
-  /// ascending (CSR) or the non-empty ones ascending (DCSR) — accounted into
-  /// `s`. Per row the same sum, so the same bits.
-  void simulate_square(const SquareBlock& blk, const T* x, T* y,
-                       const SpmvSim& s) const;
   /// One ExecStep of the host solve (no simulation, no ladder).
   void exec_step(const ExecStep& step, T* bw, T* xw, ThreadPool* pool,
                  const ExecControl* ctl) const;
@@ -749,8 +741,6 @@ class BlockSolver {
   std::string slice_;
   offset_t merge_width_ = kLevelMergeMaxWidth;  // level-set exec-group bound
   tune::TuneStats tune_stats_;    // cold tuned builds only
-  // Simulated address layout: x, b and the per-solve scratch region.
-  std::uint64_t x_base_ = 0, b_base_ = 0, aux_base_ = 0;
 
   /// Reusable buffers backing the allocation-free solve paths. Vectors only
   /// ever grow (resize never shrinks capacity), so after the first solve of

@@ -10,6 +10,10 @@
 // thousands of levels (Table 4: vas_stokes_4M, 2815 levels, 15.39 GFlops)
 // where a naive one-launch-per-level scheme would drown in launches — and
 // why the paper routes "nlevels > 20000" blocks to cuSPARSE (Alg. 7).
+//
+// The merged schedule only shapes the GPU's launches and syncs (the model's
+// cusparse_like kernel, model/kernels.hpp); the host solves the block in one
+// flat pass over the level-ordered rows.
 #pragma once
 
 #include <span>
@@ -18,7 +22,6 @@
 #include "analysis/levels.hpp"
 #include "common/deadline.hpp"
 #include "sparse/formats.hpp"
-#include "sptrsv/sim_ctx.hpp"
 
 namespace blocktri {
 
@@ -49,14 +52,12 @@ class CusparseLikeSolver {
   /// is actually armed the pass is chunked (same item order — bitwise
   /// identical) with a poll between chunks; unarmed solves keep the single
   /// flat call.
-  void solve(const T* b, T* x, const TrsvSim* s = nullptr,
-             const ExecControl* ctl = nullptr) const;
+  void solve(const T* b, T* x, const ExecControl* ctl = nullptr) const;
 
   /// Batched solve of k right-hand sides (row-interleaved panel, row
   /// stride `ld`): the merged level schedule is walked once and every row
-  /// visit solves all k columns. Host only; like solve(), the host path is
-  /// intentionally serial, and per column it is bitwise identical to k
-  /// single solves.
+  /// visit solves all k columns. Like solve(), it is intentionally serial,
+  /// and per column it is bitwise identical to k single solves.
   void solve_many(const T* b, T* x, index_t k, index_t ld,
                   const ExecControl* ctl = nullptr) const;
 

@@ -10,7 +10,6 @@
 #include "common/deadline.hpp"
 #include "common/thread_pool.hpp"
 #include "sparse/formats.hpp"
-#include "sptrsv/sim_ctx.hpp"
 
 namespace blocktri {
 
@@ -24,8 +23,7 @@ class DiagonalSolver {
   /// contiguous chunks (bitwise deterministic — disjoint writes). `ctl` is
   /// the solve session's cooperative control — one elementwise pass is the
   /// natural check granularity here, so it is polled once on entry.
-  void solve(const T* b, T* x, const TrsvSim* s = nullptr,
-             ThreadPool* pool = nullptr,
+  void solve(const T* b, T* x, ThreadPool* pool = nullptr,
              const ExecControl* ctl = nullptr) const;
 
   /// Batched solve of k right-hand sides over a row-interleaved panel with

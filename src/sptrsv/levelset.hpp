@@ -1,19 +1,19 @@
 // Level-set parallel SpTRSV — Algorithm 2 of the paper (Anderson & Saad,
 // Saltz). Preprocessing groups components into levels; the solve phase
-// launches one GPU kernel per level (a barrier between levels), each level
-// solving its components in parallel with one warp per component.
+// solves the levels in order, the rows of a level in parallel, with a
+// barrier between levels (on the GPU, one kernel launch per level — the
+// model's level_set kernel, model/kernels.hpp).
 //
 // This is also the "level-set" kernel of the adaptive selector (§3.4): the
 // paper finds it best for blocks with few levels and short rows (Fig. 5a).
 //
-// Host execution detail: long runs of tiny levels (the common shape for
-// strongly sequential blocks) are merged into execution groups at
-// construction. A merged group is solved as one flat pass in level order —
-// dependencies inside a group only ever point at earlier items — which
-// removes the per-level loop/barrier overhead without changing any
-// floating-point operation or its order. Merging is a host execution detail:
-// it is recomputed from the level analysis on every construction (including
-// plan rehydration) and never persisted.
+// Long runs of tiny levels (the common shape for strongly sequential blocks)
+// are merged into execution groups at construction. A merged group is solved
+// as one flat pass in level order — dependencies inside a group only ever
+// point at earlier items — which removes the per-level loop/barrier overhead
+// without changing any floating-point operation or its order. Merging is
+// recomputed from the level analysis on every construction (including plan
+// rehydration) and never persisted.
 #pragma once
 
 #include <span>
@@ -23,7 +23,6 @@
 #include "common/deadline.hpp"
 #include "common/thread_pool.hpp"
 #include "sparse/formats.hpp"
-#include "sptrsv/sim_ctx.hpp"
 
 namespace blocktri {
 
@@ -51,8 +50,7 @@ class LevelSetSolver {
   LevelSetSolver(Csr<T> lower, LevelSets levels,
                  offset_t merge_max_width = kLevelMergeMaxWidth);
 
-  /// Solve phase (Alg. 2 lines 12–22). One kernel launch per level when
-  /// simulation is active. With a pool (and no simulation), the rows of each
+  /// Solve phase (Alg. 2 lines 12–22). With a pool, the rows of each wide
   /// level are solved across threads with a barrier per level — the CPU
   /// realisation of Alg. 2's per-level kernel launches. Distinct x entries
   /// are written by distinct rows and chunk assignment is deterministic, so
@@ -61,14 +59,13 @@ class LevelSetSolver {
   /// `ctl` is the solve session's cooperative control, polled once per
   /// execution group (the natural barrier granularity); a tripped control
   /// abandons the remaining groups, leaving x partially written.
-  void solve(const T* b, T* x, const TrsvSim* s = nullptr,
-             ThreadPool* pool = nullptr,
+  void solve(const T* b, T* x, ThreadPool* pool = nullptr,
              const ExecControl* ctl = nullptr) const;
 
   /// Batched solve of k right-hand sides over a row-interleaved panel with
   /// row stride `ld` (element (i, c) at b[i·ld + c]): every row visit
   /// streams the row's structure once and updates all k columns in
-  /// kRhsTile-wide groups. Host only. A pool splits a level's rows (wide
+  /// kRhsTile-wide groups. A pool splits a level's rows (wide
   /// levels) or the columns (narrow levels, many columns); both partitions
   /// write disjoint x entries with the single-RHS operation order per
   /// column, so the result is bitwise identical to k independent serial

@@ -8,9 +8,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/prefix.hpp"
 #include "common/simd.hpp"
-#include "sim/kernel_sim.hpp"
 #include "sparse/triangular.hpp"
 
 namespace blocktri {
@@ -109,25 +107,6 @@ void syncfree_parallel(const Csr<T>& a, const T* b, T* x, index_t stalled_row,
   });
 }
 
-/// Alg. 3's column structure of `a` — rows ascending within each column,
-/// the order csr_to_csc gives — built by counting sort for one simulated
-/// solve. In a lower triangle each column's first entry is its diagonal.
-template <class T>
-void column_view(const Csr<T>& a, std::vector<offset_t>* col_ptr,
-                 std::vector<index_t>* row_idx) {
-  col_ptr->assign(static_cast<std::size_t>(a.ncols) + 1, 0);
-  for (const index_t c : a.col_idx) ++(*col_ptr)[static_cast<std::size_t>(c)];
-  exclusive_scan_in_place(*col_ptr);
-  row_idx->resize(a.col_idx.size());
-  std::vector<offset_t> cursor(col_ptr->begin(), col_ptr->end() - 1);
-  for (index_t i = 0; i < a.nrows; ++i)
-    for (offset_t k = a.row_ptr[static_cast<std::size_t>(i)];
-         k < a.row_ptr[static_cast<std::size_t>(i) + 1]; ++k)
-      (*row_idx)[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(
-              a.col_idx[static_cast<std::size_t>(k)])]++)] = i;
-}
-
 }  // namespace
 
 template <class T>
@@ -164,14 +143,10 @@ void SyncFreeSolver<T>::solve_many(const T* b, T* x, index_t k, index_t ld,
 }
 
 template <class T>
-void SyncFreeSolver<T>::solve(const T* b, T* x, const TrsvSim* s,
-                              ThreadPool* pool,
+void SyncFreeSolver<T>::solve(const T* b, T* x, ThreadPool* pool,
                               const ExecControl* ctl) const {
   const index_t n = a_.nrows;
-  const int elem = static_cast<int>(sizeof(T));
-  const bool simulate = s != nullptr && s->active();
-
-  if (!simulate && parallel_enabled(pool) && n >= 2 * pool->size()) {
+  if (parallel_enabled(pool) && n >= 2 * pool->size()) {
     if (ctl != nullptr) {
       if (!ctl->check()) return;
       // The trip (spin timeout, deadline, cancel) is the caller's to
@@ -188,90 +163,14 @@ void SyncFreeSolver<T>::solve(const T* b, T* x, const TrsvSim* s,
     if (!local.tripped()) return;
   }
 
-  // Host execution: the strict-order row body in natural row order, which
-  // is a valid linearisation of the dependency partial order.
+  // The strict-order row body in natural row order, which is a valid
+  // linearisation of the dependency partial order.
   for (index_t r0 = 0; r0 < n; r0 += kPollRows) {
     if (ctl != nullptr && !ctl->check()) return;
     simd::detail::sptrsv_rows_strict(a_.row_ptr.data(), a_.col_idx.data(),
                                      a_.val.data(), nullptr, r0,
                                      std::min(n, r0 + kPollRows), b, x);
   }
-  if (!simulate) return;
-
-  // Alg. 3's data flow over CSC: a left_sum accumulator per component,
-  // updated column by column. The column structure exists only for this
-  // accounting.
-  std::vector<offset_t> col_ptr;
-  std::vector<index_t> row_idx;
-  column_view(a_, &col_ptr, &row_idx);
-  sim::KernelSim ks(*s->gpu, s->cache, s->fp64);
-  std::uint64_t addrs[kWarp];
-  // Reset kernel: left_sum must be zeroed and in_degree restored before
-  // every solve (Alg. 3's counters are consumed by the previous run) — a
-  // real extra launch the level-set methods do not pay.
-  ks.begin_task();
-  ks.stream_bytes(static_cast<std::int64_t>(n) * (elem + 4));
-  ks.end_task();
-  s->report->add_kernel_launch(ks.finish(), s->gpu->kernel_launch_ns);
-  // Scratch address layout: left_sum[i] then in_degree[i] per component.
-  const std::uint64_t ls_base = s->aux_base;
-  const std::uint64_t deg_base =
-      s->aux_base +
-      static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(elem);
-
-  for (index_t i = 0; i < n; ++i) {
-    const offset_t clo = col_ptr[static_cast<std::size_t>(i)];
-    const offset_t chi = col_ptr[static_cast<std::size_t>(i) + 1];
-    ks.begin_task();
-    // Busy-wait: at minimum one read of the in-degree counter; the real
-    // waiting time is produced by the scheduler through the dependency
-    // edges below (row i's strict entries; the slot is held while waiting).
-    for (offset_t k = a_.row_ptr[static_cast<std::size_t>(i)];
-         k < a_.row_ptr[static_cast<std::size_t>(i) + 1] - 1; ++k)
-      ks.dep(a_.col_idx[static_cast<std::size_t>(k)]);
-    ks.touch(deg_base + static_cast<std::uint64_t>(i) * 4u, 4);
-
-    // Compute x_i: read b_i and left_sum_i, stream the diagonal value,
-    // divide, write x_i.
-    ks.touch(s->b_base + static_cast<std::uint64_t>(i) *
-                             static_cast<std::uint64_t>(elem),
-             elem);
-    ks.touch(ls_base + static_cast<std::uint64_t>(i) *
-                           static_cast<std::uint64_t>(elem),
-             elem);
-    ks.stream_bytes(static_cast<std::int64_t>(sizeof(offset_t)) + elem);
-    ks.serial_ns(s->gpu->divide_ns);
-    ks.touch(s->x_base + static_cast<std::uint64_t>(i) *
-                             static_cast<std::uint64_t>(elem),
-             elem);
-
-    // Notify dependents: stream the column structure, one atomic add on
-    // left_sum and one atomic decrement on in_degree per entry below the
-    // diagonal (Alg. 3 lines 12–15), issued by the warp's lanes in 32-wide
-    // groups.
-    const offset_t col_len = chi - (clo + 1);
-    ks.stream_bytes(col_len * (static_cast<std::int64_t>(sizeof(index_t)) +
-                               elem));
-    ks.flops(2 * col_len + 2);
-    for (offset_t k = clo + 1; k < chi; k += kWarp) {
-      const int g = static_cast<int>(std::min<offset_t>(kWarp, chi - k));
-      for (int l = 0; l < g; ++l)
-        addrs[l] = ls_base +
-                   static_cast<std::uint64_t>(
-                       row_idx[static_cast<std::size_t>(k + l)]) *
-                       static_cast<std::uint64_t>(elem);
-      ks.atomic(addrs, g, elem);
-      for (int l = 0; l < g; ++l)
-        addrs[l] = deg_base +
-                   static_cast<std::uint64_t>(
-                       row_idx[static_cast<std::size_t>(k + l)]) *
-                       4u;
-      ks.atomic(addrs, g, 4);
-    }
-    ks.end_task();
-  }
-  // The whole solve is one kernel launch — the algorithm's selling point.
-  s->report->add_kernel_launch(ks.finish(), s->gpu->kernel_launch_ns);
 }
 
 template class SyncFreeSolver<float>;

@@ -1,28 +1,21 @@
 // Synchronisation-free SpTRSV — Algorithm 3 of the paper (Liu et al.,
-// Euro-Par'16 / CCPE'17). One kernel for the whole solve: each component is
-// assigned a warp which busy-waits on its in-degree counter, computes its x
-// entry, then pushes val*x products into the dependent components' left_sum
-// accumulators with atomics and decrements their in-degree counters.
+// Euro-Par'16 / CCPE'17). On the GPU it is one kernel for the whole solve:
+// each component is assigned a warp which busy-waits on its in-degree
+// counter, computes its x entry, then pushes val*x products into the
+// dependent components' left_sum accumulators with atomics over the CSC
+// column structure (the model's sync_free kernel, model/kernels.hpp).
 //
 // Preprocessing is a single parallel pass counting in-degrees (Alg. 3 lines
 // 1–5) — the cheapest analysis of the three baselines (Table 5: 2.34 ms).
 //
-// Cost drivers reproduced by the simulation (and called out in §2.2/§4.2):
-//   * dependency chains serialise through the atomic visibility latency,
-//   * long columns make a single warp issue many atomics (power-law load
-//     imbalance — FullChip, vas_stokes_4M),
-//   * spinning warps hold SM residency: components deep in the launch order
-//     cannot even start until a slot frees (modelled by slot-holding tasks).
-//
-// Host storage is the block's CSR rows, diagonal last, held once (as
-// LevelSetSolver holds them). The host kernels pull instead of push: row i
-// sums L[i][j]·x[j] over its strict entries in CSR order, then divides. On
-// rows sorted by column that is exactly Alg. 3's serial push for row i —
+// The block's CSR rows, diagonal last, are held once (as LevelSetSolver
+// holds them). The host kernels pull instead of push: row i sums
+// L[i][j]·x[j] over its strict entries in CSR order, then divides. On rows
+// sorted by column that is exactly Alg. 3's serial push for row i —
 // left_sum starts at 0 and takes the products in ascending j — so both give
 // the same bits. The threaded solve waits on per-row ready flags, as in Li's
 // self-scheduling SpTRSV (PAPERS.md, arXiv:1710.04985), instead of pushing
-// atomic left-sums. Only a simulated solve sees Alg. 3's CSC: it builds the
-// column structure for the duration of that solve.
+// atomic left-sums.
 #pragma once
 
 #include <span>
@@ -30,7 +23,6 @@
 #include "common/deadline.hpp"
 #include "common/thread_pool.hpp"
 #include "sparse/formats.hpp"
-#include "sptrsv/sim_ctx.hpp"
 
 namespace blocktri {
 
@@ -50,7 +42,7 @@ class SyncFreeSolver {
   /// only the shape is checked here.
   SyncFreeSolver(Csr<T> lower, Adopt);
 
-  /// Host solve. With a pool (and no simulation) rows are dealt round-robin
+  /// Host solve. With a pool rows are dealt round-robin
   /// to threads (row i to thread i mod nthreads, mirroring the GPU's warp
   /// dispatch). A thread acquire-spins on each dependency's ready flag in
   /// CSR order, computes x_i with the serial expression, then
@@ -68,17 +60,13 @@ class SyncFreeSolver {
   /// abandons the solve mid-flight. Without `ctl`, a tripped spin budget
   /// self-heals: the block is re-solved on the serial path, which has no
   /// flags — slower, but correct and bounded.
-  ///
-  /// A simulated solve computes x serially and accounts Alg. 3 over a
-  /// column view of the rows built for that solve.
-  void solve(const T* b, T* x, const TrsvSim* s = nullptr,
-             ThreadPool* pool = nullptr,
+  void solve(const T* b, T* x, ThreadPool* pool = nullptr,
              const ExecControl* ctl = nullptr) const;
 
   /// Batched solve of k right-hand sides over a row-interleaved panel with
   /// row stride `ld` (element (i, c) at b[i·ld + c]): each row visit streams
   /// the row's structure once and updates all k columns, in natural row
-  /// order with the single-RHS operation order per column. Host only. A pool
+  /// order with the single-RHS operation order per column. A pool
   /// splits the *columns of the panel*, so the result is bitwise identical
   /// to k independent serial solves at any thread count.
   void solve_many(const T* b, T* x, index_t k, index_t ld,

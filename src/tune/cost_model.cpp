@@ -9,21 +9,11 @@
 #include <mutex>
 #include <vector>
 
-#include "analysis/features.hpp"
-#include "analysis/levels.hpp"
 #include "common/io.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "gen/generators.hpp"
-#include "sim/cache.hpp"
-#include "sim/kernel_sim.hpp"
-#include "sim/report.hpp"
-#include "sparse/convert.hpp"
-#include "sparse/triangular.hpp"
-#include "sptrsv/cusparse_like.hpp"
-#include "sptrsv/diagonal.hpp"
-#include "sptrsv/sim_ctx.hpp"
-#include "sptrsv/syncfree.hpp"
+#include "model/replay.hpp"
 
 namespace blocktri::tune {
 
@@ -86,14 +76,15 @@ bool fit_affine(const std::vector<Sample>& samples, int k, double* coeff) {
 }
 
 // ---------------------------------------------------------------------------
-// Simulated measurements. The protocol matches measure_block /
-// solve_simulated: fresh cache per kernel-kind measurement, one warm pass,
-// then the measured pass — so the model predicts exactly the quantity the
-// plan search's oracle (and the fig6 bench) scores.
+// Simulated measurements: the model replay solve_simulated and the plan
+// search's oracle run (model/replay.hpp) — fresh cache per kernel-kind
+// measurement, one warm pass, then the measured pass — so the model predicts
+// exactly the quantity the oracle (and the fig6 bench) scores. Each sample's
+// structural views are built once and shared by every kind.
 
 struct TriSample {
   Csr<double> a;
-  index_t nlevels = 0;
+  model::TriStructure structure;
   bool diagonal_only = false;
 };
 
@@ -102,52 +93,13 @@ struct TriSample {
 /// Returns a negative value when the kernel is inapplicable.
 double measure_tri(TriKernelKind kind, const TriSample& s,
                    const sim::GpuSpec& gpu, bool* flops_ok) {
-  const index_t n = s.a.nrows;
   if (kind == TriKernelKind::kCompletelyParallel && !s.diagonal_only)
     return -1.0;
-
-  sim::AddressSpace as;
-  const auto n_u = static_cast<std::uint64_t>(n);
-  const std::uint64_t x_base = as.reserve(n_u * sizeof(double));
-  const std::uint64_t b_base = as.reserve(n_u * sizeof(double));
-  const std::uint64_t aux_base = as.reserve(n_u * (sizeof(double) + 4));
-  sim::CacheModel cache(gpu.cache_bytes, gpu.cache_line_bytes,
-                        gpu.cache_assoc);
-
-  std::vector<double> b(static_cast<std::size_t>(n), 1.0);
-  std::vector<double> x(static_cast<std::size_t>(n), 0.0);
-
-  auto run = [&](sim::SolveReport* rep) {
-    TrsvSim ts{&gpu, &cache, true, x_base, b_base, aux_base, rep};
-    switch (kind) {
-      case TriKernelKind::kCompletelyParallel: {
-        StrictLowerSplit<double> split = split_diagonal(s.a);
-        const DiagonalSolver<double> solver(std::move(split.diag));
-        solver.solve(b.data(), x.data(), &ts);
-        break;
-      }
-      case TriKernelKind::kLevelSet: {
-        const LevelSetSolver<double> solver(s.a);
-        solver.solve(b.data(), x.data(), &ts);
-        break;
-      }
-      case TriKernelKind::kSyncFree: {
-        const SyncFreeSolver<double> solver(s.a);
-        solver.solve(b.data(), x.data(), &ts);
-        break;
-      }
-      case TriKernelKind::kCusparseLike: {
-        const CusparseLikeSolver<double> solver(s.a);
-        solver.solve(b.data(), x.data(), &ts);
-        break;
-      }
-    }
-  };
-
-  sim::SolveReport warm;
-  run(&warm);
-  sim::SolveReport rep;
-  run(&rep);
+  model::Step step;
+  step.tri = s.structure.view();
+  step.tri_kind = kind;
+  const sim::SolveReport rep =
+      model::replay_warm({&step, 1}, s.a.nrows, gpu, true, 8);
   if (rep.flops != 2 * s.a.nnz()) *flops_ok = false;
   return rep.ns;
 }
@@ -185,46 +137,24 @@ Csr<double> make_square_block(index_t rows, double nnz_per_row,
   return a;
 }
 
+/// One SpMV calibration block with its CSR and DCSR views.
+struct SquareSample {
+  Csr<double> a;
+  model::SquareView csr, dcsr;
+};
+
 /// Simulated ns of one y ← y − A·x launch with kernel `kind` (launch
 /// overhead included — this is the quantity solve_simulated charges per
-/// square step). DCSR kinds run the native DCSR kernels, like the executor.
-double measure_square(SpmvKernelKind kind, const Csr<double>& a,
-                      const Dcsr<double>& d, const sim::GpuSpec& gpu,
-                      bool* flops_ok) {
-  sim::AddressSpace as;
-  const std::uint64_t x_base =
-      as.reserve(static_cast<std::uint64_t>(a.ncols) * sizeof(double));
-  const std::uint64_t y_base =
-      as.reserve(static_cast<std::uint64_t>(a.nrows) * sizeof(double));
-  sim::CacheModel cache(gpu.cache_bytes, gpu.cache_line_bytes,
-                        gpu.cache_assoc);
-
-  std::vector<double> x(static_cast<std::size_t>(a.ncols), 1.0);
-  std::vector<double> y(static_cast<std::size_t>(a.nrows), 0.0);
-
-  sim::KernelSim ks(gpu, &cache, true);
-  SpmvSim s{&ks, x_base, y_base};
-  auto run = [&] {
-    switch (kind) {
-      case SpmvKernelKind::kScalarCsr:
-        spmv_scalar_csr(a, x.data(), y.data(), &s);
-        break;
-      case SpmvKernelKind::kVectorCsr:
-        spmv_vector_csr(a, x.data(), y.data(), &s);
-        break;
-      case SpmvKernelKind::kScalarDcsr:
-        spmv_scalar_dcsr(d, x.data(), y.data(), &s);
-        break;
-      case SpmvKernelKind::kVectorDcsr:
-        spmv_vector_dcsr(d, x.data(), y.data(), &s);
-        break;
-    }
-    return ks.finish();
-  };
-  run();  // warm (finish() clears tasks, keeps the shared cache state)
-  const sim::KernelReport kr = run();
-  if (kr.flops != 2 * a.nnz()) *flops_ok = false;
-  return gpu.kernel_launch_ns + kr.ns;
+/// square step).
+double measure_square(SpmvKernelKind kind, const SquareSample& s,
+                      const sim::GpuSpec& gpu, bool* flops_ok) {
+  model::Step step;
+  step.square = is_dcsr(kind) ? &s.dcsr : &s.csr;
+  step.square_kind = kind;
+  const sim::SolveReport rep =
+      model::replay_warm({&step, 1}, s.a.nrows, gpu, true, 8);
+  if (rep.flops != 2 * s.a.nnz()) *flops_ok = false;
+  return rep.ns;
 }
 
 /// Host wall-clock pick of the level-merge width: a deep near-serial chain
@@ -356,8 +286,7 @@ CostModel calibrate_cost_model(const sim::GpuSpec& gpu) {
   std::vector<TriSample> tri_samples;
   auto add_tri = [&](Csr<double> a) {
     TriSample s;
-    const LevelSets ls = compute_level_sets(a);
-    s.nlevels = ls.nlevels;
+    s.structure = model::tri_structure(a);
     s.diagonal_only = a.nnz() == static_cast<offset_t>(a.nrows);
     s.a = std::move(a);
     tri_samples.push_back(std::move(s));
@@ -383,7 +312,7 @@ CostModel calibrate_cost_model(const sim::GpuSpec& gpu) {
       s.feat[0] = 1.0;
       s.feat[1] = static_cast<double>(ts.a.nrows);
       s.feat[2] = static_cast<double>(ts.a.nnz());
-      s.feat[3] = static_cast<double>(ts.nlevels);
+      s.feat[3] = static_cast<double>(ts.structure.levels.nlevels);
       s.ns = ns;
       obs.push_back(s);
     }
@@ -397,25 +326,30 @@ CostModel calibrate_cost_model(const sim::GpuSpec& gpu) {
   // --- SpMV kernels: blocks spanning the nnz/row × emptyratio plane of
   // Fig. 5b. stored_rows (the row count a kernel iterates) is the row
   // regressor: all rows for CSR, listed rows for DCSR.
-  std::vector<Csr<double>> sq_blocks;
+  std::vector<SquareSample> sq_samples;
   for (index_t rows : {256, 1024})
     for (double npr : {2.0, 8.0, 24.0})
-      for (double er : {0.0, 0.5, 0.9})
-        sq_blocks.push_back(make_square_block(rows, npr, er, ++seed));
+      for (double er : {0.0, 0.5, 0.9}) {
+        SquareSample s;
+        s.a = make_square_block(rows, npr, er, ++seed);
+        s.csr = model::square_view(SpmvKernelKind::kScalarCsr, s.a);
+        s.dcsr = model::square_view(SpmvKernelKind::kScalarDcsr, s.a);
+        sq_samples.push_back(std::move(s));
+      }
 
   for (int k = 0; k < 4; ++k) {
     const auto kind = static_cast<SpmvKernelKind>(k);
-    const bool dcsr = kind == SpmvKernelKind::kScalarDcsr ||
-                      kind == SpmvKernelKind::kVectorDcsr;
+    const bool dcsr = is_dcsr(kind);
     std::vector<Sample> obs;
-    for (const Csr<double>& a : sq_blocks) {
-      if (a.nnz() == 0 && dcsr) continue;
-      const Dcsr<double> d = csr_to_dcsr(a);
-      const double ns = measure_square(kind, a, d, gpu, &flops_ok);
+    for (const SquareSample& sq : sq_samples) {
+      if (sq.a.nnz() == 0 && dcsr) continue;
+      const double ns = measure_square(kind, sq, gpu, &flops_ok);
       Sample s;
       s.feat[0] = 1.0;
-      s.feat[1] = static_cast<double>(dcsr ? d.nnz_rows() : a.nrows);
-      s.feat[2] = static_cast<double>(a.nnz());
+      s.feat[1] = static_cast<double>(dcsr ? sq.dcsr.row_ids.size()
+                                           : static_cast<std::size_t>(
+                                                 sq.a.nrows));
+      s.feat[2] = static_cast<double>(sq.a.nnz());
       s.ns = ns;
       obs.push_back(s);
     }

@@ -29,7 +29,6 @@
 #include "common/types.hpp"
 #include "core/adaptive.hpp"
 #include "sim/machine.hpp"
-#include "spmv/kernels.hpp"
 #include "sptrsv/levelset.hpp"
 
 namespace blocktri::tune {

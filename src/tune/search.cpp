@@ -4,23 +4,15 @@
 #include <atomic>
 #include <cmath>
 #include <map>
-#include <memory>
 #include <tuple>
 #include <utility>
 
 #include "analysis/features.hpp"
 #include "analysis/levels.hpp"
 #include "common/rng.hpp"
+#include "model/replay.hpp"
 #include "order/hbmc.hpp"
-#include "sim/cache.hpp"
-#include "sim/kernel_sim.hpp"
-#include "sim/report.hpp"
-#include "sparse/convert.hpp"
 #include "sparse/triangular.hpp"
-#include "sptrsv/cusparse_like.hpp"
-#include "sptrsv/diagonal.hpp"
-#include "sptrsv/sim_ctx.hpp"
-#include "sptrsv/syncfree.hpp"
 
 namespace blocktri::tune {
 
@@ -86,10 +78,6 @@ bool tri_kind_valid(const Node& nd, TriKernelKind k) {
   return k != TriKernelKind::kCompletelyParallel || nd.diagonal_only;
 }
 
-bool is_dcsr(SpmvKernelKind k) {
-  return k == SpmvKernelKind::kScalarDcsr || k == SpmvKernelKind::kVectorDcsr;
-}
-
 double model_tri_cost(const CostModel& m, const Node& nd, TriKernelKind k) {
   return m.predict_tri(k, nd.r1 - nd.r0, nd.tri_nnz, nd.nlevels);
 }
@@ -134,26 +122,10 @@ SpmvKernelKind model_best_sq(const CostModel& m, const Node& nd,
 }
 
 // ---------------------------------------------------------------------------
-// Oracle: exact replication of BlockSolver::solve_simulated — same address
-// layout, same per-step TrsvSim/KernelSim construction, same
-// launch-per-square accounting (including empty squares), one warm pass then
-// the measured pass against a fresh cache. Sub-solvers are memoized per
-// (block range, kernel) so an annealing move only pays for the blocks it
+// Oracle: the model replay BlockSolver::solve_simulated runs (model/replay.hpp)
+// — one warm pass, then the measured pass, against a fresh cache. The views
+// are memoized per block, so an annealing move only pays for the blocks it
 // exposed.
-
-template <class T>
-struct TriEntry {
-  std::unique_ptr<DiagonalSolver<T>> diag;
-  std::unique_ptr<LevelSetSolver<T>> levelset;
-  std::unique_ptr<SyncFreeSolver<T>> syncfree;
-  std::unique_ptr<CusparseLikeSolver<T>> cusparse;
-};
-
-template <class T>
-struct SqEntry {
-  Csr<T> csr;
-  Dcsr<T> dcsr;
-};
 
 /// One step of a candidate plan, resolved to global ranges + kernel choice.
 struct SimStep {
@@ -164,139 +136,146 @@ struct SimStep {
 };
 
 template <class T>
-class OracleContext {
+class ViewMemo {
  public:
-  OracleContext(const Csr<T>* stored, ThreadPool* pool)
+  ViewMemo(const Csr<T>* stored, ThreadPool* pool)
       : stored_(stored), pool_(pool) {}
 
-  const TriEntry<T>& tri(index_t r0, index_t r1, TriKernelKind kind) {
-    const auto key = std::make_tuple(r0, r1, static_cast<int>(kind));
+  const model::TriStructure& tri(index_t r0, index_t r1) {
+    const auto key = std::make_pair(r0, r1);
     auto it = tri_.find(key);
     if (it != tri_.end()) return it->second;
-    Csr<T> blk = extract_block(*stored_, r0, r1, r0, r1);
-    TriEntry<T> e;
-    switch (kind) {
-      case TriKernelKind::kCompletelyParallel: {
-        StrictLowerSplit<T> split = split_diagonal(blk);
-        BLOCKTRI_CHECK(split.strict.nnz() == 0);
-        e.diag = std::make_unique<DiagonalSolver<T>>(std::move(split.diag));
-        break;
-      }
-      case TriKernelKind::kLevelSet:
-        e.levelset =
-            std::make_unique<LevelSetSolver<T>>(std::move(blk), pool_);
-        break;
-      case TriKernelKind::kSyncFree:
-        e.syncfree = std::make_unique<SyncFreeSolver<T>>(std::move(blk));
-        break;
-      case TriKernelKind::kCusparseLike:
-        e.cusparse = std::make_unique<CusparseLikeSolver<T>>(std::move(blk));
-        break;
-    }
-    return tri_.emplace(key, std::move(e)).first->second;
+    return tri_
+        .emplace(key, model::tri_structure(
+                          extract_block(*stored_, r0, r1, r0, r1), pool_))
+        .first->second;
   }
 
-  const SqEntry<T>& sq(index_t r0, index_t r1, index_t c0, index_t c1,
-                       SpmvKernelKind kind) {
-    const auto key = std::make_tuple(r0, r1, c0, static_cast<int>(kind));
+  const model::SquareView& sq(index_t r0, index_t r1, index_t c0, index_t c1,
+                              SpmvKernelKind kind) {
+    const auto key = std::make_tuple(r0, r1, c0, is_dcsr(kind));
     auto it = sq_.find(key);
     if (it != sq_.end()) return it->second;
-    Csr<T> blk = extract_block(*stored_, r0, r1, c0, c1);
-    SqEntry<T> e;
-    if (is_dcsr(kind) && blk.nnz() > 0)
-      e.dcsr = csr_to_dcsr(blk);
-    else
-      e.csr = std::move(blk);
-    return sq_.emplace(key, std::move(e)).first->second;
+    return sq_
+        .emplace(key, model::square_view(
+                          kind, extract_block(*stored_, r0, r1, c0, c1)))
+        .first->second;
   }
 
  private:
   const Csr<T>* stored_;
   ThreadPool* pool_;
-  std::map<std::tuple<index_t, index_t, int>, TriEntry<T>> tri_;
-  std::map<std::tuple<index_t, index_t, index_t, int>, SqEntry<T>> sq_;
+  std::map<std::pair<index_t, index_t>, model::TriStructure> tri_;
+  std::map<std::tuple<index_t, index_t, index_t, bool>, model::SquareView> sq_;
 };
 
 template <class T>
-double simulate_candidate(OracleContext<T>& ctx,
+double simulate_candidate(ViewMemo<T>& memo,
                           const std::vector<SimStep>& steps, index_t n,
                           const sim::GpuSpec& gpu) {
-  const int elem = static_cast<int>(sizeof(T));
-  const bool fp64 = sizeof(T) == 8;
-  sim::AddressSpace as;
-  const auto n_u = static_cast<std::uint64_t>(n);
-  const std::uint64_t x_base = as.reserve(n_u * sizeof(T));
-  const std::uint64_t b_base = as.reserve(n_u * sizeof(T));
-  const std::uint64_t aux_base = as.reserve(n_u * (sizeof(T) + 4));
-  sim::CacheModel cache(gpu.cache_bytes, gpu.cache_line_bytes,
-                        gpu.cache_assoc);
-
-  std::vector<T> bw(static_cast<std::size_t>(n));
-  std::vector<T> xw(static_cast<std::size_t>(n));
-  double measured = 0.0;
-  for (int pass = 0; pass < 2; ++pass) {
-    std::fill(bw.begin(), bw.end(), T(1));
-    std::fill(xw.begin(), xw.end(), T(0));
-    sim::SolveReport rep;
-    for (const SimStep& st : steps) {
-      if (st.tri) {
-        const auto kind = static_cast<TriKernelKind>(st.kind);
-        const TriEntry<T>& e = ctx.tri(st.r0, st.r1, kind);
-        TrsvSim ts;
-        ts.gpu = &gpu;
-        ts.cache = &cache;
-        ts.fp64 = fp64;
-        ts.x_base = x_base + static_cast<std::uint64_t>(st.r0) * elem;
-        ts.b_base = b_base + static_cast<std::uint64_t>(st.r0) * elem;
-        ts.aux_base =
-            aux_base + static_cast<std::uint64_t>(st.r0) * (elem + 4);
-        ts.report = &rep;
-        const T* b = bw.data() + st.r0;
-        T* x = xw.data() + st.r0;
-        switch (kind) {
-          case TriKernelKind::kCompletelyParallel:
-            e.diag->solve(b, x, &ts);
-            break;
-          case TriKernelKind::kLevelSet:
-            e.levelset->solve(b, x, &ts);
-            break;
-          case TriKernelKind::kSyncFree:
-            e.syncfree->solve(b, x, &ts);
-            break;
-          case TriKernelKind::kCusparseLike:
-            e.cusparse->solve(b, x, &ts);
-            break;
-        }
-      } else {
-        const auto kind = static_cast<SpmvKernelKind>(st.kind);
-        const SqEntry<T>& e = ctx.sq(st.r0, st.r1, st.c0, st.c1, kind);
-        sim::KernelSim ks(gpu, &cache, fp64);
-        SpmvSim ss;
-        ss.ks = &ks;
-        ss.x_base = x_base + static_cast<std::uint64_t>(st.c0) * elem;
-        ss.y_base = b_base + static_cast<std::uint64_t>(st.r0) * elem;
-        const T* x = xw.data() + st.c0;
-        T* y = bw.data() + st.r0;
-        switch (kind) {
-          case SpmvKernelKind::kScalarCsr:
-            spmv_scalar_csr(e.csr, x, y, &ss);
-            break;
-          case SpmvKernelKind::kVectorCsr:
-            spmv_vector_csr(e.csr, x, y, &ss);
-            break;
-          case SpmvKernelKind::kScalarDcsr:
-            spmv_scalar_dcsr(e.dcsr, x, y, &ss);
-            break;
-          case SpmvKernelKind::kVectorDcsr:
-            spmv_vector_dcsr(e.dcsr, x, y, &ss);
-            break;
-        }
-        rep.add_kernel_launch(ks.finish(), gpu.kernel_launch_ns);
-      }
+  std::vector<model::Step> plan(steps.size());
+  for (std::size_t s = 0; s < steps.size(); ++s) {
+    const SimStep& st = steps[s];
+    plan[s].r0 = st.r0;
+    if (st.tri) {
+      plan[s].tri = memo.tri(st.r0, st.r1).view();
+      plan[s].tri_kind = static_cast<TriKernelKind>(st.kind);
+    } else {
+      plan[s].c0 = st.c0;
+      plan[s].square_kind = static_cast<SpmvKernelKind>(st.kind);
+      plan[s].square = &memo.sq(st.r0, st.r1, st.c0, st.c1,
+                                plan[s].square_kind);
     }
-    measured = rep.ns;  // the second (cache-warm) pass survives the loop
   }
-  return measured;
+  return model::replay_warm(plan, n, gpu, sizeof(T) == 8,
+                           static_cast<int>(sizeof(T)))
+      .ns;
+}
+
+// ---------------------------------------------------------------------------
+// Fixed plans (the default plan D and the HBMC plan H).
+
+/// A fixed plan's blocks priced for the search: each triangle's level count
+/// and each square's empty ratio, and every block's kind under Alg. 7's
+/// heuristics and under the cost model (the heuristic one when the model is
+/// invalid or no better).
+struct PlanKinds {
+  std::vector<index_t> tri_nlevels;
+  std::vector<TriKernelKind> heur_tri, model_tri;
+  std::vector<double> sq_empty;
+  std::vector<SpmvKernelKind> heur_sq, model_sq;
+};
+
+template <class T>
+PlanKinds price_plan(const BlockPlan& plan, const Csr<T>& stored,
+                     const ThresholdTable& thresholds, const CostModel& model,
+                     double launch_ns) {
+  PlanKinds k;
+  for (index_t t = 0; t < plan.num_tri_blocks(); ++t) {
+    Node nd;
+    nd.r0 = plan.tri_bounds[static_cast<std::size_t>(t)];
+    nd.r1 = plan.tri_bounds[static_cast<std::size_t>(t) + 1];
+    const Csr<T> blk = extract_block(stored, nd.r0, nd.r1, nd.r0, nd.r1);
+    const TriangularFeatures feat = compute_triangular_features(blk);
+    nd.tri_nnz = blk.nnz();
+    nd.nlevels = feat.nlevels;
+    nd.diagonal_only = feat.base.diagonal_only;
+    nd.heur_tri = heuristic_tri(feat, thresholds);
+    k.tri_nlevels.push_back(feat.nlevels);
+    k.heur_tri.push_back(nd.heur_tri);
+    k.model_tri.push_back(model.valid ? model_best_tri(model, nd)
+                                      : nd.heur_tri);
+  }
+  for (const SquareBlockRef& ref : plan.squares) {
+    const Csr<T> blk = extract_block(stored, ref.r0, ref.r1, ref.c0, ref.c1);
+    if (blk.nnz() == 0) {
+      k.heur_sq.push_back(SpmvKernelKind::kScalarCsr);
+      k.model_sq.push_back(SpmvKernelKind::kScalarCsr);
+      k.sq_empty.push_back(ref.r1 > ref.r0 ? 1.0 : 0.0);
+      continue;
+    }
+    const MatrixFeatures feat = compute_features(blk);
+    Node nd;
+    nd.r0 = ref.c0;
+    nd.mid = ref.r0;
+    nd.r1 = ref.r1;
+    nd.left = 0;  // mark internal so model_sq_cost sees a square
+    nd.sq_nnz = blk.nnz();
+    nd.sq_stored_rows = static_cast<index_t>(std::lround(
+        (1.0 - feat.empty_ratio) * static_cast<double>(ref.r1 - ref.r0)));
+    nd.heur_sq = select_square_kernel(feat, thresholds);
+    k.sq_empty.push_back(feat.empty_ratio);
+    k.heur_sq.push_back(nd.heur_sq);
+    k.model_sq.push_back(model.valid ? model_best_sq(model, nd, launch_ns)
+                                     : nd.heur_sq);
+  }
+  return k;
+}
+
+/// The steps of `plan` under the given per-block kinds.
+std::vector<SimStep> plan_steps(const BlockPlan& plan,
+                                const std::vector<TriKernelKind>& tk,
+                                const std::vector<SpmvKernelKind>& sk) {
+  std::vector<SimStep> steps;
+  for (const ExecStep& es : plan.steps) {
+    const auto idx = static_cast<std::size_t>(es.index);
+    SimStep st;
+    if (es.kind == ExecStep::Kind::kTri) {
+      st.tri = true;
+      st.r0 = plan.tri_bounds[idx];
+      st.r1 = plan.tri_bounds[idx + 1];
+      st.kind = static_cast<int>(tk[idx]);
+    } else {
+      const SquareBlockRef& ref = plan.squares[idx];
+      st.r0 = ref.r0;
+      st.r1 = ref.r1;
+      st.c0 = ref.c0;
+      st.c1 = ref.c1;
+      st.kind = static_cast<int>(sk[idx]);
+    }
+    steps.push_back(st);
+  }
+  return steps;
 }
 
 // ---------------------------------------------------------------------------
@@ -381,88 +360,17 @@ TunedPlan<T> autotune_recursive(const Csr<T>& lower,
   Csr<T> dstored;
   BlockPlan dplan = plan_recursive(lower, planner, &dstored, pool);
 
-  std::vector<TriKernelKind> d_heur_tri, d_model_tri;
-  std::vector<index_t> d_nlevels;
-  std::vector<SpmvKernelKind> d_heur_sq, d_model_sq;
-  std::vector<double> d_empty;
-  for (index_t t = 0; t < dplan.num_tri_blocks(); ++t) {
-    const index_t r0 = dplan.tri_bounds[static_cast<std::size_t>(t)];
-    const index_t r1 = dplan.tri_bounds[static_cast<std::size_t>(t) + 1];
-    const Csr<T> blk = extract_block(dstored, r0, r1, r0, r1);
-    const TriangularFeatures feat = compute_triangular_features(blk);
-    d_nlevels.push_back(feat.nlevels);
-    d_heur_tri.push_back(heuristic_tri(feat, thresholds));
-    if (model.valid) {
-      Node nd;
-      nd.r0 = r0;
-      nd.r1 = r1;
-      nd.tri_nnz = blk.nnz();
-      nd.nlevels = feat.nlevels;
-      nd.diagonal_only = feat.base.diagonal_only;
-      nd.heur_tri = d_heur_tri.back();
-      d_model_tri.push_back(model_best_tri(model, nd));
-    } else {
-      d_model_tri.push_back(d_heur_tri.back());
-    }
-  }
-  for (const SquareBlockRef& ref : dplan.squares) {
-    const Csr<T> blk = extract_block(dstored, ref.r0, ref.r1, ref.c0, ref.c1);
-    if (blk.nnz() == 0) {
-      d_heur_sq.push_back(SpmvKernelKind::kScalarCsr);
-      d_model_sq.push_back(SpmvKernelKind::kScalarCsr);
-      d_empty.push_back(ref.r1 > ref.r0 ? 1.0 : 0.0);
-      continue;
-    }
-    const MatrixFeatures feat = compute_features(blk);
-    d_heur_sq.push_back(select_square_kernel(feat, thresholds));
-    d_empty.push_back(feat.empty_ratio);
-    if (model.valid) {
-      Node nd;
-      nd.r0 = ref.c0;
-      nd.mid = ref.r0;
-      nd.r1 = ref.r1;
-      nd.left = 0;  // mark internal so model_sq_cost sees a square
-      nd.sq_nnz = blk.nnz();
-      nd.sq_stored_rows = static_cast<index_t>(
-          std::lround((1.0 - feat.empty_ratio) *
-                      static_cast<double>(ref.r1 - ref.r0)));
-      nd.heur_sq = d_heur_sq.back();
-      d_model_sq.push_back(model_best_sq(model, nd, launch_ns));
-    } else {
-      d_model_sq.push_back(d_heur_sq.back());
-    }
-  }
+  const PlanKinds dk =
+      price_plan(dplan, dstored, thresholds, model, launch_ns);
 
-  auto d_steps = [&](const std::vector<TriKernelKind>& tk,
-                     const std::vector<SpmvKernelKind>& sk) {
-    std::vector<SimStep> steps;
-    for (const ExecStep& es : dplan.steps) {
-      SimStep st;
-      if (es.kind == ExecStep::Kind::kTri) {
-        st.tri = true;
-        st.r0 = dplan.tri_bounds[static_cast<std::size_t>(es.index)];
-        st.r1 = dplan.tri_bounds[static_cast<std::size_t>(es.index) + 1];
-        st.kind = static_cast<int>(tk[static_cast<std::size_t>(es.index)]);
-      } else {
-        const SquareBlockRef& ref =
-            dplan.squares[static_cast<std::size_t>(es.index)];
-        st.r0 = ref.r0;
-        st.r1 = ref.r1;
-        st.c0 = ref.c0;
-        st.c1 = ref.c1;
-        st.kind = static_cast<int>(sk[static_cast<std::size_t>(es.index)]);
-      }
-      steps.push_back(st);
-    }
-    return steps;
-  };
-
-  OracleContext<T> dctx(&dstored, pool);
-  const std::vector<SimStep> d_heur_steps = d_steps(d_heur_tri, d_heur_sq);
+  ViewMemo<T> dctx(&dstored, pool);
+  const std::vector<SimStep> d_heur_steps =
+      plan_steps(dplan, dk.heur_tri, dk.heur_sq);
   const double ns_d_heur = simulate_candidate(dctx, d_heur_steps, n, topt.gpu);
   const bool d_model_differs =
-      d_model_tri != d_heur_tri || d_model_sq != d_heur_sq;
-  const std::vector<SimStep> d_model_steps = d_steps(d_model_tri, d_model_sq);
+      dk.model_tri != dk.heur_tri || dk.model_sq != dk.heur_sq;
+  const std::vector<SimStep> d_model_steps =
+      plan_steps(dplan, dk.model_tri, dk.model_sq);
   const double ns_d_model =
       d_model_differs ? simulate_candidate(dctx, d_model_steps, n, topt.gpu)
                       : ns_d_heur;
@@ -599,7 +507,7 @@ TunedPlan<T> autotune_recursive(const Csr<T>& lower,
     }
   }
 
-  OracleContext<T> mctx(&mstored, pool);
+  ViewMemo<T> mctx(&mstored, pool);
   auto eval_cut = [&] {
     std::vector<SimStep> steps;
     cut_steps(nodes, in_cut, tri_kind, sq_kind, 0, &steps);
@@ -762,83 +670,18 @@ TunedPlan<T> autotune_recursive(const Csr<T>& lower,
   bool hbmc_built = false;
   double ns_hbmc = 0.0;
   BlockPlan hplan;
-  Csr<T> hstored;
-  std::vector<TriKernelKind> h_tri;
-  std::vector<index_t> h_nlevels;
-  std::vector<SpmvKernelKind> h_sq;
-  std::vector<double> h_empty;
-  std::vector<SimStep> h_steps;
+  PlanKinds hk;
   if (topt.consider_hbmc &&
       prefer_hbmc(compute_level_sets(lower, pool).nlevels,
                   planner.hbmc_max_colors, thresholds)) {
+    Csr<T> hstored;
     hplan = order::plan_hbmc(lower, planner,
                              static_cast<index_t>(tp.merge_width), &hstored,
                              pool);
-    for (index_t t = 0; t < hplan.num_tri_blocks(); ++t) {
-      const index_t r0 = hplan.tri_bounds[static_cast<std::size_t>(t)];
-      const index_t r1 = hplan.tri_bounds[static_cast<std::size_t>(t) + 1];
-      const Csr<T> blk = extract_block(hstored, r0, r1, r0, r1);
-      const TriangularFeatures feat = compute_triangular_features(blk);
-      h_nlevels.push_back(feat.nlevels);
-      TriKernelKind kind = heuristic_tri(feat, thresholds);
-      if (model.valid) {
-        Node nd;
-        nd.r0 = r0;
-        nd.r1 = r1;
-        nd.tri_nnz = blk.nnz();
-        nd.nlevels = feat.nlevels;
-        nd.diagonal_only = feat.base.diagonal_only;
-        nd.heur_tri = kind;
-        kind = model_best_tri(model, nd);
-      }
-      h_tri.push_back(kind);
-    }
-    for (const SquareBlockRef& ref : hplan.squares) {
-      const Csr<T> blk =
-          extract_block(hstored, ref.r0, ref.r1, ref.c0, ref.c1);
-      if (blk.nnz() == 0) {
-        h_sq.push_back(SpmvKernelKind::kScalarCsr);
-        h_empty.push_back(ref.r1 > ref.r0 ? 1.0 : 0.0);
-        continue;
-      }
-      const MatrixFeatures feat = compute_features(blk);
-      h_empty.push_back(feat.empty_ratio);
-      SpmvKernelKind kind = select_square_kernel(feat, thresholds);
-      if (model.valid) {
-        Node nd;
-        nd.r0 = ref.c0;
-        nd.mid = ref.r0;
-        nd.r1 = ref.r1;
-        nd.left = 0;
-        nd.sq_nnz = blk.nnz();
-        nd.sq_stored_rows = static_cast<index_t>(
-            std::lround((1.0 - feat.empty_ratio) *
-                        static_cast<double>(ref.r1 - ref.r0)));
-        nd.heur_sq = kind;
-        kind = model_best_sq(model, nd, launch_ns);
-      }
-      h_sq.push_back(kind);
-    }
-    for (const ExecStep& es : hplan.steps) {
-      SimStep st;
-      if (es.kind == ExecStep::Kind::kTri) {
-        st.tri = true;
-        st.r0 = hplan.tri_bounds[static_cast<std::size_t>(es.index)];
-        st.r1 = hplan.tri_bounds[static_cast<std::size_t>(es.index) + 1];
-        st.kind = static_cast<int>(h_tri[static_cast<std::size_t>(es.index)]);
-      } else {
-        const SquareBlockRef& ref =
-            hplan.squares[static_cast<std::size_t>(es.index)];
-        st.r0 = ref.r0;
-        st.r1 = ref.r1;
-        st.c0 = ref.c0;
-        st.c1 = ref.c1;
-        st.kind = static_cast<int>(h_sq[static_cast<std::size_t>(es.index)]);
-      }
-      h_steps.push_back(st);
-    }
-    OracleContext<T> hctx(&hstored, pool);
-    ns_hbmc = simulate_candidate(hctx, h_steps, n, topt.gpu);
+    hk = price_plan(hplan, hstored, thresholds, model, launch_ns);
+    ViewMemo<T> hctx(&hstored, pool);
+    ns_hbmc = simulate_candidate(
+        hctx, plan_steps(hplan, hk.model_tri, hk.model_sq), n, topt.gpu);
     hbmc_built = true;
   }
 
@@ -869,10 +712,10 @@ TunedPlan<T> autotune_recursive(const Csr<T>& lower,
 
   if (winner == Winner::kHbmc) {
     tp.plan = std::move(hplan);
-    tp.tri_kinds = std::move(h_tri);
-    tp.tri_nlevels = std::move(h_nlevels);
-    tp.square_kinds = std::move(h_sq);
-    tp.square_empty_ratio = std::move(h_empty);
+    tp.tri_kinds = std::move(hk.model_tri);
+    tp.tri_nlevels = std::move(hk.tri_nlevels);
+    tp.square_kinds = std::move(hk.model_sq);
+    tp.square_empty_ratio = std::move(hk.sq_empty);
     // The M-tree node list cannot price HBMC's blocks; report the oracle
     // number so the stats stay meaningful.
     tp.stats.model_tuned_ns = ns_hbmc;
@@ -882,10 +725,10 @@ TunedPlan<T> autotune_recursive(const Csr<T>& lower,
   if (winner == Winner::kDefaultHeur || winner == Winner::kDefaultModel) {
     const bool heur = winner == Winner::kDefaultHeur;
     tp.plan = std::move(dplan);
-    tp.tri_kinds = heur ? d_heur_tri : d_model_tri;
-    tp.tri_nlevels = d_nlevels;
-    tp.square_kinds = heur ? d_heur_sq : d_model_sq;
-    tp.square_empty_ratio = d_empty;
+    tp.tri_kinds = heur ? dk.heur_tri : dk.model_tri;
+    tp.tri_nlevels = dk.tri_nlevels;
+    tp.square_kinds = heur ? dk.heur_sq : dk.model_sq;
+    tp.square_empty_ratio = dk.sq_empty;
     tp.stats.model_tuned_ns = model_steps_cost(
         model, nodes, heur ? d_heur_steps : d_model_steps, launch_ns);
     return tp;

@@ -13,9 +13,9 @@
 //      choosing split-vs-leaf and the per-block kernel at each node,
 //   3. refines with bounded simulated annealing (SET's PartEngine/sa.h
 //      style): collapse/expand moves on the cut plus kernel flips, scored by
-//      the exact execution-simulator oracle — the same fresh-cache,
-//      warm-pass-then-measure protocol solve_simulated and the fig6 bench
-//      use, with per-(block, kernel) sub-solvers memoized across candidates,
+//      the oracle — the model replay solve_simulated runs (model/replay.hpp)
+//      under the fresh-cache, warm-pass-then-measure protocol of the fig6
+//      bench, with each block's structural view memoized across candidates,
 //   4. picks the oracle-argmin among {D with the paper's Alg. 7 kernels,
 //      D with model-chosen kernels, the annealed cut}. D-with-heuristics wins
 //      ties, so a tuned solver is never worse than the default under the
@@ -31,7 +31,6 @@
 #include "core/plan.hpp"
 #include "sim/machine.hpp"
 #include "sparse/formats.hpp"
-#include "spmv/kernels.hpp"
 #include "sptrsv/levelset.hpp"
 #include "tune/cost_model.hpp"
 

@@ -503,8 +503,12 @@ class ArtifactRetry : public ::testing::Test {
     persist_testing::force_io_failures(0);  // never leak into other tests
     std::remove(path_.c_str());
   }
+  // One file per test, so tests running in parallel (ctest -j) never
+  // remove each other's artifact.
   std::string path_ =
-      ::testing::TempDir() + "blocktri_resilience_retry.btpa";
+      ::testing::TempDir() + "blocktri_resilience_retry_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".btpa";
 };
 
 TEST_F(ArtifactRetry, TransientIoFailuresAreRetriedWithBackoff) {

@@ -3,7 +3,7 @@
 // the build disables FP contraction), the strict-scalar escape hatch must
 // agree to rounding, and batched kernels must reproduce the single-RHS
 // results column by column. Also covers the level-merge execution groups
-// (BLOCKTRI_NO_LEVEL_MERGE) and path dispatch hygiene.
+// (merge width 0 turns merging off) and path dispatch hygiene.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -274,10 +274,7 @@ TEST(LevelMerge, DisabledMatchesBitwise) {
   const auto b = gen::random_rhs<double>(L.nrows, 91);
 
   const LevelSetSolver<double> merged(L);
-  ASSERT_EQ(unsetenv("BLOCKTRI_NO_LEVEL_MERGE"), 0);
-  ASSERT_EQ(setenv("BLOCKTRI_NO_LEVEL_MERGE", "1", 1), 0);
-  const LevelSetSolver<double> unmerged(L);
-  ASSERT_EQ(unsetenv("BLOCKTRI_NO_LEVEL_MERGE"), 0);
+  const LevelSetSolver<double> unmerged(L, nullptr, /*merge_max_width=*/0);
 
   EXPECT_EQ(unmerged.exec_groups(), unmerged.levels().nlevels);
   EXPECT_LE(merged.exec_groups(), merged.levels().nlevels);

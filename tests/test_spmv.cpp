@@ -1,12 +1,14 @@
-// SpMV kernel tests: all four kernels must agree with the dense oracle on
-// the update form y -= A x, and their cost models must reflect their design
-// points (divergence for scalar, empty-row skipping for DCSR).
+// SpMV tests: the host update of the format each of the four kinds stores
+// (CSR, or listed rows for DCSR) must agree with the dense oracle on the
+// update form y -= A x, and the kinds' GPU models (model/kernels.hpp) must
+// reflect their design points (divergence for scalar, empty-row skipping for
+// DCSR).
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "gen/generators.hpp"
 #include "helpers.hpp"
-#include "sim/kernel_sim.hpp"
+#include "model/replay.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/dense.hpp"
 #include "spmv/kernels.hpp"
@@ -40,6 +42,23 @@ std::vector<T> oracle_update(const Csr<T>& a, const std::vector<T>& x,
   return y;
 }
 
+/// The host update of the format `kind` stores: every row for the CSR
+/// kinds, the listed (non-empty) rows for DCSR.
+void host_update(SpmvKernelKind kind, const Csr<double>& a, const double* x,
+                 double* y) {
+  if (is_dcsr(kind)) {
+    spmv_update(csr_to_dcsr(a), x, y);
+  } else {
+    spmv_update(a, x, y);
+  }
+}
+
+/// The GPU model of `kind` over `a`, into `ks` (x at address 0).
+void model_update(SpmvKernelKind kind, const Csr<double>& a,
+                  sim::KernelSim& ks, std::uint64_t y_base) {
+  model::spmv(kind, model::square_view(kind, a), ks, 8, 0, y_base);
+}
+
 class SpmvKernels : public ::testing::TestWithParam<SpmvKernelKind> {};
 
 TEST_P(SpmvKernels, MatchesDenseOracle) {
@@ -47,7 +66,7 @@ TEST_P(SpmvKernels, MatchesDenseOracle) {
   const auto x = gen::random_rhs<double>(45, 4);
   const auto y0 = gen::random_rhs<double>(70, 5);
   auto y = y0;
-  spmv_update(GetParam(), a, x.data(), y.data(), nullptr);
+  host_update(GetParam(), a, x.data(), y.data());
   EXPECT_TRUE(VectorsNear(y, oracle_update(a, x, y0), 1e-12));
 }
 
@@ -63,7 +82,7 @@ TEST_P(SpmvKernels, HandlesEmptyRowsAndAllEmpty) {
   const auto x = gen::random_rhs<double>(20, 6);
   const auto y0 = gen::random_rhs<double>(100, 7);
   auto y = y0;
-  spmv_update(GetParam(), a, x.data(), y.data(), nullptr);
+  host_update(GetParam(), a, x.data(), y.data());
   EXPECT_TRUE(VectorsNear(y, oracle_update(a, x, y0), 1e-12));
 
   // Completely empty block: y unchanged.
@@ -74,7 +93,7 @@ TEST_P(SpmvKernels, HandlesEmptyRowsAndAllEmpty) {
   auto y2 = y0;
   y2.resize(10);
   const auto y2_before = y2;
-  spmv_update(GetParam(), empty, x.data(), y2.data(), nullptr);
+  host_update(GetParam(), empty, x.data(), y2.data());
   EXPECT_EQ(y2, y2_before);
 }
 
@@ -91,7 +110,7 @@ TEST_P(SpmvKernels, LongSingleRow) {
   const auto a = coo_to_csr(coo);
   const auto x = gen::random_rhs<double>(1000, 8);
   std::vector<double> y = {10.0};
-  spmv_update(GetParam(), a, x.data(), y.data(), nullptr);
+  host_update(GetParam(), a, x.data(), y.data());
   double want = 10.0;
   for (index_t j = 0; j < 1000; ++j)
     want -= 0.001 * j * x[static_cast<std::size_t>(j)];
@@ -100,12 +119,9 @@ TEST_P(SpmvKernels, LongSingleRow) {
 
 TEST_P(SpmvKernels, SimProducesPositiveCost) {
   const auto a = random_rect(200, 100, 1500, 9);
-  const auto x = gen::random_rhs<double>(100, 10);
-  auto y = gen::random_rhs<double>(200, 11);
   const auto gpu = sim::titan_rtx();
   sim::KernelSim ks(gpu, nullptr, true);
-  SpmvSim s{&ks, 0, 1u << 20};
-  spmv_update(GetParam(), a, x.data(), y.data(), &s);
+  model_update(GetParam(), a, ks, 1u << 20);
   const auto rep = ks.finish();
   EXPECT_GT(rep.ns, 0.0);
   EXPECT_EQ(rep.flops, 2 * a.nnz());
@@ -143,14 +159,11 @@ TEST(SpmvCost, ScalarSuffersDivergenceOnSkewedRows) {
     coo.val.push_back(1.0);
   }
   const auto a = coo_to_csr(coo);
-  const auto x = gen::random_rhs<double>(400, 13);
   const auto gpu = sim::titan_rtx();
 
   auto time_kind = [&](SpmvKernelKind kind) {
-    auto y = gen::random_rhs<double>(32, 14);
     sim::KernelSim ks(gpu, nullptr, true);
-    SpmvSim s{&ks, 0, 1u << 20};
-    spmv_update(kind, a, x.data(), y.data(), &s);
+    model_update(kind, a, ks, 1u << 20);
     return ks.finish().latency_ns;
   };
   // The scalar warp serialises ~max_row_len iterations; vector splits the
@@ -173,16 +186,12 @@ TEST(SpmvCost, DcsrSkipsEmptyRows) {
     coo.val.push_back(1.0);
   }
   const auto a = coo_to_csr(coo);
-  const auto x = gen::random_rhs<double>(64, 16);
   const auto gpu = sim::titan_rtx();
 
   auto cost = [&](SpmvKernelKind kind) {
-    auto y = gen::random_rhs<double>(10000, 17);
     sim::KernelSim ks(gpu, nullptr, true);
-    SpmvSim s{&ks, 0, 1u << 24};
-    spmv_update(kind, a, x.data(), y.data(), &s);
-    const auto rep = ks.finish();
-    return rep;
+    model_update(kind, a, ks, 1u << 24);
+    return ks.finish();
   };
   const auto csr = cost(SpmvKernelKind::kScalarCsr);
   const auto dcsr = cost(SpmvKernelKind::kScalarDcsr);
@@ -205,8 +214,8 @@ TEST(Spmv, FloatKernelsAgreeWithDouble) {
   const auto xf = gen::random_rhs<float>(40, 21);
   auto yd = gen::random_rhs<double>(50, 22);
   auto yf = gen::random_rhs<float>(50, 22);
-  spmv_scalar_csr(ad, xd.data(), yd.data(), nullptr);
-  spmv_scalar_csr(af, xf.data(), yf.data(), nullptr);
+  spmv_update(ad, xd.data(), yd.data());
+  spmv_update(af, xf.data(), yf.data());
   for (std::size_t i = 0; i < yd.size(); ++i)
     EXPECT_NEAR(static_cast<double>(yf[i]), yd[i], 2e-4);
 }

@@ -1,11 +1,12 @@
 // Baseline SpTRSV solver tests: every parallel solver must match the serial
 // oracle (Algorithm 1) on every structural family, in both precisions, and
-// the simulated launch/sync accounting must match each algorithm's design.
+// the GPU model's launch/sync accounting of each solver's structure
+// (model/kernels.hpp) must match each algorithm's design.
 #include <gtest/gtest.h>
 
 #include "gen/generators.hpp"
 #include "helpers.hpp"
-#include "sim/kernel_sim.hpp"
+#include "model/replay.hpp"
 #include "sparse/dense.hpp"
 #include "sptrsv/cusparse_like.hpp"
 #include "sptrsv/diagonal.hpp"
@@ -54,29 +55,39 @@ std::string baseline_name(Baseline b) {
   return "?";
 }
 
+/// Solves with the baseline `which`; with `s`, also models its kernel over
+/// the solver's structure into s->report.
 template <class T>
 std::vector<T> run_baseline(Baseline which, const Csr<T>& L,
                             const std::vector<T>& b,
-                            const TrsvSim* s = nullptr) {
+                            const model::TrsvSim* s = nullptr) {
   std::vector<T> x(static_cast<std::size_t>(L.nrows));
+  const auto run = [&](const auto& solver) {
+    solver.solve(b.data(), x.data());
+    if (s != nullptr)
+      model::triangle(model::kind_of(solver), model::tri_view(solver), *s);
+  };
   switch (which) {
-    case Baseline::kLevelSet: {
-      LevelSetSolver<T> solver(L);
-      solver.solve(b.data(), x.data(), s);
+    case Baseline::kLevelSet:
+      run(LevelSetSolver<T>(L));
       break;
-    }
-    case Baseline::kSyncFree: {
-      SyncFreeSolver<T> solver(L);
-      solver.solve(b.data(), x.data(), s);
+    case Baseline::kSyncFree:
+      run(SyncFreeSolver<T>(L));
       break;
-    }
-    case Baseline::kCusparseLike: {
-      CusparseLikeSolver<T> solver(L);
-      solver.solve(b.data(), x.data(), s);
+    case Baseline::kCusparseLike:
+      run(CusparseLikeSolver<T>(L));
       break;
-    }
   }
   return x;
+}
+
+/// The model context of a cache-less device with every base address 0.
+model::TrsvSim cacheless(const sim::GpuSpec& gpu, sim::SolveReport* rep) {
+  model::TrsvSim ts;
+  ts.gpu = &gpu;
+  ts.fp64 = true;
+  ts.report = rep;
+  return ts;
 }
 
 // Cross product: baseline x structural family.
@@ -114,16 +125,12 @@ TEST_P(BaselineOnMatrix, SimulatedSolveSameResultAndPositiveTime) {
   sim::CacheModel cache(gpu.cache_bytes, gpu.cache_line_bytes,
                         gpu.cache_assoc);
   sim::SolveReport rep;
-  TrsvSim ts;
-  ts.gpu = &gpu;
+  model::TrsvSim ts = cacheless(gpu, &rep);
   ts.cache = &cache;
-  ts.fp64 = true;
-  ts.x_base = 0;
   ts.b_base = 1u << 26;
   ts.aux_base = 1u << 27;
-  ts.report = &rep;
   const auto got = run_baseline(which, L, b, &ts);
-  EXPECT_EQ(got, want);  // simulation must not perturb the numerics
+  EXPECT_EQ(got, want);  // the model reads structure and touches no value
   EXPECT_GT(rep.ns, 0.0);
   EXPECT_EQ(rep.flops, 2 * L.nnz());
 }
@@ -143,43 +150,31 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(LevelSet, LaunchesOneKernelPerLevel) {
   const auto L = gen::random_levels(2000, 37, 2.0, 1.0, 5);
-  const auto b = gen::random_rhs<double>(2000, 6);
   LevelSetSolver<double> solver(L);
   EXPECT_EQ(solver.levels().nlevels, 37);
 
   const auto gpu = sim::titan_rtx();
   sim::SolveReport rep;
-  TrsvSim ts;
-  ts.gpu = &gpu;
-  ts.cache = nullptr;
-  ts.fp64 = true;
-  ts.report = &rep;
-  std::vector<double> x(2000);
-  solver.solve(b.data(), x.data(), &ts);
+  model::level_set(model::tri_view(solver), cacheless(gpu, &rep));
   EXPECT_EQ(rep.kernel_launches, 37);
   EXPECT_EQ(rep.grid_syncs, 0);
 }
 
 TEST(SyncFree, OneSolveKernelPlusReset) {
   const auto L = gen::kkt_structure(3000, 21, 3.0, 7);
-  const auto b = gen::random_rhs<double>(3000, 8);
   SyncFreeSolver<double> solver(L);
 
   const auto gpu = sim::titan_rtx();
   sim::SolveReport rep;
-  TrsvSim ts;
-  ts.gpu = &gpu;
-  ts.cache = nullptr;
-  ts.fp64 = true;
-  ts.report = &rep;
-  std::vector<double> x(3000);
-  solver.solve(b.data(), x.data(), &ts);
+  model::TrsvSim ts = cacheless(gpu, &rep);
+  model::sync_free(model::tri_view(solver), ts);
   // One launch for the whole solve — the algorithm's selling point — plus
   // one for resetting left_sum / in_degree.
   EXPECT_EQ(rep.kernel_launches, 2);
   EXPECT_EQ(rep.grid_syncs, 0);
   // The modelled Alg. 3 report, recorded from a build whose host kernel
-  // held the CSC: the transient column view must reproduce it exactly.
+  // held the CSC: the model's transient column view must reproduce it
+  // exactly.
   EXPECT_EQ(rep.ns, 0x1.21d6924924925p+16  /* 74198.571428571435 */);
   EXPECT_EQ(rep.flops, 28804);
   EXPECT_EQ(rep.bytes, 4675736);
@@ -190,8 +185,8 @@ TEST(SyncFree, OneSolveKernelPlusReset) {
   sim::SolveReport warm;
   ts.cache = &cache;
   ts.report = &warm;
-  solver.solve(b.data(), x.data(), &ts);
-  solver.solve(b.data(), x.data(), &ts);
+  model::sync_free(model::tri_view(solver), ts);
+  model::sync_free(model::tri_view(solver), ts);
   EXPECT_EQ(warm.kernel_launches, 4);
   EXPECT_EQ(warm.ns, 0x1.fc2e492492492p+15  /* 65047.142857142855 */);
   EXPECT_EQ(warm.bytes, 477744);
@@ -225,14 +220,7 @@ TEST(CusparseLike, MergesSmallLevels) {
 
   const auto gpu = sim::titan_rtx();
   sim::SolveReport rep;
-  TrsvSim ts;
-  ts.gpu = &gpu;
-  ts.cache = nullptr;
-  ts.fp64 = true;
-  ts.report = &rep;
-  std::vector<double> x(1000);
-  const auto b = gen::random_rhs<double>(1000, 10);
-  solver.solve(b.data(), x.data(), &ts);
+  model::cusparse_like(model::tri_view(solver), cacheless(gpu, &rep));
   EXPECT_EQ(rep.kernel_launches, solver.num_merged_kernels());
   EXPECT_EQ(rep.kernel_launches + rep.grid_syncs, 500);
 }
@@ -248,19 +236,14 @@ TEST(Diagonal, SolvesAndSimulates) {
   DiagonalSolver<double> solver(diag);
   const std::vector<double> b = {2.0, 8.0, 1.0};
   std::vector<double> x(3);
-  solver.solve(b.data(), x.data(), nullptr);
+  solver.solve(b.data(), x.data());
   EXPECT_DOUBLE_EQ(x[0], 1.0);
   EXPECT_DOUBLE_EQ(x[1], -2.0);
   EXPECT_DOUBLE_EQ(x[2], 2.0);
 
   const auto gpu = sim::titan_rtx();
   sim::SolveReport rep;
-  TrsvSim ts;
-  ts.gpu = &gpu;
-  ts.cache = nullptr;
-  ts.fp64 = true;
-  ts.report = &rep;
-  solver.solve(b.data(), x.data(), &ts);
+  model::diagonal(solver.n(), cacheless(gpu, &rep));
   EXPECT_EQ(rep.kernel_launches, 1);
   EXPECT_GT(rep.ns, 0.0);
 }
@@ -279,11 +262,7 @@ TEST(Baselines, DeepChainCostOrdering) {
 
   auto simulate = [&](Baseline which) {
     sim::SolveReport rep;
-    TrsvSim ts;
-    ts.gpu = &gpu;
-    ts.cache = nullptr;
-    ts.fp64 = true;
-    ts.report = &rep;
+    const model::TrsvSim ts = cacheless(gpu, &rep);
     run_baseline(which, L, b, &ts);
     return rep.ns;
   };

@@ -39,7 +39,6 @@
 #include "service/solve_service.hpp" // IWYU pragma: export
 #include "service/wire.hpp"          // IWYU pragma: export
 #include "shard/coordinator.hpp"   // IWYU pragma: export
-#include "shard/shard_plan.hpp"    // IWYU pragma: export
 #include "sim/cache.hpp"           // IWYU pragma: export
 #include "sim/host_sim.hpp"        // IWYU pragma: export
 #include "sim/kernel_sim.hpp"      // IWYU pragma: export

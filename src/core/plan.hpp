@@ -69,9 +69,8 @@ struct BlockPlan {
 
   // HBMC only (empty / 0 for the other schemes): ncolors + 1 ascending color
   // boundaries in permuted row space — every value is also a tri_bounds entry
-  // (a color is a contiguous run of whole blocks, so the shard planner's
-  // tri-bound cuts respect colors for free) — and the effective aggregation
-  // width W after the planner's doubling loop.
+  // (a color is a contiguous run of whole blocks) — and the effective
+  // aggregation width W after the planner's doubling loop.
   std::vector<index_t> color_bounds;
   index_t hbmc_block_rows = 0;
 
@@ -136,8 +135,7 @@ BlockPlan plan_recursive(const Csr<T>& lower, const PlannerOptions& opt,
 /// within its row of the caller's CSR, so an install reads the caller's
 /// values through it with no gather or sort. Entries are `width` bytes in
 /// native byte order: the narrowest of 1, 2 or 4 that holds a position in
-/// the longest input row. A shard slice, which installs nothing, has none
-/// (width 0).
+/// the longest input row; width 0 until sized.
 struct ValueMap {
   std::uint32_t width = 0;
   std::vector<std::uint8_t> bytes;

@@ -440,6 +440,13 @@ auto BlockSolver<T>::acquire_workspace(const ExecControl* ctl) const ->
 }
 
 template <class T>
+index_t BlockSolver<T>::executed_steps() const {
+  std::size_t steps = 0;
+  for (const std::vector<ExecStep>& wave : waves_) steps += wave.size();
+  return static_cast<index_t>(steps);
+}
+
+template <class T>
 Status BlockSolver<T>::pool_exhausted_status() const {
   return Status(StatusCode::kPoolExhausted,
                 "all " + std::to_string(ws_pool_->capacity()) +
@@ -459,7 +466,6 @@ void BlockSolver<T>::solve(const T* b, T* x) const {
 template <class T>
 Status BlockSolver<T>::solve(const T* b, T* x, const SolveControls& controls,
                              SolveReport* rep) const {
-  if (Status st = whole_matrix(); !st.ok()) return st;
   const int prev = in_flight_.fetch_add(1, std::memory_order_relaxed);
   InFlightGuard in_flight_guard{&in_flight_};
   if (prev > 0 && opt_.session.strict_reentrancy)
@@ -469,7 +475,7 @@ Status BlockSolver<T>::solve(const T* b, T* x, const SolveControls& controls,
   const ExecControl ctl(controls);
   SolveReport local_rep;
   SolveReport* r = rep != nullptr ? rep : &local_rep;
-  r->steps_total = static_cast<index_t>(plan_.steps.size());
+  r->steps_total = executed_steps();
   r->steps_completed = 0;
   if (!ctl.check()) return ctl.to_status("before the solve started");
 
@@ -501,11 +507,16 @@ Status BlockSolver<T>::solve(const T* b, T* x, const SolveControls& controls,
       pool_ != nullptr && pool_lk.try_lock() ? pool_.get() : nullptr;
 
   if (epool == nullptr) {
-    for (const ExecStep& step : plan_.steps) {
-      if (!ctl.check()) break;
-      exec_step(step, bw, xw, nullptr, &ctl);
-      if (ctl.tripped()) break;  // e.g. a sync-free spin timeout mid-step
-      ++r->steps_completed;
+    // The waves in order are the plan's steps in order, empty squares left
+    // out.
+    for (const std::vector<ExecStep>& wave : waves_) {
+      for (const ExecStep& step : wave) {
+        if (!ctl.check()) break;
+        exec_step(step, bw, xw, nullptr, &ctl);
+        if (ctl.tripped()) break;  // e.g. a sync-free spin timeout mid-step
+        ++r->steps_completed;
+      }
+      if (ctl.tripped()) break;
     }
   } else {
     // Threaded executor: a single-step wave parallelises inside the kernel;
@@ -572,7 +583,6 @@ Status BlockSolver<T>::solve_many_impl(const T* B, const T* const* Bs, T* X,
                                        T* const* Xs, index_t k,
                                        const SolveControls& controls,
                                        SolveReport* rep) const {
-  if (Status st = whole_matrix(); !st.ok()) return st;
   if (k <= 0) return Status::Ok();
   const int prev = in_flight_.fetch_add(1, std::memory_order_relaxed);
   InFlightGuard in_flight_guard{&in_flight_};
@@ -583,7 +593,7 @@ Status BlockSolver<T>::solve_many_impl(const T* B, const T* const* Bs, T* X,
   const ExecControl ctl(controls);
   SolveReport local_rep;
   SolveReport* r = rep != nullptr ? rep : &local_rep;
-  r->steps_total = static_cast<index_t>(plan_.steps.size());
+  r->steps_total = executed_steps();
   r->steps_completed = 0;
   if (!ctl.check()) return ctl.to_status("before the solve started");
 
@@ -614,11 +624,14 @@ Status BlockSolver<T>::solve_many_impl(const T* B, const T* const* Bs, T* X,
       pool_ != nullptr && pool_lk.try_lock() ? pool_.get() : nullptr;
 
   if (epool == nullptr) {
-    for (const ExecStep& step : plan_.steps) {
-      if (!ctl.check()) break;
-      exec_step_many(step, bw, xw, 0, k, nullptr, &ctl, k);
+    for (const std::vector<ExecStep>& wave : waves_) {
+      for (const ExecStep& step : wave) {
+        if (!ctl.check()) break;
+        exec_step_many(step, bw, xw, 0, k, nullptr, &ctl, k);
+        if (ctl.tripped()) break;
+        ++r->steps_completed;
+      }
       if (ctl.tripped()) break;
-      ++r->steps_completed;
     }
   } else {
     // Threaded executor over steps × column chunks. A wave whose steps alone
@@ -676,7 +689,6 @@ std::vector<T> BlockSolver<T>::solve_simulated(
     const std::vector<T>& b, const sim::GpuSpec& gpu, sim::CacheModel* cache,
     sim::SolveReport* report, BlockSolveBreakdown* breakdown,
     bool fp64) const {
-  throw_if_error(whole_matrix());
   BLOCKTRI_CHECK(b.size() == static_cast<std::size_t>(plan_.n));
   BLOCKTRI_CHECK(report != nullptr);
   std::vector<T> bw = permute_vector(b, plan_.new_of_old);
@@ -747,10 +759,10 @@ Status BlockSolver<T>::create(const Csr<T>& lower, const Options& opt,
         *out = std::move(warm);
         return Status::Ok();
       }
-      // A mismatched entry (e.g. a hash collision or a shard slice) falls
-      // through to the cold build — the cache is an accelerator, never a
-      // correctness gate. Repeated failures on the same key tombstone it
-      // (quarantine), so a poisoned entry stops being re-admitted every miss.
+      // A mismatched entry (e.g. a hash collision) falls through to the
+      // cold build — the cache is an accelerator, never a correctness gate.
+      // Repeated failures on the same key tombstone it (quarantine), so a
+      // poisoned entry stops being re-admitted every miss.
       hit_failed = true;
       cache->report_hit_failure(key);
     }
@@ -825,7 +837,6 @@ std::uint64_t BlockSolver<T>::options_fingerprint(const Options& opt) {
 
 template <class T>
 PlanArtifact<T> BlockSolver<T>::capture_artifact() const {
-  throw_if_error(whole_matrix());
   PlanArtifact<T> art;
   art.structure = structure_hash_;
   art.options = options_fingerprint(opt_);
@@ -865,7 +876,6 @@ PlanArtifact<T> BlockSolver<T>::capture_artifact() const {
       case TriKernelKind::kCusparseLike:
         t.kernel_csr = blk.cusparse->matrix();
         t.levels = blk.cusparse->levels();
-        t.kernel_first_level = blk.cusparse->kernel_first_levels();
         break;
     }
     art.tri.push_back(std::move(t));
@@ -886,7 +896,6 @@ PlanArtifact<T> BlockSolver<T>::capture_artifact() const {
 
 template <class T>
 Status BlockSolver<T>::save_artifact(const std::string& path) const {
-  if (Status st = whole_matrix(); !st.ok()) return st;
   return blocktri::save_artifact(path, capture_artifact());
 }
 
@@ -927,11 +936,6 @@ BlockSolver<T>::BlockSolver(Art&& art, const Options& opt, bool with_values)
   tune_stats_.merge_width = art.merge_width;
   tune_stats_.oracle_default_ns = art.oracle_default_ns;
   tune_stats_.oracle_tuned_ns = art.oracle_tuned_ns;
-  if (art.shard)
-    slice_ = "shard slice " + std::to_string(art.shard_index) + " of " +
-             std::to_string(art.shard_count) + " (rows [" +
-             std::to_string(art.shard_row_begin) + ", " +
-             std::to_string(art.shard_row_end) + "))";
 
   tri_.resize(art.tri.size());
   for (std::size_t t = 0; t < art.tri.size(); ++t) {
@@ -942,12 +946,6 @@ BlockSolver<T>::BlockSolver(Art&& art, const Options& opt, bool with_values)
     out.info.kind = in.kind;
     out.info.nlevels = in.nlevels;
     out.info.nnz = in.nnz;
-    if (!in.populated) {
-      // Foreign leaf of a shard slice: metadata only. The shard worker's
-      // local schedule never issues this block, so no kernel is built.
-      tri_info_.push_back(out.info);
-      continue;
-    }
     switch (in.kind) {
       case TriKernelKind::kCompletelyParallel:
         // The captured pivots even without values: the solver rejects a
@@ -964,8 +962,7 @@ BlockSolver<T>::BlockSolver(Art&& art, const Options& opt, bool with_values)
         break;
       case TriKernelKind::kCusparseLike:
         out.cusparse = std::make_unique<CusparseLikeSolver<T>>(
-            adopt_block(in.kernel_csr), take(in.levels),
-            take(in.kernel_first_level));
+            adopt_block(in.kernel_csr), take(in.levels));
         break;
     }
     tri_info_.push_back(out.info);
@@ -1350,15 +1347,11 @@ void BlockSolver<T>::build_blocks(const Csr<T>& lower, BlockNnz counts,
         build_ops_ += 2 * out.info.nnz;
         build_bytes_ += 2 * out.info.nnz * elem;
         break;
-      case TriKernelKind::kCusparseLike: {
-        LevelSets ls = levels();
-        std::vector<index_t> first =
-            CusparseLikeSolver<T>::merge_schedule(ls);
+      case TriKernelKind::kCusparseLike:
         out.cusparse = std::make_unique<CusparseLikeSolver<T>>(
-            std::move(rows), std::move(ls), std::move(first));
+            std::move(rows), levels());
         build_ops_ += out.info.nnz;
         break;
-      }
     }
     tri_info_.push_back(out.info);
   }
@@ -1589,17 +1582,7 @@ Status BlockSolver<T>::walk_rows(const Csr<T>& lower, BuildState* build) {
 }
 
 template <class T>
-Status BlockSolver<T>::whole_matrix() const {
-  if (slice_.empty()) return Status::Ok();
-  return Status(StatusCode::kInvalidArgument,
-                "plan is " + slice_ +
-                    ": it holds only its shard's blocks and serves only a "
-                    "shard worker's steps, not the whole matrix");
-}
-
-template <class T>
 Status BlockSolver<T>::install_values(const Csr<T>& lower) {
-  if (Status st = whole_matrix(); !st.ok()) return st;
   if (lower.nrows != plan_.n || lower.nnz() != nnz_ ||
       value_map_.size() != static_cast<std::size_t>(nnz_))
     return Status(StatusCode::kStructureMismatch,
@@ -1757,7 +1740,7 @@ Status BlockSolver<T>::run_steps_checked(std::vector<T>& bw,
   for (const ExecStep& step : plan_.steps) {
     if (ctl != nullptr && !ctl->check())
       return ctl->to_status("after " + std::to_string(rep->steps_completed) +
-                            " of " + std::to_string(plan_.steps.size()) +
+                            " of " + std::to_string(executed_steps()) +
                             " plan steps");
     if (step.kind != ExecStep::Kind::kTri) {
       const SquareBlock& blk = squares_[static_cast<std::size_t>(step.index)];
@@ -2021,10 +2004,6 @@ template <class T>
 SolveResult<T> BlockSolver<T>::solve_checked(
     const std::vector<T>& b, const SolveControls& controls) const {
   SolveResult<T> res;
-  if (Status st = whole_matrix(); !st.ok()) {
-    res.status = std::move(st);
-    return res;
-  }
   if (b.size() != static_cast<std::size_t>(plan_.n)) {
     res.status = Status(StatusCode::kInvalidArgument,
                         "rhs has " + std::to_string(b.size()) +
@@ -2054,7 +2033,7 @@ SolveResult<T> BlockSolver<T>::solve_checked(
                              ? opt_.verify.tolerance
                              : default_residual_tolerance();
   if (opt_.collect_stats) accumulate_op_stats(&res.report);
-  res.report.steps_total = static_cast<index_t>(plan_.steps.size());
+  res.report.steps_total = executed_steps();
 
   auto lease = acquire_workspace(&ctl);
   if (!lease) {
@@ -2180,7 +2159,7 @@ Status BlockSolver<T>::run_steps_checked_many(T* bw, T* xw, index_t k,
     if (ctl != nullptr && !ctl->check()) {
       set_progress();
       return ctl->to_status("after " + std::to_string(done) + " of " +
-                            std::to_string(plan_.steps.size()) +
+                            std::to_string(executed_steps()) +
                             " plan steps");
     }
     if (step.kind != ExecStep::Kind::kTri) {
@@ -2278,10 +2257,6 @@ template <class T>
 SolveManyResult<T> BlockSolver<T>::solve_many_checked(
     const std::vector<T>& B, index_t k, const SolveControls& controls) const {
   SolveManyResult<T> res;
-  if (Status st = whole_matrix(); !st.ok()) {
-    res.status = std::move(st);
-    return res;
-  }
   const std::size_t n = static_cast<std::size_t>(plan_.n);
   if (k < 0 || B.size() != n * static_cast<std::size_t>(k)) {
     res.status = Status(StatusCode::kInvalidArgument,
@@ -2319,7 +2294,7 @@ SolveManyResult<T> BlockSolver<T>::solve_many_checked(
   res.reports.resize(static_cast<std::size_t>(k));
   for (SolveReport& rep : res.reports) {
     rep.tolerance = tol;
-    rep.steps_total = static_cast<index_t>(plan_.steps.size());
+    rep.steps_total = executed_steps();
   }
   if (opt_.collect_stats)
     for (SolveReport& rep : res.reports) accumulate_op_stats(&rep);

@@ -98,7 +98,8 @@ struct SolveReport {
   int attempts = 0;              // whole-solve attempts run (1 = no ladder)
   index_t steps_completed = 0;   // plan steps finished (partial progress when
                                  // a deadline/cancel/spin-timeout fired)
-  index_t steps_total = 0;       // plan steps the solve would run
+  index_t steps_total = 0;       // plan steps the solve would run (empty
+                                 // squares are skipped, not counted)
   std::int64_t flops = 0;        // 2 per nonzero touched (+1 divide per row)
   std::int64_t bytes = 0;        // structure + value bytes streamed
   index_t levels_executed = 0;   // level-set groups actually run
@@ -201,32 +202,33 @@ class BlockSolver {
 
     /// Sharded multi-process execution (src/shard, DESIGN.md §15). All
     /// runtime-only: none participate in the options fingerprint — a shard
-    /// worker rehydrates the same plan a single-process solver would use.
-    /// Consumed by shard::ShardCoordinator and the solve service's shard
-    /// backend; the in-process BlockSolver ignores every field.
+    /// worker rehydrates the same whole plan a single-process solver uses
+    /// and solves its share of each panel's columns. Consumed by
+    /// shard::ShardCoordinator and the solve service's shard backend; the
+    /// in-process BlockSolver ignores every field.
     struct ShardOptions {
       /// Worker processes (shards). 0 disables sharding entirely (the
       /// service then solves in process); 1 is valid and useful in tests —
       /// one worker, full transport machinery.
       int processes = 0;
-      /// How long the coordinator waits for any worker progress before
+      /// How long the coordinator waits for a worker's report before
       /// declaring the epoch dead and typing the solve kWorkerLost.
       int epoch_timeout_ms = 10000;
       /// After a kWorkerLost, retry the solve on the coordinator's own
       /// in-process solver instead of surfacing the loss to the caller.
       bool fallback_inprocess = true;
-      /// Directory for the per-shard .btpa slices (empty → TMPDIR or /tmp).
+      /// Directory for the plan file the workers load (empty → TMPDIR or
+      /// /tmp).
       std::string artifact_dir;
       /// Panel width the shared-memory segment is sized for (k ≤ max_panel).
       index_t max_panel = 32;
       /// Test-only deterministic fault hooks, mirroring FaultInjection:
       /// worker `kill_worker` SIGKILLs itself (or sleeps forever when
-      /// `hang_worker` is set instead) after `after_steps` local steps of
-      /// the next solve. Never set in production.
+      /// `hang_worker` is set instead) when the next epoch's command
+      /// arrives. Never set in production.
       struct Fault {
         int kill_worker = -1;   // shard index to kill (-1 = none)
         int hang_worker = -1;   // shard index to hang (-1 = none)
-        int after_steps = 0;    // local steps to run before the fault
       };
       Fault fault;
     };
@@ -286,9 +288,9 @@ class BlockSolver {
   /// cold build's plan is captured into the cache for the next caller. A
   /// hit copies the cached plan's structure and installs `lower`'s values
   /// in one pass; it validates the cached artifact only if the cache does
-  /// not already trust it (see PlanCache). A hit that fails — a shard
-  /// slice, or a block structure that disagrees with `lower` — falls back
-  /// to the cold build and replaces the entry.
+  /// not already trust it (see PlanCache). A hit that fails — a block
+  /// structure that disagrees with `lower` — falls back to the cold build
+  /// and replaces the entry.
   static Status create(const Csr<T>& lower, const Options& opt,
                        std::unique_ptr<BlockSolver<T>>* out,
                        PlanCache<T>* cache = nullptr);
@@ -307,9 +309,6 @@ class BlockSolver {
   /// fields differ from those the artifact was captured under (fingerprint
   /// mismatch). The artifact's numeric values are adopted as-is; call
   /// refresh_values to install a new factorization with the same pattern.
-  /// A shard slice (shard/shard_plan.hpp) serves only a worker's
-  /// exec_plan_step_many: every whole-matrix entry point refuses it with
-  /// kInvalidArgument (thrown as blocktri::Error where no Status returns).
   static Status create_from_artifact(
       std::shared_ptr<const PlanArtifact<T>> art, const Options& opt,
       std::unique_ptr<BlockSolver<T>>* out);
@@ -318,10 +317,8 @@ class BlockSolver {
   /// rehydration + one-pass install of `lower`'s values: the full warm-start
   /// path. validate_artifact runs once, inside load_artifact.
   /// Adds kStructureMismatch when `lower`'s pattern differs from the one the
-  /// artifact was captured from, and kInvalidArgument when the file holds a
-  /// shard slice (a slice serves only a shard worker). Transient I/O
-  /// failures (kIoError) are retried with jittered exponential backoff per
-  /// opt.session; permanent
+  /// artifact was captured from. Transient I/O failures (kIoError) are
+  /// retried with jittered exponential backoff per opt.session; permanent
   /// artifact rejections (checksum, version, structure) fail immediately.
   /// With a `cache`, a successfully loaded artifact is inserted so later
   /// create() calls warm-hit, and retried-then-successful loads are counted
@@ -335,10 +332,8 @@ class BlockSolver {
   /// sparsity pattern this solver was built for (checked via the structure
   /// hash; kStructureMismatch otherwise) — into every block structure
   /// without re-running any analysis. After Ok, solves behave exactly as if
-  /// the solver had been cold-built from `lower`. A solver rehydrated from a
-  /// shard slice holds only its shard's blocks and returns
-  /// kInvalidArgument. Not thread safe with concurrent solves on this
-  /// solver.
+  /// the solver had been cold-built from `lower`. Not thread safe with
+  /// concurrent solves on this solver.
   Status refresh_values(const Csr<T>& lower);
 
   /// Canonical hash of the original (unpermuted) input pattern — the
@@ -498,16 +493,16 @@ class BlockSolver {
     return waves_;
   }
 
-  // --- Shard-worker hooks (src/shard) ---------------------------------------
-  // A shard worker executes a *subsequence* of this solver's plan steps
-  // against an externally managed interleaved panel (the shared-memory
-  // x/b regions), so it needs the per-step executor without the surrounding
-  // permute/workspace machinery. Serial (the worker is single-threaded);
+  // --- Step replay ----------------------------------------------------------
+  // A caller that times each plan step on its own (perfbench's step replay)
+  // runs the per-step executor against its own permuted interleaved panels,
+  // without the surrounding permute/workspace machinery. Serial;
   // bitwise-identical to the same step inside solve_many.
 
   /// Runs one plan step against interleaved n × k panels `bw`/`xw`
-  /// (element (i, c) at i·k + c). `tri_scratch` is unused — no kernel needs
-  /// scratch — and kept so existing callers compile; pass nullptr.
+  /// (element (i, c) at i·k + c). An empty square is a no-op. `tri_scratch`
+  /// is unused — no kernel needs scratch — and kept so existing callers
+  /// compile; pass nullptr.
   void exec_plan_step_many(const ExecStep& step, T* bw, T* xw, index_t k,
                            [[maybe_unused]] T* tri_scratch,
                            const ExecControl* ctl = nullptr) const {
@@ -626,8 +621,7 @@ class BlockSolver {
   /// The value install of refresh_values, a cache hit and create_from_file,
   /// for a caller that already validated `lower` and matched its structure
   /// hash against this solver's: one pass over the held blocks through the
-  /// value map (install_through). A shard slice returns kInvalidArgument
-  /// before anything is written.
+  /// value map (install_through).
   Status install_values(const Csr<T>& lower);
 
   /// install_values for map entries of type W. The rows go window by window
@@ -642,10 +636,6 @@ class BlockSolver {
   /// be partly written).
   template <class W>
   Status install_through(const Csr<T>& lower);
-
-  /// Ok for a whole plan; for a shard slice, the kInvalidArgument every
-  /// whole-matrix entry point returns.
-  Status whole_matrix() const;
 
   /// What a build walk fills besides the block arrays it writes in place.
   struct BuildState;
@@ -735,10 +725,6 @@ class BlockSolver {
   std::int64_t build_ops_ = 0;    // block build cost counters (Table 5)
   std::int64_t build_bytes_ = 0;
   bool tuned_ = false;            // this solver runs an autotuned plan
-  // Names the shard slice (src/shard) this solver was rehydrated from, empty
-  // otherwise: a slice populates only its shard's blocks, so the
-  // whole-matrix value install refuses it.
-  std::string slice_;
   offset_t merge_width_ = kLevelMergeMaxWidth;  // level-set exec-group bound
   tune::TuneStats tune_stats_;    // cold tuned builds only
 
@@ -766,6 +752,10 @@ class BlockSolver {
   typename WorkspacePool<SolveWorkspace>::Lease acquire_workspace(
       const ExecControl* ctl = nullptr) const;
   Status pool_exhausted_status() const;
+  /// The plan steps the executors run: every step but the empty squares,
+  /// which the waves leave out and the serial executors skip. Every entry
+  /// point reports this count as steps_total.
+  index_t executed_steps() const;
 
   /// Bounded, never-shrinking pool of per-call workspaces (capacity and
   /// exhaustion behaviour from Options::session).

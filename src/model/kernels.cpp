@@ -254,12 +254,16 @@ void cusparse_like(const TriView& v, const TrsvSim& s) {
   };
   sim::KernelSim ks(*s.gpu, s.cache, s.fp64);
   std::uint64_t addrs[kWarp];
-  std::size_t next_kernel = 0;
+  // Naumov's small-level merging: consecutive levels pack into one kernel
+  // until their combined component count would pass the budget.
+  BLOCKTRI_CHECK(v.merge_budget > 0);
+  index_t in_kernel = 0;
   for (index_t lvl = 0; lvl < ls.nlevels; ++lvl) {
+    const index_t width = ls.level_width(lvl);
     const bool starts_kernel =
-        next_kernel < v.kernel_first_level.size() &&
-        v.kernel_first_level[next_kernel] == lvl;
-    if (starts_kernel) ++next_kernel;
+        lvl == 0 || in_kernel + width > v.merge_budget;
+    if (starts_kernel) in_kernel = 0;
+    in_kernel += width;
 
     const offset_t lvl_lo = ls.level_ptr[static_cast<std::size_t>(lvl)];
     const offset_t lvl_hi = ls.level_ptr[static_cast<std::size_t>(lvl) + 1];

@@ -12,7 +12,8 @@
 //                     rows; one solve launch plus a reset launch;
 //   * cusparse_like — Naumov's merged levels (cuSPARSE csrsv2): one thread
 //                     per component, consecutive small levels share one
-//                     launch and meet at grid syncs;
+//                     launch (up to the view's merge budget) and meet at
+//                     grid syncs;
 //   * spmv          — §3.4's update y ← y − A·x over a square's CSR or DCSR
 //                     view: one thread per row (scalar kinds) or one warp
 //                     per row (vector kinds).
@@ -55,16 +56,23 @@ struct TrsvSim {
   sim::SolveReport* report = nullptr;
 };
 
+/// The cuSPARSE-like kernel's launch budget: consecutive levels share one
+/// launch until their combined component count would pass it (one full wave
+/// of resident warps on the Titan RTX preset); a wider level gets a launch
+/// of its own.
+inline constexpr index_t kMergeComponentBudget = 2304;
+
 /// A triangle as the paper's kernels read it, viewing arrays its owner keeps
-/// alive: the rows (diagonal last), their level sets (level-set and
-/// cuSPARSE-like kernels) and the merged-kernel schedule (cuSPARSE-like,
-/// first level of each launch). A diagonal block needs only `n`.
+/// alive: the rows (diagonal last) and their level sets (level-set and
+/// cuSPARSE-like kernels). `merge_budget` is the cuSPARSE-like kernel's
+/// launch budget, from which it derives its merged-kernel schedule. A
+/// diagonal block needs only `n`.
 struct TriView {
   index_t n = 0;
   std::span<const offset_t> row_ptr;
   std::span<const index_t> col_idx;
   const LevelSets* levels = nullptr;
-  std::span<const index_t> kernel_first_level;
+  index_t merge_budget = kMergeComponentBudget;
 };
 
 /// A square as the paper stores it for its kind (§3.3): every row in

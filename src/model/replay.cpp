@@ -68,7 +68,6 @@ TriStructure tri_structure(const Csr<T>& rows, ThreadPool* pool) {
   s.row_ptr = rows.row_ptr;
   s.col_idx = rows.col_idx;
   s.levels = compute_level_sets(rows.nrows, rows.row_ptr, rows.col_idx, pool);
-  s.kernel_first_level = CusparseLikeSolver<T>::merge_schedule(s.levels);
   return s;
 }
 

@@ -91,7 +91,6 @@ template <class T>
 TriView tri_view(const CusparseLikeSolver<T>& s) {
   TriView v = tri_view(s.matrix());
   v.levels = &s.levels();
-  v.kernel_first_level = s.kernel_first_levels();
   return v;
 }
 
@@ -112,16 +111,14 @@ constexpr TriKernelKind kind_of(const CusparseLikeSolver<T>&) {
   return TriKernelKind::kCusparseLike;
 }
 
-/// A triangle's structure held for the model — its rows, their level sets
-/// and the cuSPARSE-like merge schedule (CusparseLikeSolver's default
-/// budget) — so one block serves every kind: what the tuner memoises per
-/// block and calibration per sample.
+/// A triangle's structure held for the model — its rows and their level
+/// sets — so one block serves every kind: what the tuner memoises per block
+/// and calibration per sample.
 struct TriStructure {
   index_t n = 0;
   std::vector<offset_t> row_ptr;
   std::vector<index_t> col_idx;
   LevelSets levels;
-  std::vector<index_t> kernel_first_level;
 
   TriView view() const {
     TriView v;
@@ -129,7 +126,6 @@ struct TriStructure {
     v.row_ptr = row_ptr;
     v.col_idx = col_idx;
     v.levels = &levels;
-    v.kernel_first_level = kernel_first_level;
     return v;
   }
 };

@@ -76,9 +76,9 @@ HbmcPartition hbmc_partition(const Csr<T>& lower, index_t block_rows,
 /// that the layout covers every nonzero), and lays out the color-stepped
 /// plan — per color one SpMV square over all previously solved columns, then
 /// that color's block-diagonal triangles. tri_bounds are the block bounds
-/// (so the shard planner cuts at them for free) and color_bounds annotate
-/// the colors; compute_step_waves groups each color's triangles into one
-/// wave, giving exactly 2·ncolors − 1 barriers with the executor unchanged.
+/// and color_bounds annotate the colors; compute_step_waves groups each
+/// color's triangles into one wave, giving exactly 2·ncolors − 1 barriers
+/// with the executor unchanged.
 /// `merge_width` is the solver's calibrated run-merge width, reused here as
 /// the color-fusion bound.
 template <class T>

@@ -180,9 +180,9 @@ enum : std::uint32_t {
   kSectionTri = 3,
   kSectionSquares = 4,
   kSectionTuning = 5,  // optional (tuned plans only)
-  kSectionShard = 6,   // optional (shard slices only)
+  // Id 6 is retired: through format 8 it held a shard slice's record.
   kSectionColor = 7,   // optional (HBMC plans only)
-  kSectionValueMap = 8,  // every whole plan (shard slices carry none)
+  kSectionValueMap = 8,
 };
 
 template <class T>
@@ -294,7 +294,6 @@ void encode_tri(Writer& w, const PlanArtifact<T>& art) {
       case TriKernelKind::kCusparseLike:
         put_csr(w, t.kernel_csr);
         put_levels(w, t.levels);
-        w.vec(t.kernel_first_level);
         break;
     }
   }
@@ -325,8 +324,7 @@ bool decode_tri(Reader& r, PlanArtifact<T>* art) {
         if (!get_csr(r, &t.kernel_csr)) return false;
         break;
       case TriKernelKind::kCusparseLike:
-        if (!get_csr(r, &t.kernel_csr) || !get_levels(r, &t.levels) ||
-            !r.vec(&t.kernel_first_level))
+        if (!get_csr(r, &t.kernel_csr) || !get_levels(r, &t.levels))
           return false;
         break;
     }
@@ -391,42 +389,6 @@ bool decode_tuning(Reader& r, PlanArtifact<T>* art) {
   art->tuned = tuned != 0;
   art->tune_fell_back = fell_back != 0;
   art->merge_width = static_cast<offset_t>(merge_width);
-  return true;
-}
-
-template <class T>
-void encode_shard(Writer& w, const PlanArtifact<T>& art) {
-  w.u32(art.shard_index);
-  w.u32(art.shard_count);
-  w.i32(art.shard_row_begin);
-  w.i32(art.shard_row_end);
-  w.vec(art.shard_bounds);
-  std::vector<std::uint8_t> tri_pop(art.tri.size()), sq_pop(art.squares.size());
-  for (std::size_t t = 0; t < art.tri.size(); ++t)
-    tri_pop[t] = art.tri[t].populated ? 1 : 0;
-  for (std::size_t q = 0; q < art.squares.size(); ++q)
-    sq_pop[q] = art.squares[q].populated ? 1 : 0;
-  w.vec(tri_pop);
-  w.vec(sq_pop);
-}
-
-/// The shard section references the tri/square arrays, so it can only be
-/// applied after those sections decoded; save_artifact writes it last and a
-/// reordered (crafted) file fails the size cross-checks here.
-template <class T>
-bool decode_shard(Reader& r, PlanArtifact<T>* art) {
-  std::vector<std::uint8_t> tri_pop, sq_pop;
-  if (!r.u32(&art->shard_index) || !r.u32(&art->shard_count) ||
-      !r.i32(&art->shard_row_begin) || !r.i32(&art->shard_row_end) ||
-      !r.vec(&art->shard_bounds) || !r.vec(&tri_pop) || !r.vec(&sq_pop))
-    return false;
-  if (tri_pop.size() != art->tri.size() || sq_pop.size() != art->squares.size())
-    return r.corrupt("shard section does not match the block sections");
-  art->shard = true;
-  for (std::size_t t = 0; t < tri_pop.size(); ++t)
-    art->tri[t].populated = tri_pop[t] != 0;
-  for (std::size_t q = 0; q < sq_pop.size(); ++q)
-    art->squares[q].populated = sq_pop[q] != 0;
   return true;
 }
 
@@ -578,7 +540,6 @@ std::size_t artifact_bytes(const PlanArtifact<T>& art) {
     b += t.levels.level_of.size() * sizeof(index_t) +
          t.levels.level_ptr.size() * sizeof(offset_t) +
          t.levels.level_item.size() * sizeof(index_t);
-    b += t.kernel_first_level.size() * sizeof(index_t);
   }
   for (const SquareBlockArtifact<T>& q : art.squares) {
     b += sizeof(SquareBlockArtifact<T>);
@@ -595,7 +556,6 @@ Status save_artifact(const std::string& path, const PlanArtifact<T>& art) {
   if (Status st = validate_artifact(art); !st.ok()) return st;
 
   const bool color = !art.plan.color_bounds.empty();
-  const bool map = !art.shard;
   Writer header;
   header.raw(kMagic, sizeof kMagic);
   header.u32(kArtifactFormatVersion);
@@ -605,8 +565,7 @@ Status save_artifact(const std::string& path, const PlanArtifact<T>& art) {
   header.u64(art.options);
   header.i64(static_cast<std::int64_t>(art.plan.n));
   header.i64(static_cast<std::int64_t>(art.nnz));
-  header.u32(3u + (map ? 1u : 0u) + (art.tuned ? 1u : 0u) +
-             (art.shard ? 1u : 0u) + (color ? 1u : 0u));
+  header.u32(4u + (art.tuned ? 1u : 0u) + (color ? 1u : 0u));
 
   // Stream the header, then each section's frame (id, size, CRC32) and
   // payload, into this writer's own side file; only one encoded section is
@@ -634,9 +593,8 @@ Status save_artifact(const std::string& path, const PlanArtifact<T>& art) {
   section(kSectionPlan, encode_plan<T>);
   section(kSectionTri, encode_tri<T>);
   section(kSectionSquares, encode_squares<T>);
-  if (map) section(kSectionValueMap, encode_value_map<T>);
+  section(kSectionValueMap, encode_value_map<T>);
   if (art.tuned) section(kSectionTuning, encode_tuning<T>);
-  if (art.shard) section(kSectionShard, encode_shard<T>);
   if (color) section(kSectionColor, encode_color<T>);
   if (!wrote)
     return Status(StatusCode::kBadFormat, "short write to '" + tmp.name() + "'");
@@ -737,7 +695,6 @@ Status load_artifact(const std::string& path, PlanArtifact<T>* out) {
       case kSectionTri: ok = decode_tri(r, &art); break;
       case kSectionSquares: ok = decode_squares(r, &art); break;
       case kSectionTuning: ok = decode_tuning(r, &art); break;
-      case kSectionShard: ok = decode_shard(r, &art); break;
       case kSectionColor: ok = decode_color(r, &art); break;
       case kSectionValueMap: ok = decode_value_map(r, &art); break;
       default:
@@ -879,9 +836,9 @@ Status validate_artifact(const PlanArtifact<T>& art) {
       if (p.color_bounds[i] < p.color_bounds[i - 1])
         return bad("color bounds are not ascending");
     // Every color boundary must be a triangular leaf boundary — the wave
-    // builder and the shard planner only ever cut at tri_bounds, so a color
-    // bound off the leaf grid would break the per-color independence the
-    // scheme's 2C-1-wave schedule relies on.
+    // builder only ever cuts at tri_bounds, so a color bound off the leaf
+    // grid would break the per-color independence the scheme's 2C-1-wave
+    // schedule relies on.
     for (const index_t c : p.color_bounds) {
       bool on_leaf = false;
       for (const index_t b : p.tri_bounds)
@@ -906,57 +863,32 @@ Status validate_artifact(const PlanArtifact<T>& art) {
   };
   for (const ExecStep& s : p.steps)
     if (Status st = check_step(s); !st.ok()) return st;
+  // The executors run the waves, the serial ones in order, so the waves must
+  // be the plan's steps in order with exactly the empty squares left out.
+  std::size_t next = 0;
+  const auto skip_empty = [&] {
+    while (next < p.steps.size() &&
+           p.steps[next].kind == ExecStep::Kind::kSquare &&
+           art.squares[static_cast<std::size_t>(p.steps[next].index)].nnz == 0)
+      ++next;
+  };
   for (const auto& wave : art.waves)
-    for (const ExecStep& s : wave)
-      if (Status st = check_step(s); !st.ok()) return st;
-
-  if (art.shard) {
-    // A shard slice is a restricted view: cuts must be actual recursion
-    // boundaries (never through a triangle) and the populated row range must
-    // be exactly the shard's interval of the cut.
-    if (art.shard_count < 1 || art.shard_index >= art.shard_count)
-      return bad("shard index outside the shard count");
-    if (art.shard_bounds.size() !=
-        static_cast<std::size_t>(art.shard_count) + 1)
-      return bad("shard bound count != shard count + 1");
-    if (art.shard_bounds.front() != 0 || art.shard_bounds.back() != p.n)
-      return bad("shard bounds do not cover [0, n)");
-    for (std::size_t i = 0; i < art.shard_bounds.size(); ++i) {
-      if (i > 0 && art.shard_bounds[i] <= art.shard_bounds[i - 1])
-        return bad("shard bounds are not strictly ascending");
-      bool on_leaf = false;
-      for (const index_t b : p.tri_bounds)
-        if (b == art.shard_bounds[i]) { on_leaf = true; break; }
-      if (!on_leaf)
-        return bad("shard cut splits a triangular leaf");
+    for (const ExecStep& s : wave) {
+      skip_empty();
+      if (next == p.steps.size() || p.steps[next].kind != s.kind ||
+          p.steps[next].index != s.index)
+        return bad("the waves are not the plan's non-empty steps in order");
+      ++next;
     }
-    if (art.shard_row_begin != art.shard_bounds[art.shard_index] ||
-        art.shard_row_end != art.shard_bounds[art.shard_index + 1])
-      return bad("shard row range disagrees with its bounds entry");
-  }
+  skip_empty();
+  if (next != p.steps.size())
+    return bad("the waves leave out a non-empty plan step");
 
   for (std::size_t t = 0; t < art.tri.size(); ++t) {
     const TriBlockArtifact<T>& b = art.tri[t];
     const index_t len = b.r1 - b.r0;
     if (b.r0 != p.tri_bounds[t] || b.r1 != p.tri_bounds[t + 1] || len < 0)
       return bad("triangular block range disagrees with the plan");
-    const bool local_tri =
-        !art.shard ||
-        (b.r0 >= art.shard_row_begin && b.r1 <= art.shard_row_end);
-    if (b.populated != local_tri)
-      return bad(art.shard
-                     ? "shard tri population disagrees with the row range"
-                     : "unpopulated tri block outside a shard slice");
-    if (!b.populated) {
-      // Foreign leaf: metadata only, never executed by this shard's worker.
-      if (!b.diag.empty() || !b.kernel_csr.val.empty() ||
-          !b.levels.level_item.empty() || !b.kernel_first_level.empty())
-        return bad("foreign shard tri block carries payloads");
-      if (static_cast<std::uint32_t>(b.kind) >
-          static_cast<std::uint32_t>(TriKernelKind::kCusparseLike))
-        return bad("unknown triangular kernel kind");
-      continue;
-    }
     switch (b.kind) {
       case TriKernelKind::kCompletelyParallel:
         if (b.diag.size() != static_cast<std::size_t>(len))
@@ -978,12 +910,6 @@ Status validate_artifact(const PlanArtifact<T>& art) {
         if (Status st = check_level_sets(b.levels, len, "tri block");
             !st.ok())
           return st;
-        if (b.kind == TriKernelKind::kCusparseLike) {
-          if (b.levels.nlevels > 0 && b.kernel_first_level.empty())
-            return bad("cusparse-like block has no merged schedule");
-          if (!indices_in_range(b.kernel_first_level, b.levels.nlevels))
-            return bad("cusparse-like merged schedule level out of range");
-        }
         break;
       }
       default:
@@ -1003,27 +929,10 @@ Status validate_artifact(const PlanArtifact<T>& art) {
     if (static_cast<std::uint32_t>(b.kind) >
         static_cast<std::uint32_t>(SpmvKernelKind::kVectorDcsr))
       return bad("unknown square kernel kind");
-    if (b.populated && art.shard) {
-      // A shard's slice of a boundary square keeps the plan's columns but may
-      // narrow the rows to the shard's interval — SpMV rows are independent,
-      // so the slice computes the identical values for the rows it keeps.
-      if (b.ref.c0 != ref.c0 || b.ref.c1 != ref.c1 || b.ref.r0 < ref.r0 ||
-          b.ref.r1 > ref.r1 || b.ref.r0 > b.ref.r1)
-        return bad("shard square slice is not a row sub-range of the plan");
-      if (b.ref.r0 < art.shard_row_begin || b.ref.r1 > art.shard_row_end)
-        return bad("shard square slice leaves the shard's rows");
-    } else if (b.ref.r0 != ref.r0 || b.ref.r1 != ref.r1 ||
-               b.ref.c0 != ref.c0 || b.ref.c1 != ref.c1) {
+    if (b.ref.r0 != ref.r0 || b.ref.r1 != ref.r1 || b.ref.c0 != ref.c0 ||
+        b.ref.c1 != ref.c1)
       return bad("square block range disagrees with the plan");
-    }
     const Dcsr<T>& d = b.rows;
-    if (!b.populated) {
-      if (!art.shard)
-        return bad("unpopulated square block outside a shard slice");
-      if (b.nnz != 0 || !d.val.empty() || !d.row_ids.empty())
-        return bad("foreign shard square block carries payloads");
-      continue;
-    }
     const index_t rows = b.ref.r1 - b.ref.r0;
     const index_t cols = b.ref.c1 - b.ref.c0;
     if (d.nrows != rows || d.ncols != cols ||
@@ -1060,16 +969,11 @@ Status validate_artifact(const PlanArtifact<T>& art) {
   if (!std::isfinite(art.norm_inf) || art.norm_inf < 0.0)
     return bad("the matrix norm is not finite and non-negative");
   // The install checks every entry against the caller's rows; here only
-  // the map's shape: one entry per held value, or none in a shard slice.
+  // the map's shape: one entry per held value.
   const ValueMap& m = art.value_map;
-  if (art.shard) {
-    if (m.width != 0 || !m.bytes.empty())
-      return bad("a shard slice carries a value map");
-  } else if ((m.width != 1 && m.width != 2 && m.width != 4) ||
-             art.nnz < 0 ||
-             m.bytes.size() != static_cast<std::size_t>(art.nnz) * m.width) {
+  if ((m.width != 1 && m.width != 2 && m.width != 4) || art.nnz < 0 ||
+      m.bytes.size() != static_cast<std::size_t>(art.nnz) * m.width)
     return bad("the value map does not hold one entry per value");
-  }
   if (art.merge_width < 1) return bad("non-positive level-merge width");
   if (art.tuned && (!std::isfinite(art.oracle_default_ns) ||
                     !std::isfinite(art.oracle_tuned_ns) ||

@@ -39,18 +39,19 @@
 namespace blocktri {
 
 /// The one on-disk format version this build writes and reads. Every file
-/// is stamped with it; the tuning, shard and color sections stay optional,
-/// and every whole plan carries a value map section. An artifact is a
-/// cache, so any other version — including the older layouts: 1–5 also
-/// held a copy of the permuted matrix (and, through 4, sync-free blocks as
-/// CSC plus strict rows), 6 had no value map, so its warm paths re-gathered
-/// and sorted every row, and 7 held each square as CSR or DCSR by its kind,
-/// rows ascending — is rejected with kVersionMismatch and the caller
-/// rebuilds cold.
-inline constexpr std::uint32_t kArtifactFormatVersion = 8;
+/// is stamped with it; the tuning and color sections stay optional, and
+/// every plan carries a value map section. An artifact is a cache, so any
+/// other version — including the older layouts: 1–5 also held a copy of the
+/// permuted matrix (and, through 4, sync-free blocks as CSC plus strict
+/// rows), 6 had no value map, so its warm paths re-gathered and sorted
+/// every row, 7 held each square as CSR or DCSR by its kind, rows
+/// ascending, and 8 also held each cuSPARSE-like block's merged-kernel
+/// schedule and an optional shard-slice section — is rejected with
+/// kVersionMismatch and the caller rebuilds cold.
+inline constexpr std::uint32_t kArtifactFormatVersion = 9;
 
 /// Everything preprocessing derived for one triangular leaf block. Only the
-/// fields of the selected kernel kind are populated (the rest stay empty),
+/// fields of the selected kernel kind are filled (the rest stay empty),
 /// mirroring what the live solver holds: one copy of the block, pivots for
 /// a diagonal block and rows (diagonal last) for every other kind.
 template <class T>
@@ -60,15 +61,9 @@ struct TriBlockArtifact {
   index_t nlevels = 0;
   offset_t nnz = 0;
 
-  /// Shard slices keep every leaf's metadata but only the payloads of the
-  /// leaves the shard owns; a foreign leaf is `!populated` (empty payloads,
-  /// never executed by that worker). Always true outside shard artifacts.
-  bool populated = true;
-
-  std::vector<T> diag;                      // kCompletelyParallel
-  Csr<T> kernel_csr;                        // every other kind
-  LevelSets levels;                         // kLevelSet / kCusparseLike
-  std::vector<index_t> kernel_first_level;  // kCusparseLike
+  std::vector<T> diag;  // kCompletelyParallel
+  Csr<T> kernel_csr;    // every other kind
+  LevelSets levels;     // kLevelSet / kCusparseLike
 };
 
 /// One square (SpMV) block: kernel selection plus the built storage, the
@@ -77,18 +72,10 @@ struct TriBlockArtifact {
 /// and by (length, id) inside a window.
 template <class T>
 struct SquareBlockArtifact {
-  /// In a shard slice this may be a *row sub-range* of the
-  /// plan's square: a boundary square crossing a shard cut is row-sliced per
-  /// shard (columns untouched — SpMV updates are row-independent, so the
-  /// per-row arithmetic and therefore the bitwise result are unchanged).
-  /// Row ids are relative to ref.r0, so the windows stay global.
-  SquareBlockRef ref{};
+  SquareBlockRef ref{};  // the plan's square; row ids relative to ref.r0
   SpmvKernelKind kind = SpmvKernelKind::kScalarCsr;
   offset_t nnz = 0;
   double empty_ratio = 0.0;
-  /// False in shard slices for squares the shard does not execute (foreign
-  /// rows, or an empty row slice); payloads empty. Always true otherwise.
-  bool populated = true;
   Dcsr<T> rows;
 };
 
@@ -104,12 +91,14 @@ struct PlanArtifact {
   std::uint64_t options = 0;
 
   BlockPlan plan;
-  std::vector<std::vector<ExecStep>> waves;  // compute_step_waves output
+  /// compute_step_waves output: the plan's steps in order, empty squares
+  /// left out, grouped into mutually independent waves.
+  std::vector<std::vector<ExecStep>> waves;
   offset_t nnz = 0;
   double norm_inf = 0.0;  // ‖L‖∞, which the residual check scales by
   /// Where each held value comes from (core/plan.hpp): what lets a warm
-  /// path install the caller's values with no per-row gather or sort. Every
-  /// whole plan carries one of nnz entries; a shard slice carries none.
+  /// path install the caller's values with no per-row gather or sort. One
+  /// entry per held value.
   ValueMap value_map;
 
   std::int64_t build_ops = 0;  // preprocessing cost counters (Table 5)
@@ -128,20 +117,6 @@ struct PlanArtifact {
   std::uint64_t tune_device = 0;     // device_fingerprint of the tuning GPU
   double oracle_default_ns = 0.0;    // exact-sim time of the default plan
   double oracle_tuned_ns = 0.0;      // exact-sim time of the captured plan
-
-  /// Shard-slice record (optional section — absent from whole plans, which
-  /// load with these defaults). A shard slice keeps the
-  /// *global* plan (steps, waves, permutation) so a worker can derive its
-  /// local schedule and halo dependencies, but populates only the blocks in
-  /// [shard_row_begin, shard_row_end) — the executors of shard workers never
-  /// touch a foreign block. shard_bounds holds all shard_count + 1 cut rows
-  /// (values of plan.tri_bounds), identical across the slices of one cut.
-  bool shard = false;
-  std::uint32_t shard_index = 0;
-  std::uint32_t shard_count = 0;
-  index_t shard_row_begin = 0;
-  index_t shard_row_end = 0;
-  std::vector<index_t> shard_bounds;
 
   // HBMC color record (optional section — absent from non-HBMC plans). The
   // payload itself lives inside the BlockPlan (plan.color_bounds /

@@ -335,9 +335,6 @@ ServiceStats SolveService::stats() const {
         shard_total.workers_lost += cs.workers_lost;
         shard_total.fallbacks += cs.fallbacks;
         shard_total.respawns += cs.respawns;
-        shard_total.halo_ready += cs.halo_ready;
-        shard_total.halo_deferred += cs.halo_deferred;
-        shard_total.wait_ms += cs.wait_ms;
         shard_total.worker_level_analyses += cs.worker_level_analyses;
       }
     }

@@ -21,10 +21,6 @@ void put_i32(std::vector<std::uint8_t>* out, std::int32_t v) {
   const auto* b = reinterpret_cast<const std::uint8_t*>(&v);
   out->insert(out->end(), b, b + sizeof v);
 }
-void put_f64(std::vector<std::uint8_t>* out, double v) {
-  const auto* b = reinterpret_cast<const std::uint8_t*>(&v);
-  out->insert(out->end(), b, b + sizeof v);
-}
 void put_string(std::vector<std::uint8_t>* out, const std::string& s) {
   const auto len = static_cast<std::uint32_t>(
       std::min<std::size_t>(s.size(), 0xFFFF));
@@ -38,7 +34,6 @@ class Reader {
   bool u32(std::uint32_t* v) { return raw(v, sizeof *v); }
   bool u64(std::uint64_t* v) { return raw(v, sizeof *v); }
   bool i32(std::int32_t* v) { return raw(v, sizeof *v); }
-  bool f64(double* v) { return raw(v, sizeof *v); }
   bool string(std::string* out) {
     std::uint32_t len = 0;
     if (!u32(&len) || buf_.size() - pos_ < len) return false;
@@ -82,6 +77,7 @@ Status write_hello(int fd, const HelloMsg& msg) {
 Status write_solve_cmd(int fd, const SolveCmdMsg& msg) {
   std::vector<std::uint8_t> p;
   put_u64(&p, msg.seq);
+  put_i32(&p, msg.c0);
   put_i32(&p, msg.k);
   return send(fd, ControlFrame::kSolveCmd, p);
 }
@@ -91,10 +87,8 @@ Status write_report(int fd, const ReportMsg& msg) {
   put_u64(&p, msg.seq);
   put_i32(&p, msg.code);
   put_string(&p, msg.message);
-  put_u64(&p, msg.steps_run);
-  put_u64(&p, msg.halo_deferred);
-  put_u64(&p, msg.halo_ready);
-  put_f64(&p, msg.wait_ms);
+  put_u64(&p, msg.steps_completed);
+  put_u64(&p, msg.steps_total);
   put_u64(&p, msg.level_analyses);
   return send(fd, ControlFrame::kReport, p);
 }
@@ -121,12 +115,13 @@ Status decode_solve_cmd(const std::vector<std::uint8_t>& payload,
                         SolveCmdMsg* out) {
   Reader r(payload);
   if (!r.u64(&out->seq)) return r.truncated("the epoch sequence");
-  std::int32_t k = 0;
-  if (!r.i32(&k)) return r.truncated("the panel width");
-  if (k < 1)
+  std::int32_t c0 = 0, k = 0;
+  if (!r.i32(&c0)) return r.truncated("the first column");
+  if (!r.i32(&k)) return r.truncated("the column count");
+  if (c0 < 0 || k < 0)
     return Status(StatusCode::kBadFormat,
-                  "solve command carries non-positive panel width " +
-                      std::to_string(k));
+                  "solve command carries a negative column range");
+  out->c0 = static_cast<index_t>(c0);
   out->k = static_cast<index_t>(k);
   return Status::Ok();
 }
@@ -137,10 +132,8 @@ Status decode_report(const std::vector<std::uint8_t>& payload,
   if (!r.u64(&out->seq)) return r.truncated("the epoch sequence");
   if (!r.i32(&out->code)) return r.truncated("the report status");
   if (!r.string(&out->message)) return r.truncated("the report message");
-  if (!r.u64(&out->steps_run)) return r.truncated("the step count");
-  if (!r.u64(&out->halo_deferred)) return r.truncated("the deferral count");
-  if (!r.u64(&out->halo_ready)) return r.truncated("the ready count");
-  if (!r.f64(&out->wait_ms)) return r.truncated("the wait time");
+  if (!r.u64(&out->steps_completed)) return r.truncated("the step count");
+  if (!r.u64(&out->steps_total)) return r.truncated("the step total");
   if (!r.u64(&out->level_analyses)) return r.truncated("the analysis count");
   return Status::Ok();
 }

@@ -13,8 +13,8 @@
 #include <cstring>
 #include <random>
 
+#include "persist/artifact.hpp"
 #include "shard/control.hpp"
-#include "shard/shard_plan.hpp"
 #include "shard/worker.hpp"
 
 namespace blocktri::shard {
@@ -23,7 +23,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string slice_dir(const std::string& configured) {
+std::string plan_dir(const std::string& configured) {
   if (!configured.empty()) return configured;
   if (const char* tmp = std::getenv("TMPDIR"); tmp != nullptr && *tmp != '\0')
     return tmp;
@@ -71,6 +71,7 @@ Status ShardCoordinator<T>::create(const BlockSolver<T>& base,
   std::unique_ptr<ShardCoordinator<T>> coord(new ShardCoordinator<T>());
   coord->base_ = &base;
   coord->opt_ = opt;
+  coord->count_ = opt.shard.processes;
   coord->k_max_ = std::max<index_t>(1, opt.shard.max_panel);
 
   // Workers rehydrate under runtime options of their own: single-threaded,
@@ -82,38 +83,25 @@ Status ShardCoordinator<T>::create(const BlockSolver<T>& base,
   coord->worker_opt_.fault = {};
   coord->worker_opt_.shard.processes = 0;
 
-  const PlanArtifact<T> art = base.capture_artifact();
-  coord->bounds_ = compute_shard_cuts(art, opt.shard.processes);
-  coord->count_ = static_cast<int>(coord->bounds_.size()) - 1;
-  if (coord->count_ < 1)
-    return Status(StatusCode::kInvalidArgument,
-                  "the plan yields no shardable leaves");
-
-  // Persist the per-shard slices. The salted stem keeps concurrent
-  // coordinators (parallel test shards included) from colliding.
-  const std::uint64_t worker_fp =
-      BlockSolver<T>::options_fingerprint(coord->worker_opt_);
-  std::string stem;
+  // Save the plan once, stamped with the fingerprint of the Options the
+  // workers rehydrate under. The salted name keeps concurrent coordinators
+  // (parallel test shards included) from colliding.
   {
     std::random_device rd;
     const std::uint64_t salt = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
     char buf[96];
-    std::snprintf(buf, sizeof buf, "%s/bt-shard-%ld-%016llx",
-                  slice_dir(opt.shard.artifact_dir).c_str(),
+    std::snprintf(buf, sizeof buf, "%s/bt-shard-%ld-%016llx.btpa",
+                  plan_dir(opt.shard.artifact_dir).c_str(),
                   static_cast<long>(::getpid()),
                   static_cast<unsigned long long>(salt));
-    stem = buf;
-  }
-  for (int i = 0; i < coord->count_; ++i) {
-    const PlanArtifact<T> slice =
-        slice_shard_artifact(art, coord->bounds_, i, worker_fp);
-    const std::string path = stem + "-" + std::to_string(i) + ".btpa";
-    if (Status st = save_artifact(path, slice); !st.ok()) return st;
-    coord->slice_paths_.push_back(path);
+    PlanArtifact<T> art = base.capture_artifact();
+    art.options = BlockSolver<T>::options_fingerprint(coord->worker_opt_);
+    if (Status st = save_artifact(buf, art); !st.ok()) return st;
+    coord->plan_path_ = buf;
   }
 
   if (Status st = SharedRegion<T>::create(base.n(), coord->k_max_,
-                                          coord->count_, &coord->shm_);
+                                          &coord->shm_);
       !st.ok())
     return st;
 
@@ -150,7 +138,7 @@ Status ShardCoordinator<T>::spawn_worker(int i) {
     WorkerConfig<T> cfg;
     cfg.control_fd = fds[1];
     cfg.shard_index = i;
-    cfg.artifact_path = slice_paths_[static_cast<std::size_t>(i)];
+    cfg.artifact_path = plan_path_;
     cfg.options = worker_opt_;
     cfg.header = shm_.header();
     cfg.x_panel = shm_.x_panel();
@@ -253,7 +241,7 @@ ShardCoordinator<T>::~ShardCoordinator() {
     w.pid = -1;
     w.alive = false;
   }
-  for (const std::string& path : slice_paths_) ::unlink(path.c_str());
+  if (!plan_path_.empty()) ::unlink(plan_path_.c_str());
 }
 
 template <class T>
@@ -292,6 +280,20 @@ Status ShardCoordinator<T>::run_epoch_locked(const T* B, const T* const* Bs,
                       "] (shard.max_panel)");
   ++stats_.epochs;
 
+  // The caller's deadline or cancel, as a typed Status (Ok while neither
+  // fired). A tripped epoch is never fallen back: a retry cannot beat the
+  // clock.
+  const auto caller_stop = [&]() -> Status {
+    if (controls.deadline.expired())
+      return Status(StatusCode::kDeadlineExceeded,
+                    "deadline exceeded during the sharded epoch");
+    if (controls.cancel != nullptr && controls.cancel->cancelled())
+      return Status(StatusCode::kCancelled,
+                    "sharded epoch cancelled by the caller");
+    return Status::Ok();
+  };
+  if (Status st = caller_stop(); !st.ok()) return st;
+
   const auto fall_back = [&](const Status& why) -> Status {
     if (!opt_.shard.fallback_inprocess) return why;
     ++stats_.fallbacks;
@@ -300,7 +302,7 @@ Status ShardCoordinator<T>::run_epoch_locked(const T* B, const T* const* Bs,
   };
 
   // A worker lost in an earlier epoch is respawned here, before the new
-  // epoch starts — its slice file is still on disk, so the respawn re-runs
+  // epoch starts — the saved plan is still on disk, so the respawn re-runs
   // the zero-analysis warm path.
   if (Status st = respawn_dead_locked(); !st.ok()) {
     ++stats_.workers_lost;
@@ -308,33 +310,43 @@ Status ShardCoordinator<T>::run_epoch_locked(const T* B, const T* const* Bs,
                                  st.message()));
   }
 
-  // Stage the epoch: permuted scatter of the right-hand sides into the
-  // shared b panel (interleaved, ld = k), watermark reset, then the
-  // release-store of the epoch sequence that workers acquire.
+  // Worker i solves the contiguous columns [k·i/P, k·(i+1)/P). Its columns
+  // go into the shared b panel just before its command, and come back out
+  // of the x panel as soon as its report arrives, so each copy overlaps the
+  // other workers' solves. Every worker gets a command, an idle one too:
+  // each epoch proves the whole pool alive.
   ShmHeader* hdr = shm_.header();
-  const std::vector<index_t>& perm = base_->plan().new_of_old;
-  const index_t n = base_->n();
-  T* bw = shm_.b_panel();
-  for (index_t c = 0; c < k; ++c) {
-    const T* src = B != nullptr ? B + static_cast<std::size_t>(c) * n : Bs[c];
-    for (index_t i = 0; i < n; ++i)
-      bw[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)]) * k + c] =
-          src[i];
-  }
-  for (int p = 0; p < count_; ++p)
-    hdr->progress[p].rows.store(
-        static_cast<std::int64_t>(bounds_[static_cast<std::size_t>(p)]),
-        std::memory_order_relaxed);
-  hdr->abort.store(0, std::memory_order_relaxed);
+  const auto n = static_cast<std::size_t>(base_->n());
+  const auto first_column = [&](int i) {
+    return static_cast<index_t>(static_cast<std::int64_t>(k) * i / count_);
+  };
+  const auto stage = [&](int i) {
+    for (index_t c = first_column(i); c < first_column(i + 1); ++c) {
+      const auto at = static_cast<std::size_t>(c) * n;
+      std::memcpy(shm_.b_panel() + at, B != nullptr ? B + at : Bs[c],
+                  n * sizeof(T));
+    }
+  };
+  const auto collect = [&](int i) {
+    for (index_t c = first_column(i); c < first_column(i + 1); ++c) {
+      const auto at = static_cast<std::size_t>(c) * n;
+      std::memcpy(X != nullptr ? X + at : Xs[c], shm_.x_panel() + at,
+                  n * sizeof(T));
+    }
+  };
+  hdr->abort.reset();
   ++seq_;
-  hdr->solve_seq.store(seq_, std::memory_order_release);
-
   bool lost = false;
   std::vector<bool> reported(static_cast<std::size_t>(count_), false);
   int pending = 0;
   for (int i = 0; i < count_; ++i) {
     Worker& w = workers_[static_cast<std::size_t>(i)];
-    if (write_solve_cmd(w.fd, {seq_, k}).ok()) {
+    stage(i);
+    // Re-stored after each worker's columns: the worker's acquire of the
+    // epoch sequence makes them visible.
+    hdr->solve_seq.store(seq_, std::memory_order_release);
+    const index_t c0 = first_column(i);
+    if (write_solve_cmd(w.fd, {seq_, c0, first_column(i + 1) - c0}).ok()) {
       ++pending;
     } else {
       // Write failure means the peer is gone (EPIPE under MSG_NOSIGNAL).
@@ -344,17 +356,15 @@ Status ShardCoordinator<T>::run_epoch_locked(const T* B, const T* const* Bs,
       retire_worker_locked(w, /*kill_first=*/true);
       reported[static_cast<std::size_t>(i)] = true;
       lost = true;
-      hdr->abort.store(1, std::memory_order_release);
+      hdr->abort.cancel();
     }
   }
 
-  // Collect reports. Liveness is judged on *progress*: any watermark
-  // advance or report within epoch_timeout_ms resets the clock; a silent,
-  // motionless pool past the timeout is a hung worker. Dead processes are
+  // Collect reports. Any report within epoch_timeout_ms resets the clock;
+  // a silent pool past the timeout is a hung worker. Dead processes are
   // detected eagerly through EOF on their control fds.
   Status epoch_status;
   bool deadline_tripped = false;
-  std::int64_t last_water = -1;
   auto last_motion = Clock::now();
   const int timeout_ms = std::max(1, opt_.shard.epoch_timeout_ms);
   std::vector<ReportMsg> reports(static_cast<std::size_t>(count_));
@@ -372,15 +382,7 @@ Status ShardCoordinator<T>::run_epoch_locked(const T* B, const T* const* Bs,
     if (pfds.empty()) break;
     int pr = ::poll(pfds.data(), pfds.size(), 50);
     if (pr < 0 && errno == EINTR) continue;
-
-    // Watermark motion counts as liveness even when no report arrived.
-    std::int64_t water = 0;
-    for (int p = 0; p < count_; ++p)
-      water += hdr->progress[p].rows.load(std::memory_order_relaxed);
-    if (water != last_water || pr > 0) {
-      last_water = water;
-      last_motion = Clock::now();
-    }
+    if (pr > 0) last_motion = Clock::now();
 
     for (std::size_t j = 0; j < pfds.size(); ++j) {
       if (pfds[j].revents == 0) continue;
@@ -397,38 +399,32 @@ Status ShardCoordinator<T>::run_epoch_locked(const T* B, const T* const* Bs,
       else if (st.ok())
         st = worker_lost("shard worker " + std::to_string(i) +
                          " hung up mid-epoch");
+      reported[static_cast<std::size_t>(i)] = true;
+      --pending;
       if (!st.ok() || msg.seq != seq_) {
         retire_worker_locked(w, /*kill_first=*/true);
         lost = true;
-        reported[static_cast<std::size_t>(i)] = true;
-        --pending;
-        // Unblock everyone still spinning on this shard's watermark.
-        hdr->abort.store(1, std::memory_order_release);
+        // The epoch is lost: stop the other workers' now useless solves.
+        hdr->abort.cancel();
         continue;
       }
-      reported[static_cast<std::size_t>(i)] = true;
-      --pending;
-      if (msg.code != 0 && epoch_status.ok())
+      if (msg.code == 0)
+        collect(i);
+      else if (epoch_status.ok())
         epoch_status = Status(static_cast<StatusCode>(msg.code),
                               "shard worker " + std::to_string(i) + ": " +
                                   msg.message);
     }
 
-    // Honour the caller's deadline/cancel: abort the epoch (workers unwind
-    // at their next halo wait or finish their current wave) but keep
-    // draining reports so no stale frame leaks into the next epoch.
-    if (!deadline_tripped &&
-        (controls.deadline.expired() ||
-         (controls.cancel != nullptr && controls.cancel->cancelled()))) {
-      deadline_tripped = true;
-      hdr->abort.store(1, std::memory_order_release);
-      if (epoch_status.ok())
-        epoch_status =
-            controls.deadline.expired()
-                ? Status(StatusCode::kDeadlineExceeded,
-                         "deadline exceeded during the sharded epoch")
-                : Status(StatusCode::kCancelled,
-                         "sharded epoch cancelled by the caller");
+    // Honour the caller's deadline/cancel: abort the epoch (the workers'
+    // solves stop at their next step) but keep draining reports so no stale
+    // frame leaks into the next epoch.
+    if (!deadline_tripped) {
+      if (Status st = caller_stop(); !st.ok()) {
+        deadline_tripped = true;
+        hdr->abort.cancel();
+        epoch_status = std::move(st);
+      }
     }
 
     const double silent_ms =
@@ -436,7 +432,7 @@ Status ShardCoordinator<T>::run_epoch_locked(const T* B, const T* const* Bs,
             .count();
     if (pending > 0 && silent_ms > timeout_ms) {
       // Hung epoch: abort, SIGKILL every unreported worker, reap, typed loss.
-      hdr->abort.store(1, std::memory_order_release);
+      hdr->abort.cancel();
       for (int i = 0; i < count_; ++i) {
         if (reported[static_cast<std::size_t>(i)]) continue;
         retire_worker_locked(workers_[static_cast<std::size_t>(i)],
@@ -448,41 +444,30 @@ Status ShardCoordinator<T>::run_epoch_locked(const T* B, const T* const* Bs,
     }
   }
 
-  if (deadline_tripped) return epoch_status;  // a retry cannot beat the clock
+  if (deadline_tripped) return epoch_status;
   if (lost) {
     ++stats_.workers_lost;
     return fall_back(
         worker_lost("a shard worker died or stalled mid-epoch (epoch " +
                     std::to_string(seq_) + ")"));
   }
-  if (!epoch_status.ok()) {
-    // A worker refused the epoch (spin timeout, abort echo). Its peers may
-    // have been cancelled too; the epoch is not recoverable in place.
-    return fall_back(epoch_status);
-  }
+  // A worker whose solve failed (a spin timeout, say) leaves its columns
+  // unsolved; the epoch is not recoverable in place.
+  if (!epoch_status.ok()) return fall_back(epoch_status);
 
-  // Success: permuted gather of the shared x panel into the caller's form.
-  const T* xw = shm_.x_panel();
-  for (index_t c = 0; c < k; ++c) {
-    T* dst = X != nullptr ? X + static_cast<std::size_t>(c) * n : Xs[c];
-    for (index_t i = 0; i < n; ++i)
-      dst[i] =
-          xw[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)]) * k +
-             c];
-  }
-  for (int i = 0; i < count_; ++i) {
-    const ReportMsg& msg = reports[static_cast<std::size_t>(i)];
-    stats_.halo_ready += msg.halo_ready;
-    stats_.halo_deferred += msg.halo_deferred;
-    stats_.wait_ms += msg.wait_ms;
+  // Success: every worker's columns are back in the caller's form.
+  for (const ReportMsg& msg : reports)
     stats_.worker_level_analyses += msg.level_analyses;
-  }
   if (rep != nullptr) {
-    rep->steps_total = static_cast<index_t>(base_->plan().steps.size());
-    index_t steps = 0;
-    for (const ReportMsg& msg : reports)
-      steps += static_cast<index_t>(msg.steps_run);
-    rep->steps_completed = steps;
+    // Every worker that held columns ran the same plan steps for them.
+    rep->steps_total = 0;
+    rep->steps_completed = 0;
+    for (int i = 0; i < count_; ++i) {
+      if (first_column(i) == first_column(i + 1)) continue;
+      const ReportMsg& msg = reports[static_cast<std::size_t>(i)];
+      rep->steps_total = static_cast<index_t>(msg.steps_total);
+      rep->steps_completed = static_cast<index_t>(msg.steps_completed);
+    }
   }
   return Status::Ok();
 }

@@ -1,24 +1,24 @@
 // Sharded multi-process solve coordinator (DESIGN.md §15).
 //
-// ShardCoordinator::create cuts a BlockSolver's plan into P contiguous row
-// shards (compute_shard_cuts), writes one format-v3 .btpa slice per shard,
-// maps a shared-memory panel region, and forks P worker processes that
-// rehydrate their slices with zero re-analysis. Each solve is an *epoch*:
-// the coordinator scatters the permuted right-hand sides into the shared b
-// panel, resets the watermarks, bumps the epoch sequence (release), and
-// sends every worker a SolveCmd; workers execute their local schedules with
-// compute/communication overlap and report over their control pipes; the
-// coordinator gathers the shared x panel back. The sharded result is bitwise
-// identical to the base solver's solve_many at any shard count.
+// ShardCoordinator::create captures a BlockSolver's plan once, saves it as a
+// .btpa, maps a shared-memory panel region, and forks P worker processes
+// that each rehydrate the whole plan with zero re-analysis. Each solve is an
+// *epoch* that splits the panel by columns: the coordinator copies the
+// right-hand sides into the shared b panel, bumps the epoch sequence
+// (release), and sends worker i a SolveCmd for its contiguous share of the
+// columns; each worker runs its own solver's solve_many on them and reports
+// over its control pipe; the coordinator copies the shared x columns back.
+// The batched kernels are per-column deterministic, so the result is
+// bitwise identical to the base solver's solve_many at any shard count.
 //
-// Failure containment: a worker that dies (waitpid) or stops making progress
+// Failure containment: a worker that dies (waitpid) or does not report
 // within shard.epoch_timeout_ms turns the epoch into a typed kWorkerLost —
 // never a hang. The shared segment is unlinked at creation (workers inherit
 // the mapping), so no crash can leak a named segment; dead workers are
-// reaped with targeted waitpid and respawned from their persisted slices
-// before the next epoch (a respawn re-runs the warm path: zero re-analysis).
-// With shard.fallback_inprocess the lost epoch is transparently re-run on
-// the base solver in process.
+// reaped with targeted waitpid and respawned from the saved plan before the
+// next epoch (a respawn re-runs the warm path: zero re-analysis). With
+// shard.fallback_inprocess the lost epoch is transparently re-run on the
+// base solver in process.
 #pragma once
 
 #include <sys/types.h>
@@ -38,10 +38,12 @@ struct CoordinatorStats {
   std::uint64_t epochs = 0;          // solve epochs attempted
   std::uint64_t workers_lost = 0;    // dead or hung workers detected
   std::uint64_t fallbacks = 0;       // epochs re-run on the base solver
-  std::uint64_t respawns = 0;        // workers re-forked from their slices
-  std::uint64_t halo_ready = 0;      // boundary squares ready in pass 1
-  std::uint64_t halo_deferred = 0;   // boundary squares deferred to pass 2
-  double wait_ms = 0.0;              // total worker watermark-wait time
+  std::uint64_t respawns = 0;        // workers re-forked from the saved plan
+  // Workers share no rows, so no worker waits on another: these stay 0.
+  // They are kept for callers that read them.
+  std::uint64_t halo_ready = 0;
+  std::uint64_t halo_deferred = 0;
+  double wait_ms = 0.0;
   /// Level-set analyses performed by workers across rehydrations and
   /// epochs — the warm-start proof is that this stays 0.
   std::uint64_t worker_level_analyses = 0;
@@ -54,15 +56,14 @@ class ShardCoordinator {
 
   /// Builds the shard pool for `base` (which must stay alive and unchanged
   /// for the coordinator's lifetime — it provides the captured plan and the
-  /// in-process fallback). `opt.shard.processes` must be >= 1; the effective
-  /// shard count may be lower when the plan has fewer leaves
-  /// (shard_count()). Failure leaves *out untouched with every child
-  /// process, file and mapping cleaned up.
+  /// in-process fallback). `opt.shard.processes` workers are forked, 1 to
+  /// kMaxShards. Failure leaves *out untouched with every child process,
+  /// file and mapping cleaned up.
   static Status create(const BlockSolver<T>& base, const Options& opt,
                        std::unique_ptr<ShardCoordinator<T>>* out);
 
   /// Shuts the pool down: Shutdown frames (EOF works too), bounded waitpid,
-  /// SIGKILL for stragglers, targeted reaps, slice files unlinked.
+  /// SIGKILL for stragglers, targeted reaps, the plan file unlinked.
   ~ShardCoordinator();
 
   ShardCoordinator(const ShardCoordinator&) = delete;
@@ -72,8 +73,9 @@ class ShardCoordinator {
   Status solve(const T* b, T* x, const SolveControls& controls = {},
                SolveReport* rep = nullptr);
 
-  /// Sharded batched solve of an n × k column-major panel. Bitwise identical
-  /// to base.solve_many(B, X, k). k must be <= max_panel().
+  /// Sharded batched solve of an n × k column-major panel: worker i solves
+  /// columns [k·i/P, k·(i+1)/P). Bitwise identical to base.solve_many(B, X,
+  /// k). k must be <= max_panel().
   Status solve_many(const T* B, T* X, index_t k,
                     const SolveControls& controls = {},
                     SolveReport* rep = nullptr);
@@ -86,9 +88,8 @@ class ShardCoordinator {
 
   index_t n() const { return base_->n(); }
   index_t max_panel() const { return k_max_; }
-  /// Effective shard count (may be below shard.processes on shallow plans).
+  /// Worker processes (shard.processes).
   int shard_count() const { return count_; }
-  const std::vector<index_t>& bounds() const { return bounds_; }
   /// The (already unlinked) shared segment name, for leak tests.
   const std::string& shm_name() const { return shm_.name(); }
   /// Worker pids, for fault-injection tests (dead entries are -1).
@@ -104,7 +105,7 @@ class ShardCoordinator {
 
   ShardCoordinator() = default;
 
-  /// Forks worker `i` from its slice file and awaits its Hello.
+  /// Forks worker `i` from the saved plan and awaits its Hello.
   Status spawn_worker(int i);
   /// Re-forks every dead worker; Ok when the full pool is alive again.
   Status respawn_dead_locked();
@@ -118,12 +119,11 @@ class ShardCoordinator {
   const BlockSolver<T>* base_ = nullptr;
   Options opt_;
   typename BlockSolver<T>::Options worker_opt_;
-  std::vector<index_t> bounds_;
   int count_ = 0;
   index_t k_max_ = 1;
   SharedRegion<T> shm_;
   std::vector<Worker> workers_;
-  std::vector<std::string> slice_paths_;
+  std::string plan_path_;  // the saved plan every worker loads
   std::uint64_t seq_ = 0;
   mutable std::mutex mu_;  // one epoch at a time; stats reads
   CoordinatorStats stats_;

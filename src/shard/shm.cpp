@@ -57,12 +57,10 @@ SharedRegion<T>& SharedRegion<T>::operator=(SharedRegion&& other) noexcept {
 }
 
 template <class T>
-Status SharedRegion<T>::create(index_t n, index_t k_max, int nshards,
-                               SharedRegion* out) {
-  if (n < 0 || k_max < 1 || nshards < 1 || nshards > kMaxShards)
+Status SharedRegion<T>::create(index_t n, index_t k_max, SharedRegion* out) {
+  if (n < 0 || k_max < 1)
     return Status(StatusCode::kInvalidArgument,
-                  "shared region needs n >= 0, k_max >= 1 and 1 <= shards <= " +
-                      std::to_string(kMaxShards));
+                  "shared region needs n >= 0 and k_max >= 1");
 
   const std::size_t panel =
       static_cast<std::size_t>(n) * static_cast<std::size_t>(k_max) *
@@ -100,7 +98,6 @@ Status SharedRegion<T>::create(index_t n, index_t k_max, int nshards,
   region.header_ = new (base) ShmHeader();
   region.header_->n = n;
   region.header_->k_max = k_max;
-  region.header_->nshards = nshards;
   region.x_ = reinterpret_cast<T*>(static_cast<char*>(base) + x_off);
   region.b_ = reinterpret_cast<T*>(static_cast<char*>(base) + b_off);
   *out = std::move(region);

@@ -1,13 +1,12 @@
 // Shard worker process body (DESIGN.md §15).
 //
 // A worker is forked by ShardCoordinator::create, inherits the shared-memory
-// mapping and one end of its control socketpair, rehydrates its shard slice
-// from the per-shard .btpa through a worker-local PlanCache (zero level-set
-// re-analysis — the warm-start contract, reported in its Hello), and then
-// serves solve epochs: scatter-free (the panels live in shared memory), each
-// epoch executes the shard's local schedule with the two-pass overlap
-// executor — halo-ready steps first, deferred boundary squares waited on and
-// run second — publishing its x watermark after every triangular leaf.
+// mapping and one end of its control socketpair, rehydrates the whole plan
+// from the coordinator's .btpa (zero level-set re-analysis — the warm-start
+// contract, reported in its Hello), and then serves solve epochs: each
+// epoch's command names a contiguous range of the shared panels' columns,
+// which the worker solves with its own solver's solve_many, the segment's
+// abort flag as the cancel token.
 //
 // The worker never returns: every exit path is _exit() (no atexit handlers,
 // no double-flushed stdio inherited from the parent). It installs no signal
@@ -26,7 +25,7 @@ template <class T>
 struct WorkerConfig {
   int control_fd = -1;  // worker end of the control socketpair
   int shard_index = 0;
-  std::string artifact_path;  // this shard's .btpa slice
+  std::string artifact_path;  // the plan every worker loads
   typename BlockSolver<T>::Options options;  // threads = 1
   ShmHeader* header = nullptr;  // inherited shm mapping
   T* x_panel = nullptr;

@@ -73,40 +73,6 @@ int paper_stop_rows(const GpuSpec& base, double factor) {
   return rule < 256.0 ? 256 : static_cast<int>(rule);
 }
 
-InterconnectSpec pcie3_x16() {
-  InterconnectSpec l;
-  l.name = "PCIe 3.0 x16";
-  l.bandwidth_gbps = 13.0;  // effective, not the 15.75 wire rate
-  l.latency_ns = 1800.0;
-  return l;
-}
-
-InterconnectSpec nvlink2() {
-  InterconnectSpec l;
-  l.name = "NVLink 2.0";
-  l.bandwidth_gbps = 25.0;
-  l.latency_ns = 1300.0;
-  return l;
-}
-
-MultiGpuSpec dual_titan_rtx() { return {titan_rtx(), 2, nvlink2()}; }
-MultiGpuSpec quad_titan_rtx() { return {titan_rtx(), 4, nvlink2()}; }
-MultiGpuSpec dual_titan_x() { return {titan_x(), 2, pcie3_x16()}; }
-
-double modeled_shard_epoch_ns(const MultiGpuSpec& machine, double single_ns,
-                              double halo_bytes, double stalled_edges) {
-  const int d = machine.devices > 0 ? machine.devices : 1;
-  // Compute shrinks with the device count (the shard cuts are nnz-balanced);
-  // the halo panel crosses the link once per epoch regardless, and each
-  // unhidden watermark edge serialises one small-message latency — the same
-  // decomposition the shard coordinator's halo_ready/halo_deferred telemetry
-  // measures on the shared-memory transport.
-  const double compute_ns = single_ns / static_cast<double>(d);
-  const double transfer_ns = halo_bytes / machine.link.bandwidth_gbps;
-  const double stall_ns = stalled_edges * machine.link.latency_ns;
-  return compute_ns + transfer_ns + stall_ns;
-}
-
 HostSpec host_default() { return HostSpec{}; }
 
 }  // namespace blocktri::sim

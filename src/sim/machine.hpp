@@ -87,50 +87,6 @@ GpuSpec scale_for_dataset(const GpuSpec& base, double factor);
 /// 20 x core count, expressed on a dataset scaled down by `factor`.
 int paper_stop_rows(const GpuSpec& base, double factor);
 
-// --- Multi-device machines (ISSUE 9: sharded execution) ---------------------
-
-/// The device-to-device link of a multi-GPU (or multi-socket) machine, the
-/// modelled analogue of the shard pool's shared-memory boundary exchange.
-/// A shard's halo traffic is (boundary rows) x (panel width) x sizeof(T)
-/// bytes per epoch, paid at `bandwidth_gbps`, plus one `latency_ns` hop per
-/// producer->consumer watermark edge that actually stalls (the overlap
-/// executor hides the rest behind local triangles).
-struct InterconnectSpec {
-  std::string name;
-  double bandwidth_gbps = 16.0;  // per-direction, bytes/ns
-  double latency_ns = 1500.0;    // small-message one-way latency
-};
-
-/// PCIe 3.0 x16: the Pascal-era peer path (~13 GB/s effective).
-InterconnectSpec pcie3_x16();
-/// NVLink 2.0 (single brick, Turing NVLink bridge): ~25 GB/s effective.
-InterconnectSpec nvlink2();
-
-/// A machine of `devices` identical GPUs joined by one link class — what the
-/// sharded solve (src/shard) targets when each worker process drives its own
-/// accelerator instead of a CPU core.
-struct MultiGpuSpec {
-  GpuSpec device;
-  int devices = 2;
-  InterconnectSpec link;
-};
-
-/// Dual / quad Titan RTX over NVLink, and dual Titan X over PCIe — the
-/// multi-device presets EXPERIMENTS.md's BENCH_shard.json models against.
-MultiGpuSpec dual_titan_rtx();
-MultiGpuSpec quad_titan_rtx();
-MultiGpuSpec dual_titan_x();
-
-/// Models one sharded epoch on `machine`: perfectly-parallel compute plus
-/// the boundary exchange the watermark protocol serialises. `single_ns` is
-/// the modelled single-device solve time, `halo_bytes` the total boundary
-/// panel traffic of the epoch, and `stalled_edges` the producer->consumer
-/// watermark waits the overlap executor could not hide (shard/coordinator's
-/// halo_deferred is the measured counterpart). Returns the epoch time; the
-/// speedup over `single_ns` degrades exactly as the exchange terms grow.
-double modeled_shard_epoch_ns(const MultiGpuSpec& machine, double single_ns,
-                              double halo_bytes, double stalled_edges);
-
 /// Host CPU description used to model the preprocessing passes (Table 5).
 /// Calibrated to a contemporary workstation with the analysis passes
 /// parallelised over ~8 cores (counting sorts, permutation scatters and

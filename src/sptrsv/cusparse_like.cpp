@@ -15,46 +15,20 @@ constexpr offset_t kCtlChunkItems = 8192;
 }  // namespace
 
 template <class T>
-CusparseLikeSolver<T>::CusparseLikeSolver(Csr<T> lower,
-                                          index_t merge_component_budget)
-    : a_(std::move(lower)) {
+CusparseLikeSolver<T>::CusparseLikeSolver(Csr<T> lower) : a_(std::move(lower)) {
   BLOCKTRI_CHECK_MSG(is_lower_triangular_nonsingular(a_),
                      "CusparseLikeSolver requires a nonsingular lower triangle");
   ls_ = compute_level_sets(a_);
-  kernel_first_level_ = merge_schedule(ls_, merge_component_budget);
 }
 
 template <class T>
-std::vector<index_t> CusparseLikeSolver<T>::merge_schedule(
-    const LevelSets& levels, index_t merge_component_budget) {
-  BLOCKTRI_CHECK(merge_component_budget > 0);
-  // Pack consecutive levels into kernels until the component budget fills —
-  // Naumov's small-level merging. Wide levels get kernels of their own.
-  std::vector<index_t> first;
-  index_t in_kernel = 0;
-  for (index_t lvl = 0; lvl < levels.nlevels; ++lvl) {
-    const index_t w = levels.level_width(lvl);
-    if (first.empty() || in_kernel + w > merge_component_budget) {
-      first.push_back(lvl);
-      in_kernel = 0;
-    }
-    in_kernel += w;
-  }
-  return first;
-}
-
-template <class T>
-CusparseLikeSolver<T>::CusparseLikeSolver(
-    Csr<T> lower, LevelSets levels, std::vector<index_t> kernel_first_level)
-    : a_(std::move(lower)),
-      ls_(std::move(levels)),
-      kernel_first_level_(std::move(kernel_first_level)) {
+CusparseLikeSolver<T>::CusparseLikeSolver(Csr<T> lower, LevelSets levels)
+    : a_(std::move(lower)), ls_(std::move(levels)) {
   BLOCKTRI_CHECK_MSG(
       ls_.level_of.size() == static_cast<std::size_t>(a_.nrows) &&
           ls_.level_item.size() == static_cast<std::size_t>(a_.nrows) &&
-          ls_.level_ptr.size() == static_cast<std::size_t>(ls_.nlevels) + 1 &&
-          (ls_.nlevels == 0 || !kernel_first_level_.empty()),
-      "CusparseLikeSolver: adopted schedule does not match the matrix");
+          ls_.level_ptr.size() == static_cast<std::size_t>(ls_.nlevels) + 1,
+      "CusparseLikeSolver: adopted levels do not match the matrix");
 }
 
 template <class T>

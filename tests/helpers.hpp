@@ -184,7 +184,7 @@ inline std::string read_file_bytes(const std::string& path) {
 }
 
 /// Walks the frames of the .btpa file at `path` (DESIGN.md §10) and checks
-/// the framing contract: the header stamps format version 8, every stored
+/// the framing contract: the header stamps format version 9, every stored
 /// section CRC equals reference_crc32 of its payload, the last frame ends
 /// exactly at EOF, and save → load → save reproduces the file byte for byte.
 /// The square layout (core/plan.hpp, kSquareWindowRows): a square lists
@@ -229,9 +229,9 @@ template <class T>
            << path << ": " << bytes.size() << " bytes, shorter than a header";
   std::uint32_t version = 0, nsections = 0;
   std::memcpy(&version, bytes.data() + 4, 4);
-  if (version != 8)
+  if (version != 9)
     return ::testing::AssertionFailure()
-           << path << " stamps format version " << version << ", not 8";
+           << path << " stamps format version " << version << ", not 9";
   std::memcpy(&nsections, bytes.data() + kHeaderBytes - 4, 4);
   std::size_t off = kHeaderBytes;
   for (std::uint32_t s = 0; s < nsections; ++s) {

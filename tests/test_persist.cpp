@@ -149,7 +149,7 @@ std::uint64_t fnv1a(const void* data, std::size_t len) {
 /// Known answers of cold builds, recorded from the build that permuted the
 /// whole matrix and extracted every block from the copy: FNV-1a of the
 /// bytes save_artifact writes (re-recorded for each format version; last
-/// for format 8, whose squares list their rows by window and length), and
+/// for format 9, which dropped the cuSPARSE-like merge schedule), and
 /// of solve()'s bits for the rhs expect_equal_solvers uses, under the
 /// canonical blocked SIMD order (the vector lowering gives the same bits).
 /// The one-walk build must keep them.
@@ -162,73 +162,73 @@ struct KnownAnswer {
 };
 const KnownAnswer kKnownAnswers[] = {
     {"forced_8_recursive-block_completely-parallel_scalar-CSR",
-     0xcec7a06cdfc69ba2ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
+     0x805348aa3c1ed1b3ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
     {"forced_8_recursive-block_level-set_scalar-CSR",
-     0xd573df7786854fa5ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
+     0x4f904eb59768974cULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
     {"forced_8_recursive-block_sync-free_scalar-CSR",
-     0x412dfe38c6b0913bULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
+     0x3f31f3f6c1a32552ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
     {"forced_8_recursive-block_cusparse-like_scalar-CSR",
-     0xdd37c08f3bd68f6aULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
+     0xdcedce6cde556914ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
     {"forced_8_column-block_completely-parallel_scalar-CSR",
-     0x824c78ee05812d43ULL, 0x0357fae1ecbfa0bbULL, 0x1b5157c7d58fb924ULL},
+     0x99fb5df58412415eULL, 0x0357fae1ecbfa0bbULL, 0x1b5157c7d58fb924ULL},
     {"forced_8_column-block_level-set_scalar-CSR",
-     0x1f6f62d1573ab20aULL, 0xbcfde956f540cdb4ULL, 0x2f42df47dd3e277bULL},
+     0xdcc25d9978de543fULL, 0xbcfde956f540cdb4ULL, 0x2f42df47dd3e277bULL},
     {"forced_8_column-block_sync-free_scalar-CSR",
-     0x5f3099157ab92afeULL, 0x0357fae1ecbfa0bbULL, 0x1b5157c7d58fb924ULL},
+     0x83684d45918e7097ULL, 0x0357fae1ecbfa0bbULL, 0x1b5157c7d58fb924ULL},
     {"forced_8_column-block_cusparse-like_scalar-CSR",
-     0x99d8f113332fd233ULL, 0xbcfde956f540cdb4ULL, 0x2f42df47dd3e277bULL},
+     0x5e5ab9ae128cb256ULL, 0xbcfde956f540cdb4ULL, 0x2f42df47dd3e277bULL},
     {"forced_8_row-block_completely-parallel_scalar-CSR",
-     0xf8ad67c9105ccfd8ULL, 0x0913b852393686ceULL, 0x2e07f893834164d9ULL},
+     0xf2762ccbd7a85311ULL, 0x0913b852393686ceULL, 0x2e07f893834164d9ULL},
     {"forced_8_row-block_level-set_scalar-CSR",
-     0x00451fb3439ff607ULL, 0x6c9b73ed30817f92ULL, 0x49b8e6c059e7b2bdULL},
+     0x439da50c57e5018eULL, 0x6c9b73ed30817f92ULL, 0x49b8e6c059e7b2bdULL},
     {"forced_8_row-block_sync-free_scalar-CSR",
-     0x895fbfae26e3ea58ULL, 0x0913b852393686ceULL, 0x2e07f893834164d9ULL},
+     0x3a42185d2ce5a191ULL, 0x0913b852393686ceULL, 0x2e07f893834164d9ULL},
     {"forced_8_row-block_cusparse-like_scalar-CSR",
-     0xed62b7ff0df12116ULL, 0x6c9b73ed30817f92ULL, 0x49b8e6c059e7b2bdULL},
+     0x3a53740b5e800b73ULL, 0x6c9b73ed30817f92ULL, 0x49b8e6c059e7b2bdULL},
     {"forced_8_hbmc-block_completely-parallel_scalar-CSR",
-     0xd18712eaa9b91614ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
+     0xbcf094d707da0b1dULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
     {"forced_8_hbmc-block_level-set_scalar-CSR",
-     0xca1fe2eb78915cb3ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
+     0xa6da7d53210fc006ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
     {"forced_8_hbmc-block_sync-free_scalar-CSR",
-     0x243998774aa69b64ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
+     0xc0587a6419c52c3dULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
     {"forced_8_hbmc-block_cusparse-like_scalar-CSR",
-     0x290b483a55b118f0ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
+     0x69fea23c946a311dULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
     {"sweep_chain_hbmc-block",
-     0xe94fa83799feade2ULL, 0xfdcc30df23748817ULL, 0x45132beaab213e93ULL},
+     0xf125d2199ee2d48dULL, 0xfdcc30df23748817ULL, 0x45132beaab213e93ULL},
     {"sweep_banded_column-block",
-     0xfdc71bb61c39d05eULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
+     0xaebe370f70441273ULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
     {"sweep_grid3d_recursive-block",
-     0x712fe7a73e71ac7dULL, 0xe2ccb7b0174a4d56ULL, 0x8f862927d84157e4ULL},
+     0x92d867a06ca65486ULL, 0xe2ccb7b0174a4d56ULL, 0x8f862927d84157e4ULL},
     {"sweep_powerlaw_recursive-block",
-     0xa706c4fa68784b46ULL, 0x82487e06982066aeULL, 0x983b78e01e0b9755ULL},
+     0xd0e099100d7e477dULL, 0x82487e06982066aeULL, 0x983b78e01e0b9755ULL},
     {"sweep_kkt_recursive-block",
-     0x2949af6c8fa8593cULL, 0x84ac8f67f57595bfULL, 0xbbc2b04b7c1fc0daULL},
+     0x37a8a40cb0fee1fdULL, 0x84ac8f67f57595bfULL, 0xbbc2b04b7c1fc0daULL},
     {"sweep_trace_recursive-block",
-     0x45b69ba2476f055dULL, 0xe320ccff4a7cc8b4ULL, 0x6880b1f806782fa5ULL},
+     0xed5899b1ca4a2d8cULL, 0xe320ccff4a7cc8b4ULL, 0x6880b1f806782fa5ULL},
     {"sweep_rndlevels_deep_recursive-block",
-     0x42ce889ce2178cbdULL, 0x4b25be5d2ca42b1dULL, 0x0a9037d12ab457f1ULL},
+     0x93e9fdefe8bf0adeULL, 0x4b25be5d2ca42b1dULL, 0x0a9037d12ab457f1ULL},
     {"refresh_recursive-block",
-     0xaefb78cc193fa0c3ULL, 0x7172fd1d5b425493ULL, 0xb818c5bbdc150898ULL},
+     0x6065419f95527a4eULL, 0x7172fd1d5b425493ULL, 0xb818c5bbdc150898ULL},
     {"refresh_column-block",
-     0xfdc71bb61c39d05eULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
+     0xaebe370f70441273ULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
     {"refresh_row-block",
-     0x84498bf1e5cd9310ULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
+     0xc3d754f2c8318371ULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
     {"refresh_hbmc-block",
-     0x029e591f8a68047eULL, 0xce29801083680a6aULL, 0xdb9ba68c91597846ULL},
+     0x388cdd913e9781cbULL, 0xce29801083680a6aULL, 0xdb9ba68c91597846ULL},
     {"refresh_unordered",
-     0xb71b75697efe6345ULL, 0x71939bc327923a28ULL, 0x9fe62b2680f01c7fULL},
+     0xf9028bef494de710ULL, 0x71939bc327923a28ULL, 0x9fe62b2680f01c7fULL},
     // A tuned artifact records the level-merge width the cost model
     // measured on the host, so only its solve is pinned.
     {"refresh_tuned",
      0, 0x39087f833a05dd58ULL, 0x50c7e66591c9d24fULL},
     {"dup_recursive-block",
-     0xd8791feb8a21568bULL, 0xeef8e6dcf526a3edULL, 0x0b1551ef81bdb025ULL},
+     0x7cb31e764e9ad062ULL, 0xeef8e6dcf526a3edULL, 0x0b1551ef81bdb025ULL},
     {"dup_column-block",
-     0x9fe36bda4676a639ULL, 0xab9f46d969082d18ULL, 0xa9c2e341569f14abULL},
+     0x3db61faa1d4fbc98ULL, 0xab9f46d969082d18ULL, 0xa9c2e341569f14abULL},
     {"dup_row-block",
-     0x00979ce78dc5f17aULL, 0x7e6ed51b8d3c5d43ULL, 0xaa3dba6245d38274ULL},
+     0xfb0f1f8bcb7e0dcfULL, 0x7e6ed51b8d3c5d43ULL, 0xaa3dba6245d38274ULL},
     {"dup_hbmc-block",
-     0xef5dadf1e6f3d5d4ULL, 0x53d5ceb0f6a1323bULL, 0x6dc8481856bcac45ULL},
+     0xd7794f890d9879e5ULL, 0x53d5ceb0f6a1323bULL, 0x6dc8481856bcac45ULL},
 };
 
 template <class T>
@@ -314,22 +314,22 @@ TEST(PersistRoundTrip, AllSchemesThreadsFloat) {
 
 // --- Format version ----------------------------------------------------------
 //
-// An artifact is a cache: every file is stamped kArtifactFormatVersion (8),
+// An artifact is a cache: every file is stamped kArtifactFormatVersion (9),
 // optional sections included, and every other version — the older layouts
-// 1–7 among them — is a typed kVersionMismatch, which callers answer with a
+// 1–8 among them — is a typed kVersionMismatch, which callers answer with a
 // cold build.
 
-TEST(PersistVersion, PlainArtifactStampsVersionEight) {
+TEST(PersistVersion, PlainArtifactStampsVersionNine) {
   const Csr<double> L = fixture<double>(0);
   auto opt = small_block_options<double>();
   std::unique_ptr<BlockSolver<double>> s;
   ASSERT_TRUE(BlockSolver<double>::create(L, opt, &s).ok());
-  const std::string path = artifact_path("stamp_v8");
+  const std::string path = artifact_path("stamp_v9");
   ASSERT_TRUE(s->save_artifact(path).ok());
   const std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 8u);
-  EXPECT_EQ(kArtifactFormatVersion, 8u);
-  EXPECT_EQ(bytes[4], 8);  // little-endian u32 version after the magic
+  EXPECT_EQ(kArtifactFormatVersion, 9u);
+  EXPECT_EQ(bytes[4], 9);  // little-endian u32 version after the magic
   EXPECT_EQ(bytes[5], 0);
   EXPECT_TRUE(blocktri::testing::ArtifactFramingHolds<double>(path));
   PlanArtifact<double> art;
@@ -347,7 +347,7 @@ TEST(PersistVersion, OlderVersionsAreVersionMismatch) {
   ASSERT_TRUE(s->save_artifact(path).ok());
   std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 8u);
-  for (char v = 1; v <= 7; ++v) {
+  for (char v = 1; v <= 8; ++v) {
     SCOPED_TRACE(static_cast<int>(v));
     bytes[4] = v;  // the header is not CRC-guarded: only the version moves
     write_file(path, bytes);
@@ -1505,9 +1505,9 @@ TEST_F(PersistSemantic, GarbageScheme) {
 }
 
 // One-field-at-a-time corruption of the color record (format v4). The color
-// bounds drive the shard planner's cut points and the executor's wave
-// schedule, so every invariant validate_artifact promises about them is
-// exercised here the same way the kernel-facing fields are above.
+// bounds drive the executor's wave schedule, so every invariant
+// validate_artifact promises about them is exercised here the same way the
+// kernel-facing fields are above.
 
 TEST_F(PersistSemantic, ColorBoundsMissingOnHbmcPlan) {
   auto art = capture_hbmc();

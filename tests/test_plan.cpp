@@ -489,9 +489,6 @@ void expect_walk_matches_reference_build(
     EXPECT_EQ(got.levels.level_of, ls.level_of);
     EXPECT_EQ(got.levels.level_ptr, ls.level_ptr);
     EXPECT_EQ(got.levels.level_item, ls.level_item);
-    if (kind == TriKernelKind::kCusparseLike)
-      EXPECT_EQ(got.kernel_first_level,
-                CusparseLikeSolver<T>(blk).kernel_first_levels());
   }
 
   ASSERT_EQ(art.squares.size(), plan.squares.size());

@@ -17,7 +17,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -96,369 +95,31 @@ void make_pool(const Csr<double>& lower_d,
   ASSERT_TRUE(st.ok()) << st.to_string();
 }
 
-// --- Shard planning ---------------------------------------------------------
-
-TEST(ShardPlan, CutsSnapToTriBoundsAndCoverTheMatrix) {
-  std::unique_ptr<BlockSolver<double>> solver;
-  ASSERT_TRUE(BlockSolver<double>::create(fixture(), base_options(), &solver)
-                  .ok());
-  const PlanArtifact<double> art = solver->capture_artifact();
-  for (int p : {1, 2, 4, 7}) {
-    const std::vector<index_t> bounds = shard::compute_shard_cuts(art, p);
-    ASSERT_GE(bounds.size(), 2u);
-    EXPECT_LE(static_cast<int>(bounds.size()) - 1, p);
-    EXPECT_EQ(bounds.front(), 0);
-    EXPECT_EQ(bounds.back(), art.plan.n);
-    for (std::size_t i = 1; i < bounds.size(); ++i) {
-      EXPECT_LT(bounds[i - 1], bounds[i]);
-      // Every cut lands on a triangular leaf boundary: no leaf is split.
-      EXPECT_TRUE(std::find(art.plan.tri_bounds.begin(),
-                            art.plan.tri_bounds.end(),
-                            bounds[i]) != art.plan.tri_bounds.end())
-          << "cut " << bounds[i] << " not at a tri bound";
-    }
-  }
-}
-
-TEST(ShardPlan, ShardCountClampsToLeafCount) {
-  // One leaf: every requested shard count collapses to a single shard.
-  std::unique_ptr<BlockSolver<double>> solver;
-  ASSERT_TRUE(BlockSolver<double>::create(gen::dense_lower(5, 0.8, 15),
-                                          base_options(), &solver)
-                  .ok());
-  const PlanArtifact<double> art = solver->capture_artifact();
-  const std::vector<index_t> bounds = shard::compute_shard_cuts(art, 8);
-  EXPECT_EQ(bounds.size(), 2u);
-}
-
-TEST(ShardPlan, SliceValidatesAndRoundTripsAsFormatV3) {
-  std::unique_ptr<BlockSolver<double>> solver;
-  ASSERT_TRUE(BlockSolver<double>::create(fixture(), base_options(), &solver)
-                  .ok());
-  const PlanArtifact<double> art = solver->capture_artifact();
-  const std::vector<index_t> bounds = shard::compute_shard_cuts(art, 3);
-  const int count = static_cast<int>(bounds.size()) - 1;
-  ASSERT_GE(count, 2);
-
-  const std::string path = ::testing::TempDir() + "shard_slice_rt.btpa";
-  for (int i = 0; i < count; ++i) {
-    PlanArtifact<double> slice =
-        shard::slice_shard_artifact(art, bounds, i, art.options);
-    EXPECT_TRUE(slice.shard);
-    EXPECT_EQ(slice.norm_inf, art.norm_inf);
-    EXPECT_EQ(slice.value_map.width, 0u);  // a slice installs nothing
-    EXPECT_TRUE(slice.value_map.bytes.empty());
-    Status st = validate_artifact(slice);
-    ASSERT_TRUE(st.ok()) << "shard " << i << ": " << st.to_string();
-
-    ASSERT_TRUE(save_artifact(path, slice).ok());
-    EXPECT_EQ(blocktri::testing::read_file_bytes(path)[4], 8);
-    EXPECT_TRUE(blocktri::testing::ArtifactFramingHolds<double>(path))
-        << "shard " << i;
-    PlanArtifact<double> loaded;
-    ASSERT_TRUE(load_artifact(path, &loaded).ok());
-    EXPECT_TRUE(loaded.shard);
-    EXPECT_EQ(loaded.shard_index, static_cast<std::uint32_t>(i));
-    EXPECT_EQ(loaded.shard_row_begin, bounds[static_cast<std::size_t>(i)]);
-    EXPECT_EQ(loaded.shard_row_end, bounds[static_cast<std::size_t>(i) + 1]);
-    ASSERT_TRUE(validate_artifact(loaded).ok());
-  }
-  ::unlink(path.c_str());
-}
-
-TEST(ShardPlan, HbmcSliceCarriesColorBoundsThroughFormatV4) {
-  // The color record rides the shared plan into every slice: a sharded HBMC
-  // slice file stamps format 4 and rehydrates with the color bounds intact,
-  // and the shard cuts themselves land on HBMC block bounds (all of which
-  // are tri_bounds).
-  std::unique_ptr<BlockSolver<double>> solver;
-  ASSERT_TRUE(BlockSolver<double>::create(fixture(),
-                                          base_options(BlockScheme::kHbmc),
-                                          &solver)
-                  .ok());
-  const PlanArtifact<double> art = solver->capture_artifact();
-  ASSERT_FALSE(art.plan.color_bounds.empty());
-  const std::vector<index_t> bounds = shard::compute_shard_cuts(art, 3);
-  ASSERT_GE(bounds.size(), 3u);
-
-  const std::string path = ::testing::TempDir() + "shard_slice_hbmc.btpa";
-  for (int i = 0; i + 1 < static_cast<int>(bounds.size()); ++i) {
-    PlanArtifact<double> slice =
-        shard::slice_shard_artifact(art, bounds, i, art.options);
-    ASSERT_TRUE(validate_artifact(slice).ok()) << "shard " << i;
-    ASSERT_TRUE(save_artifact(path, slice).ok());
-    PlanArtifact<double> loaded;
-    ASSERT_TRUE(load_artifact(path, &loaded).ok());
-    EXPECT_EQ(loaded.plan.scheme, BlockScheme::kHbmc);
-    EXPECT_EQ(loaded.plan.color_bounds, art.plan.color_bounds);
-    EXPECT_EQ(loaded.plan.hbmc_block_rows, art.plan.hbmc_block_rows);
-  }
-  ::unlink(path.c_str());
-}
-
-// Slices keep the global 256-row windows (kSquareWindowRows), so a cut at a
-// leaf bound inside a window slices a square by filtering the listed rows
-// it keeps. The slices' steps, run in plan order on one shared panel as the
-// workers run them, must give the single-process panel bitwise.
-TEST(ShardPlan, SliceCutInsideAWindowSolvesLikeOneShard) {
-  const Csr<double> L = gen::random_levels(2000, 30, 3.0, 1.0, 8);
-  int schemes_cut = 0;
-  for (const BlockScheme scheme :
-       {BlockScheme::kColumn, BlockScheme::kRow, BlockScheme::kRecursive,
-        BlockScheme::kHbmc}) {
-    SCOPED_TRACE(to_string(scheme));
-    const Opt opt = base_options(scheme);
-    std::unique_ptr<BlockSolver<double>> solver;
-    ASSERT_TRUE(BlockSolver<double>::create(L, opt, &solver).ok());
-    const PlanArtifact<double> art = solver->capture_artifact();
-
-    // A leaf bound off the window grid that splits a square's run of rows
-    // in that bound's window.
-    index_t cut = -1;
-    for (const index_t tb : art.plan.tri_bounds) {
-      if (tb % kSquareWindowRows == 0) continue;
-      for (const SquareBlockArtifact<double>& q : art.squares) {
-        if (q.ref.r0 >= tb || tb >= q.ref.r1) continue;
-        bool below = false, above = false;
-        for (const index_t id : q.rows.row_ids) {
-          const index_t row = q.ref.r0 + id;
-          if (row / kSquareWindowRows != tb / kSquareWindowRows) continue;
-          (row < tb ? below : above) = true;
-        }
-        if (below && above) cut = tb;
-      }
-      if (cut >= 0) break;
-    }
-    if (cut < 0) continue;
-    ++schemes_cut;
-
-    const std::vector<index_t> bounds = {0, cut, art.plan.n};
-    std::vector<PlanArtifact<double>> slices;
-    std::vector<std::unique_ptr<BlockSolver<double>>> workers;
-    for (int s = 0; s < 2; ++s) {
-      slices.push_back(
-          shard::slice_shard_artifact(art, bounds, s, art.options));
-      const Status st = validate_artifact(slices.back());
-      ASSERT_TRUE(st.ok()) << st.to_string();
-      std::unique_ptr<BlockSolver<double>> w;
-      ASSERT_TRUE(BlockSolver<double>::create_from_artifact(
-                      std::make_shared<PlanArtifact<double>>(slices.back()),
-                      opt, &w)
-                      .ok());
-      workers.push_back(std::move(w));
-    }
-
-    const index_t n = solver->n();
-    const auto nu = static_cast<std::size_t>(n);
-    const std::vector<index_t>& new_of_old = art.plan.new_of_old;
-    for (const index_t k : {index_t{1}, index_t{16}}) {
-      const auto ku = static_cast<std::size_t>(k);
-      const std::vector<double> B = make_panel<double>(n, k, 91 + k);
-      std::vector<double> want(B.size());
-      ASSERT_TRUE(
-          solver->solve_many(B.data(), want.data(), k, SolveControls{}).ok());
-      // The permuted row-interleaved panels the workers share.
-      std::vector<double> bw(B.size()), xw(B.size()), got(B.size());
-      for (std::size_t i = 0; i < nu; ++i)
-        for (std::size_t c = 0; c < ku; ++c)
-          bw[static_cast<std::size_t>(new_of_old[i]) * ku + c] =
-              B[c * nu + i];
-      for (const ExecStep& step : art.plan.steps)
-        for (int s = 0; s < 2; ++s) {
-          const auto idx = static_cast<std::size_t>(step.index);
-          const bool mine = step.kind == ExecStep::Kind::kTri
-                                ? slices[s].tri[idx].populated
-                                : slices[s].squares[idx].populated;
-          if (mine)
-            workers[s]->exec_plan_step_many(step, bw.data(), xw.data(), k,
-                                            nullptr);
-        }
-      for (std::size_t i = 0; i < nu; ++i)
-        for (std::size_t c = 0; c < ku; ++c)
-          got[c * nu + i] =
-              xw[static_cast<std::size_t>(new_of_old[i]) * ku + c];
-      EXPECT_TRUE(BitwiseEqual(got, want)) << "cut " << cut << " k=" << k;
-    }
-  }
-  EXPECT_GT(schemes_cut, 0) << "no scheme has a leaf bound inside a window";
-}
-
-TEST(ShardPlan, ValidateRejectsACutInsideALeaf) {
-  std::unique_ptr<BlockSolver<double>> solver;
-  ASSERT_TRUE(BlockSolver<double>::create(fixture(), base_options(), &solver)
-                  .ok());
-  const PlanArtifact<double> art = solver->capture_artifact();
-  const std::vector<index_t> bounds = shard::compute_shard_cuts(art, 2);
-  ASSERT_EQ(bounds.size(), 3u);
-  PlanArtifact<double> slice =
-      shard::slice_shard_artifact(art, bounds, 0, art.options);
-  // Nudge the cut off the leaf boundary: the slice must stop validating.
-  slice.shard_bounds[1] += 1;
-  slice.shard_row_end += 1;
-  EXPECT_FALSE(validate_artifact(slice).ok());
-}
-
-TEST(ShardPlan, LocalSchedulesPartitionThePlanExactly) {
-  std::unique_ptr<BlockSolver<double>> solver;
-  ASSERT_TRUE(BlockSolver<double>::create(fixture(), base_options(), &solver)
-                  .ok());
-  const PlanArtifact<double> art = solver->capture_artifact();
-  const std::vector<index_t> bounds = shard::compute_shard_cuts(art, 4);
-  const int count = static_cast<int>(bounds.size()) - 1;
-  std::size_t tris = 0, squares = 0;
-  for (int i = 0; i < count; ++i) {
-    const PlanArtifact<double> slice =
-        shard::slice_shard_artifact(art, bounds, i, art.options);
-    for (const auto& wave : shard::build_local_schedule(slice))
-      for (const shard::LocalStep& ls : wave) {
-        if (ls.step.kind == ExecStep::Kind::kTri) {
-          ++tris;
-          EXPECT_GT(ls.publish, 0);
-        } else {
-          ++squares;
-        }
-      }
-  }
-  // Every triangular leaf runs exactly once across the pool; squares may
-  // run on several shards (row slices) but never vanish entirely.
-  EXPECT_EQ(tris, art.plan.tri_bounds.size() - 1);
-  std::size_t square_steps = 0;
-  for (const ExecStep& s : art.plan.steps)
-    if (s.kind == ExecStep::Kind::kSquare) ++square_steps;
-  EXPECT_GE(squares, square_steps);
-}
-
-// A shard slice is valid (it passes validate_artifact and serves a shard
-// worker through create_from_artifact) but holds only its shard's blocks,
-// so every whole-matrix warm path must refuse it — typed, never a crash.
-PlanArtifact<double> second_slice(const BlockSolver<double>& solver) {
-  const PlanArtifact<double> art = solver.capture_artifact();
-  const std::vector<index_t> bounds = shard::compute_shard_cuts(art, 2);
-  EXPECT_EQ(bounds.size(), 3u);
-  PlanArtifact<double> slice =
-      shard::slice_shard_artifact(art, bounds, 1, art.options);
-  EXPECT_TRUE(validate_artifact(slice).ok());
-  return slice;
-}
-
-TEST(ShardPlan, CreateFromFileRejectsASliceTyped) {
-  std::unique_ptr<BlockSolver<double>> solver;
-  ASSERT_TRUE(BlockSolver<double>::create(fixture(), base_options(), &solver)
-                  .ok());
-  const std::string path = ::testing::TempDir() + "shard_slice_load.btpa";
-  ASSERT_TRUE(save_artifact(path, second_slice(*solver)).ok());
-  std::unique_ptr<BlockSolver<double>> warm;
-  const Status st = BlockSolver<double>::create_from_file(
-      path, fixture(), base_options(), &warm);
-  ::unlink(path.c_str());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(st.message().find("shard slice 1 of 2"), std::string::npos)
-      << st.to_string();
-  EXPECT_EQ(warm, nullptr);
-}
-
-TEST(ShardPlan, CacheHitOnASliceFallsBackToColdBuild) {
-  const Csr<double> L = fixture();
-  std::unique_ptr<BlockSolver<double>> cold;
-  ASSERT_TRUE(BlockSolver<double>::create(L, base_options(), &cold).ok());
-  auto slice = std::make_shared<PlanArtifact<double>>(second_slice(*cold));
-  PlanCache<double> cache;
-  cache.insert(slice);
-
-  std::unique_ptr<BlockSolver<double>> s;
-  ASSERT_TRUE(BlockSolver<double>::create(L, base_options(), &s, &cache).ok());
-  EXPECT_EQ(cache.stats().hits, 1u);
-  // The failed hit's entry is replaced by the cold build's capture.
-  const auto now = cache.find(PlanCacheKey{slice->structure, slice->options});
-  ASSERT_NE(now, nullptr);
-  EXPECT_NE(now.get(), slice.get());
-  const std::vector<double> b = make_panel<double>(L.nrows, 1, 5);
-  EXPECT_TRUE(BitwiseEqual(cold->solve(b), s->solve(b)));
-}
-
-TEST(ShardPlan, RefreshValuesOnASliceSolverIsTyped) {
-  std::unique_ptr<BlockSolver<double>> solver, worker;
-  ASSERT_TRUE(BlockSolver<double>::create(fixture(), base_options(), &solver)
-                  .ok());
-  ASSERT_TRUE(BlockSolver<double>::create_from_artifact(
-                  std::make_shared<const PlanArtifact<double>>(
-                      second_slice(*solver)),
-                  base_options(), &worker)
-                  .ok());
-  const Status st = worker->refresh_values(fixture());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(st.message().find("shard slice 1 of 2"), std::string::npos)
-      << st.to_string();
-}
-
-// A slice holds only its shard's blocks — a foreign leaf has no kernel — so
-// every whole-matrix entry point refuses it with the status refresh_values
-// returns: the Status forms return it, the others throw it.
-TEST(ShardPlan, WholeMatrixEntryPointsOnASliceSolverAreTyped) {
-  std::unique_ptr<BlockSolver<double>> solver, worker;
-  ASSERT_TRUE(BlockSolver<double>::create(fixture(), base_options(), &solver)
-                  .ok());
-  ASSERT_TRUE(BlockSolver<double>::create_from_artifact(
-                  std::make_shared<const PlanArtifact<double>>(
-                      second_slice(*solver)),
-                  base_options(), &worker)
-                  .ok());
-  const auto typed = [](const Status& st) {
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.to_string();
-    EXPECT_NE(st.message().find("shard slice 1 of 2"), std::string::npos)
-        << st.to_string();
-  };
-  const auto throws_typed = [&](const auto& call) {
-    try {
-      call();
-      ADD_FAILURE() << "no blocktri::Error thrown";
-    } catch (const Error& e) {
-      typed(e.status());
-    }
-  };
-  const index_t n = worker->n();
-  const std::vector<double> b = make_panel<double>(n, 1, 5);
-  const std::vector<double> B = make_panel<double>(n, 2, 6);
-  std::vector<double> x(b.size()), X(B.size());
-  const double* const Bs[] = {B.data(), B.data() + n};
-  double* const Xs[] = {X.data(), X.data() + n};
-
-  typed(worker->solve(b.data(), x.data(), SolveControls{}));
-  typed(worker->solve_many(B.data(), X.data(), 2, SolveControls{}));
-  typed(worker->solve_many(Bs, Xs, 2, SolveControls{}));
-  typed(worker->solve_checked(b).status);
-  typed(worker->solve_many_checked(B, 2).status);
-  typed(worker->save_artifact(::testing::TempDir() + "shard_slice_save.btpa"));
-  throws_typed([&] { (void)worker->solve(b); });
-  throws_typed([&] { worker->solve(b.data(), x.data()); });
-  throws_typed([&] { (void)worker->solve_many(B, 2); });
-  throws_typed([&] { worker->solve_many(B.data(), X.data(), 2); });
-  throws_typed([&] { (void)worker->capture_artifact(); });
-  throws_typed([&] {
-    sim::SolveReport rep;
-    (void)worker->solve_simulated(b, sim::titan_x(), nullptr, &rep);
-  });
-}
-
 // --- Bitwise equality -------------------------------------------------------
 
-TEST(ShardSolve, BitwiseEqualAcrossSchemesShardsAndWidths) {
+/// Every scheme, P ∈ {1, 2, 4} and k ∈ {1, 16}: each sharded panel is
+/// memcmp-identical to the in-process solve_many, and no worker re-ran a
+/// level analysis.
+template <class T>
+void expect_bitwise_across_schemes_shards_and_widths() {
   const Csr<double> L = fixture();
   for (BlockScheme scheme :
        {BlockScheme::kColumn, BlockScheme::kRow, BlockScheme::kRecursive,
         BlockScheme::kHbmc}) {
-    for (int p : {2, 4}) {
-      std::unique_ptr<BlockSolver<double>> solver;
-      std::unique_ptr<ShardCoordinator<double>> coord;
-      make_pool<double>(L, base_options(scheme), p, &solver, &coord);
+    for (int p : {1, 2, 4}) {
+      std::unique_ptr<BlockSolver<T>> solver;
+      std::unique_ptr<ShardCoordinator<T>> coord;
+      make_pool<T>(L, base_options<T>(scheme), p, &solver, &coord);
       ASSERT_EQ(coord->shard_count(), p);
       for (index_t k : {index_t{1}, index_t{16}}) {
-        const std::vector<double> B =
-            make_panel<double>(solver->n(), k, 77 + k);
-        std::vector<double> want(B.size()), got(B.size());
-        ASSERT_TRUE(solver->solve_many(B.data(), want.data(), k, SolveControls{}).ok());
+        const std::vector<T> B = make_panel<T>(solver->n(), k, 77 + k);
+        std::vector<T> want(B.size()), got(B.size());
+        ASSERT_TRUE(
+            solver->solve_many(B.data(), want.data(), k, SolveControls{})
+                .ok());
         Status st = coord->solve_many(B.data(), got.data(), k);
-        ASSERT_TRUE(st.ok()) << to_string(scheme) << " p=" << p << ": " << st.to_string();
+        ASSERT_TRUE(st.ok()) << to_string(scheme) << " p=" << p << ": "
+                             << st.to_string();
         EXPECT_TRUE(BitwiseEqual(got, want))
             << to_string(scheme) << " p=" << p << " k=" << k;
       }
@@ -469,16 +130,12 @@ TEST(ShardSolve, BitwiseEqualAcrossSchemesShardsAndWidths) {
   }
 }
 
+TEST(ShardSolve, BitwiseEqualAcrossSchemesShardsAndWidths) {
+  expect_bitwise_across_schemes_shards_and_widths<double>();
+}
+
 TEST(ShardSolve, BitwiseEqualInSinglePrecision) {
-  std::unique_ptr<BlockSolver<float>> solver;
-  std::unique_ptr<ShardCoordinator<float>> coord;
-  make_pool<float>(fixture(), base_options<float>(), 2, &solver, &coord);
-  const index_t k = 8;
-  const std::vector<float> B = make_panel<float>(solver->n(), k, 31);
-  std::vector<float> want(B.size()), got(B.size());
-  ASSERT_TRUE(solver->solve_many(B.data(), want.data(), k, SolveControls{}).ok());
-  ASSERT_TRUE(coord->solve_many(B.data(), got.data(), k).ok());
-  EXPECT_TRUE(BitwiseEqual(got, want));
+  expect_bitwise_across_schemes_shards_and_widths<float>();
 }
 
 TEST(ShardSolve, GatherScatterFormMatchesContiguous) {
@@ -507,18 +164,70 @@ TEST(ShardSolve, GatherScatterFormMatchesContiguous) {
   }
 }
 
-TEST(ShardSolve, OverlapActuallyDefersBoundarySquares) {
-  // On a banded matrix with several shards, at least some boundary squares
-  // must flow through the watermark protocol (ready or deferred) — if this
-  // is zero the overlap machinery is dead code.
-  std::unique_ptr<BlockSolver<double>> solver;
-  std::unique_ptr<ShardCoordinator<double>> coord;
-  make_pool<double>(fixture(), base_options(), 4, &solver, &coord);
-  const std::vector<double> B = make_panel<double>(solver->n(), 4, 9);
-  std::vector<double> X(B.size());
-  ASSERT_TRUE(coord->solve_many(B.data(), X.data(), 4).ok());
-  const CoordinatorStats s = coord->stats();
-  EXPECT_GT(s.halo_ready + s.halo_deferred, 0u);
+// --- Progress reports ---------------------------------------------------------
+
+// Four independent bidiagonal chains under the column scheme plan four
+// triangles and three empty squares. Every entry point skips the empty
+// squares and counts only the steps it runs — at threads 1 and 4, and
+// through a shard pool.
+TEST(SolveProgress, EmptySquaresAreSkippedNotCountedOnEveryPath) {
+  const index_t n = 4000;
+  Csr<double> L;
+  L.nrows = L.ncols = n;
+  L.row_ptr.push_back(0);
+  for (index_t i = 0; i < n; ++i) {
+    if (i % 1000 != 0) {
+      L.col_idx.push_back(i - 1);
+      L.val.push_back(-0.5);
+    }
+    L.col_idx.push_back(i);
+    L.val.push_back(2.0);
+    L.row_ptr.push_back(static_cast<offset_t>(L.col_idx.size()));
+  }
+  const std::vector<double> B = make_panel<double>(n, 2, 17);
+  const std::vector<double> b(B.begin(), B.begin() + n);
+  const double* const Bs[] = {B.data(), B.data() + n};
+  std::vector<double> x(b.size()), X(B.size());
+  double* const Xs[] = {X.data(), X.data() + n};
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Opt opt = base_options(BlockScheme::kColumn);
+    opt.planner.nseg = 4;
+    opt.planner.reorder = false;
+    opt.threads = threads;
+    std::unique_ptr<BlockSolver<double>> solver;
+    ASSERT_TRUE(BlockSolver<double>::create(L, opt, &solver).ok());
+    ASSERT_EQ(solver->plan().steps.size(), 7u);
+    const auto all_run = [](const SolveReport& rep, const char* path) {
+      EXPECT_EQ(rep.steps_total, 4) << path;
+      EXPECT_EQ(rep.steps_completed, 4) << path;
+    };
+
+    SolveReport rep;
+    ASSERT_TRUE(solver->solve(b.data(), x.data(), {}, &rep).ok());
+    all_run(rep, "solve");
+    rep = {};
+    ASSERT_TRUE(solver->solve_many(B.data(), X.data(), 2, {}, &rep).ok());
+    all_run(rep, "solve_many");
+    rep = {};
+    ASSERT_TRUE(solver->solve_many(Bs, Xs, 2, {}, &rep).ok());
+    all_run(rep, "solve_many (gather)");
+    const SolveResult<double> one = solver->solve_checked(b);
+    ASSERT_TRUE(one.ok()) << one.status.to_string();
+    all_run(one.report, "solve_checked");
+    const SolveManyResult<double> many = solver->solve_many_checked(B, 2);
+    ASSERT_TRUE(many.ok()) << many.status.to_string();
+    for (const SolveReport& r : many.reports) all_run(r, "solve_many_checked");
+
+    opt.shard.processes = 2;
+    std::unique_ptr<ShardCoordinator<double>> coord;
+    ASSERT_TRUE(ShardCoordinator<double>::create(*solver, opt, &coord).ok());
+    for (const index_t k : {index_t{1}, index_t{2}}) {
+      rep = {};
+      ASSERT_TRUE(coord->solve_many(B.data(), X.data(), k, {}, &rep).ok());
+      all_run(rep, "ShardCoordinator");
+    }
+  }
 }
 
 // --- Argument and lifecycle contracts ---------------------------------------
@@ -611,8 +320,7 @@ TEST(ShardFault, KilledWorkerYieldsTypedWorkerLost) {
   std::unique_ptr<ShardCoordinator<double>> coord;
   Opt opt = base_options();
   opt.shard.fallback_inprocess = false;
-  opt.shard.fault.kill_worker = 1;  // dies after its first local step
-  opt.shard.fault.after_steps = 1;
+  opt.shard.fault.kill_worker = 1;  // dies when the epoch command arrives
   opt.shard.epoch_timeout_ms = 4000;
   make_pool<double>(fixture(), opt, 2, &solver, &coord);
 
@@ -635,8 +343,7 @@ TEST(ShardFault, FallbackRecoversTheEpochInProcess) {
   std::unique_ptr<ShardCoordinator<double>> coord;
   Opt opt = base_options();
   opt.shard.fallback_inprocess = true;
-  opt.shard.fault.kill_worker = 0;
-  opt.shard.fault.after_steps = 0;  // dies on its very first step
+  opt.shard.fault.kill_worker = 0;  // dies when the epoch command arrives
   opt.shard.epoch_timeout_ms = 4000;
   make_pool<double>(fixture(), opt, 2, &solver, &coord);
 
@@ -668,7 +375,7 @@ TEST(ShardFault, ExternallyKilledWorkerIsRespawnedWarm) {
   ASSERT_GT(pids[0], 0);
   ASSERT_EQ(::kill(pids[0], SIGKILL), 0);
 
-  // The next epoch respawns it from its slice file — warm (no re-analysis)
+  // The next epoch respawns it from the saved plan — warm (no re-analysis)
   // — and solves correctly (directly or via fallback, depending on whether
   // the death is noticed before or during the epoch).
   ASSERT_TRUE(coord->solve(b.data(), x.data()).ok());
@@ -689,8 +396,7 @@ TEST(ShardFault, HungWorkerTripsTheEpochTimeoutNotAHang) {
   std::unique_ptr<ShardCoordinator<double>> coord;
   Opt opt = base_options();
   opt.shard.fallback_inprocess = false;
-  opt.shard.fault.hang_worker = 0;
-  opt.shard.fault.after_steps = 1;
+  opt.shard.fault.hang_worker = 0;  // hangs when the epoch command arrives
   opt.shard.epoch_timeout_ms = 300;  // short: the test must stay fast
   make_pool<double>(fixture(), opt, 2, &solver, &coord);
 
@@ -886,11 +592,9 @@ TEST(FramedIo, ControlMessagesRoundTrip) {
   shard::ReportMsg in;
   in.seq = 42;
   in.code = static_cast<std::int32_t>(StatusCode::kSpinTimeout);
-  in.message = "halo wait exceeded";
-  in.steps_run = 17;
-  in.halo_deferred = 3;
-  in.halo_ready = 2;
-  in.wait_ms = 1.5;
+  in.message = "spin wait exceeded";
+  in.steps_completed = 17;
+  in.steps_total = 23;
   in.level_analyses = 0;
   ASSERT_TRUE(shard::write_report(fds[0], in).ok());
   std::uint8_t type = 0;
@@ -902,10 +606,8 @@ TEST(FramedIo, ControlMessagesRoundTrip) {
   EXPECT_EQ(out.seq, in.seq);
   EXPECT_EQ(out.code, in.code);
   EXPECT_EQ(out.message, in.message);
-  EXPECT_EQ(out.steps_run, in.steps_run);
-  EXPECT_EQ(out.halo_deferred, in.halo_deferred);
-  EXPECT_EQ(out.halo_ready, in.halo_ready);
-  EXPECT_DOUBLE_EQ(out.wait_ms, in.wait_ms);
+  EXPECT_EQ(out.steps_completed, in.steps_completed);
+  EXPECT_EQ(out.steps_total, in.steps_total);
   // Truncated control payloads decode typed, never read past the buffer.
   payload.resize(4);
   EXPECT_EQ(shard::decode_report(payload, &out).code(),

@@ -210,25 +210,32 @@ TEST(SyncFree, InDegreesMatchStrictRows) {
   EXPECT_EQ(strict, (std::vector<index_t>{0, 0, 1, 1, 1, 2, 0, 2}));
 }
 
+// The merged-kernel schedule is the model's: the host solver holds none.
 TEST(CusparseLike, MergesSmallLevels) {
   // 500 levels of ~width 2 with budget 64: expect far fewer kernels than
   // levels, but more than one.
   const auto L = gen::random_levels(1000, 500, 1.0, 1.0, 9);
-  CusparseLikeSolver<double> solver(L, /*merge_component_budget=*/64);
-  EXPECT_LT(solver.num_merged_kernels(), 100);
-  EXPECT_GT(solver.num_merged_kernels(), 5);
-
+  CusparseLikeSolver<double> solver(L);
+  model::TriView v = model::tri_view(solver);
+  v.merge_budget = 64;
   const auto gpu = sim::titan_rtx();
   sim::SolveReport rep;
-  model::cusparse_like(model::tri_view(solver), cacheless(gpu, &rep));
-  EXPECT_EQ(rep.kernel_launches, solver.num_merged_kernels());
+  model::cusparse_like(v, cacheless(gpu, &rep));
+  EXPECT_LT(rep.kernel_launches, 100);
+  EXPECT_GT(rep.kernel_launches, 5);
   EXPECT_EQ(rep.kernel_launches + rep.grid_syncs, 500);
 }
 
 TEST(CusparseLike, WideLevelsGetOwnKernels) {
   const auto L = gen::random_levels(4000, 4, 2.0, 1.0, 11);  // 4 wide levels
-  CusparseLikeSolver<double> solver(L, 64);
-  EXPECT_EQ(solver.num_merged_kernels(), 4);
+  CusparseLikeSolver<double> solver(L);
+  model::TriView v = model::tri_view(solver);
+  v.merge_budget = 64;
+  const auto gpu = sim::titan_rtx();
+  sim::SolveReport rep;
+  model::cusparse_like(v, cacheless(gpu, &rep));
+  EXPECT_EQ(rep.kernel_launches, 4);
+  EXPECT_EQ(rep.grid_syncs, 0);
 }
 
 TEST(Diagonal, SolvesAndSimulates) {

@@ -1,7 +1,9 @@
 // Host thread-scaling benchmark for the multithreaded execution backend:
 // real wall-clock times (not the GPU simulator) for the parallel SpTRSV and
 // SpMV kernels and the BlockSolver executor, swept over a list of thread
-// counts, with serial (1-thread) runs as the speedup baseline.
+// counts, with serial (1-thread) runs as the speedup baseline. The
+// sync-free kernel is serial at any thread count, so it is timed once, at
+// threads = 1.
 //
 //   ./bench/host_scaling [--threads=1,2,4,8] [--out=BENCH_host.json]
 //                        [--min-ms=80] [--n=400000] [--tiny]
@@ -188,12 +190,15 @@ int main(int argc, char** argv) {
         sweep.point("sptrsv_levelset", t, flops,
                     [&](ThreadPool* p) { ls.solve(b.data(), x.data(), p); });
         recs.push_back({c.name, "pre_levelset", t, pre_ms, 0.0, 0.0});
-        pre.reset();
-        const SyncFreeSolver<double> sf(L);
-        const double pre_sf_ms = pre.milliseconds();
-        sweep.point("sptrsv_syncfree", t, flops,
-                    [&](ThreadPool* p) { sf.solve(b.data(), x.data(), p); });
-        recs.push_back({c.name, "pre_syncfree", t, pre_sf_ms, 0.0, 0.0});
+        // The sync-free kernel takes no pool: one record, at threads = 1.
+        if (t == 1) {
+          pre.reset();
+          const SyncFreeSolver<double> sf(L);
+          const double pre_sf_ms = pre.milliseconds();
+          sweep.point("sptrsv_syncfree", t, flops,
+                      [&](ThreadPool*) { sf.solve(b.data(), x.data()); });
+          recs.push_back({c.name, "pre_syncfree", t, pre_sf_ms, 0.0, 0.0});
+        }
       }
 
       // SpMV kernels: y -= L x (y reset cost is part of each rep; identical

@@ -1,12 +1,11 @@
 // Cooperative time bounds and cancellation for solve sessions.
 //
 // A production service cannot let one solve run forever: a caller times out,
-// a request is abandoned, a corrupted plan livelocks a spin-wait. The solver
-// has no preemption — kernels are plain loops — so bounding a solve means
-// the executors *check* a shared control object at natural boundaries (wave,
-// level-set group, sync-free spin) and unwind cooperatively, leaving partial
-// results behind and a typed Status (kDeadlineExceeded / kCancelled /
-// kSpinTimeout) in front.
+// or a request is abandoned. The solver has no preemption — kernels are plain
+// loops — so bounding a solve means the executors *check* a shared control
+// object at natural boundaries (step, wave, level-set group, row chunk) and
+// unwind cooperatively, leaving partial results behind and a typed Status
+// (kDeadlineExceeded / kCancelled) in front.
 //
 // Three layers:
 //   * Deadline / CancelToken — what the caller hands in (SolveControls).
@@ -95,20 +94,12 @@ class CancelToken {
   std::atomic<bool> flag_{false};
 };
 
-/// Spin-waits give up after this long when the caller sets no explicit
-/// budget — generous enough that no healthy matrix ever trips it, finite so
-/// a ready flag that is never published cannot hang a thread forever.
-inline constexpr double kDefaultSpinTimeoutMs = 10000.0;
-
 /// Per-call controls a caller attaches to a solve. All fields optional; the
-/// default is an unbounded, uncancellable solve with the default spin
-/// budget — behaviourally identical to the pre-session API.
+/// default is an unbounded, uncancellable solve — behaviourally identical to
+/// the pre-session API.
 struct SolveControls {
   Deadline deadline;
   const CancelToken* cancel = nullptr;
-  /// Bounded-wait budget for sync-free busy-waits; <= 0 selects
-  /// kDefaultSpinTimeoutMs.
-  double spin_timeout_ms = 0.0;
 };
 
 /// The object the executors poll. One per solve call, stack-allocated by the
@@ -119,10 +110,7 @@ class ExecControl {
  public:
   ExecControl() : ExecControl(SolveControls{}) {}
   explicit ExecControl(const SolveControls& c)
-      : deadline_(c.deadline),
-        cancel_(c.cancel),
-        spin_timeout_ms_(c.spin_timeout_ms > 0.0 ? c.spin_timeout_ms
-                                                 : kDefaultSpinTimeoutMs) {}
+      : deadline_(c.deadline), cancel_(c.cancel) {}
 
   /// True while the solve may continue. Trips (and returns false) when the
   /// cancel token fired or the deadline expired. The unarmed fast path is a
@@ -162,17 +150,6 @@ class ExecControl {
     return static_cast<StatusCode>(tripped_.load(std::memory_order_relaxed));
   }
 
-  /// Un-trips a kSpinTimeout so the degradation ladder can retry the block
-  /// on a spin-free rung. Deadline/cancel trips are terminal and stay.
-  /// Returns true when a spin trip was consumed.
-  bool consume_spin_trip() const {
-    int expected = static_cast<int>(StatusCode::kSpinTimeout);
-    return tripped_.compare_exchange_strong(expected, 0,
-                                            std::memory_order_relaxed);
-  }
-
-  double spin_timeout_ms() const { return spin_timeout_ms_; }
-
   /// The armed deadline/cancel token, for machinery that must wait *before*
   /// the solve runs (e.g. a blocking workspace acquisition) and still honour
   /// the caller's controls.
@@ -188,11 +165,6 @@ class ExecControl {
         return Status(code, "solve cancelled " + context);
       case StatusCode::kDeadlineExceeded:
         return Status(code, "deadline exceeded " + context);
-      case StatusCode::kSpinTimeout:
-        return Status(code,
-                      "sync-free spin-wait exceeded its bounded budget " +
-                          context +
-                          " (corrupt or cyclic row dependencies?)");
       default:
         return Status(StatusCode::kInternal,
                       "ExecControl::to_status without a tripped reason " +
@@ -203,7 +175,6 @@ class ExecControl {
  private:
   Deadline deadline_;
   const CancelToken* cancel_ = nullptr;
-  double spin_timeout_ms_ = kDefaultSpinTimeoutMs;
   // 0 = running; otherwise the StatusCode of the first failure.
   mutable std::atomic<int> tripped_{0};
 };

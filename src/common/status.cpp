@@ -27,7 +27,6 @@ const char* status_code_name(StatusCode code) {
     case StatusCode::kDeadlineExceeded: return "deadline-exceeded";
     case StatusCode::kReentrantSolve: return "reentrant-solve";
     case StatusCode::kPoolExhausted: return "pool-exhausted";
-    case StatusCode::kSpinTimeout: return "spin-timeout";
     case StatusCode::kWorkerLost: return "worker-lost";
   }
   return "unknown";

@@ -56,8 +56,6 @@ enum class StatusCode {
                          // on the same solver
   kPoolExhausted,        // every leased workspace is in use and the session
                          // is configured to fail rather than block
-  kSpinTimeout,          // a sync-free busy-wait exceeded its bounded spin
-                         // budget (corrupt or cyclic row dependencies)
 
   // Sharded multi-process execution (src/shard). A solve distributed over a
   // worker pool can lose a member outright — something no in-process code

@@ -33,27 +33,6 @@ bool all_finite(const T* v, index_t n, index_t stride = 1) {
   return true;
 }
 
-/// Fused entry permutation: scatters the caller's rhs straight into the
-/// permuted workspace in one pass (the old path materialised a permuted
-/// vector and copied it).
-template <class T>
-void scatter_permuted(const T* src, const std::vector<index_t>& new_of_old,
-                      T* dst) {
-  const std::size_t n = new_of_old.size();
-  for (std::size_t i = 0; i < n; ++i)
-    dst[static_cast<std::size_t>(new_of_old[i])] = src[i];
-}
-
-/// Fused exit permutation: gathers the permuted solution into the caller's
-/// storage in one pass.
-template <class T>
-void gather_permuted(const T* src, const std::vector<index_t>& new_of_old,
-                     T* dst) {
-  const std::size_t n = new_of_old.size();
-  for (std::size_t i = 0; i < n; ++i)
-    dst[i] = src[static_cast<std::size_t>(new_of_old[i])];
-}
-
 /// `total` elements of `v` from its first 64-byte-aligned one. When a row
 /// slab of an interleaved panel (k elements) is a cache-line multiple, every
 /// tile-wide gather/update in the batched kernels then touches exactly the
@@ -69,12 +48,18 @@ T* aligned_panel(std::vector<T>& v, std::size_t total) {
 /// Fused entry permutation of a panel: the caller's column-major n × k
 /// panel — column c at B + c·n, or at Bs[c] when B is null — transposed
 /// into the row-interleaved permuted workspace, element (new_of_old[i], c)
-/// at bw[new_of_old[i]·k + c].
+/// at bw[new_of_old[i]·k + c]. One column takes the plain permutation loop.
 template <class T>
 void scatter_panel(const T* B, const T* const* Bs,
                    const std::vector<index_t>& new_of_old, index_t k, T* bw) {
   const std::size_t n = new_of_old.size();
   const auto ku = static_cast<std::size_t>(k);
+  if (k == 1) {
+    const T* b = Bs != nullptr ? Bs[0] : B;
+    for (std::size_t i = 0; i < n; ++i)
+      bw[static_cast<std::size_t>(new_of_old[i])] = b[i];
+    return;
+  }
   if (Bs != nullptr) {
     for (std::size_t i = 0; i < n; ++i) {
       T* row = bw + static_cast<std::size_t>(new_of_old[i]) * ku;
@@ -97,6 +82,12 @@ void gather_panel(const T* xw, const std::vector<index_t>& new_of_old,
                   index_t k, T* X, T* const* Xs) {
   const std::size_t n = new_of_old.size();
   const auto ku = static_cast<std::size_t>(k);
+  if (k == 1) {
+    T* x = Xs != nullptr ? Xs[0] : X;
+    for (std::size_t i = 0; i < n; ++i)
+      x[i] = xw[static_cast<std::size_t>(new_of_old[i])];
+    return;
+  }
   if (Xs != nullptr) {
     for (std::size_t i = 0; i < n; ++i) {
       const T* row = xw + static_cast<std::size_t>(new_of_old[i]) * ku;
@@ -262,36 +253,6 @@ BlockSolver<T>::BlockSolver(const Csr<T>& lower, const Options& opt,
   ws_pool_ = std::make_unique<WorkspacePool<SolveWorkspace>>(
       typename WorkspacePool<SolveWorkspace>::Options{
           opt_.session.max_workspaces, opt_.session.block_when_exhausted});
-
-  // Deterministic fault hook: a stalled row makes the sync-free threaded
-  // spin-wait unfinishable, exercising the bounded-spin timeout (the serial
-  // and batched paths have no ready flags).
-  if (opt_.fault.stuck_spin && opt_.fault.tri_block >= 0 &&
-      opt_.fault.tri_block < static_cast<index_t>(tri_.size())) {
-    TriBlock& blk = tri_[static_cast<std::size_t>(opt_.fault.tri_block)];
-    if (blk.syncfree != nullptr) blk.syncfree->stall_row_for_testing(0);
-  }
-}
-
-template <class T>
-void BlockSolver<T>::exec_tri(const TriBlock& blk, const T* b, T* x,
-                              ThreadPool* pool,
-                              const ExecControl* ctl) const {
-  switch (blk.info.kind) {
-    case TriKernelKind::kCompletelyParallel:
-      blk.diag->solve(b, x, pool, ctl);
-      return;
-    case TriKernelKind::kSyncFree:
-      blk.syncfree->solve(b, x, pool, ctl);
-      return;
-    case TriKernelKind::kLevelSet:
-      blk.levelset->solve(b, x, pool, ctl);
-      return;
-    case TriKernelKind::kCusparseLike:
-      blk.cusparse->solve(b, x, ctl);  // host path intentionally serial
-      return;
-  }
-  BLOCKTRI_CHECK_MSG(false, "unknown triangular kernel kind");
 }
 
 template <class T>
@@ -339,43 +300,36 @@ const Csr<T>& BlockSolver<T>::tri_rows(const TriBlock& blk,
 }
 
 template <class T>
-void BlockSolver<T>::exec_square(const SquareBlock& blk, const T* x, T* y,
-                                 ThreadPool* pool) const {
-  // The kinds differ in how the paper's GPU kernels map rows to threads; on
-  // the host every kind runs the one listed-row body.
-  spmv_update(blk.rows, x, y, pool);
-}
-
-template <class T>
-void BlockSolver<T>::exec_step(const ExecStep& step, T* bw, T* xw,
-                               ThreadPool* pool,
-                               const ExecControl* ctl) const {
-  if (step.kind == ExecStep::Kind::kTri) {
-    const TriBlock& blk = tri_[static_cast<std::size_t>(step.index)];
-    exec_tri(blk, bw + blk.info.r0, xw + blk.info.r0, pool, ctl);
-  } else {
-    const SquareBlock& blk = squares_[static_cast<std::size_t>(step.index)];
-    if (blk.info.nnz == 0) return;  // skipped, like the wave executor
-    exec_square(blk, xw + blk.info.ref.c0, bw + blk.info.ref.r0, pool);
-  }
-}
-
-template <class T>
 void BlockSolver<T>::exec_tri_many(const TriBlock& blk, const T* b, T* x,
                                    index_t k, ThreadPool* pool,
                                    const ExecControl* ctl, index_t ld) const {
+  // One contiguous column runs the single-RHS body: the same bits, without
+  // the batched body's column loop.
+  const bool vec = k == 1 && ld == 1;
   switch (blk.info.kind) {
     case TriKernelKind::kCompletelyParallel:
-      blk.diag->solve_many(b, x, k, ld, pool, ctl);
+      if (vec)
+        blk.diag->solve(b, x, pool, ctl);
+      else
+        blk.diag->solve_many(b, x, k, ld, pool, ctl);
       return;
     case TriKernelKind::kLevelSet:
-      blk.levelset->solve_many(b, x, k, ld, pool, ctl);
+      if (vec)
+        blk.levelset->solve(b, x, pool, ctl);
+      else
+        blk.levelset->solve_many(b, x, k, ld, pool, ctl);
       return;
     case TriKernelKind::kSyncFree:
-      blk.syncfree->solve_many(b, x, k, ld, pool, ctl);
+      if (vec)
+        blk.syncfree->solve(b, x, ctl);
+      else
+        blk.syncfree->solve_many(b, x, k, ld, pool, ctl);
       return;
     case TriKernelKind::kCusparseLike:
-      blk.cusparse->solve_many(b, x, k, ld, ctl);
+      if (vec)
+        blk.cusparse->solve(b, x, ctl);
+      else
+        blk.cusparse->solve_many(b, x, k, ld, ctl);
       return;
   }
   BLOCKTRI_CHECK_MSG(false, "unknown triangular kernel kind");
@@ -385,8 +339,13 @@ template <class T>
 void BlockSolver<T>::exec_square_many(const SquareBlock& blk, const T* x,
                                       T* y, index_t k, ThreadPool* pool,
                                       index_t ld) const {
-  // Every kind runs the one listed-row body, as in exec_square.
-  spmv_update_many(blk.rows, x, y, k, ld, ld, pool);
+  // The kinds differ in how the paper's GPU kernels map rows to threads; on
+  // the host every kind runs the one listed-row body, in its single-RHS form
+  // for one contiguous column.
+  if (k == 1 && ld == 1)
+    spmv_update(blk.rows, x, y, pool);
+  else
+    spmv_update_many(blk.rows, x, y, k, ld, ld, pool);
 }
 
 template <class T>
@@ -457,8 +416,8 @@ Status BlockSolver<T>::pool_exhausted_status() const {
 template <class T>
 void BlockSolver<T>::solve(const T* b, T* x) const {
   // The legacy entry point cannot report: session faults (pool exhaustion in
-  // failing mode, strict-reentrancy violations, spin timeouts) surface as
-  // thrown blocktri::Error. Default controls are unarmed, so a healthy solve
+  // failing mode, strict-reentrancy violations) surface as thrown
+  // blocktri::Error. Default controls are unarmed, so a healthy solve
   // behaves exactly as before.
   throw_if_error(solve(b, x, SolveControls{}, nullptr));
 }
@@ -466,82 +425,7 @@ void BlockSolver<T>::solve(const T* b, T* x) const {
 template <class T>
 Status BlockSolver<T>::solve(const T* b, T* x, const SolveControls& controls,
                              SolveReport* rep) const {
-  const int prev = in_flight_.fetch_add(1, std::memory_order_relaxed);
-  InFlightGuard in_flight_guard{&in_flight_};
-  if (prev > 0 && opt_.session.strict_reentrancy)
-    return Status(StatusCode::kReentrantSolve,
-                  "another solve is in flight on this solver and "
-                  "Options::session.strict_reentrancy is set");
-  const ExecControl ctl(controls);
-  SolveReport local_rep;
-  SolveReport* r = rep != nullptr ? rep : &local_rep;
-  r->steps_total = executed_steps();
-  r->steps_completed = 0;
-  if (!ctl.check()) return ctl.to_status("before the solve started");
-
-  auto lease = acquire_workspace(&ctl);
-  if (!lease)
-    return ctl.tripped() ? ctl.to_status("while waiting for a solve workspace")
-                         : pool_exhausted_status();
-  SolveWorkspace& ws = *lease;
-  if (opt_.fault.hold_lease_ms > 0)
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(opt_.fault.hold_lease_ms));
-
-  const std::size_t n = static_cast<std::size_t>(plan_.n);
-  // resize() never shrinks capacity, so after the first solve of each shape
-  // these are no-ops and the whole path is allocation free.
-  ws.bw.resize(n);
-  ws.xw.resize(n);
-  T* bw = ws.bw.data();
-  T* xw = ws.xw.data();
-  scatter_permuted(b, plan_.new_of_old, bw);
-  // No zero fill of xw: the triangular blocks tile the diagonal, so every
-  // entry is written before anything reads it.
-
-  // Pool arbitration: the try_lock winner drives the wave executor; every
-  // other concurrent caller (and any caller at threads = 1) runs serial —
-  // the fork-join pool is not reentrant and must not be shared.
-  std::unique_lock<std::mutex> pool_lk(exec_mu_, std::defer_lock);
-  ThreadPool* epool =
-      pool_ != nullptr && pool_lk.try_lock() ? pool_.get() : nullptr;
-
-  if (epool == nullptr) {
-    // The waves in order are the plan's steps in order, empty squares left
-    // out.
-    for (const std::vector<ExecStep>& wave : waves_) {
-      for (const ExecStep& step : wave) {
-        if (!ctl.check()) break;
-        exec_step(step, bw, xw, nullptr, &ctl);
-        if (ctl.tripped()) break;  // e.g. a sync-free spin timeout mid-step
-        ++r->steps_completed;
-      }
-      if (ctl.tripped()) break;
-    }
-  } else {
-    // Threaded executor: a single-step wave parallelises inside the kernel;
-    // a multi-step wave runs its (independent) steps concurrently with
-    // serial kernels inside.
-    for (const std::vector<ExecStep>& wave : waves_) {
-      if (!ctl.check()) break;
-      if (wave.size() == 1) {
-        exec_step(wave[0], bw, xw, epool, &ctl);
-      } else {
-        epool->run(static_cast<int>(wave.size()), [&](int s) {
-          exec_step(wave[static_cast<std::size_t>(s)], bw, xw, nullptr, &ctl);
-        });
-      }
-      if (ctl.tripped()) break;
-      r->steps_completed += static_cast<index_t>(wave.size());
-    }
-  }
-  // Partial progress is gathered back even on a trip — diagnostic only.
-  gather_permuted(xw, plan_.new_of_old, x);
-  if (ctl.tripped())
-    return ctl.to_status("after " + std::to_string(r->steps_completed) +
-                         " of " + std::to_string(r->steps_total) +
-                         " plan steps");
-  return Status::Ok();
+  return solve_many_impl(b, nullptr, x, nullptr, 1, controls, rep);
 }
 
 template <class T>
@@ -617,13 +501,19 @@ Status BlockSolver<T>::solve_many_impl(const T* B, const T* const* Bs, T* X,
   T* bw = aligned_panel(ws.bw, total);
   T* xw = aligned_panel(ws.xw, total);
   scatter_panel(B, Bs, plan_.new_of_old, k, bw);
+  // No zero fill of xw: the triangular blocks tile the diagonal, so every
+  // entry is written before anything reads it.
 
-  // Pool arbitration: same contract as the single-RHS path above.
+  // Pool arbitration: the try_lock winner drives the wave executor; every
+  // other concurrent caller (and any caller at threads = 1) runs serial —
+  // the fork-join pool is not reentrant and must not be shared.
   std::unique_lock<std::mutex> pool_lk(exec_mu_, std::defer_lock);
   ThreadPool* epool =
       pool_ != nullptr && pool_lk.try_lock() ? pool_.get() : nullptr;
 
   if (epool == nullptr) {
+    // The waves in order are the plan's steps in order, empty squares left
+    // out.
     for (const std::vector<ExecStep>& wave : waves_) {
       for (const ExecStep& step : wave) {
         if (!ctl.check()) break;
@@ -635,14 +525,14 @@ Status BlockSolver<T>::solve_many_impl(const T* B, const T* const* Bs, T* X,
     }
   } else {
     // Threaded executor over steps × column chunks. A wave whose steps alone
-    // can occupy the pool runs one task per step (each batched kernel serial
-    // inside — the fork-join pool is not reentrant); a narrow wave
+    // can occupy the pool runs one task per step (each kernel serial inside
+    // — the fork-join pool is not reentrant); a narrow wave of a wide panel
     // additionally splits the panel columns so idle threads get work. A
-    // single-task wave instead hands the pool to the batched kernel itself.
-    // All batched kernels are deterministic, so any shape gives the
-    // bitwise-identical panel. Chunks are whole cache lines of a row: the
-    // kernels read the x rows other chunks write, and two chunks sharing a
-    // line would trade it on every row.
+    // single-task wave instead hands the pool to the kernel itself. All
+    // kernels are deterministic, so any shape gives the bitwise-identical
+    // panel. Chunks are whole cache lines of a row: the kernels read the x
+    // rows other chunks write, and two chunks sharing a line would trade it
+    // on every row.
     constexpr index_t kLine = 64 / sizeof(T);  // panel columns per line
     const index_t lines = (k + kLine - 1) / kLine;
     for (const std::vector<ExecStep>& wave : waves_) {
@@ -694,7 +584,7 @@ std::vector<T> BlockSolver<T>::solve_simulated(
   std::vector<T> bw = permute_vector(b, plan_.new_of_old);
   std::vector<T> xw(static_cast<std::size_t>(plan_.n));
   for (const ExecStep& step : plan_.steps)
-    exec_step(step, bw.data(), xw.data(), nullptr, nullptr);
+    exec_step_many(step, bw.data(), xw.data(), 0, 1, nullptr, nullptr, 1);
 
   // The model reads each triangle's held structure and each square as the
   // paper stores its kind.
@@ -983,13 +873,6 @@ BlockSolver<T>::BlockSolver(Art&& art, const Options& opt, bool with_values)
   ws_pool_ = std::make_unique<WorkspacePool<SolveWorkspace>>(
       typename WorkspacePool<SolveWorkspace>::Options{
           opt_.session.max_workspaces, opt_.session.block_when_exhausted});
-
-  // Deterministic fault hook, as in the cold constructor.
-  if (opt_.fault.stuck_spin && opt_.fault.tri_block >= 0 &&
-      opt_.fault.tri_block < static_cast<index_t>(tri_.size())) {
-    TriBlock& blk = tri_[static_cast<std::size_t>(opt_.fault.tri_block)];
-    if (blk.syncfree != nullptr) blk.syncfree->stall_row_for_testing(0);
-  }
 }
 
 template <class T>
@@ -1367,10 +1250,10 @@ void BlockSolver<T>::build_blocks(const Csr<T>& lower, BlockNnz counts,
     build_ops_ += out.info.nnz + rows;
     build_bytes_ += out.info.nnz * elem;
     if (out.info.nnz == 0) {
-      // Empty square: a no-op both executors skip (compute_step_waves drops
-      // it from the waves, exec_step returns early), so adaptive selection
-      // would be pure waste. Mark it canonically as scalar-CSR so serial,
-      // wave and introspection paths agree.
+      // Empty square: a no-op every executor skips (compute_step_waves
+      // drops it from the waves, exec_step_many returns early), so adaptive
+      // selection would be pure waste. Mark it canonically as scalar-CSR so
+      // serial, wave and introspection paths agree.
       out.info.kind = SpmvKernelKind::kScalarCsr;
       out.info.empty_ratio = rows > 0 ? 1.0 : 0.0;
       square_info_.push_back(out.info);
@@ -1729,82 +1612,6 @@ Status BlockSolver<T>::install_through(const Csr<T>& lower) {
 }
 
 template <class T>
-Status BlockSolver<T>::run_steps_checked(std::vector<T>& bw,
-                                         std::vector<T>& xw, SolveReport* rep,
-                                         ThreadPool* epool,
-                                         const ExecControl* ctl) const {
-  // Steps stay sequential here — the ladder needs each block's output
-  // inspected before its dependents run — but kernels still use this call's
-  // arbitrated pool.
-  rep->steps_completed = 0;  // progress of this pass (attempt or refinement)
-  for (const ExecStep& step : plan_.steps) {
-    if (ctl != nullptr && !ctl->check())
-      return ctl->to_status("after " + std::to_string(rep->steps_completed) +
-                            " of " + std::to_string(executed_steps()) +
-                            " plan steps");
-    if (step.kind != ExecStep::Kind::kTri) {
-      const SquareBlock& blk = squares_[static_cast<std::size_t>(step.index)];
-      if (blk.info.nnz == 0) continue;  // skipped, like the plain executors
-      exec_square(blk, xw.data() + blk.info.ref.c0,
-                  bw.data() + blk.info.ref.r0, epool);
-      ++rep->steps_completed;
-      continue;
-    }
-    const TriBlock& blk = tri_[static_cast<std::size_t>(step.index)];
-    const index_t len = blk.info.r1 - blk.info.r0;
-    const T* bb = bw.data() + blk.info.r0;
-    T* xx = xw.data() + blk.info.r0;
-
-    int attempt = 0;
-    auto run = [&](auto&& solve_fn) {
-      solve_fn();
-      if (ctl != nullptr && ctl->tripped()) {
-        // A spin timeout is healable — the rungs below never spin — so with
-        // the ladder enabled it is consumed and treated as a failed attempt.
-        // Deadline/cancel trips stay tripped; the check after the ladder
-        // turns them into the terminal typed Status.
-        if (opt_.verify.fallback) ctl->consume_spin_trip();
-        return false;
-      }
-      if (step.index == this->opt_.fault.tri_block &&
-          attempt < this->opt_.fault.corrupt_attempts && len > 0)
-        xx[0] = std::numeric_limits<T>::quiet_NaN();
-      ++attempt;
-      return all_finite(xx, len);
-    };
-
-    bool ok = run([&] { exec_tri(blk, bb, xx, epool, ctl); });
-    if (!ok && ctl != nullptr && ctl->tripped())
-      return ctl->to_status("in triangular block " +
-                            std::to_string(step.index));
-    if (!ok && opt_.verify.fallback) {
-      Csr<T> built;
-      const Csr<T>& rows = tri_rows(blk, built);
-      if (blk.info.kind != TriKernelKind::kLevelSet) {
-        rep->fallbacks.push_back({step.index, blk.info.kind,
-                                  FallbackEvent::Rung::kLevelSet});
-        const LevelSetSolver<T> ls(rows);
-        ok = run([&] { ls.solve(bb, xx, nullptr); });
-      }
-      if (!ok) {
-        rep->fallbacks.push_back(
-            {step.index, blk.info.kind, FallbackEvent::Rung::kSerial});
-        ok = run([&] { sptrsv_serial_raw(rows, bb, xx); });
-      }
-    }
-    if (!ok)
-      return Status(StatusCode::kNumericalBreakdown,
-                    "triangular block " + std::to_string(step.index) +
-                        " (rows " + std::to_string(blk.info.r0) + ".." +
-                        std::to_string(blk.info.r1) +
-                        ") produced non-finite output on every rung of the "
-                        "fallback ladder");
-    ++rep->steps_completed;
-  }
-  return Status::Ok();
-}
-
-template <class T>
 void BlockSolver<T>::residual_into(const T* xw, const T* bw0, T* r, index_t k,
                                    ThreadPool* epool) const {
   // Rows [i0, i1), i0 a leaf bound, go in segments of one window
@@ -2003,157 +1810,26 @@ SolveResult<T> BlockSolver<T>::solve_checked(const std::vector<T>& b) const {
 template <class T>
 SolveResult<T> BlockSolver<T>::solve_checked(
     const std::vector<T>& b, const SolveControls& controls) const {
+  // The fault hooks poison the one column, whatever fault.column says.
+  SolveManyResult<T> panel = checked_panel(b, 1, controls, 0);
   SolveResult<T> res;
-  if (b.size() != static_cast<std::size_t>(plan_.n)) {
-    res.status = Status(StatusCode::kInvalidArgument,
-                        "rhs has " + std::to_string(b.size()) +
-                            " entries, expected " + std::to_string(plan_.n));
-    return res;
-  }
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    if (!std::isfinite(static_cast<double>(b[i]))) {
-      res.status = Status(StatusCode::kNonFinite,
-                          "rhs entry " + std::to_string(i) + " is not finite",
-                          static_cast<std::int64_t>(i));
-      return res;
-    }
-  }
-
-  const int prev = in_flight_.fetch_add(1, std::memory_order_relaxed);
-  InFlightGuard in_flight_guard{&in_flight_};
-  if (prev > 0 && opt_.session.strict_reentrancy) {
-    res.status = Status(StatusCode::kReentrantSolve,
-                        "another solve is in flight on this solver and "
-                        "Options::session.strict_reentrancy is set");
-    return res;
-  }
-  const ExecControl ctl(controls);
-
-  res.report.tolerance = opt_.verify.tolerance > 0.0
-                             ? opt_.verify.tolerance
-                             : default_residual_tolerance();
-  if (opt_.collect_stats) accumulate_op_stats(&res.report);
-  res.report.steps_total = executed_steps();
-
-  auto lease = acquire_workspace(&ctl);
-  if (!lease) {
-    res.status = ctl.tripped()
-                     ? ctl.to_status("while waiting for a solve workspace")
-                     : pool_exhausted_status();
-    return res;
-  }
-  SolveWorkspace& ws = *lease;
-  if (opt_.fault.hold_lease_ms > 0)
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(opt_.fault.hold_lease_ms));
-
-  const std::size_t n = static_cast<std::size_t>(plan_.n);
-  ws.bw0.resize(n);
-  ws.bw.resize(n);
-  ws.xw.resize(n);
-  // One fused scatter produces the pristine permuted rhs; each attempt's
-  // solve input is a plain copy of it — the residual and refinement rounds
-  // reuse ws.bw0 instead of re-permuting b each time.
-  scatter_permuted(b.data(), plan_.new_of_old, ws.bw0.data());
-
-  // Pool arbitration (see the unchecked solve): losing the try_lock is
-  // itself a whole-solve degradation — recorded, then run serial.
-  std::unique_lock<std::mutex> pool_lk(exec_mu_, std::defer_lock);
-  const bool have_pool = pool_ != nullptr && pool_lk.try_lock();
-  if (pool_ != nullptr && !have_pool)
-    res.report.degrades.push_back({DegradeEvent::Kind::kParallelToSerial,
-                                   StatusCode::kReentrantSolve});
-
-  // The whole-solve degradation ladder. Rung 0 is the configured execution;
-  // each further rung demotes one axis (parallel → serial, then SIMD
-  // vector → blocked → strict). Demoted SIMD rungs run serial, so the
-  // thread-local path override is seen by every kernel of the attempt.
-  const std::vector<LadderRung> rungs =
-      build_ladder(have_pool, opt_.verify.fallback);
-  const SolveReport base_report = res.report;  // pre-attempt snapshot
-  Status final_status = Status::Ok();
-  for (std::size_t a = 0; a < rungs.size(); ++a) {
-    const LadderRung& rung = rungs[a];
-    SolveReport rep = base_report;  // fallbacks describe this attempt only
-    rep.degrades = std::move(res.report.degrades);  // accumulate across rungs
-    rep.attempts = static_cast<int>(a) + 1;
-    ThreadPool* epool = rung.use_pool ? pool_.get() : nullptr;
-    std::optional<simd::ScopedPathOverride> demoted;
-    if (rung.forced_path >= 0)
-      demoted.emplace(static_cast<simd::Path>(rung.forced_path));
-
-    std::copy(ws.bw0.begin(), ws.bw0.end(), ws.bw.begin());
-    // On breakdown the partial solution is returned for diagnosis; zeroing
-    // the reused workspace keeps untouched rows at 0 as a fresh vector had.
-    std::fill(ws.xw.begin(), ws.xw.end(), T(0));
-
-    Status st = run_steps_checked(ws.bw, ws.xw, &rep, epool, &ctl);
-    double resid = 0.0;
-    if (st.ok()) {
-      // Deterministic fault hook: a wrong-but-finite solution slips past the
-      // per-block finiteness checks, so only the residual can reject it.
-      if (rep.attempts <= opt_.fault.corrupt_solve_attempts && n > 0)
-        ws.xw[0] = T(1e30);
-
-      // Normwise residual in the permuted space; permutations preserve max
-      // norms, so this equals the residual of the user-facing system.
-      ws.rw.resize(n);
-      residual_norms(ws.xw.data(), ws.bw0.data(), 1, ws.rw.data(), &resid,
-                     epool);
-      rep.residual_checked = true;
-      for (int it = 0;
-           it < opt_.verify.max_refinements && resid > rep.tolerance &&
-           ctl.check();
-           ++it) {
-        // One round of iterative refinement: solve L d = b − L x, x += d.
-        ws.dw.resize(n);
-        residual_into(ws.xw.data(), ws.bw0.data(), ws.rw.data(), 1, epool);
-        const index_t attempt_steps = rep.steps_completed;
-        const bool refined =
-            run_steps_checked(ws.rw, ws.dw, &rep, epool, &ctl).ok();
-        rep.steps_completed = attempt_steps;
-        if (!refined) break;
-        for (std::size_t i = 0; i < n; ++i) ws.xw[i] += ws.dw[i];
-        residual_norms(ws.xw.data(), ws.bw0.data(), 1, ws.rw.data(), &resid,
-                       epool);
-        ++rep.refinements;
-      }
-      rep.residual = resid;
-      st = resid <= rep.tolerance
-               ? Status::Ok()
-               : Status(StatusCode::kResidualTooLarge,
-                        "residual " + std::to_string(resid) +
-                            " exceeds tolerance " +
-                            std::to_string(rep.tolerance));
-    }
-
-    res.report = std::move(rep);
-    final_status = std::move(st);
-    if (final_status.ok()) break;
-    // Deadline/cancel (and spin timeouts the disabled ladder left tripped)
-    // are terminal: retrying against an expired budget only burns time.
-    if (ctl.tripped()) break;
-    if (a + 1 < rungs.size())
-      res.report.degrades.push_back(
-          {rungs[a + 1].entered_by, final_status.code()});
-  }
-
-  res.status = std::move(final_status);
-  res.x.resize(n);
-  gather_permuted(ws.xw.data(), plan_.new_of_old, res.x.data());
+  res.status = std::move(panel.status);
+  res.x = std::move(panel.X);
+  if (!panel.reports.empty()) res.report = std::move(panel.reports[0]);
   return res;
 }
 
 template <class T>
 Status BlockSolver<T>::run_steps_checked_many(T* bw, T* xw, index_t k,
-                                              std::vector<SolveReport>* reps,
+                                              SolveReport* reps,
                                               ThreadPool* epool,
-                                              const ExecControl* ctl, T* bc,
+                                              const ExecControl* ctl,
+                                              index_t fault_column, T* bc,
                                               T* xc) const {
   const auto ku = static_cast<std::size_t>(k);
   index_t done = 0;  // panel-level progress, mirrored into every report
   const auto set_progress = [&] {
-    for (SolveReport& rp : *reps) rp.steps_completed = done;
+    for (index_t c = 0; c < k; ++c) reps[c].steps_completed = done;
   };
   for (const ExecStep& step : plan_.steps) {
     if (ctl != nullptr && !ctl->check()) {
@@ -2173,9 +1849,8 @@ Status BlockSolver<T>::run_steps_checked_many(T* bw, T* xw, index_t k,
     const index_t len = blk.info.r1 - blk.info.r0;
 
     // Attempt 0: the selected kernel over the whole panel, as the plain
-    // executor runs it. The batched sync-free path never spins (it is the
-    // serial column-split algorithm), so a trip here can only be a
-    // deadline/cancel — terminal.
+    // executor runs it. No kernel waits on another thread, so a trip here
+    // can only be a deadline/cancel — terminal.
     exec_step_many(step, bw, xw, 0, k, epool, ctl, k);
     if (ctl != nullptr && ctl->tripped()) {
       set_progress();
@@ -2186,48 +1861,57 @@ Status BlockSolver<T>::run_steps_checked_many(T* bw, T* xw, index_t k,
     const T* const br = bw + static_cast<std::size_t>(blk.info.r0) * ku;
     const bool faulted = step.index == opt_.fault.tri_block &&
                          opt_.fault.corrupt_attempts > 0 && len > 0 &&
-                         opt_.fault.column >= 0 && opt_.fault.column < k;
+                         fault_column >= 0 && fault_column < k;
     if (faulted)
-      xr[static_cast<std::size_t>(opt_.fault.column)] =
+      xr[static_cast<std::size_t>(fault_column)] =
           std::numeric_limits<T>::quiet_NaN();
 
     // A column that came out non-finite degrades alone through the
-    // single-RHS rungs, its slices gathered into contiguous scratch and the
-    // result scattered back; the healthy columns keep the batched result.
+    // single-RHS rungs; the healthy columns keep the batched result. A
+    // lone column is rescued in place (refinement holds its column in
+    // bc/xc); a wider panel's column is gathered into bc/xc and scattered
+    // back.
     for (index_t c = 0; c < k; ++c) {
       if (all_finite(xr + c, len, k)) continue;
 
       bool ok = false;
       if (opt_.verify.fallback) {
-        for (index_t i = 0; i < len; ++i)
-          bc[i] = br[static_cast<std::size_t>(i) * ku +
-                     static_cast<std::size_t>(c)];
+        const T* bcol = br;
+        T* xcol = xr;
+        if (k > 1) {
+          for (index_t i = 0; i < len; ++i)
+            bc[i] = br[static_cast<std::size_t>(i) * ku +
+                       static_cast<std::size_t>(c)];
+          bcol = bc;
+          xcol = xc;
+        }
         int attempt = 1;  // the batched kernel above was attempt 0
         auto run = [&](auto&& solve_fn) {
           solve_fn();
-          if (faulted && c == this->opt_.fault.column &&
+          if (faulted && c == fault_column &&
               attempt < this->opt_.fault.corrupt_attempts)
-            xc[0] = std::numeric_limits<T>::quiet_NaN();
+            xcol[0] = std::numeric_limits<T>::quiet_NaN();
           ++attempt;
-          return all_finite(xc, len);
+          return all_finite(xcol, len);
         };
-        SolveReport& rep = (*reps)[static_cast<std::size_t>(c)];
+        SolveReport& rep = reps[c];
         Csr<T> built;
         const Csr<T>& rows = tri_rows(blk, built);
         if (blk.info.kind != TriKernelKind::kLevelSet) {
           rep.fallbacks.push_back(
               {step.index, blk.info.kind, FallbackEvent::Rung::kLevelSet});
           const LevelSetSolver<T> ls(rows);
-          ok = run([&] { ls.solve(bc, xc, nullptr); });
+          ok = run([&] { ls.solve(bcol, xcol, nullptr); });
         }
         if (!ok) {
           rep.fallbacks.push_back(
               {step.index, blk.info.kind, FallbackEvent::Rung::kSerial});
-          ok = run([&] { sptrsv_serial_raw(rows, bc, xc); });
+          ok = run([&] { sptrsv_serial_raw(rows, bcol, xcol); });
         }
-        for (index_t i = 0; i < len; ++i)
-          xr[static_cast<std::size_t>(i) * ku + static_cast<std::size_t>(c)] =
-              xc[i];
+        if (k > 1)
+          for (index_t i = 0; i < len; ++i)
+            xr[static_cast<std::size_t>(i) * ku +
+               static_cast<std::size_t>(c)] = xc[i];
       }
       if (!ok) {
         set_progress();
@@ -2256,6 +1940,13 @@ SolveManyResult<T> BlockSolver<T>::solve_many_checked(const std::vector<T>& B,
 template <class T>
 SolveManyResult<T> BlockSolver<T>::solve_many_checked(
     const std::vector<T>& B, index_t k, const SolveControls& controls) const {
+  return checked_panel(B, k, controls, opt_.fault.column);
+}
+
+template <class T>
+SolveManyResult<T> BlockSolver<T>::checked_panel(
+    const std::vector<T>& B, index_t k, const SolveControls& controls,
+    index_t fault_column) const {
   SolveManyResult<T> res;
   const std::size_t n = static_cast<std::size_t>(plan_.n);
   if (k < 0 || B.size() != n * static_cast<std::size_t>(k)) {
@@ -2324,8 +2015,9 @@ SolveManyResult<T> BlockSolver<T>::solve_many_checked(
   ws.xc.resize(n);
   ws.bc.resize(n);
 
-  // Pool arbitration, as in solve_checked; panel-level degradations are
-  // mirrored into every column's report.
+  // Pool arbitration, as in solve_many_impl: losing the try_lock is itself a
+  // whole-solve degradation — recorded, then run serial. Panel-level
+  // degradations are mirrored into every column's report.
   std::unique_lock<std::mutex> pool_lk(exec_mu_, std::defer_lock);
   const bool have_pool = pool_ != nullptr && pool_lk.try_lock();
   std::vector<DegradeEvent> degrades;
@@ -2333,10 +2025,13 @@ SolveManyResult<T> BlockSolver<T>::solve_many_checked(
     degrades.push_back({DegradeEvent::Kind::kParallelToSerial,
                         StatusCode::kReentrantSolve});
 
-  // Whole-solve ladder at panel granularity: a batched breakdown or any
-  // column whose residual survives refinement retries the entire panel on
-  // the next rung (per-column rescue inside run_steps_checked_many remains
-  // the first line of defence).
+  // Whole-solve ladder at panel granularity: a breakdown or any column whose
+  // residual survives refinement retries the entire panel on the next rung
+  // (per-column rescue inside run_steps_checked_many remains the first line
+  // of defence). Rung 0 is the configured execution; each further rung
+  // demotes one axis (parallel → serial, then SIMD vector → blocked →
+  // strict). Demoted SIMD rungs run serial, so the thread-local path
+  // override is seen by every kernel of the attempt.
   const std::vector<LadderRung> rungs =
       build_ladder(have_pool, opt_.verify.fallback);
   const std::vector<SolveReport> base_reports = res.reports;
@@ -2352,24 +2047,27 @@ SolveManyResult<T> BlockSolver<T>::solve_many_checked(
       demoted.emplace(static_cast<simd::Path>(rung.forced_path));
 
     std::copy(bw0, bw0 + total, bw);
-    // Same partial-solution contract as solve_checked: untouched rows read 0.
+    // On breakdown the partial solution is returned for diagnosis; zeroing
+    // the reused workspace keeps untouched rows at 0 as a fresh panel had.
     std::fill(xw, xw + total, T(0));
-    Status st = run_steps_checked_many(bw, xw, k, &res.reports, epool, &ctl,
-                                       ws.bc.data(), ws.xc.data());
+    Status st = run_steps_checked_many(bw, xw, k, res.reports.data(), epool,
+                                       &ctl, fault_column, ws.bc.data(),
+                                       ws.xc.data());
     if (st.ok()) {
-      // Deterministic fault hook (see solve_checked): a wrong-but-finite
-      // column only the residual check can reject.
+      // Deterministic fault hook: a wrong-but-finite column slips past the
+      // per-block finiteness checks, so only the residual can reject it.
       if (static_cast<int>(a) < opt_.fault.corrupt_solve_attempts && n > 0) {
         const index_t fc =
-            opt_.fault.column >= 0 && opt_.fault.column < k ? opt_.fault.column
-                                                            : 0;
+            fault_column >= 0 && fault_column < k ? fault_column : 0;
         xw[static_cast<std::size_t>(fc)] = T(1e30);
       }
 
       // Every column's residual in one pass over the panels (bw, consumed
-      // by the steps, holds the residual panel); each column keeps its own
-      // report. A column above tolerance is gathered into xc/bc, refined
-      // through the single-RHS ladder and scattered back.
+      // by the steps, holds the residual panel); permutations preserve max
+      // norms, so each equals its column's residual of the user-facing
+      // system. Each column keeps its own report. A column above tolerance
+      // is gathered into xc/bc, refined (L d = b − L x, x += d) by one-column
+      // checked passes and scattered back.
       std::vector<double> resids(ku);
       residual_norms(xw, bw0, k, bw, resids.data(), epool);
       double worst = 0.0;
@@ -2391,8 +2089,12 @@ SolveManyResult<T> BlockSolver<T>::solve_many_checked(
                ++it) {
             residual_into(ws.xc.data(), ws.bc.data(), ws.rw.data(), 1, epool);
             const index_t panel_steps = rep.steps_completed;
+            // A one-column pass: the block fault hook poisons it whatever
+            // fault.column says, as it poisons solve_checked.
             const bool refined =
-                run_steps_checked(ws.rw, ws.dw, &rep, epool, &ctl).ok();
+                run_steps_checked_many(ws.rw.data(), ws.dw.data(), 1, &rep,
+                                       epool, &ctl, 0, nullptr, nullptr)
+                    .ok();
             rep.steps_completed = panel_steps;
             if (!refined) break;
             for (std::size_t i = 0; i < n; ++i) ws.xc[i] += ws.dw[i];

@@ -65,10 +65,10 @@ struct FallbackEvent {
 /// One rung of the whole-solve degradation ladder: a full retry attempt was
 /// demoted along one axis — parallel execution handed back for a serial
 /// pass, or the SIMD lowering stepped down vector → blocked → strict —
-/// because of `reason` (kNumericalBreakdown, kSpinTimeout,
-/// kResidualTooLarge, or kReentrantSolve when the solver's pool was busy
-/// serving a concurrent caller). The per-block FallbackEvent ladder swaps
-/// the *kernel* of one block; DegradeEvents demote the *whole solve*.
+/// because of `reason` (kNumericalBreakdown, kResidualTooLarge, or
+/// kReentrantSolve when the solver's pool was busy serving a concurrent
+/// caller). The per-block FallbackEvent ladder swaps the *kernel* of one
+/// block; DegradeEvents demote the *whole solve*.
 struct DegradeEvent {
   enum class Kind {
     kParallelToSerial,   // pool handed back; retry runs the serial executor
@@ -97,7 +97,7 @@ struct SolveReport {
   std::vector<DegradeEvent> degrades;    // whole-solve rungs, all attempts
   int attempts = 0;              // whole-solve attempts run (1 = no ladder)
   index_t steps_completed = 0;   // plan steps finished (partial progress when
-                                 // a deadline/cancel/spin-timeout fired)
+                                 // a deadline or cancel fired)
   index_t steps_total = 0;       // plan steps the solve would run (empty
                                  // squares are skipped, not counted)
   std::int64_t flops = 0;        // 2 per nonzero touched (+1 divide per row)
@@ -262,11 +262,6 @@ class BlockSolver {
       /// check must catch it — exercising the whole-solve degradation
       /// ladder's residual-rejection trigger.
       int corrupt_solve_attempts = 0;
-      /// Makes row 0 of `tri_block`'s sync-free solver wait on its own
-      /// ready flag in the threaded solve, which nobody else publishes, so
-      /// its spin-wait can never finish — the bounded-spin timeout and its
-      /// spin-free fallbacks are exercised.
-      bool stuck_spin = false;
       /// Holds the leased workspace for this long at solve entry —
       /// lets tests overlap leases deterministically to fill the pool.
       int hold_lease_ms = 0;
@@ -358,17 +353,18 @@ class BlockSolver {
   /// from a bounded pool (Options::session), and at threads = 1 concurrent
   /// results are bitwise identical to serial ones. Throws blocktri::Error
   /// only for the session faults the Status overload types (pool exhaustion
-  /// in failing mode, strict-reentrancy violations, spin timeouts).
+  /// in failing mode, strict-reentrancy violations).
   void solve(const T* b, T* x) const;
 
   /// Resilient solve: like the raw solve() but cooperative — `controls`
-  /// carries an optional deadline, cancel token and spin-wait budget that
-  /// the executor polls at step/wave granularity (and the kernels poll at
-  /// level/chunk granularity). On kDeadlineExceeded / kCancelled, `x` holds
-  /// the partial permuted progress gathered back (diagnostic only) and
-  /// `rep` (optional) reports steps_completed/steps_total. Returns
-  /// kPoolExhausted when the workspace pool is drained in failing mode and
-  /// kReentrantSolve under session.strict_reentrancy.
+  /// carries an optional deadline and cancel token that the executor polls
+  /// at step/wave granularity (and the kernels poll at level/chunk
+  /// granularity). On kDeadlineExceeded / kCancelled, `x` holds the partial
+  /// permuted progress gathered back (diagnostic only) and `rep` (optional)
+  /// reports steps_completed/steps_total. Returns kPoolExhausted when the
+  /// workspace pool is drained in failing mode and kReentrantSolve under
+  /// session.strict_reentrancy. It runs as solve_many(b, x, 1, ...): one
+  /// right-hand side is a k = 1 panel.
   Status solve(const T* b, T* x, const SolveControls& controls,
                SolveReport* rep = nullptr) const;
 
@@ -416,9 +412,10 @@ class BlockSolver {
   /// (gated on verify.fallback) retries the complete solve on progressively
   /// more conservative rungs — parallel → serial executor, then SIMD
   /// vector → blocked → strict lowering — when an attempt ends in
-  /// kNumericalBreakdown, a sync-free spin timeout, or a residual still
-  /// above tolerance after refinement. Each demotion is recorded as a
-  /// DegradeEvent; the report's fallbacks describe the final attempt only.
+  /// kNumericalBreakdown or a residual still above tolerance after
+  /// refinement. Each demotion is recorded as a DegradeEvent; the report's
+  /// fallbacks describe the final attempt only. It runs as the k = 1 panel
+  /// of solve_many_checked, whose statuses it returns.
   SolveResult<T> solve_checked(const std::vector<T>& b) const;
 
   /// solve_checked with cooperative controls: deadline/cancel trips are
@@ -590,31 +587,26 @@ class BlockSolver {
     Dcsr<T> rows;
   };
 
-  /// `ctl` is the session's cooperative control (nullable).
-  void exec_tri(const TriBlock& blk, const T* b, T* x,
-                ThreadPool* pool = nullptr,
-                const ExecControl* ctl = nullptr) const;
   /// The model's view of a triangle's held structure.
   static model::TriView tri_view(const TriBlock& blk);
   /// The rows the fallback rungs solve from: the kernel's own CSR, or — for
   /// a diagonal block, which holds only pivots — rows built into `built`.
   const Csr<T>& tri_rows(const TriBlock& blk, Csr<T>& built) const;
-  /// y −= A·x over the square's listed rows, whatever its kind.
-  void exec_square(const SquareBlock& blk, const T* x, T* y,
-                   ThreadPool* pool = nullptr) const;
-  /// One ExecStep of the host solve (no simulation, no ladder).
-  void exec_step(const ExecStep& step, T* bw, T* xw, ThreadPool* pool,
-                 const ExecControl* ctl) const;
-  /// Batched counterparts (host only): b/x/y point at the block's first row
-  /// of a row-interleaved panel whose row stride is `ld`.
+  /// The host kernels of one block over k columns of a row-interleaved
+  /// panel whose row stride is `ld`: b/x/y point at the block's first row.
+  /// The triangle solves x from b; the square updates y −= A·x over its
+  /// listed rows, whatever its kind. One contiguous column (k = ld = 1)
+  /// runs the single-RHS kernel bodies. `ctl` is the session's cooperative
+  /// control (nullable).
   void exec_tri_many(const TriBlock& blk, const T* b, T* x, index_t k,
                      ThreadPool* pool, const ExecControl* ctl,
                      index_t ld) const;
   void exec_square_many(const SquareBlock& blk, const T* x, T* y, index_t k,
                         ThreadPool* pool, index_t ld) const;
-  /// One ExecStep of the batched host solve over panel columns [c0, c1) of
-  /// a row-interleaved panel with row stride `ld` (a sub-panel is base + c0
-  /// with the same stride, so [c0, c1) needs no kernel-side column offsets).
+  /// One ExecStep of the host solve (no simulation, no ladder) over panel
+  /// columns [c0, c1) of a row-interleaved panel with row stride `ld` (a
+  /// sub-panel is base + c0 with the same stride, so [c0, c1) needs no
+  /// kernel-side column offsets).
   void exec_step_many(const ExecStep& step, T* bw, T* xw, index_t c0,
                       index_t c1, ThreadPool* pool, const ExecControl* ctl,
                       index_t ld) const;
@@ -664,23 +656,25 @@ class BlockSolver {
   /// walk finds the plan's layout broken.
   void build_blocks(const Csr<T>& lower, BlockNnz counts,
                     const tune::TunedPlan<T>* tuned);
-  /// One pass over the execution steps with the fallback ladder armed.
-  /// Consumes bw (square blocks accumulate into it). `epool` is this call's
-  /// arbitrated executor pool (null → serial), `ctl` the cooperative
-  /// control: deadline/cancel trips return its typed Status immediately; a
-  /// sync-free spin timeout is consumed and healed by the spin-free rungs
-  /// when the ladder is enabled. `rep->steps_completed` tracks progress.
-  Status run_steps_checked(std::vector<T>& bw, std::vector<T>& xw,
-                           SolveReport* rep, ThreadPool* epool,
-                           const ExecControl* ctl) const;
-  /// Batched ladder pass over row-interleaved n × k panels: each step runs
-  /// as the plain panel executor runs it; a column with non-finite output
-  /// degrades alone through the single-RHS rungs (its slices staged through
-  /// the length-n `bc`/`xc`), recorded in its own report.
-  Status run_steps_checked_many(T* bw, T* xw, index_t k,
-                                std::vector<SolveReport>* reps,
+  /// One pass over the execution steps of row-interleaved n × k panels with
+  /// the fallback ladder armed. Consumes bw (square blocks accumulate into
+  /// it). Each step runs as the plain panel executor runs it, on `epool`
+  /// (this call's arbitrated executor pool; null → serial); a column with
+  /// non-finite output degrades alone through the single-RHS rungs,
+  /// recorded in its own report reps[c] — in place at k = 1, else with its
+  /// slices staged through the length-n `bc`/`xc`. Deadline/cancel trips on
+  /// `ctl` return its typed Status immediately; every report's
+  /// steps_completed tracks progress. The block fault hook poisons panel
+  /// column `fault_column`.
+  Status run_steps_checked_many(T* bw, T* xw, index_t k, SolveReport* reps,
                                 ThreadPool* epool, const ExecControl* ctl,
-                                T* bc, T* xc) const;
+                                index_t fault_column, T* bc, T* xc) const;
+  /// The checked panel solve behind solve_many_checked and (at k = 1)
+  /// solve_checked. Its fault hooks poison panel column `fault_column`:
+  /// Options::fault.column for a panel, the one column for solve_checked.
+  SolveManyResult<T> checked_panel(const std::vector<T>& B, index_t k,
+                                   const SolveControls& controls,
+                                   index_t fault_column) const;
   /// r = bw0 − L·xw over the blocks, for permuted row-interleaved n × k
   /// panels (element (i, c) at i·k + c; k = 1 for vectors; r may not alias
   /// xw/bw0). The rows go window by window (kSquareWindowRows), so each
@@ -700,11 +694,11 @@ class BlockSolver {
   /// blocks' execution groups.
   void accumulate_op_stats(SolveReport* rep) const;
 
-  /// Shared body of the panel solves. Exactly one of `B`/`Bs` is non-null
-  /// (likewise `X`/`Xs`): the contiguous form reads column c at B + c·n,
-  /// the gather form through the pointer table. Branching here instead of
-  /// delegating through a built pointer array keeps the warm contiguous
-  /// path allocation-free.
+  /// Shared body of solve() (a k = 1 panel) and the panel solves. Exactly
+  /// one of `B`/`Bs` is non-null (likewise `X`/`Xs`): the contiguous form
+  /// reads column c at B + c·n, the gather form through the pointer table.
+  /// Branching here instead of delegating through a built pointer array
+  /// keeps the warm contiguous path allocation-free.
   Status solve_many_impl(const T* B, const T* const* Bs, T* X, T* const* Xs,
                          index_t k, const SolveControls& controls,
                          SolveReport* rep) const;

@@ -899,8 +899,8 @@ Status validate_artifact(const PlanArtifact<T>& art) {
       case TriKernelKind::kCusparseLike: {
         // The kernels — and the fallback ladder, which solves from these
         // rows too — divide by each row's trailing diagonal and read only
-        // earlier rows, which is also what keeps the sync-free ready-flag
-        // spin deadlock-free (dependencies only point backward).
+        // earlier rows (dependencies only point backward), whose x entries
+        // the row order has already solved.
         if (Status st = check_csr_shape(b.kernel_csr, len, len, "tri block");
             !st.ok())
           return st;

@@ -171,15 +171,14 @@ Status load_artifact(const std::string& path, PlanArtifact<T>* out);
 /// Deep semantic check of a deserialized (or hand-built) artifact. The
 /// executors index with artifact contents unchecked — permute_vector writes
 /// out[new_of_old[i]], the square spmv writes y[row_ids[r]], kernels read
-/// x[col_idx[k]], the sync-free threaded solve spins on the ready flags of a
-/// row's dependencies — so beyond consistent plan bounds and array sizes
-/// this proves every stored index in-bounds and every kernel precondition
+/// x[col_idx[k]] — so beyond consistent plan bounds and array sizes this
+/// proves every stored index in-bounds and every kernel precondition
 /// (pointer arrays monotone and covering, new_of_old a permutation of
 /// [0, n), triangular CSRs non-empty rows with a trailing diagonal and
-/// nothing above it — which is also what keeps the ready-flag spin
-/// deadlock-free — square row ids in range, distinct and in non-decreasing
-/// windows, which the threaded SpMV, the value install and the residual
-/// rely on, enum values in range). Returns kBadFormat describing the first violation. load_artifact
+/// nothing above it, so a row reads only x entries already solved — square
+/// row ids in range, distinct and in non-decreasing windows, which the
+/// threaded SpMV, the value install and the residual rely on, enum values
+/// in range). Returns kBadFormat describing the first violation. load_artifact
 /// runs this before handing the artifact out, so a CRC-valid but crafted or
 /// semantically corrupt file is rejected here rather than corrupting memory
 /// at solve time.

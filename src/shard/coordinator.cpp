@@ -451,7 +451,7 @@ Status ShardCoordinator<T>::run_epoch_locked(const T* B, const T* const* Bs,
         worker_lost("a shard worker died or stalled mid-epoch (epoch " +
                     std::to_string(seq_) + ")"));
   }
-  // A worker whose solve failed (a spin timeout, say) leaves its columns
+  // A worker whose solve failed (a deadline, say) leaves its columns
   // unsolved; the epoch is not recoverable in place.
   if (!epoch_status.ok()) return fall_back(epoch_status);
 

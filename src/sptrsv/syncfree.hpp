@@ -13,9 +13,9 @@
 // L[i][j]·x[j] over its strict entries in CSR order, then divides. On rows
 // sorted by column that is exactly Alg. 3's serial push for row i —
 // left_sum starts at 0 and takes the products in ascending j — so both give
-// the same bits. The threaded solve waits on per-row ready flags, as in Li's
-// self-scheduling SpTRSV (PAPERS.md, arXiv:1710.04985), instead of pushing
-// atomic left-sums.
+// the same bits. One right-hand side is solved serially in natural row order
+// at any thread count: host threads waiting on per-row ready flags lost to
+// the serial loop at every thread count measured (DESIGN.md §8).
 #pragma once
 
 #include <span>
@@ -42,26 +42,10 @@ class SyncFreeSolver {
   /// only the shape is checked here.
   SyncFreeSolver(Csr<T> lower, Adopt);
 
-  /// Host solve. With a pool rows are dealt round-robin
-  /// to threads (row i to thread i mod nthreads, mirroring the GPU's warp
-  /// dispatch). A thread acquire-spins on each dependency's ready flag in
-  /// CSR order, computes x_i with the serial expression, then
-  /// release-publishes its own flag. Every row reads the same x entries in
-  /// the same order as the serial solve, so the result is bitwise identical
-  /// to it at any thread count. Deadlock-free: each thread walks its rows in
-  /// ascending order and dependencies only point to smaller rows, so the
-  /// smallest unsolved row is always runnable.
-  ///
-  /// The busy-wait is *bounded*: every spin loop carries a wall-clock budget
-  /// (ctl->spin_timeout_ms(), or kDefaultSpinTimeoutMs for direct calls), so
-  /// a flag that is never published times out instead of livelocking. With
-  /// `ctl` attached, a timeout trips the control with kSpinTimeout and the
-  /// caller observes it (x is partial); a deadline/cancel trip likewise
-  /// abandons the solve mid-flight. Without `ctl`, a tripped spin budget
-  /// self-heals: the block is re-solved on the serial path, which has no
-  /// flags — slower, but correct and bounded.
-  void solve(const T* b, T* x, ThreadPool* pool = nullptr,
-             const ExecControl* ctl = nullptr) const;
+  /// Host solve: the rows in natural row order, a valid linearisation of
+  /// the dependency partial order. `ctl` is polled once per row chunk; a
+  /// deadline/cancel trip abandons the remaining rows (x is partial).
+  void solve(const T* b, T* x, const ExecControl* ctl = nullptr) const;
 
   /// Batched solve of k right-hand sides over a row-interleaved panel with
   /// row stride `ld` (element (i, c) at b[i·ld + c]): each row visit streams
@@ -78,16 +62,8 @@ class SyncFreeSolver {
   /// BlockSolver's one-pass value install; the structure stays fixed.
   std::span<T> values() { return a_.val; }
 
-  /// TESTING ONLY: makes `row` also wait on its own ready flag in the
-  /// threaded solve — a flag nobody else publishes, so that spin-wait can
-  /// never finish and the bounded-spin timeout is exercised. The serial and
-  /// batched paths have no flags, so a stalled solver still produces
-  /// correct results on every spin-free rung.
-  void stall_row_for_testing(index_t row) { stalled_row_ = row; }
-
  private:
-  Csr<T> a_;               // rows, diagonal last: the execution format
-  index_t stalled_row_ = -1;
+  Csr<T> a_;  // rows, diagonal last: the execution format
 };
 
 }  // namespace blocktri

@@ -333,12 +333,105 @@ TEST(Batched, KZeroReturnsEmptyPanel) {
   EXPECT_TRUE(solver.solve_many({}, 0).empty());
 }
 
+// A k = 1 panel, contiguous or gathered, is solve() at threads = 1 — also
+// on a threaded solver.
 TEST(Batched, KOneMatchesSolve) {
   const auto L = gen::banded(800, 16, 3.0, 4);
-  const BlockSolver<double> solver(L, opts<double>(BlockScheme::kRow));
-  expect_batched_matches(solver, solver, 1, 308, "k=1");
-  const BlockSolver<double> hbmc(L, opts<double>(BlockScheme::kHbmc));
-  expect_batched_matches(hbmc, hbmc, 1, 308, "hbmc k=1");
+  for (const auto scheme : {BlockScheme::kRow, BlockScheme::kHbmc}) {
+    const BlockSolver<double> ref(L, opts<double>(scheme));
+    const auto b = gen::random_rhs<double>(L.nrows, 308);
+    const auto want = ref.solve(b);
+    for (const int t : {1, 4}) {
+      const std::string tag =
+          to_string(scheme) + " k=1 threads=" + std::to_string(t);
+      auto o = opts<double>(scheme);
+      o.threads = t;
+      const BlockSolver<double> solver(L, o);
+      expect_batched_matches(solver, ref, 1, 308, tag);
+      std::vector<double> x(b.size(), -1.0);
+      const double* bs[] = {b.data()};
+      double* xs[] = {x.data()};
+      ASSERT_TRUE(solver.solve_many(bs, xs, 1, SolveControls{}).ok()) << tag;
+      EXPECT_TRUE(BitwiseEqual(x, want)) << tag << ", gather form";
+    }
+  }
+}
+
+/// Every field of two reports, the residual by its bits.
+void expect_same_report(const SolveReport& got, const SolveReport& want) {
+  EXPECT_EQ(got.residual_checked, want.residual_checked);
+  EXPECT_EQ(std::memcmp(&got.residual, &want.residual, sizeof got.residual),
+            0)
+      << got.residual << " vs " << want.residual;
+  EXPECT_EQ(got.tolerance, want.tolerance);
+  EXPECT_EQ(got.refinements, want.refinements);
+  EXPECT_EQ(got.attempts, want.attempts);
+  EXPECT_EQ(got.steps_completed, want.steps_completed);
+  EXPECT_EQ(got.steps_total, want.steps_total);
+  ASSERT_EQ(got.fallbacks.size(), want.fallbacks.size());
+  for (std::size_t i = 0; i < got.fallbacks.size(); ++i) {
+    EXPECT_EQ(got.fallbacks[i].block, want.fallbacks[i].block);
+    EXPECT_EQ(got.fallbacks[i].from, want.fallbacks[i].from);
+    EXPECT_EQ(got.fallbacks[i].to, want.fallbacks[i].to);
+  }
+  ASSERT_EQ(got.degrades.size(), want.degrades.size());
+  for (std::size_t i = 0; i < got.degrades.size(); ++i) {
+    EXPECT_EQ(got.degrades[i].kind, want.degrades[i].kind);
+    EXPECT_EQ(got.degrades[i].reason, want.degrades[i].reason);
+  }
+  EXPECT_EQ(got.flops, want.flops);
+  EXPECT_EQ(got.bytes, want.bytes);
+  EXPECT_EQ(got.levels_executed, want.levels_executed);
+  EXPECT_EQ(got.levels_merged, want.levels_merged);
+}
+
+// solve_checked(b) is solve_many_checked(b, 1): the same status, x bits and
+// report, clean and under each fault hook — a NaN in leaf 0's first one to
+// three attempts (the third exhausts the per-block ladder), or a wrong but
+// finite first whole attempt, refined or not.
+TEST(Batched, CheckedKOneMatchesSolveChecked) {
+  const auto L = gen::grid2d(30, 20, 9);
+  const auto b = gen::random_rhs<double>(L.nrows, 314);
+  struct Case {
+    const char* name;
+    int corrupt_attempts;  // forces sync-free leaves
+    int corrupt_solve_attempts;
+    int max_refinements;
+  };
+  const Case cases[] = {
+      {"clean", 0, 0, 1},          {"corrupt_attempts=1", 1, 0, 1},
+      {"corrupt_attempts=2", 2, 0, 1}, {"corrupt_attempts=3", 3, 0, 1},
+      {"corrupt_solve_attempts=1", 0, 1, 1},
+      {"corrupt_solve_attempts=1, no refinement", 0, 1, 0},
+  };
+  for (const auto scheme : {BlockScheme::kColumn, BlockScheme::kRow,
+                            BlockScheme::kRecursive, BlockScheme::kHbmc}) {
+    for (const int threads : {1, 4}) {
+      for (const Case& cs : cases) {
+        SCOPED_TRACE(to_string(scheme) + " threads=" +
+                     std::to_string(threads) + " " + cs.name);
+        auto o = opts<double>(scheme, 64);
+        o.threads = threads;
+        o.collect_stats = true;
+        o.verify.max_refinements = cs.max_refinements;
+        if (cs.corrupt_attempts > 0) {
+          o.adaptive = false;
+          o.forced_tri = TriKernelKind::kSyncFree;
+          o.fault.tri_block = 0;
+          o.fault.corrupt_attempts = cs.corrupt_attempts;
+        }
+        o.fault.corrupt_solve_attempts = cs.corrupt_solve_attempts;
+        const BlockSolver<double> solver(L, o);
+        const SolveResult<double> one = solver.solve_checked(b);
+        const SolveManyResult<double> many = solver.solve_many_checked(b, 1);
+        EXPECT_EQ(one.status.code(), many.status.code())
+            << one.status.to_string() << " vs " << many.status.to_string();
+        EXPECT_TRUE(BitwiseEqual(one.x, many.X));
+        ASSERT_EQ(many.reports.size(), 1u);
+        expect_same_report(one.report, many.reports[0]);
+      }
+    }
+  }
 }
 
 TEST(Batched, WrongPanelSizeThrowsTyped) {

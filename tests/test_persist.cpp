@@ -1307,13 +1307,11 @@ TEST_F(PersistFault, ReadErrorIsIoErrorNotTruncated) {
 //
 // The executors index with artifact contents unchecked (permute_vector
 // writes out[new_of_old[i]], spmv writes y[row_ids[r]], kernels read
-// x[col_idx[k]], the sync-free threaded solve spins on its dependencies'
-// ready flags), so
-// validate_artifact must prove every stored index in-bounds and every
-// invariant the kernels assume. Each test corrupts ONE field of a
-// legitimately captured artifact and expects the typed kBadFormat rejection
-// from both validate_artifact and the rehydration entry point — never a
-// crash, never a silently wrong solver.
+// x[col_idx[k]]), so validate_artifact must prove every stored index
+// in-bounds and every invariant the kernels assume. Each test corrupts ONE
+// field of a legitimately captured artifact and expects the typed kBadFormat
+// rejection from both validate_artifact and the rehydration entry point —
+// never a crash, never a silently wrong solver.
 
 class PersistSemantic : public ::testing::Test {
  protected:
@@ -1448,9 +1446,9 @@ TEST_F(PersistSemantic, LevelItemOutOfRange) {
 }
 
 // Alg. 3's in-degree of a row is its strict entries, all left of the
-// diagonal. A sync-free row that waits on a later row, or lacks its
-// trailing diagonal, must be rejected before its ready-flag spin could wait
-// forever or its division read the wrong pivot.
+// diagonal. A sync-free row that reads a later row, or lacks its trailing
+// diagonal, must be rejected before it could read an unsolved x entry or
+// its division read the wrong pivot.
 TEST_F(PersistSemantic, SyncFreeInDegreeMismatch) {
   const auto art =
       capture(TriKernelKind::kSyncFree, SpmvKernelKind::kScalarCsr);

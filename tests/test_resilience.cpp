@@ -1,10 +1,9 @@
-// Resilience & session tests (ISSUE 6): leased workspaces and reentrant
-// solves, cooperative deadlines/cancellation, bounded sync-free spins, the
-// whole-solve degradation ladder, artifact-load retry, and plan-cache
-// quarantine. Every fault here is injected deterministically — no test
-// depends on "losing a race"; cross-thread tests synchronise on observable
-// state (pool in_use counts, generous sleep margins) rather than timing
-// luck. The concurrency tests are the ones the CI stress lane repeats under
+// Resilience & session tests: leased workspaces and reentrant solves,
+// cooperative deadlines/cancellation, the whole-solve degradation ladder,
+// artifact-load retry, and plan-cache quarantine. Every fault here is
+// injected deterministically — no test depends on "losing a race";
+// cross-thread tests synchronise on observable state (pool in_use counts,
+// generous sleep margins) rather than timing luck. The concurrency tests are the ones the CI stress lane repeats under
 // ThreadSanitizer.
 #include <gtest/gtest.h>
 
@@ -364,69 +363,6 @@ TEST(Cancellation, CancelFromAnotherThreadStopsTheSolve) {
   EXPECT_EQ(st.code(), StatusCode::kCancelled);
 }
 
-// --- Bounded sync-free spins -----------------------------------------------
-
-// A stalled ready flag makes the threaded sync-free busy-wait unfinishable.
-// With a control attached the bounded spin trips kSpinTimeout — a typed
-// error where the pre-session kernel livelocked forever.
-TEST(SpinTimeout, UncheckedSolveSurfacesTypedStatusInsteadOfLivelock) {
-  Opt opt = base_options(BlockScheme::kColumn, 2);
-  opt.adaptive = false;
-  opt.forced_tri = TriKernelKind::kSyncFree;
-  opt.fault.stuck_spin = true;
-  opt.fault.tri_block = 2;  // third diagonal block: progress happens first
-  auto solver = make_solver(opt);
-  const auto b = gen::random_rhs<double>(fixture().nrows, 3);
-  SolveControls controls;
-  controls.spin_timeout_ms = 50.0;
-  std::vector<double> x(b.size());
-  SolveReport rep;
-  const auto t0 = std::chrono::steady_clock::now();
-  const Status st = solver->solve(b.data(), x.data(), controls, &rep);
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  EXPECT_EQ(st.code(), StatusCode::kSpinTimeout);
-  EXPECT_GT(rep.steps_completed, 0);  // the blocks before the stuck one ran
-  EXPECT_LT(rep.steps_completed, rep.steps_total);
-  EXPECT_LT(ms, 5000.0);  // bounded: nowhere near a livelock
-}
-
-// The checked ladder absorbs the same fault: the spin trip is consumed and
-// the block re-solved on a spin-free rung (level-set / serial have no ready
-// flags), so the caller sees a verified solve plus a recorded per-block
-// fallback.
-TEST(SpinTimeout, CheckedLadderHealsAStuckSpin) {
-  Opt opt = base_options(BlockScheme::kColumn, 2);
-  opt.adaptive = false;
-  opt.forced_tri = TriKernelKind::kSyncFree;
-  opt.fault.stuck_spin = true;
-  opt.fault.tri_block = 0;
-  auto solver = make_solver(opt);
-  const auto b = gen::random_rhs<double>(fixture().nrows, 3);
-  SolveControls controls;
-  controls.spin_timeout_ms = 50.0;
-  const SolveResult<double> res = solver->solve_checked(b, controls);
-  ASSERT_TRUE(res.ok()) << res.status.to_string();
-  EXPECT_TRUE(res.report.residual_checked);
-  EXPECT_GE(res.report.fallbacks.size(), 1u);  // block 0 degraded and healed
-}
-
-// The serial and batched sync-free paths have no ready flags, so a
-// poisoned solver still produces exact answers on every spin-free rung —
-// the property the self-healing direct-call path relies on.
-TEST(SpinTimeout, SpinFreePathsIgnorePoisonedCounters) {
-  const Csr<double> L = gen::banded(400, 8, 2.0, 21);
-  SyncFreeSolver<double> clean(L);
-  SyncFreeSolver<double> poisoned(L);
-  poisoned.stall_row_for_testing(0);
-  const auto b = gen::random_rhs<double>(L.nrows, 9);
-  std::vector<double> x_ref(b.size()), x(b.size());
-  clean.solve(b.data(), x_ref.data());
-  poisoned.solve(b.data(), x.data());  // no pool: serial, counter-free
-  EXPECT_EQ(x, x_ref);
-}
-
 // --- Whole-solve degradation ladder ----------------------------------------
 
 TEST(DegradationLadder, ResidualRejectionRetriesOnSerialRung) {
@@ -651,20 +587,22 @@ TEST(PlanCacheQuarantine, ResilienceCountersFlowIntoStats) {
 
 // --- Control-plane unit tests ----------------------------------------------
 
-TEST(ExecControlUnit, FirstTripWinsAndSpinTripsAreConsumable) {
+TEST(ExecControlUnit, FirstTripWins) {
   ExecControl ctl;
   EXPECT_TRUE(ctl.check());
   EXPECT_FALSE(ctl.armed());  // nothing attached: the fast path
-  ctl.trip(StatusCode::kSpinTimeout);
-  ctl.trip(StatusCode::kCancelled);  // ignored: first failure wins
-  EXPECT_EQ(ctl.reason(), StatusCode::kSpinTimeout);
-  EXPECT_TRUE(ctl.consume_spin_trip());  // the ladder may retry spin-free
-  EXPECT_FALSE(ctl.tripped());
-
-  ctl.trip(StatusCode::kDeadlineExceeded);
-  EXPECT_FALSE(ctl.consume_spin_trip());  // deadline trips are terminal
+  ctl.trip(StatusCode::kCancelled);
+  ctl.trip(StatusCode::kDeadlineExceeded);  // ignored: first failure wins
   EXPECT_TRUE(ctl.tripped());
-  EXPECT_EQ(ctl.to_status("here").code(), StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(ctl.check());
+  EXPECT_EQ(ctl.reason(), StatusCode::kCancelled);
+  EXPECT_EQ(ctl.to_status("here").code(), StatusCode::kCancelled);
+
+  ExecControl late;
+  late.trip(StatusCode::kDeadlineExceeded);
+  late.trip(StatusCode::kCancelled);  // ignored the other way round too
+  EXPECT_EQ(late.reason(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(late.to_status("here").code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(ExecControlUnit, DeadlineAndCancelArmTheControl) {

@@ -591,8 +591,8 @@ TEST(FramedIo, ControlMessagesRoundTrip) {
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   shard::ReportMsg in;
   in.seq = 42;
-  in.code = static_cast<std::int32_t>(StatusCode::kSpinTimeout);
-  in.message = "spin wait exceeded";
+  in.code = static_cast<std::int32_t>(StatusCode::kDeadlineExceeded);
+  in.message = "deadline exceeded after 17 of 23 plan steps";
   in.steps_completed = 17;
   in.steps_total = 23;
   in.level_analyses = 0;

@@ -12,10 +12,16 @@
 // plus the analysis-free kernel_ratio = (batched_ms / k) / single_ms, which
 // isolates the structure-streaming win of the batched kernels themselves.
 //
-//   ./bench/batched_rhs [--ks=1,4,16,64] [--out=BENCH_batched.json]
-//                       [--min-ms=40] [--n=120000] [--tiny]
+// Each record is timed as seven alternated pairs of one batched call and k
+// single calls, one column each, after one warm-up pair, so host load that
+// drifts during the run weighs on both sides: single_ms and batched_ms are
+// the medians of the pairs' per-call times, and kernel_ratio is the median
+// of the pairs' ratios.
 //
-// --tiny is the CI smoke mode: small matrix, k up to 4, few repetitions,
+//   ./bench/batched_rhs [--ks=1,4,16,64] [--out=BENCH_batched.json]
+//                       [--n=120000] [--tiny]
+//
+// --tiny is the CI smoke mode: small matrix, k up to 4,
 // still exercising every scheme, every batched kernel and the JSON writer.
 #include <algorithm>
 #include <cstdio>
@@ -50,16 +56,9 @@ std::vector<index_t> parse_k_list(const std::string& s) {
   return out;
 }
 
-template <class Fn>
-double time_ms(double min_ms, Fn&& fn) {
-  fn();  // warmup
-  Stopwatch sw;
-  int reps = 0;
-  do {
-    fn();
-    ++reps;
-  } while (sw.milliseconds() < min_ms || reps < 2);
-  return sw.milliseconds() / reps;
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 struct Record {
@@ -75,15 +74,36 @@ struct Record {
   double kernel_ratio = 0.0;
 };
 
+/// Alternated (batched, k singles) pairs per record.
+constexpr int kPairs = 7;
+
+/// Times kPairs alternated (batched(), single(0) … single(k − 1)) pairs
+/// after one warm-up pair into r's single_ms, batched_ms and kernel_ratio.
+template <class Single, class Batched>
+void time_pairs(Record* r, Single&& single, Batched&& batched) {
+  std::vector<double> singles, batches, ratios;
+  for (int p = -1; p < kPairs; ++p) {
+    Stopwatch sw;
+    batched();
+    const double batched_ms = sw.milliseconds();
+    sw.reset();
+    for (index_t c = 0; c < r->k; ++c) single(c);
+    const double single_ms = sw.milliseconds() / static_cast<double>(r->k);
+    if (p < 0) continue;
+    singles.push_back(single_ms);
+    batches.push_back(batched_ms);
+    ratios.push_back(batched_ms / static_cast<double>(r->k) / single_ms);
+  }
+  r->single_ms = median(singles);
+  r->batched_ms = median(batches);
+  r->kernel_ratio = median(ratios);
+}
+
 void emit(std::vector<Record>* out, Record r) {
   r.per_rhs_single = r.pre_ms + r.single_ms;
   r.per_rhs_batched = (r.pre_ms + r.batched_ms) / static_cast<double>(r.k);
   r.per_rhs_ratio =
       r.per_rhs_single > 0.0 ? r.per_rhs_batched / r.per_rhs_single : 0.0;
-  r.kernel_ratio =
-      r.single_ms > 0.0
-          ? (r.batched_ms / static_cast<double>(r.k)) / r.single_ms
-          : 0.0;
   std::fprintf(stderr,
                "  %-14s %-22s k=%-3d pre %8.3f ms  single %8.4f ms  "
                "batched %9.4f ms  per-RHS %6.3fx  kernel %6.3fx\n",
@@ -128,7 +148,6 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const bool tiny = cli.get_bool("tiny", false);
   const auto ks = parse_k_list(cli.get("ks", tiny ? "1,4" : "1,4,16,64"));
-  const double min_ms = cli.get_double("min-ms", tiny ? 2.0 : 40.0);
   const auto n =
       static_cast<index_t>(cli.get_int("n", tiny ? 10000 : 120000));
   const std::string out_path = cli.get("out", "BENCH_batched.json");
@@ -151,10 +170,15 @@ int main(int argc, char** argv) {
   std::vector<double> x(static_cast<std::size_t>(L.nrows));
   std::vector<double> X(B.size());
   std::vector<Record> recs;
+  // Single calls solve column c of B, n entries from column c − 1.
+  const auto col = [&](index_t c) {
+    return B.data() +
+           static_cast<std::size_t>(c) * static_cast<std::size_t>(L.nrows);
+  };
 
   // --- Standalone batched kernels (analysis = kernel construction) --------
-  // The panels are row-interleaved (row stride k), the layout every solver
-  // path hands the kernels.
+  // The batched calls read B as a row-interleaved panel (row stride k), the
+  // layout every solver path hands the kernels.
   {
     Stopwatch pre;
     const LevelSetSolver<double> ls(L);
@@ -180,52 +204,42 @@ int main(int argc, char** argv) {
 
       r.target = "sptrsv_levelset";
       r.pre_ms = pre_ls;
-      r.single_ms =
-          time_ms(min_ms, [&] { ls.solve(B.data(), x.data()); });
-      r.batched_ms =
-          time_ms(min_ms, [&] { ls.solve_many(B.data(), X.data(), k, k); });
+      time_pairs(
+          &r, [&](index_t c) { ls.solve(col(c), x.data()); },
+          [&] { ls.solve_many(B.data(), X.data(), k, k); });
       emit(&recs, r);
 
       r.target = "sptrsv_syncfree";
       r.pre_ms = pre_sf;
-      r.single_ms =
-          time_ms(min_ms, [&] { sf.solve(B.data(), x.data()); });
-      r.batched_ms =
-          time_ms(min_ms, [&] { sf.solve_many(B.data(), X.data(), k, k); });
+      time_pairs(
+          &r, [&](index_t c) { sf.solve(col(c), x.data()); },
+          [&] { sf.solve_many(B.data(), X.data(), k, k); });
       emit(&recs, r);
 
       r.target = "sptrsv_cusparse_like";
       r.pre_ms = pre_cl;
-      r.single_ms =
-          time_ms(min_ms, [&] { cl.solve(B.data(), x.data()); });
-      r.batched_ms =
-          time_ms(min_ms, [&] { cl.solve_many(B.data(), X.data(), k, k); });
+      time_pairs(
+          &r, [&](index_t c) { cl.solve(col(c), x.data()); },
+          [&] { cl.solve_many(B.data(), X.data(), k, k); });
       emit(&recs, r);
 
       r.target = "sptrsv_diagonal";
       r.pre_ms = 0.0;
-      r.single_ms =
-          time_ms(min_ms, [&] { dg.solve(B.data(), x.data()); });
-      r.batched_ms =
-          time_ms(min_ms, [&] { dg.solve_many(B.data(), X.data(), k, k); });
+      time_pairs(
+          &r, [&](index_t c) { dg.solve(col(c), x.data()); },
+          [&] { dg.solve_many(B.data(), X.data(), k, k); });
       emit(&recs, r);
 
       r.target = "spmv_csr";
-      r.single_ms = time_ms(min_ms, [&] {
-        spmv_update(L, B.data(), x.data());
-      });
-      r.batched_ms = time_ms(min_ms, [&] {
-        spmv_update_many(L, B.data(), X.data(), k, k, k);
-      });
+      time_pairs(
+          &r, [&](index_t c) { spmv_update(L, col(c), x.data()); },
+          [&] { spmv_update_many(L, B.data(), X.data(), k, k, k); });
       emit(&recs, r);
 
       r.target = "spmv_rows";
-      r.single_ms = time_ms(min_ms, [&] {
-        spmv_update(D, B.data(), x.data());
-      });
-      r.batched_ms = time_ms(min_ms, [&] {
-        spmv_update_many(D, B.data(), X.data(), k, k, k);
-      });
+      time_pairs(
+          &r, [&](index_t c) { spmv_update(D, col(c), x.data()); },
+          [&] { spmv_update_many(D, B.data(), X.data(), k, k, k); });
       emit(&recs, r);
     }
   }
@@ -240,7 +254,6 @@ int main(int argc, char** argv) {
       {"column", BlockScheme::kColumn},
       {"row", BlockScheme::kRow},
   };
-  const std::vector<double> b1(B.begin(), B.begin() + L.nrows);
   for (const SchemeCase& sc : schemes) {
     BlockSolver<double>::Options opt;
     opt.scheme = sc.scheme;
@@ -250,17 +263,16 @@ int main(int argc, char** argv) {
     const BlockSolver<double> solver(L, opt);
     const double pre_ms = pre.milliseconds();
 
-    const double single_ms =
-        time_ms(min_ms, [&] { x = solver.solve(b1); });
     for (const index_t k : ks) {
-      const std::vector<double> Bk(B.begin(), B.begin() + L.nrows * k);
       Record r;
       r.matrix = "banded";
       r.target = std::string("blocksolver_") + sc.name;
       r.k = k;
       r.pre_ms = pre_ms;
-      r.single_ms = single_ms;
-      r.batched_ms = time_ms(min_ms, [&] { X = solver.solve_many(Bk, k); });
+      // B's first k columns, column-major, as solve_many takes them.
+      time_pairs(
+          &r, [&](index_t c) { solver.solve(col(c), x.data()); },
+          [&] { solver.solve_many(B.data(), X.data(), k); });
       emit(&recs, r);
     }
   }

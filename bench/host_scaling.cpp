@@ -3,7 +3,8 @@
 // SpMV kernels and the BlockSolver executor, swept over a list of thread
 // counts, with serial (1-thread) runs as the speedup baseline. The
 // sync-free kernel is serial at any thread count, so it is timed once, at
-// threads = 1.
+// threads = 1. The BlockSolver rows time one solve and one k = 16
+// solve_many, whose lone-step waves hand the pool to the batched kernels.
 //
 //   ./bench/host_scaling [--threads=1,2,4,8] [--out=BENCH_host.json]
 //                        [--min-ms=80] [--n=400000] [--tiny]
@@ -172,6 +173,9 @@ int main(int argc, char** argv) {
   for (const Case& c : cases) {
     const Csr<double>& L = c.L;
     const auto b = gen::random_rhs<double>(L.nrows, 7);
+    constexpr index_t kPanel = 16;
+    const auto B = gen::random_rhs<double>(L.nrows * kPanel, 8);
+    std::vector<double> X(B.size());
     std::vector<double> x(static_cast<std::size_t>(L.nrows));
     std::vector<double> y(static_cast<std::size_t>(L.nrows));
     const double flops = 2.0 * static_cast<double>(L.nnz());
@@ -222,6 +226,9 @@ int main(int argc, char** argv) {
           {c.name, "pre_blocksolver", t, pre.milliseconds(), 0.0, 0.0});
       sweep.point("blocksolver_solve", t, flops,
                   [&](ThreadPool*) { x = solver.solve(b); });
+      sweep.point("blocksolver_many_k16", t, kPanel * flops, [&](ThreadPool*) {
+        solver.solve_many(B.data(), X.data(), kPanel);
+      });
     }
   }
 

@@ -302,75 +302,168 @@ const Csr<T>& BlockSolver<T>::tri_rows(const TriBlock& blk,
 template <class T>
 void BlockSolver<T>::exec_tri_many(const TriBlock& blk, const T* b, T* x,
                                    index_t k, ThreadPool* pool,
-                                   const ExecControl* ctl, index_t ld) const {
-  // One contiguous column runs the single-RHS body: the same bits, without
-  // the batched body's column loop.
-  const bool vec = k == 1 && ld == 1;
+                                   const ExecControl* ctl) const {
+  // One column runs the single-RHS body: the same bits, without the batched
+  // body's column loop.
   switch (blk.info.kind) {
     case TriKernelKind::kCompletelyParallel:
-      if (vec)
-        blk.diag->solve(b, x, pool, ctl);
-      else
-        blk.diag->solve_many(b, x, k, ld, pool, ctl);
-      return;
+      return k == 1 ? blk.diag->solve(b, x, pool, ctl)
+                    : blk.diag->solve_many(b, x, k, k, pool, ctl);
     case TriKernelKind::kLevelSet:
-      if (vec)
-        blk.levelset->solve(b, x, pool, ctl);
-      else
-        blk.levelset->solve_many(b, x, k, ld, pool, ctl);
-      return;
+      return k == 1 ? blk.levelset->solve(b, x, pool, ctl)
+                    : blk.levelset->solve_many(b, x, k, k, pool, ctl);
     case TriKernelKind::kSyncFree:
-      if (vec)
-        blk.syncfree->solve(b, x, ctl);
-      else
-        blk.syncfree->solve_many(b, x, k, ld, pool, ctl);
-      return;
+      return k == 1 ? blk.syncfree->solve(b, x, ctl)
+                    : blk.syncfree->solve_many(b, x, k, k, pool, ctl);
     case TriKernelKind::kCusparseLike:
-      if (vec)
-        blk.cusparse->solve(b, x, ctl);
-      else
-        blk.cusparse->solve_many(b, x, k, ld, ctl);
-      return;
+      return k == 1 ? blk.cusparse->solve(b, x, ctl)
+                    : blk.cusparse->solve_many(b, x, k, k, ctl);
   }
   BLOCKTRI_CHECK_MSG(false, "unknown triangular kernel kind");
 }
 
 template <class T>
 void BlockSolver<T>::exec_square_many(const SquareBlock& blk, const T* x,
-                                      T* y, index_t k, ThreadPool* pool,
-                                      index_t ld) const {
+                                      T* y, index_t k,
+                                      ThreadPool* pool) const {
   // The kinds differ in how the paper's GPU kernels map rows to threads; on
   // the host every kind runs the one listed-row body, in its single-RHS form
-  // for one contiguous column.
-  if (k == 1 && ld == 1)
+  // for one column.
+  if (k == 1)
     spmv_update(blk.rows, x, y, pool);
   else
-    spmv_update_many(blk.rows, x, y, k, ld, ld, pool);
+    spmv_update_many(blk.rows, x, y, k, k, k, pool);
 }
 
 template <class T>
 void BlockSolver<T>::exec_step_many(const ExecStep& step, T* bw, T* xw,
-                                    index_t c0, index_t c1, ThreadPool* pool,
-                                    const ExecControl* ctl,
-                                    index_t ld) const {
-  const index_t k = c1 - c0;
-  if (k <= 0) return;
-  // The sub-panel [c0, c1) is base + c0 with the same row stride; a block's
-  // rows start r0·ld further in.
+                                    index_t k, ThreadPool* pool,
+                                    const ExecControl* ctl) const {
+  // A block's rows start r0·k into the panel.
   const auto at = [&](T* base, index_t r) {
-    return base + static_cast<std::size_t>(r) * static_cast<std::size_t>(ld) +
-           static_cast<std::size_t>(c0);
+    return base + static_cast<std::size_t>(r) * static_cast<std::size_t>(k);
   };
   if (step.kind == ExecStep::Kind::kTri) {
     const TriBlock& blk = tri_[static_cast<std::size_t>(step.index)];
-    exec_tri_many(blk, at(bw, blk.info.r0), at(xw, blk.info.r0), k, pool, ctl,
-                  ld);
+    exec_tri_many(blk, at(bw, blk.info.r0), at(xw, blk.info.r0), k, pool,
+                  ctl);
   } else {
     const SquareBlock& blk = squares_[static_cast<std::size_t>(step.index)];
-    if (blk.info.nnz == 0) return;  // skipped, like the wave executor
+    if (blk.info.nnz == 0) return;  // no-op, and left out of the waves
     exec_square_many(blk, at(xw, blk.info.ref.c0), at(bw, blk.info.ref.r0), k,
-                     pool, ld);
+                     pool);
   }
+}
+
+template <class T>
+Status BlockSolver<T>::run_waves(T* bw, T* xw, index_t k, ThreadPool* epool,
+                                 const ExecControl& ctl, index_t* done,
+                                 SolveReport* reps,
+                                 index_t fault_column) const {
+  // The waves in order are the plan's steps in order, empty squares left
+  // out. All kernels are deterministic, so any schedule below gives the
+  // bitwise-identical panel.
+  *done = 0;
+  for (const std::vector<ExecStep>& wave : waves_) {
+    const index_t before = *done;
+    if (epool != nullptr && wave.size() > 1) {
+      if (!ctl.check()) break;
+      epool->run(static_cast<int>(wave.size()), [&](int s) {
+        exec_step_many(wave[static_cast<std::size_t>(s)], bw, xw, k, nullptr,
+                       &ctl);
+      });
+      if (ctl.tripped()) break;
+      *done += static_cast<index_t>(wave.size());
+    } else {
+      for (const ExecStep& step : wave) {
+        if (!ctl.check()) break;
+        exec_step_many(step, bw, xw, k, epool, &ctl);
+        if (ctl.tripped()) break;
+        ++*done;
+      }
+      if (ctl.tripped()) break;
+    }
+    if (reps == nullptr) continue;
+    for (std::size_t p = 0; p < wave.size(); ++p) {
+      if (wave[p].kind != ExecStep::Kind::kTri) continue;
+      Status st = check_tri(wave[p].index, bw, xw, k, reps, fault_column);
+      if (!st.ok()) {
+        *done = before + static_cast<index_t>(p);
+        return st;
+      }
+    }
+  }
+  if (ctl.tripped())
+    return ctl.to_status("after " + std::to_string(*done) + " of " +
+                         std::to_string(executed_steps()) + " plan steps");
+  return Status::Ok();
+}
+
+template <class T>
+Status BlockSolver<T>::check_tri(index_t t, const T* bw, T* xw, index_t k,
+                                 SolveReport* reps,
+                                 index_t fault_column) const {
+  const TriBlock& blk = tri_[static_cast<std::size_t>(t)];
+  const index_t len = blk.info.r1 - blk.info.r0;
+  const auto ku = static_cast<std::size_t>(k);
+  T* const xr = xw + static_cast<std::size_t>(blk.info.r0) * ku;
+  const T* const br = bw + static_cast<std::size_t>(blk.info.r0) * ku;
+  const bool faulted = t == opt_.fault.tri_block &&
+                       opt_.fault.corrupt_attempts > 0 && len > 0 &&
+                       fault_column >= 0 && fault_column < k;
+  if (faulted)
+    xr[static_cast<std::size_t>(fault_column)] =
+        std::numeric_limits<T>::quiet_NaN();
+
+  // A column that came out non-finite degrades alone through the single-RHS
+  // rungs, staged through contiguous copies; the healthy columns keep the
+  // batched result.
+  for (index_t c = 0; c < k; ++c) {
+    if (all_finite(xr + c, len, k)) continue;
+
+    bool ok = false;
+    if (opt_.verify.fallback) {
+      std::vector<T> bc(static_cast<std::size_t>(len));
+      std::vector<T> xc(bc.size());
+      for (std::size_t i = 0; i < bc.size(); ++i)
+        bc[i] = br[i * ku + static_cast<std::size_t>(c)];
+      int attempt = 1;  // the walk's kernel was attempt 0
+      auto run = [&](auto&& solve_fn) {
+        solve_fn();
+        if (faulted && c == fault_column &&
+            attempt < this->opt_.fault.corrupt_attempts)
+          xc[0] = std::numeric_limits<T>::quiet_NaN();
+        ++attempt;
+        return all_finite(xc.data(), len);
+      };
+      SolveReport& rep = reps[c];
+      Csr<T> built;
+      const Csr<T>& rows = tri_rows(blk, built);
+      if (blk.info.kind != TriKernelKind::kLevelSet) {
+        rep.fallbacks.push_back(
+            {t, blk.info.kind, FallbackEvent::Rung::kLevelSet});
+        const LevelSetSolver<T> ls(rows);
+        ok = run([&] { ls.solve(bc.data(), xc.data(), nullptr); });
+      }
+      if (!ok) {
+        rep.fallbacks.push_back(
+            {t, blk.info.kind, FallbackEvent::Rung::kSerial});
+        ok = run([&] { sptrsv_serial_raw(rows, bc.data(), xc.data()); });
+      }
+      for (std::size_t i = 0; i < xc.size(); ++i)
+        xr[i * ku + static_cast<std::size_t>(c)] = xc[i];
+    }
+    if (!ok)
+      return Status(StatusCode::kNumericalBreakdown,
+                    "triangular block " + std::to_string(t) + " (rows " +
+                        std::to_string(blk.info.r0) + ".." +
+                        std::to_string(blk.info.r1) +
+                        ") produced non-finite output for panel column " +
+                        std::to_string(c) +
+                        " on every rung of the fallback ladder",
+                    static_cast<std::int64_t>(c));
+  }
+  return Status::Ok();
 }
 
 template <class T>
@@ -463,11 +556,11 @@ Status BlockSolver<T>::solve_many(const T* const* Bs, T* const* Xs, index_t k,
 }
 
 template <class T>
-Status BlockSolver<T>::solve_many_impl(const T* B, const T* const* Bs, T* X,
-                                       T* const* Xs, index_t k,
-                                       const SolveControls& controls,
-                                       SolveReport* rep) const {
-  if (k <= 0) return Status::Ok();
+template <class Body>
+Status BlockSolver<T>::enter(const T* B, const T* const* Bs, T* X,
+                             T* const* Xs, index_t k,
+                             const SolveControls& controls,
+                             Body&& body) const {
   const int prev = in_flight_.fetch_add(1, std::memory_order_relaxed);
   InFlightGuard in_flight_guard{&in_flight_};
   if (prev > 0 && opt_.session.strict_reentrancy)
@@ -475,12 +568,6 @@ Status BlockSolver<T>::solve_many_impl(const T* B, const T* const* Bs, T* X,
                   "another solve is in flight on this solver and "
                   "Options::session.strict_reentrancy is set");
   const ExecControl ctl(controls);
-  SolveReport local_rep;
-  SolveReport* r = rep != nullptr ? rep : &local_rep;
-  r->steps_total = executed_steps();
-  r->steps_completed = 0;
-  if (!ctl.check()) return ctl.to_status("before the solve started");
-
   auto lease = acquire_workspace(&ctl);
   if (!lease)
     return ctl.tripped() ? ctl.to_status("while waiting for a solve workspace")
@@ -501,77 +588,39 @@ Status BlockSolver<T>::solve_many_impl(const T* B, const T* const* Bs, T* X,
   T* bw = aligned_panel(ws.bw, total);
   T* xw = aligned_panel(ws.xw, total);
   scatter_panel(B, Bs, plan_.new_of_old, k, bw);
-  // No zero fill of xw: the triangular blocks tile the diagonal, so every
-  // entry is written before anything reads it.
 
-  // Pool arbitration: the try_lock winner drives the wave executor; every
-  // other concurrent caller (and any caller at threads = 1) runs serial —
-  // the fork-join pool is not reentrant and must not be shared.
+  // Pool arbitration: the try_lock winner drives the pool; every other
+  // concurrent caller (and any caller at threads = 1) runs serial — the
+  // fork-join pool is not reentrant and must not be shared.
   std::unique_lock<std::mutex> pool_lk(exec_mu_, std::defer_lock);
   ThreadPool* epool =
       pool_ != nullptr && pool_lk.try_lock() ? pool_.get() : nullptr;
-
-  if (epool == nullptr) {
-    // The waves in order are the plan's steps in order, empty squares left
-    // out.
-    for (const std::vector<ExecStep>& wave : waves_) {
-      for (const ExecStep& step : wave) {
-        if (!ctl.check()) break;
-        exec_step_many(step, bw, xw, 0, k, nullptr, &ctl, k);
-        if (ctl.tripped()) break;
-        ++r->steps_completed;
-      }
-      if (ctl.tripped()) break;
-    }
-  } else {
-    // Threaded executor over steps × column chunks. A wave whose steps alone
-    // can occupy the pool runs one task per step (each kernel serial inside
-    // — the fork-join pool is not reentrant); a narrow wave of a wide panel
-    // additionally splits the panel columns so idle threads get work. A
-    // single-task wave instead hands the pool to the kernel itself. All
-    // kernels are deterministic, so any shape gives the bitwise-identical
-    // panel. Chunks are whole cache lines of a row: the kernels read the x
-    // rows other chunks write, and two chunks sharing a line would trade it
-    // on every row.
-    constexpr index_t kLine = 64 / sizeof(T);  // panel columns per line
-    const index_t lines = (k + kLine - 1) / kLine;
-    for (const std::vector<ExecStep>& wave : waves_) {
-      if (!ctl.check()) break;
-      const int nsteps = static_cast<int>(wave.size());
-      const int nchunks =
-          (lines > 1 && nsteps < threads_)
-              ? static_cast<int>(std::min<index_t>(
-                    lines,
-                    static_cast<index_t>((threads_ + nsteps - 1) / nsteps)))
-              : 1;
-      if (nsteps * nchunks == 1) {
-        exec_step_many(wave[0], bw, xw, 0, k, epool, &ctl, k);
-      } else {
-        epool->run(nsteps * nchunks, [&](int t) {
-          const int s = t / nchunks;
-          const int ch = t % nchunks;
-          const index_t c0 = std::min<index_t>(
-              k, kLine * static_cast<index_t>(
-                             static_cast<std::int64_t>(lines) * ch / nchunks));
-          const index_t c1 = std::min<index_t>(
-              k, kLine * static_cast<index_t>(
-                             static_cast<std::int64_t>(lines) * (ch + 1) /
-                             nchunks));
-          exec_step_many(wave[static_cast<std::size_t>(s)], bw, xw, c0, c1,
-                         nullptr, &ctl, k);
-        });
-      }
-      if (ctl.tripped()) break;
-      r->steps_completed += static_cast<index_t>(wave.size());
-    }
-  }
+  Status st = body(ws, bw, xw, epool, ctl);
   // Fused exit permutation, scattering back to the caller's columns.
   gather_panel(xw, plan_.new_of_old, k, X, Xs);
-  if (ctl.tripped())
-    return ctl.to_status("after " + std::to_string(r->steps_completed) +
-                         " of " + std::to_string(r->steps_total) +
-                         " plan steps");
-  return Status::Ok();
+  return st;
+}
+
+template <class T>
+Status BlockSolver<T>::solve_many_impl(const T* B, const T* const* Bs, T* X,
+                                       T* const* Xs, index_t k,
+                                       const SolveControls& controls,
+                                       SolveReport* rep) const {
+  if (k <= 0) return Status::Ok();
+  SolveReport local_rep;
+  SolveReport* r = rep != nullptr ? rep : &local_rep;
+  r->steps_total = executed_steps();
+  r->steps_completed = 0;
+  // A control tripped before the call costs no lease and no permutation.
+  if (const ExecControl pre(controls); !pre.check())
+    return pre.to_status("before the solve started");
+  // No zero fill of xw: the triangular blocks tile the diagonal, so every
+  // entry is written before anything reads it.
+  return enter(B, Bs, X, Xs, k, controls,
+               [&](SolveWorkspace&, T* bw, T* xw, ThreadPool* epool,
+                   const ExecControl& ctl) {
+                 return run_waves(bw, xw, k, epool, ctl, &r->steps_completed);
+               });
 }
 
 template <class T>
@@ -579,12 +628,8 @@ std::vector<T> BlockSolver<T>::solve_simulated(
     const std::vector<T>& b, const sim::GpuSpec& gpu, sim::CacheModel* cache,
     sim::SolveReport* report, BlockSolveBreakdown* breakdown,
     bool fp64) const {
-  BLOCKTRI_CHECK(b.size() == static_cast<std::size_t>(plan_.n));
   BLOCKTRI_CHECK(report != nullptr);
-  std::vector<T> bw = permute_vector(b, plan_.new_of_old);
-  std::vector<T> xw(static_cast<std::size_t>(plan_.n));
-  for (const ExecStep& step : plan_.steps)
-    exec_step_many(step, bw.data(), xw.data(), 0, 1, nullptr, nullptr, 1);
+  std::vector<T> x = solve(b);
 
   // The model reads each triangle's held structure and each square as the
   // paper stores its kind.
@@ -609,7 +654,7 @@ std::vector<T> BlockSolver<T>::solve_simulated(
   }
   model::replay(steps, plan_.n, gpu, cache, fp64, static_cast<int>(sizeof(T)),
                 report, breakdown);
-  return unpermute_vector(xw, plan_.new_of_old);
+  return x;
 }
 
 template <class T>
@@ -1812,123 +1857,8 @@ SolveResult<T> BlockSolver<T>::solve_checked(
     const std::vector<T>& b, const SolveControls& controls) const {
   // The fault hooks poison the one column, whatever fault.column says.
   SolveManyResult<T> panel = checked_panel(b, 1, controls, 0);
-  SolveResult<T> res;
-  res.status = std::move(panel.status);
-  res.x = std::move(panel.X);
-  if (!panel.reports.empty()) res.report = std::move(panel.reports[0]);
-  return res;
-}
-
-template <class T>
-Status BlockSolver<T>::run_steps_checked_many(T* bw, T* xw, index_t k,
-                                              SolveReport* reps,
-                                              ThreadPool* epool,
-                                              const ExecControl* ctl,
-                                              index_t fault_column, T* bc,
-                                              T* xc) const {
-  const auto ku = static_cast<std::size_t>(k);
-  index_t done = 0;  // panel-level progress, mirrored into every report
-  const auto set_progress = [&] {
-    for (index_t c = 0; c < k; ++c) reps[c].steps_completed = done;
-  };
-  for (const ExecStep& step : plan_.steps) {
-    if (ctl != nullptr && !ctl->check()) {
-      set_progress();
-      return ctl->to_status("after " + std::to_string(done) + " of " +
-                            std::to_string(executed_steps()) +
-                            " plan steps");
-    }
-    if (step.kind != ExecStep::Kind::kTri) {
-      const SquareBlock& blk = squares_[static_cast<std::size_t>(step.index)];
-      if (blk.info.nnz == 0) continue;  // skipped, like the plain executors
-      exec_step_many(step, bw, xw, 0, k, epool, ctl, k);
-      ++done;
-      continue;
-    }
-    const TriBlock& blk = tri_[static_cast<std::size_t>(step.index)];
-    const index_t len = blk.info.r1 - blk.info.r0;
-
-    // Attempt 0: the selected kernel over the whole panel, as the plain
-    // executor runs it. No kernel waits on another thread, so a trip here
-    // can only be a deadline/cancel — terminal.
-    exec_step_many(step, bw, xw, 0, k, epool, ctl, k);
-    if (ctl != nullptr && ctl->tripped()) {
-      set_progress();
-      return ctl->to_status("in triangular block " +
-                            std::to_string(step.index));
-    }
-    T* const xr = xw + static_cast<std::size_t>(blk.info.r0) * ku;
-    const T* const br = bw + static_cast<std::size_t>(blk.info.r0) * ku;
-    const bool faulted = step.index == opt_.fault.tri_block &&
-                         opt_.fault.corrupt_attempts > 0 && len > 0 &&
-                         fault_column >= 0 && fault_column < k;
-    if (faulted)
-      xr[static_cast<std::size_t>(fault_column)] =
-          std::numeric_limits<T>::quiet_NaN();
-
-    // A column that came out non-finite degrades alone through the
-    // single-RHS rungs; the healthy columns keep the batched result. A
-    // lone column is rescued in place (refinement holds its column in
-    // bc/xc); a wider panel's column is gathered into bc/xc and scattered
-    // back.
-    for (index_t c = 0; c < k; ++c) {
-      if (all_finite(xr + c, len, k)) continue;
-
-      bool ok = false;
-      if (opt_.verify.fallback) {
-        const T* bcol = br;
-        T* xcol = xr;
-        if (k > 1) {
-          for (index_t i = 0; i < len; ++i)
-            bc[i] = br[static_cast<std::size_t>(i) * ku +
-                       static_cast<std::size_t>(c)];
-          bcol = bc;
-          xcol = xc;
-        }
-        int attempt = 1;  // the batched kernel above was attempt 0
-        auto run = [&](auto&& solve_fn) {
-          solve_fn();
-          if (faulted && c == fault_column &&
-              attempt < this->opt_.fault.corrupt_attempts)
-            xcol[0] = std::numeric_limits<T>::quiet_NaN();
-          ++attempt;
-          return all_finite(xcol, len);
-        };
-        SolveReport& rep = reps[c];
-        Csr<T> built;
-        const Csr<T>& rows = tri_rows(blk, built);
-        if (blk.info.kind != TriKernelKind::kLevelSet) {
-          rep.fallbacks.push_back(
-              {step.index, blk.info.kind, FallbackEvent::Rung::kLevelSet});
-          const LevelSetSolver<T> ls(rows);
-          ok = run([&] { ls.solve(bcol, xcol, nullptr); });
-        }
-        if (!ok) {
-          rep.fallbacks.push_back(
-              {step.index, blk.info.kind, FallbackEvent::Rung::kSerial});
-          ok = run([&] { sptrsv_serial_raw(rows, bcol, xcol); });
-        }
-        if (k > 1)
-          for (index_t i = 0; i < len; ++i)
-            xr[static_cast<std::size_t>(i) * ku +
-               static_cast<std::size_t>(c)] = xc[i];
-      }
-      if (!ok) {
-        set_progress();
-        return Status(StatusCode::kNumericalBreakdown,
-                      "triangular block " + std::to_string(step.index) +
-                          " (rows " + std::to_string(blk.info.r0) + ".." +
-                          std::to_string(blk.info.r1) +
-                          ") produced non-finite output for panel column " +
-                          std::to_string(c) +
-                          " on every rung of the fallback ladder",
-                      static_cast<std::int64_t>(c));
-      }
-    }
-    ++done;
-  }
-  set_progress();
-  return Status::Ok();
+  return {std::move(panel.status), std::move(panel.X),
+          panel.reports.empty() ? SolveReport{} : std::move(panel.reports[0])};
 }
 
 template <class T>
@@ -1969,16 +1899,6 @@ SolveManyResult<T> BlockSolver<T>::checked_panel(
     }
   }
 
-  const int prev = in_flight_.fetch_add(1, std::memory_order_relaxed);
-  InFlightGuard in_flight_guard{&in_flight_};
-  if (prev > 0 && opt_.session.strict_reentrancy) {
-    res.status = Status(StatusCode::kReentrantSolve,
-                        "another solve is in flight on this solver and "
-                        "Options::session.strict_reentrancy is set");
-    return res;
-  }
-  const ExecControl ctl(controls);
-
   const double tol = opt_.verify.tolerance > 0.0
                          ? opt_.verify.tolerance
                          : default_residual_tolerance();
@@ -1990,146 +1910,131 @@ SolveManyResult<T> BlockSolver<T>::checked_panel(
   if (opt_.collect_stats)
     for (SolveReport& rep : res.reports) accumulate_op_stats(&rep);
 
-  auto lease = acquire_workspace(&ctl);
-  if (!lease) {
-    res.status = ctl.tripped()
-                     ? ctl.to_status("while waiting for a solve workspace")
-                     : pool_exhausted_status();
-    return res;
-  }
-  SolveWorkspace& ws = *lease;
-  if (opt_.fault.hold_lease_ms > 0)
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(opt_.fault.hold_lease_ms));
-
   const auto ku = static_cast<std::size_t>(k);
   const std::size_t total = n * ku;
-  // The interleaved panels of solve_many. The fused entry permutation fills
-  // the pristine permuted panel once; each attempt's solve input is a copy
-  // of it, and the residual check below reads bw0 directly instead of
-  // re-permuting B.
-  T* const bw0 = aligned_panel(ws.bw0, total);
-  T* const bw = aligned_panel(ws.bw, total);
-  T* const xw = aligned_panel(ws.xw, total);
-  scatter_panel<T>(B.data(), nullptr, plan_.new_of_old, k, bw0);
-  ws.xc.resize(n);
-  ws.bc.resize(n);
-
-  // Pool arbitration, as in solve_many_impl: losing the try_lock is itself a
-  // whole-solve degradation — recorded, then run serial. Panel-level
-  // degradations are mirrored into every column's report.
-  std::unique_lock<std::mutex> pool_lk(exec_mu_, std::defer_lock);
-  const bool have_pool = pool_ != nullptr && pool_lk.try_lock();
-  std::vector<DegradeEvent> degrades;
-  if (pool_ != nullptr && !have_pool)
-    degrades.push_back({DegradeEvent::Kind::kParallelToSerial,
-                        StatusCode::kReentrantSolve});
-
-  // Whole-solve ladder at panel granularity: a breakdown or any column whose
-  // residual survives refinement retries the entire panel on the next rung
-  // (per-column rescue inside run_steps_checked_many remains the first line
-  // of defence). Rung 0 is the configured execution; each further rung
-  // demotes one axis (parallel → serial, then SIMD vector → blocked →
-  // strict). Demoted SIMD rungs run serial, so the thread-local path
-  // override is seen by every kernel of the attempt.
-  const std::vector<LadderRung> rungs =
-      build_ladder(have_pool, opt_.verify.fallback);
-  const std::vector<SolveReport> base_reports = res.reports;
-  Status final_status = Status::Ok();
-  for (std::size_t a = 0; a < rungs.size(); ++a) {
-    const LadderRung& rung = rungs[a];
-    res.reports = base_reports;  // fallbacks describe this attempt only
-    for (SolveReport& rep : res.reports)
-      rep.attempts = static_cast<int>(a) + 1;
-    ThreadPool* epool = rung.use_pool ? pool_.get() : nullptr;
-    std::optional<simd::ScopedPathOverride> demoted;
-    if (rung.forced_path >= 0)
-      demoted.emplace(static_cast<simd::Path>(rung.forced_path));
-
-    std::copy(bw0, bw0 + total, bw);
-    // On breakdown the partial solution is returned for diagnosis; zeroing
-    // the reused workspace keeps untouched rows at 0 as a fresh panel had.
-    std::fill(xw, xw + total, T(0));
-    Status st = run_steps_checked_many(bw, xw, k, res.reports.data(), epool,
-                                       &ctl, fault_column, ws.bc.data(),
-                                       ws.xc.data());
-    if (st.ok()) {
-      // Deterministic fault hook: a wrong-but-finite column slips past the
-      // per-block finiteness checks, so only the residual can reject it.
-      if (static_cast<int>(a) < opt_.fault.corrupt_solve_attempts && n > 0) {
-        const index_t fc =
-            fault_column >= 0 && fault_column < k ? fault_column : 0;
-        xw[static_cast<std::size_t>(fc)] = T(1e30);
-      }
-
-      // Every column's residual in one pass over the panels (bw, consumed
-      // by the steps, holds the residual panel); permutations preserve max
-      // norms, so each equals its column's residual of the user-facing
-      // system. Each column keeps its own report. A column above tolerance
-      // is gathered into xc/bc, refined (L d = b − L x, x += d) by one-column
-      // checked passes and scattered back.
-      std::vector<double> resids(ku);
-      residual_norms(xw, bw0, k, bw, resids.data(), epool);
-      double worst = 0.0;
-      index_t worst_col = -1;
-      for (index_t c = 0; c < k && !ctl.tripped(); ++c) {
-        SolveReport& rep = res.reports[static_cast<std::size_t>(c)];
-        const auto cu = static_cast<std::size_t>(c);
-        double resid = resids[cu];
-        rep.residual_checked = true;
-        if (opt_.verify.max_refinements > 0 && resid > tol) {
-          for (std::size_t i = 0; i < n; ++i) {
-            ws.xc[i] = xw[i * ku + cu];
-            ws.bc[i] = bw0[i * ku + cu];
-          }
-          ws.rw.resize(n);
-          ws.dw.resize(n);
-          for (int it = 0;
-               it < opt_.verify.max_refinements && resid > tol && ctl.check();
-               ++it) {
-            residual_into(ws.xc.data(), ws.bc.data(), ws.rw.data(), 1, epool);
-            const index_t panel_steps = rep.steps_completed;
-            // A one-column pass: the block fault hook poisons it whatever
-            // fault.column says, as it poisons solve_checked.
-            const bool refined =
-                run_steps_checked_many(ws.rw.data(), ws.dw.data(), 1, &rep,
-                                       epool, &ctl, 0, nullptr, nullptr)
-                    .ok();
-            rep.steps_completed = panel_steps;
-            if (!refined) break;
-            for (std::size_t i = 0; i < n; ++i) ws.xc[i] += ws.dw[i];
-            residual_norms(ws.xc.data(), ws.bc.data(), 1, ws.rw.data(),
-                           &resid, epool);
-            ++rep.refinements;
-          }
-          for (std::size_t i = 0; i < n; ++i) xw[i * ku + cu] = ws.xc[i];
-        }
-        rep.residual = resid;
-        if (!(resid <= tol) && resid >= worst) {
-          worst = resid;
-          worst_col = c;
-        }
-      }
-      st = worst_col >= 0
-               ? Status(StatusCode::kResidualTooLarge,
-                        "panel column " + std::to_string(worst_col) +
-                            " residual " + std::to_string(worst) +
-                            " exceeds tolerance " + std::to_string(tol),
-                        static_cast<std::int64_t>(worst_col))
-               : Status::Ok();
-    }
-
-    final_status = std::move(st);
-    if (final_status.ok()) break;
-    if (ctl.tripped()) break;  // deadline/cancel: terminal, never retried
-    if (a + 1 < rungs.size())
-      degrades.push_back({rungs[a + 1].entered_by, final_status.code()});
-  }
-
-  for (SolveReport& rep : res.reports) rep.degrades = degrades;
-  res.status = std::move(final_status);
   res.X.resize(total);
-  gather_panel<T>(xw, plan_.new_of_old, k, res.X.data(), nullptr);
+  // Panel-level degradations are mirrored into every column's report.
+  std::vector<DegradeEvent> degrades;
+  // The entry's bw holds the pristine permuted panel; each attempt consumes
+  // a copy of it, and the residual check reads it directly instead of
+  // re-permuting B.
+  const auto attempts = [&](SolveWorkspace& ws, const T* bw0, T* xw,
+                            ThreadPool* epool,
+                            const ExecControl& ctl) -> Status {
+    T* const bw = aligned_panel(ws.ba, total);
+    // Losing the pool's try_lock is itself a whole-solve degradation —
+    // recorded, then run serial.
+    if (pool_ != nullptr && epool == nullptr)
+      degrades.push_back({DegradeEvent::Kind::kParallelToSerial,
+                          StatusCode::kReentrantSolve});
+
+    // Whole-solve ladder at panel granularity: a breakdown or any column
+    // whose residual survives refinement retries the entire panel on the
+    // next rung (the walk's per-column rescue remains the first line of
+    // defence). Rung 0 is the configured execution; each further rung
+    // demotes one axis (parallel → serial, then SIMD vector → blocked →
+    // strict). Demoted SIMD rungs run serial, so the thread-local path
+    // override is seen by every kernel of the attempt.
+    const std::vector<LadderRung> rungs =
+        build_ladder(epool != nullptr, opt_.verify.fallback);
+    const std::vector<SolveReport> base_reports = res.reports;
+    Status final_status = Status::Ok();
+    for (std::size_t a = 0; a < rungs.size(); ++a) {
+      const LadderRung& rung = rungs[a];
+      res.reports = base_reports;  // fallbacks describe this attempt only
+      for (SolveReport& rep : res.reports)
+        rep.attempts = static_cast<int>(a) + 1;
+      ThreadPool* apool = rung.use_pool ? epool : nullptr;
+      std::optional<simd::ScopedPathOverride> demoted;
+      if (rung.forced_path >= 0)
+        demoted.emplace(static_cast<simd::Path>(rung.forced_path));
+
+      std::copy(bw0, bw0 + total, bw);
+      // On breakdown the partial solution is returned for diagnosis; zeroing
+      // the reused workspace keeps unsolved rows at 0 as a fresh panel had.
+      std::fill(xw, xw + total, T(0));
+      index_t done = 0;
+      Status st = run_waves(bw, xw, k, apool, ctl, &done, res.reports.data(),
+                            fault_column);
+      for (SolveReport& rep : res.reports) rep.steps_completed = done;
+      if (st.ok()) {
+        // Deterministic fault hook: a wrong-but-finite column slips past the
+        // per-block finiteness checks, so only the residual can reject it.
+        if (static_cast<int>(a) < opt_.fault.corrupt_solve_attempts &&
+            n > 0 && fault_column >= 0 && fault_column < k)
+          xw[static_cast<std::size_t>(fault_column)] = T(1e30);
+
+        // Every column's residual in one pass over the panels (bw, consumed
+        // by the steps, holds the residual panel); permutations preserve max
+        // norms, so each equals its column's residual of the user-facing
+        // system. Each column keeps its own report. A column above
+        // tolerance is gathered into xc/bc, refined (L d = b − L x,
+        // x += d) by one-column checked walks and scattered back; a trip
+        // stops the refinement, and every column keeps its residual.
+        std::vector<double> resids(ku);
+        residual_norms(xw, bw0, k, bw, resids.data(), apool);
+        double worst = 0.0;
+        index_t worst_col = -1;
+        for (index_t c = 0; c < k; ++c) {
+          SolveReport& rep = res.reports[static_cast<std::size_t>(c)];
+          const auto cu = static_cast<std::size_t>(c);
+          double resid = resids[cu];
+          rep.residual_checked = true;
+          if (opt_.verify.max_refinements > 0 && resid > tol &&
+              !ctl.tripped()) {
+            ws.xc.resize(n);
+            ws.bc.resize(n);
+            ws.rw.resize(n);
+            ws.dw.resize(n);
+            for (std::size_t i = 0; i < n; ++i) {
+              ws.xc[i] = xw[i * ku + cu];
+              ws.bc[i] = bw0[i * ku + cu];
+            }
+            for (int it = 0; it < opt_.verify.max_refinements && resid > tol &&
+                             ctl.check();
+                 ++it) {
+              residual_into(ws.xc.data(), ws.bc.data(), ws.rw.data(), 1,
+                            apool);
+              index_t steps = 0;
+              // The fault hooks poison the pass that refines their column.
+              if (!run_waves(ws.rw.data(), ws.dw.data(), 1, apool, ctl,
+                             &steps, &rep, c == fault_column ? 0 : -1)
+                       .ok())
+                break;
+              for (std::size_t i = 0; i < n; ++i) ws.xc[i] += ws.dw[i];
+              residual_norms(ws.xc.data(), ws.bc.data(), 1, ws.rw.data(),
+                             &resid, apool);
+              ++rep.refinements;
+            }
+            for (std::size_t i = 0; i < n; ++i) xw[i * ku + cu] = ws.xc[i];
+          }
+          rep.residual = resid;
+          if (!(resid <= tol) && resid >= worst) {
+            worst = resid;
+            worst_col = c;
+          }
+        }
+        if (ctl.tripped())
+          st = ctl.to_status("during iterative refinement");
+        else if (worst_col >= 0)
+          st = Status(StatusCode::kResidualTooLarge,
+                      "panel column " + std::to_string(worst_col) +
+                          " residual " + std::to_string(worst) +
+                          " exceeds tolerance " + std::to_string(tol),
+                      static_cast<std::int64_t>(worst_col));
+      }
+
+      final_status = std::move(st);
+      if (final_status.ok()) break;
+      if (ctl.tripped()) break;  // deadline/cancel: terminal, never retried
+      if (a + 1 < rungs.size())
+        degrades.push_back({rungs[a + 1].entered_by, final_status.code()});
+    }
+    return final_status;
+  };
+  res.status =
+      enter(B.data(), nullptr, res.X.data(), nullptr, k, controls, attempts);
+  for (SolveReport& rep : res.reports) rep.degrades = degrades;
   return res;
 }
 

@@ -249,9 +249,11 @@ class BlockSolver {
     /// while solve_checked processes triangular block `tri_block`, the
     /// output of its first `corrupt_attempts` solve attempts (0 = the
     /// selected kernel, 1 = the next fallback rung, ...) is poisoned with
-    /// NaN, forcing the ladder to engage. In solve_many_checked only panel
-    /// column `column` is poisoned — the other columns must sail through
-    /// untouched. Never set in production.
+    /// NaN, forcing the ladder to engage. Both hooks poison one panel
+    /// column: solve_checked its one column, solve_many_checked column
+    /// `column` only when it lies in [0, k) — the other columns must sail
+    /// through untouched — and a refinement round only when it refines
+    /// that column. Never set in production.
     struct FaultInjection {
       index_t tri_block = -1;
       int corrupt_attempts = 0;
@@ -396,10 +398,10 @@ class BlockSolver {
   /// returned X uses the same layout. One pass over the execution steps
   /// solves every column per step, so the plan, per-block structures and
   /// level sets are streamed once per step instead of once per RHS. With
-  /// threads > 1 the wave executor parallelises over steps × column chunks;
-  /// every batched kernel is deterministic, so the result is bitwise
-  /// identical to k independent solve() calls at threads = 1, at any thread
-  /// count.
+  /// threads > 1 a wave of several steps runs one task per step and a lone
+  /// step hands the pool to its kernels; every batched kernel is
+  /// deterministic, so the result is bitwise identical to k independent
+  /// solve() calls at threads = 1, at any thread count.
   std::vector<T> solve_many(const std::vector<T>& B, index_t k) const;
 
   /// Hardened solve: validates b (size, finiteness), runs the block solve
@@ -440,9 +442,9 @@ class BlockSolver {
   SolveManyResult<T> solve_many_checked(const std::vector<T>& B, index_t k,
                                         const SolveControls& controls) const;
 
-  /// Solves on the host (serially) and accounts simulated GPU time into
-  /// `report`: one model::replay of the plan's steps over the paper's view
-  /// of each block. `cache` carries locality across calls (pass the same
+  /// Solves on the host (as solve() does) and accounts simulated GPU time
+  /// into `report`: one model::replay of the plan's steps over the paper's
+  /// view of each block. `cache` carries locality across calls (pass the same
   /// cache for warm-cache measurements; nullptr models a cache-less device).
   /// `breakdown` (optional) splits the time between triangular and SpMV
   /// kernels.
@@ -503,7 +505,7 @@ class BlockSolver {
   void exec_plan_step_many(const ExecStep& step, T* bw, T* xw, index_t k,
                            [[maybe_unused]] T* tri_scratch,
                            const ExecControl* ctl = nullptr) const {
-    exec_step_many(step, bw, xw, 0, k, nullptr, ctl, k);
+    exec_step_many(step, bw, xw, k, nullptr, ctl);
   }
 
   /// Always 0: the scratch exec_plan_step_many once took is gone. Kept so
@@ -592,24 +594,19 @@ class BlockSolver {
   /// The rows the fallback rungs solve from: the kernel's own CSR, or — for
   /// a diagonal block, which holds only pivots — rows built into `built`.
   const Csr<T>& tri_rows(const TriBlock& blk, Csr<T>& built) const;
-  /// The host kernels of one block over k columns of a row-interleaved
-  /// panel whose row stride is `ld`: b/x/y point at the block's first row.
-  /// The triangle solves x from b; the square updates y −= A·x over its
-  /// listed rows, whatever its kind. One contiguous column (k = ld = 1)
-  /// runs the single-RHS kernel bodies. `ctl` is the session's cooperative
-  /// control (nullable).
+  /// The host kernels of one block over a row-interleaved n × k panel:
+  /// b/x/y point at the block's first row. The triangle solves x from b;
+  /// the square updates y −= A·x over its listed rows, whatever its kind.
+  /// k = 1 runs the single-RHS kernel bodies. `ctl` is the session's
+  /// cooperative control (nullable).
   void exec_tri_many(const TriBlock& blk, const T* b, T* x, index_t k,
-                     ThreadPool* pool, const ExecControl* ctl,
-                     index_t ld) const;
+                     ThreadPool* pool, const ExecControl* ctl) const;
   void exec_square_many(const SquareBlock& blk, const T* x, T* y, index_t k,
-                        ThreadPool* pool, index_t ld) const;
-  /// One ExecStep of the host solve (no simulation, no ladder) over panel
-  /// columns [c0, c1) of a row-interleaved panel with row stride `ld` (a
-  /// sub-panel is base + c0 with the same stride, so [c0, c1) needs no
-  /// kernel-side column offsets).
-  void exec_step_many(const ExecStep& step, T* bw, T* xw, index_t c0,
-                      index_t c1, ThreadPool* pool, const ExecControl* ctl,
-                      index_t ld) const;
+                        ThreadPool* pool) const;
+  /// One ExecStep of the host solve (no simulation, no ladder) over a
+  /// row-interleaved n × k panel.
+  void exec_step_many(const ExecStep& step, T* bw, T* xw, index_t k,
+                      ThreadPool* pool, const ExecControl* ctl) const;
   /// The value install of refresh_values, a cache hit and create_from_file,
   /// for a caller that already validated `lower` and matched its structure
   /// hash against this solver's: one pass over the held blocks through the
@@ -656,19 +653,25 @@ class BlockSolver {
   /// walk finds the plan's layout broken.
   void build_blocks(const Csr<T>& lower, BlockNnz counts,
                     const tune::TunedPlan<T>* tuned);
-  /// One pass over the execution steps of row-interleaved n × k panels with
-  /// the fallback ladder armed. Consumes bw (square blocks accumulate into
-  /// it). Each step runs as the plain panel executor runs it, on `epool`
-  /// (this call's arbitrated executor pool; null → serial); a column with
-  /// non-finite output degrades alone through the single-RHS rungs,
-  /// recorded in its own report reps[c] — in place at k = 1, else with its
-  /// slices staged through the length-n `bc`/`xc`. Deadline/cancel trips on
-  /// `ctl` return its typed Status immediately; every report's
-  /// steps_completed tracks progress. The block fault hook poisons panel
-  /// column `fault_column`.
-  Status run_steps_checked_many(T* bw, T* xw, index_t k, SolveReport* reps,
-                                ThreadPool* epool, const ExecControl* ctl,
-                                index_t fault_column, T* bc, T* xc) const;
+  /// The one wave walk every solve runs, over row-interleaved n × k panels;
+  /// consumes bw. With `epool` (null → serial) a wave of several steps runs
+  /// one task per step with serial kernels (the pool is not reentrant), and
+  /// a lone step hands the pool to its kernels. `done` counts the steps run,
+  /// by wave on the pool. A deadline/cancel trip returns its Status. With
+  /// `reps` (a checked pass) each triangle of a wave goes through check_tri
+  /// when the wave ends; a failure returns with `done` at the steps before
+  /// that triangle.
+  Status run_waves(T* bw, T* xw, index_t k, ThreadPool* epool,
+                   const ExecControl& ctl, index_t* done,
+                   SolveReport* reps = nullptr,
+                   index_t fault_column = -1) const;
+  /// The checked walk's check of triangle `t`: the block fault hook poisons
+  /// column `fault_column` if it lies in [0, k); a non-finite column is
+  /// re-solved alone down the level-set, then serial rung, into reps[c]
+  /// (kNumericalBreakdown when both fail). The steps of a wave are
+  /// independent, so the triangle's b and x rows are as its kernel left them.
+  Status check_tri(index_t t, const T* bw, T* xw, index_t k,
+                   SolveReport* reps, index_t fault_column) const;
   /// The checked panel solve behind solve_many_checked and (at k = 1)
   /// solve_checked. Its fault hooks poison panel column `fault_column`:
   /// Options::fault.column for a panel, the one column for solve_checked.
@@ -694,14 +697,21 @@ class BlockSolver {
   /// blocks' execution groups.
   void accumulate_op_stats(SolveReport* rep) const;
 
-  /// Shared body of solve() (a k = 1 panel) and the panel solves. Exactly
-  /// one of `B`/`Bs` is non-null (likewise `X`/`Xs`): the contiguous form
-  /// reads column c at B + c·n, the gather form through the pointer table.
-  /// Branching here instead of delegating through a built pointer array
-  /// keeps the warm contiguous path allocation-free.
+  /// Shared body of solve() (a k = 1 panel) and the panel solves: one walk
+  /// inside enter(). Exactly one of `B`/`Bs` is non-null (likewise
+  /// `X`/`Xs`): the contiguous form reads column c at B + c·n, the gather
+  /// form through the pointer table, which keeps the warm contiguous path
+  /// allocation-free.
   Status solve_many_impl(const T* B, const T* const* Bs, T* X, T* const* Xs,
                          index_t k, const SolveControls& controls,
                          SolveReport* rep) const;
+  /// The entry every solve and checked panel shares: the in-flight guard,
+  /// the controls, the workspace lease, the fused scatter of B/Bs into the
+  /// aligned panels, the pool try_lock (epool null when lost or at
+  /// threads = 1), then body(ws, bw, xw, epool, ctl) and the fused gather.
+  template <class Body>
+  Status enter(const T* B, const T* const* Bs, T* X, T* const* Xs,
+               index_t k, const SolveControls& controls, Body&& body) const;
 
   Options opt_;
   std::uint64_t structure_hash_ = 0;  // of the original (unpermuted) pattern
@@ -731,10 +741,11 @@ class BlockSolver {
   struct SolveWorkspace {
     std::vector<T> bw;           // permuted rhs (n, or n·k for panels)
     std::vector<T> xw;           // permuted solution (n, or n·k)
-    std::vector<T> bw0;          // checked paths: pristine permuted rhs
+    std::vector<T> ba;           // checked paths: the copy of bw an attempt
+                                 // consumes, then its residual panel
     std::vector<T> rw;           // refinement residual
     std::vector<T> dw;           // refinement correction
-    std::vector<T> xc, bc;       // solve_many_checked per-column staging
+    std::vector<T> xc, bc;       // the column being refined
   };
 
   /// Leases a workspace from ws_pool_. When `ctl` is armed, a blocking

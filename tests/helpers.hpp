@@ -1,8 +1,8 @@
 // Shared gtest helpers: tolerance-aware vector comparison, dense oracles,
 // a registry of small structurally-diverse matrices the solver tests sweep
-// over, the byte-wise CRC32 reference plus the .btpa frame walker that pin
-// the artifact framing, and the byte-wise structure-hash reference that pins
-// the artifact/cache key.
+// over, a field-by-field SolveReport comparison, the byte-wise CRC32
+// reference plus the .btpa frame walker that pin the artifact framing, and
+// the byte-wise structure-hash reference that pins the artifact/cache key.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -175,6 +175,35 @@ std::uint64_t checked_fnv1a(const std::vector<T>& x,
     fold(&r.refinements, sizeof r.refinements);
   }
   return h;
+}
+
+/// Every field of two reports, the residual by its bits.
+inline void expect_same_report(const SolveReport& got,
+                               const SolveReport& want) {
+  EXPECT_EQ(got.residual_checked, want.residual_checked);
+  EXPECT_EQ(std::memcmp(&got.residual, &want.residual, sizeof got.residual),
+            0)
+      << got.residual << " vs " << want.residual;
+  EXPECT_EQ(got.tolerance, want.tolerance);
+  EXPECT_EQ(got.refinements, want.refinements);
+  EXPECT_EQ(got.attempts, want.attempts);
+  EXPECT_EQ(got.steps_completed, want.steps_completed);
+  EXPECT_EQ(got.steps_total, want.steps_total);
+  ASSERT_EQ(got.fallbacks.size(), want.fallbacks.size());
+  for (std::size_t i = 0; i < got.fallbacks.size(); ++i) {
+    EXPECT_EQ(got.fallbacks[i].block, want.fallbacks[i].block);
+    EXPECT_EQ(got.fallbacks[i].from, want.fallbacks[i].from);
+    EXPECT_EQ(got.fallbacks[i].to, want.fallbacks[i].to);
+  }
+  ASSERT_EQ(got.degrades.size(), want.degrades.size());
+  for (std::size_t i = 0; i < got.degrades.size(); ++i) {
+    EXPECT_EQ(got.degrades[i].kind, want.degrades[i].kind);
+    EXPECT_EQ(got.degrades[i].reason, want.degrades[i].reason);
+  }
+  EXPECT_EQ(got.flops, want.flops);
+  EXPECT_EQ(got.bytes, want.bytes);
+  EXPECT_EQ(got.levels_executed, want.levels_executed);
+  EXPECT_EQ(got.levels_merged, want.levels_merged);
 }
 
 inline std::string read_file_bytes(const std::string& path) {

@@ -23,6 +23,7 @@ namespace blocktri {
 namespace {
 
 using blocktri::testing::default_tol;
+using blocktri::testing::expect_same_report;
 using blocktri::testing::test_matrices;
 using blocktri::testing::VectorsNear;
 
@@ -357,34 +358,6 @@ TEST(Batched, KOneMatchesSolve) {
   }
 }
 
-/// Every field of two reports, the residual by its bits.
-void expect_same_report(const SolveReport& got, const SolveReport& want) {
-  EXPECT_EQ(got.residual_checked, want.residual_checked);
-  EXPECT_EQ(std::memcmp(&got.residual, &want.residual, sizeof got.residual),
-            0)
-      << got.residual << " vs " << want.residual;
-  EXPECT_EQ(got.tolerance, want.tolerance);
-  EXPECT_EQ(got.refinements, want.refinements);
-  EXPECT_EQ(got.attempts, want.attempts);
-  EXPECT_EQ(got.steps_completed, want.steps_completed);
-  EXPECT_EQ(got.steps_total, want.steps_total);
-  ASSERT_EQ(got.fallbacks.size(), want.fallbacks.size());
-  for (std::size_t i = 0; i < got.fallbacks.size(); ++i) {
-    EXPECT_EQ(got.fallbacks[i].block, want.fallbacks[i].block);
-    EXPECT_EQ(got.fallbacks[i].from, want.fallbacks[i].from);
-    EXPECT_EQ(got.fallbacks[i].to, want.fallbacks[i].to);
-  }
-  ASSERT_EQ(got.degrades.size(), want.degrades.size());
-  for (std::size_t i = 0; i < got.degrades.size(); ++i) {
-    EXPECT_EQ(got.degrades[i].kind, want.degrades[i].kind);
-    EXPECT_EQ(got.degrades[i].reason, want.degrades[i].reason);
-  }
-  EXPECT_EQ(got.flops, want.flops);
-  EXPECT_EQ(got.bytes, want.bytes);
-  EXPECT_EQ(got.levels_executed, want.levels_executed);
-  EXPECT_EQ(got.levels_merged, want.levels_merged);
-}
-
 // solve_checked(b) is solve_many_checked(b, 1): the same status, x bits and
 // report, clean and under each fault hook — a NaN in leaf 0's first one to
 // three attempts (the third exhausts the per-block ladder), or a wrong but
@@ -529,6 +502,53 @@ TEST(Batched, CheckedFaultDegradesToSerialRung) {
   EXPECT_EQ(res.reports[0].fallbacks[0].to, FallbackEvent::Rung::kLevelSet);
   EXPECT_EQ(res.reports[0].fallbacks[1].to, FallbackEvent::Rung::kSerial);
   EXPECT_TRUE(res.reports[1].fallbacks.empty());
+}
+
+// The fault hooks poison panel column fault.column only when it lies in
+// [0, k), and a refinement round only when it refines that column.
+TEST(Batched, CheckedFaultHooksPoisonOnlyTheirColumn) {
+  const auto L = gen::grid2d(30, 20, 9);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const auto b = gen::random_rhs<double>(L.nrows, 315);
+    {
+      // A wrong whole attempt aimed past a k = 1 panel: no retry.
+      auto o = opts<double>(BlockScheme::kRecursive, 100);
+      o.threads = threads;
+      o.fault.column = 2;
+      o.fault.corrupt_solve_attempts = 1;
+      const auto res = BlockSolver<double>(L, o).solve_many_checked(b, 1);
+      ASSERT_TRUE(res.ok()) << res.status.to_string();
+      EXPECT_EQ(res.reports[0].attempts, 1);
+      EXPECT_TRUE(res.reports[0].degrades.empty());
+    }
+    {
+      // A NaN block aimed past a k = 1 panel: no ladder.
+      auto o = ladder_options<double>(1, 2);
+      o.planner.stop_rows = 100;
+      o.threads = threads;
+      const auto res = BlockSolver<double>(L, o).solve_many_checked(b, 1);
+      ASSERT_TRUE(res.ok()) << res.status.to_string();
+      EXPECT_TRUE(res.reports[0].fallbacks.empty());
+    }
+    {
+      // Every column is refined; only column 1's rounds meet the NaN.
+      auto o = ladder_options<double>(1, 1);
+      o.planner.stop_rows = 100;
+      o.threads = threads;
+      o.verify.tolerance = std::numeric_limits<double>::denorm_min();
+      o.verify.max_refinements = 1;
+      const index_t k = 2;
+      const auto B = gen::random_rhs<double>(L.nrows * k, 316);
+      const auto res = BlockSolver<double>(L, o).solve_many_checked(B, k);
+      EXPECT_EQ(res.status.code(), StatusCode::kResidualTooLarge);
+      EXPECT_EQ(res.reports[0].refinements, 1);
+      EXPECT_TRUE(res.reports[0].fallbacks.empty());
+      EXPECT_EQ(res.reports[1].refinements, 1);
+      // The attempt's rescue, then the refinement round's.
+      EXPECT_EQ(res.reports[1].fallbacks.size(), 2u);
+    }
+  }
 }
 
 TEST(Batched, CheckedLadderExhaustionNamesTheColumn) {

@@ -12,8 +12,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "helpers.hpp"
@@ -365,33 +368,92 @@ TEST(ParallelBlockSolver, EnvOverrideWinsOverOptions) {
   EXPECT_EQ(solver.solve(b), serial.solve(b));
 }
 
+// The fallback ladder under threads takes the threads = 1 rungs: the same
+// status, x bits and report, field by field, for solve_checked and for
+// checked panels whose fault.column lies inside them. On the recursive plan
+// every wave holds one step; the HBMC plan's faulted triangle sits in a wave
+// of several triangles, which the pool runs as tasks and checks when the
+// wave ends.
 TEST(ParallelBlockSolver, FallbackLadderEngagesUnderThreads) {
-  const Csr<double> L = gen::random_levels(20000, 50, 4.0, 1.0, 64);
-  const auto b = gen::random_rhs<double>(L.nrows, 65);
-  BlockSolver<double>::Options opt;
-  opt.planner.stop_rows = 2048;
-  // Force sync-free so every block has the full three-rung ladder
-  // (sync-free → level-set → serial); an adaptive level-set pick would leave
-  // only two rungs and corrupt_attempts=2 would legitimately exhaust them.
-  opt.adaptive = false;
-  opt.forced_tri = TriKernelKind::kSyncFree;
-  opt.fault.tri_block = 0;
-  for (int corrupt = 1; corrupt <= 2; ++corrupt) {
-    SCOPED_TRACE(corrupt);
-    opt.fault.corrupt_attempts = corrupt;
-    // The same fault at threads = 1 takes the same rungs: the reference.
-    opt.threads = 1;
-    const SolveResult<double> want =
-        BlockSolver<double>(L, opt).solve_checked(b);
-    ASSERT_TRUE(want.ok()) << want.status.message();
-    for (const int t : {2, 4}) {
-      SCOPED_TRACE(t);
-      opt.threads = t;
-      const BlockSolver<double> par(L, opt);
-      const SolveResult<double> res = par.solve_checked(b);
-      ASSERT_TRUE(res.ok()) << res.status.message();
-      EXPECT_FALSE(res.report.fallbacks.empty());
-      EXPECT_EQ(res.x, want.x);
+  struct Plan {
+    const char* name;
+    Csr<double> L;
+    BlockScheme scheme;
+    index_t stop_rows;
+  };
+  const Plan plans[] = {
+      {"recursive", gen::random_levels(20000, 50, 4.0, 1.0, 64),
+       BlockScheme::kRecursive, 2048},
+      {"hbmc",
+       gen::random_topological_shuffle(gen::laplace3d(16, 16, 16, 66), 67),
+       BlockScheme::kHbmc, 512},
+  };
+  const auto same_bits = [](const std::vector<double>& a,
+                            const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  for (const Plan& plan : plans) {
+    SCOPED_TRACE(plan.name);
+    BlockSolver<double>::Options opt;
+    opt.scheme = plan.scheme;
+    opt.planner.stop_rows = plan.stop_rows;
+    // Force sync-free so every block has the full three-rung ladder
+    // (sync-free → level-set → serial); an adaptive level-set pick would
+    // leave only two rungs and corrupt_attempts=2 would legitimately exhaust
+    // them.
+    opt.adaptive = false;
+    opt.forced_tri = TriKernelKind::kSyncFree;
+    opt.fault.tri_block = 0;
+    if (plan.scheme == BlockScheme::kHbmc) {
+      // The second triangle of the first wave that holds several.
+      opt.fault.tri_block = -1;
+      const BlockSolver<double> probe(plan.L, opt);
+      for (const auto& wave : probe.step_waves()) {
+        std::vector<index_t> tris;
+        for (const ExecStep& step : wave)
+          if (step.kind == ExecStep::Kind::kTri) tris.push_back(step.index);
+        if (tris.size() >= 2) {
+          opt.fault.tri_block = tris[1];
+          break;
+        }
+      }
+      ASSERT_GE(opt.fault.tri_block, 0) << "no wave holds two triangles";
+    }
+    for (int corrupt = 1; corrupt <= 2; ++corrupt) {
+      opt.fault.corrupt_attempts = corrupt;
+      for (const index_t k : {1, 16, 64}) {
+        SCOPED_TRACE("corrupt=" + std::to_string(corrupt) +
+                     " k=" + std::to_string(k));
+        opt.fault.column = k - 1;
+        const auto B = gen::random_rhs<double>(plan.L.nrows * k, 65);
+        // The same fault at threads = 1 takes the same rungs: the reference.
+        opt.threads = 1;
+        const BlockSolver<double> ref(plan.L, opt);
+        const SolveManyResult<double> want = ref.solve_many_checked(B, k);
+        ASSERT_TRUE(want.ok()) << want.status.to_string();
+        EXPECT_EQ(want.reports[static_cast<std::size_t>(k - 1)]
+                      .fallbacks.size(),
+                  static_cast<std::size_t>(corrupt));
+        const SolveResult<double> want_one =
+            k == 1 ? ref.solve_checked(B) : SolveResult<double>{};
+        for (const int t : kThreadCounts) {
+          SCOPED_TRACE(t);
+          opt.threads = t;
+          const BlockSolver<double> par(plan.L, opt);
+          const SolveManyResult<double> res = par.solve_many_checked(B, k);
+          EXPECT_EQ(res.status.code(), want.status.code());
+          EXPECT_TRUE(same_bits(res.X, want.X));
+          ASSERT_EQ(res.reports.size(), want.reports.size());
+          for (std::size_t c = 0; c < res.reports.size(); ++c)
+            expect_same_report(res.reports[c], want.reports[c]);
+          if (k != 1) continue;
+          const SolveResult<double> one = par.solve_checked(B);
+          EXPECT_EQ(one.status.code(), want_one.status.code());
+          EXPECT_TRUE(same_bits(one.x, want_one.x));
+          expect_same_report(one.report, want_one.report);
+        }
+      }
     }
   }
 }

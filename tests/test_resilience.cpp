@@ -326,6 +326,42 @@ TEST(Deadlines, BatchedSolvesHonourDeadlines) {
   EXPECT_EQ(res.status.code(), StatusCode::kDeadlineExceeded);
 }
 
+// A deadline that lapses during refinement is the solve's status, and every
+// column keeps the residual measured for it.
+TEST(Deadlines, DeadlineDuringRefinementIsTheStatus) {
+  Opt opt = base_options();
+  opt.planner.stop_rows = 300;
+  opt.verify.tolerance = std::numeric_limits<double>::denorm_min();
+  opt.verify.max_refinements = 1000000;  // refines until the deadline
+  std::unique_ptr<BlockSolver<double>> solver;
+  ASSERT_TRUE(
+      BlockSolver<double>::create(gen::banded(3000, 24, 3.0, 19), opt, &solver)
+          .ok());
+  const index_t n = solver->n();
+  const auto check = [](const Status& st,
+                         const std::vector<SolveReport>& reps) {
+    EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded) << st.to_string();
+    EXPECT_GT(reps[0].refinements, 0);
+    for (const SolveReport& rep : reps) {
+      EXPECT_TRUE(rep.residual_checked);
+      EXPECT_GT(rep.residual, rep.tolerance);  // measured, not left at 0
+    }
+  };
+  SolveControls controls;
+  controls.deadline = Deadline::after_ms(100);
+  const SolveResult<double> one =
+      solver->solve_checked(gen::random_rhs<double>(n, 70), controls);
+  check(one.status, {one.report});
+  for (const index_t k : {1, 3}) {
+    SCOPED_TRACE(k);
+    controls.deadline = Deadline::after_ms(100);
+    const SolveManyResult<double> res = solver->solve_many_checked(
+        gen::random_rhs<double>(n * k, 71), k, controls);
+    ASSERT_EQ(res.reports.size(), static_cast<std::size_t>(k));
+    check(res.status, res.reports);
+  }
+}
+
 TEST(Cancellation, PreCancelledTokenShortCircuits) {
   auto solver = make_solver(base_options());
   const auto b = gen::random_rhs<double>(fixture().nrows, 3);

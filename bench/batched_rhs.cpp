@@ -181,20 +181,25 @@ int main(int argc, char** argv) {
   // layout every solver path hands the kernels.
   {
     Stopwatch pre;
-    const LevelSetSolver<double> ls(L);
+    const TriSolver<double> ls(TriKernelKind::kLevelSet, L);
     const double pre_ls = pre.milliseconds();
     pre.reset();
-    const SyncFreeSolver<double> sf(L);
+    const TriSolver<double> sf(TriKernelKind::kSyncFree, L);
     const double pre_sf = pre.milliseconds();
     pre.reset();
-    const CusparseLikeSolver<double> cl(L);
+    const TriSolver<double> cl(TriKernelKind::kCusparseLike, L);
     const double pre_cl = pre.milliseconds();
-    std::vector<double> diag(static_cast<std::size_t>(L.nrows));
-    for (index_t i = 0; i < L.nrows; ++i)
-      diag[static_cast<std::size_t>(i)] =
-          L.val[static_cast<std::size_t>(
-              L.row_ptr[static_cast<std::size_t>(i) + 1] - 1)];
-    const DiagonalSolver<double> dg(diag);
+    Csr<double> pivots;  // L's diagonal alone: the diagonal kernel's rows
+    pivots.nrows = pivots.ncols = L.nrows;
+    pivots.row_ptr.push_back(0);
+    for (index_t i = 0; i < L.nrows; ++i) {
+      pivots.col_idx.push_back(i);
+      pivots.val.push_back(L.val[static_cast<std::size_t>(
+          L.row_ptr[static_cast<std::size_t>(i) + 1] - 1)]);
+      pivots.row_ptr.push_back(i + 1);
+    }
+    const TriSolver<double> dg(TriKernelKind::kCompletelyParallel,
+                               std::move(pivots));
     const Dcsr<double> D = csr_to_dcsr(L);
 
     for (const index_t k : ks) {
@@ -206,28 +211,28 @@ int main(int argc, char** argv) {
       r.pre_ms = pre_ls;
       time_pairs(
           &r, [&](index_t c) { ls.solve(col(c), x.data()); },
-          [&] { ls.solve_many(B.data(), X.data(), k, k); });
+          [&] { ls.solve(B.data(), X.data(), k, k); });
       emit(&recs, r);
 
       r.target = "sptrsv_syncfree";
       r.pre_ms = pre_sf;
       time_pairs(
           &r, [&](index_t c) { sf.solve(col(c), x.data()); },
-          [&] { sf.solve_many(B.data(), X.data(), k, k); });
+          [&] { sf.solve(B.data(), X.data(), k, k); });
       emit(&recs, r);
 
       r.target = "sptrsv_cusparse_like";
       r.pre_ms = pre_cl;
       time_pairs(
           &r, [&](index_t c) { cl.solve(col(c), x.data()); },
-          [&] { cl.solve_many(B.data(), X.data(), k, k); });
+          [&] { cl.solve(B.data(), X.data(), k, k); });
       emit(&recs, r);
 
       r.target = "sptrsv_diagonal";
       r.pre_ms = 0.0;
       time_pairs(
           &r, [&](index_t c) { dg.solve(col(c), x.data()); },
-          [&] { dg.solve_many(B.data(), X.data(), k, k); });
+          [&] { dg.solve(B.data(), X.data(), k, k); });
       emit(&recs, r);
 
       r.target = "spmv_csr";

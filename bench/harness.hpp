@@ -73,12 +73,11 @@ MethodResult measure_block(const BlockSolver<T>& solver,
   return {rep.ms(), rep.gflops(), rep.kernel_launches, rep};
 }
 
-/// Models a baseline solver (DiagonalSolver / LevelSetSolver /
-/// SyncFreeSolver / CusparseLikeSolver) over the whole matrix `L`: the
-/// model's replay of its one kernel on a fresh cache, warmed by one pass.
-/// The model reads structure only, so `b` does not enter the figures.
-template <class Solver, class T>
-MethodResult measure_baseline(const Solver& solver, const Csr<T>& L,
+/// Models a baseline — one TriSolver of its kind over the whole matrix
+/// `L`: the model's replay of its one kernel on a fresh cache, warmed by one
+/// pass. The model reads structure only, so `b` does not enter the figures.
+template <class T>
+MethodResult measure_baseline(const TriSolver<T>& solver, const Csr<T>& L,
                               [[maybe_unused]] const std::vector<T>& b,
                               const sim::GpuSpec& gpu) {
   model::Step step;
@@ -112,14 +111,10 @@ ThreeWay run_three_methods(const Csr<T>& L, const sim::GpuSpec& gpu,
                            index_t stop_rows) {
   const auto b = gen::random_rhs<T>(L.nrows, 7);
   ThreeWay out;
-  {
-    CusparseLikeSolver<T> s(L);
-    out.cusparse = measure_baseline(s, L, b, gpu);
-  }
-  {
-    SyncFreeSolver<T> s(L);
-    out.syncfree = measure_baseline(s, L, b, gpu);
-  }
+  out.cusparse = measure_baseline(
+      TriSolver<T>(TriKernelKind::kCusparseLike, L), L, b, gpu);
+  out.syncfree =
+      measure_baseline(TriSolver<T>(TriKernelKind::kSyncFree, L), L, b, gpu);
   {
     BlockSolver<T> s(L, bench_block_options<T>(stop_rows));
     out.block = measure_block(s, b, gpu);

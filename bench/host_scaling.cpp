@@ -1,10 +1,13 @@
 // Host thread-scaling benchmark for the multithreaded execution backend:
 // real wall-clock times (not the GPU simulator) for the parallel SpTRSV and
 // SpMV kernels and the BlockSolver executor, swept over a list of thread
-// counts, with serial (1-thread) runs as the speedup baseline. The
-// sync-free kernel is serial at any thread count, so it is timed once, at
-// threads = 1. The BlockSolver rows time one solve and one k = 16
-// solve_many, whose lone-step waves hand the pool to the batched kernels.
+// counts, with serial (1-thread) runs as the speedup baseline. A sync-free
+// triangle solves one right-hand side serially at any thread count, so it
+// is timed once, at threads = 1. The BlockSolver rows time one solve and
+// one k = 16 solve_many, whose lone-step waves hand the pool to the batched
+// kernels. Each point is the median of kSamples samples, each the mean
+// over as many calls as fill min_ms / kSamples (at least one): single
+// samples on a shared host moved by up to 1.9x between runs.
 //
 //   ./bench/host_scaling [--threads=1,2,4,8] [--out=BENCH_host.json]
 //                        [--min-ms=80] [--n=400000] [--tiny]
@@ -50,18 +53,27 @@ std::vector<int> parse_thread_list(const std::string& s) {
   return out;
 }
 
-/// Repeats fn until `min_ms` of wall-clock has elapsed (at least twice, after
-/// one untimed warmup) and returns the per-call milliseconds.
+constexpr int kSamples = 5;
+
+/// After one untimed warmup, the median over kSamples samples of the
+/// per-call milliseconds, each sample repeating fn until min_ms / kSamples
+/// of wall-clock has elapsed (at least once).
 template <class Fn>
 double time_ms(double min_ms, Fn&& fn) {
   fn();  // warmup
-  Stopwatch sw;
-  int reps = 0;
-  do {
-    fn();
-    ++reps;
-  } while (sw.milliseconds() < min_ms || reps < 2);
-  return sw.milliseconds() / reps;
+  std::vector<double> samples;
+  for (int s = 0; s < kSamples; ++s) {
+    Stopwatch sw;
+    int reps = 0;
+    do {
+      fn();
+      ++reps;
+    } while (sw.milliseconds() < min_ms / kSamples);
+    samples.push_back(sw.milliseconds() / reps);
+  }
+  std::nth_element(samples.begin(), samples.begin() + kSamples / 2,
+                   samples.end());
+  return samples[kSamples / 2];
 }
 
 struct Record {
@@ -189,15 +201,17 @@ int main(int argc, char** argv) {
         std::unique_ptr<ThreadPool> pool;
         if (t > 1) pool = std::make_unique<ThreadPool>(t);
         Stopwatch pre;
-        const LevelSetSolver<double> ls(L, pool.get());
+        const TriSolver<double> ls(TriKernelKind::kLevelSet, L, pool.get());
         const double pre_ms = pre.milliseconds();
-        sweep.point("sptrsv_levelset", t, flops,
-                    [&](ThreadPool* p) { ls.solve(b.data(), x.data(), p); });
+        sweep.point("sptrsv_levelset", t, flops, [&](ThreadPool* p) {
+          ls.solve(b.data(), x.data(), 1, 1, p);
+        });
         recs.push_back({c.name, "pre_levelset", t, pre_ms, 0.0, 0.0});
-        // The sync-free kernel takes no pool: one record, at threads = 1.
+        // One sync-free right-hand side is serial: one record, at
+        // threads = 1.
         if (t == 1) {
           pre.reset();
-          const SyncFreeSolver<double> sf(L);
+          const TriSolver<double> sf(TriKernelKind::kSyncFree, L);
           const double pre_sf_ms = pre.milliseconds();
           sweep.point("sptrsv_syncfree", t, flops,
                       [&](ThreadPool*) { sf.solve(b.data(), x.data()); });

@@ -96,7 +96,7 @@ BENCHMARK(BM_SptrsvSerial);
 
 void BM_SptrsvSyncFreeHost(benchmark::State& state) {
   const auto& L = test_matrix();
-  const SyncFreeSolver<double> solver(L);
+  const TriSolver<double> solver(TriKernelKind::kSyncFree, L);
   const auto b = gen::random_rhs<double>(L.nrows, 3);
   std::vector<double> x(static_cast<std::size_t>(L.nrows));
   for (auto _ : state) {

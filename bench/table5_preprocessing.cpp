@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     {
       // cuSPARSE-like preprocessing: level analysis = two passes over the
       // nonzeros (level assignment + item bucketing) plus per-row pointers.
-      CusparseLikeSolver<double> s(L);
+      const TriSolver<double> s(TriKernelKind::kCusparseLike, L);
       sim::HostSim hs(sim::host_default());
       hs.ops(2 * L.nnz() + 2 * L.nrows);
       hs.bytes(2 * nnz_bytes);
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     {
       // Sync-free preprocessing: one atomic-increment pass over the nonzeros
       // (Alg. 3 lines 1–5) — the cheapest analysis of the three.
-      SyncFreeSolver<double> s(L);
+      const TriSolver<double> s(TriKernelKind::kSyncFree, L);
       sim::HostSim hs(sim::host_default());
       hs.ops(L.nnz());
       hs.bytes(nnz_bytes);

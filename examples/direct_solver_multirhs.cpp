@@ -59,8 +59,9 @@ int main(int argc, char** argv) {
 
   // --- Baselines. Their preprocessing is cheap (level analysis / in-degree
   // count); we model it as two passes over the nonzeros on the host.
-  auto run_baseline = [&](const auto& solver, const std::string& name,
+  auto run_baseline = [&](TriKernelKind kind, const std::string& name,
                           std::int64_t pre_passes) {
+    const TriSolver<double> solver(kind, L);
     sim::HostSim hs(sim::host_default());
     hs.ops(pre_passes * L.nnz());
     hs.bytes(pre_passes * L.nnz() *
@@ -80,10 +81,8 @@ int main(int argc, char** argv) {
                    fmt_fixed(total.ms() / num_rhs, 4),
                    fmt_fixed(pre_ms + total.ms(), 2)});
   };
-  CusparseLikeSolver<double> cusp(L);
-  run_baseline(cusp, "cuSPARSE-like (level merge)", 2);
-  SyncFreeSolver<double> sf(L);
-  run_baseline(sf, "Sync-free", 1);
+  run_baseline(TriKernelKind::kCusparseLike, "cuSPARSE-like (level merge)", 2);
+  run_baseline(TriKernelKind::kSyncFree, "Sync-free", 1);
 
   std::printf("%s\n", table.to_string().c_str());
   std::printf("The blocked method pays more preprocessing but it amortises\n"

@@ -72,7 +72,8 @@ int main(int argc, char** argv) {
   }
   // A baseline is one kernel over the whole matrix: the model replays it
   // once to warm the cache, then measures.
-  auto baseline = [&](const auto& s, const std::string& name) {
+  auto baseline = [&](TriKernelKind kind, const std::string& name) {
+    const TriSolver<double> s(kind, L);
     model::Step step;
     step.tri = model::tri_view(s);
     step.tri_kind = model::kind_of(s);
@@ -81,10 +82,8 @@ int main(int argc, char** argv) {
     table.add_row({name, fmt_fixed(rep.ms(), 4), fmt_fixed(rep.gflops(), 2),
                    std::to_string(rep.kernel_launches)});
   };
-  CusparseLikeSolver<double> cusp(L);
-  baseline(cusp, "cuSPARSE-like (level merge)");
-  SyncFreeSolver<double> sf(L);
-  baseline(sf, "Sync-free");
+  baseline(TriKernelKind::kCusparseLike, "cuSPARSE-like (level merge)");
+  baseline(TriKernelKind::kSyncFree, "Sync-free");
 
   std::printf("%s\n", table.to_string().c_str());
   return 0;

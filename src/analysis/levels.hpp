@@ -33,6 +33,11 @@ struct LevelSets {
   }
 };
 
+/// Levels at most this wide are candidates for merging into one execution
+/// group of a level-set triangle (sptrsv/triangle.hpp); wider levels stay
+/// their own group so a pool can still split their rows.
+inline constexpr offset_t kLevelMergeMaxWidth = 16;
+
 /// Level analysis of a lower-triangular CSR matrix (diagonal entries may be
 /// present or absent; self-edges are ignored). level[i] = 1 + max over
 /// strictly-lower neighbours, so a diagonal-only matrix has one level.

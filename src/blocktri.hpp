@@ -52,9 +52,6 @@
 #include "sparse/sanitize.hpp"     // IWYU pragma: export
 #include "sparse/triangular.hpp"   // IWYU pragma: export
 #include "spmv/kernels.hpp"        // IWYU pragma: export
-#include "sptrsv/cusparse_like.hpp" // IWYU pragma: export
-#include "sptrsv/diagonal.hpp"     // IWYU pragma: export
-#include "sptrsv/levelset.hpp"     // IWYU pragma: export
 #include "sptrsv/serial.hpp"       // IWYU pragma: export
-#include "sptrsv/syncfree.hpp"     // IWYU pragma: export
+#include "sptrsv/triangle.hpp"     // IWYU pragma: export
 #include "sptrsv/upper.hpp"        // IWYU pragma: export

@@ -200,7 +200,7 @@ void spmv_update_rows_blocked(const offset_t* row_ptr, const index_t* col_idx,
   }
 }
 
-/// The strict row bodies take `items == nullptr` as the identity order
+/// The triangle row bodies take `items == nullptr` as the identity order
 /// (row i = p), the way the SpMV bodies take `row_ids == nullptr`.
 template <class T>
 void sptrsv_rows_strict(const offset_t* row_ptr, const index_t* col_idx,
@@ -221,7 +221,8 @@ void sptrsv_rows_blocked(const offset_t* row_ptr, const index_t* col_idx,
                          const T* val, const index_t* items, offset_t p0,
                          offset_t p1, const T* b, T* x) {
   for (offset_t p = p0; p < p1; ++p) {
-    const index_t i = items[static_cast<std::size_t>(p)];
+    const index_t i = items == nullptr ? static_cast<index_t>(p)
+                                       : items[static_cast<std::size_t>(p)];
     const offset_t lo = row_ptr[i];
     const offset_t hi = row_ptr[i + 1];
     const T left = dot_blocked(val + lo, col_idx + lo, x, hi - 1 - lo);
@@ -374,7 +375,8 @@ void sptrsv_rows_many_blocked(const offset_t* row_ptr,
                                   offset_t p1, const T* b, T* x, index_t c0,
                                   index_t c1, index_t ld) {
   for (offset_t p = p0; p < p1; ++p) {
-    const index_t i = items[static_cast<std::size_t>(p)];
+    const index_t i = items == nullptr ? static_cast<index_t>(p)
+                                       : items[static_cast<std::size_t>(p)];
     const offset_t lo = row_ptr[i];
     const offset_t len = row_ptr[i + 1] - 1 - lo;
     const offset_t nb = len & ~offset_t(3);
@@ -476,8 +478,8 @@ void spmv_update_rows_many(const offset_t* row_ptr,
 /// Forward substitution over the listed rows, in list order: for each
 /// p in [p0, p1), row i = items[p] gets x[i] = (b[i] − Σ val·x[col]) / diag
 /// (diagonal stored last in the row). Valid for any dependency-respecting
-/// item order — level-set executors pass level (or merged-group) slices,
-/// serial executors the whole flat list.
+/// item order — the level schedule passes level (or merged-group) slices,
+/// the flat pass nullptr for natural row order.
 template <class T>
 void sptrsv_rows(const offset_t* row_ptr, const index_t* col_idx,
                  const T* val, const index_t* items, offset_t p0, offset_t p1,

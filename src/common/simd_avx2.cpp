@@ -126,7 +126,8 @@ void sptrsv_rows_impl(const offset_t* row_ptr, const index_t* col_idx,
                       const T* val, const index_t* items, offset_t p0,
                       offset_t p1, const T* b, T* x) {
   for (offset_t p = p0; p < p1; ++p) {
-    const index_t i = items[static_cast<std::size_t>(p)];
+    const index_t i = items == nullptr ? static_cast<index_t>(p)
+                                       : items[static_cast<std::size_t>(p)];
     const offset_t lo = row_ptr[i];
     const offset_t len = row_ptr[i + 1] - 1 - lo;  // excluding the diagonal
     const T left = len < kMinVectorRowLen

@@ -9,7 +9,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <tuple>
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
@@ -165,6 +164,19 @@ Csr<T> adopt(const Csr<T>& m, bool with_values) {
   return out;
 }
 
+/// The rows of a diagonal block, one pivot each.
+template <class T>
+Csr<T> diagonal_rows(std::vector<T> pivots) {
+  Csr<T> out;
+  out.nrows = out.ncols = static_cast<index_t>(pivots.size());
+  out.row_ptr.resize(pivots.size() + 1);
+  std::iota(out.row_ptr.begin(), out.row_ptr.end(), offset_t{0});
+  out.col_idx.resize(pivots.size());
+  std::iota(out.col_idx.begin(), out.col_idx.end(), index_t{0});
+  out.val = std::move(pivots);
+  return out;
+}
+
 template <class T>
 Dcsr<T> adopt(const Dcsr<T>& m, bool with_values) {
   if (with_values) return m;
@@ -218,7 +230,6 @@ BlockSolver<T>::BlockSolver(const Csr<T>& lower, const Options& opt,
         tp = tune::autotune_recursive(lower, opt.planner, opt.thresholds,
                                       model, opt.tune, pool_.get());
         plan_ = std::move(tp.plan);
-        merge_width_ = tp.merge_width;
         tune_stats_ = tp.stats;
         tuned_ = true;
       } else {
@@ -227,10 +238,9 @@ BlockSolver<T>::BlockSolver(const Csr<T>& lower, const Options& opt,
       }
       break;
     case BlockScheme::kHbmc:
-      // The executor's calibrated run-merge width doubles as the HBMC
-      // color-fusion bound (DESIGN.md §16); untuned it is the constant
-      // kLevelMergeMaxWidth, so the plan stays a pure function of the
-      // options fingerprint.
+      // The executor's run-merge width, the constant kLevelMergeMaxWidth,
+      // doubles as the HBMC color-fusion bound (DESIGN.md §16), so the plan
+      // stays a pure function of the options fingerprint.
       plan_ = order::plan_hbmc<T>(lower, opt.planner,
                                   static_cast<index_t>(merge_width_), nullptr,
                                   pool_.get());
@@ -256,73 +266,6 @@ BlockSolver<T>::BlockSolver(const Csr<T>& lower, const Options& opt,
 }
 
 template <class T>
-model::TriView BlockSolver<T>::tri_view(const TriBlock& blk) {
-  switch (blk.info.kind) {
-    case TriKernelKind::kCompletelyParallel:
-      return model::tri_view(*blk.diag);
-    case TriKernelKind::kSyncFree:
-      return model::tri_view(*blk.syncfree);
-    case TriKernelKind::kLevelSet:
-      return model::tri_view(*blk.levelset);
-    case TriKernelKind::kCusparseLike:
-      return model::tri_view(*blk.cusparse);
-  }
-  BLOCKTRI_CHECK_MSG(false, "unknown triangular kernel kind");
-  return {};
-}
-
-template <class T>
-const Csr<T>& BlockSolver<T>::tri_rows(const TriBlock& blk,
-                                       Csr<T>& built) const {
-  switch (blk.info.kind) {
-    case TriKernelKind::kCompletelyParallel: {
-      const std::vector<T>& d = blk.diag->diag();
-      const auto n = static_cast<index_t>(d.size());
-      built.nrows = built.ncols = n;
-      built.row_ptr.resize(static_cast<std::size_t>(n) + 1);
-      built.col_idx.resize(static_cast<std::size_t>(n));
-      for (index_t i = 0; i <= n; ++i)
-        built.row_ptr[static_cast<std::size_t>(i)] = i;
-      for (index_t i = 0; i < n; ++i)
-        built.col_idx[static_cast<std::size_t>(i)] = i;
-      built.val = d;
-      return built;
-    }
-    case TriKernelKind::kLevelSet:
-      return blk.levelset->matrix();
-    case TriKernelKind::kSyncFree:
-      return blk.syncfree->matrix();
-    case TriKernelKind::kCusparseLike:
-      return blk.cusparse->matrix();
-  }
-  BLOCKTRI_CHECK_MSG(false, "unknown triangular kernel kind");
-  return built;
-}
-
-template <class T>
-void BlockSolver<T>::exec_tri_many(const TriBlock& blk, const T* b, T* x,
-                                   index_t k, ThreadPool* pool,
-                                   const ExecControl* ctl) const {
-  // One column runs the single-RHS body: the same bits, without the batched
-  // body's column loop.
-  switch (blk.info.kind) {
-    case TriKernelKind::kCompletelyParallel:
-      return k == 1 ? blk.diag->solve(b, x, pool, ctl)
-                    : blk.diag->solve_many(b, x, k, k, pool, ctl);
-    case TriKernelKind::kLevelSet:
-      return k == 1 ? blk.levelset->solve(b, x, pool, ctl)
-                    : blk.levelset->solve_many(b, x, k, k, pool, ctl);
-    case TriKernelKind::kSyncFree:
-      return k == 1 ? blk.syncfree->solve(b, x, ctl)
-                    : blk.syncfree->solve_many(b, x, k, k, pool, ctl);
-    case TriKernelKind::kCusparseLike:
-      return k == 1 ? blk.cusparse->solve(b, x, ctl)
-                    : blk.cusparse->solve_many(b, x, k, k, ctl);
-  }
-  BLOCKTRI_CHECK_MSG(false, "unknown triangular kernel kind");
-}
-
-template <class T>
 void BlockSolver<T>::exec_square_many(const SquareBlock& blk, const T* x,
                                       T* y, index_t k,
                                       ThreadPool* pool) const {
@@ -345,8 +288,7 @@ void BlockSolver<T>::exec_step_many(const ExecStep& step, T* bw, T* xw,
   };
   if (step.kind == ExecStep::Kind::kTri) {
     const TriBlock& blk = tri_[static_cast<std::size_t>(step.index)];
-    exec_tri_many(blk, at(bw, blk.info.r0), at(xw, blk.info.r0), k, pool,
-                  ctl);
+    blk.tri.solve(at(bw, blk.info.r0), at(xw, blk.info.r0), k, k, pool, ctl);
   } else {
     const SquareBlock& blk = squares_[static_cast<std::size_t>(step.index)];
     if (blk.info.nnz == 0) return;  // no-op, and left out of the waves
@@ -437,18 +379,19 @@ Status BlockSolver<T>::check_tri(index_t t, const T* bw, T* xw, index_t k,
         return all_finite(xc.data(), len);
       };
       SolveReport& rep = reps[c];
-      Csr<T> built;
-      const Csr<T>& rows = tri_rows(blk, built);
+      // The level-set rung is the canonical flat pass: the arithmetic a
+      // level-set block's own solve has just run.
       if (blk.info.kind != TriKernelKind::kLevelSet) {
         rep.fallbacks.push_back(
             {t, blk.info.kind, FallbackEvent::Rung::kLevelSet});
-        const LevelSetSolver<T> ls(rows);
-        ok = run([&] { ls.solve(bc.data(), xc.data(), nullptr); });
+        ok = run([&] { blk.tri.solve_canonical(bc.data(), xc.data()); });
       }
       if (!ok) {
         rep.fallbacks.push_back(
             {t, blk.info.kind, FallbackEvent::Rung::kSerial});
-        ok = run([&] { sptrsv_serial_raw(rows, bc.data(), xc.data()); });
+        ok = run([&] {
+          sptrsv_serial_raw(blk.tri.rows(), bc.data(), xc.data());
+        });
       }
       for (std::size_t i = 0; i < xc.size(); ++i)
         xr[i * ku + static_cast<std::size_t>(c)] = xc[i];
@@ -643,7 +586,7 @@ std::vector<T> BlockSolver<T>::solve_simulated(
     const auto idx = static_cast<std::size_t>(step.index);
     if (step.kind == ExecStep::Kind::kTri) {
       steps[s].r0 = tri_[idx].info.r0;
-      steps[s].tri = tri_view(tri_[idx]);
+      steps[s].tri = model::tri_view(tri_[idx].tri);
       steps[s].tri_kind = tri_[idx].info.kind;
     } else {
       steps[s].r0 = squares_[idx].info.ref.r0;
@@ -797,22 +740,13 @@ PlanArtifact<T> BlockSolver<T>::capture_artifact() const {
     t.kind = blk.info.kind;
     t.nlevels = blk.info.nlevels;
     t.nnz = blk.info.nnz;
-    switch (blk.info.kind) {
-      case TriKernelKind::kCompletelyParallel:
-        t.diag = blk.diag->diag();
-        break;
-      case TriKernelKind::kLevelSet:
-        t.kernel_csr = blk.levelset->matrix();
-        t.levels = blk.levelset->levels();
-        break;
-      case TriKernelKind::kSyncFree:
-        t.kernel_csr = blk.syncfree->matrix();
-        break;
-      case TriKernelKind::kCusparseLike:
-        t.kernel_csr = blk.cusparse->matrix();
-        t.levels = blk.cusparse->levels();
-        break;
-    }
+    // A diagonal block saves its pivots alone; rehydration rebuilds the
+    // identity rows around them.
+    if (blk.info.kind == TriKernelKind::kCompletelyParallel)
+      t.diag = blk.tri.rows().val;
+    else
+      t.kernel_csr = blk.tri.rows();
+    t.levels = blk.tri.levels();
     art.tri.push_back(std::move(t));
   }
 
@@ -868,7 +802,6 @@ BlockSolver<T>::BlockSolver(Art&& art, const Options& opt, bool with_values)
   tuned_ = art.tuned;
   merge_width_ = art.merge_width;
   tune_stats_.fell_back = art.tune_fell_back;
-  tune_stats_.merge_width = art.merge_width;
   tune_stats_.oracle_default_ns = art.oracle_default_ns;
   tune_stats_.oracle_tuned_ns = art.oracle_tuned_ns;
 
@@ -881,25 +814,13 @@ BlockSolver<T>::BlockSolver(Art&& art, const Options& opt, bool with_values)
     out.info.kind = in.kind;
     out.info.nlevels = in.nlevels;
     out.info.nnz = in.nnz;
-    switch (in.kind) {
-      case TriKernelKind::kCompletelyParallel:
-        // The captured pivots even without values: the solver rejects a
-        // zero pivot, and install_values overwrites every one.
-        out.diag = std::make_unique<DiagonalSolver<T>>(take(in.diag));
-        break;
-      case TriKernelKind::kLevelSet:
-        out.levelset = std::make_unique<LevelSetSolver<T>>(
-            adopt_block(in.kernel_csr), take(in.levels), merge_width_);
-        break;
-      case TriKernelKind::kSyncFree:
-        out.syncfree = std::make_unique<SyncFreeSolver<T>>(
-            adopt_block(in.kernel_csr), typename SyncFreeSolver<T>::Adopt{});
-        break;
-      case TriKernelKind::kCusparseLike:
-        out.cusparse = std::make_unique<CusparseLikeSolver<T>>(
-            adopt_block(in.kernel_csr), take(in.levels));
-        break;
-    }
+    // A diagonal block's rows are its captured pivots, one per row (kept
+    // even without values: install_values overwrites every one).
+    out.tri = TriSolver<T>(in.kind,
+                           in.kind == TriKernelKind::kCompletelyParallel
+                               ? diagonal_rows(take(in.diag))
+                               : adopt_block(in.kernel_csr),
+                           take(in.levels), merge_width_);
     tri_info_.push_back(out.info);
   }
 
@@ -1251,36 +1172,29 @@ void BlockSolver<T>::build_blocks(const Csr<T>& lower, BlockNnz counts,
       kind = TriKernelKind::kSyncFree;
     out.info.kind = kind;
 
-    const auto levels = [&] {
-      return group_levels(
-          std::vector<index_t>(b.level.begin() + out.info.r0,
-                               b.level.begin() + out.info.r1),
-          out.info.nlevels);
-    };
+    // Each kind's preprocessing as the Table 5 host model prices it; the
+    // level-scheduled kinds adopt the walk's levels.
+    LevelSets levels;
     switch (kind) {
       case TriKernelKind::kCompletelyParallel:
-        // One level: no strict entry, so the values are the pivots.
-        out.diag = std::make_unique<DiagonalSolver<T>>(std::move(rows.val));
         break;
       case TriKernelKind::kLevelSet:
-        out.levelset = std::make_unique<LevelSetSolver<T>>(
-            std::move(rows), levels(), merge_width_);
-        build_ops_ += out.info.nnz;  // level analysis in the sub-solver
+      case TriKernelKind::kCusparseLike:
+        levels = group_levels(
+            std::vector<index_t>(b.level.begin() + out.info.r0,
+                                 b.level.begin() + out.info.r1),
+            out.info.nlevels);
+        build_ops_ += out.info.nnz;  // the level analysis
         break;
       case TriKernelKind::kSyncFree:
-        out.syncfree = std::make_unique<SyncFreeSolver<T>>(
-            std::move(rows), typename SyncFreeSolver<T>::Adopt{});
-        // Alg. 3's preprocessing as the Table 5 host model prices it (CSC
-        // conversion + in-degrees); the host keeps the rows as they are.
+        // Alg. 3's CSC conversion + in-degrees; the host keeps the rows as
+        // they are.
         build_ops_ += 2 * out.info.nnz;
         build_bytes_ += 2 * out.info.nnz * elem;
         break;
-      case TriKernelKind::kCusparseLike:
-        out.cusparse = std::make_unique<CusparseLikeSolver<T>>(
-            std::move(rows), levels());
-        build_ops_ += out.info.nnz;
-        break;
     }
+    out.tri = TriSolver<T>(kind, std::move(rows), std::move(levels),
+                           merge_width_);
     tri_info_.push_back(out.info);
   }
 
@@ -1549,26 +1463,7 @@ Status BlockSolver<T>::install_through(const Csr<T>& lower) {
     square_rows[q] = &squares_[q].rows;
     held += squares_[q].rows.nnz();
   }
-  // A triangle's rows come from its kernel, or are a diagonal block's
-  // pivots alone.
-  const auto tri_of = [](TriBlock& blk) -> std::pair<const Csr<T>*, T*> {
-    switch (blk.info.kind) {
-      case TriKernelKind::kCompletelyParallel:
-        return {nullptr, blk.diag->values().data()};
-      case TriKernelKind::kLevelSet:
-        return {&blk.levelset->matrix(), blk.levelset->values().data()};
-      case TriKernelKind::kSyncFree:
-        return {&blk.syncfree->matrix(), blk.syncfree->values().data()};
-      case TriKernelKind::kCusparseLike:
-        return {&blk.cusparse->matrix(), blk.cusparse->values().data()};
-    }
-    return {nullptr, nullptr};
-  };
-  for (TriBlock& blk : tri_) {
-    const Csr<T>* rows = tri_of(blk).first;
-    held += rows != nullptr ? rows->nnz()
-                            : static_cast<offset_t>(blk.diag->diag().size());
-  }
+  for (const TriBlock& blk : tri_) held += blk.tri.rows().nnz();
   if (held != nnz_) return fail("the number of held values");
 
   // The rows go window by window (kSquareWindowRows). In a window, every
@@ -1637,17 +1532,16 @@ Status BlockSolver<T>::install_through(const Csr<T>& lower) {
     for (index_t i = w0; i < w1; ++i) {
       while (plan_.tri_bounds[t + 1] <= i) ++t;
       const index_t r0 = plan_.tri_bounds[t];
-      if (i == r0) std::tie(tri, tri_val) = tri_of(tri_[t]);
+      if (i == r0) {
+        tri = &tri_[t].tri.rows();
+        tri_val = tri_[t].tri.values().data();
+      }
       Row& r = rows[static_cast<std::size_t>(i - w0)];
       const auto li = static_cast<std::size_t>(i - r0);
-      if (tri == nullptr) {
-        if (!take(r, i, tri_val + li)) return fail("a diagonal block");
-      } else {
-        for (offset_t e = tri->row_ptr[li]; e < tri->row_ptr[li + 1]; ++e)
-          if (!take(r, tri->col_idx[static_cast<std::size_t>(e)] + r0,
-                    tri_val + e))
-            return fail("a triangular block");
-      }
+      for (offset_t e = tri->row_ptr[li]; e < tri->row_ptr[li + 1]; ++e)
+        if (!take(r, tri->col_idx[static_cast<std::size_t>(e)] + r0,
+                  tri_val + e))
+          return fail("a triangular block");
       if (r.next != r.end) return fail("a row's entry count");
       norm = std::max(norm, r.sum);
     }
@@ -1680,14 +1574,6 @@ void BlockSolver<T>::residual_into(const T* xw, const T* bw0, T* r, index_t k,
                          i0) -
         plan_.tri_bounds.begin() - 1);
     double acc[kW * kRhsTile];
-    Csr<T> unused;  // tri_rows' scratch, which only a diagonal leaf needs
-    // A leaf's kernel rows, or null for a diagonal leaf's pivots.
-    const auto leaf_rows = [&](std::size_t lt) -> const Csr<T>* {
-      const TriBlock& leaf = tri_[lt];
-      return leaf.info.kind == TriKernelKind::kCompletelyParallel
-                 ? nullptr
-                 : &tri_rows(leaf, unused);
-    };
     for (index_t s0 = i0; s0 < i1;) {
       const index_t s1 = std::min((window_of(s0) + 1) * kW, i1);
       const std::vector<typename WindowRuns<T>::Run>& sq = runs.at(s0, s1);
@@ -1719,33 +1605,22 @@ void BlockSolver<T>::residual_into(const T* xw, const T* bw0, T* r, index_t k,
         }
         // The triangle entries come last; each row's sums then give r.
         std::size_t lt = t;
-        const Csr<T>* rows = leaf_rows(lt);
         for (std::size_t q = 0; q < len; ++q) {
           const index_t row = s0 + static_cast<index_t>(q);
-          if (plan_.tri_bounds[lt + 1] <= row) {
-            while (plan_.tri_bounds[lt + 1] <= row) ++lt;
-            rows = leaf_rows(lt);
-          }
+          while (plan_.tri_bounds[lt + 1] <= row) ++lt;
           const TriBlock& leaf = tri_[lt];
+          const Csr<T>& rows = leaf.tri.rows();
           const auto tl = static_cast<std::size_t>(row - leaf.info.r0);
           const std::size_t i = static_cast<std::size_t>(row) * ku + cu;
           double s[W];
           for (int c = 0; c < W; ++c) s[c] = acc[q * W + c];
-          if (rows != nullptr) {
-            const T* const xt =
-                xw + static_cast<std::size_t>(leaf.info.r0) * ku;
-            for (offset_t e = rows->row_ptr[tl]; e < rows->row_ptr[tl + 1];
-                 ++e) {
-              const auto j = static_cast<std::size_t>(rows->col_idx[e]);
-              const T* xe = xt + j * ku + cu;
-              for (int c = 0; c < W; ++c)
-                s[c] += static_cast<double>(rows->val[e]) *
-                        static_cast<double>(xe[c]);
-            }
-          } else {
-            const double d = static_cast<double>(leaf.diag->diag()[tl]);
+          const T* const xt = xw + static_cast<std::size_t>(leaf.info.r0) * ku;
+          for (offset_t e = rows.row_ptr[tl]; e < rows.row_ptr[tl + 1]; ++e) {
+            const auto j = static_cast<std::size_t>(rows.col_idx[e]);
+            const T* xe = xt + j * ku + cu;
             for (int c = 0; c < W; ++c)
-              s[c] += d * static_cast<double>(xw[i + c]);
+              s[c] += static_cast<double>(rows.val[e]) *
+                      static_cast<double>(xe[c]);
           }
           for (int c = 0; c < W; ++c)
             r[i + c] = static_cast<T>(static_cast<double>(bw0[i + c]) - s[c]);
@@ -1821,12 +1696,9 @@ void BlockSolver<T>::accumulate_op_stats(SolveReport* rep) const {
     rep->bytes += static_cast<std::int64_t>(blk.info.nnz) * idx_val +
                   static_cast<std::int64_t>(blk.info.r1 - blk.info.r0) *
                       row_overhead;
-    if (blk.info.kind == TriKernelKind::kLevelSet &&
-        blk.levelset != nullptr) {
-      const index_t groups = blk.levelset->exec_groups();
-      rep->levels_executed += groups;
-      rep->levels_merged += blk.info.nlevels - groups;
-    }
+    const index_t groups = blk.tri.exec_groups();  // 0 when it holds none
+    rep->levels_executed += groups;
+    if (groups > 0) rep->levels_merged += blk.info.nlevels - groups;
   }
   for (const SquareBlock& blk : squares_) {
     if (blk.info.nnz == 0) continue;

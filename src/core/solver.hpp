@@ -5,8 +5,8 @@
 //                          recursive level-set reordering (§3.3),
 //                          per-block adaptive kernel selection (§3.4),
 //                          per-block storage (each triangle's rows held
-//                          once by its sub-solver, each square's non-empty
-//                          rows by window and length, diagonal separate)
+//                          once by its TriSolver, each square's non-empty
+//                          rows by window and length)
 //   solve (many times):    walk the execution steps, calling the selected
 //                          SpTRSV kernel on each triangular block and the
 //                          selected SpMV kernel on each square block.
@@ -40,10 +40,7 @@
 #include "sim/machine.hpp"
 #include "sim/report.hpp"
 #include "spmv/kernels.hpp"
-#include "sptrsv/cusparse_like.hpp"
-#include "sptrsv/diagonal.hpp"
-#include "sptrsv/levelset.hpp"
-#include "sptrsv/syncfree.hpp"
+#include "sptrsv/triangle.hpp"
 #include "tune/search.hpp"
 
 namespace blocktri {
@@ -237,10 +234,10 @@ class BlockSolver {
     /// Cost-model-driven plan autotuning (DESIGN.md §13). Off by default —
     /// plans are then byte-for-byte identical to the untuned planner +
     /// Alg. 7 selector. When enabled, the cold build calibrates (or loads) a
-    /// per-device CostModel, searches partition depth / per-block kernels /
-    /// the level-merge schedule against the execution-simulator oracle, and
-    /// adopts the winner; the tuned choices persist into the .btpa artifact
-    /// so warm starts pay zero re-tuning. tune.enabled and the fields that
+    /// per-device CostModel, searches partition depth and per-block kernels
+    /// against the execution-simulator oracle, and adopts the winner; the
+    /// tuned choices persist into the .btpa artifact so warm starts pay zero
+    /// re-tuning. tune.enabled and the fields that
     /// change the chosen plan (device, SA budget, seed) join the options
     /// fingerprint only when enabled, so untuned fingerprints are unchanged.
     tune::TuneOptions tune;
@@ -528,7 +525,8 @@ class BlockSolver {
   /// build) or rehydrated from an artifact captured by one. Whether the
   /// search actually beat the default plan is tune_stats().fell_back.
   bool tuned() const { return tuned_; }
-  /// Level-merge width every level-set block of this solver was built with.
+  /// Level-merge width every level-set block of this solver was built with:
+  /// kLevelMergeMaxWidth on a cold build, the artifact's on rehydration.
   offset_t level_merge_width() const { return merge_width_; }
   /// Search diagnostics of the cold tuned build (zeros for untuned solvers
   /// and artifact rehydrations, which re-run no search).
@@ -571,14 +569,12 @@ class BlockSolver {
   BlockSolver(const Csr<T>& lower, const Options& opt,
               std::uint64_t structure);
 
-  /// One triangular leaf: the sub-solver of its kind holds its rows (a
-  /// diagonal block only its pivots) — the one copy every path reads.
+  /// One triangular leaf: its TriSolver holds its rows, diagonal last —
+  /// the one copy every path reads — and the kind, level sets and groups
+  /// its solves and the model read.
   struct TriBlock {
     TriBlockInfo info;
-    std::unique_ptr<DiagonalSolver<T>> diag;
-    std::unique_ptr<LevelSetSolver<T>> levelset;
-    std::unique_ptr<SyncFreeSolver<T>> syncfree;
-    std::unique_ptr<CusparseLikeSolver<T>> cusparse;
+    TriSolver<T> tri;
   };
   /// One square: its non-empty rows by window and length
   /// (kSquareWindowRows), the one layout every kernel kind runs on the host.
@@ -589,18 +585,9 @@ class BlockSolver {
     Dcsr<T> rows;
   };
 
-  /// The model's view of a triangle's held structure.
-  static model::TriView tri_view(const TriBlock& blk);
-  /// The rows the fallback rungs solve from: the kernel's own CSR, or — for
-  /// a diagonal block, which holds only pivots — rows built into `built`.
-  const Csr<T>& tri_rows(const TriBlock& blk, Csr<T>& built) const;
-  /// The host kernels of one block over a row-interleaved n × k panel:
-  /// b/x/y point at the block's first row. The triangle solves x from b;
-  /// the square updates y −= A·x over its listed rows, whatever its kind.
-  /// k = 1 runs the single-RHS kernel bodies. `ctl` is the session's
-  /// cooperative control (nullable).
-  void exec_tri_many(const TriBlock& blk, const T* b, T* x, index_t k,
-                     ThreadPool* pool, const ExecControl* ctl) const;
+  /// The host kernel of one square over a row-interleaved n × k panel:
+  /// x/y point at the block's first column and row, and y −= A·x over its
+  /// listed rows, whatever its kind. k = 1 runs the single-RHS body.
   void exec_square_many(const SquareBlock& blk, const T* x, T* y, index_t k,
                         ThreadPool* pool) const;
   /// One ExecStep of the host solve (no simulation, no ladder) over a
@@ -667,7 +654,8 @@ class BlockSolver {
                    index_t fault_column = -1) const;
   /// The checked walk's check of triangle `t`: the block fault hook poisons
   /// column `fault_column` if it lies in [0, k); a non-finite column is
-  /// re-solved alone down the level-set, then serial rung, into reps[c]
+  /// re-solved alone down the level-set (the canonical flat pass), then
+  /// serial rung, into reps[c]
   /// (kNumericalBreakdown when both fail). The steps of a wave are
   /// independent, so the triangle's b and x rows are as its kernel left them.
   Status check_tri(index_t t, const T* bw, T* xw, index_t k,
@@ -693,8 +681,8 @@ class BlockSolver {
                       double* norms, ThreadPool* epool) const;
   double default_residual_tolerance() const;
   /// Adds the per-solve operation counters (Options::collect_stats) — flops
-  /// and bytes from the block nnz, level-merge savings from the level-set
-  /// blocks' execution groups.
+  /// and bytes from the block nnz, level-merge savings from the execution
+  /// groups of the triangles that hold them.
   void accumulate_op_stats(SolveReport* rep) const;
 
   /// Shared body of solve() (a k = 1 panel) and the panel solves: one walk
@@ -729,7 +717,7 @@ class BlockSolver {
   std::int64_t build_ops_ = 0;    // block build cost counters (Table 5)
   std::int64_t build_bytes_ = 0;
   bool tuned_ = false;            // this solver runs an autotuned plan
-  offset_t merge_width_ = kLevelMergeMaxWidth;  // level-set exec-group bound
+  offset_t merge_width_ = kLevelMergeMaxWidth;  // exec-group bound
   tune::TuneStats tune_stats_;    // cold tuned builds only
 
   /// Reusable buffers backing the allocation-free solve paths. Vectors only

@@ -6,7 +6,7 @@
 //
 // Replays read structure only: each triangle step carries a TriView of its
 // rows and level sets, each square step the SquareView of its kind. The
-// builders below make those views from the host solvers' held blocks or
+// builders below make those views from the host triangles' held blocks or
 // from a block cut out of a matrix.
 #pragma once
 
@@ -16,10 +16,6 @@
 #include "common/thread_pool.hpp"
 #include "model/kernels.hpp"
 #include "sparse/formats.hpp"
-#include "sptrsv/cusparse_like.hpp"
-#include "sptrsv/diagonal.hpp"
-#include "sptrsv/levelset.hpp"
-#include "sptrsv/syncfree.hpp"
 
 namespace blocktri {
 
@@ -61,8 +57,7 @@ void replay(std::span<const Step> steps, index_t n, const sim::GpuSpec& gpu,
 sim::SolveReport replay_warm(std::span<const Step> steps, index_t n,
                              const sim::GpuSpec& gpu, bool fp64, int elem);
 
-/// The views of a triangle's rows (diagonal last) and of the host triangle
-/// solvers' held structure, and the kind of each solver class.
+/// The view of a triangle's rows (diagonal last).
 template <class T>
 TriView tri_view(const Csr<T>& rows) {
   TriView v;
@@ -71,44 +66,21 @@ TriView tri_view(const Csr<T>& rows) {
   v.col_idx = rows.col_idx;
   return v;
 }
-template <class T>
-TriView tri_view(const DiagonalSolver<T>& s) {
-  TriView v;
-  v.n = s.n();
-  return v;
-}
-template <class T>
-TriView tri_view(const LevelSetSolver<T>& s) {
-  TriView v = tri_view(s.matrix());
-  v.levels = &s.levels();
-  return v;
-}
-template <class T>
-TriView tri_view(const SyncFreeSolver<T>& s) {
-  return tri_view(s.matrix());
-}
-template <class T>
-TriView tri_view(const CusparseLikeSolver<T>& s) {
-  TriView v = tri_view(s.matrix());
-  v.levels = &s.levels();
-  return v;
-}
 
-template <class T>
-constexpr TriKernelKind kind_of(const DiagonalSolver<T>&) {
-  return TriKernelKind::kCompletelyParallel;
+/// The view of a host triangle (sptrsv/triangle.hpp's TriSolver) and its
+/// kind: its rows and the level sets it holds (empty for the kinds that
+/// hold none, whose kernels do not read them).
+template <class Tri>
+  requires requires(const Tri& s) { s.rows(); s.levels(); }
+TriView tri_view(const Tri& s) {
+  TriView v = tri_view(s.rows());
+  v.levels = &s.levels();
+  return v;
 }
-template <class T>
-constexpr TriKernelKind kind_of(const LevelSetSolver<T>&) {
-  return TriKernelKind::kLevelSet;
-}
-template <class T>
-constexpr TriKernelKind kind_of(const SyncFreeSolver<T>&) {
-  return TriKernelKind::kSyncFree;
-}
-template <class T>
-constexpr TriKernelKind kind_of(const CusparseLikeSolver<T>&) {
-  return TriKernelKind::kCusparseLike;
+template <class Tri>
+  requires requires(const Tri& s) { s.kind(); }
+constexpr TriKernelKind kind_of(const Tri& s) {
+  return s.kind();
 }
 
 /// A triangle's structure held for the model — its rows and their level

@@ -171,10 +171,10 @@ HbmcPartition hbmc_partition(index_t n, const std::vector<offset_t>& row_ptr,
 
   // Quotient levels reproduce the aggregation colors exactly when
   // merge_width == 0; with merging on, adjacent straggly colors fuse.
-  // merge_width is calibrated in ORIGINAL MATRIX ROWS (it is the solver's
-  // level-merge width), but a quotient "row" is a whole block of up to W
-  // rows — convert, so fusion only ever targets colors thinner than the
-  // merge budget instead of serialising every W-row block it can reach.
+  // merge_width is in ORIGINAL MATRIX ROWS (it is the solver's level-merge
+  // width), but a quotient "row" is a whole block of up to W rows —
+  // convert, so fusion only ever targets colors thinner than the merge
+  // budget instead of serialising every W-row block it can reach.
   const index_t qmerge = merge_width / W;
   const LevelSets qls = compute_level_sets(agg.nblocks, q_ptr, q_col, nullptr,
                                            qmerge);

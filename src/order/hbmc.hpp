@@ -56,7 +56,7 @@ struct HbmcPartition {
 /// additionally fuses adjacent tiny colors into single serial blocks via the
 /// Böhnlein-style grouping fix in compute_level_sets — fewer, fatter sync
 /// steps on straggly tails. The width is in ORIGINAL MATRIX ROWS (the
-/// solver's calibrated level-merge width); internally it becomes a budget of
+/// solver's level-merge width); internally it becomes a budget of
 /// merge_width / W quotient blocks, so fusion never touches colors already
 /// wider than the merge budget.
 HbmcPartition hbmc_partition(index_t n, const std::vector<offset_t>& row_ptr,
@@ -79,8 +79,8 @@ HbmcPartition hbmc_partition(const Csr<T>& lower, index_t block_rows,
 /// and color_bounds annotate the colors; compute_step_waves groups each
 /// color's triangles into one wave, giving exactly 2·ncolors − 1 barriers
 /// with the executor unchanged.
-/// `merge_width` is the solver's calibrated run-merge width, reused here as
-/// the color-fusion bound.
+/// `merge_width` is the solver's run-merge width (kLevelMergeMaxWidth),
+/// reused here as the color-fusion bound.
 template <class T>
 BlockPlan plan_hbmc(const Csr<T>& lower, const PlannerOptions& opt,
                     index_t merge_width, Csr<T>* permuted,

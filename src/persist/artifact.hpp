@@ -34,7 +34,6 @@
 #include "core/adaptive.hpp"
 #include "core/plan.hpp"
 #include "sparse/formats.hpp"
-#include "sptrsv/levelset.hpp"
 
 namespace blocktri {
 

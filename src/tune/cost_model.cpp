@@ -11,7 +11,6 @@
 
 #include "common/io.hpp"
 #include "common/rng.hpp"
-#include "common/timer.hpp"
 #include "gen/generators.hpp"
 #include "model/replay.hpp"
 
@@ -155,35 +154,6 @@ double measure_square(SpmvKernelKind kind, const SquareSample& s,
       model::replay_warm({&step, 1}, s.a.nrows, gpu, true, 8);
   if (rep.flops != 2 * s.a.nnz()) *flops_ok = false;
   return rep.ns;
-}
-
-/// Host wall-clock pick of the level-merge width: a deep near-serial chain
-/// (where merging is the whole game) solved at each candidate width, warmup +
-/// min-of-N. Scanning order puts the compiled-in default first so it wins
-/// ties.
-offset_t pick_merge_width() {
-  const Csr<double> a = gen::chain_banded(4096, 8, 1.0, 0x6d657267ULL);
-  const std::vector<double> b = gen::random_rhs<double>(a.nrows, 7);
-  std::vector<double> x(static_cast<std::size_t>(a.nrows), 0.0);
-  const offset_t widths[] = {kLevelMergeMaxWidth, 1, 4, 8, 32, 64};
-  offset_t best_w = kLevelMergeMaxWidth;
-  double best_ms = -1.0;
-  for (offset_t w : widths) {
-    const LevelSetSolver<double> solver(a, nullptr, w);
-    for (int i = 0; i < 2; ++i) solver.solve(b.data(), x.data());
-    double ms = -1.0;
-    for (int i = 0; i < 5; ++i) {
-      Stopwatch sw;
-      solver.solve(b.data(), x.data());
-      const double t = sw.milliseconds();
-      if (ms < 0.0 || t < ms) ms = t;
-    }
-    if (best_ms < 0.0 || ms < best_ms) {
-      best_ms = ms;
-      best_w = w;
-    }
-  }
-  return best_w;
 }
 
 // ---------------------------------------------------------------------------
@@ -358,7 +328,6 @@ CostModel calibrate_cost_model(const sim::GpuSpec& gpu) {
     m.sq[k] = {coeff[0], coeff[1], coeff[2], 0.0};
   }
 
-  m.preferred_merge_width = pick_merge_width();
   m.valid = flops_ok && fits_ok;
   return m;
 }
@@ -368,7 +337,6 @@ Status save_cost_model(const std::string& path, const CostModel& m) {
   put(payload, m.version);
   put(payload, kEndianMark);
   put(payload, m.device);
-  put(payload, static_cast<std::int64_t>(m.preferred_merge_width));
   put(payload, static_cast<std::uint32_t>(m.valid ? 1 : 0));
   for (int k = 0; k < 4; ++k) put_cost(payload, m.tri[k]);
   for (int k = 0; k < 4; ++k) put_cost(payload, m.sq[k]);
@@ -436,10 +404,8 @@ Status load_cost_model(const std::string& path, CostModel* out) {
   CostModel m;
   std::size_t pos = 0;
   std::uint32_t endian = 0, valid = 0;
-  std::int64_t mw = 0;
   bool ok = get(payload, &pos, &m.version) && get(payload, &pos, &endian) &&
-            get(payload, &pos, &m.device) && get(payload, &pos, &mw) &&
-            get(payload, &pos, &valid);
+            get(payload, &pos, &m.device) && get(payload, &pos, &valid);
   for (int k = 0; ok && k < 4; ++k) ok = get_cost(payload, &pos, &m.tri[k]);
   for (int k = 0; ok && k < 4; ++k) ok = get_cost(payload, &pos, &m.sq[k]);
   if (!ok)
@@ -452,10 +418,6 @@ Status load_cost_model(const std::string& path, CostModel* out) {
                   "cost-model version " + std::to_string(m.version) +
                       " in '" + path + "', expected " +
                       std::to_string(kCostModelVersion));
-  if (mw < 0)
-    return Status(StatusCode::kBadFormat,
-                  "'" + path + "' carries a negative merge width");
-  m.preferred_merge_width = static_cast<offset_t>(mw);
   m.valid = valid != 0;
   *out = m;
   return Status::Ok();

@@ -14,8 +14,8 @@
 //
 // per kernel. Every sample is cross-checked against the exact collect_stats
 // flop counters (2·nnz per block) so a drifting simulator invalidates the
-// model instead of silently mis-tuning. A host microbench additionally picks
-// the level-merge width that minimises real wall-clock on deep chains.
+// model instead of silently mis-tuning. The model reads structure only, so
+// calibration is a pure function of the device description.
 //
 // Calibration is paid once per device description: models are cached
 // in-process (keyed by the device fingerprint) and optionally on disk in a
@@ -29,13 +29,13 @@
 #include "common/types.hpp"
 #include "core/adaptive.hpp"
 #include "sim/machine.hpp"
-#include "sptrsv/levelset.hpp"
 
 namespace blocktri::tune {
 
 /// Bumped whenever the model form or the calibration protocol changes; a
 /// cached model with a different version is discarded and refitted.
-inline constexpr std::uint32_t kCostModelVersion = 1;
+/// Version 2 drops the host-timed level-merge width of version 1.
+inline constexpr std::uint32_t kCostModelVersion = 2;
 
 /// One kernel's fitted affine cost curve (nanoseconds). `per_level_ns` is
 /// meaningful for the SpTRSV kernels (per-level barrier/launch cost) and
@@ -52,9 +52,6 @@ struct CostModel {
   std::uint64_t device = 0;  // device_fingerprint of the calibrated GpuSpec
   KernelCost tri[4];         // indexed by static_cast<int>(TriKernelKind)
   KernelCost sq[4];          // indexed by static_cast<int>(SpmvKernelKind)
-  /// Host-measured level-merge width (the LevelSetSolver execution-group
-  /// bound) that minimised wall-clock on a deep serial chain.
-  offset_t preferred_merge_width = kLevelMergeMaxWidth;
   /// False when the flops cross-check against the collect_stats counters
   /// failed or a fit degenerated — the plan search then keeps the paper's
   /// Alg. 7 heuristics for kernel choice and only searches the partition.

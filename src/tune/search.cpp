@@ -350,9 +350,6 @@ TunedPlan<T> autotune_recursive(const Csr<T>& lower,
   const double launch_ns = topt.gpu.kernel_launch_ns;
 
   TunedPlan<T> tp;
-  tp.merge_width =
-      model.valid ? model.preferred_merge_width : kLevelMergeMaxWidth;
-  tp.stats.merge_width = tp.merge_width;
 
   // --- Candidate D: today's plan under today's heuristics. Computed first
   // and replicated exactly, so falling back reproduces the untuned solver
@@ -676,8 +673,8 @@ TunedPlan<T> autotune_recursive(const Csr<T>& lower,
                   planner.hbmc_max_colors, thresholds)) {
     Csr<T> hstored;
     hplan = order::plan_hbmc(lower, planner,
-                             static_cast<index_t>(tp.merge_width), &hstored,
-                             pool);
+                             static_cast<index_t>(kLevelMergeMaxWidth),
+                             &hstored, pool);
     hk = price_plan(hplan, hstored, thresholds, model, launch_ns);
     ViewMemo<T> hctx(&hstored, pool);
     ns_hbmc = simulate_candidate(

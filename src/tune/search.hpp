@@ -31,7 +31,6 @@
 #include "core/plan.hpp"
 #include "sim/machine.hpp"
 #include "sparse/formats.hpp"
-#include "sptrsv/levelset.hpp"
 #include "tune/cost_model.hpp"
 
 namespace blocktri::tune {
@@ -60,7 +59,7 @@ struct TuneOptions {
 struct TuneStats {
   /// True when the default plan with the paper's heuristics won the final
   /// comparison — the tuned solver is then bitwise identical to an untuned
-  /// one (modulo the host-only level-merge width).
+  /// one.
   bool fell_back = false;
   double model_default_ns = 0.0;  // CostModel prediction of the default plan
   double model_tuned_ns = 0.0;    // CostModel prediction of the chosen plan
@@ -68,7 +67,6 @@ struct TuneStats {
   double oracle_tuned_ns = 0.0;   // exact-sim time of the chosen plan
   int sa_moves = 0;
   int sa_accepted = 0;
-  offset_t merge_width = kLevelMergeMaxWidth;
 };
 
 /// The decisions BlockSolver's cold build adopts from a tuned plan: the
@@ -82,7 +80,6 @@ struct TunedPlan {
   std::vector<index_t> tri_nlevels;          // level count of each tri leaf
   std::vector<SpmvKernelKind> square_kinds;  // per square, plan order
   std::vector<double> square_empty_ratio;
-  offset_t merge_width = kLevelMergeMaxWidth;
   TuneStats stats;
 };
 

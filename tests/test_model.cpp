@@ -765,20 +765,21 @@ void expect_baselines() {
     const auto b = gen::random_rhs<T>(L.nrows, 7);
     const std::string base =
         std::string("baseline/") + f.name + "/" + precision<T>() + "/";
-    expect_pin(base + "level-set",
-               bench::measure_baseline(LevelSetSolver<T>(L), L, b, gpu).report);
-    expect_pin(base + "sync-free",
-               bench::measure_baseline(SyncFreeSolver<T>(L), L, b, gpu).report);
-    expect_pin(
-        base + "cusparse-like",
-        bench::measure_baseline(CusparseLikeSolver<T>(L), L, b, gpu).report);
+    for (const TriKernelKind kind :
+         {TriKernelKind::kLevelSet, TriKernelKind::kSyncFree,
+          TriKernelKind::kCusparseLike})
+      expect_pin(base + to_string(kind),
+                 bench::measure_baseline(TriSolver<T>(kind, L), L, b, gpu)
+                     .report);
   }
   const Csr<T> D = gen::convert_values<T>(gen::diagonal(1000, 3));
   const auto b = gen::random_rhs<T>(D.nrows, 7);
-  expect_pin(std::string("baseline/diagonal/") + precision<T>() +
-                 "/completely-parallel",
-             bench::measure_baseline(DiagonalSolver<T>(D.val), D, b, gpu)
-                 .report);
+  expect_pin(
+      std::string("baseline/diagonal/") + precision<T>() +
+          "/completely-parallel",
+      bench::measure_baseline(
+          TriSolver<T>(TriKernelKind::kCompletelyParallel, D), D, b, gpu)
+          .report);
 }
 
 TEST(ModelPins, BaselineKernels) {
@@ -792,8 +793,7 @@ std::string hex(double v) {
   return buf;
 }
 
-// Calibration scores every kernel on the model; its fit is pinned in full
-// (the host-timed level-merge width is not part of the model).
+// Calibration scores every kernel on the model; its fit is pinned in full.
 TEST(ModelPins, CalibratedCostModel) {
   const tune::CostModel m = tune::calibrate_cost_model(sim::titan_rtx());
   std::string got = m.valid ? "valid" : "invalid";
@@ -818,8 +818,8 @@ TEST(ModelPins, CalibratedCostModel) {
 }
 
 // One tuned plan: the kinds the search picks, its oracle and model scores,
-// and the plan's simulated solve. HBMC candidates are off because their plan
-// depends on the host-timed merge width.
+// and the plan's simulated solve. HBMC candidates are off, as they were
+// when this pin was recorded.
 TEST(ModelPins, TunedPlan) {
   const Csr<double> L = gen::grid2d(150, 120, 5);
   BlockSolver<double>::Options opt;

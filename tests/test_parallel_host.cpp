@@ -4,9 +4,10 @@
 //
 // Determinism contract (see DESIGN.md "Host-parallel execution"): every
 // parallel path is bitwise identical to the serial one and is compared with
-// EXPECT_EQ — level-set, diagonal and SpMV by disjoint writes and
-// deterministic chunking. A sync-free leaf runs its serial row loop at any
-// thread count.
+// EXPECT_EQ — the level-set triangle's level schedule, every triangle's
+// panel split by cache lines and SpMV by disjoint writes and deterministic
+// chunking. Any other triangle solve is one serial pass at any thread
+// count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -145,14 +146,14 @@ TEST(ParallelKernels, LevelSetMatchesSerialBitwise) {
     const Csr<double> L = tm.build();
     const auto b = gen::random_rhs<double>(L.nrows, 31);
     std::vector<double> want(static_cast<std::size_t>(L.nrows));
-    const LevelSetSolver<double> serial(L);
+    const TriSolver<double> serial(TriKernelKind::kLevelSet, L);
     serial.solve(b.data(), want.data());
     for (const int t : kThreadCounts) {
       SCOPED_TRACE(t);
       ThreadPool pool(t);
-      const LevelSetSolver<double> par(L, &pool);
+      const TriSolver<double> par(TriKernelKind::kLevelSet, L, &pool);
       std::vector<double> got(static_cast<std::size_t>(L.nrows), -1.0);
-      par.solve(b.data(), got.data(), &pool);
+      par.solve(b.data(), got.data(), 1, 1, &pool);
       EXPECT_EQ(got, want);  // disjoint writes — bitwise deterministic
     }
   }
@@ -160,11 +161,7 @@ TEST(ParallelKernels, LevelSetMatchesSerialBitwise) {
 
 TEST(ParallelKernels, DiagonalMatchesSerialBitwise) {
   const Csr<double> L = gen::diagonal(20000, 33);
-  std::vector<double> diag(static_cast<std::size_t>(L.nrows));
-  for (index_t i = 0; i < L.nrows; ++i)
-    diag[static_cast<std::size_t>(i)] =
-        L.val[static_cast<std::size_t>(L.row_ptr[static_cast<std::size_t>(i)])];
-  const DiagonalSolver<double> solver(diag);
+  const TriSolver<double> solver(TriKernelKind::kCompletelyParallel, L);
   const auto b = gen::random_rhs<double>(L.nrows, 34);
   std::vector<double> want(static_cast<std::size_t>(L.nrows));
   solver.solve(b.data(), want.data());
@@ -172,7 +169,7 @@ TEST(ParallelKernels, DiagonalMatchesSerialBitwise) {
     SCOPED_TRACE(t);
     ThreadPool pool(t);
     std::vector<double> got(static_cast<std::size_t>(L.nrows), -1.0);
-    solver.solve(b.data(), got.data(), &pool);
+    solver.solve(b.data(), got.data(), 1, 1, &pool);
     EXPECT_EQ(got, want);
   }
 }
@@ -352,6 +349,77 @@ TEST(ParallelBlockSolver, LargeMatricesEngageParallelPaths) {
     SCOPED_TRACE(tm.name);
     expect_threaded_solver_matches_serial<double>(tm.build(),
                                                   BlockScheme::kRecursive);
+  }
+}
+
+// Forced cuSPARSE-like and level-set plans and diagonal plans: every
+// solve and panel at threads > 1 equals threads = 1 bit for bit, the
+// cuSPARSE-like and diagonal panels split across the pool by cache lines.
+// A diagonal matrix's leaves share one wave and run as tasks; leaves
+// chained by squares (row i reads x[i − 2 500]) under the column scheme
+// are lone steps, whose kernels get the pool.
+TEST(ParallelBlockSolver, ForcedKindsMatchSerial) {
+  Csr<double> chained;
+  chained.nrows = chained.ncols = 20000;
+  chained.row_ptr.push_back(0);
+  for (index_t i = 0; i < chained.nrows; ++i) {
+    if (i >= 2500) {
+      chained.col_idx.push_back(i - 2500);
+      chained.val.push_back(0.5);
+    }
+    chained.col_idx.push_back(i);
+    chained.val.push_back(2.0 + static_cast<double>(i % 7));
+    chained.row_ptr.push_back(static_cast<offset_t>(chained.col_idx.size()));
+  }
+  struct Case {
+    const char* name;
+    Csr<double> L;
+    TriKernelKind kind;
+    BlockScheme scheme;
+  };
+  const Case cases[] = {
+      {"cusparse-like", gen::random_levels(20000, 50, 4.0, 1.0, 70),
+       TriKernelKind::kCusparseLike, BlockScheme::kRecursive},
+      {"level-set", gen::banded(20000, 16, 4.0, 71), TriKernelKind::kLevelSet,
+       BlockScheme::kRecursive},
+      {"diagonal", gen::diagonal(20000, 72),
+       TriKernelKind::kCompletelyParallel, BlockScheme::kRecursive},
+      {"chained diagonal leaves", chained, TriKernelKind::kCompletelyParallel,
+       BlockScheme::kColumn},
+  };
+  const index_t widths[] = {1, 16, 64};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    BlockSolver<double>::Options opt;
+    opt.scheme = c.scheme;
+    opt.planner.stop_rows = 2048;
+    opt.planner.nseg = 8;
+    opt.adaptive = false;
+    opt.forced_tri = c.kind;
+    const BlockSolver<double> serial(c.L, opt);
+    for (const auto& info : serial.tri_info()) ASSERT_EQ(info.kind, c.kind);
+    if (c.scheme == BlockScheme::kColumn)
+      for (const auto& wave : serial.step_waves()) ASSERT_EQ(wave.size(), 1u);
+    std::vector<std::vector<double>> panels, want;
+    for (const index_t k : widths) {
+      std::vector<double> B;
+      for (index_t col = 0; col < k; ++col) {
+        const auto bc = gen::random_rhs<double>(c.L.nrows, 80 + col);
+        B.insert(B.end(), bc.begin(), bc.end());
+      }
+      want.push_back(serial.solve_many(B, k));
+      panels.push_back(std::move(B));
+    }
+    for (const int t : kThreadCounts) {
+      SCOPED_TRACE(t);
+      opt.threads = t;
+      const BlockSolver<double> par(c.L, opt);
+      for (std::size_t w = 0; w < panels.size(); ++w) {
+        SCOPED_TRACE(widths[w]);
+        EXPECT_EQ(par.solve_many(panels[w], widths[w]), want[w]);
+      }
+      EXPECT_EQ(par.solve(panels[0]), want[0]);
+    }
   }
 }
 

@@ -13,8 +13,8 @@
 #include "core/solver.hpp"
 #include "gen/generators.hpp"
 #include "helpers.hpp"
-#include "sptrsv/levelset.hpp"
 #include "sptrsv/serial.hpp"
+#include "sptrsv/triangle.hpp"
 
 namespace blocktri {
 namespace {
@@ -268,13 +268,16 @@ TEST(SimdSolver, RawPointerSolveMatchesVectorApi) {
 }
 
 // Level merging must change only the grouping, never a floating-point
-// operation: solves with merging disabled are bitwise identical.
+// operation: solves with merging disabled are bitwise identical. The groups
+// shape the level schedule, which runs on a pool.
 TEST(LevelMerge, DisabledMatchesBitwise) {
   const auto L = gen::random_levels(2000, 500, 2.0, 1.0, 9);
   const auto b = gen::random_rhs<double>(L.nrows, 91);
+  ThreadPool pool(2);
 
-  const LevelSetSolver<double> merged(L);
-  const LevelSetSolver<double> unmerged(L, nullptr, /*merge_max_width=*/0);
+  const TriSolver<double> merged(TriKernelKind::kLevelSet, L);
+  const TriSolver<double> unmerged(TriKernelKind::kLevelSet, L, nullptr,
+                                   /*merge_width=*/0);
 
   EXPECT_EQ(unmerged.exec_groups(), unmerged.levels().nlevels);
   EXPECT_LE(merged.exec_groups(), merged.levels().nlevels);
@@ -282,8 +285,8 @@ TEST(LevelMerge, DisabledMatchesBitwise) {
   EXPECT_LT(merged.exec_groups(), merged.levels().nlevels);
 
   std::vector<double> x_merged(b.size()), x_unmerged(b.size());
-  merged.solve(b.data(), x_merged.data());
-  unmerged.solve(b.data(), x_unmerged.data());
+  merged.solve(b.data(), x_merged.data(), 1, 1, &pool);
+  unmerged.solve(b.data(), x_unmerged.data(), 1, 1, &pool);
   EXPECT_TRUE(VectorsBitwise(x_merged, x_unmerged));
 
   const index_t k = 4;
@@ -294,8 +297,8 @@ TEST(LevelMerge, DisabledMatchesBitwise) {
   }
   // B read as an interleaved panel (element (i, c) at i·k + c).
   std::vector<double> X_merged(B.size()), X_unmerged(B.size());
-  merged.solve_many(B.data(), X_merged.data(), k, k);
-  unmerged.solve_many(B.data(), X_unmerged.data(), k, k);
+  merged.solve(B.data(), X_merged.data(), k, k, &pool);
+  unmerged.solve(B.data(), X_unmerged.data(), k, k, &pool);
   EXPECT_TRUE(VectorsBitwise(X_merged, X_unmerged));
 }
 

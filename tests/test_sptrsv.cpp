@@ -1,18 +1,21 @@
-// Baseline SpTRSV solver tests: every parallel solver must match the serial
-// oracle (Algorithm 1) on every structural family, in both precisions, and
-// the GPU model's launch/sync accounting of each solver's structure
-// (model/kernels.hpp) must match each algorithm's design.
+// Baseline SpTRSV solver tests: the host triangle of every Alg. 7 kind must
+// match the serial oracle (Algorithm 1) on every structural family, in both
+// precisions, bitwise at any panel width, thread count and lowering, and the
+// GPU model's launch/sync accounting of each kind over the triangle's
+// structure (model/kernels.hpp) must match each algorithm's design.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
+#include "common/simd.hpp"
+#include "common/thread_pool.hpp"
 #include "gen/generators.hpp"
 #include "helpers.hpp"
 #include "model/replay.hpp"
 #include "sparse/dense.hpp"
-#include "sptrsv/cusparse_like.hpp"
-#include "sptrsv/diagonal.hpp"
-#include "sptrsv/levelset.hpp"
 #include "sptrsv/serial.hpp"
-#include "sptrsv/syncfree.hpp"
+#include "sptrsv/triangle.hpp"
 
 namespace blocktri {
 namespace {
@@ -55,6 +58,15 @@ std::string baseline_name(Baseline b) {
   return "?";
 }
 
+TriKernelKind kind_of(Baseline b) {
+  switch (b) {
+    case Baseline::kLevelSet: return TriKernelKind::kLevelSet;
+    case Baseline::kSyncFree: return TriKernelKind::kSyncFree;
+    case Baseline::kCusparseLike: return TriKernelKind::kCusparseLike;
+  }
+  return TriKernelKind::kSyncFree;
+}
+
 /// Solves with the baseline `which`; with `s`, also models its kernel over
 /// the solver's structure into s->report.
 template <class T>
@@ -62,23 +74,24 @@ std::vector<T> run_baseline(Baseline which, const Csr<T>& L,
                             const std::vector<T>& b,
                             const model::TrsvSim* s = nullptr) {
   std::vector<T> x(static_cast<std::size_t>(L.nrows));
-  const auto run = [&](const auto& solver) {
-    solver.solve(b.data(), x.data());
-    if (s != nullptr)
-      model::triangle(model::kind_of(solver), model::tri_view(solver), *s);
-  };
-  switch (which) {
-    case Baseline::kLevelSet:
-      run(LevelSetSolver<T>(L));
-      break;
-    case Baseline::kSyncFree:
-      run(SyncFreeSolver<T>(L));
-      break;
-    case Baseline::kCusparseLike:
-      run(CusparseLikeSolver<T>(L));
-      break;
-  }
+  const TriSolver<T> solver(kind_of(which), L);
+  solver.solve(b.data(), x.data());
+  if (s != nullptr)
+    model::triangle(model::kind_of(solver), model::tri_view(solver), *s);
   return x;
+}
+
+/// The rows of a diagonal block with pivots `d`.
+Csr<double> diagonal_rows(const std::vector<double>& d) {
+  Csr<double> D;
+  D.nrows = D.ncols = static_cast<index_t>(d.size());
+  D.row_ptr.push_back(0);
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    D.col_idx.push_back(static_cast<index_t>(i));
+    D.val.push_back(d[i]);
+    D.row_ptr.push_back(static_cast<offset_t>(i) + 1);
+  }
+  return D;
 }
 
 /// The model context of a cache-less device with every base address 0.
@@ -150,7 +163,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(LevelSet, LaunchesOneKernelPerLevel) {
   const auto L = gen::random_levels(2000, 37, 2.0, 1.0, 5);
-  LevelSetSolver<double> solver(L);
+  TriSolver<double> solver(TriKernelKind::kLevelSet, L);
   EXPECT_EQ(solver.levels().nlevels, 37);
 
   const auto gpu = sim::titan_rtx();
@@ -162,7 +175,7 @@ TEST(LevelSet, LaunchesOneKernelPerLevel) {
 
 TEST(SyncFree, OneSolveKernelPlusReset) {
   const auto L = gen::kkt_structure(3000, 21, 3.0, 7);
-  SyncFreeSolver<double> solver(L);
+  TriSolver<double> solver(TriKernelKind::kSyncFree, L);
 
   const auto gpu = sim::titan_rtx();
   sim::SolveReport rep;
@@ -198,8 +211,8 @@ TEST(SyncFree, InDegreesMatchStrictRows) {
   // Alg. 3's in-degrees are the strict row lengths: each kernel row minus
   // its trailing diagonal.
   const auto L = blocktri::testing::figure1_matrix();
-  SyncFreeSolver<double> solver(L);
-  const Csr<double>& rows = solver.matrix();
+  TriSolver<double> solver(TriKernelKind::kSyncFree, L);
+  const Csr<double>& rows = solver.rows();
   std::vector<index_t> strict;
   for (index_t i = 0; i < rows.nrows; ++i) {
     ASSERT_EQ(rows.col_idx[static_cast<std::size_t>(
@@ -215,7 +228,7 @@ TEST(CusparseLike, MergesSmallLevels) {
   // 500 levels of ~width 2 with budget 64: expect far fewer kernels than
   // levels, but more than one.
   const auto L = gen::random_levels(1000, 500, 1.0, 1.0, 9);
-  CusparseLikeSolver<double> solver(L);
+  TriSolver<double> solver(TriKernelKind::kCusparseLike, L);
   model::TriView v = model::tri_view(solver);
   v.merge_budget = 64;
   const auto gpu = sim::titan_rtx();
@@ -228,7 +241,7 @@ TEST(CusparseLike, MergesSmallLevels) {
 
 TEST(CusparseLike, WideLevelsGetOwnKernels) {
   const auto L = gen::random_levels(4000, 4, 2.0, 1.0, 11);  // 4 wide levels
-  CusparseLikeSolver<double> solver(L);
+  TriSolver<double> solver(TriKernelKind::kCusparseLike, L);
   model::TriView v = model::tri_view(solver);
   v.merge_budget = 64;
   const auto gpu = sim::titan_rtx();
@@ -239,8 +252,8 @@ TEST(CusparseLike, WideLevelsGetOwnKernels) {
 }
 
 TEST(Diagonal, SolvesAndSimulates) {
-  std::vector<double> diag = {2.0, -4.0, 0.5};
-  DiagonalSolver<double> solver(diag);
+  TriSolver<double> solver(TriKernelKind::kCompletelyParallel,
+                           diagonal_rows({2.0, -4.0, 0.5}));
   const std::vector<double> b = {2.0, 8.0, 1.0};
   std::vector<double> x(3);
   solver.solve(b.data(), x.data());
@@ -250,13 +263,15 @@ TEST(Diagonal, SolvesAndSimulates) {
 
   const auto gpu = sim::titan_rtx();
   sim::SolveReport rep;
-  model::diagonal(solver.n(), cacheless(gpu, &rep));
+  model::diagonal(solver.rows().nrows, cacheless(gpu, &rep));
   EXPECT_EQ(rep.kernel_launches, 1);
   EXPECT_GT(rep.ns, 0.0);
 }
 
 TEST(Diagonal, RejectsZeroDiagonal) {
-  EXPECT_THROW(DiagonalSolver<double>({1.0, 0.0}), Error);
+  EXPECT_THROW(TriSolver<double>(TriKernelKind::kCompletelyParallel,
+                                 diagonal_rows({1.0, 0.0})),
+               Error);
 }
 
 TEST(Baselines, DeepChainCostOrdering) {
@@ -281,6 +296,121 @@ TEST(Baselines, DeepChainCostOrdering) {
   // All should be dominated by per-level serialisation, not bandwidth.
   EXPECT_GT(cu, 4000 * 0.5 * gpu.grid_sync_ns);
 }
+
+// --- One triangle at every panel width, thread count and lowering ---------
+
+/// Forces a lowering process-wide (the pool's workers included) for a scope.
+struct ForcedPath {
+  explicit ForcedPath(simd::Path p) { simd::force_path(p); }
+  ~ForcedPath() { simd::clear_forced_path(); }
+};
+
+/// The sweep's inputs: level order is not the row order on the shuffled
+/// ones, and the last is diagonal.
+const std::vector<Csr<double>>& sweep_inputs() {
+  static const std::vector<Csr<double>> inputs = {
+      gen::banded(3000, 24, 6.0, 1),
+      gen::random_topological_shuffle(
+          gen::random_levels(3000, 40, 2.0, 1.0, 2), 3),
+      gen::random_topological_shuffle(gen::power_law(3000, 2.2, 64, 4.0, 4),
+                                      5),
+      gen::diagonal(3000, 6),
+  };
+  return inputs;
+}
+
+template <class T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+/// Every column of a k-wide panel solve on `threads` threads equals the
+/// kind's k = 1, threads = 1 solve; sync-free equals the serial oracle, and
+/// the canonical kinds equal each other (diagonal on diagonal inputs).
+template <class T>
+void expect_sweep(TriKernelKind kind, index_t k, int threads,
+                  simd::Path path) {
+  const ForcedPath lowering(path);
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  for (const Csr<double>& input : sweep_inputs()) {
+    const Csr<T> L = gen::convert_values<T>(input);
+    const bool diagonal = L.nnz() == L.nrows;
+    if (kind == TriKernelKind::kCompletelyParallel && !diagonal) continue;
+    const auto n = static_cast<std::size_t>(L.nrows);
+    const auto ku = static_cast<std::size_t>(k);
+    std::vector<T> B(n * ku);
+    for (std::size_t c = 0; c < ku; ++c) {
+      const auto bc = gen::random_rhs<T>(L.nrows, 100 + c);
+      for (std::size_t i = 0; i < n; ++i) B[i * ku + c] = bc[i];
+    }
+    const TriSolver<T> solver(kind, L, pool.get());
+    std::vector<T> X(n * ku, T(-1));
+    solver.solve(B.data(), X.data(), k, k, pool.get());
+
+    const TriSolver<T> single(kind, L);
+    std::vector<TriSolver<T>> canonical;
+    for (const TriKernelKind other :
+         {TriKernelKind::kLevelSet, TriKernelKind::kCusparseLike,
+          TriKernelKind::kCompletelyParallel})
+      if (other != kind && kind != TriKernelKind::kSyncFree &&
+          (other != TriKernelKind::kCompletelyParallel || diagonal))
+        canonical.emplace_back(other, L);
+    std::vector<T> b(n), want(n), got(n), other(n);
+    for (std::size_t c = 0; c < ku; ++c) {
+      for (std::size_t i = 0; i < n; ++i) {
+        b[i] = B[i * ku + c];
+        got[i] = X[i * ku + c];
+      }
+      single.solve(b.data(), want.data());
+      EXPECT_TRUE(same_bits(got, want)) << "column " << c;
+      if (kind == TriKernelKind::kSyncFree) {
+        sptrsv_serial_raw(L, b.data(), other.data());
+        EXPECT_TRUE(same_bits(other, want)) << "oracle, column " << c;
+      }
+      for (const TriSolver<T>& s : canonical) {
+        s.solve(b.data(), other.data());
+        EXPECT_TRUE(same_bits(other, want))
+            << to_string(s.kind()) << ", column " << c;
+      }
+    }
+  }
+}
+
+using SweepParam =
+    std::tuple<TriKernelKind, bool, index_t, int, simd::Path>;
+
+class TriSolverSweep : public ::testing::TestWithParam<SweepParam> {};
+
+TEST_P(TriSolverSweep, BitwiseAcrossSchedules) {
+  const auto [kind, fp64, k, threads, path] = GetParam();
+  if (fp64)
+    expect_sweep<double>(kind, k, threads, path);
+  else
+    expect_sweep<float>(kind, k, threads, path);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, TriSolverSweep,
+    ::testing::Combine(
+        ::testing::Values(TriKernelKind::kCompletelyParallel,
+                          TriKernelKind::kLevelSet, TriKernelKind::kSyncFree,
+                          TriKernelKind::kCusparseLike),
+        ::testing::Bool(), ::testing::Values(index_t{1}, 3, 16),
+        ::testing::Values(1, 2, 4),
+        ::testing::Values(simd::Path::kStrictScalar,
+                          simd::Path::kBlockedScalar, simd::Path::kVector)),
+    [](const ::testing::TestParamInfo<SweepParam>& info) {
+      std::string name = to_string(std::get<0>(info.param)) +
+                         (std::get<1>(info.param) ? "_f64" : "_f32") + "_k" +
+                         std::to_string(std::get<2>(info.param)) + "_t" +
+                         std::to_string(std::get<3>(info.param)) + "_" +
+                         simd::to_string(std::get<4>(info.param));
+      for (char& ch : name)
+        if (ch == '-') ch = '_';
+      return name;
+    });
 
 }  // namespace
 }  // namespace blocktri

@@ -1,9 +1,10 @@
-// Autotuner tests (ISSUE 7).
+// Autotuner tests.
 //
 // Contracts under test:
 //   * the calibration microbench produces a valid model, exactly once per
-//     device (in-process cache), round-trippable through the .btcm codec
-//     with every defect class mapped to a typed Status;
+//     device (in-process cache), as a pure function of the device (two
+//     calibrations save the same bytes), round-trippable through the .btcm
+//     codec with every defect class mapped to a typed Status;
 //   * Options::tune off => plans byte-for-byte identical to the untuned
 //     build (artifact files compare equal);
 //   * tuned solvers solve correctly and are never slower than the default
@@ -17,18 +18,20 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/levels.hpp"
+#include "common/io.hpp"
 #include "core/solver.hpp"
 #include "gen/generators.hpp"
 #include "helpers.hpp"
 #include "persist/artifact.hpp"
 #include "persist/plan_cache.hpp"
-#include "sptrsv/levelset.hpp"
+#include "sptrsv/triangle.hpp"
 #include "tune/cost_model.hpp"
 #include "tune/search.hpp"
 
@@ -74,7 +77,6 @@ TEST(CostModel, CalibrationProducesValidModel) {
   const tune::CostModel& m = model();
   EXPECT_TRUE(m.valid);
   EXPECT_EQ(m.device, tune::device_fingerprint(sim::titan_rtx()));
-  EXPECT_GE(m.preferred_merge_width, 1);
   // Cost curves predict positive times that grow with work.
   const double small =
       m.predict_tri(TriKernelKind::kSyncFree, 1000, 5000, 100);
@@ -101,11 +103,46 @@ TEST(CostModel, FileRoundTrip) {
   ASSERT_TRUE(tune::load_cost_model(path, &loaded).ok());
   EXPECT_EQ(loaded.device, model().device);
   EXPECT_EQ(loaded.valid, model().valid);
-  EXPECT_EQ(loaded.preferred_merge_width, model().preferred_merge_width);
   for (int k = 0; k < 4; ++k) {
     EXPECT_EQ(loaded.tri[k].per_nnz_ns, model().tri[k].per_nnz_ns);
     EXPECT_EQ(loaded.sq[k].per_row_ns, model().sq[k].per_row_ns);
   }
+  std::remove(path.c_str());
+}
+
+// Calibration reads the model only, so two runs save the same file.
+TEST(CostModel, CalibrationsSaveIdenticalFiles) {
+  const std::string a = tmp_path("first.btcm");
+  const std::string b = tmp_path("second.btcm");
+  ASSERT_TRUE(
+      tune::save_cost_model(a, tune::calibrate_cost_model(sim::titan_rtx()))
+          .ok());
+  ASSERT_TRUE(
+      tune::save_cost_model(b, tune::calibrate_cost_model(sim::titan_rtx()))
+          .ok());
+  EXPECT_EQ(read_file(a), read_file(b));
+  std::remove(a.c_str());
+  std::remove(b.c_str());
+}
+
+// A file of an earlier model version (here: the saved file with its version
+// field rewritten and its CRC refreshed) fails as kVersionMismatch, so
+// ensure_cost_model recalibrates.
+TEST(CostModel, OlderVersionFileIsVersionMismatch) {
+  const std::string path = tmp_path("old.btcm");
+  ASSERT_TRUE(tune::save_cost_model(path, model()).ok());
+  std::string bytes = read_file(path);
+  // magic(4) | crc(4) | payload size(8) | payload: version(4) first.
+  constexpr std::size_t kPayload = 16;
+  const std::uint32_t old_version = tune::kCostModelVersion - 1;
+  std::memcpy(bytes.data() + kPayload, &old_version, sizeof old_version);
+  const std::uint32_t crc =
+      io::crc32(bytes.data() + kPayload, bytes.size() - kPayload);
+  std::memcpy(bytes.data() + 4, &crc, sizeof crc);
+  write_file(path, bytes);
+  tune::CostModel out;
+  EXPECT_EQ(tune::load_cost_model(path, &out).code(),
+            StatusCode::kVersionMismatch);
   std::remove(path.c_str());
 }
 
@@ -401,15 +438,18 @@ TEST(MergeWidth, ExecGroupsShrinkWithWidthResultsBitwise) {
 
   const auto b = gen::random_rhs<double>(26, 6);
   std::vector<double> x0(26), x16(26), x20(26);
-  LevelSetSolver<double> s0(L, nullptr, 0);    // width < 1: merging off
-  LevelSetSolver<double> s16(L, nullptr, 16);  // wide level breaks the run
-  LevelSetSolver<double> s20(L, nullptr, 20);  // everything merges
+  const auto kind = TriKernelKind::kLevelSet;
+  TriSolver<double> s0(kind, L, nullptr, 0);    // width < 1: merging off
+  TriSolver<double> s16(kind, L, nullptr, 16);  // wide level breaks the run
+  TriSolver<double> s20(kind, L, nullptr, 20);  // everything merges
   EXPECT_EQ(s0.exec_groups(), 7);
   EXPECT_EQ(s16.exec_groups(), 3);
   EXPECT_EQ(s20.exec_groups(), 1);
-  s0.solve(b.data(), x0.data());
-  s16.solve(b.data(), x16.data());
-  s20.solve(b.data(), x20.data());
+  // The groups shape the level schedule, which runs on a pool.
+  ThreadPool pool(2);
+  s0.solve(b.data(), x0.data(), 1, 1, &pool);
+  s16.solve(b.data(), x16.data(), 1, 1, &pool);
+  s20.solve(b.data(), x20.data(), 1, 1, &pool);
   EXPECT_EQ(x0, x16);
   EXPECT_EQ(x16, x20);
 }

@@ -7,7 +7,12 @@
 // one k = 16 solve_many, whose lone-step waves hand the pool to the batched
 // kernels. Each point is the median of kSamples samples, each the mean
 // over as many calls as fill min_ms / kSamples (at least one): single
-// samples on a shared host moved by up to 1.9x between runs.
+// samples on a shared host moved by up to 1.9x between runs. Every thread
+// count keeps its pool and its solvers alive for the whole matrix, and a
+// kernel's samples are taken round-robin over the thread counts, so a slow
+// stretch of the host weighs on every count alike instead of shifting one
+// count's whole row (sweeping the counts one after another read one run's
+// threads = 4 level-set at 0.97x where the others read 1.27-2.02x).
 //
 //   ./bench/host_scaling [--threads=1,2,4,8] [--out=BENCH_host.json]
 //                        [--min-ms=80] [--n=400000] [--tiny]
@@ -23,7 +28,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -55,26 +59,13 @@ std::vector<int> parse_thread_list(const std::string& s) {
 
 constexpr int kSamples = 5;
 
-/// After one untimed warmup, the median over kSamples samples of the
-/// per-call milliseconds, each sample repeating fn until min_ms / kSamples
-/// of wall-clock has elapsed (at least once).
-template <class Fn>
-double time_ms(double min_ms, Fn&& fn) {
-  fn();  // warmup
-  std::vector<double> samples;
-  for (int s = 0; s < kSamples; ++s) {
-    Stopwatch sw;
-    int reps = 0;
-    do {
-      fn();
-      ++reps;
-    } while (sw.milliseconds() < min_ms / kSamples);
-    samples.push_back(sw.milliseconds() / reps);
-  }
-  std::nth_element(samples.begin(), samples.begin() + kSamples / 2,
-                   samples.end());
-  return samples[kSamples / 2];
-}
+/// One thread count of the sweep, alive for the whole matrix: its pool
+/// (none at threads = 1) and its BlockSolver, built with that count.
+struct Slot {
+  int threads = 1;
+  std::unique_ptr<ThreadPool> pool;
+  std::unique_ptr<BlockSolver<double>> solver;
+};
 
 struct Record {
   std::string matrix;
@@ -85,42 +76,46 @@ struct Record {
   double speedup = 0.0; // vs the 1-thread run of the same (matrix, kernel)
 };
 
-class Sweep {
- public:
-  Sweep(std::string matrix, double min_ms, std::vector<Record>* out)
-      : matrix_(std::move(matrix)), min_ms_(min_ms), out_(out) {}
-
-  /// Times fn(pool) for one thread count (pool == nullptr for 1 thread) and
-  /// appends the record; `flops` = 0 suppresses the GFLOP/s column.
-  template <class Fn>
-  void point(const std::string& kernel, int threads, double flops, Fn&& fn) {
-    ThreadPool* pool = nullptr;
-    std::unique_ptr<ThreadPool> owned;
-    if (threads > 1) {
-      owned = std::make_unique<ThreadPool>(threads);
-      pool = owned.get();
+/// Times fn(slot) for each slot and appends one record per slot; `flops`
+/// = 0 suppresses the GFLOP/s column. kSamples rounds each take one sample
+/// of every slot in turn, a sample being the per-call mean over as many
+/// calls as fill min_ms / kSamples (at least one) after one untimed call,
+/// which wakes the slot's pool after the other slots ran; a point is the
+/// median of its slot's samples.
+template <class Fn>
+void point(const std::string& matrix, const std::string& kernel,
+           const std::vector<Slot*>& slots, double min_ms, double flops,
+           std::vector<Record>* out, Fn&& fn) {
+  std::vector<std::vector<double>> samples(slots.size());
+  for (int s = 0; s < kSamples; ++s)
+    for (std::size_t k = 0; k < slots.size(); ++k) {
+      fn(*slots[k]);
+      Stopwatch sw;
+      int reps = 0;
+      do {
+        fn(*slots[k]);
+        ++reps;
+      } while (sw.milliseconds() < min_ms / kSamples);
+      samples[k].push_back(sw.milliseconds() / reps);
     }
+  double serial_ms = 0.0;
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    std::vector<double>& v = samples[k];
+    std::nth_element(v.begin(), v.begin() + kSamples / 2, v.end());
     Record r;
-    r.matrix = matrix_;
+    r.matrix = matrix;
     r.kernel = kernel;
-    r.threads = threads;
-    r.ms = time_ms(min_ms_, [&] { fn(pool); });
+    r.threads = slots[k]->threads;
+    r.ms = v[kSamples / 2];
     if (flops > 0.0) r.gflops = flops / (r.ms * 1e6);
-    if (threads == 1) serial_ms_[kernel] = r.ms;
-    const auto it = serial_ms_.find(kernel);
-    r.speedup = it == serial_ms_.end() ? 0.0 : it->second / r.ms;
-    out_->push_back(r);
-    std::fprintf(stderr, "  %-28s %-16s t=%d  %9.4f ms  %7.3f GF/s  %5.2fx\n",
-                 matrix_.c_str(), kernel.c_str(), threads, r.ms, r.gflops,
+    if (r.threads == 1) serial_ms = r.ms;
+    r.speedup = serial_ms > 0.0 ? serial_ms / r.ms : 0.0;
+    out->push_back(r);
+    std::fprintf(stderr, "  %-28s %-20s t=%d  %9.4f ms  %7.3f GF/s  %5.2fx\n",
+                 matrix.c_str(), kernel.c_str(), r.threads, r.ms, r.gflops,
                  r.speedup);
   }
-
- private:
-  std::string matrix_;
-  double min_ms_;
-  std::vector<Record>* out_;
-  std::map<std::string, double> serial_ms_;
-};
+}
 
 void write_json(const std::string& path, const std::vector<Record>& recs,
                 const std::vector<int>& threads) {
@@ -192,58 +187,63 @@ int main(int argc, char** argv) {
     std::vector<double> y(static_cast<std::size_t>(L.nrows));
     const double flops = 2.0 * static_cast<double>(L.nnz());
     const Dcsr<double> D = csr_to_dcsr(L);
-    Sweep sweep(c.name, min_ms, &recs);
 
-    for (const int t : threads) {
-      // SpTRSV kernels (solver built once per thread count so the analysis
-      // also runs with that pool; solve timing dominates).
-      {
-        std::unique_ptr<ThreadPool> pool;
-        if (t > 1) pool = std::make_unique<ThreadPool>(t);
-        Stopwatch pre;
-        const TriSolver<double> ls(TriKernelKind::kLevelSet, L, pool.get());
-        const double pre_ms = pre.milliseconds();
-        sweep.point("sptrsv_levelset", t, flops, [&](ThreadPool* p) {
-          ls.solve(b.data(), x.data(), 1, 1, p);
-        });
-        recs.push_back({c.name, "pre_levelset", t, pre_ms, 0.0, 0.0});
-        // One sync-free right-hand side is serial: one record, at
-        // threads = 1.
-        if (t == 1) {
-          pre.reset();
-          const TriSolver<double> sf(TriKernelKind::kSyncFree, L);
-          const double pre_sf_ms = pre.milliseconds();
-          sweep.point("sptrsv_syncfree", t, flops,
-                      [&](ThreadPool*) { sf.solve(b.data(), x.data()); });
-          recs.push_back({c.name, "pre_syncfree", t, pre_sf_ms, 0.0, 0.0});
-        }
-      }
-
-      // SpMV kernels: y -= L x (y reset cost is part of each rep; identical
-      // across thread counts, so speedups stay comparable).
-      sweep.point("spmv_csr", t, flops, [&](ThreadPool* p) {
-        std::fill(y.begin(), y.end(), 0.0);
-        spmv_update(L, x.data(), y.data(), p);
-      });
-      sweep.point("spmv_rows", t, flops, [&](ThreadPool* p) {
-        std::fill(y.begin(), y.end(), 0.0);
-        spmv_update(D, x.data(), y.data(), p);
-      });
-
-      // Full BlockSolver: preprocessing (construction) + executor solve.
+    // Preprocessing, once per thread count: the level-set analysis with
+    // that count's pool and the whole BlockSolver (planning + analyses).
+    // A level-set triangle does not keep the pool it was analysed with,
+    // so the first one built serves every count's solves.
+    std::vector<Slot> slots(threads.size());
+    std::unique_ptr<TriSolver<double>> ls;
+    for (std::size_t k = 0; k < threads.size(); ++k) {
+      Slot& slot = slots[k];
+      slot.threads = threads[k];
+      if (slot.threads > 1)
+        slot.pool = std::make_unique<ThreadPool>(slot.threads);
+      Stopwatch pre;
+      auto built = std::make_unique<TriSolver<double>>(
+          TriKernelKind::kLevelSet, L, slot.pool.get());
+      recs.push_back(
+          {c.name, "pre_levelset", slot.threads, pre.milliseconds(), 0.0, 0.0});
+      if (!ls) ls = std::move(built);
       BlockSolver<double>::Options opt;
       opt.planner.stop_rows = std::max<index_t>(1024, n / 16);
-      opt.threads = t;
-      Stopwatch pre;
-      const BlockSolver<double> solver(L, opt);
-      recs.push_back(
-          {c.name, "pre_blocksolver", t, pre.milliseconds(), 0.0, 0.0});
-      sweep.point("blocksolver_solve", t, flops,
-                  [&](ThreadPool*) { x = solver.solve(b); });
-      sweep.point("blocksolver_many_k16", t, kPanel * flops, [&](ThreadPool*) {
-        solver.solve_many(B.data(), X.data(), kPanel);
-      });
+      opt.threads = slot.threads;
+      pre.reset();
+      slot.solver = std::make_unique<BlockSolver<double>>(L, opt);
+      recs.push_back({c.name, "pre_blocksolver", slot.threads,
+                      pre.milliseconds(), 0.0, 0.0});
     }
+    std::vector<Slot*> all;
+    for (Slot& slot : slots) all.push_back(&slot);
+
+    point(c.name, "sptrsv_levelset", all, min_ms, flops, &recs,
+          [&](Slot& s) { ls->solve(b.data(), x.data(), 1, 1, s.pool.get()); });
+    // One sync-free right-hand side is serial: one record, at threads = 1.
+    for (Slot& slot : slots) {
+      if (slot.threads != 1) continue;
+      Stopwatch pre;
+      const TriSolver<double> sf(TriKernelKind::kSyncFree, L);
+      recs.push_back({c.name, "pre_syncfree", 1, pre.milliseconds(), 0.0, 0.0});
+      point(c.name, "sptrsv_syncfree", {&slot}, min_ms, flops, &recs,
+            [&](Slot&) { sf.solve(b.data(), x.data()); });
+    }
+
+    // SpMV kernels: y -= L x (y reset cost is part of each rep; identical
+    // across thread counts, so speedups stay comparable).
+    point(c.name, "spmv_csr", all, min_ms, flops, &recs, [&](Slot& s) {
+      std::fill(y.begin(), y.end(), 0.0);
+      spmv_update(L, x.data(), y.data(), s.pool.get());
+    });
+    point(c.name, "spmv_rows", all, min_ms, flops, &recs, [&](Slot& s) {
+      std::fill(y.begin(), y.end(), 0.0);
+      spmv_update(D, x.data(), y.data(), s.pool.get());
+    });
+
+    // The BlockSolver executor, each count on its own solver and pool.
+    point(c.name, "blocksolver_solve", all, min_ms, flops, &recs,
+          [&](Slot& s) { x = s.solver->solve(b); });
+    point(c.name, "blocksolver_many_k16", all, min_ms, kPanel * flops, &recs,
+          [&](Slot& s) { s.solver->solve_many(B.data(), X.data(), kPanel); });
   }
 
   write_json(out_path, recs, threads);

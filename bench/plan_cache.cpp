@@ -11,6 +11,11 @@
 //   refresh_ms   refresh_values() on a live solver (new factorization,
 //                same pattern — the timestep-loop case)
 //
+// Every one of them first checks and hashes the caller's matrix in one
+// pass, check_lower_triangular(lower, &hash); the records time that pass
+// (check_ms) beside the check alone (check_alone_ms), so a warm path's
+// cost can be read against the pass it cannot skip.
+//
 // and reports warm/cold ratios of (create + one solve), the quantity a
 // request-serving loop sees, plus the captured artifact's size relative to
 // the input CSR (artifact_vs_csr). Acceptance (ISSUE 4): on the recursive
@@ -61,6 +66,8 @@ struct Record {
   double hit_ms = 0.0;
   double refresh_ms = 0.0;
   double solve_ms = 0.0;
+  double check_ms = 0.0;        // check_lower_triangular(L, &hash)
+  double check_alone_ms = 0.0;  // check_lower_triangular(L)
   std::size_t artifact_bytes = 0;
   double artifact_vs_csr = 0.0;  // artifact_bytes / input CSR bytes
   double load_vs_cold = 0.0;  // (load + solve) / (cold + solve)
@@ -83,11 +90,13 @@ void emit(std::vector<Record>* out, Record r) {
                                    : 0.0;
   std::fprintf(stderr,
                "  %-10s %-10s cold %8.2f ms  save %7.2f  load %7.2f  "
-               "hit %7.2f  refresh %7.2f  solve %7.2f  load/cold %5.3fx  "
-               "hit/cold %5.3fx  (%zu KiB, %.2fx the CSR)\n",
+               "hit %7.2f  refresh %7.2f  solve %7.2f  check %6.2f "
+               "(alone %6.2f)  load/cold %5.3fx  hit/cold %5.3fx  "
+               "(%zu KiB, %.2fx the CSR)\n",
                r.matrix.c_str(), r.scheme.c_str(), r.cold_ms, r.save_ms,
-               r.load_ms, r.hit_ms, r.refresh_ms, r.solve_ms, r.load_vs_cold,
-               r.hit_vs_cold, r.artifact_bytes >> 10, r.artifact_vs_csr);
+               r.load_ms, r.hit_ms, r.refresh_ms, r.solve_ms, r.check_ms,
+               r.check_alone_ms, r.load_vs_cold, r.hit_vs_cold,
+               r.artifact_bytes >> 10, r.artifact_vs_csr);
   const PlanCacheStats& cs = r.cache_stats;
   std::fprintf(stderr,
                "  %-10s %-10s cache hits %llu  misses %llu  quarantined %llu  "
@@ -124,7 +133,8 @@ void write_json(const std::string& path, const std::vector<Record>& recs) {
         f,
         "    {\"matrix\": \"%s\", \"scheme\": \"%s\", \"cold_ms\": %.6f, "
         "\"save_ms\": %.6f, \"load_ms\": %.6f, \"hit_ms\": %.6f, "
-        "\"refresh_ms\": %.6f, \"solve_ms\": %.6f, \"artifact_bytes\": %zu, "
+        "\"refresh_ms\": %.6f, \"solve_ms\": %.6f, \"check_ms\": %.6f, "
+        "\"check_alone_ms\": %.6f, \"artifact_bytes\": %zu, "
         "\"artifact_vs_csr\": %.4f, "
         "\"load_vs_cold\": %.4f, \"hit_vs_cold\": %.4f, "
         "\"pair_hit_vs_cold\": [%s], \"pair_hit_vs_cold_q1\": %.4f, "
@@ -132,7 +142,8 @@ void write_json(const std::string& path, const std::vector<Record>& recs) {
         "\"cache_quarantined\": %llu, \"cache_retry_successes\": %llu, "
         "\"cache_lease_waits\": %llu, \"cache_tombstones\": %zu}%s\n",
         r.matrix.c_str(), r.scheme.c_str(), r.cold_ms, r.save_ms, r.load_ms,
-        r.hit_ms, r.refresh_ms, r.solve_ms, r.artifact_bytes,
+        r.hit_ms, r.refresh_ms, r.solve_ms, r.check_ms, r.check_alone_ms,
+        r.artifact_bytes,
         r.artifact_vs_csr, r.load_vs_cold, r.hit_vs_cold, pairs.c_str(),
         r.pair_q1, r.pair_median, r.pair_q3,
         static_cast<unsigned long long>(r.cache_stats.quarantined),
@@ -254,6 +265,14 @@ int main(int argc, char** argv) {
 
       std::vector<double> x;
       r.solve_ms = time_ms([&] { x = warm->solve(b); });
+
+      std::uint64_t hash = 0;
+      r.check_ms = time_ms([&] {
+        if (!check_lower_triangular(L, &hash).ok()) std::exit(1);
+      });
+      r.check_alone_ms = time_ms([&] {
+        if (!check_lower_triangular(L).ok()) std::exit(1);
+      });
 
       // The gate's pairs: one cold create, then one cache hit, back to back,
       // so host load that drifts between runs weighs on both sides.

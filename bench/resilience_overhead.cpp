@@ -4,14 +4,14 @@
 // solves pay one relaxed atomic load per checkpoint, armed solves add a
 // steady_clock read per step/wave, per level-set group and per 8 192 rows
 // of a triangle's flat pass. This bench prices both against the
-// pre-session baseline the warm path must not regress:
+// pre-session baseline the warm path must not regress, the warm recursive
+// solve with no controls attached (the unarmed fast path every existing
+// caller pays):
 //
-//   baseline_ms   warm recursive solve, no controls attached (unarmed
-//                 fast path — what every existing caller pays)
-//   deadline_ms   same solve with a far-future deadline armed (clock reads
-//                 at every poll point, none of them ever trip)
-//   cancel_ms     same solve with a cancel token armed (atomic flag reads,
-//                 no clock)
+//   deadline   the same solve with a far-future deadline armed (clock
+//              reads at every poll point, none of them ever trip)
+//   cancel     the same solve with a cancel token armed (atomic flag
+//              reads, no clock)
 //
 // Acceptance: each armed variant costs <= 2% over the warm recursive solve
 // at full size. Each of --rounds pairs times the baseline and one armed
@@ -20,8 +20,10 @@
 // host drift hits both sides of a pair alike and cancels out of its ratio,
 // so the gate measures the machinery rather than scheduler noise (medians
 // of separately timed variants failed and passed the same build in
-// consecutive runs). The *_ms columns are medians of each variant's
-// per-call times over its pairs; only the overheads are paired.
+// consecutive runs). Every figure written is paired: the quartiles of the
+// pairs' ratios minus one, and for scale the baseline's per-call time in
+// the median pair. Medians of each variant's own times drift apart with
+// the host and could contradict the paired overhead.
 //
 //   ./bench/resilience_overhead [--n=120000] [--min-ms=40] [--rounds=15]
 //                               [--out=BENCH_resilience.json] [--tiny]
@@ -71,19 +73,26 @@ std::pair<double, double> time_pair(double min_ms, bool plain_first,
   return {tp / reps, ta / reps};
 }
 
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
+/// The q-quantile of sorted `v`, interpolating between neighbours.
+double quantile(const std::vector<double>& v, double q) {
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
 }
+
+/// One armed variant against the baseline: the quartiles of the pairs'
+/// ratios minus one (the gate reads the median, the middle pair's ratio),
+/// and the baseline's per-call time in the middle pair.
+struct Overhead {
+  double q1 = 0.0, median = 0.0, q3 = 0.0;
+  double baseline_ms = 0.0;
+};
 
 struct Record {
   std::string matrix;
   index_t n = 0;
-  double baseline_ms = 0.0;
-  double deadline_ms = 0.0;
-  double cancel_ms = 0.0;
-  double deadline_overhead = 0.0;  // median pair ratio - 1
-  double cancel_overhead = 0.0;
+  Overhead deadline, cancel;
 };
 
 void write_json(const std::string& path, const std::vector<Record>& recs) {
@@ -100,11 +109,14 @@ void write_json(const std::string& path, const std::vector<Record>& recs) {
     const Record& r = recs[i];
     std::fprintf(
         f,
-        "    {\"matrix\": \"%s\", \"n\": %lld, \"baseline_ms\": %.6f, "
-        "\"deadline_ms\": %.6f, \"cancel_ms\": %.6f, "
-        "\"deadline_overhead\": %.6f, \"cancel_overhead\": %.6f}%s\n",
-        r.matrix.c_str(), static_cast<long long>(r.n), r.baseline_ms,
-        r.deadline_ms, r.cancel_ms, r.deadline_overhead, r.cancel_overhead,
+        "    {\"matrix\": \"%s\", \"n\": %lld, "
+        "\"deadline_overhead\": %.6f, \"deadline_overhead_q1\": %.6f, "
+        "\"deadline_overhead_q3\": %.6f, \"deadline_baseline_ms\": %.6f, "
+        "\"cancel_overhead\": %.6f, \"cancel_overhead_q1\": %.6f, "
+        "\"cancel_overhead_q3\": %.6f, \"cancel_baseline_ms\": %.6f}%s\n",
+        r.matrix.c_str(), static_cast<long long>(r.n), r.deadline.median,
+        r.deadline.q1, r.deadline.q3, r.deadline.baseline_ms, r.cancel.median,
+        r.cancel.q1, r.cancel.q3, r.cancel.baseline_ms,
         i + 1 == recs.size() ? "" : ",");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -160,37 +172,41 @@ int main(int argc, char** argv) {
 
     // (baseline, armed) pairs; the median of the pairs' ratios is the
     // overhead.
-    std::vector<double> base_ms;
-    const auto pairs = [&](const SolveControls& controls,
-                           std::vector<double>* armed_ms) {
-      std::vector<double> ratios;
+    const auto pairs = [&](const SolveControls& controls) {
       const auto plain = [&] { solver->solve(b.data(), x.data()); };
       const auto armed = [&] {
         if (!solver->solve(b.data(), x.data(), controls).ok()) std::exit(1);
       };
+      // {armed / baseline, baseline ms} of each pair.
+      std::vector<std::pair<double, double>> ratios;
       for (int p = 0; p < rounds; ++p) {
         const auto [tb, ta] = time_pair(min_ms, p % 2 == 0, plain, armed);
-        base_ms.push_back(tb);
-        armed_ms->push_back(ta);
-        ratios.push_back(ta / tb);
+        ratios.emplace_back(ta / tb, tb);
       }
-      return median(ratios) - 1.0;
+      std::sort(ratios.begin(), ratios.end());
+      std::vector<double> overheads;
+      for (const auto& [ratio, ms] : ratios) overheads.push_back(ratio - 1.0);
+      Overhead o;
+      o.q1 = quantile(overheads, 0.25);
+      o.median = overheads[overheads.size() / 2];
+      o.q3 = quantile(overheads, 0.75);
+      o.baseline_ms = ratios[ratios.size() / 2].second;
+      return o;
     };
-    std::vector<double> dl_ms, cn_ms;
     Record r;
     r.matrix = mc.name;
     r.n = L.nrows;
-    r.deadline_overhead = pairs(with_deadline, &dl_ms);
-    r.cancel_overhead = pairs(with_cancel, &cn_ms);
-    r.baseline_ms = median(base_ms);
-    r.deadline_ms = median(dl_ms);
-    r.cancel_ms = median(cn_ms);
+    r.deadline = pairs(with_deadline);
+    r.cancel = pairs(with_cancel);
     std::fprintf(stderr,
-                 "  %-10s n=%lld  baseline %8.3f ms  deadline %8.3f ms "
-                 "(%+6.2f%%)  cancel %8.3f ms (%+6.2f%%)\n",
-                 r.matrix.c_str(), static_cast<long long>(r.n), r.baseline_ms,
-                 r.deadline_ms, 100.0 * r.deadline_overhead, r.cancel_ms,
-                 100.0 * r.cancel_overhead);
+                 "  %-10s n=%lld  deadline %+6.2f%% (q1 %+6.2f%%, q3 "
+                 "%+6.2f%%)  cancel %+6.2f%% (q1 %+6.2f%%, q3 %+6.2f%%)  "
+                 "baseline %.3f ms\n",
+                 r.matrix.c_str(), static_cast<long long>(r.n),
+                 100.0 * r.deadline.median, 100.0 * r.deadline.q1,
+                 100.0 * r.deadline.q3, 100.0 * r.cancel.median,
+                 100.0 * r.cancel.q1, 100.0 * r.cancel.q3,
+                 r.deadline.baseline_ms);
     recs.push_back(r);
   }
 
@@ -205,8 +221,8 @@ int main(int argc, char** argv) {
   int failed = 0;
   for (const Record& r : recs)
     for (const auto& [what, overhead] :
-         {std::pair{"deadline", r.deadline_overhead},
-          std::pair{"cancel", r.cancel_overhead}})
+         {std::pair{"deadline", r.deadline.median},
+          std::pair{"cancel", r.cancel.median}})
       if (!(overhead <= 0.02)) {
         std::fprintf(stderr, "ACCEPTANCE FAIL: %s %s overhead %.2f%% > 2%%\n",
                      r.matrix.c_str(), what, 100.0 * overhead);

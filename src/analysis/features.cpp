@@ -4,7 +4,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "common/fnv.hpp"
+#include "common/lane_hash.hpp"
 
 namespace blocktri {
 
@@ -55,14 +55,12 @@ TriangularFeatures compute_triangular_features(const Csr<T>& lower) {
 std::uint64_t structure_hash(index_t nrows, index_t ncols,
                              const std::vector<offset_t>& row_ptr,
                              const std::vector<index_t>& col_idx) {
-  std::uint64_t h = kFnvOffsetBasis;
-  fnv1a_u64(&h, static_cast<std::uint64_t>(nrows));
-  fnv1a_u64(&h, static_cast<std::uint64_t>(ncols));
-  for (const offset_t p : row_ptr)
-    fnv1a_u64(&h, static_cast<std::uint64_t>(p));
-  for (const index_t j : col_idx)
-    fnv1a_u64(&h, static_cast<std::uint64_t>(j));
-  return h;
+  LaneHash h;
+  h.fold(static_cast<std::uint64_t>(nrows));
+  h.fold(static_cast<std::uint64_t>(ncols));
+  for (const offset_t p : row_ptr) h.fold(static_cast<std::uint64_t>(p));
+  for (const index_t j : col_idx) h.fold(static_cast<std::uint64_t>(j));
+  return h.finish();
 }
 
 std::string describe(const MatrixFeatures& f) {

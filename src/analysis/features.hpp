@@ -40,11 +40,14 @@ template <class T>
 MatrixFeatures compute_features(const Csr<T>& a);
 
 /// Canonical 64-bit hash of a sparsity pattern: (nrows, ncols, row_ptr,
-/// col_idx) folded through FNV-1a, values excluded. Two matrices share a
-/// hash iff (modulo the usual 2^-64 collision odds) they have identical
-/// structure — the key under which analyzed BlockPlans are persisted and
-/// cached, and the gate BlockSolver::refresh_values checks before writing
-/// new values into existing block structures.
+/// col_idx), each value widened to 64 bits and folded through the
+/// four-lane LaneHash (common/lane_hash.hpp), values excluded. Two matrices
+/// share a hash iff (modulo the usual 2^-64 collision odds) they have
+/// identical structure — the key under which analyzed BlockPlans are
+/// persisted and cached, and the gate BlockSolver::refresh_values checks
+/// before writing new values into existing block structures. A collision
+/// costs a cold build or a typed kStructureMismatch, never a wrong solve:
+/// installing values checks every slot's column against the caller's.
 std::uint64_t structure_hash(index_t nrows, index_t ncols,
                              const std::vector<offset_t>& row_ptr,
                              const std::vector<index_t>& col_idx);

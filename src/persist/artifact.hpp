@@ -44,10 +44,12 @@ namespace blocktri {
 /// permuted matrix (and, through 4, sync-free blocks as CSC plus strict
 /// rows), 6 had no value map, so its warm paths re-gathered and sorted
 /// every row, 7 held each square as CSR or DCSR by its kind, rows
-/// ascending, and 8 also held each cuSPARSE-like block's merged-kernel
-/// schedule and an optional shard-slice section — is rejected with
+/// ascending, 8 also held each cuSPARSE-like block's merged-kernel
+/// schedule and an optional shard-slice section, and 9 was keyed by a
+/// byte-wise FNV-1a structure hash (10 has 9's layout, keyed by the
+/// four-lane hash of common/lane_hash.hpp) — is rejected with
 /// kVersionMismatch and the caller rebuilds cold.
-inline constexpr std::uint32_t kArtifactFormatVersion = 9;
+inline constexpr std::uint32_t kArtifactFormatVersion = 10;
 
 /// Everything preprocessing derived for one triangular leaf block. Only the
 /// fields of the selected kernel kind are filled (the rest stay empty),

@@ -4,8 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <type_traits>
 
-#include "common/fnv.hpp"
+#include "common/lane_hash.hpp"
 
 namespace blocktri {
 
@@ -42,10 +43,80 @@ Csr<T> lower_triangular_with_diag(const Csr<T>& a, T diag_fill) {
 
 namespace {
 
+/// The typed verdict on row i of a matrix whose shape and row pointers
+/// check_rows has accepted: in order of detection, kSingularRow (empty),
+/// kOutOfBounds / kNotTriangular / kSingularRow (the last entry negative,
+/// above or short of the diagonal), kNonFinite / kZeroPivot (the pivot),
+/// then per earlier entry kOutOfBounds / kNotTriangular / kBadFormat and
+/// kNonFinite. Kept out of line, so the pass that finds the row keeps its
+/// state in registers.
+template <class T>
+[[gnu::noinline, gnu::cold]] Status row_status(const Csr<T>& a, index_t i) {
+  const offset_t lo = a.row_ptr[static_cast<std::size_t>(i)];
+  const offset_t hi = a.row_ptr[static_cast<std::size_t>(i) + 1];
+  if (lo == hi)
+    return Status(StatusCode::kSingularRow,
+                  "row " + std::to_string(i) +
+                      " is empty: structurally singular",
+                  i);
+  // The diagonal is the row's last entry; every other entry is strictly
+  // lower, in any order.
+  const index_t last = a.col_idx[static_cast<std::size_t>(hi - 1)];
+  if (last < 0)
+    return Status(StatusCode::kOutOfBounds,
+                  "row " + std::to_string(i) + " has negative column " +
+                      std::to_string(last),
+                  i, LocationKind::kRow);
+  if (last > i)
+    return Status(StatusCode::kNotTriangular,
+                  "row " + std::to_string(i) + " has entry in column " +
+                      std::to_string(last) + " above the diagonal",
+                  i);
+  if (last != i)
+    return Status(StatusCode::kSingularRow,
+                  "row " + std::to_string(i) +
+                      " has no diagonal entry: structurally singular",
+                  i);
+  const T d = a.val[static_cast<std::size_t>(hi - 1)];
+  if (!std::isfinite(static_cast<double>(d)))
+    return Status(StatusCode::kNonFinite,
+                  "diagonal of row " + std::to_string(i) + " is not finite",
+                  i);
+  if (d == T(0) || std::fabs(static_cast<double>(d)) <
+                       static_cast<double>(std::numeric_limits<T>::min()))
+    return Status(StatusCode::kZeroPivot,
+                  "diagonal of row " + std::to_string(i) +
+                      " is zero or subnormal",
+                  i);
+  for (offset_t k = lo; k < hi - 1; ++k) {
+    const index_t c = a.col_idx[static_cast<std::size_t>(k)];
+    if (c < 0 || c >= i) {
+      const StatusCode code = c < 0    ? StatusCode::kOutOfBounds
+                              : c > i ? StatusCode::kNotTriangular
+                                      : StatusCode::kBadFormat;
+      const char* what = c < 0    ? " is negative"
+                         : c > i ? " is above the diagonal"
+                                 : " repeats the diagonal before the last "
+                                   "entry";
+      return Status(code,
+                    "row " + std::to_string(i) + ", column " +
+                        std::to_string(c) + what,
+                    i, LocationKind::kRow);
+    }
+    if (!std::isfinite(static_cast<double>(a.val[static_cast<std::size_t>(k)])))
+      return Status(StatusCode::kNonFinite,
+                    "row " + std::to_string(i) + ", column " +
+                        std::to_string(c) + " is not finite",
+                    i);
+  }
+  return Status::Ok();
+}
+
 /// check_lower_triangular, and with kHash the structure hash in the same
 /// pass: (nrows, ncols), then the row pointers as the monotonicity check
 /// reads them, then each row's column indices in order as its checks read
 /// them — the order structure_hash folds them in, so the bits are the same.
+/// The loop only finds the first faulty row; row_status names the fault.
 /// The hash is written only on Ok.
 template <bool kHash, class T>
 Status check_rows(const Csr<T>& a, std::uint64_t* structure) {
@@ -61,83 +132,42 @@ Status check_rows(const Csr<T>& a, std::uint64_t* structure) {
     return Status(StatusCode::kInvalidArgument,
                   "row_ptr, col_idx and val do not describe " +
                       std::to_string(a.nrows) + " CSR rows");
-  std::uint64_t h = kFnvOffsetBasis;
+  using Unsigned = std::make_unsigned_t<index_t>;
+  const offset_t* row_ptr = a.row_ptr.data();
+  const index_t* col_idx = a.col_idx.data();
+  const T* val = a.val.data();
+  LaneHash h;
   if constexpr (kHash) {
-    fnv1a_u64(&h, static_cast<std::uint64_t>(a.nrows));
-    fnv1a_u64(&h, static_cast<std::uint64_t>(a.ncols));
-    fnv1a_u64(&h, static_cast<std::uint64_t>(a.row_ptr[0]));
+    h.fold(static_cast<std::uint64_t>(a.nrows));
+    h.fold(static_cast<std::uint64_t>(a.ncols));
+    h.fold(static_cast<std::uint64_t>(row_ptr[0]));
   }
   for (index_t i = 0; i < a.nrows; ++i) {
-    const offset_t next = a.row_ptr[static_cast<std::size_t>(i) + 1];
-    if (next < a.row_ptr[static_cast<std::size_t>(i)])
+    if (row_ptr[i + 1] < row_ptr[i])
       return Status(StatusCode::kInvalidArgument,
                     "row_ptr decreases at row " + std::to_string(i), i,
                     LocationKind::kRow);
-    if constexpr (kHash) fnv1a_u64(&h, static_cast<std::uint64_t>(next));
+    if constexpr (kHash) h.fold(static_cast<std::uint64_t>(row_ptr[i + 1]));
   }
   for (index_t i = 0; i < a.nrows; ++i) {
-    const offset_t lo = a.row_ptr[static_cast<std::size_t>(i)];
-    const offset_t hi = a.row_ptr[static_cast<std::size_t>(i) + 1];
-    if (lo == hi)
-      return Status(StatusCode::kSingularRow,
-                    "row " + std::to_string(i) +
-                        " is empty: structurally singular",
-                    i);
-    // The diagonal is the row's last entry; every other entry is strictly
-    // lower, in any order.
-    const index_t last = a.col_idx[static_cast<std::size_t>(hi - 1)];
-    if (last < 0)
-      return Status(StatusCode::kOutOfBounds,
-                    "row " + std::to_string(i) + " has negative column " +
-                        std::to_string(last),
-                    i, LocationKind::kRow);
-    if (last > i)
-      return Status(StatusCode::kNotTriangular,
-                    "row " + std::to_string(i) + " has entry in column " +
-                        std::to_string(last) + " above the diagonal",
-                    i);
-    if (last != i)
-      return Status(StatusCode::kSingularRow,
-                    "row " + std::to_string(i) +
-                        " has no diagonal entry: structurally singular",
-                    i);
-    const T d = a.val[static_cast<std::size_t>(hi - 1)];
-    if (!std::isfinite(static_cast<double>(d)))
-      return Status(StatusCode::kNonFinite,
-                    "diagonal of row " + std::to_string(i) + " is not finite",
-                    i);
-    if (d == T(0) || std::fabs(static_cast<double>(d)) <
-                         static_cast<double>(std::numeric_limits<T>::min()))
-      return Status(StatusCode::kZeroPivot,
-                    "diagonal of row " + std::to_string(i) +
-                        " is zero or subnormal",
-                    i);
+    const offset_t lo = row_ptr[i];
+    const offset_t hi = row_ptr[i + 1];
+    if (lo == hi || col_idx[hi - 1] != i) return row_status(a, i);
+    const double d = static_cast<double>(val[hi - 1]);
+    if (!std::isfinite(d) ||
+        std::fabs(d) < static_cast<double>(std::numeric_limits<T>::min()))
+      return row_status(a, i);
     for (offset_t k = lo; k < hi - 1; ++k) {
-      const index_t c = a.col_idx[static_cast<std::size_t>(k)];
-      if constexpr (kHash) fnv1a_u64(&h, static_cast<std::uint64_t>(c));
-      if (c < 0 || c >= i) {
-        const StatusCode code = c < 0    ? StatusCode::kOutOfBounds
-                                : c > i ? StatusCode::kNotTriangular
-                                        : StatusCode::kBadFormat;
-        const char* what = c < 0    ? " is negative"
-                           : c > i ? " is above the diagonal"
-                                   : " repeats the diagonal before the last "
-                                     "entry";
-        return Status(code,
-                      "row " + std::to_string(i) + ", column " +
-                          std::to_string(c) + what,
-                      i, LocationKind::kRow);
-      }
-      if (!std::isfinite(
-              static_cast<double>(a.val[static_cast<std::size_t>(k)])))
-        return Status(StatusCode::kNonFinite,
-                      "row " + std::to_string(i) + ", column " +
-                          std::to_string(c) + " is not finite",
-                      i);
+      const index_t c = col_idx[k];
+      if constexpr (kHash) h.fold(static_cast<std::uint64_t>(c));
+      // One unsigned compare catches a negative column too.
+      if (static_cast<Unsigned>(c) >= static_cast<Unsigned>(i) ||
+          !std::isfinite(static_cast<double>(val[k])))
+        return row_status(a, i);
     }
-    if constexpr (kHash) fnv1a_u64(&h, static_cast<std::uint64_t>(last));
+    if constexpr (kHash) h.fold(static_cast<std::uint64_t>(i));
   }
-  if constexpr (kHash) *structure = h;
+  if constexpr (kHash) *structure = h.finish();
   return Status::Ok();
 }
 

@@ -126,23 +126,44 @@ inline std::uint32_t reference_crc32(const void* data, std::size_t n) {
   return c ^ 0xFFFFFFFFu;
 }
 
-/// Byte-at-a-time FNV-1a over (nrows, ncols, row_ptr, col_idx), each value
-/// widened to 8 little-endian bytes: the plain reference structure_hash is
-/// checked against, so a faster implementation can never change a key.
+/// The structure hash written out one value at a time from its
+/// definition (common/lane_hash.hpp): (nrows, ncols, row_ptr, col_idx),
+/// each value widened to 64 bits, value i folded into lane i mod 4 by
+/// xxHash64's round, then the lanes merged, the count added and the result
+/// avalanched. The plain reference structure_hash is checked against, so a
+/// faster implementation can never change a key.
 inline std::uint64_t reference_structure_hash(
     index_t nrows, index_t ncols, const std::vector<offset_t>& row_ptr,
     const std::vector<index_t>& col_idx) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto fold = [&h](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xffu;
-      h *= 0x100000001b3ULL;
-    }
+  constexpr std::uint64_t p1 = 0x9E3779B185EBCA87ULL;
+  constexpr std::uint64_t p2 = 0xC2B2AE3D27D4EB4FULL;
+  constexpr std::uint64_t p3 = 0x165667B19E3779F9ULL;
+  constexpr std::uint64_t p4 = 0x85EBCA77C2B2AE63ULL;
+  const auto rotl = [](std::uint64_t x, int r) {
+    return (x << r) | (x >> (64 - r));
+  };
+  const auto round = [&](std::uint64_t acc, std::uint64_t v) {
+    return rotl(acc + v * p2, 31) * p1;
+  };
+  std::uint64_t lane[4] = {p1 + p2, p2, 0, 0 - p1};
+  std::uint64_t count = 0;
+  const auto fold = [&](std::uint64_t v) {
+    lane[count % 4] = round(lane[count % 4], v);
+    ++count;
   };
   fold(static_cast<std::uint64_t>(nrows));
   fold(static_cast<std::uint64_t>(ncols));
   for (const offset_t p : row_ptr) fold(static_cast<std::uint64_t>(p));
   for (const index_t j : col_idx) fold(static_cast<std::uint64_t>(j));
+  std::uint64_t h = rotl(lane[0], 1) + rotl(lane[1], 7) + rotl(lane[2], 12) +
+                    rotl(lane[3], 18);
+  for (const std::uint64_t l : lane) h = (h ^ round(0, l)) * p1 + p4;
+  h += count;
+  h ^= h >> 33;
+  h *= p2;
+  h ^= h >> 29;
+  h *= p3;
+  h ^= h >> 32;
   return h;
 }
 
@@ -213,7 +234,7 @@ inline std::string read_file_bytes(const std::string& path) {
 }
 
 /// Walks the frames of the .btpa file at `path` (DESIGN.md §10) and checks
-/// the framing contract: the header stamps format version 9, every stored
+/// the framing contract: the header stamps format version 10, every stored
 /// section CRC equals reference_crc32 of its payload, the last frame ends
 /// exactly at EOF, and save → load → save reproduces the file byte for byte.
 /// The square layout (core/plan.hpp, kSquareWindowRows): a square lists
@@ -258,9 +279,9 @@ template <class T>
            << path << ": " << bytes.size() << " bytes, shorter than a header";
   std::uint32_t version = 0, nsections = 0;
   std::memcpy(&version, bytes.data() + 4, 4);
-  if (version != 9)
+  if (version != 10)
     return ::testing::AssertionFailure()
-           << path << " stamps format version " << version << ", not 9";
+           << path << " stamps format version " << version << ", not 10";
   std::memcpy(&nsections, bytes.data() + kHeaderBytes - 4, 4);
   std::size_t off = kHeaderBytes;
   for (std::uint32_t s = 0; s < nsections; ++s) {

@@ -149,7 +149,8 @@ std::uint64_t fnv1a(const void* data, std::size_t len) {
 /// Known answers of cold builds, recorded from the build that permuted the
 /// whole matrix and extracted every block from the copy: FNV-1a of the
 /// bytes save_artifact writes (re-recorded for each format version; last
-/// for format 9, which dropped the cuSPARSE-like merge schedule), and
+/// for format 10, which changed only the header's version and structure
+/// hash), and
 /// of solve()'s bits for the rhs expect_equal_solvers uses, under the
 /// canonical blocked SIMD order (the vector lowering gives the same bits).
 /// The one-walk build must keep them.
@@ -162,73 +163,73 @@ struct KnownAnswer {
 };
 const KnownAnswer kKnownAnswers[] = {
     {"forced_8_recursive-block_completely-parallel_scalar-CSR",
-     0x805348aa3c1ed1b3ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
+     0xeecb7063960ba77eULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
     {"forced_8_recursive-block_level-set_scalar-CSR",
-     0x4f904eb59768974cULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
+     0x698f12be37a12dd9ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
     {"forced_8_recursive-block_sync-free_scalar-CSR",
-     0x3f31f3f6c1a32552ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
+     0xd6b954827e33390fULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
     {"forced_8_recursive-block_cusparse-like_scalar-CSR",
-     0xdcedce6cde556914ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
+     0x8efe3c307698dc75ULL, 0x512d5daf5d2ee3f8ULL, 0x9529cc8edfed09cfULL},
     {"forced_8_column-block_completely-parallel_scalar-CSR",
-     0x99fb5df58412415eULL, 0x0357fae1ecbfa0bbULL, 0x1b5157c7d58fb924ULL},
+     0x61b0daa2a6ce1b5fULL, 0x0357fae1ecbfa0bbULL, 0x1b5157c7d58fb924ULL},
     {"forced_8_column-block_level-set_scalar-CSR",
-     0xdcc25d9978de543fULL, 0xbcfde956f540cdb4ULL, 0x2f42df47dd3e277bULL},
+     0x5181c56b1b60033eULL, 0xbcfde956f540cdb4ULL, 0x2f42df47dd3e277bULL},
     {"forced_8_column-block_sync-free_scalar-CSR",
-     0x83684d45918e7097ULL, 0x0357fae1ecbfa0bbULL, 0x1b5157c7d58fb924ULL},
+     0x5776898a63570a02ULL, 0x0357fae1ecbfa0bbULL, 0x1b5157c7d58fb924ULL},
     {"forced_8_column-block_cusparse-like_scalar-CSR",
-     0x5e5ab9ae128cb256ULL, 0xbcfde956f540cdb4ULL, 0x2f42df47dd3e277bULL},
+     0x45508f3e495581b7ULL, 0xbcfde956f540cdb4ULL, 0x2f42df47dd3e277bULL},
     {"forced_8_row-block_completely-parallel_scalar-CSR",
-     0xf2762ccbd7a85311ULL, 0x0913b852393686ceULL, 0x2e07f893834164d9ULL},
+     0x90afdfc4cb798c9cULL, 0x0913b852393686ceULL, 0x2e07f893834164d9ULL},
     {"forced_8_row-block_level-set_scalar-CSR",
-     0x439da50c57e5018eULL, 0x6c9b73ed30817f92ULL, 0x49b8e6c059e7b2bdULL},
+     0x8bfacfb312469183ULL, 0x6c9b73ed30817f92ULL, 0x49b8e6c059e7b2bdULL},
     {"forced_8_row-block_sync-free_scalar-CSR",
-     0x3a42185d2ce5a191ULL, 0x0913b852393686ceULL, 0x2e07f893834164d9ULL},
+     0xe988ede099afb2fcULL, 0x0913b852393686ceULL, 0x2e07f893834164d9ULL},
     {"forced_8_row-block_cusparse-like_scalar-CSR",
-     0x3a53740b5e800b73ULL, 0x6c9b73ed30817f92ULL, 0x49b8e6c059e7b2bdULL},
+     0xb9bb1936d61d81faULL, 0x6c9b73ed30817f92ULL, 0x49b8e6c059e7b2bdULL},
     {"forced_8_hbmc-block_completely-parallel_scalar-CSR",
-     0xbcf094d707da0b1dULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
+     0xe36d899e243a8c90ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
     {"forced_8_hbmc-block_level-set_scalar-CSR",
-     0xa6da7d53210fc006ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
+     0x79da72879ff81397ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
     {"forced_8_hbmc-block_sync-free_scalar-CSR",
-     0xc0587a6419c52c3dULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
+     0xc11b2e356f306f28ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
     {"forced_8_hbmc-block_cusparse-like_scalar-CSR",
-     0x69fea23c946a311dULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
+     0x2560f4b6ed3fa874ULL, 0x40a68a8fb7c9ff48ULL, 0xb4a65f0519c519bfULL},
     {"sweep_chain_hbmc-block",
-     0xf125d2199ee2d48dULL, 0xfdcc30df23748817ULL, 0x45132beaab213e93ULL},
+     0xeed58ab5f4fa737dULL, 0xfdcc30df23748817ULL, 0x45132beaab213e93ULL},
     {"sweep_banded_column-block",
-     0xaebe370f70441273ULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
+     0x0ece3ddbe60138e6ULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
     {"sweep_grid3d_recursive-block",
-     0x92d867a06ca65486ULL, 0xe2ccb7b0174a4d56ULL, 0x8f862927d84157e4ULL},
+     0xcbbab683fd9b0f34ULL, 0xe2ccb7b0174a4d56ULL, 0x8f862927d84157e4ULL},
     {"sweep_powerlaw_recursive-block",
-     0xd0e099100d7e477dULL, 0x82487e06982066aeULL, 0x983b78e01e0b9755ULL},
+     0xbddd5547e70a1fbbULL, 0x82487e06982066aeULL, 0x983b78e01e0b9755ULL},
     {"sweep_kkt_recursive-block",
-     0x37a8a40cb0fee1fdULL, 0x84ac8f67f57595bfULL, 0xbbc2b04b7c1fc0daULL},
+     0x260421a6647a7d17ULL, 0x84ac8f67f57595bfULL, 0xbbc2b04b7c1fc0daULL},
     {"sweep_trace_recursive-block",
-     0xed5899b1ca4a2d8cULL, 0xe320ccff4a7cc8b4ULL, 0x6880b1f806782fa5ULL},
+     0xc4e58b5255a2e336ULL, 0xe320ccff4a7cc8b4ULL, 0x6880b1f806782fa5ULL},
     {"sweep_rndlevels_deep_recursive-block",
-     0x93e9fdefe8bf0adeULL, 0x4b25be5d2ca42b1dULL, 0x0a9037d12ab457f1ULL},
+     0xff7073b082ccd8ecULL, 0x4b25be5d2ca42b1dULL, 0x0a9037d12ab457f1ULL},
     {"refresh_recursive-block",
-     0x6065419f95527a4eULL, 0x7172fd1d5b425493ULL, 0xb818c5bbdc150898ULL},
+     0xfc82ed4acb13e3ebULL, 0x7172fd1d5b425493ULL, 0xb818c5bbdc150898ULL},
     {"refresh_column-block",
-     0xaebe370f70441273ULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
+     0x0ece3ddbe60138e6ULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
     {"refresh_row-block",
-     0xc3d754f2c8318371ULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
+     0x1e9f4623cbd47908ULL, 0x75253044a747106dULL, 0xe561f50910b0295aULL},
     {"refresh_hbmc-block",
-     0x388cdd913e9781cbULL, 0xce29801083680a6aULL, 0xdb9ba68c91597846ULL},
+     0x4f1f27788b2171c6ULL, 0xce29801083680a6aULL, 0xdb9ba68c91597846ULL},
     {"refresh_unordered",
-     0xf9028bef494de710ULL, 0x71939bc327923a28ULL, 0x9fe62b2680f01c7fULL},
+     0x18987f11d1b0085dULL, 0x71939bc327923a28ULL, 0x9fe62b2680f01c7fULL},
     // A tuned artifact records the level-merge width the cost model
     // measured on the host, so only its solve is pinned.
     {"refresh_tuned",
      0, 0x39087f833a05dd58ULL, 0x50c7e66591c9d24fULL},
     {"dup_recursive-block",
-     0x7cb31e764e9ad062ULL, 0xeef8e6dcf526a3edULL, 0x0b1551ef81bdb025ULL},
+     0xa27b0f62235c3958ULL, 0xeef8e6dcf526a3edULL, 0x0b1551ef81bdb025ULL},
     {"dup_column-block",
-     0x3db61faa1d4fbc98ULL, 0xab9f46d969082d18ULL, 0xa9c2e341569f14abULL},
+     0x3277b6779fee8682ULL, 0xab9f46d969082d18ULL, 0xa9c2e341569f14abULL},
     {"dup_row-block",
-     0xfb0f1f8bcb7e0dcfULL, 0x7e6ed51b8d3c5d43ULL, 0xaa3dba6245d38274ULL},
+     0x89857097170eaaa1ULL, 0x7e6ed51b8d3c5d43ULL, 0xaa3dba6245d38274ULL},
     {"dup_hbmc-block",
-     0xd7794f890d9879e5ULL, 0x53d5ceb0f6a1323bULL, 0x6dc8481856bcac45ULL},
+     0xc9107f3d45ab83cfULL, 0x53d5ceb0f6a1323bULL, 0x6dc8481856bcac45ULL},
 };
 
 template <class T>
@@ -314,22 +315,22 @@ TEST(PersistRoundTrip, AllSchemesThreadsFloat) {
 
 // --- Format version ----------------------------------------------------------
 //
-// An artifact is a cache: every file is stamped kArtifactFormatVersion (9),
+// An artifact is a cache: every file is stamped kArtifactFormatVersion (10),
 // optional sections included, and every other version — the older layouts
-// 1–8 among them — is a typed kVersionMismatch, which callers answer with a
+// 1–9 among them — is a typed kVersionMismatch, which callers answer with a
 // cold build.
 
-TEST(PersistVersion, PlainArtifactStampsVersionNine) {
+TEST(PersistVersion, PlainArtifactStampsCurrentVersion) {
   const Csr<double> L = fixture<double>(0);
   auto opt = small_block_options<double>();
   std::unique_ptr<BlockSolver<double>> s;
   ASSERT_TRUE(BlockSolver<double>::create(L, opt, &s).ok());
-  const std::string path = artifact_path("stamp_v9");
+  const std::string path = artifact_path("stamp_current");
   ASSERT_TRUE(s->save_artifact(path).ok());
   const std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 8u);
-  EXPECT_EQ(kArtifactFormatVersion, 9u);
-  EXPECT_EQ(bytes[4], 9);  // little-endian u32 version after the magic
+  EXPECT_EQ(kArtifactFormatVersion, 10u);
+  EXPECT_EQ(bytes[4], 10);  // little-endian u32 version after the magic
   EXPECT_EQ(bytes[5], 0);
   EXPECT_TRUE(blocktri::testing::ArtifactFramingHolds<double>(path));
   PlanArtifact<double> art;
@@ -347,7 +348,7 @@ TEST(PersistVersion, OlderVersionsAreVersionMismatch) {
   ASSERT_TRUE(s->save_artifact(path).ok());
   std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 8u);
-  for (char v = 1; v <= 8; ++v) {
+  for (char v = 1; v <= 9; ++v) {
     SCOPED_TRACE(static_cast<int>(v));
     bytes[4] = v;  // the header is not CRC-guarded: only the version moves
     write_file(path, bytes);
@@ -1740,10 +1741,10 @@ TEST(PersistMisc, StructureHashDiscriminatesAndIsStable) {
 }
 
 // structure_hash is the artifact/cache key: a changed bit turns every saved
-// artifact into kStructureMismatch. It must equal the byte-wise FNV-1a
-// reference on every byte width an index can have, including the fast
-// paths' edges and negative (all-ones high byte) dimensions.
-TEST(PersistMisc, StructureHashMatchesByteWiseReference) {
+// artifact into kStructureMismatch. It must equal the one-value-at-a-time
+// reference on every width an index can have, including negative
+// (all-ones high bits) dimensions.
+TEST(PersistMisc, StructureHashMatchesReference) {
   using blocktri::testing::reference_structure_hash;
   const std::vector<offset_t> edges = {
       0, 1, 255, 256, (offset_t{1} << 24) - 1, offset_t{1} << 24,
@@ -1759,8 +1760,8 @@ TEST(PersistMisc, StructureHashMatchesByteWiseReference) {
   EXPECT_EQ(structure_hash(-1, 0x7fffffff, edges, {}),
             reference_structure_hash(-1, 0x7fffffff, edges, {}));
 
-  // Seeded sweep over every byte width: a random value with a random number
-  // of significant bytes, in both arrays.
+  // Seeded sweep over every width: a random value with a random number of
+  // significant bits, in both arrays.
   Rng rng(0x6861736855ULL);
   std::vector<offset_t> ptr;
   std::vector<index_t> col;
@@ -1777,11 +1778,59 @@ TEST(PersistMisc, StructureHashMatchesByteWiseReference) {
             reference_structure_hash(L.nrows, L.ncols, L.row_ptr, L.col_idx));
 }
 
-// Known answers recorded from the byte-at-a-time implementation: keys of
-// artifacts already on disk must never move.
+// Known answers recorded from the reference: keys of artifacts already on
+// disk must never move.
 TEST(PersistMisc, StructureHashKnownAnswers) {
-  EXPECT_EQ(structure_hash(fixture<double>(0)), 0xaf9d68fb74e5e2a5ULL);
-  EXPECT_EQ(structure_hash(fixture<double>(1)), 0xe1a5f728c7055827ULL);
+  EXPECT_EQ(structure_hash(fixture<double>(0)), 0xde662550b44c3b7dULL);
+  EXPECT_EQ(structure_hash(fixture<double>(1)), 0x9d22e9bee98fdc82ULL);
+}
+
+// Patterns one small edit apart hash apart, through structure_hash and the
+// checked pass alike: two adjacent columns of a row swapped (they sit on
+// different lanes), one entry moved into the next row, a row pointer
+// shifted at equal nnz, and every size from 0 to 5, where the values are
+// fewer than or about as many as the lanes.
+TEST(PersistMisc, StructureHashSeparatesNearbyPatterns) {
+  const auto checked_hash = [](const Csr<double>& a) {
+    std::uint64_t h = 0;
+    EXPECT_TRUE(check_lower_triangular(a, &h).ok());
+    EXPECT_EQ(h, structure_hash(a));
+    return h;
+  };
+  // Rows 0..5 of a lower triangle, each ending in its diagonal:
+  // {0}, {0,1}, {0,1,2}, {1,3}, {0,2,3,4}, {4,5}.
+  Csr<double> base;
+  base.nrows = base.ncols = 6;
+  base.row_ptr = {0, 1, 3, 6, 8, 12, 14};
+  base.col_idx = {0, 0, 1, 0, 1, 2, 1, 3, 0, 2, 3, 4, 4, 5};
+  base.val.assign(base.col_idx.size(), 1.0);
+  const std::uint64_t h0 = checked_hash(base);
+
+  Csr<double> swapped = base;  // row 4's strict columns 0 and 2 trade places
+  std::swap(swapped.col_idx[8], swapped.col_idx[9]);
+  EXPECT_NE(checked_hash(swapped), h0);
+
+  Csr<double> moved = base;  // row 2's column 0 moves into row 3
+  moved.row_ptr[3] = 5;
+  moved.col_idx = {0, 0, 1, 1, 2, 0, 1, 3, 0, 2, 3, 4, 4, 5};
+  EXPECT_NE(checked_hash(moved), h0);
+
+  // One row pointer one further at equal nnz, over the same columns.
+  std::vector<offset_t> shifted = base.row_ptr;
+  shifted[4] = 9;
+  EXPECT_NE(structure_hash(6, 6, shifted, base.col_idx), h0);
+
+  std::vector<std::uint64_t> by_size;
+  for (index_t n = 0; n <= 5; ++n) {
+    const Csr<double> eye = gen::diagonal(n, 1);
+    ASSERT_EQ(eye.nnz(), n);
+    by_size.push_back(checked_hash(eye));
+  }
+  // Fewer values than lanes: only the count tells these apart.
+  by_size.push_back(structure_hash(0, 0, {}, {}));
+  by_size.push_back(structure_hash(0, 0, {0, 0}, {}));
+  std::sort(by_size.begin(), by_size.end());
+  EXPECT_EQ(std::adjacent_find(by_size.begin(), by_size.end()), by_size.end());
 }
 
 TEST(PersistMisc, ArtifactBytesTracksContent) {

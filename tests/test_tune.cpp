@@ -257,7 +257,7 @@ TEST(TuneOff, PlansAndArtifactsBitwiseIdentical) {
   EXPECT_EQ(fa, fb);
   // Every artifact is stamped with the one format version.
   ASSERT_GT(fa.size(), 8u);
-  EXPECT_EQ(fa[4], 9);
+  EXPECT_EQ(fa[4], 10);
   std::remove(pa.c_str());
   std::remove(pb.c_str());
 }
@@ -278,7 +278,7 @@ TEST(TunePersist, TunedArtifactRoundTripsWithZeroRetuning) {
   ASSERT_TRUE(cold->save_artifact(path).ok());
   const std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 8u);
-  EXPECT_EQ(bytes[4], 9);  // the one format version, tuning section or not
+  EXPECT_EQ(bytes[4], 10);  // the one format version, tuning section or not
   EXPECT_TRUE(blocktri::testing::ArtifactFramingHolds<double>(path));
 
   const std::uint64_t tunes = tune::tuning_run_count();
@@ -357,7 +357,7 @@ TEST(TunePersist, UntunedArtifactLoadsWithTuningDefaults) {
   ASSERT_TRUE(BlockSolver<double>::create(L, opt, &cold).ok());
   const std::string path = tmp_path("untuned.btpa");
   ASSERT_TRUE(cold->save_artifact(path).ok());
-  EXPECT_EQ(read_file(path)[4], 9);
+  EXPECT_EQ(read_file(path)[4], 10);
 
   std::unique_ptr<BlockSolver<double>> warm;
   ASSERT_TRUE(BlockSolver<double>::create_from_file(path, L, opt, &warm).ok());
